@@ -28,7 +28,8 @@ import numpy as np
 from .cable import bend_angle_batch, cable_capsule
 from .collision import motion_clearances
 from .geometry import Pose
-from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, plan
+from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
+    plan, solve_stations
 from .scene import Scene
 from .torque import trace_plan
 
@@ -292,17 +293,22 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
 def sweep(scene: Scene, threads: int | None = None) -> SweepReport:
     """Run the full grid in both modes.
 
-    Cells run independently (optionally in parallel) against one shared
-    plan cache; results are assembled in (row, col, mode) order.  Cell
-    results do not depend on the thread count or execution order: the
-    cache is content-addressed and the planner budget counts validation
-    attempts, cache hits included.
+    Station IK for every cell is solved first, in one grouped batch per
+    arm (solve_stations), so SweepCell.runtime leaves it out.  Cells
+    then run independently (optionally in parallel) against that
+    shared plan cache; results are assembled in (row, col, mode) order.
+    Cell results do not depend on the thread count or execution order:
+    the cache is content-addressed and the planner budget counts
+    validation attempts, cache hits included.
     """
     tasks = [(i, j, mode)
              for i in range(len(scene.pitch_rows))
              for j in range(len(scene.roll_cols))
              for mode in ("constrained", "unconstrained")]
     cache = PlanCache()
+    solve_stations([scene.problem(pitch=p, roll=r)
+                    for p in scene.pitch_rows for r in scene.roll_cols],
+                   scene.options, cache)
     n = _thread_count(threads)
     if n > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=n) as pool:

@@ -9,12 +9,16 @@ pose, a fixed set of handover poses, and the goal pose.  Edges are
   * handover: at a handover station the second arm grasps the held
     tool, then the first arm withdraws to home.
 
-Uniform-cost search orders paths by (edge count, summed joint
-distance).  Edge feasibility is expensive, so edges are validated
-lazily when their entry is popped; costs never change with validation,
-which keeps the search optimal.  In constrained mode every waypoint
-must keep the cable bend angle below the limit, and the hanging cable
-is an obstacle until the tool is first grasped.
+Node feasibility is solved up front: before the search starts,
+solve_stations runs IK for every station the plan may visit, all of
+one arm's stations in one grouped batch (a sweep does this once for
+all of its cells).  Uniform-cost search then orders paths by (edge
+count, summed joint distance).  Edge feasibility is expensive, so
+edges are validated lazily when their entry is popped; costs never
+change with validation, which keeps the search optimal.  In
+constrained mode every waypoint must keep the cable bend angle below
+the limit, and the hanging cable is an obstacle until the tool is
+first grasped.
 """
 
 from __future__ import annotations
@@ -176,22 +180,121 @@ class PlanResult:
 
 @dataclass
 class PlanCache:
-    """Cross-call memo for IK solutions and edge verdicts.
+    """Cross-call memo for station grasp configs and edge verdicts.
 
-    Keys are content-addressed (station pose bytes), so a cache shared
-    across a parameter sweep is safe: identical queries recur whenever
-    rows share a goal pose or columns share a start pose, and the
-    handover stations never change.  Entries are pure-function results,
-    which keeps concurrent use harmless.
+    node_feasible maps (station key, arm) to the collision-free grasp
+    configs there; solve_stations fills it up front, one grouped IK
+    call per arm, and the search only reads it.  edge_verdict fills
+    lazily as edges are validated.  Keys are content-addressed (station
+    name and pose bytes), so a cache shared across a parameter sweep of
+    one scene is safe: identical queries recur whenever rows share a
+    goal pose or columns share a start pose, and the handover stations
+    never change.  Entries are pure-function results, which keeps
+    concurrent use harmless.
     """
 
-    node_q: dict = field(default_factory=dict)
     node_feasible: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
 
 
 def _pose_key(pose: Pose) -> bytes:
-    return np.round(pose.r, 12).tobytes() + np.round(pose.t, 12).tobytes()
+    # Adding 0.0 turns -0.0 into +0.0, so equal poses get equal keys.
+    return ((np.round(pose.r, 12) + 0.0).tobytes()
+            + (np.round(pose.t, 12) + 0.0).tobytes())
+
+
+def _stations(problem: PlanningProblem) -> list[tuple[str, Pose]]:
+    """(name, pose) of the start, every handover and the goal station."""
+    stations = [("start", problem.start_pose)]
+    stations += [(f"hover{k}", p)
+                 for k, p in enumerate(problem.handover_poses)]
+    stations.append(("goal", problem.goal_pose))
+    return stations
+
+
+def _station_thetas(problem: PlanningProblem,
+                    stations: list[tuple[str, Pose]]) -> np.ndarray:
+    return bend_angle_batch(np.stack([p.r for _, p in stations]),
+                            np.stack([p.t for _, p in stations]),
+                            problem.balancer, problem.tool)
+
+
+def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
+                   constrained: bool = False) -> None:
+    """Fill cache.node_feasible for every station a plan may visit.
+
+    Collects the (station, arm) pairs of all problems that the cache
+    lacks and solves each arm's pairs in one grouped ik_batch call, one
+    group per pair, so every pair gets exactly the configs a call of
+    its own would give.  Solved grasps then pass the static clearance
+    check at their station.  In constrained mode stations that break
+    the bend limit are skipped, and so are all stations of a problem
+    whose start breaks it, since its search never leaves the start.
+    Problems sharing a cache must share a scene; see PlanCache.
+    """
+    jobs: dict[tuple, list] = {}
+    seen = set(cache.node_feasible)
+    for problem in problems:
+        stations = _stations(problem)
+        if constrained:
+            limit = problem.constraint.theta_max
+            ok = _station_thetas(problem, stations) < limit
+            if not ok[0]:
+                continue
+            stations = [st for st, keep in zip(stations, ok) if keep]
+        for name, pose in stations:
+            key = name.encode() + _pose_key(pose)
+            for side in ("left", "right"):
+                if (key, side) in seen:
+                    continue
+                seen.add((key, side))
+                # One call per arm model: problems that differ in their
+                # robot must not share an IK call.
+                arm = id(problem.robot.arm(side))
+                jobs.setdefault((side, arm), []).append((key, problem, pose))
+    for (side, _), group in jobs.items():
+        grasps = [sample_grasps(problem.tool, side, options.axial_samples,
+                                options.roll_samples, options.grasp_inset)
+                  for _, problem, _ in group]
+        targets = [compose(pose, g.pose_tool)
+                   for (_, _, pose), gs in zip(group, grasps) for g in gs]
+        sizes = [len(gs) for gs in grasps]
+        seeds = np.repeat([problem.home(side) for _, problem, _ in group],
+                          sizes, axis=0)
+        sols, ok = ik_batch(group[0][1].robot.arm(side),
+                            np.stack([t.r for t in targets]),
+                            np.stack([t.t for t in targets]),
+                            seeds, options.ik, sizes)
+        lo = 0
+        for (key, problem, pose), n in zip(group, sizes):
+            cache.node_feasible[(key, side)] = _clear_grasps(
+                problem, side, pose, sols[lo:lo + n], ok[lo:lo + n])
+            lo += n
+
+
+def _clear_grasps(problem: PlanningProblem, side: str, pose: Pose,
+                  sols: np.ndarray, ok: np.ndarray) -> dict[int, np.ndarray]:
+    """gid -> config of the solved grasps that clear the resting tool."""
+    feasible: dict[int, np.ndarray] = {}
+    idx = np.nonzero(ok)[0]
+    if idx.size:
+        w = idx.size
+        if side == "left":
+            ql = sols[idx]
+            qr = np.tile(problem.home_right, (w, 1))
+        else:
+            ql = np.tile(problem.home_left, (w, 1))
+            qr = sols[idx]
+        segs, radii, names = problem.tool.shape_segments()
+        world_segs = pose.r @ segs.transpose(0, 2, 1)
+        world_segs = world_segs.transpose(0, 2, 1) + pose.t
+        att = np.broadcast_to(world_segs, (w,) + world_segs.shape)
+        clear, _, _ = motion_clearances(problem.world, problem.robot, ql, qr,
+                                        att, radii, names)
+        for j, gid in enumerate(idx):
+            if clear[j] >= 0.0:
+                feasible[int(gid)] = sols[gid]
+    return feasible
 
 
 def interp_joints(qa: np.ndarray, qb: np.ndarray, step: float) -> np.ndarray:
@@ -229,10 +332,7 @@ class _Search:
                                 options.roll_samples, options.grasp_inset)
             for side in ("left", "right")
         }
-        self.stations: list[tuple[str, Pose]] = [("start", problem.start_pose)]
-        self.stations += [(f"hover{k}", p)
-                          for k, p in enumerate(problem.handover_poses)]
-        self.stations.append(("goal", problem.goal_pose))
+        self.stations = _stations(problem)
         self.goal_idx = len(self.stations) - 1
         self.station_keys = [name.encode() + _pose_key(pose)
                              for name, pose in self.stations]
@@ -240,11 +340,7 @@ class _Search:
         self.tool_segs = segs
         self.tool_radii = radii
         self.tool_names = names
-        self.theta_station = [
-            bend_angle_batch(p.r[None], p.t[None], problem.balancer,
-                             problem.tool)[0]
-            for _, p in self.stations
-        ]
+        self.theta_station = _station_thetas(problem, self.stations)
         if constrained:
             self.stats.stations_pruned = sum(
                 1 for th in self.theta_station
@@ -253,42 +349,11 @@ class _Search:
     # ----- node feasibility -------------------------------------------------
 
     def node_configs(self, station: int, side: str) -> dict[int, np.ndarray]:
-        """Feasible grasp configs at a station: gid -> joint vector."""
-        key = (self.station_keys[station], side)
-        hit = self.cache.node_feasible.get(key)
-        if hit is not None:
-            return hit
-        pose = self.stations[station][1]
-        grasps = self.grasps[side]
-        targets_r = np.stack([compose(pose, g.pose_tool).r for g in grasps])
-        targets_t = np.stack([compose(pose, g.pose_tool).t for g in grasps])
-        arm = self.pb.robot.arm(side)
-        sols, ok = ik_batch(arm, targets_r, targets_t, self.pb.home(side),
-                            self.opt.ik)
-        feasible: dict[int, np.ndarray] = {}
-        idx = np.nonzero(ok)[0]
-        if idx.size:
-            w = idx.size
-            if side == "left":
-                ql = sols[idx]
-                qr = np.tile(self.pb.home_right, (w, 1))
-            else:
-                ql = np.tile(self.pb.home_left, (w, 1))
-                qr = sols[idx]
-            att = self._static_tool_segments(pose, w)
-            clear, _, _ = motion_clearances(
-                self.pb.world, self.pb.robot, ql, qr, att, self.tool_radii,
-                self.tool_names)
-            for j, gid in enumerate(idx):
-                if clear[j] >= 0.0:
-                    feasible[int(gid)] = sols[gid]
-        self.cache.node_feasible[key] = feasible
-        return feasible
+        """Feasible grasp configs at a station: gid -> joint vector.
 
-    def _static_tool_segments(self, pose: Pose, w: int) -> np.ndarray:
-        world_segs = pose.r @ self.tool_segs.transpose(0, 2, 1)
-        world_segs = world_segs.transpose(0, 2, 1) + pose.t
-        return np.broadcast_to(world_segs, (w,) + world_segs.shape)
+        Reads the cache that solve_stations filled.
+        """
+        return self.cache.node_feasible[(self.station_keys[station], side)]
 
     def station_ok(self, station: int) -> bool:
         if not self.constrained:
@@ -465,6 +530,7 @@ class _Search:
 
     def run(self) -> PlanResult:
         t0 = time.monotonic()
+        solve_stations([self.pb], self.opt, self.cache, self.constrained)
         counter = 0
         heap: list[tuple] = []
         settled: dict = {}

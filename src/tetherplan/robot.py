@@ -11,6 +11,7 @@ written down.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -187,7 +188,13 @@ def fk_chain_batch(arm: ArmModel, qs: np.ndarray,
 
 def jacobian_batch(arm: ArmModel, qs: np.ndarray) -> np.ndarray:
     """Geometric TCP Jacobians (W, 6, 6), matching jacobian row for row."""
-    tcp_r, tcp_t, origins, axes = fk_chain_batch(arm, qs)
+    _, tcp_t, origins, axes = fk_chain_batch(arm, qs)
+    return _chain_jacobian(tcp_t, origins, axes)
+
+
+def _chain_jacobian(tcp_t: np.ndarray, origins: np.ndarray,
+                    axes: np.ndarray) -> np.ndarray:
+    """Jacobians (W, 6, 6) from the fk_chain_batch outputs of W rows."""
     lever = tcp_t[:, None, :] - origins[:, 1:N_JOINTS + 1, :]
     linear = np.cross(axes, lever)
     jac = np.empty((linear.shape[0], 6, N_JOINTS))
@@ -279,18 +286,27 @@ def ik(arm: ArmModel, target: Pose, seed_config: np.ndarray,
 
 def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
              seed_config: np.ndarray, opts: IKOptions = IKOptions(),
+             groups: Sequence[int] | None = None,
              ) -> tuple[np.ndarray, np.ndarray]:
     """Damped-least-squares IK over a batch of B targets at once.
 
     Mirrors ik(): every target first starts from seed_config (a single
     configuration or one row per target), then unsolved targets retry
-    from uniform in-limit samples.  Returns (q (B, 6), solved (B,));
-    rows with solved False hold the last iterate and are not valid.
+    from uniform in-limit samples.  groups splits the B targets into
+    consecutive groups of the given sizes (default: one group of all
+    B).  Each group draws its restart samples from its own
+    np.random.default_rng(opts.seed), (group size, 6) per restart, so a
+    target's result depends only on its own group: a grouped call
+    returns exactly what one call per group would.  Returns
+    (q (B, 6), solved (B,)); rows with solved False are zeros.
     """
     target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
     target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
     b = target_r.shape[0]
-    rng = np.random.default_rng(opts.seed)
+    sizes = [b] if groups is None else [int(g) for g in groups]
+    if sum(sizes) != b or min(sizes, default=0) < 0:
+        raise ValueError(f"group sizes {sizes} do not split {b} targets")
+    rngs = [np.random.default_rng(opts.seed) for _ in sizes]
     lam2 = opts.damping * opts.damping
     eye = lam2 * np.eye(6)
     seeds = np.asarray(seed_config, dtype=float)
@@ -301,7 +317,9 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     solved = np.zeros(b, dtype=bool)
     for attempt in range(max(1, opts.restarts)):
         if attempt > 0:
-            fresh = rng.uniform(arm.lower, arm.upper, (b, N_JOINTS))
+            fresh = np.concatenate(
+                [rng.uniform(arm.lower, arm.upper, (g, N_JOINTS))
+                 for rng, g in zip(rngs, sizes)])
             q = np.where(solved[:, None], q, fresh)
         active = ~solved
         for it in range(opts.max_iters + 1):
@@ -309,7 +327,7 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
             if idx.size == 0:
                 break
             qa = q[idx]
-            cur_r, cur_t, _, _ = fk_chain_batch(arm, qa)
+            cur_r, cur_t, origins, axes = fk_chain_batch(arm, qa)
             e_pos = target_t[idx] - cur_t
             e_rot = _rotvec_batch(target_r[idx] @ cur_r.transpose(0, 2, 1))
             done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
@@ -319,15 +337,15 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
                 solution[hit] = qa[done]
                 solved[hit] = True
                 active[hit] = False
-                idx = idx[~done]
+                keep = ~done
+                idx = idx[keep]
                 if idx.size == 0:
                     break
-                qa = qa[~done]
-                e_pos = e_pos[~done]
-                e_rot = e_rot[~done]
+                qa, e_pos, e_rot = qa[keep], e_pos[keep], e_rot[keep]
+                cur_t, origins, axes = cur_t[keep], origins[keep], axes[keep]
             if it == opts.max_iters:
                 break
-            jac = jacobian_batch(arm, qa)
+            jac = _chain_jacobian(cur_t, origins, axes)
             err = np.concatenate([e_pos, e_rot], axis=1)
             gram = jac @ jac.transpose(0, 2, 1) + eye
             y = np.linalg.solve(gram, err[..., None])[..., 0]

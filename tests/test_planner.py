@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import QUICK, make_problem, make_tool
 
+from tetherplan import planner
 from tetherplan.cable import BendConstraint, ToolSpec
-from tetherplan.geometry import rot_x
+from tetherplan.geometry import Pose, rot_x
 from tetherplan.planner import (
     EmptyGraspSet,
     PlanCache,
@@ -13,9 +15,11 @@ from tetherplan.planner import (
     PlanningProblem,
     _EdgeData,
     _Search,
+    _pose_key,
     interp_joints,
     plan,
     sample_grasps,
+    solve_stations,
 )
 from tetherplan.robot import fk
 
@@ -109,7 +113,9 @@ class TestPlanning:
         # Precondition: neither arm can serve both ends alone.  The
         # right arm has no feasible grasp at the start and the left
         # none at the goal, so any plan must change hands.
-        probe = _Search(problem, True, QUICK, PlanCache())
+        cache = PlanCache()
+        solve_stations([problem], QUICK, cache)
+        probe = _Search(problem, True, QUICK, cache)
         assert not probe.node_configs(0, "right")
         assert not probe.node_configs(2, "left")
         result = plan(problem, constrained=True, options=QUICK)
@@ -255,3 +261,43 @@ class TestEdgeValidation:
         search.build_edge = lambda spec: edge
         ok, reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
         assert (ok, reason) == (False, "bend")
+
+
+class TestStationSolve:
+    def test_negative_zero_pose_shares_the_key(self):
+        r = np.eye(3)
+        r_neg = r.copy()
+        r_neg[0, 1] = -0.0
+        t_neg = np.array([0.3, -0.0, 0.45])
+        assert np.signbit(r_neg[0, 1]) and np.signbit(t_neg[1])
+        assert _pose_key(Pose(r_neg, t_neg)) == \
+            _pose_key(Pose(r, np.array([0.3, 0.0, 0.45])))
+
+    def test_prefilled_cache_gives_the_same_plan_without_ik(self, monkeypatch):
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        other = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
+        cold = plan(problem, constrained=True, options=QUICK).plan
+        cache = PlanCache()
+        solve_stations([other, problem], QUICK, cache)
+
+        def no_ik(*args, **kwargs):
+            raise AssertionError("plan() ran IK on a pre-filled cache")
+
+        monkeypatch.setattr(planner, "ik_batch", no_ik)
+        warm = plan(problem, constrained=True, options=QUICK, cache=cache).plan
+        for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+                     "clearance"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+        assert warm.holding == cold.holding
+        assert warm.edge_kinds == cold.edge_kinds
+
+    def test_bent_start_fails_without_ik(self, monkeypatch):
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        bent = replace(problem, start_pose=Pose(rot_x(math.radians(120.0)),
+                                                problem.start_pose.t))
+        calls = []
+        monkeypatch.setattr(planner, "ik_batch",
+                            lambda *a, **k: calls.append(a))
+        result = plan(bent, constrained=True, options=QUICK)
+        assert result.failure == "no_feasible_start"
+        assert calls == []

@@ -273,3 +273,62 @@ def test_ik_batch_per_target_seed_rows(arm):
     assert ok.all()
     # Seeding each row with its own exact solution must return it unchanged.
     assert np.allclose(sol, qs)
+
+
+def _mixed_targets(arm):
+    """14 targets: rows 0-10 reachable, rows 11-13 far out of reach."""
+    rng = np.random.default_rng(46)
+    qs = rng.uniform(-1.5, 1.5, (14, 6))
+    rots, ts, _ = rb.fk_batch(arm, qs)
+    ts[11:] += [2.0, 0.0, 0.0]
+    seeds = rng.uniform(-1.0, 1.0, (14, 6))
+    return rots, ts, seeds
+
+
+@pytest.mark.parametrize("split_seed", range(4))
+def test_grouped_ik_batch_equals_per_group_calls(arm, split_seed):
+    rots, ts, seeds = _mixed_targets(arm)
+    rng = np.random.default_rng(split_seed)
+    # A group of 1, a random split of rows 1-10, and an unreachable group.
+    cuts = np.sort(rng.choice(np.arange(2, 11), size=rng.integers(1, 5),
+                              replace=False))
+    sizes = [1] + np.diff([1, *cuts, 11]).tolist() + [3]
+    opts = rb.IKOptions(restarts=3, max_iters=50, seed=7)
+    q, ok = rb.ik_batch(arm, rots, ts, seeds, opts, sizes)
+    lo = 0
+    for n in sizes:
+        qg, okg = rb.ik_batch(arm, rots[lo:lo + n], ts[lo:lo + n],
+                              seeds[lo:lo + n], opts)
+        assert np.array_equal(q[lo:lo + n], qg)
+        assert np.array_equal(ok[lo:lo + n], okg)
+        lo += n
+    assert ok[:11].any()
+    assert not ok[11:].any()
+
+
+def test_ik_batch_default_is_one_group(arm):
+    rots, ts, seeds = _mixed_targets(arm)
+    opts = rb.IKOptions(restarts=2, max_iters=40, seed=3)
+    q1, ok1 = rb.ik_batch(arm, rots, ts, seeds, opts)
+    q2, ok2 = rb.ik_batch(arm, rots, ts, seeds, opts, [14])
+    assert np.array_equal(q1, q2)
+    assert np.array_equal(ok1, ok2)
+    with pytest.raises(ValueError):
+        rb.ik_batch(arm, rots, ts, seeds, opts, [10, 3])
+
+
+def test_ik_batch_unsolved_rows_are_zero(arm):
+    rots, ts, seeds = _mixed_targets(arm)
+    q, ok = rb.ik_batch(arm, rots, ts, seeds,
+                        rb.IKOptions(restarts=2, max_iters=30, seed=1))
+    assert not ok.all()
+    assert np.all(q[~ok] == 0.0)
+
+
+def test_filtered_chain_jacobian_equals_jacobian_batch(arm):
+    rng = np.random.default_rng(47)
+    qs = rng.uniform(-2.0, 2.0, (25, 6))
+    keep = rng.random(25) < 0.6
+    _, tcp_t, origins, axes = rb.fk_chain_batch(arm, qs)
+    jac = rb._chain_jacobian(tcp_t[keep], origins[keep], axes[keep])
+    assert np.array_equal(jac, rb.jacobian_batch(arm, qs[keep]))
