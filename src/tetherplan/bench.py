@@ -18,22 +18,18 @@ re-check is what proves that.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cable import bend_angle_batch, cable_capsule
+from .cable import bend_angle_batch, with_cable
 from .collision import motion_clearances
 from .geometry import Pose
 from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
     plan, solve_stations
 from .scene import Scene
 from .torque import trace_plan
-
-THREADS_ENV = "TETHERPLAN_THREADS"
 
 LABEL_SYMBOLS = {
     "success": "o",
@@ -84,24 +80,17 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem) -> Recheck:
     over = np.nonzero(theta >= problem.constraint.theta_max)[0]
     bend_wp = int(over[0]) if over.size else None
 
-    segs, radii, names = problem.tool.shape_segments()
-    world_segs = np.einsum("wij,kpj->wkpi",
-                           np.ascontiguousarray(motion.tool_rot), segs) \
-        + motion.tool_t[:, None, None, :]
-    radii = list(radii)
-    names = list(names)
+    _, radii, names = problem.tool.shape_segments()
+    world_segs = problem.tool.segments_world(motion.tool_rot, motion.tool_t)
 
     w = motion.n_waypoints
     first_hold = next((i for i, h in enumerate(motion.holding) if h), w)
     window_end = min(first_hold + 1, w)
 
-    cable = cable_capsule(problem.balancer,
-                          Pose(motion.tool_rot[0], motion.tool_t[0]),
-                          problem.tool)
-    # Cable-to-tool proximity is structural (the cable suspends the
-    # tool); only arm and environment contact with the cable counts.
-    cable_world = problem.world.with_static("cable", cable,
-                                            exclude_against=names)
+    # Only arm and environment contact with the cable counts.
+    cable_world = with_cable(problem.world, problem.balancer,
+                             Pose(motion.tool_rot[0], motion.tool_t[0]),
+                             problem.tool)
 
     cable_wp = None
     collision_wp = None
@@ -252,15 +241,6 @@ class SweepReport:
                              per_arm_mean_pct=per_arm_mean)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(THREADS_ENV, "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
-
-
 def run_cell(scene: Scene, row: int, col: int, mode: str,
              cache: PlanCache | None = None) -> SweepCell:
     """Plan, re-check, and classify one grid cell."""
@@ -290,33 +270,24 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
         peak_torque=peaks, runtime=runtime)
 
 
-def sweep(scene: Scene, threads: int | None = None) -> SweepReport:
-    """Run the full grid in both modes.
+def sweep(scene: Scene) -> SweepReport:
+    """Run the full grid in both modes, cells in (row, col, mode) order.
 
     Station IK for every cell is solved first, in one grouped batch per
-    arm (solve_stations), so SweepCell.runtime leaves it out.  Cells
-    then run independently (optionally in parallel) against that
-    shared plan cache; results are assembled in (row, col, mode) order.
-    Cell results do not depend on the thread count or execution order:
-    the cache is content-addressed and the planner budget counts
-    validation attempts, cache hits included.
+    arm (solve_stations), so SweepCell.runtime leaves it out.  The cells
+    then run one after another against that shared plan cache.  A
+    cell's result does not depend on which cells ran before it: the
+    cache is content-addressed and the planner budget counts validation
+    attempts, cache hits included.
     """
-    tasks = [(i, j, mode)
-             for i in range(len(scene.pitch_rows))
-             for j in range(len(scene.roll_cols))
-             for mode in ("constrained", "unconstrained")]
     cache = PlanCache()
     solve_stations([scene.problem(pitch=p, roll=r)
                     for p in scene.pitch_rows for r in scene.roll_cols],
                    scene.options, cache)
-    n = _thread_count(threads)
-    if n > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            cells = list(pool.map(
-                lambda t: run_cell(scene, t[0], t[1], t[2], cache), tasks))
-    else:
-        cells = [run_cell(scene, i, j, mode, cache) for i, j, mode in tasks]
-    cells.sort(key=lambda c: (c.row, c.col, c.mode))
+    cells = [run_cell(scene, i, j, mode, cache)
+             for i in range(len(scene.pitch_rows))
+             for j in range(len(scene.roll_cols))
+             for mode in ("constrained", "unconstrained")]
     return SweepReport(scene_name=scene.name, pitch_rows=scene.pitch_rows,
                        roll_cols=scene.roll_cols, cells=tuple(cells))
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tetherplan.collision import Box, Capsule, Shape, _as_segment
-from tetherplan.geometry import Pose, angle_between, unit
+from tetherplan.collision import Box, Capsule, CollisionWorld, Shape, \
+    capsule_segments
+from tetherplan.geometry import Pose, unit
 
 DEFAULT_MAX_BEND = math.radians(95.0)
 _EPS = 1e-9
@@ -80,23 +81,20 @@ class ToolSpec:
 
     def shape_segments(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Tool-frame segments (K, 2, 3), radii (K,), and names."""
-        segs = np.zeros((len(self.shapes), 2, 3))
-        radii = np.zeros(len(self.shapes))
-        names = []
-        for k, (name, shape) in enumerate(self.shapes):
-            a, b, r = _as_segment(shape)
-            segs[k, 0] = a
-            segs[k, 1] = b
-            radii[k] = r
-            names.append(name)
-        return segs, radii, names
+        segs, radii = capsule_segments(shape for _, shape in self.shapes)
+        return segs, radii, [name for name, _ in self.shapes]
+
+    def segments_world(self, rot: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """World-frame segments (W, K, 2, 3) of the shapes at W tool poses."""
+        segs, _, _ = self.shape_segments()
+        return (np.einsum("wij,kpj->wkpi", np.ascontiguousarray(rot), segs)
+                + np.asarray(t)[:, None, None, :])
 
     def shapes_world(self, pose: Pose) -> list[tuple[str, Shape]]:
-        out = []
-        for name, shape in self.shapes:
-            a, b, r = _as_segment(shape)
-            out.append((name, Capsule(pose.apply(a), pose.apply(b), r)))
-        return out
+        segs = self.segments_world(pose.r[None], pose.t[None])[0]
+        _, radii, names = self.shape_segments()
+        return [(name, Capsule(seg[0], seg[1], float(r)))
+                for name, seg, r in zip(names, segs, radii)]
 
 
 @dataclass(frozen=True)
@@ -121,12 +119,7 @@ class BendCheck:
 
 def bend_angle(pose: Pose, balancer: BalancerSpec, tool: ToolSpec) -> float:
     """Angle between the connector boom and the cable, in radians."""
-    connector = pose.apply(tool.connector_point)
-    cable = balancer.anchor - connector
-    if np.linalg.norm(cable) < _EPS:
-        raise DegenerateCable("tool connector sits at the balancer anchor")
-    boom = pose.r @ tool.cable_dir
-    return angle_between(cable, boom)
+    return float(bend_angle_batch(pose.r[None], pose.t[None], balancer, tool)[0])
 
 
 def bend_angle_batch(rot: np.ndarray, t: np.ndarray,
@@ -154,3 +147,14 @@ def cable_capsule(balancer: BalancerSpec, pose: Pose, tool: ToolSpec) -> Capsule
     if np.linalg.norm(balancer.anchor - connector) < _EPS:
         raise DegenerateCable("tool connector sits at the balancer anchor")
     return Capsule(balancer.anchor, connector, balancer.cable_radius)
+
+
+def with_cable(world: CollisionWorld, balancer: BalancerSpec, pose: Pose,
+               tool: ToolSpec) -> CollisionWorld:
+    """world plus the cable of the tool resting at pose, as a static.
+
+    The cable hangs off the tool itself, so its proximity to the tool's
+    shapes is structural, not a collision: they are excluded against it.
+    """
+    return world.with_static("cable", cable_capsule(balancer, pose, tool),
+                             exclude_against=[name for name, _ in tool.shapes])

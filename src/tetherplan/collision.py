@@ -6,6 +6,11 @@ segment-segment (exact closed form) and segment-box (ternary search on
 the convex distance profile along the segment).  Touching counts as
 free everywhere: a pair collides only when its clearance is strictly
 negative.
+
+There is one pair-clearance routine, _pair_clearances: it assembles the
+arm, static and attached capsules of a batch of waypoints and measures
+every active pair.  motion_clearances takes the minimum per waypoint
+and robot_in_collision reads its single row.
 """
 
 from __future__ import annotations
@@ -162,6 +167,13 @@ def _as_segment(shape: Shape) -> tuple[np.ndarray, np.ndarray, float]:
     if isinstance(shape, Sphere):
         return shape.center, shape.center, shape.radius
     raise TypeError(f"not a capsule-like shape: {shape!r}")
+
+
+def capsule_segments(shapes: Iterable[Shape]) -> tuple[np.ndarray, np.ndarray]:
+    """Segments (K, 2, 3) and radii (K,) of capsule-like shapes."""
+    parts = [_as_segment(s) for s in shapes]
+    segs = np.array([(a, b) for a, b, _ in parts], dtype=float)
+    return segs.reshape(-1, 2, 3), np.array([r for _, _, r in parts], dtype=float)
 
 
 def shape_clearance(a: Shape, b: Shape) -> float:
@@ -361,6 +373,51 @@ def _build_pair_table(world: CollisionWorld,
     )
 
 
+def _pair_clearances(world: CollisionWorld, robot: DualArm,
+                     q_left: np.ndarray, q_right: np.ndarray,
+                     attached_segments: np.ndarray | None,
+                     attached_radii: Sequence[float],
+                     attached_names: Sequence[str],
+                     holding: Sequence[str]) -> tuple[np.ndarray, _PairTable]:
+    """Clearance of every active pair at every waypoint: ((W, P), table).
+
+    The one pair-clearance routine; see motion_clearances for the
+    arguments.  Columns follow table.pair_names.
+    """
+    q_left = np.asarray(q_left, dtype=float).reshape(-1, 6)
+    q_right = np.asarray(q_right, dtype=float).reshape(-1, 6)
+    w = q_left.shape[0]
+    table = _build_pair_table(world, attached_names, attached_radii, holding)
+
+    parts = [
+        arm_link_segments(robot.left, world.link_specs["left"], q_left),
+        arm_link_segments(robot.right, world.link_specs["right"], q_right),
+    ]
+    stat, _ = capsule_segments(s for s in world.statics.values()
+                               if not isinstance(s, Box))
+    parts.append(np.broadcast_to(stat, (w,) + stat.shape))
+    if attached_segments is not None and len(attached_names):
+        parts.append(np.asarray(attached_segments, dtype=float))
+    caps = np.concatenate(parts, axis=1)
+
+    n_cap = table.cap_i.size
+    clear = np.empty((w, len(table.pair_names)))
+    if n_cap:
+        a = caps[:, table.cap_i]
+        b = caps[:, table.cap_j]
+        d = _seg_seg_batch(a[:, :, 0], a[:, :, 1], b[:, :, 0], b[:, :, 1])
+        clear[:, :n_cap] = d - table.cap_radsum[None, :]
+    boxes = [s for s in world.statics.values() if isinstance(s, Box)]
+    for bi, box in enumerate(boxes):
+        sel = np.nonzero(table.box_box_idx == bi)[0]
+        if not sel.size:
+            continue
+        seg = caps[:, table.box_cap_idx[sel]]
+        d = _seg_box_batch(seg[:, :, 0], seg[:, :, 1], box)
+        clear[:, n_cap + sel] = d - table.box_cap_rad[sel][None, :]
+    return clear, table
+
+
 def motion_clearances(world: CollisionWorld, robot: DualArm,
                       q_left: np.ndarray, q_right: np.ndarray,
                       attached_segments: np.ndarray | None = None,
@@ -375,50 +432,14 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
 
     Returns (clearance (W,), argmin pair index (W,), pair name table).
     """
-    q_left = np.asarray(q_left, dtype=float).reshape(-1, 6)
-    q_right = np.asarray(q_right, dtype=float).reshape(-1, 6)
-    w = q_left.shape[0]
-    table = _build_pair_table(world, attached_names, attached_radii, holding)
-
-    parts = [
-        arm_link_segments(robot.left, world.link_specs["left"], q_left),
-        arm_link_segments(robot.right, world.link_specs["right"], q_right),
-    ]
-    static_caps = [s for s in world.statics.values() if not isinstance(s, Box)]
-    if static_caps:
-        stat = np.empty((w, len(static_caps), 2, 3))
-        for k, s in enumerate(static_caps):
-            a, b, _ = _as_segment(s)
-            stat[:, k, 0] = a
-            stat[:, k, 1] = b
-        parts.append(stat)
-    if attached_segments is not None and len(attached_names):
-        parts.append(np.asarray(attached_segments, dtype=float))
-    caps = np.concatenate(parts, axis=1)
-
-    clearances = []
-    if table.cap_i.size:
-        a = caps[:, table.cap_i]
-        b = caps[:, table.cap_j]
-        d = _seg_seg_batch(a[:, :, 0], a[:, :, 1], b[:, :, 0], b[:, :, 1])
-        clearances.append(d - table.cap_radsum[None, :])
-    if table.box_cap_idx.size:
-        boxes = [s for s in world.statics.values() if isinstance(s, Box)]
-        cols = np.empty((w, table.box_cap_idx.size))
-        for bi, box in enumerate(boxes):
-            sel = table.box_box_idx == bi
-            if not np.any(sel):
-                continue
-            seg = caps[:, table.box_cap_idx[sel]]
-            d = _seg_box_batch(seg[:, :, 0], seg[:, :, 1], box)
-            cols[:, sel] = d - table.box_cap_rad[sel][None, :]
-        clearances.append(cols)
-
-    if not clearances:
+    clear, table = _pair_clearances(world, robot, q_left, q_right,
+                                    attached_segments, attached_radii,
+                                    attached_names, holding)
+    w = clear.shape[0]
+    if not clear.shape[1]:
         return np.full(w, np.inf), np.zeros(w, dtype=int), table.pair_names
-    all_clear = np.concatenate(clearances, axis=1)
-    idx = np.argmin(all_clear, axis=1)
-    return all_clear[np.arange(w), idx], idx, table.pair_names
+    idx = np.argmin(clear, axis=1)
+    return clear[np.arange(w), idx], idx, table.pair_names
 
 
 def robot_in_collision(world: CollisionWorld, robot: DualArm,
@@ -432,67 +453,14 @@ def robot_in_collision(world: CollisionWorld, robot: DualArm,
     excluded against both wrists.
     """
     attached = attached or {}
-    q_left = np.asarray(q_left, dtype=float).reshape(6)
-    q_right = np.asarray(q_right, dtype=float).reshape(6)
     holding = tuple(side for side in ("left", "right") if attached.get(side))
     seen: dict[str, Shape] = {}
     for side in ("left", "right"):
         for name, shape in attached.get(side, ()):
-            if name not in seen:
-                seen[name] = shape
-    attached_names = list(seen)
-    seg = None
-    radii: list[float] = []
-    if attached_names:
-        seg = np.empty((1, len(attached_names), 2, 3))
-        for k, name in enumerate(attached_names):
-            a, b, r = _as_segment(seen[name])
-            seg[0, k, 0] = a
-            seg[0, k, 1] = b
-            radii.append(r)
-
-    table = _build_pair_table(world, attached_names, radii, holding)
-    all_pairs = _all_pair_clearances(world, robot, q_left, q_right, seg, radii,
-                                     attached_names, holding, table)
-    hits = tuple(table.pair_names[k] for k in np.nonzero(all_pairs < 0.0)[0])
-    return CollisionReport(pairs=hits, min_clearance=float(all_pairs.min(initial=np.inf)))
-
-
-def _all_pair_clearances(world, robot, q_left, q_right, seg, radii,
-                         attached_names, holding, table) -> np.ndarray:
-    parts = [
-        arm_link_segments(robot.left, world.link_specs["left"], q_left[None]),
-        arm_link_segments(robot.right, world.link_specs["right"], q_right[None]),
-    ]
-    static_caps = [s for s in world.statics.values() if not isinstance(s, Box)]
-    if static_caps:
-        stat = np.empty((1, len(static_caps), 2, 3))
-        for k, s in enumerate(static_caps):
-            a, b, _ = _as_segment(s)
-            stat[0, k, 0] = a
-            stat[0, k, 1] = b
-        parts.append(stat)
-    if seg is not None:
-        parts.append(seg)
-    caps = np.concatenate(parts, axis=1)
-
-    out = []
-    if table.cap_i.size:
-        a = caps[:, table.cap_i]
-        b = caps[:, table.cap_j]
-        d = _seg_seg_batch(a[:, :, 0], a[:, :, 1], b[:, :, 0], b[:, :, 1])
-        out.append(d[0] - table.cap_radsum)
-    if table.box_cap_idx.size:
-        boxes = [s for s in world.statics.values() if isinstance(s, Box)]
-        cols = np.empty(table.box_cap_idx.size)
-        for bi, box in enumerate(boxes):
-            sel = table.box_box_idx == bi
-            if not np.any(sel):
-                continue
-            segp = caps[:, table.box_cap_idx[sel]]
-            d = _seg_box_batch(segp[:, :, 0], segp[:, :, 1], box)
-            cols[sel] = d[0] - table.box_cap_rad[sel]
-        out.append(cols)
-    if not out:
-        return np.full(1, np.inf)
-    return np.concatenate(out)
+            seen.setdefault(name, shape)
+    seg, radii = capsule_segments(seen.values())
+    clear, table = _pair_clearances(world, robot, q_left, q_right, seg[None],
+                                    radii, list(seen), holding)
+    row = clear[0]
+    hits = tuple(table.pair_names[k] for k in np.nonzero(row < 0.0)[0])
+    return CollisionReport(pairs=hits, min_clearance=float(row.min(initial=np.inf)))

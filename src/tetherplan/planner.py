@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tetherplan.cable import BalancerSpec, BendConstraint, ToolSpec, \
-    bend_angle_batch, cable_capsule
+    bend_angle_batch, with_cable
 from tetherplan.collision import CollisionWorld, motion_clearances
 from tetherplan.geometry import Pose, compose, rot_axis_angle, unit
 from tetherplan.robot import DualArm, IKOptions, N_JOINTS, fk_batch, ik_batch
@@ -132,6 +132,14 @@ class PlanningProblem:
 
     def home(self, side: str) -> np.ndarray:
         return self.home_left if side == "left" else self.home_right
+
+    def one_arm_moves(self, side: str, qs: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """(q_left, q_right) waypoints: side follows qs, the other arm
+        stays home."""
+        other = np.tile(self.home("right" if side == "left" else "left"),
+                        (qs.shape[0], 1))
+        return (qs, other) if side == "left" else (other, qs)
 
 
 @dataclass(frozen=True)
@@ -278,17 +286,10 @@ def _clear_grasps(problem: PlanningProblem, side: str, pose: Pose,
     feasible: dict[int, np.ndarray] = {}
     idx = np.nonzero(ok)[0]
     if idx.size:
-        w = idx.size
-        if side == "left":
-            ql = sols[idx]
-            qr = np.tile(problem.home_right, (w, 1))
-        else:
-            ql = np.tile(problem.home_left, (w, 1))
-            qr = sols[idx]
-        segs, radii, names = problem.tool.shape_segments()
-        world_segs = pose.r @ segs.transpose(0, 2, 1)
-        world_segs = world_segs.transpose(0, 2, 1) + pose.t
-        att = np.broadcast_to(world_segs, (w,) + world_segs.shape)
+        ql, qr = problem.one_arm_moves(side, sols[idx])
+        _, radii, names = problem.tool.shape_segments()
+        segs = problem.tool.segments_world(pose.r[None], pose.t[None])
+        att = np.broadcast_to(segs, (idx.size,) + segs.shape[1:])
         clear, _, _ = motion_clearances(problem.world, problem.robot, ql, qr,
                                         att, radii, names)
         for j, gid in enumerate(idx):
@@ -336,10 +337,7 @@ class _Search:
         self.goal_idx = len(self.stations) - 1
         self.station_keys = [name.encode() + _pose_key(pose)
                              for name, pose in self.stations]
-        segs, radii, names = problem.tool.shape_segments()
-        self.tool_segs = segs
-        self.tool_radii = radii
-        self.tool_names = names
+        _, self.tool_radii, self.tool_names = problem.tool.shape_segments()
         self.theta_station = _station_thetas(problem, self.stations)
         if constrained:
             self.stats.stations_pruned = sum(
@@ -377,10 +375,7 @@ class _Search:
             q_grasp = self.node_configs(0, side)[gid]
             qs = interp_joints(self.pb.home(side), q_grasp, self.opt.interp_step)
             w = qs.shape[0]
-            if side == "left":
-                ql, qr = qs, np.tile(self.pb.home_right, (w, 1))
-            else:
-                ql, qr = np.tile(self.pb.home_left, (w, 1)), qs
+            ql, qr = self.pb.one_arm_moves(side, qs)
             pose = self.stations[0][1]
             rot = np.broadcast_to(pose.r, (w, 3, 3))
             t = np.broadcast_to(pose.t, (w, 3))
@@ -392,10 +387,7 @@ class _Search:
             q_to = self.node_configs(dst, side)[gid]
             qs = interp_joints(q_from, q_to, self.opt.interp_step)
             w = qs.shape[0]
-            if side == "left":
-                ql, qr = qs, np.tile(self.pb.home_right, (w, 1))
-            else:
-                ql, qr = np.tile(self.pb.home_left, (w, 1)), qs
+            ql, qr = self.pb.one_arm_moves(side, qs)
             grasp = self.grasps[side][gid]
             rot, t = self._tool_track(side, grasp, qs)
             holding = tuple((((side, gid),),) * w)
@@ -408,22 +400,16 @@ class _Search:
             seg2 = interp_joints(q_give, self.pb.home(giver), self.opt.interp_step)
             w1, w2 = seg1.shape[0], seg2.shape[0]
             w = w1 + w2 - 1
-            if giver == "left":
-                ql = np.vstack([np.tile(q_give, (w1, 1)), seg2[1:]])
-                qr = np.vstack([seg1, np.tile(q_recv, (w2 - 1, 1))])
-            else:
-                ql = np.vstack([seg1, np.tile(q_recv, (w2 - 1, 1))])
-                qr = np.vstack([np.tile(q_give, (w1, 1)), seg2[1:]])
+            give = np.vstack([np.tile(q_give, (w1, 1)), seg2[1:]])
+            take = np.vstack([seg1, np.tile(q_recv, (w2 - 1, 1))])
+            ql, qr = (give, take) if giver == "left" else (take, give)
             pose = self.stations[station][1]
             rot = np.broadcast_to(pose.r, (w, 3, 3))
             t = np.broadcast_to(pose.t, (w, 3))
-            holding = []
-            for i in range(w1 - 1):
-                holding.append(((giver, ggid),))
-            holding.append(((giver, ggid), (recv, rgid)))
-            for i in range(w2 - 1):
-                holding.append(((recv, rgid),))
-            return _EdgeData(ql, qr, rot, t, tuple(holding), False, kind)
+            holding = ((((giver, ggid),),) * (w1 - 1)
+                       + (((giver, ggid), (recv, rgid)),)
+                       + (((recv, rgid),),) * (w2 - 1))
+            return _EdgeData(ql, qr, rot, t, holding, False, kind)
         raise ValueError(f"unknown edge kind {kind!r}")
 
     # ----- edge validation --------------------------------------------------
@@ -456,21 +442,14 @@ class _Search:
             bad = np.nonzero(theta >= self.pb.constraint.theta_max)[0]
             if bad.size:
                 bend_bad = int(bad[0])
-        segs = np.einsum("wij,kpj->wkpi", np.ascontiguousarray(data.tool_rot),
-                         self.tool_segs) + data.tool_t[:, None, None, :]
-        radii = list(self.tool_radii)
-        names = list(self.tool_names)
+        segs = self.pb.tool.segments_world(data.tool_rot, data.tool_t)
         world = self.pb.world
         if data.with_cable:
-            cable = cable_capsule(self.pb.balancer, self.stations[0][1],
-                                  self.pb.tool)
-            # The cable hangs off the tool itself, so their mutual
-            # proximity is structural, not a collision.
-            world = world.with_static("cable", cable,
-                                      exclude_against=self.tool_names)
+            world = with_cable(world, self.pb.balancer, self.stations[0][1],
+                               self.pb.tool)
         clear, pair_idx, pair_names = motion_clearances(
             world, self.pb.robot, data.q_left, data.q_right,
-            segs, radii, names)
+            segs, self.tool_radii, self.tool_names)
         coll = np.nonzero(clear < 0.0)[0]
         coll_bad = int(coll[0]) if coll.size else None
         if bend_bad is not None and (coll_bad is None or bend_bad <= coll_bad):
@@ -605,8 +584,7 @@ class _Search:
         tool_rot = np.concatenate(rot, axis=0)
         tool_t = np.concatenate(t, axis=0)
         theta = bend_angle_batch(tool_rot, tool_t, self.pb.balancer, self.pb.tool)
-        segs = np.einsum("wij,kpj->wkpi", np.ascontiguousarray(tool_rot),
-                         self.tool_segs) + tool_t[:, None, None, :]
+        segs = self.pb.tool.segments_world(tool_rot, tool_t)
         clear, _, _ = motion_clearances(self.pb.world, self.pb.robot,
                                         q_left, q_right, segs,
                                         self.tool_radii, self.tool_names)

@@ -1,5 +1,9 @@
 """Dual-arm kinematics: forward kinematics, Jacobian, numerical IK.
 
+There is one chain kernel, fk_chain_batch, which evaluates the chain
+for a batch of configurations.  Every other call is built on it, and
+the scalar calls (fk, fk_frames, jacobian, ik) are batches of one.
+
 An arm is a serial chain of six revolute joints.  Joint i contributes
 Trans(offset_i) @ Rot(axis_i, q_i), with offset and axis expressed in
 the frame left by joint i-1; a fixed flange-to-TCP pose closes the
@@ -12,11 +16,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tetherplan.geometry import Pose, compose, rot_to_rotvec, unit
+from tetherplan.geometry import Pose, rot_to_rotvec
 
 N_JOINTS = 6
 
@@ -111,62 +115,14 @@ def ur3_arm(base: Pose = Pose.identity(), limit: float = 2.0 * math.pi) -> ArmMo
                     lower=-lim, upper=lim, tcp=_UR3_TCP)
 
 
-def fk(arm: ArmModel, q: np.ndarray) -> Pose:
-    """TCP pose for joint angles q."""
-    r = arm.base.r
-    t = arm.base.t
-    for i in range(N_JOINTS):
-        t = t + r @ arm.offsets[i]
-        r = r @ _axis_rot(arm.axes[i], float(q[i]))
-    return Pose(r @ arm.tcp.r, t + r @ arm.tcp.t)
-
-
-def fk_frames(arm: ArmModel, q: np.ndarray) -> tuple[Pose, np.ndarray]:
-    """TCP pose plus the chain origin points.
-
-    Returns (tcp_pose, origins) where origins has shape (8, 3): base
-    origin, the six joint origins, and the TCP point.
-    """
-    origins = np.empty((N_JOINTS + 2, 3))
-    r = arm.base.r
-    t = arm.base.t
-    origins[0] = t
-    for i in range(N_JOINTS):
-        t = t + r @ arm.offsets[i]
-        origins[i + 1] = t
-        r = r @ _axis_rot(arm.axes[i], float(q[i]))
-    tcp = Pose(r @ arm.tcp.r, t + r @ arm.tcp.t)
-    origins[-1] = tcp.t
-    return tcp, origins
-
-
-def fk_batch(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized fk_frames over a (W, 6) block of configurations.
-
-    Returns (rot (W,3,3), tcp (W,3), origins (W,8,3)).  Row w agrees
-    with fk_frames(arm, qs[w]) to machine precision.
-    """
-    qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS)
-    w = qs.shape[0]
-    origins = np.empty((w, N_JOINTS + 2, 3))
-    r = np.broadcast_to(arm.base.r, (w, 3, 3)).copy()
-    t = np.broadcast_to(arm.base.t, (w, 3)).copy()
-    origins[:, 0] = t
-    for i in range(N_JOINTS):
-        t = t + r @ arm.offsets[i]
-        origins[:, i + 1] = t
-        r = r @ _axis_rot_batch(arm.axes[i], qs[:, i])
-    tcp_t = t + r @ arm.tcp.t
-    tcp_r = r @ arm.tcp.r
-    origins[:, -1] = tcp_t
-    return tcp_r, tcp_t, origins
-
-
 def fk_chain_batch(arm: ArmModel, qs: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """fk_batch plus world-frame joint axes.
+    """Forward kinematics of a (W, 6) block of configurations.
 
-    Returns (rot (W,3,3), tcp (W,3), origins (W,8,3), axes (W,6,3)).
+    The one chain loop; every FK, Jacobian and IK call runs through it.
+    Returns (rot (W,3,3), tcp (W,3), origins (W,8,3), axes (W,6,3)):
+    the TCP pose, the chain origin points (base origin, the six joint
+    origins, the TCP point) and the world-frame joint axes.
     """
     qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS)
     w = qs.shape[0]
@@ -186,8 +142,24 @@ def fk_chain_batch(arm: ArmModel, qs: np.ndarray,
     return tcp_r, tcp_t, origins, axes
 
 
+def fk_batch(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rot (W,3,3), tcp (W,3), origins (W,8,3)) of fk_chain_batch."""
+    return fk_chain_batch(arm, qs)[:3]
+
+
+def fk_frames(arm: ArmModel, q: np.ndarray) -> tuple[Pose, np.ndarray]:
+    """TCP pose plus the chain origin points (8, 3) for joint angles q."""
+    rot, tcp, origins = fk_batch(arm, q)
+    return Pose(rot[0], tcp[0]), origins[0]
+
+
+def fk(arm: ArmModel, q: np.ndarray) -> Pose:
+    """TCP pose for joint angles q."""
+    return fk_frames(arm, q)[0]
+
+
 def jacobian_batch(arm: ArmModel, qs: np.ndarray) -> np.ndarray:
-    """Geometric TCP Jacobians (W, 6, 6), matching jacobian row for row."""
+    """Geometric TCP Jacobians (W, 6, 6) of a block of configurations."""
     _, tcp_t, origins, axes = fk_chain_batch(arm, qs)
     return _chain_jacobian(tcp_t, origins, axes)
 
@@ -201,6 +173,22 @@ def _chain_jacobian(tcp_t: np.ndarray, origins: np.ndarray,
     jac[:, :3, :] = linear.transpose(0, 2, 1)
     jac[:, 3:, :] = axes.transpose(0, 2, 1)
     return jac
+
+
+def jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
+    """Geometric TCP Jacobian, rows 0-2 linear (m/rad), rows 3-5 angular."""
+    return jacobian_batch(arm, q)[0]
+
+
+def point_jacobian(arm: ArmModel, qs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(W, 3, 6) Jacobians of world points rigidly attached to the TCP body.
+
+    qs is (W, 6) and points (W, 3), one point per configuration.
+    """
+    _, _, origins, axes = fk_chain_batch(arm, qs)
+    points = np.asarray(points, dtype=float).reshape(-1, 1, 3)
+    linear = np.cross(axes, points - origins[:, 1:N_JOINTS + 1, :])
+    return linear.transpose(0, 2, 1)
 
 
 def _rotvec_batch(rots: np.ndarray) -> np.ndarray:
@@ -220,27 +208,6 @@ def _rotvec_batch(rots: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Geometric TCP Jacobian, rows 0-2 linear (m/rad), rows 3-5 angular."""
-    jac = np.empty((6, N_JOINTS))
-    world_axes, joint_points, tcp = _chain_axes(arm, q)
-    for i in range(N_JOINTS):
-        z = world_axes[i]
-        jac[:3, i] = np.cross(z, tcp.t - joint_points[i])
-        jac[3:, i] = z
-    return jac
-
-
-def point_jacobian(arm: ArmModel, q: np.ndarray, point_world: np.ndarray) -> np.ndarray:
-    """(3, 6) Jacobian of a point rigidly attached to the TCP body."""
-    jac = np.empty((3, N_JOINTS))
-    world_axes, joint_points, _ = _chain_axes(arm, q)
-    p = np.asarray(point_world, dtype=float)
-    for i in range(N_JOINTS):
-        jac[:, i] = np.cross(world_axes[i], p - joint_points[i])
-    return jac
-
-
 @dataclass(frozen=True)
 class IKOptions:
     pos_tol: float = 1e-4
@@ -256,32 +223,10 @@ def ik(arm: ArmModel, target: Pose, seed_config: np.ndarray,
        opts: IKOptions = IKOptions()) -> np.ndarray | None:
     """Damped-least-squares IK.  Returns an in-limit solution or None.
 
-    The first attempt starts from seed_config; the remaining
-    opts.restarts - 1 attempts start from uniform in-limit samples of a
-    generator seeded with opts.seed, so results are reproducible.
+    ik_batch on the one target, so results are reproducible.
     """
-    rng = np.random.default_rng(opts.seed)
-    lam2 = opts.damping * opts.damping
-    q0 = np.clip(np.asarray(seed_config, dtype=float).copy(), arm.lower, arm.upper)
-    for attempt in range(max(1, opts.restarts)):
-        q = q0 if attempt == 0 else rng.uniform(arm.lower, arm.upper)
-        q = q.copy()
-        for _ in range(opts.max_iters + 1):
-            cur = fk(arm, q)
-            e_pos = target.t - cur.t
-            e_rot = rot_to_rotvec(target.r @ cur.r.T)
-            if np.linalg.norm(e_pos) < opts.pos_tol and np.linalg.norm(e_rot) < opts.ori_tol:
-                return q
-            jac = jacobian(arm, q)
-            err = np.concatenate([e_pos, e_rot])
-            try:
-                y = np.linalg.solve(jac @ jac.T + lam2 * np.eye(6), err)
-            except np.linalg.LinAlgError:
-                break
-            dq = jac.T @ y
-            dq = np.clip(dq, -opts.step_clamp, opts.step_clamp)
-            q = np.clip(q + dq, arm.lower, arm.upper)
-    return None
+    q, solved = ik_batch(arm, target.r, target.t, seed_config, opts)
+    return q[0] if solved[0] else None
 
 
 def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
@@ -290,15 +235,16 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
              ) -> tuple[np.ndarray, np.ndarray]:
     """Damped-least-squares IK over a batch of B targets at once.
 
-    Mirrors ik(): every target first starts from seed_config (a single
-    configuration or one row per target), then unsolved targets retry
-    from uniform in-limit samples.  groups splits the B targets into
-    consecutive groups of the given sizes (default: one group of all
-    B).  Each group draws its restart samples from its own
-    np.random.default_rng(opts.seed), (group size, 6) per restart, so a
-    target's result depends only on its own group: a grouped call
-    returns exactly what one call per group would.  Returns
-    (q (B, 6), solved (B,)); rows with solved False are zeros.
+    Every target first starts from seed_config (a single configuration
+    or one row per target); the remaining opts.restarts - 1 attempts of
+    unsolved targets start from uniform in-limit samples.  groups
+    splits the B targets into consecutive groups of the given sizes
+    (default: one group of all B).  Each group draws its restart
+    samples from its own np.random.default_rng(opts.seed), (group
+    size, 6) per restart, so a target's result depends only on its own
+    group: a grouped call returns exactly what one call per group
+    would.  Returns (q (B, 6), solved (B,)); rows with solved False are
+    zeros.
     """
     target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
     target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
@@ -357,13 +303,6 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     return solution, solved
 
 
-def _axis_rot(axis: np.ndarray, angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    kx, ky, kz = axis
-    khat = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + s * khat + (1.0 - c) * (khat @ khat)
-
-
 def _axis_rot_batch(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
     kx, ky, kz = axis
     khat = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
@@ -372,17 +311,3 @@ def _axis_rot_batch(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
     s = np.sin(angles)[:, None, None]
     return np.eye(3)[None] + s * khat[None] + (1.0 - c) * khat2[None]
 
-
-def _chain_axes(arm: ArmModel, q: np.ndarray):
-    """World joint axes and origins alongside the TCP pose."""
-    world_axes = np.empty((N_JOINTS, 3))
-    joint_points = np.empty((N_JOINTS, 3))
-    r = arm.base.r
-    t = arm.base.t
-    for i in range(N_JOINTS):
-        t = t + r @ arm.offsets[i]
-        joint_points[i] = t
-        world_axes[i] = r @ arm.axes[i]
-        r = r @ _axis_rot(arm.axes[i], float(q[i]))
-    tcp = Pose(r @ arm.tcp.r, t + r @ arm.tcp.t)
-    return world_axes, joint_points, tcp

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from tetherplan.cable import BalancerSpec, ToolSpec
-from tetherplan.geometry import Pose, unit
+from tetherplan.geometry import _EPS, ZeroVectorError
 from tetherplan.robot import DualArm, point_jacobian
 
 GRAVITY = 9.81  # m/s^2
@@ -37,10 +37,17 @@ def joint_torques(arm, q: np.ndarray, point_world: np.ndarray,
 
     The point is rigidly attached to the last link; the force carries
     no moment, so the torque is the transpose point Jacobian applied to
-    the force.
+    the force.  A batch of one of _joint_torques_batch.
     """
-    jp = point_jacobian(arm, q, point_world)
-    return jp.T @ np.asarray(force_world, dtype=float)
+    return _joint_torques_batch(arm, q, point_world, force_world)[0]
+
+
+def _joint_torques_batch(arm, qs: np.ndarray, points: np.ndarray,
+                         forces: np.ndarray) -> np.ndarray:
+    """joint_torques for W rows of (qs, points, forces): (W, 6)."""
+    jp = point_jacobian(arm, qs, points)
+    forces = np.asarray(forces, dtype=float).reshape(-1, 3, 1)
+    return (jp.transpose(0, 2, 1) @ forces)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -82,23 +89,33 @@ def trace_arrays(robot: DualArm, balancer: BalancerSpec, tool: ToolSpec,
     """Torque trace over waypoint arrays.
 
     holding gives, per waypoint, the (arm side, grasp id) pairs of the
-    arms currently gripping the tool; each such arm gets one entry.
+    arms currently gripping the tool; each such arm gets one entry, in
+    waypoint order and then holder order.  The connector points and
+    cable forces of all entries are computed at once, and each arm's
+    torques in one batch.  Raises ZeroVectorError when a held waypoint
+    puts the connector at the anchor.
     """
-    tension = cable_tension(balancer)
-    entries: list[TorqueEntry] = []
-    q_left = np.asarray(q_left, dtype=float)
-    q_right = np.asarray(q_right, dtype=float)
-    for w, holders in enumerate(holding):
-        if not holders:
-            continue
-        pose = Pose(tool_rot[w], tool_t[w])
-        connector = pose.apply(tool.connector_point)
-        force = tension * unit(balancer.anchor - connector)
-        for side, _grasp in holders:
-            q = q_left[w] if side == "left" else q_right[w]
-            tau = joint_torques(robot.arm(side), q, connector, force)
-            entries.append(TorqueEntry(waypoint=w, arm=side, torques=tau))
-    return TorqueTrace(entries=tuple(entries))
+    rows = [(w, side) for w, holders in enumerate(holding)
+            for side, _grasp in holders]
+    ws = np.array([w for w, _ in rows], dtype=int)
+    rot = np.asarray(tool_rot, dtype=float)[ws]
+    connector = np.asarray(tool_t, dtype=float)[ws] + rot @ tool.connector_point
+    cable = balancer.anchor - connector
+    norms = np.linalg.norm(cable, axis=1)
+    if np.any(norms < _EPS):
+        raise ZeroVectorError("tool connector sits at the balancer anchor")
+    force = cable_tension(balancer) * (cable / norms[:, None])
+    sides = np.array([side for _, side in rows], dtype=str)
+    tau = np.empty((len(rows), 6))
+    for side, qs in (("left", q_left), ("right", q_right)):
+        sel = np.nonzero(sides == side)[0]
+        if sel.size:
+            tau[sel] = _joint_torques_batch(
+                robot.arm(side), np.asarray(qs, dtype=float)[ws[sel]],
+                connector[sel], force[sel])
+    return TorqueTrace(entries=tuple(
+        TorqueEntry(waypoint=w, arm=side, torques=tau[k])
+        for k, (w, side) in enumerate(rows)))
 
 
 def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,

@@ -240,11 +240,6 @@ class TestSweep:
         assert con[6] == "o"
         assert float(con[7]) > 0.0  # recomputed peak bend, degrees
 
-    def test_thread_count_does_not_change_the_csv(self, benign_scene,
-                                                  report):
-        threaded = sweep(benign_scene, threads=2)
-        assert cells_csv(threaded) == cells_csv(report)
-
     def test_render_mentions_rates_and_legend(self, report):
         text = render_grid(report)
         assert "constrained" in text and "unconstrained" in text

@@ -10,6 +10,7 @@ from tetherplan.collision import (
     arm_link_segments,
     capsule_capsule_hit,
     capsule_distance,
+    link_names,
     motion_clearances,
     robot_in_collision,
     segment_box_distance,
@@ -264,15 +265,46 @@ class TestWorld:
         assert "post" not in bigger.without_static("post").statics
 
     def test_batch_matches_scalar(self):
+        # Two inputs: the bare arms, then a capsule held by the left arm
+        # along its approach axis in a world with a box.  Every reported
+        # pair is checked against an independent per-pair clearance.
         robot = make_robot()
-        world = make_world({"post": Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04)})
+        post = Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04)
+        table = Box(Pose(np.eye(3), [0.0, 0.0, -0.3]), [1.0, 1.0, 0.4])
         rng = np.random.default_rng(13)
         qs_l = rng.uniform(-1.0, 1.0, (5, 6))
         qs_r = rng.uniform(-1.0, 1.0, (5, 6))
-        clear, _, _ = motion_clearances(world, robot, qs_l, qs_r)
-        for w in range(5):
-            report = robot_in_collision(world, robot, qs_l[w], qs_r[w])
-            assert clear[w] == pytest.approx(report.min_clearance, abs=1e-9)
+        held = []
+        for q in qs_l:
+            tcp, _ = fk_frames(robot.left, q)
+            held.append(Capsule(tcp.t - 0.05 * tcp.r[:, 2],
+                                tcp.t + 0.25 * tcp.r[:, 2], 0.02))
+        tool_hits = 0
+        for world, tools in ((make_world({"post": post}), None),
+                             (make_world({"post": post, "table": table}), held)):
+            attach = () if tools is None else (
+                np.array([[[c.a, c.b]] for c in tools]), [0.02], ["tool"], ("left",))
+            clear, _, names = motion_clearances(world, robot, qs_l, qs_r, *attach)
+            assert not any({"tool", "left/link6"} == set(p) for p in names)
+            for w in range(5):
+                shapes = dict(world.statics)
+                attached = None
+                if tools is not None:
+                    shapes["tool"] = tools[w]
+                    attached = {"left": [("tool", tools[w])]}
+                report = robot_in_collision(world, robot, qs_l[w], qs_r[w], attached)
+                assert clear[w] == pytest.approx(report.min_clearance, abs=1e-9)
+                for side, q in (("left", qs_l[w]), ("right", qs_r[w])):
+                    spec = world.link_specs[side]
+                    links = arm_link_segments(robot.arm(side), spec, q)[0]
+                    for name, (a, b), r in zip(link_names(side), links, spec.radii):
+                        shapes[name] = Capsule(a, b, r)
+                pair_clear = [shape_clearance(shapes[i], shapes[j]) for i, j in names]
+                assert min(pair_clear) == pytest.approx(clear[w], abs=1e-9)
+                assert report.pairs == tuple(
+                    p for p, c in zip(names, pair_clear) if c < 0.0)
+                tool_hits += sum("tool" in p for p in report.pairs)
+        assert tool_hits > 0
 
     def test_link_segments_shape(self):
         robot = make_robot()

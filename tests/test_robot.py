@@ -102,8 +102,8 @@ def _pose_function(arm):
 
 def _orientation_columns_ok(arm, q):
     jac = rb.jacobian(arm, q)
-    axes, _, _ = rb._chain_axes(arm, q)
-    return np.allclose(jac[3:, :], axes.T, atol=1e-12)
+    _, _, _, axes = rb.fk_chain_batch(arm, q)
+    return np.allclose(jac[3:, :], axes[0].T, atol=1e-12)
 
 
 def test_jacobian_zero_config_finite_difference(arm):

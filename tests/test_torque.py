@@ -6,7 +6,7 @@ import pytest
 
 from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
-from tetherplan.geometry import Pose, rot_z, rpy_to_rot
+from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
 from tetherplan.robot import DualArm, fk, ur3_arm
 from tetherplan.torque import (
     EmptyTrace,
@@ -144,6 +144,44 @@ class TestTrace:
         assert len(via_plan.entries) == len(direct.entries)
         for a, b in zip(via_plan.entries, direct.entries):
             assert np.allclose(a.torques, b.torques)
+
+    def test_entries_match_the_finite_difference_oracle(self):
+        # Each entry is J_fd.T @ f: J_fd differentiates the connector
+        # point rigidly attached to the holding arm's TCP, f pulls from
+        # the connector toward the anchor with the cable tension.
+        holders = [(("right", 7),), (), (("left", 3), ("right", 7)),
+                   (("left", 3),), (("right", 7), ("left", 3))]
+        robot, bal, tool, ql, qr, rots, ts, h = self.make_inputs(holders)
+        trace = trace_arrays(robot, bal, tool, ql, qr, rots, ts, h)
+        assert [(e.waypoint, e.arm) for e in trace.entries] == \
+            [(0, "right"), (2, "left"), (2, "right"), (3, "left"),
+             (4, "right"), (4, "left")]
+        for e in trace.entries:
+            arm = robot.arm(e.arm)
+            q = (ql if e.arm == "left" else qr)[e.waypoint]
+            connector = Pose(rots[e.waypoint], ts[e.waypoint]).apply(
+                tool.connector_point)
+            local = fk(arm, q).r.T @ (connector - fk(arm, q).t)
+
+            def attached_point(qq, _arm=arm, _local=local):
+                return fk(_arm, qq).apply(_local)
+
+            jp = central_difference_jacobian(attached_point, q)
+            pull = bal.anchor - connector
+            force = cable_tension(bal) * pull / np.linalg.norm(pull)
+            assert np.allclose(e.torques, jp.T @ force, atol=1e-5)
+
+    def test_connector_at_the_anchor_raises(self):
+        holders = [(("left", 3),), (("left", 3),), ()]
+        robot, bal, tool, ql, qr, rots, ts, h = self.make_inputs(holders)
+        at_anchor = ts.copy()
+        # Waypoint 2 is not held, so its degenerate cable is never used.
+        at_anchor[2] = bal.anchor - rots[2] @ tool.connector_point
+        assert len(trace_arrays(robot, bal, tool, ql, qr, rots, at_anchor,
+                                h).entries) == 2
+        at_anchor[1] = bal.anchor - rots[1] @ tool.connector_point
+        with pytest.raises(ZeroVectorError):
+            trace_arrays(robot, bal, tool, ql, qr, rots, at_anchor, h)
 
     def test_peak_requires_entries(self):
         trace = TorqueTrace(entries=())
