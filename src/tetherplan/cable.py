@@ -18,13 +18,13 @@ import numpy as np
 
 from tetherplan.collision import Box, Capsule, CollisionWorld, Shape, \
     capsule_segments
-from tetherplan.geometry import Pose, unit
+from tetherplan.geometry import Pose, ZeroVectorError, unit
 
 DEFAULT_MAX_BEND = math.radians(95.0)
 _EPS = 1e-9
 
 
-class DegenerateCable(Exception):
+class DegenerateCable(ZeroVectorError):
     """The connector coincides with the anchor; no cable direction exists."""
 
 
@@ -122,14 +122,23 @@ def bend_angle(pose: Pose, balancer: BalancerSpec, tool: ToolSpec) -> float:
     return float(bend_angle_batch(pose.r[None], pose.t[None], balancer, tool)[0])
 
 
-def bend_angle_batch(rot: np.ndarray, t: np.ndarray,
-                     balancer: BalancerSpec, tool: ToolSpec) -> np.ndarray:
-    """Vectorized bend angle for pose batches rot (W,3,3), t (W,3)."""
+def cable_vectors(rot: np.ndarray, t: np.ndarray, balancer: BalancerSpec,
+                  tool: ToolSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connector points (W, 3), connector-to-anchor cables (W, 3) and
+    cable lengths (W,) at poses rot (W,3,3), t (W,3).  Raises
+    DegenerateCable when a connector lies within 1e-9 m of the anchor."""
     connector = t + rot @ tool.connector_point
-    cable = balancer.anchor[None, :] - connector
+    cable = balancer.anchor - connector
     norms = np.linalg.norm(cable, axis=1)
     if np.any(norms < _EPS):
         raise DegenerateCable("tool connector sits at the balancer anchor")
+    return connector, cable, norms
+
+
+def bend_angle_batch(rot: np.ndarray, t: np.ndarray,
+                     balancer: BalancerSpec, tool: ToolSpec) -> np.ndarray:
+    """Vectorized bend angle for pose batches rot (W,3,3), t (W,3)."""
+    _, cable, norms = cable_vectors(rot, t, balancer, tool)
     boom = rot @ tool.cable_dir
     cos = np.einsum("wi,wi->w", cable, boom) / norms
     return np.arccos(np.clip(cos, -1.0, 1.0))
@@ -143,10 +152,8 @@ def check_bend(pose: Pose, balancer: BalancerSpec, tool: ToolSpec,
 
 def cable_capsule(balancer: BalancerSpec, pose: Pose, tool: ToolSpec) -> Capsule:
     """The taut cable, anchor to connector, as a collision capsule."""
-    connector = pose.apply(tool.connector_point)
-    if np.linalg.norm(balancer.anchor - connector) < _EPS:
-        raise DegenerateCable("tool connector sits at the balancer anchor")
-    return Capsule(balancer.anchor, connector, balancer.cable_radius)
+    connector, _, _ = cable_vectors(pose.r[None], pose.t[None], balancer, tool)
+    return Capsule(balancer.anchor, connector[0], balancer.cable_radius)
 
 
 def with_cable(world: CollisionWorld, balancer: BalancerSpec, pose: Pose,

@@ -2,10 +2,10 @@
 
 Shapes are capsules, spheres and boxes.  Spheres are degenerate
 capsules internally, so the only distance kernels are
-segment-segment (exact closed form) and segment-box (ternary search on
-the convex distance profile along the segment).  Touching counts as
-free everywhere: a pair collides only when its clearance is strictly
-negative.
+segment-segment and segment-box, both exact closed forms (the latter
+minimizes the piecewise-quadratic squared distance along the segment
+one piece at a time).  Touching counts as free everywhere: a pair
+collides only when its clearance is strictly negative.
 
 There is one pair-clearance routine, _pair_clearances: it assembles the
 arm, static and attached capsules of a batch of waypoints and measures
@@ -24,7 +24,6 @@ from tetherplan.geometry import Pose
 from tetherplan.robot import ArmModel, DualArm, fk_batch
 
 _DEG_EPS = 1e-14          # squared-length threshold for degenerate segments
-_TERNARY_ITERS = 64
 
 
 @dataclass(frozen=True)
@@ -131,34 +130,30 @@ def _seg_seg_batch(p1, p2, q1, q2) -> np.ndarray:
     return np.linalg.norm(diff, axis=-1)
 
 
-def _point_box_local(p, half) -> np.ndarray:
-    """Distance from points (..., 3) in box frame to the box surface."""
-    excess = np.maximum(np.abs(p) - half, 0.0)
-    return np.linalg.norm(excess, axis=-1)
-
-
 def _seg_box_batch(p1, p2, box: Box) -> np.ndarray:
-    """Segment-box distance, vectorized over leading axes of p1/p2.
+    """Exact segment-box distance, vectorized over leading axes of p1/p2.
 
-    The point-to-box distance is convex along the segment, so a ternary
-    search on the parameter converges to the minimum.
+    Along the segment the squared distance is a convex quadratic on each
+    piece between face-plane crossings; take each piece's clamped vertex.
     """
-    r = box.pose.r
-    a = (p1 - box.pose.t) @ r
-    b = (p2 - box.pose.t) @ r
+    a = (p1 - box.pose.t) @ box.pose.r
+    d = (p2 - box.pose.t) @ box.pose.r - a
     half = box.half_extents
-    lo = np.zeros(a.shape[:-1])
-    hi = np.ones(a.shape[:-1])
-    for _ in range(_TERNARY_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        g1 = _point_box_local(a + m1[..., None] * (b - a), half)
-        g2 = _point_box_local(a + m2[..., None] * (b - a), half)
-        take_left = g1 <= g2
-        hi = np.where(take_left, m2, hi)
-        lo = np.where(take_left, lo, m1)
-    mid = 0.5 * (lo + hi)
-    return _point_box_local(a + mid[..., None] * (b - a), half)
+    dd = np.concatenate([d, d], axis=-1)
+    cross = np.divide(np.concatenate([half - a, -half - a], axis=-1), dd,
+                      out=np.zeros_like(dd), where=dd != 0.0)
+    ends = np.broadcast_to([0.0, 1.0], a.shape[:-1] + (2,))
+    knots = np.sort(np.concatenate([ends, np.clip(cross, 0.0, 1.0)], axis=-1), axis=-1)
+    s0, s1 = knots[..., :-1], knots[..., 1:]
+    a, d = a[..., None, :], d[..., None, :]
+    mid = a + (0.5 * (s0 + s1))[..., None] * d
+    side = (mid > half).astype(float) - (mid < -half)
+    c, e = side * (a - side * half), side * d     # excess is c + s * e
+    curv = np.einsum("...i,...i", e, e)
+    s = np.clip(np.divide(-np.einsum("...i,...i", c, e), curv,
+                          out=s0.copy(), where=curv > 0.0), s0, s1)
+    excess = np.maximum(np.abs(a + s[..., None] * d) - half, 0.0)
+    return np.linalg.norm(excess, axis=-1).min(axis=-1)
 
 
 def _as_segment(shape: Shape) -> tuple[np.ndarray, np.ndarray, float]:
@@ -282,11 +277,9 @@ def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.nd
 class _PairTable:
     """Precomputed query plan: which capsule/box pairs to measure."""
 
-    cap_names: tuple[str, ...]
     cap_i: np.ndarray
     cap_j: np.ndarray
     cap_radsum: np.ndarray
-    box_names: tuple[str, ...]
     box_cap_idx: np.ndarray       # capsule index per capsule-box pair
     box_box_idx: np.ndarray       # box index per capsule-box pair
     box_cap_rad: np.ndarray
@@ -339,8 +332,6 @@ def _build_pair_table(world: CollisionWorld,
     n = len(names)
     for i in range(n):
         for j in range(i + 1, n):
-            if group[i] == "static" and group[j] == "static":
-                continue
             if excluded(i, j):
                 continue
             cap_i.append(i)
@@ -348,9 +339,8 @@ def _build_pair_table(world: CollisionWorld,
             pair_names.append((names[i], names[j]))
 
     radii_arr = np.asarray(radii)
-    box_cap_idx, box_box_idx, box_names = [], [], []
+    box_cap_idx, box_box_idx = [], []
     for bi, (bname, _) in enumerate(static_boxes):
-        box_names.append(bname)
         for i in range(n):
             if group[i] == "static":
                 continue
@@ -361,11 +351,9 @@ def _build_pair_table(world: CollisionWorld,
             pair_names.append((names[i], bname))
 
     return _PairTable(
-        cap_names=tuple(names),
         cap_i=np.asarray(cap_i, dtype=int),
         cap_j=np.asarray(cap_j, dtype=int),
         cap_radsum=radii_arr[cap_i] + radii_arr[cap_j] if cap_i else np.zeros(0),
-        box_names=tuple(box_names),
         box_cap_idx=np.asarray(box_cap_idx, dtype=int),
         box_box_idx=np.asarray(box_box_idx, dtype=int),
         box_cap_rad=radii_arr[box_cap_idx] if box_cap_idx else np.zeros(0),

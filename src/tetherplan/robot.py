@@ -23,6 +23,8 @@ import numpy as np
 from tetherplan.geometry import Pose, rot_to_rotvec
 
 N_JOINTS = 6
+_IK_DAMPING = 0.05        # ik_batch's damped-least-squares damping
+_IK_STEP_CLAMP = 0.2      # ik_batch's joint step bound per iteration, rad
 
 
 @dataclass(frozen=True)
@@ -106,11 +108,12 @@ _UR3_TCP = Pose(
     np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
     np.array([0.0, -0.0819, 0.0]),
 )
+_UR3_LIMIT = 2.0 * math.pi
 
 
-def ur3_arm(base: Pose = Pose.identity(), limit: float = 2.0 * math.pi) -> ArmModel:
-    """UR3-sized arm with symmetric +-limit joint ranges."""
-    lim = np.full(N_JOINTS, float(limit))
+def ur3_arm(base: Pose = Pose.identity()) -> ArmModel:
+    """UR3-sized arm with symmetric +-2 pi joint ranges."""
+    lim = np.full(N_JOINTS, _UR3_LIMIT)
     return ArmModel(base=base, axes=_UR3_AXES.copy(), offsets=_UR3_OFFSETS.copy(),
                     lower=-lim, upper=lim, tcp=_UR3_TCP)
 
@@ -214,8 +217,6 @@ class IKOptions:
     ori_tol: float = 1e-3
     max_iters: int = 200
     restarts: int = 8
-    damping: float = 0.05
-    step_clamp: float = 0.2
     seed: int = 0
 
 
@@ -253,7 +254,7 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     if sum(sizes) != b or min(sizes, default=0) < 0:
         raise ValueError(f"group sizes {sizes} do not split {b} targets")
     rngs = [np.random.default_rng(opts.seed) for _ in sizes]
-    lam2 = opts.damping * opts.damping
+    lam2 = _IK_DAMPING * _IK_DAMPING
     eye = lam2 * np.eye(6)
     seeds = np.asarray(seed_config, dtype=float)
     if seeds.ndim == 1:
@@ -296,7 +297,7 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
             gram = jac @ jac.transpose(0, 2, 1) + eye
             y = np.linalg.solve(gram, err[..., None])[..., 0]
             dq = np.einsum("wji,wj->wi", jac, y)
-            dq = np.clip(dq, -opts.step_clamp, opts.step_clamp)
+            dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
             q[idx] = np.clip(qa + dq, arm.lower, arm.upper)
         if np.all(solved):
             break

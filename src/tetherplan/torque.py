@@ -15,8 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from tetherplan.cable import BalancerSpec, ToolSpec
-from tetherplan.geometry import _EPS, ZeroVectorError
+from tetherplan.cable import BalancerSpec, ToolSpec, cable_vectors
 from tetherplan.robot import DualArm, point_jacobian
 
 GRAVITY = 9.81  # m/s^2
@@ -92,18 +91,15 @@ def trace_arrays(robot: DualArm, balancer: BalancerSpec, tool: ToolSpec,
     arms currently gripping the tool; each such arm gets one entry, in
     waypoint order and then holder order.  The connector points and
     cable forces of all entries are computed at once, and each arm's
-    torques in one batch.  Raises ZeroVectorError when a held waypoint
-    puts the connector at the anchor.
+    torques in one batch.  Raises cable.DegenerateCable, a
+    ZeroVectorError, when a held waypoint puts the connector within
+    1e-9 m of the anchor.
     """
     rows = [(w, side) for w, holders in enumerate(holding)
             for side, _grasp in holders]
     ws = np.array([w for w, _ in rows], dtype=int)
-    rot = np.asarray(tool_rot, dtype=float)[ws]
-    connector = np.asarray(tool_t, dtype=float)[ws] + rot @ tool.connector_point
-    cable = balancer.anchor - connector
-    norms = np.linalg.norm(cable, axis=1)
-    if np.any(norms < _EPS):
-        raise ZeroVectorError("tool connector sits at the balancer anchor")
+    connector, cable, norms = cable_vectors(
+        np.asarray(tool_rot, float)[ws], np.asarray(tool_t, float)[ws], balancer, tool)
     force = cable_tension(balancer) * (cable / norms[:, None])
     sides = np.array([side for _, side in rows], dtype=str)
     tau = np.empty((len(rows), 6))

@@ -7,6 +7,7 @@ from tetherplan.collision import (
     Capsule,
     CollisionWorld,
     Sphere,
+    _seg_box_batch,
     arm_link_segments,
     capsule_capsule_hit,
     capsule_distance,
@@ -20,7 +21,7 @@ from tetherplan.collision import (
 from tetherplan.geometry import Pose, rpy_to_rot
 from tetherplan.robot import DualArm, fk_frames, ur3_arm
 
-from oracles import segment_distance_sampled
+from oracles import segment_box_distance_sampled, segment_distance_sampled
 
 
 def random_segment(rng, scale=1.0):
@@ -150,6 +151,16 @@ class TestSegmentBox:
         d = segment_box_distance([-3, 1.5, 0], [3, 1.5, 0], self.BOX)
         assert d == pytest.approx(0.5, abs=1e-9)
 
+    def test_exact_known_answers(self):
+        # Touches the edge x = y = 1 at its midpoint.
+        assert segment_box_distance([2, 0, 0], [0, 2, 0], self.BOX) == 0.0
+        # Nearest at the end point, off the corner (1, 1, 1).
+        d = segment_box_distance([3, 3, 3], [1.5, 1.5, 1.5], self.BOX)
+        assert d == pytest.approx(np.sqrt(0.75), abs=1e-15)
+        # A point and a segment lying in the face plane x = 1.
+        assert segment_box_distance([1, 3, 0], [1, 3, 0], self.BOX) == 2.0
+        assert segment_box_distance([1, -3, 2], [1, 3, 2], self.BOX) == 1.0
+
     def test_skew_segment_matches_dense_sampling(self):
         rng = np.random.default_rng(11)
         box = Box(Pose.from_rpy([0.3, 0.2, 0.5], [0.4, -0.3, 1.1]),
@@ -157,13 +168,32 @@ class TestSegmentBox:
         for _ in range(100):
             p1, p2 = random_segment(rng, scale=2.0)
             exact = segment_box_distance(p1, p2, box)
-            ts = np.linspace(0.0, 1.0, 4001)
-            pts = p1 + ts[:, None] * (np.asarray(p2) - p1)
-            local = (pts - box.pose.t) @ box.pose.r
-            excess = np.maximum(np.abs(local) - box.half_extents, 0.0)
-            sampled = np.linalg.norm(excess, axis=1).min()
+            sampled = segment_box_distance_sampled(
+                p1, p2, box.pose.r, box.pose.t, box.half_extents)
             assert exact <= sampled + 1e-9
             assert exact == pytest.approx(sampled, abs=1e-5)
+
+    def test_batch_with_points_and_axis_parallel_segments(self):
+        rng = np.random.default_rng(13)
+        boxes = (Box(Pose(np.eye(3), [0.2, -0.1, 0.3]), [0.5, 0.3, 0.8]),
+                 Box(Pose.from_rpy([0.3, 0.2, 0.5], [0.4, -0.3, 1.1]),
+                     [0.5, 0.3, 0.8]))
+        for box in boxes:
+            p1 = rng.uniform(-2.0, 2.0, (6, 9, 3))
+            p2 = rng.uniform(-2.0, 2.0, (6, 9, 3))
+            # Columns 0-2 are points, columns 3-8 run along a box axis.
+            p2[:, :3] = p1[:, :3]
+            for k, axis in zip(range(3, 9), (0, 1, 2, 0, 1, 2)):
+                length = rng.uniform(-2.0, 2.0, (6, 1))
+                p2[:, k] = p1[:, k] + length * box.pose.r[:, axis]
+            batch = _seg_box_batch(p1, p2, box)
+            assert batch.shape == (6, 9)
+            for w, k in np.ndindex(6, 9):
+                assert batch[w, k] == segment_box_distance(p1[w, k], p2[w, k], box)
+                sampled = segment_box_distance_sampled(
+                    p1[w, k], p2[w, k], box.pose.r, box.pose.t, box.half_extents)
+                assert batch[w, k] <= sampled + 1e-9
+                assert batch[w, k] == pytest.approx(sampled, abs=1e-5)
 
     def test_rotating_box_and_segment_together_preserves_distance(self):
         rng = np.random.default_rng(12)
