@@ -188,8 +188,11 @@ class PlanResult:
 
 @dataclass
 class PlanCache:
-    """Cross-call memo for station grasp configs and edge verdicts.
+    """Cross-call memo for grasp sets, station grasp configs and edge
+    verdicts.
 
+    grasps maps (handle end bytes, arm, sampling options) to the
+    sample_grasps result, so a sweep samples each arm's grasps once.
     node_feasible maps (station key, arm) to the collision-free grasp
     configs there; solve_stations fills it up front, one grouped IK
     call per arm, and the search only reads it.  edge_verdict fills
@@ -201,8 +204,21 @@ class PlanCache:
     concurrent use harmless.
     """
 
+    grasps: dict = field(default_factory=dict)
     node_feasible: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
+
+    def grasp_set(self, tool: ToolSpec, side: str,
+                  options: PlannerOptions) -> tuple[GraspCandidate, ...]:
+        """sample_grasps(tool, side, ...) under options, memoized."""
+        key = (tool.handle_a.tobytes(), tool.handle_b.tobytes(), side,
+               options.axial_samples, options.roll_samples,
+               options.grasp_inset)
+        if key not in self.grasps:
+            self.grasps[key] = sample_grasps(
+                tool, side, options.axial_samples, options.roll_samples,
+                options.grasp_inset)
+        return self.grasps[key]
 
 
 def _pose_key(pose: Pose) -> bytes:
@@ -261,8 +277,7 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
                 arm = id(problem.robot.arm(side))
                 jobs.setdefault((side, arm), []).append((key, problem, pose))
     for (side, _), group in jobs.items():
-        grasps = [sample_grasps(problem.tool, side, options.axial_samples,
-                                options.roll_samples, options.grasp_inset)
+        grasps = [cache.grasp_set(problem.tool, side, options)
                   for _, problem, _ in group]
         targets = [compose(pose, g.pose_tool)
                    for (_, _, pose), gs in zip(group, grasps) for g in gs]
@@ -328,11 +343,8 @@ class _Search:
         self.opt = options
         self.cache = cache
         self.stats = PlannerStats()
-        self.grasps = {
-            side: sample_grasps(problem.tool, side, options.axial_samples,
-                                options.roll_samples, options.grasp_inset)
-            for side in ("left", "right")
-        }
+        self.grasps = {side: cache.grasp_set(problem.tool, side, options)
+                       for side in ("left", "right")}
         self.stations = _stations(problem)
         self.goal_idx = len(self.stations) - 1
         self.station_keys = [name.encode() + _pose_key(pose)

@@ -25,6 +25,7 @@ from tetherplan.geometry import Pose, rot_to_rotvec
 N_JOINTS = 6
 _IK_DAMPING = 0.05        # ik_batch's damped-least-squares damping
 _IK_STEP_CLAMP = 0.2      # ik_batch's joint step bound per iteration, rad
+_PARALLEL_TOL = 1e-12     # |a x b| at or below which two chain vectors are parallel
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,6 @@ class ArmModel:
     def in_limits(self, q: np.ndarray) -> bool:
         q = np.asarray(q, dtype=float)
         return bool(np.all(q >= self.lower - 1e-12) and np.all(q <= self.upper + 1e-12))
-
-    @property
-    def reach(self) -> float:
-        """Loose upper bound on TCP distance from the base origin."""
-        return float(np.sum(np.linalg.norm(self.offsets, axis=1))
-                     + np.linalg.norm(self.tcp.t))
 
 
 @dataclass(frozen=True)
@@ -211,6 +206,40 @@ def _rotvec_batch(rots: np.ndarray) -> np.ndarray:
     return out
 
 
+def _beyond_reach(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
+                  opts: IKOptions) -> np.ndarray:
+    """(B,) mask of the targets no configuration reaches within tolerance.
+
+    For the UR layout (joints 2-4 share one axis u, offsets[1] lies on
+    axes[0] and offsets[5] on axes[4]) the joint-2 origin does not move,
+    and the joint-6 origin is fixed by the target pose.  Every offset
+    after joint 2 keeps its component along u and only turns its part
+    normal to u, so the two origins are at most the hypot of the summed
+    normal lengths and the summed u components apart (the existence
+    test of Hawkins 2013, "Analytic Inverse Kinematics for the Universal
+    Robots UR-5/UR-10 Arms").  A pose that passes ik_batch's acceptance
+    test moves the joint-6 origin by less than pos_tol + ori_tol *
+    |tcp.t|, which is added as slack.  Joint limits only shrink the
+    reachable set.  Any other chain gets an infinite reach: no target is
+    flagged.
+    """
+    def parallel(a, b):
+        return np.linalg.norm(np.cross(a, b)) <= _PARALLEL_TOL
+
+    u = arm.axes[1]
+    reach = math.inf
+    if (parallel(u, arm.axes[2]) and parallel(u, arm.axes[3])
+            and parallel(arm.offsets[1], arm.axes[0])
+            and parallel(arm.offsets[5], arm.axes[4])):
+        along = arm.offsets[2:] @ u
+        normal = np.linalg.norm(arm.offsets[2:] - along[:, None] * u, axis=1)
+        reach = math.hypot(normal.sum(), along.sum())
+    wrist = target_t - (target_r @ arm.tcp.r.T) @ arm.tcp.t
+    shoulder = arm.base.t + arm.base.r @ (arm.offsets[0] + arm.offsets[1])
+    slack = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
+    return np.linalg.norm(wrist - shoulder, axis=1) > reach + slack
+
+
 @dataclass(frozen=True)
 class IKOptions:
     pos_tol: float = 1e-4
@@ -246,6 +275,11 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     group: a grouped call returns exactly what one call per group
     would.  Returns (q (B, 6), solved (B,)); rows with solved False are
     zeros.
+
+    Targets beyond the arm's wrist reach (_beyond_reach) have no
+    solution at any configuration.  They are never iterated and return
+    unsolved, but their rows still use up their group's restart draws,
+    so every other target sees the samples it would see without them.
     """
     target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
     target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
@@ -253,6 +287,7 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     sizes = [b] if groups is None else [int(g) for g in groups]
     if sum(sizes) != b or min(sizes, default=0) < 0:
         raise ValueError(f"group sizes {sizes} do not split {b} targets")
+    beyond = _beyond_reach(arm, target_r, target_t, opts)
     rngs = [np.random.default_rng(opts.seed) for _ in sizes]
     lam2 = _IK_DAMPING * _IK_DAMPING
     eye = lam2 * np.eye(6)
@@ -268,7 +303,7 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
                 [rng.uniform(arm.lower, arm.upper, (g, N_JOINTS))
                  for rng, g in zip(rngs, sizes)])
             q = np.where(solved[:, None], q, fresh)
-        active = ~solved
+        active = ~solved & ~beyond
         for it in range(opts.max_iters + 1):
             idx = np.nonzero(active)[0]
             if idx.size == 0:
@@ -299,7 +334,7 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
             dq = np.einsum("wji,wj->wi", jac, y)
             dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
             q[idx] = np.clip(qa + dq, arm.lower, arm.upper)
-        if np.all(solved):
+        if np.all(solved | beyond):
             break
     return solution, solved
 

@@ -63,6 +63,29 @@ class TestSampleGrasps:
         with pytest.raises(EmptyGraspSet):
             sample_grasps(short, "left", 3, 4)
 
+    def test_cache_samples_each_content_key_once(self, monkeypatch):
+        calls = []
+        sample = planner.sample_grasps
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(planner, "sample_grasps", counted)
+        cache = PlanCache()
+        opts = PlannerOptions(axial_samples=3, roll_samples=4)
+        first = cache.grasp_set(make_tool(), "left", opts)
+        assert cache.grasp_set(make_tool(), "left", opts) is first
+        fresh = sample(make_tool(), "left", 3, 4, opts.grasp_inset)
+        assert [(g.grasp_id, g.axial) for g in first] == \
+            [(g.grasp_id, g.axial) for g in fresh]
+        assert all(np.array_equal(a.pose_tool.r, b.pose_tool.r)
+                   and np.array_equal(a.pose_tool.t, b.pose_tool.t)
+                   for a, b in zip(first, fresh))
+        cache.grasp_set(make_tool(), "right", opts)
+        cache.grasp_set(make_tool(), "left", replace(opts, roll_samples=5))
+        assert len(calls) == 3
+
 
 class TestInterp:
     def test_endpoints_exact(self):

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import central_difference_jacobian, fk_matrix_product
-from tetherplan.geometry import Pose, rot_to_rotvec, rot_z
+from tetherplan.geometry import Pose, rot_axis_angle, rot_to_rotvec, rot_z
 from tetherplan import robot as rb
 
 
@@ -332,3 +333,114 @@ def test_filtered_chain_jacobian_equals_jacobian_batch(arm):
     _, tcp_t, origins, axes = rb.fk_chain_batch(arm, qs)
     jac = rb._chain_jacobian(tcp_t[keep], origins[keep], axes[keep])
     assert np.array_equal(jac, rb.jacobian_batch(arm, qs[keep]))
+
+
+# UR3 wrist reach from the published link lengths: the three link
+# lengths normal to the shoulder-lift axis, and the 0.11235 m offset
+# along it.
+_UR3_WRIST_REACH = math.hypot(0.24365 + 0.21325 + 0.08535, 0.11235)
+
+
+def _random_base_ur3(rng):
+    axis = rng.normal(size=3)
+    rot = rot_axis_angle(axis / np.linalg.norm(axis), rng.uniform(-math.pi, math.pi))
+    return rb.ur3_arm(Pose(rot, rng.uniform(-1.0, 1.0, 3)))
+
+
+def _stretched_configs(rng, n):
+    """In-limit configs with the elbow straight and the wrist offset in
+    line with the forearm (joints 3 and 4 near 0 and -pi/2)."""
+    qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (n, 6))
+    qs[:, 2:4] = [0.0, -math.pi / 2] + rng.uniform(-0.03, 0.03, (n, 2))
+    return qs
+
+
+def _shoulder_and_wrist(arm, qs):
+    """FK joint-2 and joint-6 origins (W, 3) of each configuration."""
+    _, _, origins, _ = rb.fk_chain_batch(arm, qs)
+    return origins[:, 2], origins[:, 6]
+
+
+def _wrist_distance(arm, qs):
+    shoulder, wrist = _shoulder_and_wrist(arm, qs)
+    return np.linalg.norm(wrist - shoulder, axis=1)
+
+
+@pytest.mark.parametrize("arm_seed", range(4))
+def test_reach_prune_never_flags_a_reachable_target(arm_seed):
+    rng = np.random.default_rng(60 + arm_seed)
+    arm = _random_base_ur3(rng)
+    opts = rb.IKOptions()
+    stretched = _stretched_configs(rng, 200)
+    qs = np.vstack([rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (300, 6)), stretched])
+    assert np.all(_wrist_distance(arm, stretched) > _UR3_WRIST_REACH - 1e-3)
+    assert np.all(_wrist_distance(arm, qs) <= _UR3_WRIST_REACH + 1e-12)
+    rots, ts, _ = rb.fk_batch(arm, qs)
+    assert not rb._beyond_reach(arm, rots, ts, opts).any()
+    # Stretched targets moved and turned by just under the acceptance
+    # tolerances: some leave the bare bound, none may be flagged.
+    rots, ts, _ = rb.fk_batch(arm, stretched)
+    steps = rng.normal(size=ts.shape)
+    steps *= 0.99 * opts.pos_tol / np.linalg.norm(steps, axis=1, keepdims=True)
+    turns = np.stack([rot_axis_angle(a / np.linalg.norm(a), 0.99 * opts.ori_tol)
+                      for a in rng.normal(size=ts.shape)])
+    moved_r, moved_t = turns @ rots, ts + steps
+    exact = rb.IKOptions(pos_tol=0.0, ori_tol=0.0)
+    assert rb._beyond_reach(arm, moved_r, moved_t, exact).any()
+    assert not rb._beyond_reach(arm, moved_r, moved_t, opts).any()
+
+
+def test_reach_prune_bound_is_tight():
+    rng = np.random.default_rng(64)
+    arm = _random_base_ur3(rng)
+    opts = rb.IKOptions()
+    slack = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
+    qs = _stretched_configs(rng, 50)
+    rots, ts, _ = rb.fk_batch(arm, qs)
+    shoulder, wrist = _shoulder_and_wrist(arm, qs)
+    dist = np.linalg.norm(wrist - shoulder, axis=1, keepdims=True)
+    outward = (wrist - shoulder) / dist
+    # Translating a target moves its wrist point by the same vector.
+    for margin, flagged in ((-1e-6, False), (1e-6, True)):
+        push = (_UR3_WRIST_REACH + slack + margin - dist) * outward
+        assert np.all(rb._beyond_reach(arm, rots, ts + push, opts) == flagged)
+
+
+def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
+    rng = np.random.default_rng(48)
+    q0 = rng.uniform(-1.5, 1.5, 6)
+    pose = rb.fk(arm, q0)
+    rows = []
+    chain = rb.fk_chain_batch
+
+    def counted(arm, qs):
+        rows.append(np.asarray(qs).reshape(-1, 6).shape[0])
+        return chain(arm, qs)
+
+    monkeypatch.setattr(rb, "fk_chain_batch", counted)
+    q1, ok1 = rb.ik_batch(arm, pose.r, pose.t, q0 + 0.1)
+    alone = sum(rows)
+    rows.clear()
+    q2, ok2 = rb.ik_batch(arm, np.stack([pose.r, pose.r]),
+                          np.stack([pose.t, pose.t + [2.0, 0.0, 0.0]]),
+                          q0 + 0.1, groups=[1, 1])
+    assert ok1[0] and alone > 0
+    assert sum(rows) == alone
+    assert np.array_equal(q2[:1], q1)
+    assert ok2.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("field, row, vector", [
+    ("axes", 2, [1.0, -1.0, 0.0]),
+    ("axes", 3, [0.0, -1.0, 1.0]),
+    ("offsets", 1, [0.05, 0.0, 0.1519]),
+    ("offsets", 5, [0.0, 0.01, -0.08535]),
+])
+def test_reach_prune_flags_nothing_without_the_ur_layout(arm, field, row, vector):
+    values = getattr(arm, field).copy()
+    values[row] = vector
+    other = replace(arm, **{field: values})
+    rots = np.broadcast_to(np.eye(3), (3, 3, 3))
+    ts = np.array([[2.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, -9.0]])
+    assert rb._beyond_reach(arm, rots, ts, rb.IKOptions()).all()
+    assert not rb._beyond_reach(other, rots, ts, rb.IKOptions()).any()
