@@ -7,14 +7,35 @@ minimizes the piecewise-quadratic squared distance along the segment
 one piece at a time).  Touching counts as free everywhere: a pair
 collides only when its clearance is strictly negative.
 
-There is one pair-clearance routine, _pair_clearances: it assembles the
-arm, static and attached capsules of a batch of waypoints and measures
-every active pair.  motion_clearances takes the minimum per waypoint
-and robot_in_collision reads its single row.
+A query assembles the arm, static and attached capsules of a batch of
+waypoints (an arm that keeps one configuration on every row gets FK
+once) and a pair table, memoized on the names, kinds and radii it
+reads.  _pair_clearances measures the dense (W, P) matrix of pair
+clearances; robot_in_collision reads its single row.
+
+motion_clearances returns the same matrix's minimum and first argmin
+per row but measures only the entries that can decide them.  It
+measures every _COARSE_STRIDE-th row and the last in full.  Moving a
+segment's endpoints by at most d moves each of its points by at most
+d, so its distance to another segment changes by at most d plus the
+other's displacement, and boxes do not move.  On any other row k a
+pair of capsules i, j therefore lies within c[a] +- (d_i + d_j) of its
+clearance c[a] at each coarse neighbour a, with d the largest endpoint
+displacement of a capsule between rows a and k (the distance bound of
+Schwarzer, Saha and Latombe's adaptive collision checking, IEEE T-RO
+2005, read off the capsules rather than the joint steps, so it holds
+for rows that are not a motion).  An entry is measured only if its
+lower bound is not above the row's least upper bound plus
+_BOUND_MARGIN, which covers the float rounding of the bounds.  Every
+skipped entry is then above the row's minimum, so the minimum and the
+first column that attains it are measured, by the same kernels on the
+same segments as in the dense matrix: the outputs equal the dense
+min and np.argmin bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -24,6 +45,8 @@ from tetherplan.geometry import Pose
 from tetherplan.robot import ArmModel, DualArm, fk_batch
 
 _DEG_EPS = 1e-14          # squared-length threshold for degenerate segments
+_COARSE_STRIDE = 8        # motion_clearances measures every 8th row in full
+_BOUND_MARGIN = 1e-9      # m; float rounding allowance of the displacement bound
 
 
 @dataclass(frozen=True)
@@ -275,38 +298,54 @@ def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.nd
 
 @dataclass(frozen=True)
 class _PairTable:
-    """Precomputed query plan: which capsule/box pairs to measure."""
+    """Precomputed query plan: which capsule/box pairs to measure.
 
-    cap_i: np.ndarray
-    cap_j: np.ndarray
-    cap_radsum: np.ndarray
-    box_cap_idx: np.ndarray       # capsule index per capsule-box pair
-    box_box_idx: np.ndarray       # box index per capsule-box pair
-    box_cap_rad: np.ndarray
-    pair_names: tuple[tuple[str, str], ...]   # capsule pairs then box pairs
+    One entry per column, capsule pairs first, then capsule-box pairs.
+    A capsule-box column has second == the capsule count, a slot that
+    holds no capsule, and box >= 0; a capsule pair has box == -1.
+    """
+
+    first: np.ndarray             # capsule index
+    second: np.ndarray            # capsule index, or the capsule count
+    box: np.ndarray               # box index, or -1
+    radius: np.ndarray            # radius sum of the pair
+    pair_names: tuple[tuple[str, str], ...]
 
 
 def _build_pair_table(world: CollisionWorld,
                       attached_names: Sequence[str],
                       attached_radii: Sequence[float],
                       holding: Sequence[str]) -> _PairTable:
+    """The pair table, memoized on everything it reads."""
+    statics = tuple((n, None if isinstance(s, Box) else _as_segment(s)[2])
+                    for n, s in world.statics.items())
+    links = tuple(tuple(world.link_specs[side].radii.tolist())
+                  for side in ("left", "right"))
+    attached = tuple(zip(attached_names, map(float, attached_radii)))
+    return _pair_table(statics, world.excluded, links, attached, tuple(holding))
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_table(statics: tuple[tuple[str, float | None], ...],
+                excluded_pairs: frozenset,
+                link_radii: tuple[tuple[float, ...], ...],
+                attached: tuple[tuple[str, float], ...],
+                holding: tuple[str, ...]) -> _PairTable:
     names: list[str] = []
     radii: list[float] = []
     group: list[str] = []        # "left", "right", "static", "attached"
-    for side in ("left", "right"):
+    for side, side_radii in zip(("left", "right"), link_radii):
         names += link_names(side)
-        radii += list(world.link_specs[side].radii)
+        radii += side_radii
         group += [side] * _LINK_COUNT
-    static_caps = [(n, s) for n, s in world.statics.items() if not isinstance(s, Box)]
-    static_boxes = [(n, s) for n, s in world.statics.items() if isinstance(s, Box)]
-    for n, s in static_caps:
-        _, _, r = _as_segment(s)
+    for n, r in statics:
+        if r is not None:
+            names.append(n)
+            radii.append(r)
+            group.append("static")
+    for n, r in attached:
         names.append(n)
         radii.append(r)
-        group.append("static")
-    for n, r in zip(attached_names, attached_radii):
-        names.append(n)
-        radii.append(float(r))
         group.append("attached")
 
     wrists = {f"{side}/link{_LINK_COUNT}" for side in holding}
@@ -324,41 +363,92 @@ def _build_pair_table(world: CollisionWorld,
             other = names[j] if gi == "attached" else names[i]
             if other in wrists:
                 return True
-        if frozenset((names[i], names[j])) in world.excluded:
+        if frozenset((names[i], names[j])) in excluded_pairs:
             return True
         return False
 
-    cap_i, cap_j, pair_names = [], [], []
     n = len(names)
+    first, second, box, pair_names = [], [], [], []
     for i in range(n):
         for j in range(i + 1, n):
             if excluded(i, j):
                 continue
-            cap_i.append(i)
-            cap_j.append(j)
+            first.append(i)
+            second.append(j)
+            box.append(-1)
             pair_names.append((names[i], names[j]))
-
-    radii_arr = np.asarray(radii)
-    box_cap_idx, box_box_idx = [], []
-    for bi, (bname, _) in enumerate(static_boxes):
+    boxes = [name for name, r in statics if r is None]
+    for bi, bname in enumerate(boxes):
         for i in range(n):
             if group[i] == "static":
                 continue
-            if frozenset((names[i], bname)) in world.excluded:
+            if frozenset((names[i], bname)) in excluded_pairs:
                 continue
-            box_cap_idx.append(i)
-            box_box_idx.append(bi)
+            first.append(i)
+            second.append(n)
+            box.append(bi)
             pair_names.append((names[i], bname))
 
-    return _PairTable(
-        cap_i=np.asarray(cap_i, dtype=int),
-        cap_j=np.asarray(cap_j, dtype=int),
-        cap_radsum=radii_arr[cap_i] + radii_arr[cap_j] if cap_i else np.zeros(0),
-        box_cap_idx=np.asarray(box_cap_idx, dtype=int),
-        box_box_idx=np.asarray(box_box_idx, dtype=int),
-        box_cap_rad=radii_arr[box_cap_idx] if box_cap_idx else np.zeros(0),
-        pair_names=tuple(pair_names),
-    )
+    first_arr, second_arr, box_arr = (np.asarray(v, dtype=int)
+                                      for v in (first, second, box))
+    radii_arr = np.append(radii, 0.0)
+    radius = radii_arr[first_arr] + radii_arr[second_arr]
+    for arr in (first_arr, second_arr, box_arr, radius):
+        arr.flags.writeable = False      # shared by every caller of the memo
+    return _PairTable(first=first_arr, second=second_arr, box=box_arr,
+                      radius=radius, pair_names=tuple(pair_names))
+
+
+def _arm_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:
+    """arm_link_segments, computed on one row when the arm stays put."""
+    if len(qs) > 1 and np.all(qs == qs[0]):
+        segs = arm_link_segments(arm, spec, qs[:1])
+        return np.broadcast_to(segs, (len(qs),) + segs.shape[1:])
+    return arm_link_segments(arm, spec, qs)
+
+
+def _query(world: CollisionWorld, robot: DualArm,
+           q_left: np.ndarray, q_right: np.ndarray,
+           attached_segments: np.ndarray | None,
+           attached_radii: Sequence[float],
+           attached_names: Sequence[str],
+           holding: Sequence[str]) -> tuple[np.ndarray, list[Box], _PairTable]:
+    """Capsule segments (W, N, 2, 3), static boxes and the pair table."""
+    q_left = np.asarray(q_left, dtype=float).reshape(-1, 6)
+    q_right = np.asarray(q_right, dtype=float).reshape(-1, 6)
+    w = q_left.shape[0]
+    parts = [
+        _arm_segments(robot.left, world.link_specs["left"], q_left),
+        _arm_segments(robot.right, world.link_specs["right"], q_right),
+    ]
+    stat, _ = capsule_segments(s for s in world.statics.values()
+                               if not isinstance(s, Box))
+    parts.append(np.broadcast_to(stat, (w,) + stat.shape))
+    if attached_segments is not None and len(attached_names):
+        parts.append(np.asarray(attached_segments, dtype=float))
+    boxes = [s for s in world.statics.values() if isinstance(s, Box)]
+    table = _build_pair_table(world, attached_names, attached_radii, holding)
+    return np.concatenate(parts, axis=1), boxes, table
+
+
+def _measure(caps: np.ndarray, boxes: Sequence[Box], table: _PairTable,
+             rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Clearance of the entries (rows[m], cols[m]) of the (W, P) matrix."""
+    out = np.empty(rows.size)
+    box = table.box[cols]
+    for bi in range(-1, len(boxes)):
+        sel = np.nonzero(box == bi)[0]
+        if not sel.size:
+            continue
+        r, c = rows[sel], cols[sel]
+        a = caps[r, table.first[c]]
+        if bi < 0:
+            b = caps[r, table.second[c]]
+            d = _seg_seg_batch(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        else:
+            d = _seg_box_batch(a[:, 0], a[:, 1], boxes[bi])
+        out[sel] = d - table.radius[c]
+    return out
 
 
 def _pair_clearances(world: CollisionWorld, robot: DualArm,
@@ -369,41 +459,15 @@ def _pair_clearances(world: CollisionWorld, robot: DualArm,
                      holding: Sequence[str]) -> tuple[np.ndarray, _PairTable]:
     """Clearance of every active pair at every waypoint: ((W, P), table).
 
-    The one pair-clearance routine; see motion_clearances for the
-    arguments.  Columns follow table.pair_names.
+    The dense matrix; see motion_clearances for the arguments.  Columns
+    follow table.pair_names.
     """
-    q_left = np.asarray(q_left, dtype=float).reshape(-1, 6)
-    q_right = np.asarray(q_right, dtype=float).reshape(-1, 6)
-    w = q_left.shape[0]
-    table = _build_pair_table(world, attached_names, attached_radii, holding)
-
-    parts = [
-        arm_link_segments(robot.left, world.link_specs["left"], q_left),
-        arm_link_segments(robot.right, world.link_specs["right"], q_right),
-    ]
-    stat, _ = capsule_segments(s for s in world.statics.values()
-                               if not isinstance(s, Box))
-    parts.append(np.broadcast_to(stat, (w,) + stat.shape))
-    if attached_segments is not None and len(attached_names):
-        parts.append(np.asarray(attached_segments, dtype=float))
-    caps = np.concatenate(parts, axis=1)
-
-    n_cap = table.cap_i.size
-    clear = np.empty((w, len(table.pair_names)))
-    if n_cap:
-        a = caps[:, table.cap_i]
-        b = caps[:, table.cap_j]
-        d = _seg_seg_batch(a[:, :, 0], a[:, :, 1], b[:, :, 0], b[:, :, 1])
-        clear[:, :n_cap] = d - table.cap_radsum[None, :]
-    boxes = [s for s in world.statics.values() if isinstance(s, Box)]
-    for bi, box in enumerate(boxes):
-        sel = np.nonzero(table.box_box_idx == bi)[0]
-        if not sel.size:
-            continue
-        seg = caps[:, table.box_cap_idx[sel]]
-        d = _seg_box_batch(seg[:, :, 0], seg[:, :, 1], box)
-        clear[:, n_cap + sel] = d - table.box_cap_rad[sel][None, :]
-    return clear, table
+    caps, boxes, table = _query(world, robot, q_left, q_right,
+                                attached_segments, attached_radii,
+                                attached_names, holding)
+    w, p = caps.shape[0], len(table.pair_names)
+    rows, cols = np.divmod(np.arange(w * p), p)
+    return _measure(caps, boxes, table, rows, cols).reshape(w, p), table
 
 
 def motion_clearances(world: CollisionWorld, robot: DualArm,
@@ -418,14 +482,44 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
     (W, K, 2, 3) world-frame segments of capsule-like attached shapes;
     holding lists the arms whose wrist link is excluded against them.
 
-    Returns (clearance (W,), argmin pair index (W,), pair name table).
+    Returns (clearance (W,), argmin pair index (W,), pair name table),
+    equal bit for bit to the min and np.argmin of the dense matrix of
+    _pair_clearances.  Only the entries that can decide a row's minimum
+    are measured: every _COARSE_STRIDE-th row and the last in full, and
+    on each other row the pairs that the displacement bound (module
+    docstring) cannot place above the row's least upper bound plus
+    _BOUND_MARGIN.  The rows need not form a motion.
     """
-    clear, table = _pair_clearances(world, robot, q_left, q_right,
-                                    attached_segments, attached_radii,
-                                    attached_names, holding)
-    w = clear.shape[0]
-    if not clear.shape[1]:
+    caps, boxes, table = _query(world, robot, q_left, q_right,
+                                attached_segments, attached_radii,
+                                attached_names, holding)
+    w, p = caps.shape[0], len(table.pair_names)
+    if not p:
         return np.full(w, np.inf), np.zeros(w, dtype=int), table.pair_names
+    clear = np.full((w, p), np.inf)
+    is_coarse = np.zeros(w, dtype=bool)
+    is_coarse[::_COARSE_STRIDE] = is_coarse[-1] = True
+    coarse, fine = np.flatnonzero(is_coarse), np.flatnonzero(~is_coarse)
+    rows, cols = np.divmod(np.arange(coarse.size * p), p)
+    clear[coarse] = _measure(caps, boxes, table, coarse[rows], cols
+                             ).reshape(coarse.size, p)
+    if fine.size:
+        lower = np.full((fine.size, p), -np.inf)
+        upper = np.full((fine.size, p), np.inf)
+        # Largest endpoint displacement of each capsule from a coarse
+        # neighbour; the slot past the last capsule stays 0 for boxes.
+        moved = np.zeros((fine.size, caps.shape[1] + 1))
+        before = fine - fine % _COARSE_STRIDE
+        for near in (before, np.minimum(before + _COARSE_STRIDE, w - 1)):
+            step = caps[fine] - caps[near]
+            moved[:, :-1] = np.sqrt(
+                np.einsum("wnei,wnei->wne", step, step).max(axis=-1))
+            slack = moved[:, table.first] + moved[:, table.second]
+            lower = np.maximum(lower, clear[near] - slack)
+            upper = np.minimum(upper, clear[near] + slack)
+        rows, cols = np.nonzero(lower <= upper.min(axis=1, keepdims=True)
+                                + _BOUND_MARGIN)
+        clear[fine[rows], cols] = _measure(caps, boxes, table, fine[rows], cols)
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(w), idx], idx, table.pair_names
 

@@ -206,9 +206,6 @@ class Pose:
         """Map a point from this pose's local frame to the parent frame."""
         return self.r @ np.asarray(point, dtype=float) + self.t
 
-    def apply_dir(self, direction: np.ndarray) -> np.ndarray:
-        return self.r @ np.asarray(direction, dtype=float)
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.r

@@ -138,8 +138,3 @@ def torque_csv(trace) -> str:
                               + [_f(v) for v in e.torques]
                               + [_f(e.magnitude)]))
     return "\n".join(lines) + "\n"
-
-
-def write_torque_csv(path, trace) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(torque_csv(trace))

@@ -7,6 +7,9 @@ from tetherplan.collision import (
     Capsule,
     CollisionWorld,
     Sphere,
+    _arm_segments,
+    _build_pair_table,
+    _pair_clearances,
     _seg_box_batch,
     arm_link_segments,
     capsule_capsule_hit,
@@ -18,9 +21,11 @@ from tetherplan.collision import (
     segment_segment_distance,
     shape_clearance,
 )
+from tetherplan.cable import with_cable
 from tetherplan.geometry import Pose, rpy_to_rot
-from tetherplan.robot import DualArm, fk_frames, ur3_arm
+from tetherplan.robot import DualArm, fk_batch, fk_frames, ur3_arm
 
+from helpers import HOME_LEFT, HOME_RIGHT, make_problem
 from oracles import segment_box_distance_sampled, segment_distance_sampled
 
 
@@ -344,3 +349,158 @@ class TestWorld:
         # Consecutive links share an endpoint.
         for k in range(4):
             assert np.allclose(segs[0, k, 1], segs[0, k + 1, 0])
+
+
+def dense_minimum(world, robot, q_left, q_right, *attach):
+    """Row minimum and first-index argmin of the dense pair matrix."""
+    clear, table = _pair_clearances(world, robot, q_left, q_right,
+                                    *(attach or (None, (), (), ())))
+    idx = np.argmin(clear, axis=1)
+    return clear[np.arange(clear.shape[0]), idx], idx, table.pair_names
+
+
+def assert_matches_dense(world, robot, q_left, q_right, *attach):
+    got = motion_clearances(world, robot, q_left, q_right, *attach)
+    want = dense_minimum(world, robot, q_left, q_right, *attach)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    return got
+
+
+def held_tool(robot, q_left):
+    """A capsule held along the left arm's approach axis: the attach args."""
+    rot, tcp, _ = fk_batch(robot.left, q_left)
+    axis = rot[:, :, 2]
+    segs = np.stack([tcp - 0.05 * axis, tcp + 0.25 * axis], axis=1)[:, None]
+    return segs, [0.02], ["tool"], ("left",)
+
+
+def cluttered_world():
+    """A post, a cable excluded against the tool, a table and a tilted box."""
+    return make_world({
+        "post": Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04),
+        "table": Box(Pose(np.eye(3), [0.0, 0.0, -0.3]), [1.0, 1.0, 0.4]),
+        "crate": Box(Pose(rpy_to_rot(0.3, 0.2, 0.5), [0.35, -0.2, 0.45]),
+                     [0.1, 0.15, 0.05]),
+    }).with_static("cable", Capsule([0.2, 0.1, 1.5], [0.2, 0.1, 0.6], 0.01),
+                   exclude_against=["tool"])
+
+
+class TestBoundedClearances:
+    """motion_clearances against the min and argmin of the dense matrix."""
+
+    @pytest.mark.parametrize("w", [1, 2, 5, 8, 9, 16, 17, 40])
+    def test_interpolated_edges(self, w):
+        robot = make_robot()
+        world = cluttered_world()
+        rng = np.random.default_rng(100 + w)
+        for step in (0.02, 0.3):
+            qa_l, qa_r = rng.uniform(-np.pi, np.pi, (2, 6))
+            ql = np.linspace(qa_l, qa_l + rng.uniform(-step, step, 6) * w, w)
+            qr = np.linspace(qa_r, qa_r + rng.uniform(-step, step, 6) * w, w)
+            assert_matches_dense(world, robot, ql, qr)
+            assert_matches_dense(world, robot, ql, qr, *held_tool(robot, ql))
+
+    def test_unrelated_rows(self):
+        robot = make_robot()
+        world = cluttered_world()
+        rng = np.random.default_rng(21)
+        for w in (3, 23):
+            ql, qr = rng.uniform(-np.pi, np.pi, (2, w, 6))
+            assert_matches_dense(world, robot, ql, qr, *held_tool(robot, ql))
+
+    def test_one_idle_arm(self):
+        robot = make_robot()
+        world = cluttered_world()
+        rng = np.random.default_rng(22)
+        for w in (5, 30):
+            moving = np.linspace(HOME_LEFT, HOME_LEFT + rng.uniform(-1, 1, 6), w)
+            idle = np.tile(HOME_RIGHT, (w, 1))
+            assert_matches_dense(world, robot, moving, idle,
+                                 *held_tool(robot, moving))
+            # The idle arm's one-row FK, broadcast, is the FK of every row.
+            spec = world.link_specs["right"]
+            assert np.array_equal(_arm_segments(robot.right, spec, idle),
+                                  arm_link_segments(robot.right, spec, idle))
+
+    def test_exact_touch(self):
+        # A capsule of radius 0.25 slides 0.25 above the top face of a
+        # block: every row touches with clearance exactly 0.0.
+        robot = make_robot()
+        world = make_world({"block": Box(Pose(np.eye(3), [3.0, 0.0, -0.5]),
+                                         [1.0, 1.0, 0.5])})
+        w = 19
+        x = np.linspace(2.2, 3.4, w)
+        segs = np.zeros((w, 1, 2, 3))
+        segs[:, 0, :, 0] = np.stack([x, x + 0.3], axis=1)
+        segs[:, 0, :, 2] = 0.25
+        ql = np.linspace(HOME_LEFT, HOME_LEFT + 0.5, w)
+        qr = np.tile(HOME_RIGHT, (w, 1))
+        clear, idx, names = assert_matches_dense(world, robot, ql, qr, segs,
+                                                 [0.25], ["tool"], ("left",))
+        assert np.all(clear == 0.0)
+        assert {names[k] for k in idx} == {("tool", "block")}
+
+    def test_tie_between_identical_statics(self):
+        robot = make_robot()
+        post = Capsule([0.2, 0.2, -0.2], [0.2, 0.2, 0.8], 0.05)
+        world = make_world({"post_a": post, "post_b": post})
+        w = 25
+        ql = np.linspace(HOME_LEFT, HOME_LEFT + 0.6, w)
+        qr = np.tile(HOME_RIGHT, (w, 1))
+        clear, idx, names = assert_matches_dense(world, robot, ql, qr)
+        on_post = [names[k] for k in idx if "post_a" in names[k]]
+        assert on_post and not any("post_b" in names[k] for k in idx)
+
+    def test_tight_bound(self):
+        # A point held inside a static sphere moves straight at its
+        # centre, so each row's clearance meets its coarse neighbours'
+        # bounds with equality: only the margin keeps the row's entry.
+        robot = make_robot()
+        world = make_world({"ball": Sphere([2.0, 0.0, 0.5], 0.5)})
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            w = 33
+            heading = rng.normal(size=3)
+            heading /= np.linalg.norm(heading)
+            dist = np.linspace(0.45, 0.05, w) + rng.uniform(0.0, 0.04)
+            point = np.array([2.0, 0.0, 0.5]) + dist[:, None] * heading
+            segs = np.repeat(point[:, None, None], 2, axis=2)
+            ql = np.tile(HOME_LEFT, (w, 1))
+            qr = np.tile(HOME_RIGHT, (w, 1))
+            clear, idx, names = assert_matches_dense(
+                world, robot, ql, qr, segs, [0.01], ["tool"], ("left",))
+            assert {names[k] for k in idx} == {("ball", "tool")}
+
+
+class TestPairTableMemo:
+    def test_equal_worlds_share_one_table(self):
+        pb = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3])
+        names = [name for name, _ in pb.tool.shapes]
+        radii = [0.018, 0.03]
+        first, second = (with_cable(pb.world, pb.balancer, pb.start_pose, pb.tool)
+                         for _ in range(2))
+        assert first is not second
+        table = _build_pair_table(first, names, radii, ("left",))
+        assert _build_pair_table(second, names, radii, ("left",)) is table
+
+    def test_a_changed_input_gets_its_own_table(self):
+        pb = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3])
+        names = [name for name, _ in pb.tool.shapes]
+        radii = [0.018, 0.03]
+        world = with_cable(pb.world, pb.balancer, pb.start_pose, pb.tool)
+        table = _build_pair_table(world, names, radii, ("left",))
+        thicker = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3], cable_radius=0.02)
+        variants = [
+            (with_cable(thicker.world, thicker.balancer, thicker.start_pose,
+                        thicker.tool), ("left",)),
+            (world.with_static("cable", world.statics["cable"],
+                               exclude_against=["left/link1"]), ("left",)),
+            (world, ()),
+        ]
+        for other, holding in variants:
+            assert _build_pair_table(other, names, radii, holding) is not table
+        assert not np.array_equal(
+            _build_pair_table(variants[0][0], names, radii, ("left",)).radius,
+            table.radius)
