@@ -4,6 +4,14 @@ There is one chain kernel, fk_chain_batch, which evaluates the chain
 for a batch of configurations.  Every other call is built on it, and
 the scalar calls (fk, fk_frames, jacobian, ik) are batches of one.
 
+ik_batch runs damped least squares (_dls) in two stacked passes: the
+seeds of all targets, then every random restart of the targets still
+unsolved at once, keeping each target's first restart that converges.
+That is exactly what running the restarts one after another returns.
+Before either pass, _beyond_reach drops the targets that two UR
+existence tests (wrist reach, elbow plane) prove unreachable within
+the acceptance tolerances.
+
 An arm is a serial chain of six revolute joints.  Joint i contributes
 Trans(offset_i) @ Rot(axis_i, q_i), with offset and axis expressed in
 the frame left by joint i-1; a fixed flange-to-TCP pose closes the
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +33,9 @@ from tetherplan.geometry import Pose, rot_to_rotvec
 N_JOINTS = 6
 _IK_DAMPING = 0.05        # ik_batch's damped-least-squares damping
 _IK_STEP_CLAMP = 0.2      # ik_batch's joint step bound per iteration, rad
-_PARALLEL_TOL = 1e-12     # |a x b| at or below which two chain vectors are parallel
+_PARALLEL_TOL = 1e-12     # |a x b| (|a . b|) at or below which two chain vectors
+                          # are parallel (normal)
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,10 @@ class ArmModel:
     lower: np.ndarray     # (6,) joint lower limits, rad
     upper: np.ndarray     # (6,) joint upper limits, rad
     tcp: Pose             # flange-to-TCP transform
+    # Per-joint skew matrices khat of the axes and khat @ khat, the
+    # constants of the Rodrigues rotation fk_chain_batch applies.
+    khat: np.ndarray = field(init=False, repr=False, compare=False)
+    khat2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         axes = np.asarray(self.axes, dtype=float).reshape(N_JOINTS, 3)
@@ -51,13 +65,10 @@ class ArmModel:
             raise ValueError("joint lower limits must be strictly below upper limits")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    def with_base(self, base: Pose) -> "ArmModel":
-        return replace(self, base=base)
-
-    def in_limits(self, q: np.ndarray) -> bool:
-        q = np.asarray(q, dtype=float)
-        return bool(np.all(q >= self.lower - 1e-12) and np.all(q <= self.upper + 1e-12))
+        khat = np.stack([np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+                         for kx, ky, kz in axes])
+        object.__setattr__(self, "khat", khat)
+        object.__setattr__(self, "khat2", np.stack([k @ k for k in khat]))
 
 
 @dataclass(frozen=True)
@@ -68,10 +79,6 @@ class DualArm:
     def __post_init__(self):
         if np.allclose(self.left.base.t, self.right.base.t):
             raise ValueError("left and right arm bases must be distinct")
-
-    @property
-    def shoulder_separation(self) -> float:
-        return float(np.linalg.norm(self.left.base.t - self.right.base.t))
 
     def arm(self, side: str) -> ArmModel:
         if side == "left":
@@ -133,7 +140,7 @@ def fk_chain_batch(arm: ArmModel, qs: np.ndarray,
         t = t + r @ arm.offsets[i]
         origins[:, i + 1] = t
         axes[:, i] = r @ arm.axes[i]
-        r = r @ _axis_rot_batch(arm.axes[i], qs[:, i])
+        r = r @ _axis_rot_batch(arm.khat[i], arm.khat2[i], qs[:, i])
     tcp_t = t + r @ arm.tcp.t
     tcp_r = r @ arm.tcp.r
     origins[:, -1] = tcp_t
@@ -210,34 +217,91 @@ def _beyond_reach(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
                   opts: IKOptions) -> np.ndarray:
     """(B,) mask of the targets no configuration reaches within tolerance.
 
-    For the UR layout (joints 2-4 share one axis u, offsets[1] lies on
-    axes[0] and offsets[5] on axes[4]) the joint-2 origin does not move,
-    and the joint-6 origin is fixed by the target pose.  Every offset
-    after joint 2 keeps its component along u and only turns its part
-    normal to u, so the two origins are at most the hypot of the summed
-    normal lengths and the summed u components apart (the existence
-    test of Hawkins 2013, "Analytic Inverse Kinematics for the Universal
-    Robots UR-5/UR-10 Arms").  A pose that passes ik_batch's acceptance
-    test moves the joint-6 origin by less than pos_tol + ori_tol *
-    |tcp.t|, which is added as slack.  Joint limits only shrink the
-    reachable set.  Any other chain gets an infinite reach: no target is
-    flagged.
+    Two existence tests of Hawkins 2013 ("Analytic Inverse Kinematics
+    for the Universal Robots UR-5/UR-10 Arms"), each widened by the
+    slack that ik_batch's acceptance test allows.  A pose accepted for a
+    target is within ori_tol of its rotation and moves the joint-6
+    origin (the wrist w) by at most s = pos_tol + ori_tol * |tcp.t|.
+    Joint limits only shrink the reachable set, so neither test depends
+    on them.  A chain outside a test's layout gate gets nothing flagged
+    by that test.
+
+    Wrist reach.  Gate: joints 2-4 share one axis u, offsets[1] lies on
+    axes[0] and offsets[5] on axes[4].  The joint-2 origin then does
+    not move, and every offset after joint 2 keeps its component along
+    u and only turns its part normal to u, so w is at most the hypot of
+    the summed normal lengths and the summed u components from it.
+    Flagged beyond that plus s.
+
+    Elbow plane.  Gate, on top: axes[0], axes[4], offsets[2] and
+    offsets[3] are normal to u, axes[5] is normal to axes[4], and
+    offsets[4] lies on u.  Let a2 = |offsets[2]|, a3 = |offsets[3]|,
+    d4 = offsets[4] . u and d5 = |offsets[5]|.  In the base frame,
+    relative to the joint-2 origin, with z6 = R_flange @ axes[5] the
+    joint-6 axis that the target fixes: the joint-2 axis u(q1) turns
+    in the plane normal to axes[0] and must satisfy u . w = d4, which
+    gives two shoulder branches.  For each, z5 = +-(u x z6) / |u x z6|,
+    and the joint-4 origin is w - d5 z5 - d4 u; it must lie in the
+    annulus [|a2 - a3|, a2 + a3] around the joint-2 origin.  A target
+    is flagged when all 4 candidates miss the annulus by more than
+    their slack s + d5 * 2 (du + a) / |u x z6| + |d4| du, where a =
+    ori_tol and du = s / (R - s) + |d4| s / ((R - s) sqrt((R - s)^2 -
+    d4^2)) bounds how far u turns when w moves by s, R being w's
+    distance from the joint-1 axis; 2 (du + a) / |u x z6| bounds how
+    far z5 turns.  The slack is infinite near the singularities, where
+    R - s <= |d4| or |u x z6| <= du + a.  A wrist with R + s < |d4| is
+    inside the shoulder cylinder and is flagged.
     """
     def parallel(a, b):
         return np.linalg.norm(np.cross(a, b)) <= _PARALLEL_TOL
 
-    u = arm.axes[1]
-    reach = math.inf
-    if (parallel(u, arm.axes[2]) and parallel(u, arm.axes[3])
-            and parallel(arm.offsets[1], arm.axes[0])
-            and parallel(arm.offsets[5], arm.axes[4])):
-        along = arm.offsets[2:] @ u
-        normal = np.linalg.norm(arm.offsets[2:] - along[:, None] * u, axis=1)
-        reach = math.hypot(normal.sum(), along.sum())
-    wrist = target_t - (target_r @ arm.tcp.r.T) @ arm.tcp.t
-    shoulder = arm.base.t + arm.base.r @ (arm.offsets[0] + arm.offsets[1])
-    slack = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
-    return np.linalg.norm(wrist - shoulder, axis=1) > reach + slack
+    def normal(a, b):
+        return abs(a @ b) <= _PARALLEL_TOL
+
+    axes, offsets = arm.axes, arm.offsets
+    u0 = axes[1]
+    if not (parallel(u0, axes[2]) and parallel(u0, axes[3])
+            and parallel(offsets[1], axes[0]) and parallel(offsets[5], axes[4])):
+        return np.zeros(target_t.shape[0], dtype=bool)
+    along = offsets[2:] @ u0
+    normal_len = np.linalg.norm(offsets[2:] - along[:, None] * u0, axis=1)
+    reach = math.hypot(normal_len.sum(), along.sum())
+    flange = target_r @ arm.tcp.r.T
+    wrist = target_t - flange @ arm.tcp.t
+    shoulder = arm.base.t + arm.base.r @ (offsets[0] + offsets[1])
+    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
+    beyond = np.linalg.norm(wrist - shoulder, axis=1) > reach + s
+    if not (normal(axes[0], u0) and normal(axes[4], u0) and normal(axes[5], axes[4])
+            and normal(offsets[2], u0) and normal(offsets[3], u0)
+            and parallel(offsets[4], u0)):
+        return beyond
+
+    a0, a = axes[0], opts.ori_tol
+    d4, d5 = offsets[4] @ u0, np.linalg.norm(offsets[5])
+    a2, a3 = np.linalg.norm(offsets[2]), np.linalg.norm(offsets[3])
+    w = (wrist - shoulder) @ arm.base.r
+    z6 = (flange @ axes[5]) @ arm.base.r
+    w_perp = w - np.outer(w @ a0, a0)
+    rad = np.linalg.norm(w_perp, axis=1)
+    inner = rad - s
+    elbow = np.ones_like(beyond)
+    # Singular rows come out inf or nan; a nan comparison flags nothing.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = s / inner + abs(d4) * s / (inner * np.sqrt(inner * inner - d4 * d4))
+        du = np.where(inner > abs(d4), du, np.inf)
+        w_hat = w_perp / rad[:, None]
+        cos = d4 / rad
+        sin = np.sqrt(np.maximum(1.0 - cos * cos, 0.0))
+        for branch in (1.0, -1.0):
+            u = cos[:, None] * w_hat + (branch * sin)[:, None] * np.cross(a0, w_hat)
+            cross = np.cross(u, z6)
+            norm = np.linalg.norm(cross, axis=1)
+            slack = np.where(norm > du + a,
+                             s + d5 * 2.0 * (du + a) / norm + abs(d4) * du, np.inf)
+            for z5 in (cross, -cross):
+                rho = np.linalg.norm(w - d5 * z5 / norm[:, None] - d4 * u, axis=1)
+                elbow &= np.maximum(rho - (a2 + a3), abs(a2 - a3) - rho) > slack
+    return beyond | elbow | (rad + s < abs(d4))
 
 
 @dataclass(frozen=True)
@@ -274,12 +338,22 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     size, 6) per restart, so a target's result depends only on its own
     group: a grouped call returns exactly what one call per group
     would.  Returns (q (B, 6), solved (B,)); rows with solved False are
-    zeros.
+    zeros.  A target's result is the first attempt that converges.
 
-    Targets beyond the arm's wrist reach (_beyond_reach) have no
-    solution at any configuration.  They are never iterated and return
-    unsolved, but their rows still use up their group's restart draws,
-    so every other target sees the samples it would see without them.
+    The attempts run in two passes of _dls: the seeds, then every
+    restart of every target the seeds leave unsolved, stacked into one
+    batch.  This returns what running the restarts one after another
+    would: a row's iterates depend only on its start and its target,
+    and the restart starts are the same draws in the same order, drawn
+    whether or not an earlier attempt succeeds.  So the first restart
+    that converges in the stacked pass is the one a sequential loop
+    would have stopped at.  A call makes at most 2 * (max_iters + 1)
+    fk_chain_batch calls.
+
+    Targets that _beyond_reach proves unreachable have no solution at
+    any configuration.  They are never iterated and return unsolved;
+    their rows still use up their group's restart draws, so every
+    other target sees the samples it would see without them.
     """
     target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
     target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
@@ -287,63 +361,84 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     sizes = [b] if groups is None else [int(g) for g in groups]
     if sum(sizes) != b or min(sizes, default=0) < 0:
         raise ValueError(f"group sizes {sizes} do not split {b} targets")
-    beyond = _beyond_reach(arm, target_r, target_t, opts)
-    rngs = [np.random.default_rng(opts.seed) for _ in sizes]
-    lam2 = _IK_DAMPING * _IK_DAMPING
-    eye = lam2 * np.eye(6)
-    seeds = np.asarray(seed_config, dtype=float)
-    if seeds.ndim == 1:
-        seeds = np.broadcast_to(seeds, (b, N_JOINTS))
-    q = np.clip(seeds.copy(), arm.lower, arm.upper)
+    seeds = np.broadcast_to(np.asarray(seed_config, dtype=float), (b, N_JOINTS))
     solution = np.zeros((b, N_JOINTS))
     solved = np.zeros(b, dtype=bool)
-    for attempt in range(max(1, opts.restarts)):
-        if attempt > 0:
-            fresh = np.concatenate(
-                [rng.uniform(arm.lower, arm.upper, (g, N_JOINTS))
-                 for rng, g in zip(rngs, sizes)])
-            q = np.where(solved[:, None], q, fresh)
-        active = ~solved & ~beyond
-        for it in range(opts.max_iters + 1):
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                break
-            qa = q[idx]
-            cur_r, cur_t, origins, axes = fk_chain_batch(arm, qa)
-            e_pos = target_t[idx] - cur_t
-            e_rot = _rotvec_batch(target_r[idx] @ cur_r.transpose(0, 2, 1))
-            done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
-                    & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
-            if np.any(done):
-                hit = idx[done]
-                solution[hit] = qa[done]
-                solved[hit] = True
-                active[hit] = False
-                keep = ~done
-                idx = idx[keep]
-                if idx.size == 0:
-                    break
-                qa, e_pos, e_rot = qa[keep], e_pos[keep], e_rot[keep]
-                cur_t, origins, axes = cur_t[keep], origins[keep], axes[keep]
-            if it == opts.max_iters:
-                break
-            jac = _chain_jacobian(cur_t, origins, axes)
-            err = np.concatenate([e_pos, e_rot], axis=1)
-            gram = jac @ jac.transpose(0, 2, 1) + eye
-            y = np.linalg.solve(gram, err[..., None])[..., 0]
-            dq = np.einsum("wji,wj->wi", jac, y)
-            dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
-            q[idx] = np.clip(qa + dq, arm.lower, arm.upper)
-        if np.all(solved | beyond):
-            break
+    rows = np.nonzero(~_beyond_reach(arm, target_r, target_t, opts))[0]
+    starts = np.clip(seeds[rows], arm.lower, arm.upper)[None]
+    q, ok = _dls(arm, starts, target_r[rows], target_t[rows], opts)
+    solution[rows[ok]] = q[ok]
+    solved[rows[ok]] = True
+    rows = rows[~ok]
+    if opts.restarts > 1 and rows.size:
+        rngs = [np.random.default_rng(opts.seed) for _ in sizes]
+        starts = np.stack([
+            np.concatenate([rng.uniform(arm.lower, arm.upper, (g, N_JOINTS))
+                            for rng, g in zip(rngs, sizes)])
+            for _ in range(opts.restarts - 1)])
+        q, ok = _dls(arm, starts[:, rows], target_r[rows], target_t[rows], opts)
+        solution[rows[ok]] = q[ok]
+        solved[rows[ok]] = True
     return solution, solved
 
 
-def _axis_rot_batch(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    kx, ky, kz = axis
-    khat = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    khat2 = khat @ khat
+def _dls(arm: ArmModel, q0: np.ndarray, target_r: np.ndarray,
+         target_t: np.ndarray, opts: IKOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Damped least squares from K starts (K, U, 6) of U targets at once.
+
+    Start k of target j is attempt k of that target.  A row stops when
+    it meets the tolerances, after opts.max_iters steps, or as soon as
+    an earlier attempt of its target has met them.  Returns (q (U, 6),
+    solved (U,)): each solved target's configuration from its first
+    attempt that converged; unsolved rows are zeros.
+    """
+    k, u = q0.shape[:2]
+    q = q0.reshape(k * u, N_JOINTS).copy()
+    target = np.tile(np.arange(u), k)
+    attempt = np.repeat(np.arange(k), u)
+    first = np.full(u, k)          # first converged attempt; k while none has
+    active = np.ones(k * u, dtype=bool)
+    eye = _IK_DAMPING * _IK_DAMPING * np.eye(6)
+    for it in range(opts.max_iters + 1):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        qa = q[idx]
+        cur_r, cur_t, origins, axes = fk_chain_batch(arm, qa)
+        e_pos = target_t[target[idx]] - cur_t
+        e_rot = _rotvec_batch(target_r[target[idx]] @ cur_r.transpose(0, 2, 1))
+        done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
+                & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
+        if np.any(done):
+            hit = idx[done]
+            np.minimum.at(first, target[hit], attempt[hit])
+            active[hit] = False
+            active &= attempt < first[target]
+            keep = active[idx]
+            idx = idx[keep]
+            if idx.size == 0:
+                break
+            qa, e_pos, e_rot = qa[keep], e_pos[keep], e_rot[keep]
+            cur_t, origins, axes = cur_t[keep], origins[keep], axes[keep]
+        if it == opts.max_iters:
+            break
+        jac = _chain_jacobian(cur_t, origins, axes)
+        err = np.concatenate([e_pos, e_rot], axis=1)
+        gram = jac @ jac.transpose(0, 2, 1) + eye
+        y = np.linalg.solve(gram, err[..., None])[..., 0]
+        dq = np.einsum("wji,wj->wi", jac, y)
+        dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
+        q[idx] = np.clip(qa + dq, arm.lower, arm.upper)
+    solved = first < k
+    out = np.zeros((u, N_JOINTS))
+    out[solved] = q[first[solved] * u + np.nonzero(solved)[0]]
+    return out, solved
+
+
+def _axis_rot_batch(khat: np.ndarray, khat2: np.ndarray,
+                    angles: np.ndarray) -> np.ndarray:
+    """(W, 3, 3) rotations by angles about the axis whose skew matrix is khat."""
     c = np.cos(angles)[:, None, None]
     s = np.sin(angles)[:, None, None]
-    return np.eye(3)[None] + s * khat[None] + (1.0 - c) * khat2[None]
+    return _EYE3 + s * khat + (1.0 - c) * khat2
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written against first principles
 (quaternion algebra, dense sampling, finite differences, homogeneous
 matrix products) and never calls into the library code paths it is used
-to check.
+to check.  The one exception is sequential_ik_batch, the reference for
+ik_batch's restart schedule: ik_batch must match it bit for bit, so it
+runs the library's own FK, log-map and Jacobian kernels.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from tetherplan import robot as rb
 
 
 # --- quaternion oracle (Hamilton convention, [w, x, y, z]) ---
@@ -137,3 +141,62 @@ def fk_matrix_product(base_matrix: np.ndarray, axes, offsets, tcp_matrix: np.nda
         rot[:3, :3] = _axis_angle_matrix(axis, angle)
         m = m @ trans @ rot
     return m @ tcp_matrix
+
+
+# --- joint limits and the sequential-restart IK reference ---
+
+def in_limits(arm, q) -> bool:
+    """True when every joint of q lies within the arm's limits (1e-12 slack)."""
+    q = np.asarray(q, dtype=float)
+    return bool(np.all(q >= arm.lower - 1e-12) and np.all(q <= arm.upper + 1e-12))
+
+
+def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None):
+    """ik_batch as one loop over the attempts, run one after another.
+
+    Attempt 0 starts every target from its seed; each later attempt
+    draws a (group size, 6) block from each group's own
+    np.random.default_rng(opts.seed) and restarts the targets still
+    unsolved, until all are solved or opts.restarts attempts have run.
+    No target is pruned, so a target that the reach tests wrongly
+    flag but the loop solves shows up as a difference.
+    """
+    target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
+    target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
+    b = target_r.shape[0]
+    sizes = [b] if groups is None else list(groups)
+    rngs = [np.random.default_rng(opts.seed) for _ in sizes]
+    eye = rb._IK_DAMPING * rb._IK_DAMPING * np.eye(6)
+    q = np.clip(np.broadcast_to(np.asarray(seed_config, dtype=float), (b, 6)),
+                arm.lower, arm.upper)
+    solution = np.zeros((b, 6))
+    solved = np.zeros(b, dtype=bool)
+    for attempt in range(max(1, opts.restarts)):
+        if attempt > 0:
+            fresh = np.concatenate([rng.uniform(arm.lower, arm.upper, (g, 6))
+                                    for rng, g in zip(rngs, sizes)])
+            q = np.where(solved[:, None], q, fresh)
+        for it in range(opts.max_iters + 1):
+            idx = np.nonzero(~solved)[0]
+            if idx.size == 0:
+                break
+            cur_r, cur_t, origins, axes = rb.fk_chain_batch(arm, q[idx])
+            e_pos = target_t[idx] - cur_t
+            e_rot = rb._rotvec_batch(target_r[idx] @ cur_r.transpose(0, 2, 1))
+            done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
+                    & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
+            solution[idx[done]] = q[idx[done]]
+            solved[idx[done]] = True
+            keep = ~done
+            idx = idx[keep]
+            if idx.size == 0 or it == opts.max_iters:
+                break
+            jac = rb._chain_jacobian(cur_t[keep], origins[keep], axes[keep])
+            err = np.concatenate([e_pos[keep], e_rot[keep]], axis=1)
+            y = np.linalg.solve(jac @ jac.transpose(0, 2, 1) + eye, err[..., None])[..., 0]
+            dq = np.clip(np.einsum("wji,wj->wi", jac, y),
+                         -rb._IK_STEP_CLAMP, rb._IK_STEP_CLAMP)
+            q[idx] = np.clip(q[idx] + dq, arm.lower, arm.upper)
+        if solved.all():
+            break
+    return solution, solved

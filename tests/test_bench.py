@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,14 @@ from tetherplan.bench import (
 from tetherplan.cable import BendConstraint
 from tetherplan.collision import arm_link_segments
 from tetherplan.planner import MotionPlan, PlannerStats, PlanResult, plan
+from tetherplan.scene import default_scene
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "default_sweep.csv"
+# Columns of cells_csv compared exactly; every other column is a float
+# compared to 1e-9 relative.
+EXACT_COLUMNS = ("row", "col", "mode", "outcome", "symbol",
+                 "first_violation_waypoint", "planner_failure", "n_edges",
+                 "n_waypoints")
 
 
 def fake_recheck(**kw):
@@ -272,3 +283,23 @@ class TestSweep:
         text = render_grid(empty)
         assert "n/a" in text
         assert cells_csv(empty).strip() == CSV_HEADER
+
+
+def test_default_sweep_matches_golden_csv():
+    """The default scene's sweep against the committed cells_csv.
+
+    Pins every cell's outcome, symbol, counts, peak torques and proven
+    minimum clearance, so a change that moves any of them, a clearance
+    that errs toward clear included, shows here.
+    """
+    got = list(csv.DictReader(io.StringIO(cells_csv(sweep(default_scene())))))
+    want = list(csv.DictReader(io.StringIO(GOLDEN_SWEEP.read_text())))
+    assert [r.keys() for r in got] == [r.keys() for r in want]
+    assert len(got) == 80
+    for g, w in zip(got, want):
+        for key in w:
+            if key in EXACT_COLUMNS or w[key] == "" or g[key] == "":
+                assert g[key] == w[key], (w["row"], w["col"], w["mode"], key)
+            else:
+                assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9), (
+                    w["row"], w["col"], w["mode"], key)

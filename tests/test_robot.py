@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import central_difference_jacobian, fk_matrix_product
+from oracles import (central_difference_jacobian, fk_matrix_product, in_limits,
+                     sequential_ik_batch)
 from tetherplan.geometry import Pose, rot_axis_angle, rot_to_rotvec, rot_z
 from tetherplan import robot as rb
 
@@ -162,7 +163,7 @@ def test_ik_round_trip_random_targets(arm):
         got = rb.fk(arm, q)
         assert np.linalg.norm(got.t - target.t) < 1e-4
         assert np.linalg.norm(rot_to_rotvec(target.r @ got.r.T)) < 1e-3
-        assert arm.in_limits(q)
+        assert in_limits(arm, q)
         hits += 1
     assert hits >= int(0.95 * trials)
 
@@ -183,16 +184,14 @@ def test_ik_respects_tight_limits():
         q0 = rng.uniform(-math.pi / 2, math.pi / 2, size=6)
         q = rb.ik(arm, rb.fk(arm, q0), rng.uniform(-1, 1, 6), rb.IKOptions(seed=3))
         if q is not None:
-            assert arm.in_limits(q)
+            assert in_limits(arm, q)
 
 
 def test_dual_arm_requires_distinct_bases(arm):
     with pytest.raises(ValueError):
         rb.DualArm(left=arm, right=arm)
-    other = arm.with_base(Pose(np.eye(3), np.array([0.0, -0.4, 0.0])))
-    pair = rb.DualArm(left=arm.with_base(Pose(np.eye(3), np.array([0.0, 0.4, 0.0]))),
-                      right=other)
-    assert pair.shoulder_separation == pytest.approx(0.8)
+    other = replace(arm, base=Pose(np.eye(3), np.array([0.0, -0.4, 0.0])))
+    rb.DualArm(left=arm, right=other)
 
 
 def test_fk_chain_batch_matches_fk_batch(arm):
@@ -245,7 +244,7 @@ def test_ik_batch_solves_reachable_targets(arm):
         assert np.linalg.norm(pose.t - ts[i]) < opts.pos_tol
         from tetherplan.geometry import rot_to_rotvec
         assert np.linalg.norm(rot_to_rotvec(rots[i] @ pose.r.T)) < opts.ori_tol
-        assert arm.in_limits(sol[i])
+        assert in_limits(arm, sol[i])
 
 
 def test_ik_batch_is_deterministic(arm):
@@ -366,20 +365,35 @@ def _wrist_distance(arm, qs):
     return np.linalg.norm(wrist - shoulder, axis=1)
 
 
+def _elbow_configs(rng, n):
+    """In-limit configs of five kinds, n each: uniform; stretched (q3 near
+    0) and folded (q3 near pi) elbows; q5 near 0, where joint 6 lines up
+    with joints 2-4; and the wrist on the shoulder cylinder, at |d4| from
+    the joint-1 axis."""
+    qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (5, n, 6))
+    noise = rng.uniform(-0.03, 0.03, (5, n))
+    noise[:, : n // 4] = 0.0
+    qs[1, :, 2] = noise[1]
+    qs[2, :, 2] = rng.choice([-math.pi, math.pi], n) + noise[2]
+    qs[3, :, 4] = noise[3]
+    qs[4, :, 1:4] = [-math.pi / 2, 0.0, -math.pi / 2]
+    qs[4, :, 1:4] += noise[4, :, None]
+    return qs.reshape(-1, 6)
+
+
 @pytest.mark.parametrize("arm_seed", range(4))
 def test_reach_prune_never_flags_a_reachable_target(arm_seed):
     rng = np.random.default_rng(60 + arm_seed)
     arm = _random_base_ur3(rng)
     opts = rb.IKOptions()
     stretched = _stretched_configs(rng, 200)
-    qs = np.vstack([rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (300, 6)), stretched])
+    qs = np.vstack([_elbow_configs(rng, 200), stretched])
     assert np.all(_wrist_distance(arm, stretched) > _UR3_WRIST_REACH - 1e-3)
     assert np.all(_wrist_distance(arm, qs) <= _UR3_WRIST_REACH + 1e-12)
     rots, ts, _ = rb.fk_batch(arm, qs)
     assert not rb._beyond_reach(arm, rots, ts, opts).any()
-    # Stretched targets moved and turned by just under the acceptance
-    # tolerances: some leave the bare bound, none may be flagged.
-    rots, ts, _ = rb.fk_batch(arm, stretched)
+    # Targets moved and turned by just under the acceptance tolerances:
+    # some leave the bare bounds, none may be flagged.
     steps = rng.normal(size=ts.shape)
     steps *= 0.99 * opts.pos_tol / np.linalg.norm(steps, axis=1, keepdims=True)
     turns = np.stack([rot_axis_angle(a / np.linalg.norm(a), 0.99 * opts.ori_tol)
@@ -444,3 +458,183 @@ def test_reach_prune_flags_nothing_without_the_ur_layout(arm, field, row, vector
     ts = np.array([[2.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, -9.0]])
     assert rb._beyond_reach(arm, rots, ts, rb.IKOptions()).all()
     assert not rb._beyond_reach(other, rots, ts, rb.IKOptions()).any()
+
+
+def _ik_call(case):
+    """A random grouped ik_batch call on a random-base UR3.
+
+    Rows are reachable (FK of a random config, some seeded at or near it),
+    near-reachable (a stretched config's target pushed outward by up to
+    1 mm) or unreachable (a random rotation at a random point within
+    0.6 m of the base, where the elbow test rejects most, or a point
+    2 m out).  Group sizes run over 0-4, restarts over 1-8 and
+    max_iters over 0-80; half the calls seed every row on its own.
+    """
+    rng = np.random.default_rng(500 + case)
+    arm = _random_base_ur3(rng)
+    sizes = rng.integers(0, 5, size=rng.integers(1, 6)).tolist()
+    if case == 0:
+        sizes = [0, 1, 4, 0, 3]
+    b = sum(sizes)
+    qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (b, 6))
+    near = rng.random(b) < 0.25
+    qs[near] = _stretched_configs(rng, int(near.sum()))
+    rots, ts, origins = rb.fk_batch(arm, qs)
+    outward = origins[:, 6] - origins[:, 2]
+    outward /= np.linalg.norm(outward, axis=1, keepdims=True)
+    ts[near] += rng.uniform(0.0, 1e-3, (int(near.sum()), 1)) * outward[near]
+    far = ~near & (rng.random(b) < 0.35)
+    rots[far] = np.array([rot_axis_angle(a / np.linalg.norm(a),
+                                         rng.uniform(-math.pi, math.pi))
+                          for a in rng.normal(size=(int(far.sum()), 3))]).reshape(-1, 3, 3)
+    ts[far] = arm.base.t + rng.uniform(-0.6, 0.6, (int(far.sum()), 3))
+    ts[far & (rng.random(b) < 0.3)] += [2.0, 0.0, 0.0]
+    seeds = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (b, 6))
+    exact = rng.random(b) < 0.3
+    seeds[exact] = qs[exact] + rng.choice([0.0, 0.05], (int(exact.sum()), 1)) * rng.normal(
+        size=(int(exact.sum()), 6))
+    if case % 2:
+        seeds = seeds[0] if b else np.zeros(6)
+    opts = rb.IKOptions(max_iters=[0, 1, 5, 12, 30, 50, 80, 80][case % 8],
+                        restarts=1 + case % 8, seed=int(rng.integers(1000)))
+    return arm, rots, ts, seeds, opts, sizes
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_ik_batch_equals_sequential_restarts(case):
+    arm, rots, ts, seeds, opts, sizes = _ik_call(case)
+    q, ok = rb.ik_batch(arm, rots, ts, seeds, opts, sizes)
+    q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts, sizes)
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(q, q_ref)
+
+
+def test_ik_batch_equals_sequential_restarts_on_late_solves(arm):
+    # Random far seeds and a short iteration budget: most targets are
+    # solved by a restart, often by more than one of them.
+    rng = np.random.default_rng(50)
+    rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (40, 6)))
+    seeds = rng.uniform(-math.pi, math.pi, (40, 6))
+    opts = rb.IKOptions(max_iters=25, restarts=8, seed=11)
+    q, ok = rb.ik_batch(arm, rots, ts, seeds, opts, [10, 30])
+    q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts, [10, 30])
+    assert ok_ref.sum() >= 10
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(q, q_ref)
+
+
+def test_ik_batch_makes_at_most_two_passes_of_fk_calls(arm, monkeypatch):
+    rng = np.random.default_rng(49)
+    rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (12, 6)))
+    opts = rb.IKOptions(max_iters=5, restarts=8, seed=4)
+    calls = []
+    chain = rb.fk_chain_batch
+
+    def counted(arm, qs):
+        calls.append(len(qs))
+        return chain(arm, qs)
+
+    monkeypatch.setattr(rb, "fk_chain_batch", counted)
+    _, ok = rb.ik_batch(arm, rots, ts, np.zeros(6), opts)
+    # A target left unsolved has run all 8 attempts.
+    assert not ok.all()
+    assert len(calls) <= 2 * (opts.max_iters + 1)
+
+
+def _wrist_targets(arm, rng, rad, height, z6):
+    """Targets whose wrist (the joint-6 origin) is at rad from the joint-1
+    axis and height along it from the joint-2 origin, at random
+    azimuths, with the joint-6 axis along the base-frame z6 and a random
+    turn about it.  Returns (rots, ts, wrist - joint-2 origin)."""
+    axes, offsets = arm.axes, arm.offsets
+    a0 = axes[0]
+    ex = np.cross(a0, [1.0, 0.0, 0.0] if abs(a0[0]) < 0.9 else [0.0, 1.0, 0.0])
+    ex /= np.linalg.norm(ex)
+    ey = np.cross(a0, ex)
+    azimuth = rng.uniform(-math.pi, math.pi, len(rad))
+    w = (np.outer(np.cos(azimuth) * rad, ex) + np.outer(np.sin(azimuth) * rad, ey)
+         + np.outer(height, a0))
+    tilt = np.cross(axes[5], z6)
+    to_z6 = rot_axis_angle(tilt / np.linalg.norm(tilt), math.acos(axes[5] @ z6))
+    flange = np.stack([arm.base.r @ rot_axis_angle(z6, g) @ to_z6
+                       for g in rng.uniform(-math.pi, math.pi, len(rad))])
+    shoulder = arm.base.t + arm.base.r @ (offsets[0] + offsets[1])
+    wrist = shoulder + w @ arm.base.r.T
+    return flange @ arm.tcp.r, wrist + flange @ arm.tcp.t, wrist - shoulder
+
+
+def _elbow_targets(arm, rng, n, margin):
+    """n targets whose four elbow candidates all miss the outer annulus
+    edge by their slack plus margin, with the wrist well inside the
+    wrist reach.
+
+    The joint-6 axis points along the joint-1 axis a0, so u x z6 is a
+    unit vector and z5 = +-(u x a0) on both shoulder branches.  With
+    the wrist at height h over the joint-2 origin and at R from the
+    joint-1 axis, both branches then put the joint-4 origin at
+    hypot(h, L +- d5) from the joint-2 origin, L = sqrt(R^2 - d4^2).
+    """
+    offsets = arm.offsets
+    d4, d5 = offsets[4] @ arm.axes[1], np.linalg.norm(offsets[5])
+    outer = np.linalg.norm(offsets[2]) + np.linalg.norm(offsets[3])
+    opts = rb.IKOptions()
+    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
+    lat = d5 + rng.uniform(-0.05, 0.05, n)
+    rad = np.hypot(lat, d4)
+    du = s / (rad - s) + abs(d4) * s / ((rad - s) * np.sqrt((rad - s) ** 2 - d4 ** 2))
+    slack = s + d5 * 2.0 * (du + opts.ori_tol) + abs(d4) * du
+    h = rng.choice([-1.0, 1.0], n) * np.sqrt((outer + slack + margin) ** 2 - (lat - d5) ** 2)
+    return _wrist_targets(arm, rng, rad, h, arm.axes[0])
+
+
+def test_elbow_prune_bound_is_tight():
+    rng = np.random.default_rng(71)
+    arm = _random_base_ur3(rng)
+    opts = rb.IKOptions()
+    for margin, flagged in ((-1e-6, False), (1e-6, True), (1e-3, True)):
+        rots, ts, w = _elbow_targets(arm, rng, 50, margin)
+        assert np.all(np.linalg.norm(w, axis=1) < _UR3_WRIST_REACH - 0.05)
+        assert np.all(rb._beyond_reach(arm, rots, ts, opts) == flagged)
+
+
+_TILT = np.array([0.0, 0.1, 1.0]) / math.hypot(0.1, 1.0)
+
+
+@pytest.mark.parametrize("axis_rows, offset_rows", [
+    # Axes 0 and 4 tilt with the offset that lies on each, so the
+    # wrist-reach gate still holds; axis 5 turns to stay normal to axis 4.
+    ({0: _TILT}, {1: 0.1519 * _TILT}),
+    ({4: -_TILT, 5: [0.0, -1.0, 0.1]}, {5: -0.08535 * _TILT}),
+    ({5: [0.0, -1.0, 0.1]}, {}),
+    ({}, {2: [-0.24365, 0.02, 0.0]}),
+    ({}, {3: [-0.21325, 0.02, 0.0]}),
+    ({}, {4: [0.02, -0.11235, 0.0]}),
+], ids=["axis0", "axis4", "axis5", "offset2", "offset3", "offset4"])
+def test_elbow_prune_needs_its_whole_layout(arm, axis_rows, offset_rows):
+    axes, offsets = arm.axes.copy(), arm.offsets.copy()
+    for row, vector in axis_rows.items():
+        axes[row] = vector
+    for row, vector in offset_rows.items():
+        offsets[row] = vector
+    other = replace(arm, axes=axes, offsets=offsets)
+    rng = np.random.default_rng(72)
+    rots, ts, _ = _elbow_targets(arm, rng, 20, 1e-3)
+    far = np.array([[2.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, -9.0]])
+    assert rb._beyond_reach(arm, rots, ts, rb.IKOptions()).all()
+    # Only the wrist-reach test is left: it flags the far targets alone.
+    assert not rb._beyond_reach(other, rots, ts, rb.IKOptions()).any()
+    assert rb._beyond_reach(other, rots[:3], far, rb.IKOptions()).all()
+
+
+def test_wrist_inside_the_shoulder_cylinder_is_flagged():
+    rng = np.random.default_rng(73)
+    arm = _random_base_ur3(rng)
+    opts = rb.IKOptions()
+    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
+    d4 = abs(arm.offsets[4] @ arm.axes[1])
+    z6 = rng.normal(size=3)
+    for margin, flagged in ((-1e-6, True), (1e-6, False)):
+        rad = np.full(40, d4 - s + margin)
+        rots, ts, _ = _wrist_targets(arm, rng, rad, rng.uniform(-0.4, 0.4, 40),
+                                     z6 / np.linalg.norm(z6))
+        assert np.all(rb._beyond_reach(arm, rots, ts, opts) == flagged)
