@@ -18,7 +18,6 @@ re-check is what proves that.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,7 +155,6 @@ class SweepCell:
     n_waypoints: int | None
     joint_distance: float | None
     peak_torque: dict
-    runtime: float
 
 
 @dataclass(frozen=True)
@@ -248,10 +246,8 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
     roll = scene.roll_cols[col]
     problem = scene.problem(pitch=pitch, roll=roll)
     options = replace(scene.options, time_budget=math.inf)
-    t0 = time.monotonic()
     result = plan(problem, constrained=(mode == "constrained"),
                   options=options, cache=cache)
-    runtime = time.monotonic() - t0
     recheck = None
     peaks = {}
     if result.plan is not None:
@@ -267,18 +263,18 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
         n_edges=motion.n_edges if motion else None,
         n_waypoints=motion.n_waypoints if motion else None,
         joint_distance=motion.joint_distance if motion else None,
-        peak_torque=peaks, runtime=runtime)
+        peak_torque=peaks)
 
 
 def sweep(scene: Scene) -> SweepReport:
     """Run the full grid in both modes, cells in (row, col, mode) order.
 
     Station IK for every cell is solved first, in one grouped batch per
-    arm (solve_stations), so SweepCell.runtime leaves it out.  The cells
-    then run one after another against that shared plan cache.  A
-    cell's result does not depend on which cells ran before it: the
-    cache is content-addressed and the planner budget counts validation
-    attempts, cache hits included.
+    arm (solve_stations).  The cells then run one after another against
+    that shared plan cache.  A cell's result does not depend on which
+    cells ran before it: the cache is content-addressed and the planner
+    budget counts validation attempts, cache hits included.  The report
+    holds no timings, so two sweeps of one scene compare equal.
     """
     cache = PlanCache()
     solve_stations([scene.problem(pitch=p, roll=r)

@@ -90,12 +90,6 @@ class ToolSpec:
         return (np.einsum("wij,kpj->wkpi", np.ascontiguousarray(rot), segs)
                 + np.asarray(t)[:, None, None, :])
 
-    def shapes_world(self, pose: Pose) -> list[tuple[str, Shape]]:
-        segs = self.segments_world(pose.r[None], pose.t[None])[0]
-        _, radii, names = self.shape_segments()
-        return [(name, Capsule(seg[0], seg[1], float(r)))
-                for name, seg, r in zip(names, segs, radii)]
-
 
 @dataclass(frozen=True)
 class BendConstraint:
@@ -106,15 +100,6 @@ class BendConstraint:
     def __post_init__(self):
         if not (0.0 < self.theta_max < math.pi):
             raise ValueError("theta_max must lie strictly between 0 and pi radians")
-
-    def violated(self, theta: float) -> bool:
-        return theta >= self.theta_max
-
-
-@dataclass(frozen=True)
-class BendCheck:
-    theta: float
-    violated: bool
 
 
 def bend_angle(pose: Pose, balancer: BalancerSpec, tool: ToolSpec) -> float:
@@ -142,12 +127,6 @@ def bend_angle_batch(rot: np.ndarray, t: np.ndarray,
     boom = rot @ tool.cable_dir
     cos = np.einsum("wi,wi->w", cable, boom) / norms
     return np.arccos(np.clip(cos, -1.0, 1.0))
-
-
-def check_bend(pose: Pose, balancer: BalancerSpec, tool: ToolSpec,
-               constraint: BendConstraint = BendConstraint()) -> BendCheck:
-    theta = bend_angle(pose, balancer, tool)
-    return BendCheck(theta=theta, violated=constraint.violated(theta))
 
 
 def cable_capsule(balancer: BalancerSpec, pose: Pose, tool: ToolSpec) -> Capsule:

@@ -99,16 +99,6 @@ def segment_segment_distance(p1, p2, q1, q2) -> float:
     return float(d[0])
 
 
-def capsule_capsule_hit(a: Capsule, b: Capsule) -> bool:
-    """True iff the capsules overlap; exact touching is free."""
-    return segment_segment_distance(a.a, a.b, b.a, b.b) < a.radius + b.radius
-
-
-def capsule_distance(a: Capsule, b: Capsule) -> float:
-    """Surface clearance (negative when overlapping)."""
-    return segment_segment_distance(a.a, a.b, b.a, b.b) - (a.radius + b.radius)
-
-
 def segment_box_distance(p1, p2, box: Box) -> float:
     """Distance from segment to the box surface; 0 when they intersect."""
     d = _seg_box_batch(np.asarray(p1, float)[None], np.asarray(p2, float)[None], box)
@@ -233,10 +223,6 @@ class CollisionReport:
     pairs: tuple[tuple[str, str], ...]
     min_clearance: float
 
-    @property
-    def colliding(self) -> bool:
-        return bool(self.pairs)
-
 
 _LINK_COUNT = 6
 # Pairs of origin-array indices spanned by each link capsule; slot 7 is
@@ -252,8 +238,8 @@ class CollisionWorld:
     """Immutable static scene plus per-arm link geometry.
 
     Attachments (held or hanging objects) are per-query parameters, not
-    world state; the with_static/without_static helpers return modified
-    copies for obstacles that come and go, like the pre-grasp cable.
+    world state; with_static returns a copy with one more obstacle, for
+    obstacles that come and go, like the pre-grasp cable.
     """
 
     def __init__(self, statics: Mapping[str, Shape],
@@ -276,11 +262,6 @@ class CollisionWorld:
         pairs = [tuple(p) for p in self.excluded]
         pairs.extend((name, other) for other in exclude_against)
         return CollisionWorld(statics, self.link_specs, pairs)
-
-    def without_static(self, name: str) -> "CollisionWorld":
-        statics = {k: v for k, v in self.statics.items() if k != name}
-        return CollisionWorld(statics, self.link_specs,
-                              [tuple(p) for p in self.excluded])
 
 
 def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:

@@ -24,10 +24,6 @@ class ZeroVectorError(ValueError):
 _EPS = 1e-12
 
 
-def vec(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
-
-
 def unit(v: np.ndarray) -> np.ndarray:
     """Normalize v to unit length.  Raises ZeroVectorError below 1e-12."""
     v = np.asarray(v, dtype=float)
@@ -78,26 +74,6 @@ def rpy_to_rot(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
 
 
-def rot_to_rpy(r: np.ndarray) -> tuple[float, float, float]:
-    """Extract (roll, pitch, yaw) from a rotation matrix.
-
-    Inverse of rpy_to_rot away from the pitch = +-pi/2 gimbal band; in
-    the band roll is fixed to 0 and yaw absorbs the remaining rotation.
-    """
-    r = np.asarray(r, dtype=float)
-    sp = -r[2, 0]
-    sp = min(1.0, max(-1.0, sp))
-    cp = math.sqrt(max(0.0, 1.0 - sp * sp))
-    pitch = math.atan2(sp, cp)
-    if cp > 1e-9:
-        roll = math.atan2(r[2, 1], r[2, 2])
-        yaw = math.atan2(r[1, 0], r[0, 0])
-    else:
-        roll = 0.0
-        yaw = math.atan2(-r[0, 1], r[1, 1])
-    return roll, pitch, yaw
-
-
 def rot_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation about a (non-zero) axis."""
     k = unit(axis)
@@ -107,13 +83,32 @@ def rot_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def rot_to_rotvec(r: np.ndarray) -> np.ndarray:
-    """SO(3) log map: rotation matrix -> axis * angle vector."""
+    """SO(3) log map: rotations (..., 3, 3) -> axis * angle vectors (..., 3).
+
+    Vectorized over the leading axes.  Below 1e-5 rad the vector is the
+    antisymmetric part itself; rows within 1e-3 rad of pi are redone
+    one at a time by _rotvec_near_pi.
+    """
     r = np.asarray(r, dtype=float)
-    c = (float(np.trace(r)) - 1.0) * 0.5
-    c = min(1.0, max(-1.0, c))
-    th = math.acos(c)
-    if th < 1e-9:
-        return np.zeros(3)
+    rots = r.reshape(-1, 3, 3)
+    trace = np.clip(np.einsum("wii->w", rots), -1.0, 3.0)
+    theta = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
+    skew = 0.5 * np.stack([rots[:, 2, 1] - rots[:, 1, 2],
+                           rots[:, 0, 2] - rots[:, 2, 0],
+                           rots[:, 1, 0] - rots[:, 0, 1]], axis=1)
+    sin = np.sin(theta)
+    small = theta < 1e-5
+    near_pi = theta > math.pi - 1e-3
+    scale = np.where(small | near_pi, 1.0, theta / np.where(sin == 0.0, 1.0, sin))
+    out = scale[:, None] * skew
+    for idx in np.nonzero(near_pi)[0]:
+        out[idx] = _rotvec_near_pi(rots[idx])
+    return out.reshape(r.shape[:-1])
+
+
+def _rotvec_near_pi(r: np.ndarray) -> np.ndarray:
+    """Log map of one rotation by nearly pi, in scalar arithmetic."""
+    th = math.acos(min(1.0, max(-1.0, (float(np.trace(r)) - 1.0) * 0.5)))
     if math.pi - th < 1e-6:
         # Near pi the antisymmetric part vanishes; recover the axis from
         # the symmetric part instead.
@@ -128,16 +123,6 @@ def rot_to_rotvec(r: np.ndarray) -> np.ndarray:
         return k * th
     w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     return w * (th / (2.0 * math.sin(th)))
-
-
-def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff r is orthonormal with det +1 within tol per entry."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
-        return False
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
-        return False
-    return abs(float(np.linalg.det(r)) - 1.0) <= tol
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
@@ -171,8 +156,11 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion [w, x, y, z] -> rotation matrix."""
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    """Quaternion [w, x, y, z], normalized first -> rotation matrix.
+
+    Raises ZeroVectorError below a norm of 1e-12.
+    """
+    w, x, y, z = unit(q)
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],

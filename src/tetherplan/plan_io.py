@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import quat_to_rot, rot_to_quat
+from .geometry import ZeroVectorError, quat_to_rot, rot_to_quat
 from .planner import MotionPlan
 
 PLAN_HEADER = (
@@ -93,35 +93,36 @@ def parse_plan_csv(text: str) -> MotionPlan:
         if len(fields) != len(PLAN_HEADER):
             raise ValueError(f"line {ln}: expected {len(PLAN_HEADER)} "
                              f"fields, got {len(fields)}")
-        rows.append(fields)
+        rows.append((ln, fields))
     if not header_seen or not rows:
         raise ValueError("plan CSV has no waypoint rows")
     for key in ("mode", "edge_kinds", "joint_distance_rad"):
         if key not in meta:
             raise ValueError(f"plan CSV preamble is missing '# {key}:'")
 
-    w = len(rows)
-    q_left = np.empty((w, 6))
-    q_right = np.empty((w, 6))
-    tool_rot = np.empty((w, 3, 3))
-    tool_t = np.empty((w, 3))
-    theta = np.empty(w)
-    clearance = np.empty(w)
-    holding = []
-    for i, fields in enumerate(rows):
-        q_left[i] = [float(v) for v in fields[1:7]]
-        q_right[i] = [float(v) for v in fields[7:13]]
-        tool_rot[i] = quat_to_rot([float(v) for v in fields[13:17]])
-        tool_t[i] = [float(v) for v in fields[17:20]]
-        holding.append(parse_holding(fields[20]))
-        theta[i] = float(fields[21])
-        clearance[i] = float(fields[22])
+    # Joints, quaternion and position (columns 1-19), then theta and
+    # clearance (columns 21-22).
+    nums = np.array([[float(v) for v in fields[1:20] + fields[21:]]
+                     for _, fields in rows])
+    bad = np.nonzero(~np.isfinite(nums[:, :19]).all(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"line {rows[bad[0]][0]}: joint, quaternion and "
+                         "position fields must be finite")
+    tool_rot = np.empty((len(rows), 3, 3))
+    for i, (ln, _) in enumerate(rows):
+        try:
+            tool_rot[i] = quat_to_rot(nums[i, 12:16])
+        except ZeroVectorError as e:
+            raise ValueError(f"line {ln}: {e}") from e
+    q_left, q_right, tool_t = (nums[:, lo:hi].copy()
+                               for lo, hi in ((0, 6), (6, 12), (16, 19)))
     kinds = tuple(k for k in meta["edge_kinds"].split(",") if k)
     return MotionPlan(
         mode=meta["mode"], q_left=q_left, q_right=q_right,
-        tool_rot=tool_rot, tool_t=tool_t, holding=tuple(holding),
-        theta=theta, clearance=clearance, edge_kinds=kinds,
-        n_edges=len(kinds),
+        tool_rot=tool_rot, tool_t=tool_t,
+        holding=tuple(parse_holding(fields[20]) for _, fields in rows),
+        theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
+        edge_kinds=kinds, n_edges=len(kinds),
         joint_distance=float(meta["joint_distance_rad"]))
 
 

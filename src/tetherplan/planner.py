@@ -169,7 +169,6 @@ class PlannerStats:
     edges_rejected: dict = field(default_factory=dict)
     nodes_settled: int = 0
     stations_pruned: int = 0
-    elapsed: float = 0.0
 
     def reject(self, reason: str):
         self.edges_rejected[reason] = self.edges_rejected.get(reason, 0) + 1
@@ -200,8 +199,7 @@ class PlanCache:
     name and pose bytes), so a cache shared across a parameter sweep of
     one scene is safe: identical queries recur whenever rows share a
     goal pose or columns share a start pose, and the handover stations
-    never change.  Entries are pure-function results, which keeps
-    concurrent use harmless.
+    never change.
     """
 
     grasps: dict = field(default_factory=dict)
@@ -558,7 +556,6 @@ class _Search:
                 counter += 1
                 heapq.heappush(heap, ((edges + 1, dist + succ_dist), counter,
                                       succ, node, succ_spec))
-        self.stats.elapsed = time.monotonic() - t0
         if goal_node is None:
             reason = failure
             if self.stats.edges_validated == 0 and failure == "exhausted":

@@ -196,23 +196,6 @@ def point_jacobian(arm: ArmModel, qs: np.ndarray, points: np.ndarray) -> np.ndar
     return linear.transpose(0, 2, 1)
 
 
-def _rotvec_batch(rots: np.ndarray) -> np.ndarray:
-    """Rotation log map for a (W, 3, 3) batch."""
-    trace = np.clip(np.einsum("wii->w", rots), -1.0, 3.0)
-    theta = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
-    skew = 0.5 * np.stack([rots[:, 2, 1] - rots[:, 1, 2],
-                           rots[:, 0, 2] - rots[:, 2, 0],
-                           rots[:, 1, 0] - rots[:, 0, 1]], axis=1)
-    sin = np.sin(theta)
-    small = theta < 1e-5
-    near_pi = theta > math.pi - 1e-3
-    scale = np.where(small | near_pi, 1.0, theta / np.where(sin == 0.0, 1.0, sin))
-    out = scale[:, None] * skew
-    for idx in np.nonzero(near_pi)[0]:
-        out[idx] = rot_to_rotvec(rots[idx])
-    return out
-
-
 def _beyond_reach(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
                   opts: IKOptions) -> np.ndarray:
     """(B,) mask of the targets no configuration reaches within tolerance.
@@ -406,7 +389,7 @@ def _dls(arm: ArmModel, q0: np.ndarray, target_r: np.ndarray,
         qa = q[idx]
         cur_r, cur_t, origins, axes = fk_chain_batch(arm, qa)
         e_pos = target_t[target[idx]] - cur_t
-        e_rot = _rotvec_batch(target_r[target[idx]] @ cur_r.transpose(0, 2, 1))
+        e_rot = rot_to_rotvec(target_r[target[idx]] @ cur_r.transpose(0, 2, 1))
         done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
                 & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
         if np.any(done):

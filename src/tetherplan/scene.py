@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -256,59 +256,53 @@ def _parse_tool(node, path: str) -> ToolSpec:
         raise ValidationError(path, str(e)) from e
 
 
-def _parse_planner(node, path: str) -> PlannerOptions:
-    opts = PlannerOptions()
-    if node is None:
-        return opts
-    node = _mapping(node, path)
-    _check_keys(node, ("axial_samples", "roll_samples", "grasp_inset_m",
-                       "interp_step_deg", "min_handover_separation_m",
-                       "max_edges", "ik"), path)
+# Planner schema: file key -> (option name, parser, least value); None
+# as the least value means the value must be positive.
+_PLANNER_KEYS = {
+    "axial_samples": ("axial_samples", _integer, 1),
+    "roll_samples": ("roll_samples", _integer, 1),
+    "grasp_inset_m": ("grasp_inset", _number, None),
+    "interp_step_deg": ("interp_step", _number, None),
+    "min_handover_separation_m": ("min_handover_separation", _number, -math.inf),
+    "max_edges": ("max_edges", _integer, 0),
+}
+_IK_KEYS = {
+    "restarts": ("restarts", _integer, 1),
+    "max_iters": ("max_iters", _integer, 0),
+    "pos_tol_m": ("pos_tol", _number, None),
+    "ori_tol_rad": ("ori_tol", _number, None),
+    "seed": ("seed", _integer, 0),
+}
+
+
+def _options(node: dict, path: str, schema: dict) -> dict:
+    """Keyword arguments for the keys of node that schema lists, checked."""
     kwargs = {}
-    if "axial_samples" in node:
-        kwargs["axial_samples"] = _integer(node["axial_samples"],
-                                           f"{path}.axial_samples")
-    if "roll_samples" in node:
-        kwargs["roll_samples"] = _integer(node["roll_samples"],
-                                          f"{path}.roll_samples")
-    if "grasp_inset_m" in node:
-        kwargs["grasp_inset"] = _number(node["grasp_inset_m"],
-                                        f"{path}.grasp_inset_m")
-    if "interp_step_deg" in node:
-        kwargs["interp_step"] = math.radians(
-            _number(node["interp_step_deg"], f"{path}.interp_step_deg"))
-    if "min_handover_separation_m" in node:
-        kwargs["min_handover_separation"] = _number(
-            node["min_handover_separation_m"],
-            f"{path}.min_handover_separation_m")
-    if "max_edges" in node:
-        kwargs["max_edges"] = _integer(node["max_edges"], f"{path}.max_edges")
+    for key, (name, parse, least) in schema.items():
+        if key not in node:
+            continue
+        value = parse(node[key], f"{path}.{key}")
+        if least is None and not value > 0:
+            raise ValidationError(f"{path}.{key}", "must be positive")
+        if least is not None and value < least:
+            raise ValidationError(f"{path}.{key}", f"must be at least {least}")
+        kwargs[name] = value
+    return kwargs
+
+
+def _parse_planner(node, path: str) -> PlannerOptions:
+    if node is None:
+        return PlannerOptions()
+    node = _mapping(node, path)
+    _check_keys(node, [*_PLANNER_KEYS, "ik"], path)
+    kwargs = _options(node, path, _PLANNER_KEYS)
+    if "interp_step" in kwargs:
+        kwargs["interp_step"] = math.radians(kwargs["interp_step"])
     if "ik" in node:
         ik_node = _mapping(node["ik"], f"{path}.ik")
-        _check_keys(ik_node, ("restarts", "max_iters", "pos_tol_m",
-                              "ori_tol_rad", "seed"), f"{path}.ik")
-        ik_kwargs = {}
-        if "restarts" in ik_node:
-            ik_kwargs["restarts"] = _integer(ik_node["restarts"],
-                                             f"{path}.ik.restarts")
-        if "max_iters" in ik_node:
-            ik_kwargs["max_iters"] = _integer(ik_node["max_iters"],
-                                              f"{path}.ik.max_iters")
-        if "pos_tol_m" in ik_node:
-            ik_kwargs["pos_tol"] = _number(ik_node["pos_tol_m"],
-                                           f"{path}.ik.pos_tol_m")
-        if "ori_tol_rad" in ik_node:
-            ik_kwargs["ori_tol"] = _number(ik_node["ori_tol_rad"],
-                                           f"{path}.ik.ori_tol_rad")
-        if "seed" in ik_node:
-            ik_kwargs["seed"] = _integer(ik_node["seed"], f"{path}.ik.seed")
-        kwargs["ik"] = IKOptions(**ik_kwargs)
-    for key, value in kwargs.items():
-        if key in ("axial_samples", "roll_samples") and value < 1:
-            raise ValidationError(f"{path}.{key}", "must be at least 1")
-        if key in ("grasp_inset", "interp_step") and value <= 0:
-            raise ValidationError(f"{path}.{key}", "must be positive")
-    return replace(opts, **kwargs)
+        _check_keys(ik_node, _IK_KEYS, f"{path}.ik")
+        kwargs["ik"] = IKOptions(**_options(ik_node, f"{path}.ik", _IK_KEYS))
+    return PlannerOptions(**kwargs)
 
 
 def _parse_sweep(node, path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -3,9 +3,9 @@
 The balancer cable pulls the held tool toward the anchor with a tension
 set by the balancer's rated load.  For every waypoint where an arm
 holds the tool, the pull at the connector maps through that arm's
-point Jacobian to a six-vector of joint torques; traces summarize a
-plan and comparisons quantify how much one plan's peak torque falls
-below another's.
+point Jacobian to a six-vector of joint torques, and a trace collects
+them over a plan.  bench.SweepReport.torque_summary compares the peaks
+of the two planner modes.
 """
 
 from __future__ import annotations
@@ -119,30 +119,3 @@ def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
     """Torque trace for a planned motion (see trace_arrays)."""
     return trace_arrays(robot, balancer, tool, plan.q_left, plan.q_right,
                         plan.tool_rot, plan.tool_t, plan.holding)
-
-
-@dataclass(frozen=True)
-class TorqueComparison:
-    """Peak-torque comparison between two traces, per arm.
-
-    reduction_pct[arm] is the percentage by which trace A's peak falls
-    below trace B's: 100 * (peak_b - peak_a) / peak_b.  Arms present in
-    only one trace are omitted.
-    """
-
-    peak_a: dict[str, float]
-    peak_b: dict[str, float]
-    reduction_pct: dict[str, float]
-
-
-def compare_max_torque(trace_a: TorqueTrace, trace_b: TorqueTrace) -> TorqueComparison:
-    if not trace_a.entries or not trace_b.entries:
-        raise EmptyTrace("cannot compare traces without entries")
-    arms = [arm for arm in trace_a.arms() if arm in trace_b.arms()]
-    if not arms:
-        raise EmptyTrace("traces share no arm")
-    peak_a = {arm: trace_a.peak(arm) for arm in arms}
-    peak_b = {arm: trace_b.peak(arm) for arm in arms}
-    reduction = {arm: 100.0 * (peak_b[arm] - peak_a[arm]) / peak_b[arm]
-                 for arm in arms}
-    return TorqueComparison(peak_a=peak_a, peak_b=peak_b, reduction_pct=reduction)

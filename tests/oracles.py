@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from tetherplan import robot as rb
+from tetherplan.geometry import rot_to_rotvec
 
 
 # --- quaternion oracle (Hamilton convention, [w, x, y, z]) ---
@@ -182,7 +183,7 @@ def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None)
                 break
             cur_r, cur_t, origins, axes = rb.fk_chain_batch(arm, q[idx])
             e_pos = target_t[idx] - cur_t
-            e_rot = rb._rotvec_batch(target_r[idx] @ cur_r.transpose(0, 2, 1))
+            e_rot = rot_to_rotvec(target_r[idx] @ cur_r.transpose(0, 2, 1))
             done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
                     & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
             solution[idx[done]] = q[idx[done]]

@@ -204,6 +204,11 @@ class TestSweep:
         assert all(v > 0.0 for v in cell.peak_torque.values())
         assert cell.recheck.clean
 
+    def test_sweep_is_a_pure_function_of_the_scene(self, benign_scene, report):
+        # No wall-clock value reaches the report, so a second sweep of
+        # the same scene compares equal field for field.
+        assert sweep(benign_scene) == report
+
     def test_torque_summary_covers_the_shared_cell(self, report):
         ts = report.torque_summary()
         assert ts.n_cells == 1
@@ -216,8 +221,7 @@ class TestSweep:
                           failure="exhausted" if label == "no_plan" else None)
         return SweepCell(row=0, col=col, pitch=0.0, roll=0.0, mode=mode,
                          outcome=outcome, recheck=None, n_edges=4,
-                         n_waypoints=9, joint_distance=1.0, peak_torque=peak,
-                         runtime=0.1)
+                         n_waypoints=9, joint_distance=1.0, peak_torque=peak)
 
     def test_torque_summary_counts_planned_violations(self):
         # A cell whose unconstrained plan violates the bend limit still

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import HOME_LEFT, HOME_RIGHT, make_problem
 
+from tetherplan.bench import recheck_plan
 from tetherplan.cable import (
     DEFAULT_MAX_BEND,
     BalancerSpec,
@@ -12,10 +15,10 @@ from tetherplan.cable import (
     bend_angle,
     bend_angle_batch,
     cable_capsule,
-    check_bend,
 )
 from tetherplan.collision import Box, Capsule, Sphere
 from tetherplan.geometry import Pose, rot_y, rot_z, rpy_to_rot
+from tetherplan.planner import MotionPlan
 
 from oracles import quat_matrix, quat_rotate, random_quat
 
@@ -105,19 +108,19 @@ class TestConstraint:
         assert DEFAULT_MAX_BEND == pytest.approx(math.radians(95.0))
 
     def test_reaching_the_limit_violates(self):
-        c = BendConstraint(theta_max=1.2)
-        assert not c.violated(1.2 - 1e-9)
-        assert c.violated(1.2)
-        assert c.violated(1.2 + 1e-9)
-
-    def test_check_bend_reports_angle_and_flag(self):
-        tool = make_tool(connector=(0.0, 0.0, 0.0))
-        pose = Pose(rot_y(1.5), [0.0, 0.0, 0.65])
-        res = check_bend(pose, make_balancer(), tool, BendConstraint(theta_max=1.4))
-        assert res.violated
-        assert res.theta == pytest.approx(1.5, abs=1e-12)
-        res2 = check_bend(pose, make_balancer(), tool, BendConstraint(theta_max=1.6))
-        assert not res2.violated
+        # The audit flags a waypoint whose bend equals the limit and
+        # passes it once the limit is one ulp higher.
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
+        pose = Pose(rot_y(1.2), problem.start_pose.t)
+        motion = MotionPlan(
+            mode="constrained", q_left=HOME_LEFT[None], q_right=HOME_RIGHT[None],
+            tool_rot=pose.r[None], tool_t=pose.t[None], holding=((),),
+            theta=np.zeros(1), clearance=np.zeros(1), edge_kinds=(),
+            n_edges=0, joint_distance=0.0)
+        theta = bend_angle(pose, problem.balancer, problem.tool)
+        for limit, flagged in ((theta, 0), (np.nextafter(theta, np.inf), None)):
+            tight = replace(problem, constraint=BendConstraint(theta_max=float(limit)))
+            assert recheck_plan(motion, tight).bend_waypoint == flagged
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.pi, 4.0])
     def test_limit_must_be_interior(self, bad):
@@ -171,8 +174,12 @@ class TestSpecs:
         assert segs.shape == (2, 2, 3)
         assert names == ["tool/body", "tool/tip"]
         assert radii == pytest.approx([0.018, 0.02])
-        pose = Pose(rot_y(0.5), [0.1, -0.2, 0.8])
-        world = tool.shapes_world(pose)
-        assert np.allclose(world[0][1].a, pose.apply([0, 0, -0.10]))
-        assert np.allclose(world[1][1].a, pose.apply([0, 0, -0.13]))
-        assert np.allclose(world[1][1].b, world[1][1].a)
+        poses = [Pose(rot_y(0.5), [0.1, -0.2, 0.8]), Pose(rot_z(2.0), [0.0, 0.3, 0.5])]
+        world = tool.segments_world(np.stack([p.r for p in poses]),
+                                    np.stack([p.t for p in poses]))
+        assert world.shape == (2, 2, 2, 3)
+        for w, pose in enumerate(poses):
+            assert np.allclose(world[w, 0, 0], pose.apply([0, 0, -0.10]))
+            assert np.allclose(world[w, 0, 1], pose.apply([0, 0, 0.05]))
+            assert np.allclose(world[w, 1, 0], pose.apply([0, 0, -0.13]))
+            assert np.allclose(world[w, 1, 1], world[w, 1, 0])

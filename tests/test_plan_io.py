@@ -93,6 +93,31 @@ class TestPlanParseErrors:
         with pytest.raises(ValueError, match="no waypoint rows"):
             parse_plan_csv("# mode: constrained\n")
 
+    @staticmethod
+    def _edit_waypoint_1(motion, **values):
+        # Three preamble lines and the header put waypoint 1 on line 6.
+        lines = plan_csv(motion).splitlines()
+        fields = lines[5].split(",")
+        assert fields[0] == "1"
+        for column, value in values.items():
+            fields[PLAN_HEADER.index(column)] = value
+        lines[5] = ",".join(fields)
+        return "\n".join(lines)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["ql1", "qr6", "tool_qw", "tool_qz",
+                                        "tool_x", "tool_z"])
+    def test_non_finite_field_names_its_line(self, solved, column, value):
+        _, motion = solved
+        with pytest.raises(ValueError, match="line 6"):
+            parse_plan_csv(self._edit_waypoint_1(motion, **{column: value}))
+
+    def test_zero_quaternion_names_its_line(self, solved):
+        _, motion = solved
+        zero = {c: "0" for c in ("tool_qw", "tool_qx", "tool_qy", "tool_qz")}
+        with pytest.raises(ValueError, match="line 6"):
+            parse_plan_csv(self._edit_waypoint_1(motion, **zero))
+
 
 class TestTorqueCsv:
     def test_shape_and_magnitude(self, solved):

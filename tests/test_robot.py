@@ -218,18 +218,26 @@ def test_rotvec_batch_matches_scalar():
     from tetherplan.geometry import rot_to_rotvec, rpy_to_rot, rot_axis_angle
     rng = np.random.default_rng(42)
     rots = [rpy_to_rot(*rng.uniform(-math.pi, math.pi, 3)) for _ in range(60)]
-    # Include identity and near-half-turn rotations.
+    # Identity, small angles and every band near a half turn.
     rots.append(np.eye(3))
-    rots.append(rot_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi - 1e-7))
+    for angle in (1e-7, 2e-6, math.pi - 5e-4, math.pi - 1e-7, math.pi):
+        rots.append(rot_axis_angle(rng.normal(size=3), angle))
     rots.append(rot_axis_angle(np.array([1.0, 1.0, 0.0]) / math.sqrt(2), math.pi))
     rots = np.stack(rots)
-    batch = rb._rotvec_batch(rots)
+    batch = rot_to_rotvec(rots)
+    assert batch.shape == (rots.shape[0], 3)
+    assert np.array_equal(rot_to_rotvec(rots[:, None]), batch[:, None])
     for i in range(rots.shape[0]):
         v = rot_to_rotvec(rots[i])
-        # The half-turn log map is sign-ambiguous; compare reconstructions.
-        same = np.allclose(batch[i], v, atol=1e-6)
-        flipped = np.allclose(batch[i], -v, atol=1e-6)
-        assert same or flipped
+        assert v.shape == (3,)
+        assert np.array_equal(batch[i], v)
+        # Rebuilding the rotation from the vector checks the log map
+        # without its half-turn sign ambiguity.
+        angle = np.linalg.norm(v)
+        if angle > 0.0:
+            assert np.allclose(rot_axis_angle(v, angle), rots[i], atol=1e-6)
+        else:
+            assert np.allclose(rots[i], np.eye(3))
 
 
 def test_ik_batch_solves_reachable_targets(arm):

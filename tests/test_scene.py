@@ -57,7 +57,7 @@ class TestDefaultScene:
     def test_home_configuration_is_collision_free(self):
         sc = default_scene()
         rep = robot_in_collision(sc.world, sc.robot, sc.home_left, sc.home_right)
-        assert not rep.colliding
+        assert not rep.pairs
 
     def test_angles_are_radians_internally(self):
         sc = default_scene()
@@ -191,6 +191,21 @@ class TestValidationErrors:
         doc["collision_exclude"].append(["left/link4", "left/link99"])
         with pytest.raises(ValidationError, match="link99"):
             parse_scene(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("key, bad, least", [
+        ("planner__ik__restarts", -2, 1),
+        ("planner__ik__restarts", 0, 1),
+        ("planner__ik__max_iters", -3, 0),
+        ("planner__ik__seed", -1, 0),
+        ("planner__ik__pos_tol_m", -1.0, 1e-9),
+        ("planner__ik__pos_tol_m", 0.0, 1e-9),
+        ("planner__ik__ori_tol_rad", 0.0, 1e-9),
+        ("planner__max_edges", -1, 0),
+    ])
+    def test_out_of_range_planner_option_rejected(self, key, bad, least):
+        with pytest.raises(ValidationError, match=key.rsplit("__", 1)[1]):
+            parse_scene(mutated(**{key: bad}))
+        parse_scene(mutated(**{key: least}))  # the least legal value loads
 
     def test_cable_is_a_known_exclusion_name(self):
         doc = yaml.safe_load(default_text())

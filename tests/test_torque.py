@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tetherplan.bench import Outcome, SweepCell, SweepReport
 from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
 from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
@@ -13,7 +14,6 @@ from tetherplan.torque import (
     TorqueEntry,
     TorqueTrace,
     cable_tension,
-    compare_max_torque,
     joint_torques,
     trace_arrays,
     trace_plan,
@@ -190,39 +190,56 @@ class TestTrace:
 
 
 class TestComparison:
+    """Peak-torque comparison of the two planner modes, read through
+    SweepReport.torque_summary on one synthetic cell."""
+
     def entry(self, w, arm, mag):
         tau = np.zeros(6)
         tau[2] = mag
         return TorqueEntry(waypoint=w, arm=arm, torques=tau)
+
+    @staticmethod
+    def summary(constrained: TorqueTrace, unconstrained: TorqueTrace):
+        # Peaks per arm as bench.run_cell records them.
+        cells = tuple(
+            SweepCell(row=0, col=0, pitch=0.0, roll=0.0, mode=mode,
+                      outcome=Outcome(label="success"), recheck=None,
+                      n_edges=2, n_waypoints=5, joint_distance=1.0,
+                      peak_torque={arm: trace.peak(arm) for arm in trace.arms()})
+            for mode, trace in (("constrained", constrained),
+                                ("unconstrained", unconstrained)))
+        return SweepReport(scene_name="fake", pitch_rows=(0.0,),
+                           roll_cols=(0.0,), cells=cells).torque_summary()
 
     def test_reduction_formula(self):
         a = TorqueTrace(entries=(self.entry(0, "left", 1.0),
                                  self.entry(1, "left", 3.0)))
         b = TorqueTrace(entries=(self.entry(0, "left", 4.0),
                                  self.entry(1, "left", 2.0)))
-        cmp = compare_max_torque(a, b)
-        assert cmp.peak_a["left"] == pytest.approx(3.0)
-        assert cmp.peak_b["left"] == pytest.approx(4.0)
-        assert cmp.reduction_pct["left"] == pytest.approx(25.0)
+        ts = self.summary(a, b)
+        assert ts.n_cells == 1
+        assert ts.mean_reduction_pct == pytest.approx(25.0)
+        assert ts.per_arm_mean_pct == {"left": pytest.approx(25.0)}
 
     def test_negative_reduction_allowed(self):
         a = TorqueTrace(entries=(self.entry(0, "right", 5.0),))
         b = TorqueTrace(entries=(self.entry(0, "right", 4.0),))
-        assert compare_max_torque(a, b).reduction_pct["right"] == pytest.approx(-25.0)
+        ts = self.summary(a, b)
+        assert ts.per_arm_mean_pct == {"right": pytest.approx(-25.0)}
 
     def test_arms_present_in_both_only(self):
         a = TorqueTrace(entries=(self.entry(0, "left", 1.0),
                                  self.entry(0, "right", 1.0)))
         b = TorqueTrace(entries=(self.entry(0, "left", 2.0),))
-        cmp = compare_max_torque(a, b)
-        assert set(cmp.reduction_pct) == {"left"}
+        ts = self.summary(a, b)
+        assert set(ts.per_arm_mean_pct) == {"left"}
+        assert ts.mean_reduction_pct == pytest.approx(50.0)
 
-    def test_empty_raises(self):
-        a = TorqueTrace(entries=())
-        b = TorqueTrace(entries=(self.entry(0, "left", 1.0),))
-        with pytest.raises(EmptyTrace):
-            compare_max_torque(a, b)
-        with pytest.raises(EmptyTrace):
-            compare_max_torque(
-                TorqueTrace(entries=(self.entry(0, "left", 1.0),)),
-                TorqueTrace(entries=(self.entry(0, "right", 1.0),)))
+    def test_cells_without_a_shared_arm_are_skipped(self):
+        one = TorqueTrace(entries=(self.entry(0, "left", 1.0),))
+        for a, b in ((TorqueTrace(entries=()), one),
+                     (one, TorqueTrace(entries=(self.entry(0, "right", 1.0),)))):
+            ts = self.summary(a, b)
+            assert ts.n_cells == 0
+            assert ts.mean_reduction_pct is None
+            assert ts.per_arm_mean_pct == {}
