@@ -11,7 +11,7 @@ A query assembles the arm, static and attached capsules of a batch of
 waypoints (an arm that keeps one configuration on every row gets FK
 once) and a pair table, memoized on the names, kinds and radii it
 reads.  _pair_clearances measures the dense (W, P) matrix of pair
-clearances; robot_in_collision reads its single row.
+clearances, the reference that motion_clearances is tested against.
 
 motion_clearances returns the same matrix's minimum and first argmin
 per row but measures only the entries that can decide them.  It
@@ -216,14 +216,6 @@ class ArmLinkSpec:
         object.__setattr__(self, "radii", r)
 
 
-@dataclass(frozen=True)
-class CollisionReport:
-    """Outcome of a collision query: every strictly-overlapping pair."""
-
-    pairs: tuple[tuple[str, str], ...]
-    min_clearance: float
-
-
 _LINK_COUNT = 6
 # Pairs of origin-array indices spanned by each link capsule; slot 7 is
 # rewritten to the palm point before use.
@@ -295,23 +287,21 @@ class _PairTable:
 
 def _build_pair_table(world: CollisionWorld,
                       attached_names: Sequence[str],
-                      attached_radii: Sequence[float],
-                      holding: Sequence[str]) -> _PairTable:
+                      attached_radii: Sequence[float]) -> _PairTable:
     """The pair table, memoized on everything it reads."""
     statics = tuple((n, None if isinstance(s, Box) else _as_segment(s)[2])
                     for n, s in world.statics.items())
     links = tuple(tuple(world.link_specs[side].radii.tolist())
                   for side in ("left", "right"))
     attached = tuple(zip(attached_names, map(float, attached_radii)))
-    return _pair_table(statics, world.excluded, links, attached, tuple(holding))
+    return _pair_table(statics, world.excluded, links, attached)
 
 
 @functools.lru_cache(maxsize=64)
 def _pair_table(statics: tuple[tuple[str, float | None], ...],
                 excluded_pairs: frozenset,
                 link_radii: tuple[tuple[float, ...], ...],
-                attached: tuple[tuple[str, float], ...],
-                holding: tuple[str, ...]) -> _PairTable:
+                attached: tuple[tuple[str, float], ...]) -> _PairTable:
     names: list[str] = []
     radii: list[float] = []
     group: list[str] = []        # "left", "right", "static", "attached"
@@ -329,8 +319,6 @@ def _pair_table(statics: tuple[tuple[str, float | None], ...],
         radii.append(r)
         group.append("attached")
 
-    wrists = {f"{side}/link{_LINK_COUNT}" for side in holding}
-
     def excluded(i: int, j: int) -> bool:
         gi, gj = group[i], group[j]
         if gi == gj and gi in ("static", "attached"):
@@ -339,10 +327,6 @@ def _pair_table(statics: tuple[tuple[str, float | None], ...],
             li = int(names[i].rsplit("link", 1)[1])
             lj = int(names[j].rsplit("link", 1)[1])
             if abs(li - lj) <= 1:
-                return True
-        if "attached" in (gi, gj):
-            other = names[j] if gi == "attached" else names[i]
-            if other in wrists:
                 return True
         if frozenset((names[i], names[j])) in excluded_pairs:
             return True
@@ -392,8 +376,7 @@ def _query(world: CollisionWorld, robot: DualArm,
            q_left: np.ndarray, q_right: np.ndarray,
            attached_segments: np.ndarray | None,
            attached_radii: Sequence[float],
-           attached_names: Sequence[str],
-           holding: Sequence[str]) -> tuple[np.ndarray, list[Box], _PairTable]:
+           attached_names: Sequence[str]) -> tuple[np.ndarray, list[Box], _PairTable]:
     """Capsule segments (W, N, 2, 3), static boxes and the pair table."""
     q_left = np.asarray(q_left, dtype=float).reshape(-1, 6)
     q_right = np.asarray(q_right, dtype=float).reshape(-1, 6)
@@ -408,7 +391,7 @@ def _query(world: CollisionWorld, robot: DualArm,
     if attached_segments is not None and len(attached_names):
         parts.append(np.asarray(attached_segments, dtype=float))
     boxes = [s for s in world.statics.values() if isinstance(s, Box)]
-    table = _build_pair_table(world, attached_names, attached_radii, holding)
+    table = _build_pair_table(world, attached_names, attached_radii)
     return np.concatenate(parts, axis=1), boxes, table
 
 
@@ -436,8 +419,7 @@ def _pair_clearances(world: CollisionWorld, robot: DualArm,
                      q_left: np.ndarray, q_right: np.ndarray,
                      attached_segments: np.ndarray | None,
                      attached_radii: Sequence[float],
-                     attached_names: Sequence[str],
-                     holding: Sequence[str]) -> tuple[np.ndarray, _PairTable]:
+                     attached_names: Sequence[str]) -> tuple[np.ndarray, _PairTable]:
     """Clearance of every active pair at every waypoint: ((W, P), table).
 
     The dense matrix; see motion_clearances for the arguments.  Columns
@@ -445,7 +427,7 @@ def _pair_clearances(world: CollisionWorld, robot: DualArm,
     """
     caps, boxes, table = _query(world, robot, q_left, q_right,
                                 attached_segments, attached_radii,
-                                attached_names, holding)
+                                attached_names)
     w, p = caps.shape[0], len(table.pair_names)
     rows, cols = np.divmod(np.arange(w * p), p)
     return _measure(caps, boxes, table, rows, cols).reshape(w, p), table
@@ -455,13 +437,12 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
                       q_left: np.ndarray, q_right: np.ndarray,
                       attached_segments: np.ndarray | None = None,
                       attached_radii: Sequence[float] = (),
-                      attached_names: Sequence[str] = (),
-                      holding: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray, tuple]:
+                      attached_names: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Minimum clearance per waypoint over every active collision pair.
 
     q_left/q_right are (W, 6).  attached_segments, when given, is
-    (W, K, 2, 3) world-frame segments of capsule-like attached shapes;
-    holding lists the arms whose wrist link is excluded against them.
+    (W, K, 2, 3) world-frame segments of the capsule-like attached
+    shapes named attached_names.
 
     Returns (clearance (W,), argmin pair index (W,), pair name table),
     equal bit for bit to the min and np.argmin of the dense matrix of
@@ -473,7 +454,7 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
     """
     caps, boxes, table = _query(world, robot, q_left, q_right,
                                 attached_segments, attached_radii,
-                                attached_names, holding)
+                                attached_names)
     w, p = caps.shape[0], len(table.pair_names)
     if not p:
         return np.full(w, np.inf), np.zeros(w, dtype=int), table.pair_names
@@ -504,26 +485,3 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(w), idx], idx, table.pair_names
 
-
-def robot_in_collision(world: CollisionWorld, robot: DualArm,
-                       q_left: np.ndarray, q_right: np.ndarray,
-                       attached: Mapping[str, Sequence[tuple[str, Shape]]] | None = None,
-                       ) -> CollisionReport:
-    """Full collision report for one configuration pair.
-
-    attached maps an arm side to named capsule-like shapes already in
-    the world frame; a shape listed under both arms is checked once and
-    excluded against both wrists.
-    """
-    attached = attached or {}
-    holding = tuple(side for side in ("left", "right") if attached.get(side))
-    seen: dict[str, Shape] = {}
-    for side in ("left", "right"):
-        for name, shape in attached.get(side, ()):
-            seen.setdefault(name, shape)
-    seg, radii = capsule_segments(seen.values())
-    clear, table = _pair_clearances(world, robot, q_left, q_right, seg[None],
-                                    radii, list(seen), holding)
-    row = clear[0]
-    hits = tuple(table.pair_names[k] for k in np.nonzero(row < 0.0)[0])
-    return CollisionReport(pairs=hits, min_clearance=float(row.min(initial=np.inf)))

@@ -225,20 +225,18 @@ def _pose_key(pose: Pose) -> bytes:
             + (np.round(pose.t, 12) + 0.0).tobytes())
 
 
-def _stations(problem: PlanningProblem) -> list[tuple[str, Pose]]:
-    """(name, pose) of the start, every handover and the goal station."""
-    stations = [("start", problem.start_pose)]
-    stations += [(f"hover{k}", p)
-                 for k, p in enumerate(problem.handover_poses)]
-    stations.append(("goal", problem.goal_pose))
-    return stations
-
-
-def _station_thetas(problem: PlanningProblem,
-                    stations: list[tuple[str, Pose]]) -> np.ndarray:
-    return bend_angle_batch(np.stack([p.r for _, p in stations]),
-                            np.stack([p.t for _, p in stations]),
-                            problem.balancer, problem.tool)
+def _stations(problem: PlanningProblem,
+              ) -> tuple[list[Pose], list[bytes], np.ndarray]:
+    """Poses, content keys and cable bend angles of the stations: the
+    start, every handover, then the goal."""
+    names = ["start", *(f"hover{k}" for k in range(len(problem.handover_poses))),
+             "goal"]
+    poses = [problem.start_pose, *problem.handover_poses, problem.goal_pose]
+    keys = [name.encode() + _pose_key(pose) for name, pose in zip(names, poses)]
+    thetas = bend_angle_batch(np.stack([p.r for p in poses]),
+                              np.stack([p.t for p in poses]),
+                              problem.balancer, problem.tool)
+    return poses, keys, thetas
 
 
 def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
@@ -257,15 +255,14 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
     jobs: dict[tuple, list] = {}
     seen = set(cache.node_feasible)
     for problem in problems:
-        stations = _stations(problem)
+        poses, keys, thetas = _stations(problem)
+        stations = list(zip(keys, poses))
         if constrained:
-            limit = problem.constraint.theta_max
-            ok = _station_thetas(problem, stations) < limit
+            ok = thetas < problem.constraint.theta_max
             if not ok[0]:
                 continue
             stations = [st for st, keep in zip(stations, ok) if keep]
-        for name, pose in stations:
-            key = name.encode() + _pose_key(pose)
+        for key, pose in stations:
             for side in ("left", "right"):
                 if (key, side) in seen:
                     continue
@@ -343,12 +340,9 @@ class _Search:
         self.stats = PlannerStats()
         self.grasps = {side: cache.grasp_set(problem.tool, side, options)
                        for side in ("left", "right")}
-        self.stations = _stations(problem)
-        self.goal_idx = len(self.stations) - 1
-        self.station_keys = [name.encode() + _pose_key(pose)
-                             for name, pose in self.stations]
+        self.station_poses, self.station_keys, self.theta_station = _stations(problem)
+        self.goal_idx = len(self.station_poses) - 1
         _, self.tool_radii, self.tool_names = problem.tool.shape_segments()
-        self.theta_station = _station_thetas(problem, self.stations)
         if constrained:
             self.stats.stations_pruned = sum(
                 1 for th in self.theta_station
@@ -386,7 +380,7 @@ class _Search:
             qs = interp_joints(self.pb.home(side), q_grasp, self.opt.interp_step)
             w = qs.shape[0]
             ql, qr = self.pb.one_arm_moves(side, qs)
-            pose = self.stations[0][1]
+            pose = self.station_poses[0]
             rot = np.broadcast_to(pose.r, (w, 3, 3))
             t = np.broadcast_to(pose.t, (w, 3))
             holding = tuple(() if i < w - 1 else ((side, gid),) for i in range(w))
@@ -413,7 +407,7 @@ class _Search:
             give = np.vstack([np.tile(q_give, (w1, 1)), seg2[1:]])
             take = np.vstack([seg1, np.tile(q_recv, (w2 - 1, 1))])
             ql, qr = (give, take) if giver == "left" else (take, give)
-            pose = self.stations[station][1]
+            pose = self.station_poses[station]
             rot = np.broadcast_to(pose.r, (w, 3, 3))
             t = np.broadcast_to(pose.t, (w, 3))
             holding = ((((giver, ggid),),) * (w1 - 1)
@@ -455,7 +449,7 @@ class _Search:
         segs = self.pb.tool.segments_world(data.tool_rot, data.tool_t)
         world = self.pb.world
         if data.with_cable:
-            world = with_cable(world, self.pb.balancer, self.stations[0][1],
+            world = with_cable(world, self.pb.balancer, self.station_poses[0],
                                self.pb.tool)
         clear, pair_idx, pair_names = motion_clearances(
             world, self.pb.robot, data.q_left, data.q_right,
@@ -490,9 +484,8 @@ class _Search:
         if station == self.goal_idx:
             return out
         q_here = self.node_configs(station, side)[gid]
-        targets = []
         if station == 0:
-            targets = [i for i in range(1, len(self.stations))]
+            targets = range(1, len(self.station_poses))
         else:
             targets = [self.goal_idx]
         for dst in targets:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -71,6 +71,8 @@ def _get(node: dict, key: str, path: str, default=_REQUIRED):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ValidationError(path, f"must be finite, got {value}")
     return float(value)
 
 
@@ -136,19 +138,15 @@ def _shape(node, path: str) -> tuple[str, Shape]:
 
 @dataclass(frozen=True)
 class Scene:
-    """A fully validated planning environment plus benchmark grid."""
+    """A validated planning problem, its planner options and the
+    benchmark grid of (pitch, roll) offsets.
+
+    base is the problem of the baseline cell, with no offset; problem()
+    derives every other cell from it.
+    """
 
     name: str
-    robot: DualArm
-    world: CollisionWorld
-    balancer: BalancerSpec
-    tool: ToolSpec
-    constraint: BendConstraint
-    start_pose: Pose
-    goal_pose: Pose
-    handover_poses: tuple[Pose, ...]
-    home_left: np.ndarray
-    home_right: np.ndarray
+    base: PlanningProblem
     options: PlannerOptions
     pitch_rows: tuple[float, ...]
     roll_cols: tuple[float, ...]
@@ -160,38 +158,27 @@ class Scene:
         axis and the roll offset turns the goal pose about the tool's
         own x axis, so offsets are expressed in the tool frame.
         """
-        start = self.start_pose
-        goal = self.goal_pose
+        start = self.base.start_pose
+        goal = self.base.goal_pose
         if pitch:
             start = Pose(start.r @ rot_y(pitch), start.t)
         if roll:
             goal = Pose(goal.r @ rot_x(roll), goal.t)
-        return PlanningProblem(
-            robot=self.robot,
-            world=self.world,
-            balancer=self.balancer,
-            tool=self.tool,
-            constraint=self.constraint,
-            start_pose=start,
-            goal_pose=goal,
-            handover_poses=self.handover_poses,
-            home_left=self.home_left,
-            home_right=self.home_right,
-        )
+        return replace(self.base, start_pose=start, goal_pose=goal)
 
     def describe(self) -> str:
         """Effective configuration, one setting per line."""
-        o = self.options
+        b, o = self.base, self.options
         lines = [
             f"scene: {self.name}",
-            f"anchor_xyz_m: {self.balancer.anchor.tolist()}",
-            f"max_load_kg: {self.balancer.max_load}",
-            f"cable_radius_m: {self.balancer.cable_radius}",
-            f"theta_max_deg: {math.degrees(self.constraint.theta_max):.6g}",
-            f"start_xyz_m: {self.start_pose.t.tolist()}",
-            f"goal_xyz_m: {self.goal_pose.t.tolist()}",
-            f"handover_count: {len(self.handover_poses)}",
-            f"statics: {sorted(self.world.statics)}",
+            f"anchor_xyz_m: {b.balancer.anchor.tolist()}",
+            f"max_load_kg: {b.balancer.max_load}",
+            f"cable_radius_m: {b.balancer.cable_radius}",
+            f"theta_max_deg: {math.degrees(b.constraint.theta_max):.6g}",
+            f"start_xyz_m: {b.start_pose.t.tolist()}",
+            f"goal_xyz_m: {b.goal_pose.t.tolist()}",
+            f"handover_count: {len(b.handover_poses)}",
+            f"statics: {sorted(b.world.statics)}",
             f"axial_samples: {o.axial_samples}",
             f"roll_samples: {o.roll_samples}",
             f"grasp_inset_m: {o.grasp_inset}",
@@ -207,6 +194,44 @@ class Scene:
         return "\n".join(lines)
 
 
+# Optional keys: file key -> (field name, parser, least value); None as
+# the least value means the value must be positive, and -inf leaves any
+# range check to the spec that takes the value.  A key the file omits
+# takes the field's default.
+_STANDOFF_KEY = {"palm_standoff_m": ("palm_setback", _number, -math.inf)}
+_CABLE_RADIUS_KEY = {"cable_radius_m": ("cable_radius", _number, -math.inf)}
+_PLANNER_KEYS = {
+    "axial_samples": ("axial_samples", _integer, 1),
+    "roll_samples": ("roll_samples", _integer, 1),
+    "grasp_inset_m": ("grasp_inset", _number, None),
+    "interp_step_deg": ("interp_step", _number, None),
+    "min_handover_separation_m": ("min_handover_separation", _number, 0.0),
+    "max_edges": ("max_edges", _integer, 0),
+}
+_IK_KEYS = {
+    "restarts": ("restarts", _integer, 1),
+    "max_iters": ("max_iters", _integer, 0),
+    "pos_tol_m": ("pos_tol", _number, None),
+    "ori_tol_rad": ("ori_tol", _number, None),
+    "seed": ("seed", _integer, 0),
+}
+
+
+def _options(node: dict, path: str, schema: dict) -> dict:
+    """Keyword arguments for the keys of node that schema lists, checked."""
+    kwargs = {}
+    for key, (name, parse, least) in schema.items():
+        if key not in node:
+            continue
+        value = parse(node[key], f"{path}.{key}")
+        if least is None and not value > 0:
+            raise ValidationError(f"{path}.{key}", "must be positive")
+        if least is not None and value < least:
+            raise ValidationError(f"{path}.{key}", f"must be at least {least}")
+        kwargs[name] = value
+    return kwargs
+
+
 def _parse_robot(node, path: str):
     node = _mapping(node, path)
     _check_keys(node, ("left_base", "right_base", "home_left_deg",
@@ -219,11 +244,10 @@ def _parse_robot(node, path: str):
     home_right = np.radians(_numbers(_get(node, "home_right_deg", path), 6,
                                      f"{path}.home_right_deg"))
     radii = _numbers(_get(node, "link_radii_m", path), 6, f"{path}.link_radii_m")
-    standoff = _number(_get(node, "palm_standoff_m", path, 0.07),
-                       f"{path}.palm_standoff_m")
+    standoff = _options(node, path, _STANDOFF_KEY)
     try:
         robot = DualArm(left=ur3_arm(left_base), right=ur3_arm(right_base))
-        spec = ArmLinkSpec(radii=radii, palm_setback=standoff)
+        spec = ArmLinkSpec(radii=radii, **standoff)
     except ValueError as e:
         raise ValidationError(path, str(e)) from e
     return robot, spec, home_left, home_right
@@ -256,40 +280,6 @@ def _parse_tool(node, path: str) -> ToolSpec:
         raise ValidationError(path, str(e)) from e
 
 
-# Planner schema: file key -> (option name, parser, least value); None
-# as the least value means the value must be positive.
-_PLANNER_KEYS = {
-    "axial_samples": ("axial_samples", _integer, 1),
-    "roll_samples": ("roll_samples", _integer, 1),
-    "grasp_inset_m": ("grasp_inset", _number, None),
-    "interp_step_deg": ("interp_step", _number, None),
-    "min_handover_separation_m": ("min_handover_separation", _number, -math.inf),
-    "max_edges": ("max_edges", _integer, 0),
-}
-_IK_KEYS = {
-    "restarts": ("restarts", _integer, 1),
-    "max_iters": ("max_iters", _integer, 0),
-    "pos_tol_m": ("pos_tol", _number, None),
-    "ori_tol_rad": ("ori_tol", _number, None),
-    "seed": ("seed", _integer, 0),
-}
-
-
-def _options(node: dict, path: str, schema: dict) -> dict:
-    """Keyword arguments for the keys of node that schema lists, checked."""
-    kwargs = {}
-    for key, (name, parse, least) in schema.items():
-        if key not in node:
-            continue
-        value = parse(node[key], f"{path}.{key}")
-        if least is None and not value > 0:
-            raise ValidationError(f"{path}.{key}", "must be positive")
-        if least is not None and value < least:
-            raise ValidationError(f"{path}.{key}", f"must be at least {least}")
-        kwargs[name] = value
-    return kwargs
-
-
 def _parse_planner(node, path: str) -> PlannerOptions:
     if node is None:
         return PlannerOptions()
@@ -306,23 +296,18 @@ def _parse_planner(node, path: str) -> PlannerOptions:
 
 
 def _parse_sweep(node, path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    rows_deg = list(DEFAULT_PITCH_ROWS_DEG)
-    cols_deg = list(DEFAULT_ROLL_COLS_DEG)
+    grid = {"pitch_rows_deg": DEFAULT_PITCH_ROWS_DEG,
+            "roll_cols_deg": DEFAULT_ROLL_COLS_DEG}
     if node is not None:
         node = _mapping(node, path)
-        _check_keys(node, ("pitch_rows_deg", "roll_cols_deg"), path)
-        if "pitch_rows_deg" in node:
-            raw = node["pitch_rows_deg"]
+        _check_keys(node, grid, path)
+        for key in grid.keys() & node.keys():
+            raw = node[key]
             if not isinstance(raw, list):
-                raise ParseError(f"{path}.pitch_rows_deg: expected a list")
-            rows_deg = [_number(v, f"{path}.pitch_rows_deg[{i}]")
-                        for i, v in enumerate(raw)]
-        if "roll_cols_deg" in node:
-            raw = node["roll_cols_deg"]
-            if not isinstance(raw, list):
-                raise ParseError(f"{path}.roll_cols_deg: expected a list")
-            cols_deg = [_number(v, f"{path}.roll_cols_deg[{i}]")
-                        for i, v in enumerate(raw)]
+                raise ParseError(f"{path}.{key}: expected a list")
+            grid[key] = [_number(v, f"{path}.{key}[{i}]")
+                         for i, v in enumerate(raw)]
+    rows_deg, cols_deg = grid.values()
     return (tuple(math.radians(v) for v in rows_deg),
             tuple(math.radians(v) for v in cols_deg))
 
@@ -358,20 +343,20 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
                             "balancer.anchor_xyz_m"),
             max_load=_number(_get(bal_node, "max_load_kg", "balancer"),
                              "balancer.max_load_kg"),
-            cable_radius=_number(_get(bal_node, "cable_radius_m", "balancer",
-                                      0.01), "balancer.cable_radius_m"))
+            **_options(bal_node, "balancer", _CABLE_RADIUS_KEY))
     except ValueError as e:
         raise ValidationError("balancer", str(e)) from e
 
-    con_node = _mapping(_get(root, "constraint", "scene", {"theta_max_deg": 95.0}),
-                        "constraint")
+    con_node = _mapping(_get(root, "constraint", "scene", {}), "constraint")
     _check_keys(con_node, ("theta_max_deg",), "constraint")
-    theta_max_deg = _number(_get(con_node, "theta_max_deg", "constraint", 95.0),
-                            "constraint.theta_max_deg")
-    if not 0.0 < theta_max_deg < 180.0:
-        raise ValidationError("constraint.theta_max_deg",
-                              f"must be in (0, 180), got {theta_max_deg}")
-    constraint = BendConstraint(theta_max=math.radians(theta_max_deg))
+    constraint = BendConstraint()
+    if "theta_max_deg" in con_node:
+        theta_max_deg = _number(con_node["theta_max_deg"],
+                                "constraint.theta_max_deg")
+        if not 0.0 < theta_max_deg < 180.0:
+            raise ValidationError("constraint.theta_max_deg",
+                                  f"must be in (0, 180), got {theta_max_deg}")
+        constraint = BendConstraint(theta_max=math.radians(theta_max_deg))
 
     start_pose = _pose(_get(root, "start_pose", "scene"), "start_pose")
     goal_pose = _pose(_get(root, "goal_pose", "scene"), "goal_pose")
@@ -414,16 +399,26 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
         excluded.append((a, b))
 
     options = _parse_planner(root.get("planner"), "planner")
+    handle = float(np.linalg.norm(tool.handle_b - tool.handle_a))
+    if not 2.0 * options.grasp_inset < handle:   # as sample_grasps needs
+        raise ValidationError(
+            "planner.grasp_inset_m",
+            f"an inset of {options.grasp_inset} m at both ends leaves no "
+            f"room on a handle of length {handle:.3f} m")
     pitch_rows, roll_cols = _parse_sweep(root.get("sweep"), "sweep")
 
     world = CollisionWorld(statics, {"left": link_spec, "right": link_spec},
                            excluded)
-    scene = Scene(
-        name=name, robot=robot, world=world, balancer=balancer, tool=tool,
-        constraint=constraint, start_pose=start_pose, goal_pose=goal_pose,
-        handover_poses=handover_poses, home_left=home_left,
-        home_right=home_right, options=options, pitch_rows=pitch_rows,
-        roll_cols=roll_cols)
+    try:
+        base = PlanningProblem(
+            robot=robot, world=world, balancer=balancer, tool=tool,
+            constraint=constraint, start_pose=start_pose, goal_pose=goal_pose,
+            handover_poses=handover_poses, home_left=home_left,
+            home_right=home_right)
+    except ValueError as e:
+        raise ValidationError("handover_poses", str(e)) from e
+    scene = Scene(name=name, base=base, options=options,
+                  pitch_rows=pitch_rows, roll_cols=roll_cols)
 
     theta0 = bend_angle(start_pose, balancer, tool)
     if theta0 > 1e-6:

@@ -3,15 +3,15 @@
 The balancer cable pulls the held tool toward the anchor with a tension
 set by the balancer's rated load.  For every waypoint where an arm
 holds the tool, the pull at the connector maps through that arm's
-point Jacobian to a six-vector of joint torques, and a trace collects
-them over a plan.  bench.SweepReport.torque_summary compares the peaks
-of the two planner modes.
+point Jacobian to a six-vector of joint torques.  trace_plan, the one
+entry point, collects them over a plan's waypoints, reading its joint,
+tool-pose and holding arrays.  bench.SweepReport.torque_summary
+compares the peaks of the two planner modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -81,29 +81,29 @@ class TorqueTrace:
         return max(mags)
 
 
-def trace_arrays(robot: DualArm, balancer: BalancerSpec, tool: ToolSpec,
-                 q_left: np.ndarray, q_right: np.ndarray,
-                 tool_rot: np.ndarray, tool_t: np.ndarray,
-                 holding: Iterable[Iterable[tuple[str, int]]]) -> TorqueTrace:
-    """Torque trace over waypoint arrays.
+def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
+               tool: ToolSpec) -> TorqueTrace:
+    """Torque trace for a planned motion.
 
-    holding gives, per waypoint, the (arm side, grasp id) pairs of the
-    arms currently gripping the tool; each such arm gets one entry, in
-    waypoint order and then holder order.  The connector points and
-    cable forces of all entries are computed at once, and each arm's
-    torques in one batch.  Raises cable.DegenerateCable, a
-    ZeroVectorError, when a held waypoint puts the connector within
-    1e-9 m of the anchor.
+    plan is a MotionPlan or anything with its q_left, q_right,
+    tool_rot, tool_t and holding fields.  holding gives, per waypoint,
+    the (arm side, grasp id) pairs of the arms currently gripping the
+    tool; each such arm gets one entry, in waypoint order and then
+    holder order.  The connector points and cable forces of all entries
+    are computed at once, and each arm's torques in one batch.  Raises
+    cable.DegenerateCable, a ZeroVectorError, when a held waypoint puts
+    the connector within 1e-9 m of the anchor.
     """
-    rows = [(w, side) for w, holders in enumerate(holding)
+    rows = [(w, side) for w, holders in enumerate(plan.holding)
             for side, _grasp in holders]
     ws = np.array([w for w, _ in rows], dtype=int)
     connector, cable, norms = cable_vectors(
-        np.asarray(tool_rot, float)[ws], np.asarray(tool_t, float)[ws], balancer, tool)
+        np.asarray(plan.tool_rot, float)[ws], np.asarray(plan.tool_t, float)[ws],
+        balancer, tool)
     force = cable_tension(balancer) * (cable / norms[:, None])
     sides = np.array([side for _, side in rows], dtype=str)
     tau = np.empty((len(rows), 6))
-    for side, qs in (("left", q_left), ("right", q_right)):
+    for side, qs in (("left", plan.q_left), ("right", plan.q_right)):
         sel = np.nonzero(sides == side)[0]
         if sel.size:
             tau[sel] = _joint_torques_batch(
@@ -112,10 +112,3 @@ def trace_arrays(robot: DualArm, balancer: BalancerSpec, tool: ToolSpec,
     return TorqueTrace(entries=tuple(
         TorqueEntry(waypoint=w, arm=side, torques=tau[k])
         for k, (w, side) in enumerate(rows)))
-
-
-def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
-               tool: ToolSpec) -> TorqueTrace:
-    """Torque trace for a planned motion (see trace_arrays)."""
-    return trace_arrays(robot, balancer, tool, plan.q_left, plan.q_right,
-                        plan.tool_rot, plan.tool_t, plan.holding)

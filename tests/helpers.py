@@ -60,11 +60,5 @@ def scene_from(problem: PlanningProblem, options: PlannerOptions = QUICK,
                pitch_rows=(0.0,), roll_cols=(0.0,),
                name: str = "test-scene") -> Scene:
     """Wrap a single planning problem as a (possibly 1x1) benchmark scene."""
-    return Scene(
-        name=name, robot=problem.robot, world=problem.world,
-        balancer=problem.balancer, tool=problem.tool,
-        constraint=problem.constraint, start_pose=problem.start_pose,
-        goal_pose=problem.goal_pose, handover_poses=problem.handover_poses,
-        home_left=problem.home_left, home_right=problem.home_right,
-        options=options, pitch_rows=tuple(pitch_rows),
-        roll_cols=tuple(roll_cols))
+    return Scene(name=name, base=problem, options=options,
+                 pitch_rows=tuple(pitch_rows), roll_cols=tuple(roll_cols))

@@ -14,7 +14,6 @@ from tetherplan.collision import (
     arm_link_segments,
     link_names,
     motion_clearances,
-    robot_in_collision,
     segment_box_distance,
     segment_segment_distance,
     shape_clearance,
@@ -229,14 +228,21 @@ def make_world(statics=None, excluded=()):
     return CollisionWorld(statics or {}, {"left": spec, "right": spec}, excluded)
 
 
+def overlaps(world, robot, q_left, q_right):
+    """Strictly overlapping pairs of the bare arms at one configuration
+    pair, read off the dense matrix's single row."""
+    clear, table = _pair_clearances(world, robot, q_left, q_right, None, (), ())
+    return [table.pair_names[k] for k in np.nonzero(clear[0] < 0.0)[0]]
+
+
 class TestWorld:
     def test_home_pose_is_free(self):
         robot = make_robot()
         world = make_world()
-        q = np.zeros(6)
-        report = robot_in_collision(world, robot, q, q)
-        assert not report.pairs
-        assert report.min_clearance > 0.0
+        q = np.zeros((1, 6))
+        clear, _, _ = motion_clearances(world, robot, q, q)
+        assert clear[0] > 0.0
+        assert not overlaps(world, robot, q, q)
 
     def test_static_capsule_through_arm_is_named(self):
         robot = make_robot()
@@ -245,10 +251,10 @@ class TestWorld:
         elbow = 0.5 * (pts[2] + pts[3])
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar})
-        report = robot_in_collision(world, robot, q, q)
-        assert report.pairs
-        assert any("bar" in pair for pair in report.pairs)
-        assert any(pair[0].startswith("left/link") for pair in report.pairs)
+        pairs = overlaps(world, robot, q, q)
+        assert pairs
+        assert any("bar" in pair for pair in pairs)
+        assert any(pair[0].startswith("left/link") for pair in pairs)
 
     def test_excluded_pair_is_ignored(self):
         robot = make_robot()
@@ -258,35 +264,19 @@ class TestWorld:
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar},
                            excluded=[("bar", f"left/link{i}") for i in range(1, 7)])
-        report = robot_in_collision(world, robot, q, q)
-        assert not report.pairs
-
-    def test_held_shape_ignores_the_holding_wrist_only(self):
-        robot = make_robot()
-        world = make_world()
-        q = np.zeros(6)
-        tcp, _ = fk_frames(robot.left, q)
-        axis = tcp.r[:, 2]
-        handle = Capsule(tcp.t - 0.05 * axis, tcp.t + 0.05 * axis, 0.02)
-        held = robot_in_collision(world, robot, q, q,
-                                  attached={"left": [("tool", handle)]})
-        assert all({"tool", "left/link6"} != set(p) for p in held.pairs)
-        loose = robot_in_collision(world, robot, q, q,
-                                   attached={"right": [("tool", handle)]})
-        assert ("left/link6", "tool") in loose.pairs or \
-            ("tool", "left/link6") in loose.pairs
+        assert not overlaps(world, robot, q, q)
 
     def test_table_box_under_arms(self):
         robot = make_robot()
         table = Box(Pose(np.eye(3), [0.0, 0.0, -0.5]), [1.0, 1.0, 0.4])
         world = make_world({"table": table})
         q = np.zeros(6)
-        assert not robot_in_collision(world, robot, q, q).pairs
+        assert not overlaps(world, robot, q, q)
         raised = Box(Pose(np.eye(3), [0.0, 0.0, -0.3]), [1.0, 1.0, 0.4])
         world2 = make_world({"table": raised})
-        report = robot_in_collision(world2, robot, q, q)
-        assert report.pairs
-        assert any("table" in pair for pair in report.pairs)
+        pairs = overlaps(world2, robot, q, q)
+        assert pairs
+        assert any("table" in pair for pair in pairs)
 
     def test_with_static_is_a_copy(self):
         world = make_world()
@@ -296,8 +286,8 @@ class TestWorld:
 
     def test_batch_matches_scalar(self):
         # Two inputs: the bare arms, then a capsule held by the left arm
-        # along its approach axis in a world with a box.  Every reported
-        # pair is checked against an independent per-pair clearance.
+        # along its approach axis in a world with a box.  Every pair is
+        # checked against an independent per-pair clearance.
         robot = make_robot()
         post = Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04)
         table = Box(Pose(np.eye(3), [0.0, 0.0, -0.3]), [1.0, 1.0, 0.4])
@@ -312,18 +302,15 @@ class TestWorld:
         tool_hits = 0
         for world, tools in ((make_world({"post": post}), None),
                              (make_world({"post": post, "table": table}), held)):
-            attach = () if tools is None else (
-                np.array([[[c.a, c.b]] for c in tools]), [0.02], ["tool"], ("left",))
+            attach = (None, (), ()) if tools is None else (
+                np.array([[[c.a, c.b]] for c in tools]), [0.02], ["tool"])
             clear, _, names = motion_clearances(world, robot, qs_l, qs_r, *attach)
-            assert not any({"tool", "left/link6"} == set(p) for p in names)
+            dense, pairs = _pair_clearances(world, robot, qs_l, qs_r, *attach)
+            assert pairs.pair_names == names
             for w in range(5):
                 shapes = dict(world.statics)
-                attached = None
                 if tools is not None:
                     shapes["tool"] = tools[w]
-                    attached = {"left": [("tool", tools[w])]}
-                report = robot_in_collision(world, robot, qs_l[w], qs_r[w], attached)
-                assert clear[w] == pytest.approx(report.min_clearance, abs=1e-9)
                 for side, q in (("left", qs_l[w]), ("right", qs_r[w])):
                     spec = world.link_specs[side]
                     links = arm_link_segments(robot.arm(side), spec, q)[0]
@@ -331,9 +318,9 @@ class TestWorld:
                         shapes[name] = Capsule(a, b, r)
                 pair_clear = [shape_clearance(shapes[i], shapes[j]) for i, j in names]
                 assert min(pair_clear) == pytest.approx(clear[w], abs=1e-9)
-                assert report.pairs == tuple(
-                    p for p, c in zip(names, pair_clear) if c < 0.0)
-                tool_hits += sum("tool" in p for p in report.pairs)
+                np.testing.assert_allclose(dense[w], pair_clear, rtol=0, atol=1e-9)
+                tool_hits += sum("tool" in p and c < 0.0
+                                 for p, c in zip(names, pair_clear))
         assert tool_hits > 0
 
     def test_link_segments_shape(self):
@@ -349,7 +336,7 @@ class TestWorld:
 def dense_minimum(world, robot, q_left, q_right, *attach):
     """Row minimum and first-index argmin of the dense pair matrix."""
     clear, table = _pair_clearances(world, robot, q_left, q_right,
-                                    *(attach or (None, (), (), ())))
+                                    *(attach or (None, (), ())))
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(clear.shape[0]), idx], idx, table.pair_names
 
@@ -368,7 +355,7 @@ def held_tool(robot, q_left):
     rot, tcp, _ = fk_batch(robot.left, q_left)
     axis = rot[:, :, 2]
     segs = np.stack([tcp - 0.05 * axis, tcp + 0.25 * axis], axis=1)[:, None]
-    return segs, [0.02], ["tool"], ("left",)
+    return segs, [0.02], ["tool"]
 
 
 def cluttered_world():
@@ -433,7 +420,7 @@ class TestBoundedClearances:
         ql = np.linspace(HOME_LEFT, HOME_LEFT + 0.5, w)
         qr = np.tile(HOME_RIGHT, (w, 1))
         clear, idx, names = assert_matches_dense(world, robot, ql, qr, segs,
-                                                 [0.25], ["tool"], ("left",))
+                                                 [0.25], ["tool"])
         assert np.all(clear == 0.0)
         assert {names[k] for k in idx} == {("tool", "block")}
 
@@ -465,7 +452,7 @@ class TestBoundedClearances:
             ql = np.tile(HOME_LEFT, (w, 1))
             qr = np.tile(HOME_RIGHT, (w, 1))
             clear, idx, names = assert_matches_dense(
-                world, robot, ql, qr, segs, [0.01], ["tool"], ("left",))
+                world, robot, ql, qr, segs, [0.01], ["tool"])
             assert {names[k] for k in idx} == {("ball", "tool")}
 
 
@@ -477,25 +464,23 @@ class TestPairTableMemo:
         first, second = (with_cable(pb.world, pb.balancer, pb.start_pose, pb.tool)
                          for _ in range(2))
         assert first is not second
-        table = _build_pair_table(first, names, radii, ("left",))
-        assert _build_pair_table(second, names, radii, ("left",)) is table
+        table = _build_pair_table(first, names, radii)
+        assert _build_pair_table(second, names, radii) is table
 
     def test_a_changed_input_gets_its_own_table(self):
         pb = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3])
         names = [name for name, _ in pb.tool.shapes]
         radii = [0.018, 0.03]
         world = with_cable(pb.world, pb.balancer, pb.start_pose, pb.tool)
-        table = _build_pair_table(world, names, radii, ("left",))
+        table = _build_pair_table(world, names, radii)
         thicker = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3], cable_radius=0.02)
         variants = [
-            (with_cable(thicker.world, thicker.balancer, thicker.start_pose,
-                        thicker.tool), ("left",)),
-            (world.with_static("cable", world.statics["cable"],
-                               exclude_against=["left/link1"]), ("left",)),
-            (world, ()),
+            with_cable(thicker.world, thicker.balancer, thicker.start_pose,
+                       thicker.tool),
+            world.with_static("cable", world.statics["cable"],
+                              exclude_against=["left/link1"]),
         ]
-        for other, holding in variants:
-            assert _build_pair_table(other, names, radii, holding) is not table
+        for other in variants:
+            assert _build_pair_table(other, names, radii) is not table
         assert not np.array_equal(
-            _build_pair_table(variants[0][0], names, radii, ("left",)).radius,
-            table.radius)
+            _build_pair_table(variants[0], names, radii).radius, table.radius)

@@ -6,8 +6,9 @@ import yaml
 from importlib import resources
 
 from tetherplan.cable import bend_angle
-from tetherplan.collision import robot_in_collision
+from tetherplan.collision import motion_clearances
 from tetherplan.geometry import rot_y
+from tetherplan.planner import sample_grasps
 from tetherplan.scene import (
     ParseError,
     ValidationError,
@@ -44,7 +45,7 @@ class TestDefaultScene:
     def test_loads_and_hangs_straight(self):
         sc = default_scene()
         assert sc.name == "default"
-        assert bend_angle(sc.start_pose, sc.balancer, sc.tool) < 1e-6
+        assert bend_angle(sc.base.start_pose, sc.base.balancer, sc.base.tool) < 1e-6
 
     def test_grid_dimensions(self):
         sc = default_scene()
@@ -56,14 +57,16 @@ class TestDefaultScene:
 
     def test_home_configuration_is_collision_free(self):
         sc = default_scene()
-        rep = robot_in_collision(sc.world, sc.robot, sc.home_left, sc.home_right)
-        assert not rep.pairs
+        b = sc.base
+        clear, _, _ = motion_clearances(b.world, b.robot, b.home_left[None],
+                                        b.home_right[None])
+        assert clear[0] >= 0.0
 
     def test_angles_are_radians_internally(self):
         sc = default_scene()
-        assert math.isclose(sc.constraint.theta_max, math.radians(95.0))
+        assert math.isclose(sc.base.constraint.theta_max, math.radians(95.0))
         assert sc.options.interp_step < 0.1  # 2.9 degrees, not 2.9 radians
-        assert np.all(np.abs(sc.home_left) < 2 * math.pi)
+        assert np.all(np.abs(sc.base.home_left) < 2 * math.pi)
 
     def test_describe_mentions_effective_settings(self):
         text = default_scene().describe()
@@ -81,23 +84,23 @@ class TestCellProblems:
     def test_baseline_problem_matches_scene(self):
         sc = default_scene()
         p = sc.problem()
-        assert np.array_equal(p.start_pose.r, sc.start_pose.r)
-        assert np.array_equal(p.goal_pose.t, sc.goal_pose.t)
+        assert np.array_equal(p.start_pose.r, sc.base.start_pose.r)
+        assert np.array_equal(p.goal_pose.t, sc.base.goal_pose.t)
 
     def test_pitch_turns_start_in_tool_frame(self):
         sc = default_scene()
         pitch = math.radians(30.0)
         p = sc.problem(pitch=pitch)
-        assert np.allclose(p.start_pose.r, sc.start_pose.r @ rot_y(pitch))
-        assert np.array_equal(p.start_pose.t, sc.start_pose.t)
-        assert np.array_equal(p.goal_pose.r, sc.goal_pose.r)
+        assert np.allclose(p.start_pose.r, sc.base.start_pose.r @ rot_y(pitch))
+        assert np.array_equal(p.start_pose.t, sc.base.start_pose.t)
+        assert np.array_equal(p.goal_pose.r, sc.base.goal_pose.r)
 
     def test_roll_turns_goal_only(self):
         sc = default_scene()
         roll = math.radians(-20.0)
         p = sc.problem(roll=roll)
-        assert np.array_equal(p.start_pose.r, sc.start_pose.r)
-        assert not np.array_equal(p.goal_pose.r, sc.goal_pose.r)
+        assert np.array_equal(p.start_pose.r, sc.base.start_pose.r)
+        assert not np.array_equal(p.goal_pose.r, sc.base.goal_pose.r)
 
     def test_pitched_start_bend_matches_planar_trig(self):
         # Pitching the start tilts the tool axis by the pitch and also
@@ -106,15 +109,15 @@ class TestCellProblems:
         # the tool origin and connector offset d along the tool axis:
         #   cable u = (-d sin p, h - d cos p), tool axis v = (sin p, cos p).
         sc = default_scene()
-        h = sc.balancer.anchor[2] - sc.start_pose.t[2]
-        d = sc.tool.connector_point[2]
+        h = sc.base.balancer.anchor[2] - sc.base.start_pose.t[2]
+        d = sc.base.tool.connector_point[2]
         for deg in (10.0, 45.0, 75.0, 90.0):
             p = math.radians(deg)
             u = np.array([-d * math.sin(p), h - d * math.cos(p)])
             v = np.array([math.sin(p), math.cos(p)])
             expected = math.acos(u @ v / np.linalg.norm(u))
             cell = sc.problem(pitch=p)
-            theta = bend_angle(cell.start_pose, sc.balancer, sc.tool)
+            theta = bend_angle(cell.start_pose, sc.base.balancer, sc.base.tool)
             assert math.isclose(theta, expected, abs_tol=1e-9)
             assert theta > p  # the cable tilt always adds to the pitch
 
@@ -201,11 +204,35 @@ class TestValidationErrors:
         ("planner__ik__pos_tol_m", 0.0, 1e-9),
         ("planner__ik__ori_tol_rad", 0.0, 1e-9),
         ("planner__max_edges", -1, 0),
+        ("planner__min_handover_separation_m", -1.0, 0.0),
+        ("planner__min_handover_separation_m", math.nan, 0.0),
     ])
     def test_out_of_range_planner_option_rejected(self, key, bad, least):
         with pytest.raises(ValidationError, match=key.rsplit("__", 1)[1]):
             parse_scene(mutated(**{key: bad}))
         parse_scene(mutated(**{key: least}))  # the least legal value loads
+
+    @pytest.mark.parametrize("key, bad, legal", [
+        ("balancer__anchor_xyz_m", [0.3, 0.18, math.nan], [0.3, 0.18, 1.15]),
+        ("goal_pose__xyz_m", [0.3, -0.3, math.inf], [0.3, -0.3, 1e300]),
+        ("sweep__roll_cols_deg", [0.0, -math.inf], [0.0, -1e300]),
+        ("handover_poses", [], [{"xyz_m": [0.32, 0.05, 0.45]}]),
+        ("handover_poses", _DELETE, [{"xyz_m": [0.32, 0.05, 0.45]}]),
+    ])
+    def test_unusable_value_rejected(self, key, bad, legal):
+        with pytest.raises(ValidationError, match=key.replace("__", ".")):
+            parse_scene(mutated(**{key: bad}))
+        parse_scene(mutated(**{key: legal}))  # the nearest legal value loads
+
+    def test_grasp_inset_must_leave_room_on_the_handle(self):
+        tool = default_scene().problem().tool
+        half = float(np.linalg.norm(tool.handle_b - tool.handle_a)) / 2.0
+        for bad in (5.0, half):
+            with pytest.raises(ValidationError, match="grasp_inset_m"):
+                parse_scene(mutated(planner__grasp_inset_m=bad))
+        widest = float(np.nextafter(half, 0.0))
+        sc = parse_scene(mutated(planner__grasp_inset_m=widest))
+        assert sample_grasps(sc.base.tool, "left", inset=sc.options.grasp_inset)
 
     def test_cable_is_a_known_exclusion_name(self):
         doc = yaml.safe_load(default_text())

@@ -15,7 +15,6 @@ from tetherplan.torque import (
     TorqueTrace,
     cable_tension,
     joint_torques,
-    trace_arrays,
     trace_plan,
 )
 
@@ -112,21 +111,25 @@ class TestJointTorques:
 
 class TestTrace:
     def make_inputs(self, holders):
+        """Robot, balancer, tool and a plan stand-in with the fields
+        that trace_plan reads."""
         robot = make_robot()
         rng = np.random.default_rng(35)
         w = len(holders)
-        q_left = rng.uniform(-1.0, 1.0, (w, 6))
-        q_right = rng.uniform(-1.0, 1.0, (w, 6))
-        rots = np.stack([rot_z(0.1 * i) for i in range(w)])
-        ts = np.tile([0.3, 0.0, 0.6], (w, 1))
+        plan = SimpleNamespace(
+            q_left=rng.uniform(-1.0, 1.0, (w, 6)),
+            q_right=rng.uniform(-1.0, 1.0, (w, 6)),
+            tool_rot=np.stack([rot_z(0.1 * i) for i in range(w)]),
+            tool_t=np.tile([0.3, 0.0, 0.6], (w, 1)),
+            holding=holders)
         bal = BalancerSpec(anchor=[0.3, 0.0, 1.6], max_load=2.0)
-        return robot, bal, make_tool(), q_left, q_right, rots, ts, holders
+        return robot, bal, make_tool(), plan
 
     def test_entries_follow_holding(self):
         holders = [(), (("left", 3),), (("left", 3),),
                    (("left", 3), ("right", 7)), (("right", 7),)]
-        robot, bal, tool, ql, qr, rots, ts, h = self.make_inputs(holders)
-        trace = trace_arrays(robot, bal, tool, ql, qr, rots, ts, h)
+        robot, bal, tool, plan = self.make_inputs(holders)
+        trace = trace_plan(plan, robot, bal, tool)
         assert [(e.waypoint, e.arm) for e in trace.entries] == \
             [(1, "left"), (2, "left"), (3, "left"), (3, "right"), (4, "right")]
         assert trace.arms() == ("left", "right")
@@ -134,33 +137,22 @@ class TestTrace:
             assert e.torques.shape == (6,)
             assert e.magnitude == pytest.approx(np.max(np.abs(e.torques)))
 
-    def test_trace_plan_reads_plan_fields(self):
-        holders = [(("left", 0),), (("left", 0),)]
-        robot, bal, tool, ql, qr, rots, ts, h = self.make_inputs(holders)
-        plan = SimpleNamespace(q_left=ql, q_right=qr, tool_rot=rots,
-                               tool_t=ts, holding=h)
-        via_plan = trace_plan(plan, robot, bal, tool)
-        direct = trace_arrays(robot, bal, tool, ql, qr, rots, ts, h)
-        assert len(via_plan.entries) == len(direct.entries)
-        for a, b in zip(via_plan.entries, direct.entries):
-            assert np.allclose(a.torques, b.torques)
-
     def test_entries_match_the_finite_difference_oracle(self):
         # Each entry is J_fd.T @ f: J_fd differentiates the connector
         # point rigidly attached to the holding arm's TCP, f pulls from
         # the connector toward the anchor with the cable tension.
         holders = [(("right", 7),), (), (("left", 3), ("right", 7)),
                    (("left", 3),), (("right", 7), ("left", 3))]
-        robot, bal, tool, ql, qr, rots, ts, h = self.make_inputs(holders)
-        trace = trace_arrays(robot, bal, tool, ql, qr, rots, ts, h)
+        robot, bal, tool, plan = self.make_inputs(holders)
+        trace = trace_plan(plan, robot, bal, tool)
         assert [(e.waypoint, e.arm) for e in trace.entries] == \
             [(0, "right"), (2, "left"), (2, "right"), (3, "left"),
              (4, "right"), (4, "left")]
         for e in trace.entries:
             arm = robot.arm(e.arm)
-            q = (ql if e.arm == "left" else qr)[e.waypoint]
-            connector = Pose(rots[e.waypoint], ts[e.waypoint]).apply(
-                tool.connector_point)
+            q = (plan.q_left if e.arm == "left" else plan.q_right)[e.waypoint]
+            connector = Pose(plan.tool_rot[e.waypoint],
+                             plan.tool_t[e.waypoint]).apply(tool.connector_point)
             local = fk(arm, q).r.T @ (connector - fk(arm, q).t)
 
             def attached_point(qq, _arm=arm, _local=local):
@@ -173,15 +165,14 @@ class TestTrace:
 
     def test_connector_at_the_anchor_raises(self):
         holders = [(("left", 3),), (("left", 3),), ()]
-        robot, bal, tool, ql, qr, rots, ts, h = self.make_inputs(holders)
-        at_anchor = ts.copy()
+        robot, bal, tool, plan = self.make_inputs(holders)
+        rots = plan.tool_rot
         # Waypoint 2 is not held, so its degenerate cable is never used.
-        at_anchor[2] = bal.anchor - rots[2] @ tool.connector_point
-        assert len(trace_arrays(robot, bal, tool, ql, qr, rots, at_anchor,
-                                h).entries) == 2
-        at_anchor[1] = bal.anchor - rots[1] @ tool.connector_point
+        plan.tool_t[2] = bal.anchor - rots[2] @ tool.connector_point
+        assert len(trace_plan(plan, robot, bal, tool).entries) == 2
+        plan.tool_t[1] = bal.anchor - rots[1] @ tool.connector_point
         with pytest.raises(ZeroVectorError):
-            trace_arrays(robot, bal, tool, ql, qr, rots, at_anchor, h)
+            trace_plan(plan, robot, bal, tool)
 
     def test_peak_requires_entries(self):
         trace = TorqueTrace(entries=())
