@@ -27,6 +27,7 @@ from .collision import motion_clearances
 from .geometry import Pose
 from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
     plan, solve_stations
+from .robot import fk_batch
 from .scene import Scene
 from .torque import trace_plan
 
@@ -37,6 +38,16 @@ LABEL_SYMBOLS = {
     "no_plan": "F",
 }
 
+# How far (m) any point of the tool's shape may drift, in its holder's
+# TCP frame, from where it sat when that hold began.  It must be at
+# least the IK acceptance tolerance: a resting tool sits at the exact
+# station pose while the gripper on it is at FK of an IK solution, and
+# a carried tool follows that FK exactly.  IK accepts a TCP pose that
+# moves a tool point r from the TCP by up to pos_tol + ori_tol r, so
+# two poses of one hold differ there by up to twice that: 1.2e-3 m
+# under the default IKOptions for a tool within 0.5 m of the TCP.
+_GRIP_TOL = 5e-3
+
 
 @dataclass(frozen=True)
 class Recheck:
@@ -46,12 +57,14 @@ class Recheck:
     bend_waypoint: int | None
     cable_waypoint: int | None
     collision_waypoint: int | None
+    grip_waypoint: int | None
     min_clearance: float
 
     @property
     def clean(self) -> bool:
         return (self.bend_waypoint is None and self.cable_waypoint is None
-                and self.collision_waypoint is None)
+                and self.collision_waypoint is None
+                and self.grip_waypoint is None)
 
 
 @dataclass(frozen=True)
@@ -69,10 +82,12 @@ class Outcome:
 
 
 def recheck_plan(motion: MotionPlan, problem: PlanningProblem) -> Recheck:
-    """Re-derive bend, cable-contact, and collision facts from waypoints.
+    """Re-derive bend, cable-contact, collision and grip facts from
+    waypoints.
 
     Trusts nothing the planner recorded beyond the joint trajectories,
-    tool track, and holding labels.
+    tool track, and holding labels, and checks the tool track against
+    the joints of the arms holding it (_grip_waypoint).
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
@@ -115,8 +130,40 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem) -> Recheck:
         bend_waypoint=bend_wp,
         cable_waypoint=cable_wp,
         collision_waypoint=collision_wp,
+        grip_waypoint=_grip_waypoint(motion, problem),
         min_clearance=min_clear,
     )
+
+
+def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem) -> int | None:
+    """First held waypoint where the tool has left its holder's grip.
+
+    A hold is a run of consecutive waypoints on which one arm holds the
+    tool with one grasp.  Along it the tool's pose relative to that
+    arm's TCP (FK of its joints) must stay where the run's first
+    waypoint put it, to within _GRIP_TOL at every shape endpoint.
+    """
+    segs, _, _ = problem.tool.shape_segments()
+    points = segs.reshape(-1, 3)
+    holders = [dict(h) for h in motion.holding]
+    first = None
+    for side, qs in (("left", motion.q_left), ("right", motion.q_right)):
+        gid = np.array([h.get(side, -1) for h in holders])
+        held = np.nonzero(gid >= 0)[0]
+        if held.size == 0:
+            continue
+        begins = np.r_[True, (np.diff(held) > 1) | (np.diff(gid[held]) != 0)]
+        run_start = np.maximum.accumulate(
+            np.where(begins, np.arange(held.size), 0))
+        tcp_r, tcp_t, _ = fk_batch(problem.robot.arm(side), qs[held])
+        rel_r = tcp_r.transpose(0, 2, 1) @ motion.tool_rot[held]
+        rel_t = np.einsum("wji,wj->wi", tcp_r, motion.tool_t[held] - tcp_t)
+        local = np.einsum("wij,pj->wpi", rel_r, points) + rel_t[:, None, :]
+        drift = np.linalg.norm(local - local[run_start], axis=2).max(axis=1)
+        bad = held[drift > _GRIP_TOL]
+        if bad.size and (first is None or bad[0] < first):
+            first = int(bad[0])
+    return first
 
 
 def classify(result: PlanResult, recheck: Recheck | None) -> Outcome:
@@ -125,6 +172,12 @@ def classify(result: PlanResult, recheck: Recheck | None) -> Outcome:
         return Outcome(label="no_plan", failure=result.failure)
     if recheck is None:
         raise ValueError("a finished plan requires a recheck to classify")
+    if recheck.grip_waypoint is not None:
+        # The tool track is not the tool the arms carry, so no label
+        # read from it would mean anything.
+        raise RuntimeError(
+            "re-check found the held tool away from its gripper at waypoint "
+            f"{recheck.grip_waypoint}; the planner should never emit one")
     theta_deg = math.degrees(recheck.theta_max)
     if recheck.bend_waypoint is not None:
         return Outcome(label="bend_violation", theta_max_deg=theta_deg,
@@ -269,8 +322,8 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
 def sweep(scene: Scene) -> SweepReport:
     """Run the full grid in both modes, cells in (row, col, mode) order.
 
-    Station IK for every cell is solved first, in one grouped batch per
-    arm (solve_stations).  The cells then run one after another against
+    Station IK for every cell is solved first, both arms in one grouped
+    batch (solve_stations).  The cells then run one after another against
     that shared plan cache.  A cell's result does not depend on which
     cells ran before it: the cache is content-addressed and the planner
     budget counts validation attempts, cache hits included.  The report

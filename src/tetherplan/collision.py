@@ -213,6 +213,10 @@ class ArmLinkSpec:
         r = np.asarray(self.radii, dtype=float).reshape(6)
         if not np.all(r > 0.0):
             raise ValueError("link radii must be positive")
+        if not self.palm_setback > 0.0:
+            # At or past the TCP the palm capsule reaches into the held
+            # handle, and every grasp collides.
+            raise ValueError("palm_setback must be positive")
         object.__setattr__(self, "radii", r)
 
 

@@ -10,8 +10,8 @@ pose, a fixed set of handover poses, and the goal pose.  Edges are
     tool, then the first arm withdraws to home.
 
 Node feasibility is solved up front: before the search starts,
-solve_stations runs IK for every station the plan may visit, all of
-one arm's stations in one grouped batch (a sweep does this once for
+solve_stations runs IK for every station the plan may visit, the
+stations of both arms in one grouped batch (a sweep does this once for
 all of its cells).  Uniform-cost search then orders paths by (edge
 count, summed joint distance).  Edge feasibility is expensive, so
 edges are validated lazily when their entry is popped; costs never
@@ -194,7 +194,7 @@ class PlanCache:
     sample_grasps result, so a sweep samples each arm's grasps once.
     node_feasible maps (station key, arm) to the collision-free grasp
     configs there; solve_stations fills it up front, one grouped IK
-    call per arm, and the search only reads it.  edge_verdict fills
+    call for both arms, and the search only reads it.  edge_verdict fills
     lazily as edges are validated.  Keys are content-addressed (station
     name and pose bytes), so a cache shared across a parameter sweep of
     one scene is safe: identical queries recur whenever rows share a
@@ -244,13 +244,15 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
     """Fill cache.node_feasible for every station a plan may visit.
 
     Collects the (station, arm) pairs of all problems that the cache
-    lacks and solves each arm's pairs in one grouped ik_batch call, one
-    group per pair, so every pair gets exactly the configs a call of
-    its own would give.  Solved grasps then pass the static clearance
-    check at their station.  In constrained mode stations that break
-    the bend limit are skipped, and so are all stations of a problem
-    whose start breaks it, since its search never leaves the start.
-    Problems sharing a cache must share a scene; see PlanCache.
+    lacks and solves them in one grouped ik_batch call per kinematic
+    chain (ArmModel.chain_key; the two arms of a DualArm of UR3s share
+    one), one group per pair on that pair's arm, so every pair gets
+    exactly the configs a call of its own would give.  Solved grasps
+    then pass the static clearance check at their station.  In
+    constrained mode stations that break the bend limit are skipped,
+    and so are all stations of a problem whose start breaks it, since
+    its search never leaves the start.  Problems sharing a cache must
+    share a scene; see PlanCache.
     """
     jobs: dict[tuple, list] = {}
     seen = set(cache.node_feasible)
@@ -267,24 +269,22 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
                 if (key, side) in seen:
                     continue
                 seen.add((key, side))
-                # One call per arm model: problems that differ in their
-                # robot must not share an IK call.
-                arm = id(problem.robot.arm(side))
-                jobs.setdefault((side, arm), []).append((key, problem, pose))
-    for (side, _), group in jobs.items():
+                chain = problem.robot.arm(side).chain_key
+                jobs.setdefault(chain, []).append((key, side, problem, pose))
+    for group in jobs.values():
         grasps = [cache.grasp_set(problem.tool, side, options)
-                  for _, problem, _ in group]
+                  for _, side, problem, _ in group]
         targets = [compose(pose, g.pose_tool)
-                   for (_, _, pose), gs in zip(group, grasps) for g in gs]
+                   for (*_, pose), gs in zip(group, grasps) for g in gs]
         sizes = [len(gs) for gs in grasps]
-        seeds = np.repeat([problem.home(side) for _, problem, _ in group],
+        seeds = np.repeat([problem.home(side) for _, side, problem, _ in group],
                           sizes, axis=0)
-        sols, ok = ik_batch(group[0][1].robot.arm(side),
-                            np.stack([t.r for t in targets]),
+        arms = [problem.robot.arm(side) for _, side, problem, _ in group]
+        sols, ok = ik_batch(arms, np.stack([t.r for t in targets]),
                             np.stack([t.t for t in targets]),
                             seeds, options.ik, sizes)
         lo = 0
-        for (key, problem, pose), n in zip(group, sizes):
+        for (key, side, problem, pose), n in zip(group, sizes):
             cache.node_feasible[(key, side)] = _clear_grasps(
                 problem, side, pose, sols[lo:lo + n], ok[lo:lo + n])
             lo += n

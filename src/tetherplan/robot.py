@@ -8,6 +8,9 @@ ik_batch runs damped least squares (_dls) in two stacked passes: the
 seeds of all targets, then every random restart of the targets still
 unsolved at once, keeping each target's first restart that converges.
 That is exactly what running the restarts one after another returns.
+One call may serve several arms that share a chain (the same axes,
+offsets, TCP and limits) at different bases, so both arms of a DualArm
+iterate in one loop; each row carries its own arm's base through FK.
 Before either pass, _beyond_reach drops the targets that two UR
 existence tests (wrist reach, elbow plane) prove unreachable within
 the acceptance tolerances.
@@ -70,6 +73,14 @@ class ArmModel:
         object.__setattr__(self, "khat", khat)
         object.__setattr__(self, "khat2", np.stack([k @ k for k in khat]))
 
+    @property
+    def chain_key(self) -> tuple[bytes, ...]:
+        """Hashable key of everything but the base: arms with equal keys
+        run the same FK arithmetic from their own bases."""
+        return tuple((np.asarray(a) + 0.0).tobytes() for a in
+                     (self.axes, self.offsets, self.lower, self.upper,
+                      self.tcp.r, self.tcp.t))
+
 
 @dataclass(frozen=True)
 class DualArm:
@@ -121,20 +132,26 @@ def ur3_arm(base: Pose = Pose.identity()) -> ArmModel:
 
 
 def fk_chain_batch(arm: ArmModel, qs: np.ndarray,
+                   base: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward kinematics of a (W, 6) block of configurations.
 
     The one chain loop; every FK, Jacobian and IK call runs through it.
     Returns (rot (W,3,3), tcp (W,3), origins (W,8,3), axes (W,6,3)):
     the TCP pose, the chain origin points (base origin, the six joint
-    origins, the TCP point) and the world-frame joint axes.
+    origins, the TCP point) and the world-frame joint axes.  base, when
+    given, is one base pose per row (rot (W,3,3), t (W,3)) in place of
+    arm.base; a row's arithmetic is the same either way.
     """
     qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS)
     w = qs.shape[0]
     origins = np.empty((w, N_JOINTS + 2, 3))
     axes = np.empty((w, N_JOINTS, 3))
-    r = np.broadcast_to(arm.base.r, (w, 3, 3)).copy()
-    t = np.broadcast_to(arm.base.t, (w, 3)).copy()
+    if base is None:
+        r = np.broadcast_to(arm.base.r, (w, 3, 3)).copy()
+        t = np.broadcast_to(arm.base.t, (w, 3)).copy()
+    else:
+        r, t = base
     origins[:, 0] = t
     for i in range(N_JOINTS):
         t = t + r @ arm.offsets[i]
@@ -306,8 +323,9 @@ def ik(arm: ArmModel, target: Pose, seed_config: np.ndarray,
     return q[0] if solved[0] else None
 
 
-def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
-             seed_config: np.ndarray, opts: IKOptions = IKOptions(),
+def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
+             target_t: np.ndarray, seed_config: np.ndarray,
+             opts: IKOptions = IKOptions(),
              groups: Sequence[int] | None = None,
              ) -> tuple[np.ndarray, np.ndarray]:
     """Damped-least-squares IK over a batch of B targets at once.
@@ -316,27 +334,31 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     or one row per target); the remaining opts.restarts - 1 attempts of
     unsolved targets start from uniform in-limit samples.  groups
     splits the B targets into consecutive groups of the given sizes
-    (default: one group of all B).  Each group draws its restart
-    samples from its own np.random.default_rng(opts.seed), (group
-    size, 6) per restart, so a target's result depends only on its own
-    group: a grouped call returns exactly what one call per group
-    would.  Returns (q (B, 6), solved (B,)); rows with solved False are
-    zeros.  A target's result is the first attempt that converges.
+    (default: one group of all B).  arm is one arm for every group or a
+    sequence of one arm per group; the arms of one call must share a
+    chain (ArmModel.chain_key, everything but the base), or ValueError is
+    raised.  Each group draws its restart samples from its own
+    np.random.default_rng(opts.seed), (group size, 6) per restart, so a
+    target's result depends only on its own group and arm: a grouped
+    call returns exactly what one call per group would.  Returns
+    (q (B, 6), solved (B,)); rows with solved False are zeros.  A
+    target's result is the first attempt that converges.
 
     The attempts run in two passes of _dls: the seeds, then every
     restart of every target the seeds leave unsolved, stacked into one
     batch.  This returns what running the restarts one after another
-    would: a row's iterates depend only on its start and its target,
-    and the restart starts are the same draws in the same order, drawn
-    whether or not an earlier attempt succeeds.  So the first restart
-    that converges in the stacked pass is the one a sequential loop
-    would have stopped at.  A call makes at most 2 * (max_iters + 1)
-    fk_chain_batch calls.
+    would: a row's iterates depend only on its start, its target and
+    its arm's base, and the restart starts are the same draws in the
+    same order, drawn whether or not an earlier attempt succeeds.  So
+    the first restart that converges in the stacked pass is the one a
+    sequential loop would have stopped at.  A call makes at most
+    2 * (max_iters + 1) fk_chain_batch calls, however many arms it
+    serves.
 
-    Targets that _beyond_reach proves unreachable have no solution at
-    any configuration.  They are never iterated and return unsolved;
-    their rows still use up their group's restart draws, so every
-    other target sees the samples it would see without them.
+    Targets that _beyond_reach proves unreachable for their arm have no
+    solution at any configuration.  They are never iterated and return
+    unsolved; their rows still use up their group's restart draws, so
+    every other target sees the samples it would see without them.
     """
     target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
     target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
@@ -344,34 +366,54 @@ def ik_batch(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     sizes = [b] if groups is None else [int(g) for g in groups]
     if sum(sizes) != b or min(sizes, default=0) < 0:
         raise ValueError(f"group sizes {sizes} do not split {b} targets")
-    seeds = np.broadcast_to(np.asarray(seed_config, dtype=float), (b, N_JOINTS))
+    arms = [arm] * len(sizes) if isinstance(arm, ArmModel) else list(arm)
+    if len(arms) != len(sizes):
+        raise ValueError(f"{len(arms)} arms for {len(sizes)} groups")
+    if len({a.chain_key for a in arms}) > 1:
+        raise ValueError("the arms of one ik_batch call must share a chain; "
+                         "only their bases may differ")
     solution = np.zeros((b, N_JOINTS))
     solved = np.zeros(b, dtype=bool)
-    rows = np.nonzero(~_beyond_reach(arm, target_r, target_t, opts))[0]
-    starts = np.clip(seeds[rows], arm.lower, arm.upper)[None]
-    q, ok = _dls(arm, starts, target_r[rows], target_t[rows], opts)
+    if b == 0:
+        return solution, solved
+    chain = arms[0]
+    owner = np.repeat(np.arange(len(arms)), sizes)
+    beyond = np.zeros(b, dtype=bool)
+    for a in {id(a): a for a in arms}.values():
+        mine = np.isin(owner, [i for i, x in enumerate(arms) if x is a])
+        beyond[mine] = _beyond_reach(a, target_r[mine], target_t[mine], opts)
+    base_r = np.stack([a.base.r for a in arms])[owner]
+    base_t = np.stack([a.base.t for a in arms])[owner]
+    seeds = np.broadcast_to(np.asarray(seed_config, dtype=float), (b, N_JOINTS))
+    rows = np.nonzero(~beyond)[0]
+    starts = np.clip(seeds[rows], chain.lower, chain.upper)[None]
+    q, ok = _dls(chain, starts, base_r[rows], base_t[rows], target_r[rows],
+                 target_t[rows], opts)
     solution[rows[ok]] = q[ok]
     solved[rows[ok]] = True
     rows = rows[~ok]
     if opts.restarts > 1 and rows.size:
         rngs = [np.random.default_rng(opts.seed) for _ in sizes]
         starts = np.stack([
-            np.concatenate([rng.uniform(arm.lower, arm.upper, (g, N_JOINTS))
+            np.concatenate([rng.uniform(chain.lower, chain.upper, (g, N_JOINTS))
                             for rng, g in zip(rngs, sizes)])
             for _ in range(opts.restarts - 1)])
-        q, ok = _dls(arm, starts[:, rows], target_r[rows], target_t[rows], opts)
+        q, ok = _dls(chain, starts[:, rows], base_r[rows], base_t[rows],
+                     target_r[rows], target_t[rows], opts)
         solution[rows[ok]] = q[ok]
         solved[rows[ok]] = True
     return solution, solved
 
 
-def _dls(arm: ArmModel, q0: np.ndarray, target_r: np.ndarray,
-         target_t: np.ndarray, opts: IKOptions) -> tuple[np.ndarray, np.ndarray]:
+def _dls(arm: ArmModel, q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
+         target_r: np.ndarray, target_t: np.ndarray,
+         opts: IKOptions) -> tuple[np.ndarray, np.ndarray]:
     """Damped least squares from K starts (K, U, 6) of U targets at once.
 
-    Start k of target j is attempt k of that target.  A row stops when
-    it meets the tolerances, after opts.max_iters steps, or as soon as
-    an earlier attempt of its target has met them.  Returns (q (U, 6),
+    Start k of target j is attempt k of that target, on arm's chain at
+    the target's base (base_r[j], base_t[j]).  A row stops when it
+    meets the tolerances, after opts.max_iters steps, or as soon as an
+    earlier attempt of its target has met them.  Returns (q (U, 6),
     solved (U,)): each solved target's configuration from its first
     attempt that converged; unsolved rows are zeros.
     """
@@ -387,9 +429,11 @@ def _dls(arm: ArmModel, q0: np.ndarray, target_r: np.ndarray,
         if idx.size == 0:
             break
         qa = q[idx]
-        cur_r, cur_t, origins, axes = fk_chain_batch(arm, qa)
-        e_pos = target_t[target[idx]] - cur_t
-        e_rot = rot_to_rotvec(target_r[target[idx]] @ cur_r.transpose(0, 2, 1))
+        tj = target[idx]
+        cur_r, cur_t, origins, axes = fk_chain_batch(arm, qa,
+                                                     (base_r[tj], base_t[tj]))
+        e_pos = target_t[tj] - cur_t
+        e_rot = rot_to_rotvec(target_r[tj] @ cur_r.transpose(0, 2, 1))
         done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
                 & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
         if np.any(done):

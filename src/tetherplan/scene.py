@@ -198,7 +198,7 @@ class Scene:
 # the least value means the value must be positive, and -inf leaves any
 # range check to the spec that takes the value.  A key the file omits
 # takes the field's default.
-_STANDOFF_KEY = {"palm_standoff_m": ("palm_setback", _number, -math.inf)}
+_STANDOFF_KEY = {"palm_standoff_m": ("palm_setback", _number, None)}
 _CABLE_RADIUS_KEY = {"cable_radius_m": ("cable_radius", _number, -math.inf)}
 _PLANNER_KEYS = {
     "axial_samples": ("axial_samples", _integer, 1),

@@ -16,16 +16,20 @@ from tetherplan.bench import (
     SweepReport,
     cells_csv,
     classify,
+    _GRIP_TOL,
     recheck_plan,
     render_grid,
     sweep,
 )
 from tetherplan.cable import BendConstraint
 from tetherplan.collision import arm_link_segments
+from tetherplan.plan_io import read_plan_csv
 from tetherplan.planner import MotionPlan, PlannerStats, PlanResult, plan
 from tetherplan.scene import default_scene
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "default_sweep.csv"
+# Stored plans of the default sweep, named r<row>c<col>_<mode>.csv.
+AUDIT_PLANS = Path(__file__).parents[1] / "perfbench" / "audit_plans"
 # Columns of cells_csv compared exactly; every other column is a float
 # compared to 1e-9 relative.
 EXACT_COLUMNS = ("row", "col", "mode", "outcome", "symbol",
@@ -35,7 +39,8 @@ EXACT_COLUMNS = ("row", "col", "mode", "outcome", "symbol",
 
 def fake_recheck(**kw):
     base = dict(theta_max=0.5, bend_waypoint=None, cable_waypoint=None,
-                collision_waypoint=None, min_clearance=0.02)
+                collision_waypoint=None, grip_waypoint=None,
+                min_clearance=0.02)
     base.update(kw)
     return Recheck(**base)
 
@@ -86,6 +91,12 @@ class TestClassify:
         with pytest.raises(RuntimeError, match="environment collision"):
             classify(fake_result(), fake_recheck(collision_waypoint=1))
 
+    def test_lost_grip_is_a_hard_error(self):
+        rc = fake_recheck(grip_waypoint=4)
+        assert not rc.clean
+        with pytest.raises(RuntimeError, match="away from its gripper"):
+            classify(fake_result(), rc)
+
 
 @pytest.fixture(scope="module")
 def solved():
@@ -105,6 +116,20 @@ class TestRecheckPlan:
         # minimum clearance can only be tighter than the planner's
         # cable-free record.
         assert 0.0 < rc.min_clearance <= float(motion.clearance.min()) + 1e-12
+
+    @pytest.mark.parametrize("shift, flagged", [(0.5 * _GRIP_TOL, False),
+                                                 (2.0 * _GRIP_TOL, True)])
+    def test_tool_leaving_the_grip_mid_hold_is_flagged(self, solved, shift,
+                                                        flagged):
+        problem, motion = solved
+        held = np.nonzero([bool(h) for h in motion.holding])[0]
+        k = int(held[len(held) // 2])
+        assert motion.holding[k - 1] == motion.holding[k]  # inside one hold
+        tool_t = motion.tool_t.copy()
+        tool_t[k:] += [0.0, shift, 0.0]
+        rc = recheck_plan(replace(motion, tool_t=tool_t), problem)
+        assert rc.grip_waypoint == (k if flagged else None)
+        assert rc.clean is not flagged
 
     def test_tight_limit_flags_first_bend_waypoint(self, solved):
         problem, motion = solved
@@ -182,6 +207,39 @@ def benign_scene():
 @pytest.fixture(scope="module")
 def report(benign_scene):
     return sweep(benign_scene)
+
+
+def _audit_plans():
+    """(name, default-scene problem, stored plan) of each audit plan."""
+    scene = default_scene()
+    for path in sorted(AUDIT_PLANS.glob("r*c*_*.csv")):
+        row, col = (int(v) for v in path.stem[1:].split("_")[0].split("c"))
+        problem = scene.problem(scene.pitch_rows[row], scene.roll_cols[col])
+        yield path.name, problem, read_plan_csv(path)
+
+
+class TestGrip:
+    def test_stored_plans_keep_their_grip(self):
+        names = []
+        for name, problem, motion in _audit_plans():
+            assert recheck_plan(motion, problem).grip_waypoint is None, name
+            names.append(name)
+        assert len(names) == 30
+
+    def test_raised_tool_is_flagged(self):
+        # Raising the tool 0.10 m on every held waypoint keeps the bend
+        # and clearance checks clean; only the grip check sees it.
+        _, problem, motion = next(a for a in _audit_plans()
+                                  if a[0] == "r0c0_constrained.csv")
+        held = np.array([bool(h) for h in motion.holding])
+        assert held.sum() == 141
+        tool_t = motion.tool_t.copy()
+        tool_t[held] += [0.0, 0.0, 0.10]
+        rc = recheck_plan(replace(motion, tool_t=tool_t), problem)
+        assert rc.bend_waypoint is None and rc.collision_waypoint is None
+        assert rc.grip_waypoint is not None and held[rc.grip_waypoint]
+        with pytest.raises(RuntimeError, match="away from its gripper"):
+            classify(PlanResult(motion, None, PlannerStats()), rc)
 
 
 class TestSweep:
@@ -289,14 +347,19 @@ class TestSweep:
         assert cells_csv(empty).strip() == CSV_HEADER
 
 
-def test_default_sweep_matches_golden_csv():
+@pytest.fixture(scope="module")
+def default_report():
+    return sweep(default_scene())
+
+
+def test_default_sweep_matches_golden_csv(default_report):
     """The default scene's sweep against the committed cells_csv.
 
     Pins every cell's outcome, symbol, counts, peak torques and proven
     minimum clearance, so a change that moves any of them, a clearance
     that errs toward clear included, shows here.
     """
-    got = list(csv.DictReader(io.StringIO(cells_csv(sweep(default_scene())))))
+    got = list(csv.DictReader(io.StringIO(cells_csv(default_report))))
     want = list(csv.DictReader(io.StringIO(GOLDEN_SWEEP.read_text())))
     assert [r.keys() for r in got] == [r.keys() for r in want]
     assert len(got) == 80
@@ -307,3 +370,9 @@ def test_default_sweep_matches_golden_csv():
             else:
                 assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9), (
                     w["row"], w["col"], w["mode"], key)
+
+
+def test_default_sweep_plans_keep_their_grip(default_report):
+    rechecks = [c.recheck for c in default_report.cells if c.recheck]
+    assert len(rechecks) == 75
+    assert all(rc.grip_waypoint is None for rc in rechecks)

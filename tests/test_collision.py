@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,11 @@ class TestWorld:
                 tool_hits += sum("tool" in p and c < 0.0
                                  for p, c in zip(names, pair_clear))
         assert tool_hits > 0
+
+    @pytest.mark.parametrize("setback", [-0.2, 0.0, math.nan])
+    def test_palm_setback_must_be_positive(self, setback):
+        with pytest.raises(ValueError, match="palm_setback"):
+            ArmLinkSpec(radii=[0.04] * 6, palm_setback=setback)
 
     def test_link_segments_shape(self):
         robot = make_robot()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from helpers import QUICK, make_problem, make_tool
 
-from tetherplan import planner
+from tetherplan import planner, robot
 from tetherplan.cable import BendConstraint, ToolSpec
 from tetherplan.geometry import Pose, rot_x
 from tetherplan.planner import (
@@ -22,6 +22,7 @@ from tetherplan.planner import (
     solve_stations,
 )
 from tetherplan.robot import fk
+from tetherplan.scene import default_scene
 
 
 class TestSampleGrasps:
@@ -313,6 +314,47 @@ class TestStationSolve:
             assert np.array_equal(getattr(warm, name), getattr(cold, name))
         assert warm.holding == cold.holding
         assert warm.edge_kinds == cold.edge_kinds
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_station_configs_do_not_depend_on_the_batch(self, constrained):
+        p = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        q = make_problem([0.25, 0.3, 0.4], [0.3, 0.1, 0.45],
+                         hover_t=(0.3, 0.05, 0.5))
+        alone, shared = PlanCache(), PlanCache()
+        solve_stations([p], QUICK, alone, constrained)
+        solve_stations([q, p], QUICK, shared, constrained)
+        assert len(shared.node_feasible) > len(alone.node_feasible) == 6
+        for key, configs in alone.node_feasible.items():
+            assert configs.keys() == shared.node_feasible[key].keys()
+            for gid, config in configs.items():
+                assert np.array_equal(config, shared.node_feasible[key][gid])
+        assert any(alone.node_feasible.values())
+
+    def test_default_sweep_stations_take_one_ik_loop(self, monkeypatch):
+        # Both arms of every cell share one ik_batch call, so its two
+        # passes bound the FK calls of the whole up-front solve.
+        scene = default_scene()
+        fk_calls, fk_calls_per_ik = [], []
+        ik, chain = planner.ik_batch, robot.fk_chain_batch
+
+        def counted_ik(*args, **kwargs):
+            before = len(fk_calls)
+            result = ik(*args, **kwargs)
+            fk_calls_per_ik.append(len(fk_calls) - before)
+            return result
+
+        def counted_fk(*args, **kwargs):
+            fk_calls.append(1)
+            return chain(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "ik_batch", counted_ik)
+        monkeypatch.setattr(robot, "fk_chain_batch", counted_fk)
+        cache = PlanCache()
+        solve_stations([scene.problem(p, r) for p in scene.pitch_rows
+                        for r in scene.roll_cols], scene.options, cache)
+        assert len(fk_calls_per_ik) == 1
+        assert 0 < fk_calls_per_ik[0] <= 2 * (scene.options.ik.max_iters + 1)
+        assert len(cache.node_feasible) == 28
 
     def test_bent_start_fails_without_ik(self, monkeypatch):
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])

@@ -435,9 +435,9 @@ def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
     rows = []
     chain = rb.fk_chain_batch
 
-    def counted(arm, qs):
+    def counted(arm, qs, base=None):
         rows.append(np.asarray(qs).reshape(-1, 6).shape[0])
-        return chain(arm, qs)
+        return chain(arm, qs, base)
 
     monkeypatch.setattr(rb, "fk_chain_batch", counted)
     q1, ok1 = rb.ik_batch(arm, pose.r, pose.t, q0 + 0.1)
@@ -538,15 +538,76 @@ def test_ik_batch_makes_at_most_two_passes_of_fk_calls(arm, monkeypatch):
     calls = []
     chain = rb.fk_chain_batch
 
-    def counted(arm, qs):
+    def counted(arm, qs, base=None):
         calls.append(len(qs))
-        return chain(arm, qs)
+        return chain(arm, qs, base)
 
     monkeypatch.setattr(rb, "fk_chain_batch", counted)
     _, ok = rb.ik_batch(arm, rots, ts, np.zeros(6), opts)
     # A target left unsolved has run all 8 attempts.
     assert not ok.all()
     assert len(calls) <= 2 * (opts.max_iters + 1)
+
+
+def _arm_share(rng, arm, n_groups):
+    """Targets, seeds and group sizes of one arm's share of a call:
+    FK of random configs, a fifth pushed 2 m out of reach, seeded far
+    from their solutions so that restarts solve many of them."""
+    sizes = rng.integers(1, 5, size=n_groups).tolist()
+    b = sum(sizes)
+    rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (b, 6)))
+    ts[rng.random(b) < 0.2] += [2.0, 0.0, 0.0]
+    seeds = rng.uniform(-math.pi, math.pi, (b, 6))
+    return rots, ts, seeds, sizes
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_two_arm_ik_batch_equals_one_call_per_arm(case):
+    # Two UR3s at random bases in one call, their groups interleaved;
+    # odd cases give each arm a single group (the ungrouped call).
+    rng = np.random.default_rng(700 + case)
+    arms = [_random_base_ur3(rng), _random_base_ur3(rng)]
+    n_groups = 1 if case % 2 else 3
+    shares = [_arm_share(rng, arm, n_groups) for arm in arms]
+    opts = rb.IKOptions(max_iters=25, restarts=1 + case % 4 * 2,
+                        seed=int(rng.integers(1000)))
+    # (arm, that arm's rows) of each group of the call, in call order.
+    bounds = [np.cumsum([0] + share[3]) for share in shares]
+    parts = [(a, np.arange(bounds[a][g], bounds[a][g + 1]))
+             for g in range(n_groups) for a in (0, 1)]
+
+    def stacked(k):
+        return np.concatenate([shares[a][k][rows] for a, rows in parts])
+
+    q, ok = rb.ik_batch([arms[a] for a, _ in parts], stacked(0), stacked(1),
+                        stacked(2), opts, [len(rows) for _, rows in parts])
+    owner = np.concatenate([[a] * len(rows) for a, rows in parts])
+    for a, (arm, (rots, ts, seeds, sizes)) in enumerate(zip(arms, shares)):
+        mine = owner == a
+        groups = None if n_groups == 1 else sizes
+        q_own, ok_own = rb.ik_batch(arm, rots, ts, seeds, opts, groups)
+        assert np.array_equal(q[mine], q_own)
+        assert np.array_equal(ok[mine], ok_own)
+        q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts, groups)
+        assert np.array_equal(q_own, q_ref)
+        assert np.array_equal(ok_own, ok_ref)
+    assert ok.any() and not ok.all()
+
+
+def test_ik_batch_arms_must_share_a_chain(arm):
+    rots, ts, _ = rb.fk_batch(arm, np.zeros((2, 6)))
+    moved = rb.ur3_arm(Pose(np.eye(3), [0.3, -0.2, 0.1]))
+    rb.ik_batch([arm, moved], rots, ts, np.zeros(6), rb.IKOptions(), [1, 1])
+    offsets = arm.offsets.copy()
+    offsets[2, 0] -= 0.01
+    for other in (replace(moved, offsets=offsets),
+                  replace(moved, tcp=Pose(np.eye(3), [0.0, 0.0, 0.1])),
+                  replace(moved, lower=moved.lower / 2)):
+        with pytest.raises(ValueError, match="share a chain"):
+            rb.ik_batch([arm, other], rots, ts, np.zeros(6), rb.IKOptions(),
+                        [1, 1])
+    with pytest.raises(ValueError, match="3 arms for 2 groups"):
+        rb.ik_batch([arm] * 3, rots, ts, np.zeros(6), rb.IKOptions(), [1, 1])
 
 
 def _wrist_targets(arm, rng, rad, height, z6):

@@ -234,6 +234,14 @@ class TestValidationErrors:
         sc = parse_scene(mutated(planner__grasp_inset_m=widest))
         assert sample_grasps(sc.base.tool, "left", inset=sc.options.grasp_inset)
 
+    @pytest.mark.parametrize("bad", [-0.2, 0.0])
+    def test_palm_standoff_must_be_positive(self, bad):
+        with pytest.raises(ValidationError,
+                           match=r"robot\.palm_standoff_m: must be positive"):
+            parse_scene(mutated(robot__palm_standoff_m=bad))
+        sc = parse_scene(mutated(robot__palm_standoff_m=1e-6))
+        assert sc.base.world.link_specs["left"].palm_setback == 1e-6
+
     def test_cable_is_a_known_exclusion_name(self):
         doc = yaml.safe_load(default_text())
         doc["collision_exclude"].append(["cable", "tool/head"])
