@@ -139,9 +139,10 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem) -> int | None:
     """First held waypoint where the tool has left its holder's grip.
 
     A hold is a run of consecutive waypoints on which one arm holds the
-    tool with one grasp.  Along it the tool's pose relative to that
-    arm's TCP (FK of its joints) must stay where the run's first
-    waypoint put it, to within _GRIP_TOL at every shape endpoint.
+    tool.  Along it the grasp id must not change, and the tool's pose
+    relative to that arm's TCP (FK of its joints) must stay where the
+    run's first waypoint put it, to within _GRIP_TOL at every shape
+    endpoint.
     """
     segs, _, _ = problem.tool.shape_segments()
     points = segs.reshape(-1, 3)
@@ -152,7 +153,9 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem) -> int | None:
         held = np.nonzero(gid >= 0)[0]
         if held.size == 0:
             continue
-        begins = np.r_[True, (np.diff(held) > 1) | (np.diff(gid[held]) != 0)]
+        step = np.diff(held) == 1
+        begins = np.r_[True, ~step]
+        regrasp = np.r_[False, step & (np.diff(gid[held]) != 0)]
         run_start = np.maximum.accumulate(
             np.where(begins, np.arange(held.size), 0))
         tcp_r, tcp_t, _ = fk_batch(problem.robot.arm(side), qs[held])
@@ -160,7 +163,7 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem) -> int | None:
         rel_t = np.einsum("wji,wj->wi", tcp_r, motion.tool_t[held] - tcp_t)
         local = np.einsum("wij,pj->wpi", rel_r, points) + rel_t[:, None, :]
         drift = np.linalg.norm(local - local[run_start], axis=2).max(axis=1)
-        bad = held[drift > _GRIP_TOL]
+        bad = held[(drift > _GRIP_TOL) | regrasp]
         if bad.size and (first is None or bad[0] < first):
             first = int(bad[0])
     return first

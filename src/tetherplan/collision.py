@@ -231,7 +231,7 @@ def link_names(side: str) -> list[str]:
 
 
 class CollisionWorld:
-    """Immutable static scene plus per-arm link geometry.
+    """Immutable static scene plus the link geometry both arms share.
 
     Attachments (held or hanging objects) are per-query parameters, not
     world state; with_static returns a copy with one more obstacle, for
@@ -239,13 +239,13 @@ class CollisionWorld:
     """
 
     def __init__(self, statics: Mapping[str, Shape],
-                 link_specs: Mapping[str, ArmLinkSpec],
+                 link_spec: ArmLinkSpec,
                  excluded_pairs: Iterable[tuple[str, str]] = ()):
         names = list(statics)
         if len(set(names)) != len(names):
             raise ValueError("static shape names must be unique")
         self.statics: dict[str, Shape] = dict(statics)
-        self.link_specs = {"left": link_specs["left"], "right": link_specs["right"]}
+        self.link_spec = link_spec
         self.excluded = frozenset(frozenset(p) for p in excluded_pairs)
 
     def with_static(self, name: str, shape: Shape,
@@ -257,7 +257,7 @@ class CollisionWorld:
         statics[name] = shape
         pairs = [tuple(p) for p in self.excluded]
         pairs.extend((name, other) for other in exclude_against)
-        return CollisionWorld(statics, self.link_specs, pairs)
+        return CollisionWorld(statics, self.link_spec, pairs)
 
 
 def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:
@@ -295,8 +295,7 @@ def _build_pair_table(world: CollisionWorld,
     """The pair table, memoized on everything it reads."""
     statics = tuple((n, None if isinstance(s, Box) else _as_segment(s)[2])
                     for n, s in world.statics.items())
-    links = tuple(tuple(world.link_specs[side].radii.tolist())
-                  for side in ("left", "right"))
+    links = tuple(world.link_spec.radii.tolist())
     attached = tuple(zip(attached_names, map(float, attached_radii)))
     return _pair_table(statics, world.excluded, links, attached)
 
@@ -304,14 +303,14 @@ def _build_pair_table(world: CollisionWorld,
 @functools.lru_cache(maxsize=64)
 def _pair_table(statics: tuple[tuple[str, float | None], ...],
                 excluded_pairs: frozenset,
-                link_radii: tuple[tuple[float, ...], ...],
+                link_radii: tuple[float, ...],
                 attached: tuple[tuple[str, float], ...]) -> _PairTable:
     names: list[str] = []
     radii: list[float] = []
     group: list[str] = []        # "left", "right", "static", "attached"
-    for side, side_radii in zip(("left", "right"), link_radii):
+    for side in ("left", "right"):
         names += link_names(side)
-        radii += side_radii
+        radii += link_radii
         group += [side] * _LINK_COUNT
     for n, r in statics:
         if r is not None:
@@ -386,8 +385,8 @@ def _query(world: CollisionWorld, robot: DualArm,
     q_right = np.asarray(q_right, dtype=float).reshape(-1, 6)
     w = q_left.shape[0]
     parts = [
-        _arm_segments(robot.left, world.link_specs["left"], q_left),
-        _arm_segments(robot.right, world.link_specs["right"], q_right),
+        _arm_segments(robot.left, world.link_spec, q_left),
+        _arm_segments(robot.right, world.link_spec, q_right),
     ]
     stat, _ = capsule_segments(s for s in world.statics.values()
                                if not isinstance(s, Box))

@@ -36,13 +36,16 @@ def format_holding(holding: tuple) -> str:
 
 
 def parse_holding(text: str) -> tuple:
+    """Inverse of format_holding; each arm may appear once."""
     if not text:
         return ()
     out = []
     for part in text.split("+"):
         side, _, gid = part.partition(":")
-        if side not in ("left", "right") or not gid.isdigit():
+        if side not in ("left", "right") or not (gid.isascii() and gid.isdigit()):
             raise ValueError(f"malformed holding entry {part!r}")
+        if side in dict(out):
+            raise ValueError(f"holding {text!r} names arm {side!r} twice")
         out.append((side, int(gid)))
     return tuple(out)
 
@@ -75,6 +78,7 @@ def write_plan_csv(path, motion: MotionPlan) -> None:
 def parse_plan_csv(text: str) -> MotionPlan:
     meta = {}
     rows = []
+    holding = []
     header_seen = False
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -93,6 +97,13 @@ def parse_plan_csv(text: str) -> MotionPlan:
         if len(fields) != len(PLAN_HEADER):
             raise ValueError(f"line {ln}: expected {len(PLAN_HEADER)} "
                              f"fields, got {len(fields)}")
+        if fields[0] != str(len(rows)):
+            raise ValueError(f"line {ln}: waypoint {fields[0]!r}, "
+                             f"expected {len(rows)}")
+        try:
+            holding.append(parse_holding(fields[20]))
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}") from e
         rows.append((ln, fields))
     if not header_seen or not rows:
         raise ValueError("plan CSV has no waypoint rows")
@@ -120,7 +131,7 @@ def parse_plan_csv(text: str) -> MotionPlan:
     return MotionPlan(
         mode=meta["mode"], q_left=q_left, q_right=q_right,
         tool_rot=tool_rot, tool_t=tool_t,
-        holding=tuple(parse_holding(fields[20]) for _, fields in rows),
+        holding=tuple(holding),
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
         edge_kinds=kinds, n_edges=len(kinds),
         joint_distance=float(meta["joint_distance_rad"]))

@@ -244,17 +244,15 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
     """Fill cache.node_feasible for every station a plan may visit.
 
     Collects the (station, arm) pairs of all problems that the cache
-    lacks and solves them in one grouped ik_batch call per kinematic
-    chain (ArmModel.chain_key; the two arms of a DualArm of UR3s share
-    one), one group per pair on that pair's arm, so every pair gets
-    exactly the configs a call of its own would give.  Solved grasps
-    then pass the static clearance check at their station.  In
-    constrained mode stations that break the bend limit are skipped,
-    and so are all stations of a problem whose start breaks it, since
-    its search never leaves the start.  Problems sharing a cache must
-    share a scene; see PlanCache.
+    lacks and solves them in one grouped ik_batch call, one group per
+    pair on that pair's arm, so every pair gets exactly the configs a
+    call of its own would give.  Solved grasps then pass the static
+    clearance check at their station.  In constrained mode stations that
+    break the bend limit are skipped, and so are all stations of a
+    problem whose start breaks it, since its search never leaves the
+    start.  Problems sharing a cache must share a scene; see PlanCache.
     """
-    jobs: dict[tuple, list] = {}
+    jobs = []
     seen = set(cache.node_feasible)
     for problem in problems:
         poses, keys, thetas = _stations(problem)
@@ -269,25 +267,25 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
                 if (key, side) in seen:
                     continue
                 seen.add((key, side))
-                chain = problem.robot.arm(side).chain_key
-                jobs.setdefault(chain, []).append((key, side, problem, pose))
-    for group in jobs.values():
-        grasps = [cache.grasp_set(problem.tool, side, options)
-                  for _, side, problem, _ in group]
-        targets = [compose(pose, g.pose_tool)
-                   for (*_, pose), gs in zip(group, grasps) for g in gs]
-        sizes = [len(gs) for gs in grasps]
-        seeds = np.repeat([problem.home(side) for _, side, problem, _ in group],
-                          sizes, axis=0)
-        arms = [problem.robot.arm(side) for _, side, problem, _ in group]
-        sols, ok = ik_batch(arms, np.stack([t.r for t in targets]),
-                            np.stack([t.t for t in targets]),
-                            seeds, options.ik, sizes)
-        lo = 0
-        for (key, side, problem, pose), n in zip(group, sizes):
-            cache.node_feasible[(key, side)] = _clear_grasps(
-                problem, side, pose, sols[lo:lo + n], ok[lo:lo + n])
-            lo += n
+                jobs.append((key, side, problem, pose))
+    if not jobs:
+        return
+    grasps = [cache.grasp_set(problem.tool, side, options)
+              for _, side, problem, _ in jobs]
+    targets = [compose(pose, g.pose_tool)
+               for (*_, pose), gs in zip(jobs, grasps) for g in gs]
+    sizes = [len(gs) for gs in grasps]
+    seeds = np.repeat([problem.home(side) for _, side, problem, _ in jobs],
+                      sizes, axis=0)
+    arms = [problem.robot.arm(side) for _, side, problem, _ in jobs]
+    sols, ok = ik_batch(arms, np.stack([t.r for t in targets]),
+                        np.stack([t.t for t in targets]),
+                        seeds, options.ik, sizes)
+    lo = 0
+    for (key, side, problem, pose), n in zip(jobs, sizes):
+        cache.node_feasible[(key, side)] = _clear_grasps(
+            problem, side, pose, sols[lo:lo + n], ok[lo:lo + n])
+        lo += n
 
 
 def _clear_grasps(problem: PlanningProblem, side: str, pose: Pose,

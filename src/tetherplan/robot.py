@@ -1,33 +1,34 @@
 """Dual-arm kinematics: forward kinematics, Jacobian, numerical IK.
 
+Every arm is a UR3: its chain is a module constant, and an ArmModel is
+only the base pose it stands at.  The chain has six revolute joints.
+Joint i contributes Trans(offset_i) @ Rot(axis_i, q_i), with offset
+and axis expressed in the frame left by joint i-1; a fixed
+flange-to-TCP pose closes the chain.  Axes and offsets therefore equal
+their world values in the zero configuration, which is how the UR3
+chain below is written down.
+
 There is one chain kernel, fk_chain_batch, which evaluates the chain
-for a batch of configurations.  Every other call is built on it, and
-the scalar calls (fk, fk_frames, jacobian, ik) are batches of one.
+for a batch of configurations, each from its own base.  Every other
+call is built on it, and the scalar calls (fk, fk_frames, jacobian,
+ik) are batches of one.
 
 ik_batch runs damped least squares (_dls) in two stacked passes: the
 seeds of all targets, then every random restart of the targets still
 unsolved at once, keeping each target's first restart that converges.
 That is exactly what running the restarts one after another returns.
-One call may serve several arms that share a chain (the same axes,
-offsets, TCP and limits) at different bases, so both arms of a DualArm
+One call may serve arms at different bases, so both arms of a DualArm
 iterate in one loop; each row carries its own arm's base through FK.
 Before either pass, _beyond_reach drops the targets that two UR
 existence tests (wrist reach, elbow plane) prove unreachable within
 the acceptance tolerances.
-
-An arm is a serial chain of six revolute joints.  Joint i contributes
-Trans(offset_i) @ Rot(axis_i, q_i), with offset and axis expressed in
-the frame left by joint i-1; a fixed flange-to-TCP pose closes the
-chain.  Axes and offsets therefore equal their world values in the
-zero configuration, which is how the default UR3-sized chain below is
-written down.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,50 +37,14 @@ from tetherplan.geometry import Pose, rot_to_rotvec
 N_JOINTS = 6
 _IK_DAMPING = 0.05        # ik_batch's damped-least-squares damping
 _IK_STEP_CLAMP = 0.2      # ik_batch's joint step bound per iteration, rad
-_PARALLEL_TOL = 1e-12     # |a x b| (|a . b|) at or below which two chain vectors
-                          # are parallel (normal)
 _EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
 class ArmModel:
-    """Kinematic description of one 6-DOF arm."""
+    """One UR3 arm: the module's chain at its base pose."""
 
-    base: Pose
-    axes: np.ndarray      # (6, 3) unit joint axes, zero-config frame
-    offsets: np.ndarray   # (6, 3) origin offsets, m
-    lower: np.ndarray     # (6,) joint lower limits, rad
-    upper: np.ndarray     # (6,) joint upper limits, rad
-    tcp: Pose             # flange-to-TCP transform
-    # Per-joint skew matrices khat of the axes and khat @ khat, the
-    # constants of the Rodrigues rotation fk_chain_batch applies.
-    khat: np.ndarray = field(init=False, repr=False, compare=False)
-    khat2: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        axes = np.asarray(self.axes, dtype=float).reshape(N_JOINTS, 3)
-        axes = axes / np.linalg.norm(axes, axis=1, keepdims=True)
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "offsets",
-                           np.asarray(self.offsets, dtype=float).reshape(N_JOINTS, 3))
-        lower = np.asarray(self.lower, dtype=float).reshape(N_JOINTS)
-        upper = np.asarray(self.upper, dtype=float).reshape(N_JOINTS)
-        if np.any(lower >= upper):
-            raise ValueError("joint lower limits must be strictly below upper limits")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        khat = np.stack([np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-                         for kx, ky, kz in axes])
-        object.__setattr__(self, "khat", khat)
-        object.__setattr__(self, "khat2", np.stack([k @ k for k in khat]))
-
-    @property
-    def chain_key(self) -> tuple[bytes, ...]:
-        """Hashable key of everything but the base: arms with equal keys
-        run the same FK arithmetic from their own bases."""
-        return tuple((np.asarray(a) + 0.0).tobytes() for a in
-                     (self.axes, self.offsets, self.lower, self.upper,
-                      self.tcp.r, self.tcp.t))
+    base: Pose = Pose.identity()
 
 
 @dataclass(frozen=True)
@@ -100,7 +65,7 @@ class DualArm:
 
 
 # UR3 published link dimensions (standard DH d/a values), written as
-# zero-configuration offsets and axes for the chain convention above.
+# zero-configuration offsets and unit axes for the chain convention above.
 _UR3_OFFSETS = np.array([
     [0.0, 0.0, 0.0],
     [0.0, 0.0, 0.1519],
@@ -121,52 +86,46 @@ _UR3_TCP = Pose(
     np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
     np.array([0.0, -0.0819, 0.0]),
 )
-_UR3_LIMIT = 2.0 * math.pi
+_UR3_LIMIT = 2.0 * math.pi    # every joint's range is [-_UR3_LIMIT, _UR3_LIMIT]
+# Per-joint skew matrices khat of the axes and khat @ khat, the
+# constants of the Rodrigues rotation fk_chain_batch applies.
+_UR3_KHAT = np.stack([np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+                      for kx, ky, kz in _UR3_AXES])
+_UR3_KHAT2 = _UR3_KHAT @ _UR3_KHAT
 
 
-def ur3_arm(base: Pose = Pose.identity()) -> ArmModel:
-    """UR3-sized arm with symmetric +-2 pi joint ranges."""
-    lim = np.full(N_JOINTS, _UR3_LIMIT)
-    return ArmModel(base=base, axes=_UR3_AXES.copy(), offsets=_UR3_OFFSETS.copy(),
-                    lower=-lim, upper=lim, tcp=_UR3_TCP)
-
-
-def fk_chain_batch(arm: ArmModel, qs: np.ndarray,
-                   base: tuple[np.ndarray, np.ndarray] | None = None,
+def fk_chain_batch(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward kinematics of a (W, 6) block of configurations.
 
     The one chain loop; every FK, Jacobian and IK call runs through it.
-    Returns (rot (W,3,3), tcp (W,3), origins (W,8,3), axes (W,6,3)):
-    the TCP pose, the chain origin points (base origin, the six joint
-    origins, the TCP point) and the world-frame joint axes.  base, when
-    given, is one base pose per row (rot (W,3,3), t (W,3)) in place of
-    arm.base; a row's arithmetic is the same either way.
+    base_r (3, 3) or (W, 3, 3) and base_t (3,) or (W, 3) are one base
+    pose for all rows or one per row; a row's arithmetic is the same
+    either way.  Returns (rot (W,3,3), tcp (W,3), origins (W,8,3),
+    axes (W,6,3)): the TCP pose, the chain origin points (base origin,
+    the six joint origins, the TCP point) and the world-frame joint axes.
     """
     qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS)
     w = qs.shape[0]
     origins = np.empty((w, N_JOINTS + 2, 3))
     axes = np.empty((w, N_JOINTS, 3))
-    if base is None:
-        r = np.broadcast_to(arm.base.r, (w, 3, 3)).copy()
-        t = np.broadcast_to(arm.base.t, (w, 3)).copy()
-    else:
-        r, t = base
+    r = np.broadcast_to(base_r, (w, 3, 3)).copy()
+    t = np.broadcast_to(base_t, (w, 3)).copy()
     origins[:, 0] = t
     for i in range(N_JOINTS):
-        t = t + r @ arm.offsets[i]
+        t = t + r @ _UR3_OFFSETS[i]
         origins[:, i + 1] = t
-        axes[:, i] = r @ arm.axes[i]
-        r = r @ _axis_rot_batch(arm.khat[i], arm.khat2[i], qs[:, i])
-    tcp_t = t + r @ arm.tcp.t
-    tcp_r = r @ arm.tcp.r
+        axes[:, i] = r @ _UR3_AXES[i]
+        r = r @ _axis_rot_batch(_UR3_KHAT[i], _UR3_KHAT2[i], qs[:, i])
+    tcp_t = t + r @ _UR3_TCP.t
+    tcp_r = r @ _UR3_TCP.r
     origins[:, -1] = tcp_t
     return tcp_r, tcp_t, origins, axes
 
 
 def fk_batch(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rot (W,3,3), tcp (W,3), origins (W,8,3)) of fk_chain_batch."""
-    return fk_chain_batch(arm, qs)[:3]
+    return fk_chain_batch(arm.base.r, arm.base.t, qs)[:3]
 
 
 def fk_frames(arm: ArmModel, q: np.ndarray) -> tuple[Pose, np.ndarray]:
@@ -182,7 +141,7 @@ def fk(arm: ArmModel, q: np.ndarray) -> Pose:
 
 def jacobian_batch(arm: ArmModel, qs: np.ndarray) -> np.ndarray:
     """Geometric TCP Jacobians (W, 6, 6) of a block of configurations."""
-    _, tcp_t, origins, axes = fk_chain_batch(arm, qs)
+    _, tcp_t, origins, axes = fk_chain_batch(arm.base.r, arm.base.t, qs)
     return _chain_jacobian(tcp_t, origins, axes)
 
 
@@ -207,7 +166,7 @@ def point_jacobian(arm: ArmModel, qs: np.ndarray, points: np.ndarray) -> np.ndar
 
     qs is (W, 6) and points (W, 3), one point per configuration.
     """
-    _, _, origins, axes = fk_chain_batch(arm, qs)
+    _, _, origins, axes = fk_chain_batch(arm.base.r, arm.base.t, qs)
     points = np.asarray(points, dtype=float).reshape(-1, 1, 3)
     linear = np.cross(axes, points - origins[:, 1:N_JOINTS + 1, :])
     return linear.transpose(0, 2, 1)
@@ -223,19 +182,19 @@ def _beyond_reach(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     target is within ori_tol of its rotation and moves the joint-6
     origin (the wrist w) by at most s = pos_tol + ori_tol * |tcp.t|.
     Joint limits only shrink the reachable set, so neither test depends
-    on them.  A chain outside a test's layout gate gets nothing flagged
-    by that test.
+    on them.
 
-    Wrist reach.  Gate: joints 2-4 share one axis u, offsets[1] lies on
-    axes[0] and offsets[5] on axes[4].  The joint-2 origin then does
-    not move, and every offset after joint 2 keeps its component along
-    u and only turns its part normal to u, so w is at most the hypot of
-    the summed normal lengths and the summed u components from it.
-    Flagged beyond that plus s.
+    The UR3 chain has the UR layout both tests rest on: joints 2-4
+    share one axis u; offsets[1] lies on axes[0], offsets[4] on u and
+    offsets[5] on axes[4]; axes[0], axes[4], offsets[2] and offsets[3]
+    are normal to u, and axes[5] is normal to axes[4].
 
-    Elbow plane.  Gate, on top: axes[0], axes[4], offsets[2] and
-    offsets[3] are normal to u, axes[5] is normal to axes[4], and
-    offsets[4] lies on u.  Let a2 = |offsets[2]|, a3 = |offsets[3]|,
+    Wrist reach.  The joint-2 origin does not move, and every offset
+    after joint 2 keeps its component along u and only turns its part
+    normal to u, so w is at most the hypot of the summed normal lengths
+    and the summed u components from it.  Flagged beyond that plus s.
+
+    Elbow plane.  Let a2 = |offsets[2]|, a3 = |offsets[3]|,
     d4 = offsets[4] . u and d5 = |offsets[5]|.  In the base frame,
     relative to the joint-2 origin, with z6 = R_flange @ axes[5] the
     joint-6 axis that the target fixes: the joint-2 axis u(q1) turns
@@ -252,29 +211,16 @@ def _beyond_reach(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     R - s <= |d4| or |u x z6| <= du + a.  A wrist with R + s < |d4| is
     inside the shoulder cylinder and is flagged.
     """
-    def parallel(a, b):
-        return np.linalg.norm(np.cross(a, b)) <= _PARALLEL_TOL
-
-    def normal(a, b):
-        return abs(a @ b) <= _PARALLEL_TOL
-
-    axes, offsets = arm.axes, arm.offsets
+    axes, offsets, tcp = _UR3_AXES, _UR3_OFFSETS, _UR3_TCP
     u0 = axes[1]
-    if not (parallel(u0, axes[2]) and parallel(u0, axes[3])
-            and parallel(offsets[1], axes[0]) and parallel(offsets[5], axes[4])):
-        return np.zeros(target_t.shape[0], dtype=bool)
     along = offsets[2:] @ u0
     normal_len = np.linalg.norm(offsets[2:] - along[:, None] * u0, axis=1)
     reach = math.hypot(normal_len.sum(), along.sum())
-    flange = target_r @ arm.tcp.r.T
-    wrist = target_t - flange @ arm.tcp.t
+    flange = target_r @ tcp.r.T
+    wrist = target_t - flange @ tcp.t
     shoulder = arm.base.t + arm.base.r @ (offsets[0] + offsets[1])
-    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
+    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(tcp.t)
     beyond = np.linalg.norm(wrist - shoulder, axis=1) > reach + s
-    if not (normal(axes[0], u0) and normal(axes[4], u0) and normal(axes[5], axes[4])
-            and normal(offsets[2], u0) and normal(offsets[3], u0)
-            and parallel(offsets[4], u0)):
-        return beyond
 
     a0, a = axes[0], opts.ori_tol
     d4, d5 = offsets[4] @ u0, np.linalg.norm(offsets[5])
@@ -335,14 +281,12 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     unsolved targets start from uniform in-limit samples.  groups
     splits the B targets into consecutive groups of the given sizes
     (default: one group of all B).  arm is one arm for every group or a
-    sequence of one arm per group; the arms of one call must share a
-    chain (ArmModel.chain_key, everything but the base), or ValueError is
-    raised.  Each group draws its restart samples from its own
-    np.random.default_rng(opts.seed), (group size, 6) per restart, so a
-    target's result depends only on its own group and arm: a grouped
-    call returns exactly what one call per group would.  Returns
-    (q (B, 6), solved (B,)); rows with solved False are zeros.  A
-    target's result is the first attempt that converges.
+    sequence of one arm per group.  Each group draws its restart samples
+    from its own np.random.default_rng(opts.seed), (group size, 6) per
+    restart, so a target's result depends only on its own group and
+    arm: a grouped call returns exactly what one call per group would.
+    Returns (q (B, 6), solved (B,)); rows with solved False are zeros.
+    A target's result is the first attempt that converges.
 
     The attempts run in two passes of _dls: the seeds, then every
     restart of every target the seeds leave unsolved, stacked into one
@@ -369,14 +313,10 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     arms = [arm] * len(sizes) if isinstance(arm, ArmModel) else list(arm)
     if len(arms) != len(sizes):
         raise ValueError(f"{len(arms)} arms for {len(sizes)} groups")
-    if len({a.chain_key for a in arms}) > 1:
-        raise ValueError("the arms of one ik_batch call must share a chain; "
-                         "only their bases may differ")
     solution = np.zeros((b, N_JOINTS))
     solved = np.zeros(b, dtype=bool)
     if b == 0:
         return solution, solved
-    chain = arms[0]
     owner = np.repeat(np.arange(len(arms)), sizes)
     beyond = np.zeros(b, dtype=bool)
     for a in {id(a): a for a in arms}.values():
@@ -386,8 +326,8 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     base_t = np.stack([a.base.t for a in arms])[owner]
     seeds = np.broadcast_to(np.asarray(seed_config, dtype=float), (b, N_JOINTS))
     rows = np.nonzero(~beyond)[0]
-    starts = np.clip(seeds[rows], chain.lower, chain.upper)[None]
-    q, ok = _dls(chain, starts, base_r[rows], base_t[rows], target_r[rows],
+    starts = np.clip(seeds[rows], -_UR3_LIMIT, _UR3_LIMIT)[None]
+    q, ok = _dls(starts, base_r[rows], base_t[rows], target_r[rows],
                  target_t[rows], opts)
     solution[rows[ok]] = q[ok]
     solved[rows[ok]] = True
@@ -395,25 +335,25 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     if opts.restarts > 1 and rows.size:
         rngs = [np.random.default_rng(opts.seed) for _ in sizes]
         starts = np.stack([
-            np.concatenate([rng.uniform(chain.lower, chain.upper, (g, N_JOINTS))
+            np.concatenate([rng.uniform(-_UR3_LIMIT, _UR3_LIMIT, (g, N_JOINTS))
                             for rng, g in zip(rngs, sizes)])
             for _ in range(opts.restarts - 1)])
-        q, ok = _dls(chain, starts[:, rows], base_r[rows], base_t[rows],
+        q, ok = _dls(starts[:, rows], base_r[rows], base_t[rows],
                      target_r[rows], target_t[rows], opts)
         solution[rows[ok]] = q[ok]
         solved[rows[ok]] = True
     return solution, solved
 
 
-def _dls(arm: ArmModel, q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
+def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
          target_r: np.ndarray, target_t: np.ndarray,
          opts: IKOptions) -> tuple[np.ndarray, np.ndarray]:
     """Damped least squares from K starts (K, U, 6) of U targets at once.
 
-    Start k of target j is attempt k of that target, on arm's chain at
-    the target's base (base_r[j], base_t[j]).  A row stops when it
-    meets the tolerances, after opts.max_iters steps, or as soon as an
-    earlier attempt of its target has met them.  Returns (q (U, 6),
+    Start k of target j is attempt k of that target, at the target's
+    base (base_r[j], base_t[j]).  A row stops when it meets the
+    tolerances, after opts.max_iters steps, or as soon as an earlier
+    attempt of its target has met them.  Returns (q (U, 6),
     solved (U,)): each solved target's configuration from its first
     attempt that converged; unsolved rows are zeros.
     """
@@ -430,8 +370,7 @@ def _dls(arm: ArmModel, q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
             break
         qa = q[idx]
         tj = target[idx]
-        cur_r, cur_t, origins, axes = fk_chain_batch(arm, qa,
-                                                     (base_r[tj], base_t[tj]))
+        cur_r, cur_t, origins, axes = fk_chain_batch(base_r[tj], base_t[tj], qa)
         e_pos = target_t[tj] - cur_t
         e_rot = rot_to_rotvec(target_r[tj] @ cur_r.transpose(0, 2, 1))
         done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
@@ -455,7 +394,7 @@ def _dls(arm: ArmModel, q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
         y = np.linalg.solve(gram, err[..., None])[..., 0]
         dq = np.einsum("wji,wj->wi", jac, y)
         dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
-        q[idx] = np.clip(qa + dq, arm.lower, arm.upper)
+        q[idx] = np.clip(qa + dq, -_UR3_LIMIT, _UR3_LIMIT)
     solved = first < k
     out = np.zeros((u, N_JOINTS))
     out[solved] = q[first[solved] * u + np.nonzero(solved)[0]]

@@ -21,7 +21,7 @@ from .cable import BalancerSpec, BendConstraint, ToolSpec, bend_angle
 from .collision import ArmLinkSpec, Box, Capsule, CollisionWorld, Shape, Sphere, link_names
 from .geometry import Pose, rot_x, rot_y
 from .planner import PlannerOptions, PlanningProblem
-from .robot import DualArm, IKOptions, ur3_arm
+from .robot import ArmModel, DualArm, IKOptions
 
 log = logging.getLogger(__name__)
 
@@ -246,7 +246,7 @@ def _parse_robot(node, path: str):
     radii = _numbers(_get(node, "link_radii_m", path), 6, f"{path}.link_radii_m")
     standoff = _options(node, path, _STANDOFF_KEY)
     try:
-        robot = DualArm(left=ur3_arm(left_base), right=ur3_arm(right_base))
+        robot = DualArm(left=ArmModel(left_base), right=ArmModel(right_base))
         spec = ArmLinkSpec(radii=radii, **standoff)
     except ValueError as e:
         raise ValidationError(path, str(e)) from e
@@ -407,8 +407,7 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
             f"room on a handle of length {handle:.3f} m")
     pitch_rows, roll_cols = _parse_sweep(root.get("sweep"), "sweep")
 
-    world = CollisionWorld(statics, {"left": link_spec, "right": link_spec},
-                           excluded)
+    world = CollisionWorld(statics, link_spec, excluded)
     try:
         base = PlanningProblem(
             robot=robot, world=world, balancer=balancer, tool=tool,

@@ -6,7 +6,7 @@ from tetherplan.cable import BalancerSpec, BendConstraint, ToolSpec
 from tetherplan.collision import ArmLinkSpec, Capsule, CollisionWorld, Sphere
 from tetherplan.geometry import Pose
 from tetherplan.planner import PlannerOptions, PlanningProblem
-from tetherplan.robot import DualArm, IKOptions, ur3_arm
+from tetherplan.robot import ArmModel, DualArm, IKOptions
 from tetherplan.scene import Scene
 
 QUICK = PlannerOptions(axial_samples=3, roll_samples=8,
@@ -34,11 +34,10 @@ def make_tool():
 
 def make_problem(start_t, goal_t, hover_t=(0.32, 0.0, 0.5), goal_rot=None,
                  hover_rot=None, cable_radius=0.01, statics=None):
-    robot = DualArm(left=ur3_arm(Pose(np.eye(3), [0.0, 0.25, 0.0])),
-                    right=ur3_arm(Pose(np.eye(3), [0.0, -0.25, 0.0])))
+    robot = DualArm(left=ArmModel(Pose(np.eye(3), [0.0, 0.25, 0.0])),
+                    right=ArmModel(Pose(np.eye(3), [0.0, -0.25, 0.0])))
     spec = ArmLinkSpec(radii=[0.045, 0.045, 0.04, 0.035, 0.035, 0.03])
-    world = CollisionWorld(statics or {}, {"left": spec, "right": spec},
-                           WRIST_EXCLUDES)
+    world = CollisionWorld(statics or {}, spec, WRIST_EXCLUDES)
     anchor = np.asarray(start_t, dtype=float) + [0.0, 0.0, 1.0]
     return PlanningProblem(
         robot=robot,

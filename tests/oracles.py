@@ -146,10 +146,10 @@ def fk_matrix_product(base_matrix: np.ndarray, axes, offsets, tcp_matrix: np.nda
 
 # --- joint limits and the sequential-restart IK reference ---
 
-def in_limits(arm, q) -> bool:
-    """True when every joint of q lies within the arm's limits (1e-12 slack)."""
-    q = np.asarray(q, dtype=float)
-    return bool(np.all(q >= arm.lower - 1e-12) and np.all(q <= arm.upper + 1e-12))
+def in_limits(q) -> bool:
+    """True when every joint of q lies within the UR3's +-2 pi range
+    (1e-12 slack)."""
+    return bool(np.all(np.abs(np.asarray(q, dtype=float)) <= 2.0 * math.pi + 1e-12))
 
 
 def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None):
@@ -168,20 +168,22 @@ def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None)
     sizes = [b] if groups is None else list(groups)
     rngs = [np.random.default_rng(opts.seed) for _ in sizes]
     eye = rb._IK_DAMPING * rb._IK_DAMPING * np.eye(6)
+    lim = rb._UR3_LIMIT
     q = np.clip(np.broadcast_to(np.asarray(seed_config, dtype=float), (b, 6)),
-                arm.lower, arm.upper)
+                -lim, lim)
     solution = np.zeros((b, 6))
     solved = np.zeros(b, dtype=bool)
     for attempt in range(max(1, opts.restarts)):
         if attempt > 0:
-            fresh = np.concatenate([rng.uniform(arm.lower, arm.upper, (g, 6))
+            fresh = np.concatenate([rng.uniform(-lim, lim, (g, 6))
                                     for rng, g in zip(rngs, sizes)])
             q = np.where(solved[:, None], q, fresh)
         for it in range(opts.max_iters + 1):
             idx = np.nonzero(~solved)[0]
             if idx.size == 0:
                 break
-            cur_r, cur_t, origins, axes = rb.fk_chain_batch(arm, q[idx])
+            cur_r, cur_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t,
+                                                            q[idx])
             e_pos = target_t[idx] - cur_t
             e_rot = rot_to_rotvec(target_r[idx] @ cur_r.transpose(0, 2, 1))
             done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
@@ -197,7 +199,7 @@ def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None)
             y = np.linalg.solve(jac @ jac.transpose(0, 2, 1) + eye, err[..., None])[..., 0]
             dq = np.clip(np.einsum("wji,wj->wi", jac, y),
                          -rb._IK_STEP_CLAMP, rb._IK_STEP_CLAMP)
-            q[idx] = np.clip(q[idx] + dq, arm.lower, arm.upper)
+            q[idx] = np.clip(q[idx] + dq, -lim, lim)
         if solved.all():
             break
     return solution, solved

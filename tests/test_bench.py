@@ -149,7 +149,7 @@ class TestRecheckPlan:
         home config stays clear of it."""
         problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
         q_probe = HOME_LEFT + np.array([1.5, 0, 0, 0, 0, 0])
-        spec = problem.world.link_specs["left"]
+        spec = problem.world.link_spec
         crossing = arm_link_segments(problem.robot.left, spec,
                                      q_probe[None])[0][1].mean(axis=0)
         # Hang the tool so the cable's midpoint-to-anchor line passes
@@ -240,6 +240,28 @@ class TestGrip:
         assert rc.grip_waypoint is not None and held[rc.grip_waypoint]
         with pytest.raises(RuntimeError, match="away from its gripper"):
             classify(PlanResult(motion, None, PlannerStats()), rc)
+
+    def test_grasp_change_mid_hold_is_flagged(self):
+        # Relabelling part of a hold with another grasp id leaves the
+        # motion as it is; the label change alone breaks the hold.
+        _, problem, motion = next(a for a in _audit_plans()
+                                  if a[0] == "r0c0_constrained.csv")
+        assert motion.holding[39:102] == ((("left", 0),),) * 63
+        holding = list(motion.holding)
+        holding[40:102] = [(("left", 5),)] * 62
+        rc = recheck_plan(replace(motion, holding=tuple(holding)), problem)
+        assert rc.grip_waypoint == 40
+
+    def test_new_hold_after_a_release_may_change_grasp(self):
+        # Releasing the tool for one waypoint ends the left arm's hold;
+        # the hold that follows may use another grasp to its end.
+        _, problem, motion = next(a for a in _audit_plans()
+                                  if a[0] == "r0c0_constrained.csv")
+        holding = motion.holding[:40] + ((),) + tuple(
+            tuple(("left", 5) if e == ("left", 0) else e for e in h)
+            for h in motion.holding[41:])
+        rc = recheck_plan(replace(motion, holding=holding), problem)
+        assert rc.grip_waypoint is None
 
 
 class TestSweep:

@@ -22,7 +22,7 @@ from tetherplan.collision import (
 )
 from tetherplan.cable import with_cable
 from tetherplan.geometry import Pose, rpy_to_rot
-from tetherplan.robot import DualArm, fk_batch, fk_frames, ur3_arm
+from tetherplan.robot import ArmModel, DualArm, fk_batch, fk_frames
 
 from helpers import HOME_LEFT, HOME_RIGHT, make_problem
 from oracles import segment_box_distance_sampled, segment_distance_sampled
@@ -220,14 +220,14 @@ class TestSegmentBox:
 
 
 def make_robot():
-    left = ur3_arm(Pose(np.eye(3), [0.0, 0.25, 0.0]))
-    right = ur3_arm(Pose(np.eye(3), [0.0, -0.25, 0.0]))
+    left = ArmModel(Pose(np.eye(3), [0.0, 0.25, 0.0]))
+    right = ArmModel(Pose(np.eye(3), [0.0, -0.25, 0.0]))
     return DualArm(left=left, right=right)
 
 
 def make_world(statics=None, excluded=()):
     spec = ArmLinkSpec(radii=[0.045, 0.045, 0.04, 0.035, 0.035, 0.03])
-    return CollisionWorld(statics or {}, {"left": spec, "right": spec}, excluded)
+    return CollisionWorld(statics or {}, spec, excluded)
 
 
 def overlaps(world, robot, q_left, q_right):
@@ -314,7 +314,7 @@ class TestWorld:
                 if tools is not None:
                     shapes["tool"] = tools[w]
                 for side, q in (("left", qs_l[w]), ("right", qs_r[w])):
-                    spec = world.link_specs[side]
+                    spec = world.link_spec
                     links = arm_link_segments(robot.arm(side), spec, q)[0]
                     for name, (a, b), r in zip(link_names(side), links, spec.radii):
                         shapes[name] = Capsule(a, b, r)
@@ -409,7 +409,7 @@ class TestBoundedClearances:
             assert_matches_dense(world, robot, moving, idle,
                                  *held_tool(robot, moving))
             # The idle arm's one-row FK, broadcast, is the FK of every row.
-            spec = world.link_specs["right"]
+            spec = world.link_spec
             assert np.array_equal(_arm_segments(robot.right, spec, idle),
                                   arm_link_segments(robot.right, spec, idle))
 

@@ -31,8 +31,13 @@ class TestHoldingFormat:
             assert parse_holding(format_holding(holding)) == holding
 
     def test_malformed_entries_rejected(self):
-        for text in ("left", "left:", "up:3", "left:x", "left:3+r"):
-            with pytest.raises(ValueError):
+        for text in ("left", "left:", "up:3", "left:x", "left:3+r", "left:\u00b2"):
+            with pytest.raises(ValueError, match="malformed holding entry"):
+                parse_holding(text)
+
+    def test_an_arm_named_twice_is_rejected(self):
+        for text in ("left:3+left:5", "right:1+left:2+right:1"):
+            with pytest.raises(ValueError, match="twice"):
                 parse_holding(text)
 
 
@@ -111,6 +116,27 @@ class TestPlanParseErrors:
         _, motion = solved
         with pytest.raises(ValueError, match="line 6"):
             parse_plan_csv(self._edit_waypoint_1(motion, **{column: value}))
+
+    @pytest.mark.parametrize("holding, message", [
+        ("left:x", "malformed"), ("left:\u00b2", "malformed"),
+        ("left:3+left:5", "twice")])
+    def test_bad_holding_names_its_line(self, solved, holding, message):
+        _, motion = solved
+        with pytest.raises(ValueError, match=f"line 6: .*{message}"):
+            parse_plan_csv(self._edit_waypoint_1(motion, holding=holding))
+
+    @pytest.mark.parametrize("edit", ["swap", "delete"])
+    def test_out_of_sequence_waypoint_names_its_line(self, solved, edit):
+        # Waypoints 2 and 3 sit on lines 7 and 8; either edit puts
+        # waypoint 3 first.
+        _, motion = solved
+        lines = plan_csv(motion).splitlines()
+        if edit == "swap":
+            lines[6], lines[7] = lines[7], lines[6]
+        else:
+            del lines[6]
+        with pytest.raises(ValueError, match="line 7: waypoint '3', expected 2"):
+            parse_plan_csv("\n".join(lines))
 
     def test_zero_quaternion_names_its_line(self, solved):
         _, motion = solved

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from tetherplan import robot as rb
 
 @pytest.fixture
 def arm():
-    return rb.ur3_arm()
+    return rb.ArmModel()
 
 
 def test_fk_zero_config_hand_composed_chain(arm):
@@ -39,10 +38,10 @@ def test_fk_single_joint_rotation_spins_about_base_axis(arm):
 def test_fk_matches_matrix_product_oracle(arm):
     rng = np.random.default_rng(42)
     base_m = arm.base.as_matrix()
-    tcp_m = arm.tcp.as_matrix()
+    tcp_m = rb._UR3_TCP.as_matrix()
     for _ in range(50):
         q = rng.uniform(-math.pi, math.pi, size=6)
-        expected = fk_matrix_product(base_m, arm.axes, arm.offsets, tcp_m, q)
+        expected = fk_matrix_product(base_m, rb._UR3_AXES, rb._UR3_OFFSETS, tcp_m, q)
         got = rb.fk(arm, q)
         assert np.allclose(got.as_matrix(), expected, atol=1e-9)
 
@@ -104,7 +103,7 @@ def _pose_function(arm):
 
 def _orientation_columns_ok(arm, q):
     jac = rb.jacobian(arm, q)
-    _, _, _, axes = rb.fk_chain_batch(arm, q)
+    _, _, _, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
     return np.allclose(jac[3:, :], axes[0].T, atol=1e-12)
 
 
@@ -163,7 +162,7 @@ def test_ik_round_trip_random_targets(arm):
         got = rb.fk(arm, q)
         assert np.linalg.norm(got.t - target.t) < 1e-4
         assert np.linalg.norm(rot_to_rotvec(target.r @ got.r.T)) < 1e-3
-        assert in_limits(arm, q)
+        assert in_limits(q)
         hits += 1
     assert hits >= int(0.95 * trials)
 
@@ -174,23 +173,10 @@ def test_ik_unreachable_target_returns_none(arm):
     assert rb.ik(arm, target, np.zeros(6), opts) is None
 
 
-def test_ik_respects_tight_limits():
-    lim = np.full(6, math.pi / 2)
-    arm = rb.ArmModel(base=Pose.identity(), axes=rb._UR3_AXES.copy(),
-                      offsets=rb._UR3_OFFSETS.copy(), lower=-lim, upper=lim,
-                      tcp=rb._UR3_TCP)
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        q0 = rng.uniform(-math.pi / 2, math.pi / 2, size=6)
-        q = rb.ik(arm, rb.fk(arm, q0), rng.uniform(-1, 1, 6), rb.IKOptions(seed=3))
-        if q is not None:
-            assert in_limits(arm, q)
-
-
 def test_dual_arm_requires_distinct_bases(arm):
     with pytest.raises(ValueError):
         rb.DualArm(left=arm, right=arm)
-    other = replace(arm, base=Pose(np.eye(3), np.array([0.0, -0.4, 0.0])))
+    other = rb.ArmModel(Pose(np.eye(3), np.array([0.0, -0.4, 0.0])))
     rb.DualArm(left=arm, right=other)
 
 
@@ -198,12 +184,27 @@ def test_fk_chain_batch_matches_fk_batch(arm):
     rng = np.random.default_rng(40)
     qs = rng.uniform(-2.0, 2.0, (20, 6))
     r0, t0, o0 = rb.fk_batch(arm, qs)
-    r1, t1, o1, axes = rb.fk_chain_batch(arm, qs)
+    r1, t1, o1, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     assert np.allclose(r0, r1)
     assert np.allclose(t0, t1)
     assert np.allclose(o0, o1)
     assert axes.shape == (20, 6, 3)
     assert np.allclose(np.linalg.norm(axes, axis=2), 1.0)
+
+
+def test_fk_at_a_base_is_the_base_composed_with_fk_at_the_origin(arm):
+    # The chain is shared by every arm: an arm's base enters FK only as
+    # a rigid transform applied after the chain.
+    rng = np.random.default_rng(39)
+    qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (50, 6))
+    rot0, tcp0, origins0 = rb.fk_batch(arm, qs)
+    for _ in range(10):
+        moved = _random_base_ur3(rng)
+        r, t = moved.base.r, moved.base.t
+        rot, tcp, origins = rb.fk_batch(moved, qs)
+        assert np.allclose(rot, r @ rot0, rtol=0, atol=1e-12)
+        assert np.allclose(tcp, tcp0 @ r.T + t, rtol=0, atol=1e-12)
+        assert np.allclose(origins, origins0 @ r.T + t, rtol=0, atol=1e-12)
 
 
 def test_jacobian_batch_matches_scalar(arm):
@@ -252,7 +253,7 @@ def test_ik_batch_solves_reachable_targets(arm):
         assert np.linalg.norm(pose.t - ts[i]) < opts.pos_tol
         from tetherplan.geometry import rot_to_rotvec
         assert np.linalg.norm(rot_to_rotvec(rots[i] @ pose.r.T)) < opts.ori_tol
-        assert in_limits(arm, sol[i])
+        assert in_limits(sol[i])
 
 
 def test_ik_batch_is_deterministic(arm):
@@ -337,7 +338,7 @@ def test_filtered_chain_jacobian_equals_jacobian_batch(arm):
     rng = np.random.default_rng(47)
     qs = rng.uniform(-2.0, 2.0, (25, 6))
     keep = rng.random(25) < 0.6
-    _, tcp_t, origins, axes = rb.fk_chain_batch(arm, qs)
+    _, tcp_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     jac = rb._chain_jacobian(tcp_t[keep], origins[keep], axes[keep])
     assert np.array_equal(jac, rb.jacobian_batch(arm, qs[keep]))
 
@@ -351,7 +352,7 @@ _UR3_WRIST_REACH = math.hypot(0.24365 + 0.21325 + 0.08535, 0.11235)
 def _random_base_ur3(rng):
     axis = rng.normal(size=3)
     rot = rot_axis_angle(axis / np.linalg.norm(axis), rng.uniform(-math.pi, math.pi))
-    return rb.ur3_arm(Pose(rot, rng.uniform(-1.0, 1.0, 3)))
+    return rb.ArmModel(Pose(rot, rng.uniform(-1.0, 1.0, 3)))
 
 
 def _stretched_configs(rng, n):
@@ -364,7 +365,7 @@ def _stretched_configs(rng, n):
 
 def _shoulder_and_wrist(arm, qs):
     """FK joint-2 and joint-6 origins (W, 3) of each configuration."""
-    _, _, origins, _ = rb.fk_chain_batch(arm, qs)
+    _, _, origins, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     return origins[:, 2], origins[:, 6]
 
 
@@ -416,7 +417,7 @@ def test_reach_prune_bound_is_tight():
     rng = np.random.default_rng(64)
     arm = _random_base_ur3(rng)
     opts = rb.IKOptions()
-    slack = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
+    slack = opts.pos_tol + opts.ori_tol * np.linalg.norm(rb._UR3_TCP.t)
     qs = _stretched_configs(rng, 50)
     rots, ts, _ = rb.fk_batch(arm, qs)
     shoulder, wrist = _shoulder_and_wrist(arm, qs)
@@ -435,9 +436,9 @@ def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
     rows = []
     chain = rb.fk_chain_batch
 
-    def counted(arm, qs, base=None):
+    def counted(base_r, base_t, qs):
         rows.append(np.asarray(qs).reshape(-1, 6).shape[0])
-        return chain(arm, qs, base)
+        return chain(base_r, base_t, qs)
 
     monkeypatch.setattr(rb, "fk_chain_batch", counted)
     q1, ok1 = rb.ik_batch(arm, pose.r, pose.t, q0 + 0.1)
@@ -452,20 +453,21 @@ def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
     assert ok2.tolist() == [True, False]
 
 
-@pytest.mark.parametrize("field, row, vector", [
-    ("axes", 2, [1.0, -1.0, 0.0]),
-    ("axes", 3, [0.0, -1.0, 1.0]),
-    ("offsets", 1, [0.05, 0.0, 0.1519]),
-    ("offsets", 5, [0.0, 0.01, -0.08535]),
-])
-def test_reach_prune_flags_nothing_without_the_ur_layout(arm, field, row, vector):
-    values = getattr(arm, field).copy()
-    values[row] = vector
-    other = replace(arm, **{field: values})
-    rots = np.broadcast_to(np.eye(3), (3, 3, 3))
-    ts = np.array([[2.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, -9.0]])
-    assert rb._beyond_reach(arm, rots, ts, rb.IKOptions()).all()
-    assert not rb._beyond_reach(other, rots, ts, rb.IKOptions()).any()
+def test_ur3_chain_has_the_ur_layout():
+    # The facts _beyond_reach's two existence tests rest on, exactly.
+    axes, offsets = rb._UR3_AXES, rb._UR3_OFFSETS
+    u = axes[1]
+    assert np.array_equal(np.linalg.norm(axes, axis=1), np.ones(6))
+    for a, b in ((axes[2], u), (axes[3], u), (offsets[1], axes[0]),
+                 (offsets[4], u), (offsets[5], axes[4])):
+        assert not np.cross(a, b).any()
+    for a, b in ((axes[0], u), (axes[4], u), (offsets[2], u),
+                 (offsets[3], u), (axes[5], axes[4])):
+        assert a @ b == 0.0
+    # The Rodrigues constants are the skew matrices of the axes.
+    v = np.random.default_rng(51).normal(size=3)
+    assert np.allclose(rb._UR3_KHAT @ v, np.cross(axes, v), rtol=0, atol=1e-15)
+    assert np.array_equal(rb._UR3_KHAT2, rb._UR3_KHAT @ rb._UR3_KHAT)
 
 
 def _ik_call(case):
@@ -538,9 +540,9 @@ def test_ik_batch_makes_at_most_two_passes_of_fk_calls(arm, monkeypatch):
     calls = []
     chain = rb.fk_chain_batch
 
-    def counted(arm, qs, base=None):
+    def counted(base_r, base_t, qs):
         calls.append(len(qs))
-        return chain(arm, qs, base)
+        return chain(base_r, base_t, qs)
 
     monkeypatch.setattr(rb, "fk_chain_batch", counted)
     _, ok = rb.ik_batch(arm, rots, ts, np.zeros(6), opts)
@@ -594,18 +596,10 @@ def test_two_arm_ik_batch_equals_one_call_per_arm(case):
     assert ok.any() and not ok.all()
 
 
-def test_ik_batch_arms_must_share_a_chain(arm):
+def test_ik_batch_takes_one_arm_per_group(arm):
     rots, ts, _ = rb.fk_batch(arm, np.zeros((2, 6)))
-    moved = rb.ur3_arm(Pose(np.eye(3), [0.3, -0.2, 0.1]))
+    moved = rb.ArmModel(Pose(np.eye(3), [0.3, -0.2, 0.1]))
     rb.ik_batch([arm, moved], rots, ts, np.zeros(6), rb.IKOptions(), [1, 1])
-    offsets = arm.offsets.copy()
-    offsets[2, 0] -= 0.01
-    for other in (replace(moved, offsets=offsets),
-                  replace(moved, tcp=Pose(np.eye(3), [0.0, 0.0, 0.1])),
-                  replace(moved, lower=moved.lower / 2)):
-        with pytest.raises(ValueError, match="share a chain"):
-            rb.ik_batch([arm, other], rots, ts, np.zeros(6), rb.IKOptions(),
-                        [1, 1])
     with pytest.raises(ValueError, match="3 arms for 2 groups"):
         rb.ik_batch([arm] * 3, rots, ts, np.zeros(6), rb.IKOptions(), [1, 1])
 
@@ -615,7 +609,7 @@ def _wrist_targets(arm, rng, rad, height, z6):
     axis and height along it from the joint-2 origin, at random
     azimuths, with the joint-6 axis along the base-frame z6 and a random
     turn about it.  Returns (rots, ts, wrist - joint-2 origin)."""
-    axes, offsets = arm.axes, arm.offsets
+    axes, offsets, tcp = rb._UR3_AXES, rb._UR3_OFFSETS, rb._UR3_TCP
     a0 = axes[0]
     ex = np.cross(a0, [1.0, 0.0, 0.0] if abs(a0[0]) < 0.9 else [0.0, 1.0, 0.0])
     ex /= np.linalg.norm(ex)
@@ -629,7 +623,7 @@ def _wrist_targets(arm, rng, rad, height, z6):
                        for g in rng.uniform(-math.pi, math.pi, len(rad))])
     shoulder = arm.base.t + arm.base.r @ (offsets[0] + offsets[1])
     wrist = shoulder + w @ arm.base.r.T
-    return flange @ arm.tcp.r, wrist + flange @ arm.tcp.t, wrist - shoulder
+    return flange @ tcp.r, wrist + flange @ tcp.t, wrist - shoulder
 
 
 def _elbow_targets(arm, rng, n, margin):
@@ -643,17 +637,17 @@ def _elbow_targets(arm, rng, n, margin):
     joint-1 axis, both branches then put the joint-4 origin at
     hypot(h, L +- d5) from the joint-2 origin, L = sqrt(R^2 - d4^2).
     """
-    offsets = arm.offsets
-    d4, d5 = offsets[4] @ arm.axes[1], np.linalg.norm(offsets[5])
+    offsets = rb._UR3_OFFSETS
+    d4, d5 = offsets[4] @ rb._UR3_AXES[1], np.linalg.norm(offsets[5])
     outer = np.linalg.norm(offsets[2]) + np.linalg.norm(offsets[3])
     opts = rb.IKOptions()
-    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
+    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(rb._UR3_TCP.t)
     lat = d5 + rng.uniform(-0.05, 0.05, n)
     rad = np.hypot(lat, d4)
     du = s / (rad - s) + abs(d4) * s / ((rad - s) * np.sqrt((rad - s) ** 2 - d4 ** 2))
     slack = s + d5 * 2.0 * (du + opts.ori_tol) + abs(d4) * du
     h = rng.choice([-1.0, 1.0], n) * np.sqrt((outer + slack + margin) ** 2 - (lat - d5) ** 2)
-    return _wrist_targets(arm, rng, rad, h, arm.axes[0])
+    return _wrist_targets(arm, rng, rad, h, rb._UR3_AXES[0])
 
 
 def test_elbow_prune_bound_is_tight():
@@ -666,41 +660,12 @@ def test_elbow_prune_bound_is_tight():
         assert np.all(rb._beyond_reach(arm, rots, ts, opts) == flagged)
 
 
-_TILT = np.array([0.0, 0.1, 1.0]) / math.hypot(0.1, 1.0)
-
-
-@pytest.mark.parametrize("axis_rows, offset_rows", [
-    # Axes 0 and 4 tilt with the offset that lies on each, so the
-    # wrist-reach gate still holds; axis 5 turns to stay normal to axis 4.
-    ({0: _TILT}, {1: 0.1519 * _TILT}),
-    ({4: -_TILT, 5: [0.0, -1.0, 0.1]}, {5: -0.08535 * _TILT}),
-    ({5: [0.0, -1.0, 0.1]}, {}),
-    ({}, {2: [-0.24365, 0.02, 0.0]}),
-    ({}, {3: [-0.21325, 0.02, 0.0]}),
-    ({}, {4: [0.02, -0.11235, 0.0]}),
-], ids=["axis0", "axis4", "axis5", "offset2", "offset3", "offset4"])
-def test_elbow_prune_needs_its_whole_layout(arm, axis_rows, offset_rows):
-    axes, offsets = arm.axes.copy(), arm.offsets.copy()
-    for row, vector in axis_rows.items():
-        axes[row] = vector
-    for row, vector in offset_rows.items():
-        offsets[row] = vector
-    other = replace(arm, axes=axes, offsets=offsets)
-    rng = np.random.default_rng(72)
-    rots, ts, _ = _elbow_targets(arm, rng, 20, 1e-3)
-    far = np.array([[2.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, -9.0]])
-    assert rb._beyond_reach(arm, rots, ts, rb.IKOptions()).all()
-    # Only the wrist-reach test is left: it flags the far targets alone.
-    assert not rb._beyond_reach(other, rots, ts, rb.IKOptions()).any()
-    assert rb._beyond_reach(other, rots[:3], far, rb.IKOptions()).all()
-
-
 def test_wrist_inside_the_shoulder_cylinder_is_flagged():
     rng = np.random.default_rng(73)
     arm = _random_base_ur3(rng)
     opts = rb.IKOptions()
-    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(arm.tcp.t)
-    d4 = abs(arm.offsets[4] @ arm.axes[1])
+    s = opts.pos_tol + opts.ori_tol * np.linalg.norm(rb._UR3_TCP.t)
+    d4 = abs(rb._UR3_OFFSETS[4] @ rb._UR3_AXES[1])
     z6 = rng.normal(size=3)
     for margin, flagged in ((-1e-6, True), (1e-6, False)):
         rad = np.full(40, d4 - s + margin)

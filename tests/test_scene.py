@@ -240,7 +240,7 @@ class TestValidationErrors:
                            match=r"robot\.palm_standoff_m: must be positive"):
             parse_scene(mutated(robot__palm_standoff_m=bad))
         sc = parse_scene(mutated(robot__palm_standoff_m=1e-6))
-        assert sc.base.world.link_specs["left"].palm_setback == 1e-6
+        assert sc.base.world.link_spec.palm_setback == 1e-6
 
     def test_cable_is_a_known_exclusion_name(self):
         doc = yaml.safe_load(default_text())

@@ -8,7 +8,7 @@ from tetherplan.bench import Outcome, SweepCell, SweepReport
 from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
 from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
-from tetherplan.robot import DualArm, fk, ur3_arm
+from tetherplan.robot import ArmModel, DualArm, fk
 from tetherplan.torque import (
     EmptyTrace,
     TorqueEntry,
@@ -29,8 +29,8 @@ def make_tool():
 
 
 def make_robot():
-    left = ur3_arm(Pose(np.eye(3), [0.0, 0.25, 0.0]))
-    right = ur3_arm(Pose(np.eye(3), [0.0, -0.25, 0.0]))
+    left = ArmModel(Pose(np.eye(3), [0.0, 0.25, 0.0]))
+    right = ArmModel(Pose(np.eye(3), [0.0, -0.25, 0.0]))
     return DualArm(left=left, right=right)
 
 
@@ -51,7 +51,7 @@ class TestTension:
 
 class TestJointTorques:
     def test_matches_virtual_work(self):
-        arm = ur3_arm()
+        arm = ArmModel()
         rng = np.random.default_rng(31)
         for _ in range(50):
             q = rng.uniform(-1.5, 1.5, 6)
@@ -68,7 +68,7 @@ class TestJointTorques:
             assert np.allclose(tau, jp.T @ force, atol=1e-5)
 
     def test_linearity_in_force(self):
-        arm = ur3_arm()
+        arm = ArmModel()
         rng = np.random.default_rng(32)
         q = rng.uniform(-1.0, 1.0, 6)
         point = fk(arm, q).apply([0.0, 0.0, 0.05])
@@ -79,7 +79,7 @@ class TestJointTorques:
                            - 0.5 * joint_torques(arm, q, point, f2), atol=1e-12)
 
     def test_zero_force_zero_torque(self):
-        arm = ur3_arm()
+        arm = ArmModel()
         q = np.array([0.3, -0.8, 1.1, 0.2, -0.4, 0.9])
         point = fk(arm, q).t
         assert np.allclose(joint_torques(arm, q, point, np.zeros(3)), 0.0)
@@ -87,7 +87,7 @@ class TestJointTorques:
     def test_vertical_force_exerts_no_base_torque(self):
         # Joint 1 spins about the vertical, so a vertical pull has no
         # moment about it regardless of configuration.
-        arm = ur3_arm()
+        arm = ArmModel()
         rng = np.random.default_rng(33)
         for _ in range(20):
             q = rng.uniform(-2.0, 2.0, 6)
@@ -97,14 +97,14 @@ class TestJointTorques:
 
     def test_rotating_the_whole_problem_preserves_torques(self):
         base = Pose(np.eye(3), [0.1, -0.2, 0.3])
-        arm = ur3_arm(base)
+        arm = ArmModel(base)
         rng = np.random.default_rng(34)
         q = rng.uniform(-1.0, 1.0, 6)
         point = fk(arm, q).apply([0.02, 0.0, 0.05])
         force = rng.uniform(-15, 15, 3)
         tau = joint_torques(arm, q, point, force)
         r = rpy_to_rot(0.4, -0.7, 1.2)
-        moved = ur3_arm(Pose(r @ base.r, r @ base.t))
+        moved = ArmModel(Pose(r @ base.r, r @ base.t))
         tau2 = joint_torques(moved, q, r @ point, r @ force)
         assert np.allclose(tau, tau2, atol=1e-9)
 
