@@ -7,12 +7,15 @@ into four outcomes:
 
     o  success          plan found, bend limit respected, no contacts
     x  bend_violation   some waypoint bends the cable past the limit
-    *  cable_collision  an arm touches the hanging cable before grasping
+    *  cable_collision  an arm or obstacle touches the cable
     F  no_plan          the planner found no motion
 
 A bend violation outranks a cable collision when both occur.  The
-constrained planner never emits x or * cells by construction; the
-re-check is what proves that.
+re-check carries the taut cable, anchor to connector, on every
+waypoint.  The constrained planner keeps every waypoint under the bend
+limit, so it never emits x, but it checks the cable only until the
+first grasp: a later * is an entanglement the constraint did not
+prevent.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cable import bend_angle_batch, with_cable
+from .cable import CABLE, bend_angle_batch, cable_segments
 from .collision import motion_clearances
-from .geometry import Pose
 from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
     plan, solve_stations
 from .robot import fk_batch
@@ -94,44 +96,26 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem) -> Recheck:
     over = np.nonzero(theta >= problem.constraint.theta_max)[0]
     bend_wp = int(over[0]) if over.size else None
 
+    # The tool shapes and the taut cable ride on every waypoint.
     _, radii, names = problem.tool.shape_segments()
-    world_segs = problem.tool.segments_world(motion.tool_rot, motion.tool_t)
-
-    w = motion.n_waypoints
-    first_hold = next((i for i, h in enumerate(motion.holding) if h), w)
-    window_end = min(first_hold + 1, w)
-
-    # Only arm and environment contact with the cable counts.
-    cable_world = with_cable(problem.world, problem.balancer,
-                             Pose(motion.tool_rot[0], motion.tool_t[0]),
-                             problem.tool)
-
-    cable_wp = None
-    collision_wp = None
-    min_clear = math.inf
-    spans = ((cable_world, 0, window_end), (problem.world, window_end, w))
-    for world, lo, hi in spans:
-        if lo >= hi:
-            continue
-        clear, pair_idx, pair_names = motion_clearances(
-            world, problem.robot, motion.q_left[lo:hi], motion.q_right[lo:hi],
-            world_segs[lo:hi], radii, names)
-        min_clear = min(min_clear, float(clear.min()))
-        for i in np.nonzero(clear < 0.0)[0]:
-            pair = pair_names[pair_idx[i]]
-            if "cable" in pair:
-                if cable_wp is None:
-                    cable_wp = lo + int(i)
-            elif collision_wp is None:
-                collision_wp = lo + int(i)
+    segs = np.concatenate(
+        [problem.tool.segments_world(motion.tool_rot, motion.tool_t),
+         cable_segments(motion.tool_rot, motion.tool_t, problem.balancer,
+                        problem.tool)], axis=1)
+    clear, pair_idx, pair_names = motion_clearances(
+        problem.world, problem.robot, motion.q_left, motion.q_right, segs,
+        np.append(radii, problem.balancer.cable_radius), names + [CABLE])
+    first = {}      # is the row's nearest pair the cable's -> first such row
+    for i in np.nonzero(clear < 0.0)[0]:
+        first.setdefault(CABLE in pair_names[pair_idx[i]], int(i))
 
     return Recheck(
         theta_max=float(theta.max()),
         bend_waypoint=bend_wp,
-        cable_waypoint=cable_wp,
-        collision_waypoint=collision_wp,
+        cable_waypoint=first.get(True),
+        collision_waypoint=first.get(False),
         grip_waypoint=_grip_waypoint(motion, problem),
-        min_clearance=min_clear,
+        min_clearance=float(clear.min()),
     )
 
 

@@ -7,6 +7,10 @@ angle is measured between the boom direction and the cable at the
 connector: zero when the tool hangs at rest, growing as the tool tips
 over.  Orientations whose bend angle reaches the limit would kink the
 cable against the connector, so they are rejected.
+
+The taut cable is also a collision body: cable_segments gives it at
+each waypoint's tool pose, attached beside the tool shapes, which it is
+never measured against.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tetherplan.collision import Box, Capsule, CollisionWorld, Shape, \
-    capsule_segments
+from tetherplan.collision import Box, Shape, capsule_segments
 from tetherplan.geometry import Pose, ZeroVectorError, unit
 
 DEFAULT_MAX_BEND = math.radians(95.0)
+CABLE = "cable"            # collision name of the cable body
 _EPS = 1e-9
 
 
@@ -129,18 +133,11 @@ def bend_angle_batch(rot: np.ndarray, t: np.ndarray,
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
-def cable_capsule(balancer: BalancerSpec, pose: Pose, tool: ToolSpec) -> Capsule:
-    """The taut cable, anchor to connector, as a collision capsule."""
-    connector, _, _ = cable_vectors(pose.r[None], pose.t[None], balancer, tool)
-    return Capsule(balancer.anchor, connector[0], balancer.cable_radius)
-
-
-def with_cable(world: CollisionWorld, balancer: BalancerSpec, pose: Pose,
-               tool: ToolSpec) -> CollisionWorld:
-    """world plus the cable of the tool resting at pose, as a static.
-
-    The cable hangs off the tool itself, so its proximity to the tool's
-    shapes is structural, not a collision: they are excluded against it.
-    """
-    return world.with_static("cable", cable_capsule(balancer, pose, tool),
-                             exclude_against=[name for name, _ in tool.shapes])
+def cable_segments(rot: np.ndarray, t: np.ndarray, balancer: BalancerSpec,
+                   tool: ToolSpec) -> np.ndarray:
+    """World segments (W, 1, 2, 3) of the taut cable, anchor to
+    connector, at tool poses rot (W,3,3), t (W,3): the attached body
+    named CABLE, of radius balancer.cable_radius."""
+    connector, _, _ = cable_vectors(rot, t, balancer, tool)
+    anchor = np.broadcast_to(balancer.anchor, connector.shape)
+    return np.stack([anchor, connector], axis=1)[:, None]

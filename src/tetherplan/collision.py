@@ -7,10 +7,10 @@ minimizes the piecewise-quadratic squared distance along the segment
 one piece at a time).  Touching counts as free everywhere: a pair
 collides only when its clearance is strictly negative.
 
-A query assembles the arm, static and attached capsules of a batch of
-waypoints (an arm that keeps one configuration on every row gets FK
-once) and a pair table, memoized on the names, kinds and radii it
-reads.  _pair_clearances measures the dense (W, P) matrix of pair
+A query assembles the arm, static and attached capsules (the tool's
+shapes and its cable) of a batch of waypoints (an arm that keeps one
+configuration on every row gets FK once) and a pair table, memoized on
+the names, kinds and radii it reads.  _pair_clearances measures the dense (W, P) matrix of pair
 clearances, the reference that motion_clearances is tested against.
 
 motion_clearances returns the same matrix's minimum and first argmin
@@ -231,11 +231,12 @@ def link_names(side: str) -> list[str]:
 
 
 class CollisionWorld:
-    """Immutable static scene plus the link geometry both arms share.
+    """Immutable scene of what never moves, plus the link geometry both
+    arms share.
 
-    Attachments (held or hanging objects) are per-query parameters, not
-    world state; with_static returns a copy with one more obstacle, for
-    obstacles that come and go, like the pre-grasp cable.
+    Whatever moves with the tool (its shapes and its cable) is attached
+    per query, one row per waypoint, and attached bodies are never
+    measured against one another.
     """
 
     def __init__(self, statics: Mapping[str, Shape],
@@ -247,17 +248,6 @@ class CollisionWorld:
         self.statics: dict[str, Shape] = dict(statics)
         self.link_spec = link_spec
         self.excluded = frozenset(frozenset(p) for p in excluded_pairs)
-
-    def with_static(self, name: str, shape: Shape,
-                    exclude_against: Iterable[str] = ()) -> "CollisionWorld":
-        """Copy with one more static; exclude_against lists shape names
-        whose proximity to the new static is structural (for example a
-        cable and the tool it suspends) and must not count as contact."""
-        statics = dict(self.statics)
-        statics[name] = shape
-        pairs = [tuple(p) for p in self.excluded]
-        pairs.extend((name, other) for other in exclude_against)
-        return CollisionWorld(statics, self.link_spec, pairs)
 
 
 def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:

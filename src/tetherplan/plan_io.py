@@ -75,18 +75,35 @@ def write_plan_csv(path, motion: MotionPlan) -> None:
         f.write(plan_csv(motion))
 
 
+def _one_of(value: str, allowed: tuple[str, ...]) -> str:
+    if value not in allowed:
+        raise ValueError(f"{value!r} is not one of {', '.join(allowed)}")
+    return value
+
+
+# The parser of each preamble value; an unknown key is kept as text.
+_PREAMBLE = {
+    "mode": lambda v: _one_of(v, ("constrained", "unconstrained")),
+    "edge_kinds": lambda v: tuple(_one_of(k, ("approach", "transfer", "handover"))
+                                  for k in v.split(",") if k),
+    "joint_distance_rad": float,
+}
+
+
 def parse_plan_csv(text: str) -> MotionPlan:
     meta = {}
-    rows = []
-    holding = []
+    nums, row_lns, holding = [], [], []
     header_seen = False
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition(":")
-            meta[key.strip()] = value.strip()
+            key, _, value = (p.strip() for p in line.lstrip("# ").partition(":"))
+            try:
+                meta[key] = _PREAMBLE.get(key, str)(value)
+            except ValueError as e:
+                raise ValueError(f"line {ln}: {key}: {e}") from e
             continue
         if not header_seen:
             if line.split(",") != PLAN_HEADER:
@@ -97,44 +114,42 @@ def parse_plan_csv(text: str) -> MotionPlan:
         if len(fields) != len(PLAN_HEADER):
             raise ValueError(f"line {ln}: expected {len(PLAN_HEADER)} "
                              f"fields, got {len(fields)}")
-        if fields[0] != str(len(rows)):
+        if fields[0] != str(len(row_lns)):
             raise ValueError(f"line {ln}: waypoint {fields[0]!r}, "
-                             f"expected {len(rows)}")
+                             f"expected {len(row_lns)}")
         try:
             holding.append(parse_holding(fields[20]))
+            # Joints, quaternion and position (columns 1-19), then theta
+            # and clearance (columns 21-22).
+            nums.append([float(v) for v in fields[1:20] + fields[21:]])
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}") from e
-        rows.append((ln, fields))
-    if not header_seen or not rows:
+        row_lns.append(ln)
+    if not header_seen or not row_lns:
         raise ValueError("plan CSV has no waypoint rows")
-    for key in ("mode", "edge_kinds", "joint_distance_rad"):
+    for key in _PREAMBLE:
         if key not in meta:
             raise ValueError(f"plan CSV preamble is missing '# {key}:'")
-
-    # Joints, quaternion and position (columns 1-19), then theta and
-    # clearance (columns 21-22).
-    nums = np.array([[float(v) for v in fields[1:20] + fields[21:]]
-                     for _, fields in rows])
+    nums = np.array(nums)
     bad = np.nonzero(~np.isfinite(nums[:, :19]).all(axis=1))[0]
     if bad.size:
-        raise ValueError(f"line {rows[bad[0]][0]}: joint, quaternion and "
+        raise ValueError(f"line {row_lns[bad[0]]}: joint, quaternion and "
                          "position fields must be finite")
-    tool_rot = np.empty((len(rows), 3, 3))
-    for i, (ln, _) in enumerate(rows):
+    tool_rot = np.empty((len(row_lns), 3, 3))
+    for i, ln in enumerate(row_lns):
         try:
             tool_rot[i] = quat_to_rot(nums[i, 12:16])
         except ZeroVectorError as e:
             raise ValueError(f"line {ln}: {e}") from e
     q_left, q_right, tool_t = (nums[:, lo:hi].copy()
                                for lo, hi in ((0, 6), (6, 12), (16, 19)))
-    kinds = tuple(k for k in meta["edge_kinds"].split(",") if k)
     return MotionPlan(
         mode=meta["mode"], q_left=q_left, q_right=q_right,
         tool_rot=tool_rot, tool_t=tool_t,
         holding=tuple(holding),
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
-        edge_kinds=kinds, n_edges=len(kinds),
-        joint_distance=float(meta["joint_distance_rad"]))
+        edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
+        joint_distance=meta["joint_distance_rad"])
 
 
 def read_plan_csv(path) -> MotionPlan:

@@ -18,7 +18,8 @@ edges are validated lazily when their entry is popped; costs never
 change with validation, which keeps the search optimal.  In
 constrained mode every waypoint must keep the cable bend angle below
 the limit, and the hanging cable is an obstacle until the tool is
-first grasped.
+first grasped: a constrained approach edge attaches it beside the tool
+shapes.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tetherplan.cable import BalancerSpec, BendConstraint, ToolSpec, \
-    bend_angle_batch, with_cable
+from tetherplan.cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, \
+    bend_angle_batch, cable_segments
 from tetherplan.collision import CollisionWorld, motion_clearances
 from tetherplan.geometry import Pose, compose, rot_axis_angle, unit
 from tetherplan.robot import DualArm, IKOptions, N_JOINTS, fk_batch, ik_batch
@@ -107,8 +108,8 @@ class PlannerOptions:
 class PlanningProblem:
     """One pick-regrasp-place instance in a fixed scene.
 
-    world holds the static obstacles without the cable; the planner
-    adds the cable itself where it applies.
+    world holds the static obstacles; the planner attaches the cable
+    where it applies.
     """
 
     robot: DualArm
@@ -322,7 +323,6 @@ class _EdgeData:
     tool_rot: np.ndarray
     tool_t: np.ndarray
     holding: tuple
-    with_cable: bool
     kind: str
 
 
@@ -382,7 +382,7 @@ class _Search:
             rot = np.broadcast_to(pose.r, (w, 3, 3))
             t = np.broadcast_to(pose.t, (w, 3))
             holding = tuple(() if i < w - 1 else ((side, gid),) for i in range(w))
-            return _EdgeData(ql, qr, rot, t, holding, self.constrained, kind)
+            return _EdgeData(ql, qr, rot, t, holding, kind)
         if kind == "transfer":
             _, src, dst, side, gid = spec
             q_from = self.node_configs(src, side)[gid]
@@ -393,7 +393,7 @@ class _Search:
             grasp = self.grasps[side][gid]
             rot, t = self._tool_track(side, grasp, qs)
             holding = tuple((((side, gid),),) * w)
-            return _EdgeData(ql, qr, rot, t, holding, False, kind)
+            return _EdgeData(ql, qr, rot, t, holding, kind)
         if kind == "handover":
             _, station, giver, ggid, recv, rgid = spec
             q_give = self.node_configs(station, giver)[ggid]
@@ -411,7 +411,7 @@ class _Search:
             holding = ((((giver, ggid),),) * (w1 - 1)
                        + (((giver, ggid), (recv, rgid)),)
                        + (((recv, rgid),),) * (w2 - 1))
-            return _EdgeData(ql, qr, rot, t, holding, False, kind)
+            return _EdgeData(ql, qr, rot, t, holding, kind)
         raise ValueError(f"unknown edge kind {kind!r}")
 
     # ----- edge validation --------------------------------------------------
@@ -445,20 +445,22 @@ class _Search:
             if bad.size:
                 bend_bad = int(bad[0])
         segs = self.pb.tool.segments_world(data.tool_rot, data.tool_t)
-        world = self.pb.world
-        if data.with_cable:
-            world = with_cable(world, self.pb.balancer, self.station_poses[0],
-                               self.pb.tool)
+        radii, names = self.tool_radii, self.tool_names
+        if self.constrained and data.kind == "approach":
+            segs = np.concatenate([segs, cable_segments(
+                data.tool_rot, data.tool_t, self.pb.balancer, self.pb.tool)], axis=1)
+            radii = np.append(radii, self.pb.balancer.cable_radius)
+            names = names + [CABLE]
         clear, pair_idx, pair_names = motion_clearances(
-            world, self.pb.robot, data.q_left, data.q_right,
-            segs, self.tool_radii, self.tool_names)
+            self.pb.world, self.pb.robot, data.q_left, data.q_right,
+            segs, radii, names)
         coll = np.nonzero(clear < 0.0)[0]
         coll_bad = int(coll[0]) if coll.size else None
         if bend_bad is not None and (coll_bad is None or bend_bad <= coll_bad):
             return False, "bend"
         if coll_bad is not None:
             pair = pair_names[pair_idx[coll_bad]]
-            if "cable" in pair:
+            if CABLE in pair:
                 return False, "cable_collision"
             return False, "collision"
         return True, None
@@ -566,23 +568,11 @@ class _Search:
             node = parent
         chain.reverse()
         blocks = [self.build_edge(spec) for spec in chain]
-        ql = [blocks[0].q_left]
-        qr = [blocks[0].q_right]
-        rot = [np.asarray(blocks[0].tool_rot)]
-        t = [np.asarray(blocks[0].tool_t)]
-        holding = list(blocks[0].holding)
-        kinds = [blocks[0].kind]
-        for blk in blocks[1:]:
-            ql.append(blk.q_left[1:])
-            qr.append(blk.q_right[1:])
-            rot.append(np.asarray(blk.tool_rot[1:]))
-            t.append(np.asarray(blk.tool_t[1:]))
-            holding.extend(blk.holding[1:])
-            kinds.append(blk.kind)
-        q_left = np.vstack(ql)
-        q_right = np.vstack(qr)
-        tool_rot = np.concatenate(rot, axis=0)
-        tool_t = np.concatenate(t, axis=0)
+        # Consecutive edges share a waypoint; keep it once.
+        q_left, q_right, tool_rot, tool_t = (
+            np.concatenate([getattr(b, f)[min(i, 1):] for i, b in enumerate(blocks)])
+            for f in ("q_left", "q_right", "tool_rot", "tool_t"))
+        holding = [h for i, b in enumerate(blocks) for h in b.holding[min(i, 1):]]
         theta = bend_angle_batch(tool_rot, tool_t, self.pb.balancer, self.pb.tool)
         segs = self.pb.tool.segments_world(tool_rot, tool_t)
         clear, _, _ = motion_clearances(self.pb.world, self.pb.robot,
@@ -593,7 +583,8 @@ class _Search:
             mode="constrained" if self.constrained else "unconstrained",
             q_left=q_left, q_right=q_right, tool_rot=tool_rot, tool_t=tool_t,
             holding=tuple(holding), theta=theta, clearance=clear,
-            edge_kinds=tuple(kinds), n_edges=edges, joint_distance=dist)
+            edge_kinds=tuple(b.kind for b in blocks), n_edges=edges,
+            joint_distance=dist)
 
 
 def plan(problem: PlanningProblem, constrained: bool = True,

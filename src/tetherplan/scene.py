@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .cable import BalancerSpec, BendConstraint, ToolSpec, bend_angle
+from .cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, bend_angle
 from .collision import ArmLinkSpec, Box, Capsule, CollisionWorld, Shape, Sphere, link_names
 from .geometry import Pose, rot_x, rot_y
 from .planner import PlannerOptions, PlanningProblem
@@ -179,6 +179,8 @@ class Scene:
             f"goal_xyz_m: {b.goal_pose.t.tolist()}",
             f"handover_count: {len(b.handover_poses)}",
             f"statics: {sorted(b.world.statics)}",
+            f"link_radii_m: {b.world.link_spec.radii.tolist()}",
+            f"palm_standoff_m: {b.world.link_spec.palm_setback}",
             f"axial_samples: {o.axial_samples}",
             f"roll_samples: {o.roll_samples}",
             f"grasp_inset_m: {o.grasp_inset}",
@@ -188,6 +190,8 @@ class Scene:
             f"ik_restarts: {o.ik.restarts}",
             f"ik_max_iters: {o.ik.max_iters}",
             f"ik_seed: {o.ik.seed}",
+            f"ik_pos_tol_m: {o.ik.pos_tol}",
+            f"ik_ori_tol_rad: {o.ik.ori_tol}",
             f"pitch_rows_deg: {[round(math.degrees(p), 6) for p in self.pitch_rows]}",
             f"roll_cols_deg: {[round(math.degrees(r), 6) for r in self.roll_cols]}",
         ]
@@ -375,15 +379,15 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
         if sname in statics:
             raise ValidationError(f"statics[{i}].name",
                                   f"duplicate static name {sname!r}")
-        if sname == "cable":
+        if sname == CABLE:
             raise ValidationError(f"statics[{i}].name",
-                                  "'cable' is reserved for the balancer cable")
+                                  f"{CABLE!r} is reserved for the balancer cable")
         statics[sname] = shape
 
     exclude_node = _get(root, "collision_exclude", "scene", [])
     if not isinstance(exclude_node, list):
         raise ParseError("collision_exclude: expected a list")
-    known = set(statics) | {"cable"} | {n for n, _ in tool.shapes}
+    known = set(statics) | {CABLE} | {n for n, _ in tool.shapes}
     for side in ("left", "right"):
         known.update(link_names(side))
     excluded = []

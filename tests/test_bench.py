@@ -22,7 +22,8 @@ from tetherplan.bench import (
     sweep,
 )
 from tetherplan.cable import BendConstraint
-from tetherplan.collision import arm_link_segments
+from tetherplan.collision import Box, arm_link_segments
+from tetherplan.geometry import Pose
 from tetherplan.plan_io import read_plan_csv
 from tetherplan.planner import MotionPlan, PlannerStats, PlanResult, plan
 from tetherplan.scene import default_scene
@@ -112,9 +113,9 @@ class TestRecheckPlan:
         rc = recheck_plan(motion, problem)
         assert rc.clean
         assert rc.theta_max == pytest.approx(float(motion.theta.max()))
-        # The audit adds the cable to the pre-grasp window, so its
-        # minimum clearance can only be tighter than the planner's
-        # cable-free record.
+        # The audit carries the cable on every waypoint, so its minimum
+        # clearance can only be tighter than the planner's cable-free
+        # record.
         assert 0.0 < rc.min_clearance <= float(motion.clearance.min()) + 1e-12
 
     @pytest.mark.parametrize("shift, flagged", [(0.5 * _GRIP_TOL, False),
@@ -187,15 +188,33 @@ class TestRecheckPlan:
         assert out.label == "cable_collision"
         assert out.first_violation == 1
 
-    def test_cable_checked_only_before_the_grasp(self):
-        # The same cable-crossing configuration after the tool is in
-        # hand must not count: the hanging-cable window has closed.
+    def test_carried_cable_through_a_link_flags_cable_contact(self):
+        # The same crossing while the right arm holds the tool: the
+        # carried cable is checked on every waypoint, not only until the
+        # first grasp.
         problem, q_probe, tool_t = self._cable_crossing_setup()
         motion = self._fabricate(problem, tool_t, [HOME_LEFT, q_probe],
                                  ((("right", 0),), (("right", 0),)))
         rc = recheck_plan(motion, problem)
-        assert rc.cable_waypoint is None
-        assert rc.clean
+        assert (rc.cable_waypoint, rc.collision_waypoint) == (1, None)
+        assert rc.grip_waypoint is None
+        out = classify(PlanResult(motion, None, PlannerStats()), rc)
+        assert (out.label, out.first_violation) == ("cable_collision", 1)
+
+    def test_cable_through_a_static_box_is_cable_contact(self):
+        # A shelf across the cable's path, clear of the tool and of both
+        # arms at home: only the cable touches it.
+        shelf = Box(Pose(np.eye(3), [0.3, 0.35, 1.0]), [0.1, 0.1, 0.02])
+        bare, shelved = (make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45],
+                                      statics=statics)
+                         for statics in (None, {"shelf": shelf}))
+        motion = self._fabricate(bare, bare.start_pose.t, [HOME_LEFT] * 2,
+                                 ((), ()))
+        assert recheck_plan(motion, bare).clean
+        rc = recheck_plan(motion, shelved)
+        assert (rc.cable_waypoint, rc.collision_waypoint) == (0, None)
+        out = classify(PlanResult(motion, None, PlannerStats()), rc)
+        assert (out.label, out.first_violation) == ("cable_collision", 0)
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from tetherplan.cable import (
     ToolSpec,
     bend_angle,
     bend_angle_batch,
-    cable_capsule,
+    cable_segments,
 )
 from tetherplan.collision import Box, Capsule, Sphere
 from tetherplan.geometry import Pose, rot_y, rot_z, rpy_to_rot
@@ -130,16 +130,20 @@ class TestConstraint:
 
 class TestCableCapsule:
     def test_runs_anchor_to_connector(self):
-        pose = Pose(np.eye(3), [0.0, 0.0, 0.65])
-        cap = cable_capsule(make_balancer(), pose, make_tool())
-        assert np.allclose(cap.a, ANCHOR)
-        assert np.allclose(cap.b, [0.0, 0.0, 0.74])
-        assert cap.radius == pytest.approx(0.01)
+        # One attached segment per tool pose: the hanging tool, then the
+        # tool turned a quarter about z and moved, which swings the
+        # off-axis connector with it.
+        rot = np.stack([np.eye(3), rot_z(math.pi / 2)])
+        t = np.array([[0.0, 0.0, 0.65], [0.2, 0.1, 0.5]])
+        segs = cable_segments(rot, t, make_balancer(), make_tool((0.1, 0.0, 0.09)))
+        assert segs.shape == (2, 1, 2, 3)
+        assert np.array_equal(segs[:, 0, 0], [ANCHOR, ANCHOR])
+        assert np.allclose(segs[:, 0, 1], [[0.1, 0.0, 0.74], [0.2, 0.2, 0.59]])
 
     def test_degenerate_raises(self):
         tool = make_tool(connector=(0.0, 0.0, 0.0))
         with pytest.raises(DegenerateCable):
-            cable_capsule(make_balancer(), Pose(np.eye(3), ANCHOR), tool)
+            cable_segments(np.eye(3)[None], ANCHOR[None], make_balancer(), tool)
 
 
 class TestSpecs:

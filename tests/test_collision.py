@@ -20,7 +20,7 @@ from tetherplan.collision import (
     segment_segment_distance,
     shape_clearance,
 )
-from tetherplan.cable import with_cable
+from tetherplan.cable import CABLE
 from tetherplan.geometry import Pose, rpy_to_rot
 from tetherplan.robot import ArmModel, DualArm, fk_batch, fk_frames
 
@@ -280,12 +280,6 @@ class TestWorld:
         assert pairs
         assert any("table" in pair for pair in pairs)
 
-    def test_with_static_is_a_copy(self):
-        world = make_world()
-        bigger = world.with_static("post", Capsule([0, 0, 0], [0, 0, 1], 0.05))
-        assert "post" not in world.statics
-        assert "post" in bigger.statics
-
     def test_batch_matches_scalar(self):
         # Two inputs: the bare arms, then a capsule held by the left arm
         # along its approach axis in a world with a box.  Every pair is
@@ -366,14 +360,15 @@ def held_tool(robot, q_left):
 
 
 def cluttered_world():
-    """A post, a cable excluded against the tool, a table and a tilted box."""
+    """A post, a static cable excluded against the tool, a table and a
+    tilted box."""
     return make_world({
         "post": Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04),
         "table": Box(Pose(np.eye(3), [0.0, 0.0, -0.3]), [1.0, 1.0, 0.4]),
         "crate": Box(Pose(rpy_to_rot(0.3, 0.2, 0.5), [0.35, -0.2, 0.45]),
                      [0.1, 0.15, 0.05]),
-    }).with_static("cable", Capsule([0.2, 0.1, 1.5], [0.2, 0.1, 0.6], 0.01),
-                   exclude_against=["tool"])
+        "cable": Capsule([0.2, 0.1, 1.5], [0.2, 0.1, 0.6], 0.01),
+    }, excluded=[("cable", "tool")])
 
 
 class TestBoundedClearances:
@@ -464,30 +459,27 @@ class TestBoundedClearances:
 
 
 class TestPairTableMemo:
+    # The tool shapes and the cable, attached as a constrained approach
+    # edge and the re-check attach them.
+    NAMES = ["tool/handle", "tool/head", CABLE]
+    RADII = [0.018, 0.03, 0.01]
+
     def test_equal_worlds_share_one_table(self):
-        pb = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3])
-        names = [name for name, _ in pb.tool.shapes]
-        radii = [0.018, 0.03]
-        first, second = (with_cable(pb.world, pb.balancer, pb.start_pose, pb.tool)
+        first, second = (make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3]).world
                          for _ in range(2))
         assert first is not second
-        table = _build_pair_table(first, names, radii)
-        assert _build_pair_table(second, names, radii) is table
+        table = _build_pair_table(first, self.NAMES, self.RADII)
+        assert _build_pair_table(second, self.NAMES, self.RADII) is table
 
     def test_a_changed_input_gets_its_own_table(self):
-        pb = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3])
-        names = [name for name, _ in pb.tool.shapes]
-        radii = [0.018, 0.03]
-        world = with_cable(pb.world, pb.balancer, pb.start_pose, pb.tool)
-        table = _build_pair_table(world, names, radii)
-        thicker = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3], cable_radius=0.02)
-        variants = [
-            with_cable(thicker.world, thicker.balancer, thicker.start_pose,
-                       thicker.tool),
-            world.with_static("cable", world.statics["cable"],
-                              exclude_against=["left/link1"]),
-        ]
-        for other in variants:
-            assert _build_pair_table(other, names, radii) is not table
-        assert not np.array_equal(
-            _build_pair_table(variants[0], names, radii).radius, table.radius)
+        world = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3]).world
+        table = _build_pair_table(world, self.NAMES, self.RADII)
+        thicker = _build_pair_table(world, self.NAMES, self.RADII[:2] + [0.02])
+        assert thicker is not table
+        assert not np.array_equal(thicker.radius, table.radius)
+        excluded = CollisionWorld(world.statics, world.link_spec,
+                                  [*map(tuple, world.excluded),
+                                   (CABLE, "left/link1")])
+        other = _build_pair_table(excluded, self.NAMES, self.RADII)
+        assert ("left/link1", CABLE) in table.pair_names
+        assert set(other.pair_names) == set(table.pair_names) - {("left/link1", CABLE)}

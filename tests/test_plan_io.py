@@ -109,13 +109,36 @@ class TestPlanParseErrors:
         lines[5] = ",".join(fields)
         return "\n".join(lines)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("column", ["ql1", "qr6", "tool_qw", "tool_qz",
-                                        "tool_x", "tool_z"])
+    @pytest.mark.parametrize("column, value", [
+        *((c, v) for c in ("ql1", "qr6", "tool_qw", "tool_qz", "tool_x", "tool_z")
+          for v in ("nan", "inf", "-inf", "abc")),
+        ("theta_rad", "abc"), ("min_clearance_m", "1.2.3"),
+        ("joint_distance_rad", "abc")])
     def test_non_finite_field_names_its_line(self, solved, column, value):
+        # A non-numeric field names its line like a non-finite one; the
+        # joint distance is the third preamble line.
         _, motion = solved
-        with pytest.raises(ValueError, match="line 6"):
-            parse_plan_csv(self._edit_waypoint_1(motion, **{column: value}))
+        if column == "joint_distance_rad":
+            lines = plan_csv(motion).splitlines()
+            lines[2] = f"# {column}: {value}"
+            text, line = "\n".join(lines), 3
+        else:
+            text, line = self._edit_waypoint_1(motion, **{column: value}), 6
+        with pytest.raises(ValueError, match=f"line {line}:"):
+            parse_plan_csv(text)
+
+    @pytest.mark.parametrize("line, key, value, bad", [
+        (1, "mode", "sideways", "sideways"),
+        (2, "edge_kinds", "teleport,approach,transfer,handover,approach",
+         "teleport")])
+    def test_unknown_mode_or_edge_kind_is_rejected(self, solved, line, key,
+                                                   value, bad):
+        _, motion = solved
+        lines = plan_csv(motion).splitlines()
+        lines[line - 1] = f"# {key}: {value}"
+        with pytest.raises(ValueError,
+                           match=f"line {line}: {key}: '{bad}' is not one of"):
+            parse_plan_csv("\n".join(lines))
 
     @pytest.mark.parametrize("holding, message", [
         ("left:x", "malformed"), ("left:\u00b2", "malformed"),

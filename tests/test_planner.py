@@ -6,7 +6,8 @@ import pytest
 from helpers import QUICK, make_problem, make_tool
 
 from tetherplan import planner, robot
-from tetherplan.cable import BendConstraint, ToolSpec
+from tetherplan.cable import CABLE, BendConstraint, ToolSpec
+from tetherplan.collision import Capsule, CollisionWorld, motion_clearances
 from tetherplan.geometry import Pose, rot_x
 from tetherplan.planner import (
     EmptyGraspSet,
@@ -245,7 +246,6 @@ class TestEdgeValidation:
             tool_rot=np.stack(rots),
             tool_t=np.stack([np.asarray(t, dtype=float) for t in ts]),
             holding=((("left", 0),),) * w,
-            with_cable=False,
             kind="transfer",
         )
 
@@ -285,6 +285,45 @@ class TestEdgeValidation:
         search.build_edge = lambda spec: edge
         ok, reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
         assert (ok, reason) == (False, "bend")
+
+    def test_attached_cable_equals_a_static_cable_on_approach_edges(self,
+                                                                    monkeypatch):
+        # The tool rests during an approach, so its cable is one fixed
+        # capsule.  As a static excluded against the tool shapes, the
+        # design the attached cable replaced, it gives the same
+        # clearance bit for bit on every row of every constrained
+        # approach edge, and the same nearest pair.  A thick cable makes
+        # it the nearest body on some rows.
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45],
+                               cable_radius=0.05)
+        search = _Search(problem, True, QUICK, PlanCache())
+        solve_stations([problem], QUICK, search.cache, True)
+        pose, world = problem.start_pose, problem.world
+        cable = Capsule(problem.balancer.anchor,
+                        pose.t + pose.r @ problem.tool.connector_point,
+                        problem.balancer.cable_radius)
+        static = CollisionWorld(
+            {**world.statics, CABLE: cable}, world.link_spec,
+            [*map(tuple, world.excluded),
+             *((CABLE, name) for name, _ in problem.tool.shapes)])
+        calls = []
+        monkeypatch.setattr(planner, "motion_clearances",
+                            lambda *a: calls.append(a) or motion_clearances(*a))
+        k = len(problem.tool.shapes)
+        nearest_cable = 0
+        for side in ("left", "right"):
+            for gid in sorted(search.node_configs(0, side)):
+                search._validate_edge_uncached(("approach", side, gid))
+                args = calls.pop()
+                _, robot, ql, qr, segs, radii, names = args
+                assert names[k:] == [CABLE]
+                clear, idx, pairs = motion_clearances(*args)
+                want, want_idx, want_pairs = motion_clearances(
+                    static, robot, ql, qr, segs[:, :k], radii[:k], names[:k])
+                assert np.array_equal(clear, want)
+                assert [pairs[i] for i in idx] == [want_pairs[i] for i in want_idx]
+                nearest_cable += sum(CABLE in pairs[i] for i in idx)
+        assert nearest_cable > 0
 
 
 class TestStationSolve:

@@ -5,8 +5,8 @@ import pytest
 import yaml
 from importlib import resources
 
-from tetherplan.cable import bend_angle
-from tetherplan.collision import motion_clearances
+from tetherplan.cable import CABLE, bend_angle
+from tetherplan.collision import _build_pair_table, motion_clearances
 from tetherplan.geometry import rot_y
 from tetherplan.planner import sample_grasps
 from tetherplan.scene import (
@@ -72,6 +72,10 @@ class TestDefaultScene:
         text = default_scene().describe()
         assert "theta_max_deg: 95" in text
         assert "ik_seed: 0" in text
+        assert "ik_pos_tol_m: 0.0001" in text
+        assert "ik_ori_tol_rad: 0.001" in text
+        assert "link_radii_m: [0.045, 0.045, 0.04, 0.035, 0.035, 0.03]" in text
+        assert "palm_standoff_m: 0.07" in text
 
     def test_load_scene_from_file(self, tmp_path):
         path = tmp_path / "scene.yaml"
@@ -243,6 +247,13 @@ class TestValidationErrors:
         assert sc.base.world.link_spec.palm_setback == 1e-6
 
     def test_cable_is_a_known_exclusion_name(self):
+        # Excluding the cable against a link removes that pair from every
+        # clearance query that attaches the cable.
         doc = yaml.safe_load(default_text())
-        doc["collision_exclude"].append(["cable", "tool/head"])
-        parse_scene(yaml.safe_dump(doc))  # does not raise
+        doc["collision_exclude"] += [["cable", "tool/head"], ["cable", "left/link3"]]
+        base = parse_scene(yaml.safe_dump(doc)).base
+        _, radii, names = base.tool.shape_segments()
+        pairs = _build_pair_table(base.world, names + [CABLE],
+                                  [*radii, base.balancer.cable_radius]).pair_names
+        assert ("left/link2", CABLE) in pairs
+        assert ("left/link3", CABLE) not in pairs
