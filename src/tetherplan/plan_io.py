@@ -2,8 +2,15 @@
 
 A plan file is a CSV with one row per waypoint, preceded by a short
 ``# key: value`` preamble carrying whole-plan facts (mode, edge kinds,
-joint distance).  Floats are written with nine significant digits, which
-round-trips joint angles and poses to well below actuator resolution.
+joint distance), each key at most once.  Floats are written with nine
+significant digits, which round-trips joint angles and poses to well
+below actuator resolution.
+
+The theta_rad and min_clearance_m columns hold the values the planner
+validated: the cable bend angle and the least clearance of each
+waypoint, with the tool shapes attached and, on a constrained plan's
+approach rows, the cable too.  bench.recheck_plan ignores them and
+recomputes its own.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ _PREAMBLE = {
 
 
 def parse_plan_csv(text: str) -> MotionPlan:
-    meta = {}
+    meta, meta_lns = {}, {}
     nums, row_lns, holding = [], [], []
     header_seen = False
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -100,6 +107,10 @@ def parse_plan_csv(text: str) -> MotionPlan:
             continue
         if line.startswith("#"):
             key, _, value = (p.strip() for p in line.lstrip("# ").partition(":"))
+            if key in meta_lns:
+                raise ValueError(f"line {ln}: '# {key}:' repeats line "
+                                 f"{meta_lns[key]}")
+            meta_lns[key] = ln
             try:
                 meta[key] = _PREAMBLE.get(key, str)(value)
             except ValueError as e:

@@ -15,7 +15,9 @@ stations of both arms in one grouped batch (a sweep does this once for
 all of its cells).  Uniform-cost search then orders paths by (edge
 count, summed joint distance).  Edge feasibility is expensive, so
 edges are validated lazily when their entry is popped; costs never
-change with validation, which keeps the search optimal.  In
+change with validation, which keeps the search optimal.  A valid edge
+keeps the rows it checked with their bend angles and clearances, and
+the plan joins those blocks, so each waypoint is measured once.  In
 constrained mode every waypoint must keep the cable bend angle below
 the limit, and the hanging cable is an obstacle until the tool is
 first grasped: a constrained approach edge attaches it beside the tool
@@ -145,7 +147,9 @@ class PlanningProblem:
 
 @dataclass(frozen=True)
 class MotionPlan:
-    """A validated waypoint path for both arms plus the carried tool."""
+    """A validated waypoint path for both arms plus the carried tool;
+    theta and clearance are the bend angle and clearance validated per
+    waypoint, the cable counted on constrained approach rows."""
 
     mode: str
     q_left: np.ndarray
@@ -196,11 +200,12 @@ class PlanCache:
     node_feasible maps (station key, arm) to the collision-free grasp
     configs there; solve_stations fills it up front, one grouped IK
     call for both arms, and the search only reads it.  edge_verdict fills
-    lazily as edges are validated.  Keys are content-addressed (station
-    name and pose bytes), so a cache shared across a parameter sweep of
-    one scene is safe: identical queries recur whenever rows share a
-    goal pose or columns share a start pose, and the handover stations
-    never change.
+    lazily as edges are validated: it holds a passing edge's block
+    (rows, bend angles, clearances) and a failing edge's reason.  Keys
+    are content-addressed (station name and pose bytes), so a cache
+    shared across a parameter sweep of one scene is safe: identical
+    queries recur whenever rows share a goal pose or columns share a
+    start pose, and the handover stations never change.
     """
 
     grasps: dict = field(default_factory=dict)
@@ -318,12 +323,17 @@ def interp_joints(qa: np.ndarray, qb: np.ndarray, step: float) -> np.ndarray:
 
 @dataclass
 class _EdgeData:
+    """One edge's waypoint rows; validation adds each row's bend angle
+    and its clearance, the minimum over every pair it measured."""
+
     q_left: np.ndarray
     q_right: np.ndarray
     tool_rot: np.ndarray
     tool_t: np.ndarray
     holding: tuple
     kind: str
+    theta: np.ndarray | None = None
+    clearance: np.ndarray | None = None
 
 
 class _Search:
@@ -426,24 +436,18 @@ class _Search:
         _, station, giver, ggid, recv, rgid = spec
         return (kind, giver, ggid, recv, rgid, self.station_keys[station])
 
-    def validate_edge(self, spec: tuple) -> tuple[bool, str | None]:
+    def validate_edge(self, spec: tuple) -> _EdgeData | str:
         key = (self.edge_key(spec), self.constrained)
-        hit = self.cache.edge_verdict.get(key)
-        if hit is not None:
-            return hit
-        verdict = self._validate_edge_uncached(spec)
-        self.cache.edge_verdict[key] = verdict
-        return verdict
+        if key not in self.cache.edge_verdict:
+            self.cache.edge_verdict[key] = self._validate_edge_uncached(spec)
+        return self.cache.edge_verdict[key]
 
-    def _validate_edge_uncached(self, spec: tuple) -> tuple[bool, str | None]:
+    def _validate_edge_uncached(self, spec: tuple) -> _EdgeData | str:
+        """The edge's block with its bend angles and clearances, or the
+        reason its first bad row fails; bend wins a tie with contact."""
         data = self.build_edge(spec)
-        bend_bad = None
-        if self.constrained and data.kind == "transfer":
-            theta = bend_angle_batch(data.tool_rot, data.tool_t,
-                                     self.pb.balancer, self.pb.tool)
-            bad = np.nonzero(theta >= self.pb.constraint.theta_max)[0]
-            if bad.size:
-                bend_bad = int(bad[0])
+        data.theta = bend_angle_batch(data.tool_rot, data.tool_t,
+                                      self.pb.balancer, self.pb.tool)
         segs = self.pb.tool.segments_world(data.tool_rot, data.tool_t)
         radii, names = self.tool_radii, self.tool_names
         if self.constrained and data.kind == "approach":
@@ -451,19 +455,20 @@ class _Search:
                 data.tool_rot, data.tool_t, self.pb.balancer, self.pb.tool)], axis=1)
             radii = np.append(radii, self.pb.balancer.cable_radius)
             names = names + [CABLE]
-        clear, pair_idx, pair_names = motion_clearances(
+        data.clearance, pair_idx, pair_names = motion_clearances(
             self.pb.world, self.pb.robot, data.q_left, data.q_right,
             segs, radii, names)
-        coll = np.nonzero(clear < 0.0)[0]
-        coll_bad = int(coll[0]) if coll.size else None
-        if bend_bad is not None and (coll_bad is None or bend_bad <= coll_bad):
-            return False, "bend"
-        if coll_bad is not None:
-            pair = pair_names[pair_idx[coll_bad]]
-            if CABLE in pair:
-                return False, "cable_collision"
-            return False, "collision"
-        return True, None
+        # Only a transfer moves the tool away from a checked station.
+        bent = (data.theta >= self.pb.constraint.theta_max) & (
+            self.constrained and data.kind == "transfer")
+        bad = bent | (data.clearance < 0.0)
+        if not bad.any():
+            return data
+        first = int(np.argmax(bad))
+        if bent[first]:
+            return "bend"
+        pair = pair_names[pair_idx[first]]
+        return "cable_collision" if CABLE in pair else "collision"
 
     # ----- search -----------------------------------------------------------
 
@@ -532,12 +537,12 @@ class _Search:
             if node in settled:
                 continue
             self.stats.edges_validated += 1
-            ok, reason = self.validate_edge(spec)
-            if not ok:
-                self.stats.reject(reason)
+            block = self.validate_edge(spec)
+            if isinstance(block, str):
+                self.stats.reject(block)
                 continue
             settled[node] = (edges, dist)
-            parents[node] = (parent, spec)
+            parents[node] = (parent, block)
             self.stats.nodes_settled += 1
             if node[1] == self.goal_idx:
                 goal_node = node
@@ -560,29 +565,23 @@ class _Search:
     # ----- plan assembly ----------------------------------------------------
 
     def _assemble(self, goal_node, parents, settled) -> MotionPlan:
-        chain = []
+        blocks = []
         node = goal_node
         while node != ROOT:
-            parent, spec = parents[node]
-            chain.append(spec)
-            node = parent
-        chain.reverse()
-        blocks = [self.build_edge(spec) for spec in chain]
+            node, block = parents[node]
+            blocks.append(block)
+        blocks.reverse()
         # Consecutive edges share a waypoint; keep it once.
-        q_left, q_right, tool_rot, tool_t = (
+        q_left, q_right, tool_rot, tool_t, theta, clearance = (
             np.concatenate([getattr(b, f)[min(i, 1):] for i, b in enumerate(blocks)])
-            for f in ("q_left", "q_right", "tool_rot", "tool_t"))
+            for f in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+                      "clearance"))
         holding = [h for i, b in enumerate(blocks) for h in b.holding[min(i, 1):]]
-        theta = bend_angle_batch(tool_rot, tool_t, self.pb.balancer, self.pb.tool)
-        segs = self.pb.tool.segments_world(tool_rot, tool_t)
-        clear, _, _ = motion_clearances(self.pb.world, self.pb.robot,
-                                        q_left, q_right, segs,
-                                        self.tool_radii, self.tool_names)
         edges, dist = settled[goal_node]
         return MotionPlan(
             mode="constrained" if self.constrained else "unconstrained",
             q_left=q_left, q_right=q_right, tool_rot=tool_rot, tool_t=tool_t,
-            holding=tuple(holding), theta=theta, clearance=clear,
+            holding=tuple(holding), theta=theta, clearance=clearance,
             edge_kinds=tuple(b.kind for b in blocks), n_edges=edges,
             joint_distance=dist)
 

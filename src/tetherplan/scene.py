@@ -257,7 +257,16 @@ def _parse_robot(node, path: str):
     return robot, spec, home_left, home_right
 
 
-def _parse_tool(node, path: str) -> ToolSpec:
+def _claim(known: set, name: str, path: str) -> None:
+    """Add name to the known body names.  Clearance pairs go by name, so
+    the cable, the arm links, the statics and the tool shapes each need
+    their own."""
+    if name in known:
+        raise ValidationError(path, f"duplicate body name {name!r}")
+    known.add(name)
+
+
+def _parse_tool(node, path: str, known: set) -> ToolSpec:
     node = _mapping(node, path)
     _check_keys(node, ("connector_xyz_m", "cable_dir", "handle_a_xyz_m",
                        "handle_b_xyz_m", "handle_radius_m", "shapes"), path)
@@ -266,6 +275,8 @@ def _parse_tool(node, path: str) -> ToolSpec:
         raise ParseError(f"{path}.shapes: expected a non-empty list")
     shapes = tuple(_shape(s, f"{path}.shapes[{i}]")
                    for i, s in enumerate(shapes_node))
+    for i, (name, _) in enumerate(shapes):
+        _claim(known, name, f"{path}.shapes[{i}].name")
     try:
         return ToolSpec(
             connector_point=_numbers(_get(node, "connector_xyz_m", path), 3,
@@ -336,7 +347,6 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
     name = _string(_get(root, "name", "scene", "unnamed"), "name")
     robot, link_spec, home_left, home_right = _parse_robot(
         _get(root, "robot", "scene"), "robot")
-    tool = _parse_tool(_get(root, "tool", "scene"), "tool")
 
     bal_node = _mapping(_get(root, "balancer", "scene"), "balancer")
     _check_keys(bal_node, ("anchor_xyz_m", "max_load_kg", "cable_radius_m"),
@@ -374,22 +384,16 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
     if not isinstance(statics_node, list):
         raise ParseError("statics: expected a list")
     statics = {}
+    known = {CABLE, *link_names("left"), *link_names("right")}
     for i, s in enumerate(statics_node):
         sname, shape = _shape(s, f"statics[{i}]")
-        if sname in statics:
-            raise ValidationError(f"statics[{i}].name",
-                                  f"duplicate static name {sname!r}")
-        if sname == CABLE:
-            raise ValidationError(f"statics[{i}].name",
-                                  f"{CABLE!r} is reserved for the balancer cable")
+        _claim(known, sname, f"statics[{i}].name")
         statics[sname] = shape
+    tool = _parse_tool(_get(root, "tool", "scene"), "tool", known)
 
     exclude_node = _get(root, "collision_exclude", "scene", [])
     if not isinstance(exclude_node, list):
         raise ParseError("collision_exclude: expected a list")
-    known = set(statics) | {CABLE} | {n for n, _ in tool.shapes}
-    for side in ("left", "right"):
-        known.update(link_names(side))
     excluded = []
     for i, pair in enumerate(exclude_node):
         if not isinstance(pair, list) or len(pair) != 2:

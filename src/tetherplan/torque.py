@@ -75,10 +75,11 @@ class TorqueTrace:
         return tuple(seen)
 
     def peak(self, arm: str) -> float:
-        mags = [e.magnitude for e in self.entries if e.arm == arm]
-        if not mags:
+        """Largest joint-torque magnitude over the arm's entries."""
+        torques = [e.torques for e in self.entries if e.arm == arm]
+        if not torques:
             raise EmptyTrace(f"no entries for arm {arm!r}")
-        return max(mags)
+        return float(np.abs(np.stack(torques)).max())
 
 
 def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,

@@ -140,6 +140,13 @@ class TestPlanParseErrors:
                            match=f"line {line}: {key}: '{bad}' is not one of"):
             parse_plan_csv("\n".join(lines))
 
+    def test_repeated_preamble_key_names_both_lines(self, solved):
+        # The plan is constrained; a second mode line must not win.
+        _, motion = solved
+        text = "# mode: unconstrained\n" + plan_csv(motion)
+        with pytest.raises(ValueError, match="line 2: '# mode:' repeats line 1"):
+            parse_plan_csv(text)
+
     @pytest.mark.parametrize("holding, message", [
         ("left:x", "malformed"), ("left:\u00b2", "malformed"),
         ("left:3+left:5", "twice")])

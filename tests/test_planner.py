@@ -6,8 +6,10 @@ import pytest
 from helpers import QUICK, make_problem, make_tool
 
 from tetherplan import planner, robot
-from tetherplan.cable import CABLE, BendConstraint, ToolSpec
-from tetherplan.collision import Capsule, CollisionWorld, motion_clearances
+from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch, \
+    cable_segments
+from tetherplan.collision import Capsule, CollisionWorld, _pair_clearances, \
+    motion_clearances
 from tetherplan.geometry import Pose, rot_x
 from tetherplan.planner import (
     EmptyGraspSet,
@@ -227,6 +229,59 @@ class TestPlanning:
                 assert plan(problem, constrained=False, options=QUICK).success
 
 
+class TestAssembly:
+    """A plan is its validated edge blocks joined end to end."""
+
+    @pytest.mark.parametrize("constrained, goal, cable_radius", [
+        (True, [0.3, -0.35, 0.45], 0.01),
+        (False, [0.3, -0.35, 0.45], 0.01),
+        # The thick cable of the attached-cable test is the nearest body
+        # on some approach rows, so leaving it out would change them.
+        (True, [0.3, 0.1, 0.45], 0.05),
+    ])
+    def test_plan_values_equal_a_dense_remeasure(self, constrained, goal,
+                                                 cable_radius):
+        problem = make_problem([0.3, 0.35, 0.45], goal,
+                               cable_radius=cable_radius)
+        p = plan(problem, constrained=constrained, options=QUICK).plan
+        rot, t = p.tool_rot, p.tool_t
+        assert np.array_equal(
+            p.theta, bend_angle_batch(rot, t, problem.balancer, problem.tool))
+        # The approach ends on the first held waypoint.
+        approach = next(i for i, h in enumerate(p.holding) if h) + 1
+        _, radii, names = problem.tool.shape_segments()
+        segs = problem.tool.segments_world(rot, t)
+        dense, _ = _pair_clearances(problem.world, problem.robot, p.q_left,
+                                    p.q_right, segs, radii, names)
+        want = dense.min(axis=1)
+        with_cable, table = _pair_clearances(
+            problem.world, problem.robot, p.q_left, p.q_right,
+            np.concatenate([segs, cable_segments(rot, t, problem.balancer,
+                                                 problem.tool)], axis=1),
+            np.append(radii, problem.balancer.cable_radius), names + [CABLE])
+        if constrained:
+            want[:approach] = with_cable[:approach].min(axis=1)
+        assert np.array_equal(p.clearance, want)
+        if cable_radius > 0.01:
+            nearest = with_cable[:approach].argmin(axis=1)
+            assert any(CABLE in table.pair_names[i] for i in nearest)
+
+    def test_warm_cache_replans_without_measuring(self, monkeypatch):
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        cache = PlanCache()
+        first = plan(problem, constrained=True, options=QUICK, cache=cache).plan
+        calls = []
+        monkeypatch.setattr(planner, "motion_clearances",
+                            lambda *a: calls.append(a) or motion_clearances(*a))
+        again = plan(problem, constrained=True, options=QUICK, cache=cache).plan
+        assert calls == []
+        for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+                     "clearance"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert again.holding == first.holding
+        assert again.edge_kinds == first.edge_kinds
+
+
 class TestEdgeValidation:
     """Validator semantics, checked on hand-built edges.
 
@@ -259,8 +314,8 @@ class TestEdgeValidation:
             [start.r, rot_x(math.radians(120.0)), start.r],
             [start.t, start.t, start.t])
         search.build_edge = lambda spec: edge
-        ok, reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
-        assert (ok, reason) == (False, "bend")
+        reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
+        assert reason == "bend"
 
     def test_collision_before_bend_wins(self):
         problem, search = self._search()
@@ -271,8 +326,8 @@ class TestEdgeValidation:
             [start.r, start.r, rot_x(math.radians(120.0))],
             [palm, start.t, start.t])
         search.build_edge = lambda spec: edge
-        ok, reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
-        assert (ok, reason) == (False, "collision")
+        reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
+        assert reason == "collision"
 
     def test_bend_at_same_row_outranks_collision(self):
         problem, search = self._search()
@@ -283,8 +338,8 @@ class TestEdgeValidation:
             [start.r, rot_x(math.radians(120.0)), start.r],
             [start.t, palm, start.t])
         search.build_edge = lambda spec: edge
-        ok, reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
-        assert (ok, reason) == (False, "bend")
+        reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
+        assert reason == "bend"
 
     def test_attached_cable_equals_a_static_cable_on_approach_edges(self,
                                                                     monkeypatch):

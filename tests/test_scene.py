@@ -193,6 +193,27 @@ class TestValidationErrors:
         with pytest.raises(ValidationError, match="duplicate"):
             parse_scene(yaml.safe_dump(doc))
 
+    @pytest.mark.parametrize("name", [CABLE, "left/link3", "table",
+                                      "tool/handle"])
+    def test_tool_shape_may_not_shadow_another_body(self, name):
+        # Clearance pairs go by name: a tool shape named like the cable,
+        # a link, a static or another shape could not be told apart.
+        doc = yaml.safe_load(default_text())
+        doc["tool"]["shapes"][1]["name"] = name
+        with pytest.raises(ValidationError, match=r"tool\.shapes\[1\]\.name"):
+            parse_scene(yaml.safe_dump(doc))
+        doc["tool"]["shapes"][1]["name"] = "tool/tip"
+        assert parse_scene(yaml.safe_dump(doc)).base.tool.shapes[1][0] == "tool/tip"
+
+    @pytest.mark.parametrize("name", [CABLE, "right/link6"])
+    def test_static_may_not_shadow_the_cable_or_a_link(self, name):
+        doc = yaml.safe_load(default_text())
+        doc["statics"][0]["name"] = name
+        with pytest.raises(ValidationError, match=r"statics\[0\]\.name"):
+            parse_scene(yaml.safe_dump(doc))
+        doc["statics"][0]["name"] = "bench"
+        assert set(parse_scene(yaml.safe_dump(doc)).base.world.statics) == {"bench"}
+
     def test_unknown_exclusion_name_rejected(self):
         doc = yaml.safe_load(default_text())
         doc["collision_exclude"].append(["left/link4", "left/link99"])

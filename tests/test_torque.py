@@ -174,6 +174,17 @@ class TestTrace:
         with pytest.raises(ZeroVectorError):
             trace_plan(plan, robot, bal, tool)
 
+    def test_peak_is_the_largest_entry_magnitude_per_arm(self):
+        holders = [(("right", 7),), (("left", 3), ("right", 7)),
+                   (("right", 7), ("left", 3)), (("left", 3),), (),
+                   (("left", 3), ("right", 7))]
+        robot, bal, tool, plan = self.make_inputs(holders)
+        trace = trace_plan(plan, robot, bal, tool)
+        for arm in ("left", "right"):
+            mags = [e.magnitude for e in trace.entries if e.arm == arm]
+            assert len(mags) == 4
+            assert trace.peak(arm) == max(mags)
+
     def test_peak_requires_entries(self):
         trace = TorqueTrace(entries=())
         with pytest.raises(EmptyTrace):
