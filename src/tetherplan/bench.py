@@ -313,7 +313,7 @@ def sweep(scene: Scene) -> SweepReport:
     batch (solve_stations).  The cells then run one after another against
     that shared plan cache.  A cell's result does not depend on which
     cells ran before it: the cache is content-addressed and the planner
-    budget counts validation attempts, cache hits included.  The report
+    budget counts the path edges it checks, cache hits included.  The report
     holds no timings, so two sweeps of one scene compare equal.
     """
     cache = PlanCache()

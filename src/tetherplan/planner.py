@@ -13,15 +13,17 @@ Node feasibility is solved up front: before the search starts,
 solve_stations runs IK for every station the plan may visit, the
 stations of both arms in one grouped batch (a sweep does this once for
 all of its cells).  Uniform-cost search then orders paths by (edge
-count, summed joint distance).  Edge feasibility is expensive, so
-edges are validated lazily when their entry is popped; costs never
-change with validation, which keeps the search optimal.  A valid edge
-keeps the rows it checked with their bend angles and clearances, and
-the plan joins those blocks, so each waypoint is measured once.  In
-constrained mode every waypoint must keep the cable bend angle below
-the limit, and the hanging cable is an obstacle until the tool is
-first grasped: a constrained approach edge attaches it beside the tool
-shapes.
+count, summed joint distance).  Edge feasibility is expensive, so the
+search is path-first (LazySP, Dellin and Srinivasa 2016): it finds the
+best path with every unchecked edge taken as valid, checks that path's
+edges in order, and searches again without the first that fails.
+Costs never change with validation, so the first path whose edges all
+pass is the best valid one.  A valid edge keeps the rows it checked
+with their bend angles and clearances, and the plan joins those
+blocks, so each waypoint is measured once.  In constrained mode every
+waypoint must keep the cable bend angle below the limit, and the
+hanging cable is an obstacle until the tool is first grasped: a
+constrained approach edge attaches it beside the tool shapes.
 """
 
 from __future__ import annotations
@@ -170,6 +172,14 @@ class MotionPlan:
 
 @dataclass
 class PlannerStats:
+    """Counters of one plan() call.
+
+    edges_validated: path edges checked, cache hits included.
+    edges_rejected: failed checks per reason.
+    nodes_settled: nodes settled, summed over every search pass.
+    stations_pruned: stations over the bend limit (constrained only).
+    """
+
     edges_validated: int = 0
     edges_rejected: dict = field(default_factory=dict)
     nodes_settled: int = 0
@@ -515,69 +525,82 @@ class _Search:
                             ("handover", station, side, gid, recv, rgid), dist))
         return out
 
+    def _shortest_path(self, succ: dict, bad: set,
+                       ) -> tuple[list[tuple] | None, tuple[int, float] | None]:
+        """Uniform-cost search from ROOT to the first goal node settled,
+        every edge not in bad taken as valid: the path's edge specs and
+        its (edge count, joint distance), or (None, None).  succ memoizes
+        successors across the passes of one run."""
+        counter = 0
+        heap: list[tuple] = [((0, 0.0), counter, ROOT, None, None)]
+        parents: dict = {}
+        while heap:
+            cost, _, node, parent, spec = heapq.heappop(heap)
+            if node in parents:
+                continue
+            parents[node] = (parent, spec)
+            if node != ROOT:
+                self.stats.nodes_settled += 1
+                if node[1] == self.goal_idx:
+                    path = []
+                    while node != ROOT:
+                        node, spec = parents[node]
+                        path.append(spec)
+                    return path[::-1], cost
+            if node not in succ:
+                succ[node] = self.successors(node)
+            edges, dist = cost
+            for nxt, nxt_spec, nxt_dist in succ[node]:
+                if nxt in parents or nxt_spec in bad:
+                    continue
+                counter += 1
+                heapq.heappush(heap, ((edges + 1, dist + nxt_dist), counter,
+                                      nxt, node, nxt_spec))
+        return None, None
+
     def run(self) -> PlanResult:
         t0 = time.monotonic()
         solve_stations([self.pb], self.opt, self.cache, self.constrained)
-        counter = 0
-        heap: list[tuple] = []
-        settled: dict = {}
-        parents: dict = {}
-        goal_node = None
-        settled[ROOT] = (0, 0.0)
-        for succ, spec, dist in self.successors(ROOT):
-            counter += 1
-            heapq.heappush(heap, ((1, dist), counter, succ, ROOT, spec))
-        failure = "exhausted"
-        while heap:
-            if self.stats.edges_validated >= self.opt.max_edges or \
-                    time.monotonic() - t0 > self.opt.time_budget:
-                failure = "budget"
-                break
-            (edges, dist), _, node, parent, spec = heapq.heappop(heap)
-            if node in settled:
-                continue
-            self.stats.edges_validated += 1
-            block = self.validate_edge(spec)
-            if isinstance(block, str):
-                self.stats.reject(block)
-                continue
-            settled[node] = (edges, dist)
-            parents[node] = (parent, block)
-            self.stats.nodes_settled += 1
-            if node[1] == self.goal_idx:
-                goal_node = node
-                failure = None
-                break
-            for succ, succ_spec, succ_dist in self.successors(node):
-                if succ in settled:
+        succ: dict = {}
+        bad: set = set()
+        blocks: dict = {}
+        while True:
+            path, cost = self._shortest_path(succ, bad)
+            if path is None:
+                failure = "exhausted" if succ[ROOT] else "no_feasible_start"
+                return PlanResult(plan=None, failure=failure, stats=self.stats)
+            # Forward selector: check the path's unchecked edges in order
+            # and search again after the first that fails.
+            for spec in path:
+                if spec in blocks:
                     continue
-                counter += 1
-                heapq.heappush(heap, ((edges + 1, dist + succ_dist), counter,
-                                      succ, node, succ_spec))
-        if goal_node is None:
-            reason = failure
-            if self.stats.edges_validated == 0 and failure == "exhausted":
-                reason = "no_feasible_start"
-            return PlanResult(plan=None, failure=reason, stats=self.stats)
-        return PlanResult(plan=self._assemble(goal_node, parents, settled),
-                          failure=None, stats=self.stats)
+                if self.stats.edges_validated >= self.opt.max_edges or \
+                        time.monotonic() - t0 > self.opt.time_budget:
+                    return PlanResult(plan=None, failure="budget",
+                                      stats=self.stats)
+                self.stats.edges_validated += 1
+                block = self.validate_edge(spec)
+                if isinstance(block, str):
+                    self.stats.reject(block)
+                    bad.add(spec)
+                    break
+                blocks[spec] = block
+            else:
+                return PlanResult(
+                    plan=self._assemble([blocks[spec] for spec in path], cost),
+                    failure=None, stats=self.stats)
 
     # ----- plan assembly ----------------------------------------------------
 
-    def _assemble(self, goal_node, parents, settled) -> MotionPlan:
-        blocks = []
-        node = goal_node
-        while node != ROOT:
-            node, block = parents[node]
-            blocks.append(block)
-        blocks.reverse()
+    def _assemble(self, blocks: list[_EdgeData],
+                  cost: tuple[int, float]) -> MotionPlan:
         # Consecutive edges share a waypoint; keep it once.
         q_left, q_right, tool_rot, tool_t, theta, clearance = (
             np.concatenate([getattr(b, f)[min(i, 1):] for i, b in enumerate(blocks)])
             for f in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
                       "clearance"))
         holding = [h for i, b in enumerate(blocks) for h in b.holding[min(i, 1):]]
-        edges, dist = settled[goal_node]
+        edges, dist = cost
         return MotionPlan(
             mode="constrained" if self.constrained else "unconstrained",
             q_left=q_left, q_right=q_right, tool_rot=tool_rot, tool_t=tool_t,

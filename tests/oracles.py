@@ -3,18 +3,24 @@
 Everything here is deliberately written against first principles
 (quaternion algebra, dense sampling, finite differences, homogeneous
 matrix products) and never calls into the library code paths it is used
-to check.  The one exception is sequential_ik_batch, the reference for
-ik_batch's restart schedule: ik_batch must match it bit for bit, so it
-runs the library's own FK, log-map and Jacobian kernels.
+to check.  There are two exceptions.  sequential_ik_batch, the
+reference for ik_batch's restart schedule: ik_batch must match it bit
+for bit, so it runs the library's own FK, log-map and Jacobian kernels.
+pop_and_check_search, the reference for the planner's path-first
+search: plan() must return its plan, so it drives a planner _Search's
+own successors, validate_edge and _assemble.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import time
 
 import numpy as np
 
 from tetherplan import robot as rb
+from tetherplan.planner import ROOT, PlanResult, solve_stations
 from tetherplan.geometry import rot_to_rotvec
 
 
@@ -203,3 +209,66 @@ def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None)
         if solved.all():
             break
     return solution, solved
+
+
+# --- the pop-and-check uniform-cost search reference ---
+
+def pop_and_check_search(search) -> PlanResult:
+    """Uniform-cost search that validates an edge when its heap entry is
+    popped, run on a planner _Search.
+
+    Heap keys are ((edge count, joint distance), push counter) and
+    successors come in search.successors order, as in plan().  Every
+    popped entry of an unsettled node costs one validation, so the
+    budget and stats.edges_validated count those; nodes_settled counts
+    the nodes reached over a valid edge.  With no validation at all the
+    failure is no_feasible_start.
+    """
+    t0 = time.monotonic()
+    solve_stations([search.pb], search.opt, search.cache, search.constrained)
+    stats = search.stats
+    counter = 0
+    heap: list[tuple] = []
+    settled: dict = {ROOT: (0, 0.0)}
+    parents: dict = {}
+    goal_node = None
+    for succ, spec, dist in search.successors(ROOT):
+        counter += 1
+        heapq.heappush(heap, ((1, dist), counter, succ, ROOT, spec))
+    failure = "exhausted"
+    while heap:
+        if stats.edges_validated >= search.opt.max_edges or \
+                time.monotonic() - t0 > search.opt.time_budget:
+            failure = "budget"
+            break
+        (edges, dist), _, node, parent, spec = heapq.heappop(heap)
+        if node in settled:
+            continue
+        stats.edges_validated += 1
+        block = search.validate_edge(spec)
+        if isinstance(block, str):
+            stats.reject(block)
+            continue
+        settled[node] = (edges, dist)
+        parents[node] = (parent, block)
+        stats.nodes_settled += 1
+        if node[1] == search.goal_idx:
+            goal_node = node
+            break
+        for succ, succ_spec, succ_dist in search.successors(node):
+            if succ in settled:
+                continue
+            counter += 1
+            heapq.heappush(heap, ((edges + 1, dist + succ_dist), counter,
+                                  succ, node, succ_spec))
+    if goal_node is None:
+        if stats.edges_validated == 0 and failure == "exhausted":
+            failure = "no_feasible_start"
+        return PlanResult(plan=None, failure=failure, stats=stats)
+    blocks = []
+    node = goal_node
+    while node != ROOT:
+        node, block = parents[node]
+        blocks.append(block)
+    plan = search._assemble(blocks[::-1], settled[goal_node])
+    return PlanResult(plan=plan, failure=None, stats=stats)

@@ -4,6 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import QUICK, make_problem, make_tool
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from oracles import pop_and_check_search
 
 from tetherplan import planner, robot
 from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch, \
@@ -220,6 +223,20 @@ class TestPlanning:
         assert not result.success
         assert result.failure == "no_feasible_start"
 
+    def test_unreachable_goal_reports_exhausted(self):
+        # The start has grasps, so the failure is not the start's.
+        problem = make_problem([0.3, 0.35, 0.45], [2.0, 0.0, 0.5])
+        result = plan(problem, constrained=True, options=QUICK)
+        assert not result.success
+        assert result.failure == "exhausted"
+
+    def test_edge_budget_of_one_stops_after_one_check(self):
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        result = plan(problem, constrained=True,
+                      options=replace(QUICK, max_edges=1))
+        assert result.failure == "budget"
+        assert result.stats.edges_validated == 1
+
     def test_unconstrained_succeeds_whenever_constrained_does(self):
         for start, goal in [([0.3, 0.35, 0.45], [0.3, -0.35, 0.45]),
                             ([0.25, 0.3, 0.5], [0.35, -0.2, 0.45]),
@@ -227,6 +244,81 @@ class TestPlanning:
             problem = make_problem(start, goal)
             if plan(problem, constrained=True, options=QUICK).success:
                 assert plan(problem, constrained=False, options=QUICK).success
+
+
+def _same_result(got, want):
+    assert got.failure == want.failure
+    if want.plan is None:
+        assert got.plan is None
+        return
+    for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+                 "clearance"):
+        assert np.array_equal(getattr(got.plan, name), getattr(want.plan, name))
+    for name in ("holding", "edge_kinds", "n_edges", "joint_distance"):
+        assert getattr(got.plan, name) == getattr(want.plan, name)
+
+
+def _reference(problem, constrained, options, cache):
+    """The pop-and-check search on the stations of cache, with edge
+    verdicts of its own."""
+    own = PlanCache(grasps=cache.grasps, node_feasible=cache.node_feasible)
+    return pop_and_check_search(_Search(problem, constrained, options, own))
+
+
+class TestPathFirstSearch:
+    """plan() checks only the edges of its candidate paths and returns
+    the plan of the search that checks every popped edge."""
+
+    def test_handover_plan_checks_fewer_edges_than_the_reference(self):
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        cache = PlanCache()
+        got = plan(problem, constrained=True, options=QUICK, cache=cache)
+        want = _reference(problem, True, QUICK, cache)
+        assert "handover" in got.plan.edge_kinds
+        _same_result(got, want)
+        assert got.stats.edges_validated < want.stats.edges_validated
+
+    def test_no_path_to_the_goal_checks_no_edge(self):
+        problem = make_problem([0.3, 0.35, 0.45], [2.0, 0.0, 0.5])
+        result = plan(problem, constrained=True, options=QUICK)
+        assert result.stats.edges_validated == 0
+
+    def test_successors_are_listed_once_per_node(self, monkeypatch):
+        listed = []
+        successors = _Search.successors
+
+        def counted(self, node):
+            listed.append(node)
+            return successors(self, node)
+
+        monkeypatch.setattr(_Search, "successors", counted)
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        result = plan(problem, constrained=True, options=QUICK)
+        # More than one pass ran, and none listed a node again.
+        assert sum(result.stats.edges_rejected.values()) > 0
+        assert len(listed) == len(set(listed))
+
+    # Each example solves station IK, so a failure is reported as found
+    # instead of shrunk through hundreds of plans.
+    @settings(derandomize=True, deadline=None, max_examples=25,
+              phases=(Phase.explicit, Phase.generate))
+    @given(start=st.tuples(st.integers(15, 45), st.integers(-60, 60),
+                           st.integers(30, 60)),
+           goal=st.tuples(st.integers(15, 45), st.integers(-60, 60),
+                          st.integers(30, 60)),
+           theta_max=st.integers(5, 170), cable_radius=st.integers(1, 30),
+           constrained=st.booleans())
+    def test_plan_equals_the_pop_and_check_reference(
+            self, start, goal, theta_max, cable_radius, constrained):
+        # Positions in cm, the bend limit in centiradians, the cable
+        # radius in cm.
+        problem = replace(
+            make_problem([v / 100 for v in start], [v / 100 for v in goal],
+                         cable_radius=cable_radius / 100),
+            constraint=BendConstraint(theta_max=theta_max / 100))
+        cache = PlanCache()
+        got = plan(problem, constrained=constrained, options=QUICK, cache=cache)
+        _same_result(got, _reference(problem, constrained, QUICK, cache))
 
 
 class TestAssembly:
