@@ -1,12 +1,15 @@
 """Dual-arm kinematics: forward kinematics, Jacobian, numerical IK.
 
 Every arm is a UR3: its chain is a module constant, and an ArmModel is
-only the base pose it stands at.  The chain has six revolute joints.
-Joint i contributes Trans(offset_i) @ Rot(axis_i, q_i), with offset
-and axis expressed in the frame left by joint i-1; a fixed
-flange-to-TCP pose closes the chain.  Axes and offsets therefore equal
-their world values in the zero configuration, which is how the UR3
-chain below is written down.
+only the base pose it stands at.  The chain has six revolute joints,
+each an offset and an axis written in the frame left by the joint
+before (so they are world values in the zero configuration), closed
+by a fixed flange-to-TCP pose.  Every axis is a signed coordinate unit
+vector, every offset has at most one nonzero entry, and the TCP
+rotation is a signed permutation.  So a joint's offset moves the
+origin along one column of the running rotation, its axis is a signed
+column, and its turn mixes the other two columns: fk_chain_batch
+evaluates the chain that way, elementwise, with no 3x3 products.
 
 There is one chain kernel, fk_chain_batch, which evaluates the chain
 for a batch of configurations, each from its own base.  Every other
@@ -37,7 +40,6 @@ from tetherplan.geometry import Pose, rot_to_rotvec
 N_JOINTS = 6
 _IK_DAMPING = 0.05        # ik_batch's damped-least-squares damping
 _IK_STEP_CLAMP = 0.2      # ik_batch's joint step bound per iteration, rad
-_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,14 @@ _UR3_TCP = Pose(
     np.array([0.0, -0.0819, 0.0]),
 )
 _UR3_LIMIT = 2.0 * math.pi    # every joint's range is [-_UR3_LIMIT, _UR3_LIMIT]
-# Per-joint skew matrices khat of the axes and khat @ khat, the
-# constants of the Rodrigues rotation fk_chain_batch applies.
-_UR3_KHAT = np.stack([np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-                      for kx, ky, kz in _UR3_AXES])
-_UR3_KHAT2 = _UR3_KHAT @ _UR3_KHAT
-
+# fk_chain_batch's column plan, read off the chain: the column and sign of
+# each joint axis, each offset's nonzero entry and each TCP column's source.
+_UR3_AXIS_COL = np.abs(_UR3_AXES).argmax(axis=1).tolist()
+_UR3_AXIS_SIGN = _UR3_AXES.sum(axis=1, keepdims=True)
+_UR3_STEP_COL = np.abs(np.vstack([_UR3_OFFSETS, _UR3_TCP.t])).argmax(axis=1).tolist()
+_UR3_STEP = np.vstack([_UR3_OFFSETS, _UR3_TCP.t]).sum(axis=1)
+_UR3_TCP_COL = np.abs(_UR3_TCP.r).argmax(axis=0).tolist()
+_UR3_TCP_SIGN = _UR3_TCP.r.sum(axis=0)
 
 def fk_chain_batch(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -104,23 +108,36 @@ def fk_chain_batch(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
     either way.  Returns (rot (W,3,3), tcp (W,3), origins (W,8,3),
     axes (W,6,3)): the TCP pose, the chain origin points (base origin,
     the six joint origins, the TCP point) and the world-frame joint axes.
+
+    The running rotation is kept as three (3, W) column blocks.  Joint
+    i, about column k with sign s_k, adds its offset's one scaled column
+    to the origin and turns columns a = k+1 and b = k+2 (mod 3):
+    x_a' = x_a c + x_b s, x_b' = x_b c - x_a s, with c = cos q_i and
+    s = s_k sin q_i; the TCP adds one more column and signs and permutes
+    the columns.  Every step is elementwise, so a row depends neither on
+    another row nor on the BLAS kernel.
     """
-    qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS)
-    w = qs.shape[0]
-    origins = np.empty((w, N_JOINTS + 2, 3))
-    axes = np.empty((w, N_JOINTS, 3))
-    r = np.broadcast_to(base_r, (w, 3, 3)).copy()
-    t = np.broadcast_to(base_t, (w, 3)).copy()
-    origins[:, 0] = t
-    for i in range(N_JOINTS):
-        t = t + r @ _UR3_OFFSETS[i]
-        origins[:, i + 1] = t
-        axes[:, i] = r @ _UR3_AXES[i]
-        r = r @ _axis_rot_batch(_UR3_KHAT[i], _UR3_KHAT2[i], qs[:, i])
-    tcp_t = t + r @ _UR3_TCP.t
-    tcp_r = r @ _UR3_TCP.r
-    origins[:, -1] = tcp_t
-    return tcp_r, tcp_t, origins, axes
+    qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS).T.copy()
+    w = qs.shape[1]
+    cols = np.empty((3, 3, w))
+    cols[...] = np.atleast_3d(np.asarray(base_r, dtype=float).T)
+    cols = list(cols)
+    origins = np.empty((N_JOINTS + 2, 3, w))
+    origins[0] = np.asarray(base_t, dtype=float).T.reshape(3, -1)
+    axes = np.empty((N_JOINTS, 3, w))
+    for i, (k, j, c, s) in enumerate(zip(_UR3_AXIS_COL, _UR3_STEP_COL, np.cos(qs),
+                                         _UR3_AXIS_SIGN * np.sin(qs))):
+        np.add(origins[i], _UR3_STEP[i] * cols[j], out=origins[i + 1])
+        np.multiply(cols[k], _UR3_AXIS_SIGN[i], out=axes[i])
+        a, b = (k + 1) % 3, (k + 2) % 3
+        cols[a], cols[b] = cols[a] * c + cols[b] * s, cols[b] * c - cols[a] * s
+    np.add(origins[N_JOINTS], _UR3_STEP[-1] * cols[_UR3_STEP_COL[-1]], out=origins[-1])
+    rot = np.empty((w, 3, 3))
+    for m, k in enumerate(_UR3_TCP_COL):
+        np.multiply(cols[k].T, _UR3_TCP_SIGN[m], out=rot[:, :, m])
+    origins = np.ascontiguousarray(origins.transpose(2, 0, 1))
+    axes = np.ascontiguousarray(axes.transpose(2, 0, 1))
+    return rot, origins[:, -1].copy(), origins, axes
 
 
 def fk_batch(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,12 +416,3 @@ def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
     out = np.zeros((u, N_JOINTS))
     out[solved] = q[first[solved] * u + np.nonzero(solved)[0]]
     return out, solved
-
-
-def _axis_rot_batch(khat: np.ndarray, khat2: np.ndarray,
-                    angles: np.ndarray) -> np.ndarray:
-    """(W, 3, 3) rotations by angles about the axis whose skew matrix is khat."""
-    c = np.cos(angles)[:, None, None]
-    s = np.sin(angles)[:, None, None]
-    return _EYE3 + s * khat + (1.0 - c) * khat2
-

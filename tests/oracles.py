@@ -140,14 +140,32 @@ def _axis_angle_matrix(axis, angle: float) -> np.ndarray:
 def fk_matrix_product(base_matrix: np.ndarray, axes, offsets, tcp_matrix: np.ndarray,
                       q: np.ndarray) -> np.ndarray:
     """Chain of per-joint 4x4 products: base * prod(Trans(off) Rot(axis, q)) * tcp."""
+    return fk_matrix_chain(base_matrix, axes, offsets, tcp_matrix, q)[0]
+
+
+def fk_matrix_chain(base_matrix: np.ndarray, axes, offsets, tcp_matrix: np.ndarray,
+                    q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fk_matrix_product with its frame chain: (TCP 4x4, origins (n+2, 3),
+    world axes (n, 3)).
+
+    The origins are the base origin, each joint's origin (its frame
+    after Trans(off)) and the TCP point; joint i's world axis is that
+    frame's rotation applied to axis i.
+    """
     m = np.asarray(base_matrix, dtype=float).copy()
+    origins, world_axes = [m[:3, 3].copy()], []
     for axis, off, angle in zip(axes, offsets, q):
         trans = np.eye(4)
         trans[:3, 3] = off
+        m = m @ trans
+        origins.append(m[:3, 3].copy())
+        world_axes.append(m[:3, :3] @ np.asarray(axis, dtype=float))
         rot = np.eye(4)
         rot[:3, :3] = _axis_angle_matrix(axis, angle)
-        m = m @ trans @ rot
-    return m @ tcp_matrix
+        m = m @ rot
+    m = m @ tcp_matrix
+    origins.append(m[:3, 3].copy())
+    return m, np.array(origins), np.array(world_axes)
 
 
 # --- joint limits and the sequential-restart IK reference ---

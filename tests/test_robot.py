@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import (central_difference_jacobian, fk_matrix_product, in_limits,
-                     sequential_ik_batch)
+from oracles import (central_difference_jacobian, fk_matrix_chain, fk_matrix_product,
+                     in_limits, quat_matrix, random_quat, sequential_ik_batch)
 from tetherplan.geometry import Pose, rot_axis_angle, rot_to_rotvec, rot_z
 from tetherplan import robot as rb
 
@@ -44,6 +48,75 @@ def test_fk_matches_matrix_product_oracle(arm):
         expected = fk_matrix_product(base_m, rb._UR3_AXES, rb._UR3_OFFSETS, tcp_m, q)
         got = rb.fk(arm, q)
         assert np.allclose(got.as_matrix(), expected, atol=1e-9)
+
+
+def _random_bases(rng, w):
+    """(W, 3, 3) random rotations and (W, 3) translations."""
+    rot = np.array([quat_matrix(random_quat(rng)) for _ in range(w)]).reshape(w, 3, 3)
+    return rot, rng.uniform(-1.0, 1.0, (w, 3))
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared_base", "row_bases"])
+@pytest.mark.parametrize("w", [0, 1, 2, 7, 500])
+def test_fk_chain_batch_matches_matrix_chain_oracle(w, per_row):
+    rng = np.random.default_rng(1000 * w + per_row)
+    qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (w, 6))
+    if per_row:
+        base_r, base_t = _random_bases(rng, w)
+    else:
+        base_r = rot_axis_angle(np.array([0.3, -0.5, 0.8]), 0.9)
+        base_t = np.array([0.2, -0.4, 0.1])
+    rot, tcp, origins, axes = rb.fk_chain_batch(base_r, base_t, qs)
+    assert (rot.shape, tcp.shape, origins.shape, axes.shape) == (
+        (w, 3, 3), (w, 3), (w, 8, 3), (w, 6, 3))
+    tcp_m = rb._UR3_TCP.as_matrix()
+    for i in range(w):
+        base = Pose(base_r[i] if per_row else base_r,
+                    base_t[i] if per_row else base_t).as_matrix()
+        m, pts, ax = fk_matrix_chain(base, rb._UR3_AXES, rb._UR3_OFFSETS, tcp_m, qs[i])
+        assert np.allclose(rot[i], m[:3, :3], rtol=0, atol=1e-12)
+        assert np.allclose(tcp[i], m[:3, 3], rtol=0, atol=1e-12)
+        assert np.allclose(origins[i], pts, rtol=0, atol=1e-12)
+        assert np.allclose(axes[i], ax, rtol=0, atol=1e-12)
+
+
+def test_fk_chain_batch_row_equals_the_row_alone():
+    rng = np.random.default_rng(77)
+    qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (500, 6))
+    base_r, base_t = _random_bases(rng, 500)
+    batch = rb.fk_chain_batch(base_r, base_t, qs)
+    for i in range(500):
+        alone = rb.fk_chain_batch(base_r[i], base_t[i], qs[i])
+        assert all(np.array_equal(b[i], a[0]) for b, a in zip(batch, alone))
+
+
+# A fixed FK block, built without LAPACK (rot_z), hashed byte for byte.
+_FK_DIGEST = """\
+import hashlib
+import numpy as np
+from tetherplan import robot as rb
+from tetherplan.geometry import rot_z
+rng = np.random.default_rng(2024)
+qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (64, 6))
+base_r = np.stack([rot_z(a) for a in rng.uniform(-3.0, 3.0, 64)])
+base_t = rng.uniform(-1.0, 1.0, (64, 3))
+out = rb.fk_chain_batch(base_r, base_t, qs) + rb.fk_chain_batch(base_r[0], base_t[0], qs)
+digest = hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
+"""
+
+
+def test_fk_does_not_depend_on_the_blas_kernel():
+    # Prescott is an OpenBLAS kernel without FMA.  OPENBLAS_CORETYPE
+    # only takes effect in an OpenBLAS built with DYNAMIC_ARCH; elsewhere
+    # both sides run the same kernel and the test passes trivially.
+    src = str(Path(rb.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+    prescott = subprocess.run([sys.executable, "-c", _FK_DIGEST + "print(digest)"],
+                              env=env, capture_output=True, text=True, check=True)
+    here: dict = {}
+    exec(_FK_DIGEST, here)
+    assert prescott.stdout.strip() == here["digest"]
 
 
 def test_fk_matches_published_dh_table(arm):
@@ -464,10 +537,17 @@ def test_ur3_chain_has_the_ur_layout():
     for a, b in ((axes[0], u), (axes[4], u), (offsets[2], u),
                  (offsets[3], u), (axes[5], axes[4])):
         assert a @ b == 0.0
-    # The Rodrigues constants are the skew matrices of the axes.
-    v = np.random.default_rng(51).normal(size=3)
-    assert np.allclose(rb._UR3_KHAT @ v, np.cross(axes, v), rtol=0, atol=1e-15)
-    assert np.array_equal(rb._UR3_KHAT2, rb._UR3_KHAT @ rb._UR3_KHAT)
+    # The facts fk_chain_batch's column plan rests on: every axis is a
+    # signed coordinate unit vector, every offset has at most one nonzero
+    # entry, and the TCP rotation is a signed permutation.
+    assert np.array_equal(np.abs(axes).sum(axis=1), np.ones(6))
+    assert np.all(np.count_nonzero(axes, axis=1) == 1)
+    assert np.all(np.count_nonzero(offsets, axis=1) <= 1)
+    assert np.count_nonzero(rb._UR3_TCP.t) <= 1
+    tcp_r = rb._UR3_TCP.r
+    assert set(np.unique(tcp_r)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(np.abs(tcp_r).sum(axis=0), np.ones(3))
+    assert np.array_equal(np.abs(tcp_r).sum(axis=1), np.ones(3))
 
 
 def _ik_call(case):
