@@ -1,14 +1,3 @@
 """Dual-arm regrasp planning for balancer-suspended tethered tools."""
 
-from tetherplan.geometry import Pose, angle_between, compose, inverse, rotate, rpy_to_rot
-
-__all__ = [
-    "Pose",
-    "angle_between",
-    "compose",
-    "inverse",
-    "rotate",
-    "rpy_to_rot",
-]
-
 __version__ = "0.1.0"

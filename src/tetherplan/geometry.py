@@ -156,16 +156,21 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Quaternion [w, x, y, z], normalized first -> rotation matrix.
+    """Quaternions [w, x, y, z] (..., 4), normalized first -> (..., 3, 3).
 
-    Raises ZeroVectorError below a norm of 1e-12.
+    Elementwise, with no BLAS call.  Raises ZeroVectorError if any norm
+    is below 1e-12.
     """
-    w, x, y, z = unit(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    if np.any(n < _EPS):
+        raise ZeroVectorError("cannot normalize a near-zero quaternion")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(w.shape + (3, 3))
 
 
 @dataclass(frozen=True)

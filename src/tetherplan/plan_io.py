@@ -11,9 +11,15 @@ validated: the cable bend angle and the least clearance of each
 waypoint, with the tool shapes attached and, on a constrained plan's
 approach rows, the cable too.  bench.recheck_plan ignores them and
 recomputes its own.
+
+The reader checks the structure line by line, then converts all numeric
+fields and all quaternions in whole-array steps; only when such a step
+raises are the rows redone one by one, so every error names its line.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -31,6 +37,8 @@ PLAN_HEADER = (
 
 TORQUE_HEADER = (["waypoint", "arm"]
                  + [f"tau{i}_nm" for i in range(1, 7)] + ["magnitude_nm"])
+# Waypoint, arm, six torques and their magnitude, floats as _f writes.
+_TORQUE_ROW = ",".join(["{}", "{}"] + ["{:.9g}"] * 7)
 
 
 def _f(x: float) -> str:
@@ -97,9 +105,18 @@ _PREAMBLE = {
 }
 
 
+def _raise_with_line(convert, rows, row_lns) -> None:
+    """Convert rows one by one; re-raise the first ValueError with its line."""
+    for row, ln in zip(rows, row_lns):
+        try:
+            convert(row)
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}") from e
+
+
 def parse_plan_csv(text: str) -> MotionPlan:
     meta, meta_lns = {}, {}
-    nums, row_lns, holding = [], [], []
+    fields_by_row, row_lns, holding, holdings = [], [], [], {}
     header_seen = False
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,30 +145,37 @@ def parse_plan_csv(text: str) -> MotionPlan:
         if fields[0] != str(len(row_lns)):
             raise ValueError(f"line {ln}: waypoint {fields[0]!r}, "
                              f"expected {len(row_lns)}")
-        try:
-            holding.append(parse_holding(fields[20]))
-            # Joints, quaternion and position (columns 1-19), then theta
-            # and clearance (columns 21-22).
-            nums.append([float(v) for v in fields[1:20] + fields[21:]])
-        except ValueError as e:
-            raise ValueError(f"line {ln}: {e}") from e
+        if fields[20] not in holdings:
+            try:
+                holdings[fields[20]] = parse_holding(fields[20])
+            except ValueError as e:
+                raise ValueError(f"line {ln}: {e}") from e
+        holding.append(holdings[fields[20]])
+        # Joints, quaternion and position (columns 1-19), then theta and
+        # clearance (columns 21-22).
+        fields_by_row.append(fields[1:20] + fields[21:])
         row_lns.append(ln)
     if not header_seen or not row_lns:
         raise ValueError("plan CSV has no waypoint rows")
     for key in _PREAMBLE:
         if key not in meta:
             raise ValueError(f"plan CSV preamble is missing '# {key}:'")
-    nums = np.array(nums)
+    try:
+        nums = np.array(list(map(float, itertools.chain.from_iterable(
+            fields_by_row)))).reshape(len(row_lns), -1)
+    except ValueError:
+        _raise_with_line(lambda fields: list(map(float, fields)),
+                         fields_by_row, row_lns)
+        raise
     bad = np.nonzero(~np.isfinite(nums[:, :19]).all(axis=1))[0]
     if bad.size:
         raise ValueError(f"line {row_lns[bad[0]]}: joint, quaternion and "
                          "position fields must be finite")
-    tool_rot = np.empty((len(row_lns), 3, 3))
-    for i, ln in enumerate(row_lns):
-        try:
-            tool_rot[i] = quat_to_rot(nums[i, 12:16])
-        except ZeroVectorError as e:
-            raise ValueError(f"line {ln}: {e}") from e
+    try:
+        tool_rot = quat_to_rot(nums[:, 12:16])
+    except ZeroVectorError:
+        _raise_with_line(quat_to_rot, nums[:, 12:16], row_lns)
+        raise
     q_left, q_right, tool_t = (nums[:, lo:hi].copy()
                                for lo, hi in ((0, 6), (6, 12), (16, 19)))
     return MotionPlan(
@@ -170,9 +194,8 @@ def read_plan_csv(path) -> MotionPlan:
 
 def torque_csv(trace) -> str:
     """Torque trace as CSV, one row per (waypoint, holding arm)."""
-    lines = [",".join(TORQUE_HEADER)]
-    for e in trace.entries:
-        lines.append(",".join([str(e.waypoint), e.arm]
-                              + [_f(v) for v in e.torques]
-                              + [_f(e.magnitude)]))
+    rows = zip(trace.waypoint.tolist(), trace.arm.tolist(), trace.entries.tolist(),
+               np.abs(trace.entries).max(axis=1).tolist())
+    lines = [",".join(TORQUE_HEADER)] + [
+        _TORQUE_ROW.format(w, arm, *tau, magnitude) for w, arm, tau, magnitude in rows]
     return "\n".join(lines) + "\n"

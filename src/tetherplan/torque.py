@@ -5,8 +5,10 @@ set by the balancer's rated load.  For every waypoint where an arm
 holds the tool, the pull at the connector maps through that arm's
 point Jacobian to a six-vector of joint torques.  trace_plan, the one
 entry point, collects them over a plan's waypoints, reading its joint,
-tool-pose and holding arrays.  bench.SweepReport.torque_summary
-compares the peaks of the two planner modes.
+tool-pose and holding arrays, into a TorqueTrace of three arrays: the
+waypoint and arm of each entry and its (E, 6) torques.
+bench.SweepReport.torque_summary compares the peaks of the two planner
+modes.
 """
 
 from __future__ import annotations
@@ -30,56 +32,38 @@ def cable_tension(balancer: BalancerSpec) -> float:
     return balancer.max_load * GRAVITY
 
 
-def joint_torques(arm, q: np.ndarray, point_world: np.ndarray,
-                  force_world: np.ndarray) -> np.ndarray:
-    """Joint torques that balance a pure force applied at a point.
+def joint_torques(arm, qs: np.ndarray, points: np.ndarray,
+                  forces: np.ndarray) -> np.ndarray:
+    """Joint torques (W, 6) balancing forces (W, 3) at points (W, 3).
 
-    The point is rigidly attached to the last link; the force carries
-    no moment, so the torque is the transpose point Jacobian applied to
-    the force.  A batch of one of _joint_torques_batch.
+    Each point is rigidly attached to the last link and its force has no
+    moment, so the torque is the transpose point Jacobian times the
+    force, written elementwise so that no BLAS kernel enters it.
     """
-    return _joint_torques_batch(arm, q, point_world, force_world)[0]
-
-
-def _joint_torques_batch(arm, qs: np.ndarray, points: np.ndarray,
-                         forces: np.ndarray) -> np.ndarray:
-    """joint_torques for W rows of (qs, points, forces): (W, 6)."""
     jp = point_jacobian(arm, qs, points)
-    forces = np.asarray(forces, dtype=float).reshape(-1, 3, 1)
-    return (jp.transpose(0, 2, 1) @ forces)[..., 0]
-
-
-@dataclass(frozen=True)
-class TorqueEntry:
-    """Cable-induced torques on one arm at one waypoint."""
-
-    waypoint: int
-    arm: str
-    torques: np.ndarray
-
-    @property
-    def magnitude(self) -> float:
-        """Largest joint-torque magnitude in the entry."""
-        return float(np.max(np.abs(self.torques)))
+    f = np.asarray(forces, dtype=float).reshape(-1, 3)
+    return (jp[:, 0] * f[:, 0, None] + jp[:, 1] * f[:, 1, None]
+            + jp[:, 2] * f[:, 2, None])
 
 
 @dataclass(frozen=True)
 class TorqueTrace:
-    entries: tuple[TorqueEntry, ...]
+    """Torques (E, 6) of E entries, each a (waypoint, arm) pair."""
+
+    waypoint: np.ndarray
+    arm: np.ndarray
+    entries: np.ndarray
 
     def arms(self) -> tuple[str, ...]:
-        seen = []
-        for e in self.entries:
-            if e.arm not in seen:
-                seen.append(e.arm)
-        return tuple(seen)
+        """The arms with entries, in order of first appearance."""
+        return tuple(dict.fromkeys(self.arm.tolist()))
 
     def peak(self, arm: str) -> float:
         """Largest joint-torque magnitude over the arm's entries."""
-        torques = [e.torques for e in self.entries if e.arm == arm]
-        if not torques:
+        mine = self.arm == arm
+        if not mine.any():
             raise EmptyTrace(f"no entries for arm {arm!r}")
-        return float(np.abs(np.stack(torques)).max())
+        return float(np.abs(self.entries[mine]).max())
 
 
 def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
@@ -107,9 +91,7 @@ def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
     for side, qs in (("left", plan.q_left), ("right", plan.q_right)):
         sel = np.nonzero(sides == side)[0]
         if sel.size:
-            tau[sel] = _joint_torques_batch(
+            tau[sel] = joint_torques(
                 robot.arm(side), np.asarray(qs, dtype=float)[ws[sel]],
                 connector[sel], force[sel])
-    return TorqueTrace(entries=tuple(
-        TorqueEntry(waypoint=w, arm=side, torques=tau[k])
-        for k, (w, side) in enumerate(rows)))
+    return TorqueTrace(waypoint=ws, arm=sides, entries=tau)

@@ -3,12 +3,15 @@
 Everything here is deliberately written against first principles
 (quaternion algebra, dense sampling, finite differences, homogeneous
 matrix products) and never calls into the library code paths it is used
-to check.  There are two exceptions.  sequential_ik_batch, the
+to check.  There are three exceptions.  sequential_ik_batch, the
 reference for ik_batch's restart schedule: ik_batch must match it bit
 for bit, so it runs the library's own FK, log-map and Jacobian kernels.
 pop_and_check_search, the reference for the planner's path-first
 search: plan() must return its plan, so it drives a planner _Search's
-own successors, validate_edge and _assemble.
+own successors, validate_edge and _assemble.  row_by_row_parse_plan_csv,
+the reference for the whole-array plan parser: it shares the file
+format's header, preamble parsers and holding parser, and converts each
+row on its own.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import time
 import numpy as np
 
 from tetherplan import robot as rb
-from tetherplan.planner import ROOT, PlanResult, solve_stations
+from tetherplan.planner import ROOT, MotionPlan, PlanResult, solve_stations
 from tetherplan.geometry import rot_to_rotvec
+from tetherplan.plan_io import _PREAMBLE, PLAN_HEADER, parse_holding
 
 
 # --- quaternion oracle (Hamilton convention, [w, x, y, z]) ---
@@ -290,3 +294,82 @@ def pop_and_check_search(search) -> PlanResult:
         blocks.append(block)
     plan = search._assemble(blocks[::-1], settled[goal_node])
     return PlanResult(plan=plan, failure=None, stats=stats)
+
+
+# --- the row-by-row plan CSV parser reference ---
+
+def _row_quat_to_rot(q: np.ndarray) -> np.ndarray:
+    """One quaternion [w, x, y, z], normalized by np.linalg.norm first."""
+    n = float(np.linalg.norm(q))
+    if n < 1e-12:
+        raise ValueError(f"cannot normalize near-zero quaternion {q!r}")
+    w, x, y, z = q / n
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
+    """plan_io.parse_plan_csv one row at a time: float() per field and
+    one quaternion per row, each error raised on its own line's turn."""
+    meta, meta_lns = {}, {}
+    nums, row_lns, holding = [], [], []
+    header_seen = False
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = (p.strip() for p in line.lstrip("# ").partition(":"))
+            if key in meta_lns:
+                raise ValueError(f"line {ln}: '# {key}:' repeats line "
+                                 f"{meta_lns[key]}")
+            meta_lns[key] = ln
+            try:
+                meta[key] = _PREAMBLE.get(key, str)(value)
+            except ValueError as e:
+                raise ValueError(f"line {ln}: {key}: {e}") from e
+            continue
+        if not header_seen:
+            if line.split(",") != PLAN_HEADER:
+                raise ValueError(f"line {ln}: unexpected plan CSV header")
+            header_seen = True
+            continue
+        fields = line.split(",")
+        if len(fields) != len(PLAN_HEADER):
+            raise ValueError(f"line {ln}: expected {len(PLAN_HEADER)} "
+                             f"fields, got {len(fields)}")
+        if fields[0] != str(len(row_lns)):
+            raise ValueError(f"line {ln}: waypoint {fields[0]!r}, "
+                             f"expected {len(row_lns)}")
+        try:
+            holding.append(parse_holding(fields[20]))
+            nums.append([float(v) for v in fields[1:20] + fields[21:]])
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}") from e
+        row_lns.append(ln)
+    if not header_seen or not row_lns:
+        raise ValueError("plan CSV has no waypoint rows")
+    for key in _PREAMBLE:
+        if key not in meta:
+            raise ValueError(f"plan CSV preamble is missing '# {key}:'")
+    nums = np.array(nums)
+    bad = np.nonzero(~np.isfinite(nums[:, :19]).all(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"line {row_lns[bad[0]]}: joint, quaternion and "
+                         "position fields must be finite")
+    tool_rot = np.empty((len(row_lns), 3, 3))
+    for i, ln in enumerate(row_lns):
+        try:
+            tool_rot[i] = _row_quat_to_rot(nums[i, 12:16])
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}") from e
+    return MotionPlan(
+        mode=meta["mode"], q_left=nums[:, 0:6].copy(),
+        q_right=nums[:, 6:12].copy(), tool_rot=tool_rot,
+        tool_t=nums[:, 16:19].copy(), holding=tuple(holding),
+        theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
+        edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
+        joint_distance=meta["joint_distance_rad"])

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from helpers import HOME_LEFT, HOME_RIGHT, QUICK, make_problem, scene_from
 
+import tetherplan
 from tetherplan.bench import (
     CSV_HEADER,
     Outcome,
@@ -235,6 +239,46 @@ def _audit_plans():
         row, col = (int(v) for v in path.stem[1:].split("_")[0].split("c"))
         problem = scene.problem(scene.pitch_rows[row], scene.roll_cols[col])
         yield path.name, problem, read_plan_csv(path)
+
+
+# Parse, re-check and torque-trace every stored plan; hash the plan
+# arrays, the re-check records, the torque CSVs and the peaks.
+_AUDIT_DIGEST = """\
+import hashlib
+from pathlib import Path
+from tetherplan import plan_io
+from tetherplan.bench import recheck_plan
+from tetherplan.scene import default_scene
+from tetherplan.torque import trace_plan
+scene = default_scene()
+h = hashlib.sha256()
+for path in sorted(Path(AUDIT_PLANS).glob("r*c*_*.csv")):
+    row, col = (int(v) for v in path.stem[1:].split("_")[0].split("c"))
+    problem = scene.problem(scene.pitch_rows[row], scene.roll_cols[col])
+    motion = plan_io.read_plan_csv(path)
+    for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta", "clearance"):
+        h.update(getattr(motion, name).tobytes())
+    h.update(repr(recheck_plan(motion, problem)).encode())
+    trace = trace_plan(motion, problem.robot, problem.balancer, problem.tool)
+    h.update(plan_io.torque_csv(trace).encode())
+    h.update(repr([trace.peak(arm) for arm in trace.arms()]).encode())
+digest = h.hexdigest()
+"""
+
+
+def test_audit_does_not_depend_on_the_blas_kernel():
+    # As test_fk_does_not_depend_on_the_blas_kernel: Prescott is an
+    # OpenBLAS kernel without FMA, and OPENBLAS_CORETYPE only takes
+    # effect in an OpenBLAS built with DYNAMIC_ARCH.
+    code = f"AUDIT_PLANS = {str(AUDIT_PLANS)!r}\n" + _AUDIT_DIGEST
+    src = str(Path(tetherplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+    prescott = subprocess.run([sys.executable, "-c", code + "print(digest)"],
+                              env=env, capture_output=True, text=True, check=True)
+    here: dict = {}
+    exec(code, here)
+    assert prescott.stdout.strip() == here["digest"]
 
 
 class TestGrip:

@@ -157,3 +157,19 @@ def test_quat_to_rot_rejects_zero_quaternion():
         geo.quat_to_rot([0.0, 0.0, 0.0, 0.0])
     with pytest.raises(geo.ZeroVectorError):
         geo.quat_to_rot([1e-13, 0.0, 0.0, 0.0])
+
+
+def test_quat_to_rot_is_one_kernel_over_leading_axes():
+    # A batch equals its rows one by one, each a scaled quaternion
+    # oracle matrix; a zero anywhere in the batch raises.
+    rng = np.random.default_rng(30)
+    quats = np.stack([random_quat(rng) * rng.uniform(0.5, 2.0)
+                      for _ in range(12)]).reshape(3, 4, 4)
+    rots = geo.quat_to_rot(quats)
+    assert rots.shape == (3, 4, 3, 3)
+    for q, r in zip(quats.reshape(-1, 4), rots.reshape(-1, 3, 3)):
+        assert np.array_equal(geo.quat_to_rot(q), r)
+        assert np.allclose(r, quat_matrix(q / np.linalg.norm(q)), atol=1e-12)
+    quats[1, 2] = 0.0
+    with pytest.raises(geo.ZeroVectorError):
+        geo.quat_to_rot(quats)

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import QUICK, make_problem
+from oracles import row_by_row_parse_plan_csv
 
 from tetherplan.plan_io import (
     PLAN_HEADER,
@@ -16,6 +20,9 @@ from tetherplan.plan_io import (
 from tetherplan.planner import plan
 from tetherplan.torque import trace_plan
 
+# Stored plans of the default sweep, read only.
+AUDIT_PLANS = Path(__file__).parents[1] / "perfbench" / "audit_plans"
+
 
 @pytest.fixture(scope="module")
 def solved():
@@ -23,6 +30,21 @@ def solved():
     result = plan(problem, constrained=True, options=QUICK)
     assert result.success
     return problem, result.plan
+
+
+def _line_of(error: ValueError) -> str | None:
+    found = re.match(r"line \d+:", str(error))
+    return found.group() if found else None
+
+
+def _rejected_on_one_line(text: str, match: str) -> None:
+    """parse_plan_csv rejects text, and the row-by-row oracle rejects it
+    at the same line."""
+    with pytest.raises(ValueError, match=match) as fast:
+        parse_plan_csv(text)
+    with pytest.raises(ValueError, match=match) as oracle:
+        row_by_row_parse_plan_csv(text)
+    assert _line_of(fast.value) == _line_of(oracle.value)
 
 
 class TestHoldingFormat:
@@ -73,30 +95,53 @@ class TestPlanRoundTrip:
         assert len(lines) == 4 + motion.n_waypoints
 
 
+class TestParserMatchesTheRowByRowOracle:
+    """parse_plan_csv converts whole arrays; the oracle converts each
+    row.  Every array but tool_rot is equal, and tool_rot differs only
+    by how the quaternion norm is summed."""
+
+    @staticmethod
+    def assert_same_plan(text):
+        fast, oracle = parse_plan_csv(text), row_by_row_parse_plan_csv(text)
+        for name in ("q_left", "q_right", "tool_t", "theta", "clearance"):
+            assert np.array_equal(getattr(fast, name), getattr(oracle, name)), name
+        assert fast.tool_rot.shape == oracle.tool_rot.shape
+        assert np.abs(fast.tool_rot - oracle.tool_rot).max() <= 1e-15
+        assert fast.holding == oracle.holding
+        for name in ("mode", "edge_kinds", "n_edges", "joint_distance"):
+            assert getattr(fast, name) == getattr(oracle, name), name
+
+    def test_stored_plans(self):
+        paths = sorted(AUDIT_PLANS.glob("r*c*_*.csv"))
+        assert len(paths) == 30
+        for path in paths:
+            self.assert_same_plan(path.read_text(encoding="utf-8"))
+
+    def test_round_tripped_plan(self, solved):
+        _, motion = solved
+        self.assert_same_plan(plan_csv(motion))
+
+
 class TestPlanParseErrors:
     def test_missing_preamble(self, solved):
         _, motion = solved
         text = "\n".join(line for line in plan_csv(motion).splitlines()
                          if not line.startswith("#"))
-        with pytest.raises(ValueError, match="preamble"):
-            parse_plan_csv(text)
+        _rejected_on_one_line(text, "preamble")
 
     def test_unexpected_header(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_plan_csv("# mode: constrained\n"
-                           "# edge_kinds: approach\n"
-                           "# joint_distance_rad: 1\n"
-                           "a,b,c\n")
+        _rejected_on_one_line("# mode: constrained\n"
+                              "# edge_kinds: approach\n"
+                              "# joint_distance_rad: 1\n"
+                              "a,b,c\n", "header")
 
     def test_wrong_field_count(self, solved):
         _, motion = solved
         text = plan_csv(motion) + "1,2,3\n"
-        with pytest.raises(ValueError, match="fields"):
-            parse_plan_csv(text)
+        _rejected_on_one_line(text, "fields")
 
     def test_no_rows(self):
-        with pytest.raises(ValueError, match="no waypoint rows"):
-            parse_plan_csv("# mode: constrained\n")
+        _rejected_on_one_line("# mode: constrained\n", "no waypoint rows")
 
     @staticmethod
     def _edit_waypoint_1(motion, **values):
@@ -124,8 +169,7 @@ class TestPlanParseErrors:
             text, line = "\n".join(lines), 3
         else:
             text, line = self._edit_waypoint_1(motion, **{column: value}), 6
-        with pytest.raises(ValueError, match=f"line {line}:"):
-            parse_plan_csv(text)
+        _rejected_on_one_line(text, f"line {line}:")
 
     @pytest.mark.parametrize("line, key, value, bad", [
         (1, "mode", "sideways", "sideways"),
@@ -136,24 +180,22 @@ class TestPlanParseErrors:
         _, motion = solved
         lines = plan_csv(motion).splitlines()
         lines[line - 1] = f"# {key}: {value}"
-        with pytest.raises(ValueError,
-                           match=f"line {line}: {key}: '{bad}' is not one of"):
-            parse_plan_csv("\n".join(lines))
+        _rejected_on_one_line("\n".join(lines),
+                              f"line {line}: {key}: '{bad}' is not one of")
 
     def test_repeated_preamble_key_names_both_lines(self, solved):
         # The plan is constrained; a second mode line must not win.
         _, motion = solved
         text = "# mode: unconstrained\n" + plan_csv(motion)
-        with pytest.raises(ValueError, match="line 2: '# mode:' repeats line 1"):
-            parse_plan_csv(text)
+        _rejected_on_one_line(text, "line 2: '# mode:' repeats line 1")
 
     @pytest.mark.parametrize("holding, message", [
         ("left:x", "malformed"), ("left:\u00b2", "malformed"),
         ("left:3+left:5", "twice")])
     def test_bad_holding_names_its_line(self, solved, holding, message):
         _, motion = solved
-        with pytest.raises(ValueError, match=f"line 6: .*{message}"):
-            parse_plan_csv(self._edit_waypoint_1(motion, holding=holding))
+        _rejected_on_one_line(self._edit_waypoint_1(motion, holding=holding),
+                              f"line 6: .*{message}")
 
     @pytest.mark.parametrize("edit", ["swap", "delete"])
     def test_out_of_sequence_waypoint_names_its_line(self, solved, edit):
@@ -165,14 +207,12 @@ class TestPlanParseErrors:
             lines[6], lines[7] = lines[7], lines[6]
         else:
             del lines[6]
-        with pytest.raises(ValueError, match="line 7: waypoint '3', expected 2"):
-            parse_plan_csv("\n".join(lines))
+        _rejected_on_one_line("\n".join(lines), "line 7: waypoint '3', expected 2")
 
     def test_zero_quaternion_names_its_line(self, solved):
         _, motion = solved
         zero = {c: "0" for c in ("tool_qw", "tool_qx", "tool_qy", "tool_qz")}
-        with pytest.raises(ValueError, match="line 6"):
-            parse_plan_csv(self._edit_waypoint_1(motion, **zero))
+        _rejected_on_one_line(self._edit_waypoint_1(motion, **zero), "line 6")
 
 
 class TestTorqueCsv:

@@ -8,10 +8,10 @@ from tetherplan.bench import Outcome, SweepCell, SweepReport
 from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
 from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
+from tetherplan.plan_io import TORQUE_HEADER, torque_csv
 from tetherplan.robot import ArmModel, DualArm, fk
 from tetherplan.torque import (
     EmptyTrace,
-    TorqueEntry,
     TorqueTrace,
     cable_tension,
     joint_torques,
@@ -53,13 +53,14 @@ class TestJointTorques:
     def test_matches_virtual_work(self):
         arm = ArmModel()
         rng = np.random.default_rng(31)
-        for _ in range(50):
-            q = rng.uniform(-1.5, 1.5, 6)
-            local = rng.uniform(-0.1, 0.1, 3)
-            force = rng.uniform(-20, 20, 3)
-            pose = fk(arm, q)
-            point = pose.apply(local)
-            tau = joint_torques(arm, q, point, force)
+        qs, locals_, forces = (np.stack(a) for a in zip(*(
+            (rng.uniform(-1.5, 1.5, 6), rng.uniform(-0.1, 0.1, 3),
+             rng.uniform(-20, 20, 3)) for _ in range(50))))
+        points = np.stack([fk(arm, q).apply(local)
+                           for q, local in zip(qs, locals_)])
+        taus = joint_torques(arm, qs, points, forces)
+        assert taus.shape == (50, 6)
+        for q, local, force, tau in zip(qs, locals_, forces, taus):
 
             def attached_point(qq, _local=local):
                 return fk(arm, qq).apply(_local)
@@ -74,26 +75,30 @@ class TestJointTorques:
         point = fk(arm, q).apply([0.0, 0.0, 0.05])
         f1 = rng.uniform(-10, 10, 3)
         f2 = rng.uniform(-10, 10, 3)
-        tau = joint_torques(arm, q, point, 2.0 * f1 - 0.5 * f2)
-        assert np.allclose(tau, 2.0 * joint_torques(arm, q, point, f1)
-                           - 0.5 * joint_torques(arm, q, point, f2), atol=1e-12)
+        qs, points = np.stack([q] * 3), np.stack([point] * 3)
+        tau, tau1, tau2 = joint_torques(arm, qs, points,
+                                        np.stack([2.0 * f1 - 0.5 * f2, f1, f2]))
+        assert np.allclose(tau, 2.0 * tau1 - 0.5 * tau2, atol=1e-12)
 
     def test_zero_force_zero_torque(self):
         arm = ArmModel()
         q = np.array([0.3, -0.8, 1.1, 0.2, -0.4, 0.9])
         point = fk(arm, q).t
-        assert np.allclose(joint_torques(arm, q, point, np.zeros(3)), 0.0)
+        assert np.allclose(joint_torques(arm, q[None], point[None],
+                                         np.zeros((1, 3))), 0.0)
 
     def test_vertical_force_exerts_no_base_torque(self):
         # Joint 1 spins about the vertical, so a vertical pull has no
         # moment about it regardless of configuration.
         arm = ArmModel()
         rng = np.random.default_rng(33)
+        qs, points = [], []
         for _ in range(20):
-            q = rng.uniform(-2.0, 2.0, 6)
-            point = fk(arm, q).apply(rng.uniform(-0.1, 0.1, 3))
-            tau = joint_torques(arm, q, point, [0.0, 0.0, -19.62])
-            assert abs(tau[0]) < 1e-9
+            qs.append(rng.uniform(-2.0, 2.0, 6))
+            points.append(fk(arm, qs[-1]).apply(rng.uniform(-0.1, 0.1, 3)))
+        taus = joint_torques(arm, np.stack(qs), np.stack(points),
+                             np.tile([0.0, 0.0, -19.62], (20, 1)))
+        assert np.all(np.abs(taus[:, 0]) < 1e-9)
 
     def test_rotating_the_whole_problem_preserves_torques(self):
         base = Pose(np.eye(3), [0.1, -0.2, 0.3])
@@ -102,10 +107,10 @@ class TestJointTorques:
         q = rng.uniform(-1.0, 1.0, 6)
         point = fk(arm, q).apply([0.02, 0.0, 0.05])
         force = rng.uniform(-15, 15, 3)
-        tau = joint_torques(arm, q, point, force)
+        tau = joint_torques(arm, q[None], point[None], force[None])
         r = rpy_to_rot(0.4, -0.7, 1.2)
         moved = ArmModel(Pose(r @ base.r, r @ base.t))
-        tau2 = joint_torques(moved, q, r @ point, r @ force)
+        tau2 = joint_torques(moved, q[None], (r @ point)[None], (r @ force)[None])
         assert np.allclose(tau, tau2, atol=1e-9)
 
 
@@ -130,12 +135,14 @@ class TestTrace:
                    (("left", 3), ("right", 7)), (("right", 7),)]
         robot, bal, tool, plan = self.make_inputs(holders)
         trace = trace_plan(plan, robot, bal, tool)
-        assert [(e.waypoint, e.arm) for e in trace.entries] == \
+        assert list(zip(trace.waypoint.tolist(), trace.arm.tolist())) == \
             [(1, "left"), (2, "left"), (3, "left"), (3, "right"), (4, "right")]
         assert trace.arms() == ("left", "right")
-        for e in trace.entries:
-            assert e.torques.shape == (6,)
-            assert e.magnitude == pytest.approx(np.max(np.abs(e.torques)))
+        assert trace.entries.shape == (5, 6)
+        for row, torques in zip(torque_csv(trace).splitlines()[1:],
+                                trace.entries):
+            assert float(row.split(",")[8]) == \
+                pytest.approx(np.max(np.abs(torques)))
 
     def test_entries_match_the_finite_difference_oracle(self):
         # Each entry is J_fd.T @ f: J_fd differentiates the connector
@@ -145,14 +152,14 @@ class TestTrace:
                    (("left", 3),), (("right", 7), ("left", 3))]
         robot, bal, tool, plan = self.make_inputs(holders)
         trace = trace_plan(plan, robot, bal, tool)
-        assert [(e.waypoint, e.arm) for e in trace.entries] == \
+        assert list(zip(trace.waypoint.tolist(), trace.arm.tolist())) == \
             [(0, "right"), (2, "left"), (2, "right"), (3, "left"),
              (4, "right"), (4, "left")]
-        for e in trace.entries:
-            arm = robot.arm(e.arm)
-            q = (plan.q_left if e.arm == "left" else plan.q_right)[e.waypoint]
-            connector = Pose(plan.tool_rot[e.waypoint],
-                             plan.tool_t[e.waypoint]).apply(tool.connector_point)
+        for w, side, torques in zip(trace.waypoint, trace.arm, trace.entries):
+            arm = robot.arm(side)
+            q = (plan.q_left if side == "left" else plan.q_right)[w]
+            connector = Pose(plan.tool_rot[w],
+                             plan.tool_t[w]).apply(tool.connector_point)
             local = fk(arm, q).r.T @ (connector - fk(arm, q).t)
 
             def attached_point(qq, _arm=arm, _local=local):
@@ -161,7 +168,7 @@ class TestTrace:
             jp = central_difference_jacobian(attached_point, q)
             pull = bal.anchor - connector
             force = cable_tension(bal) * pull / np.linalg.norm(pull)
-            assert np.allclose(e.torques, jp.T @ force, atol=1e-5)
+            assert np.allclose(torques, jp.T @ force, atol=1e-5)
 
     def test_connector_at_the_anchor_raises(self):
         holders = [(("left", 3),), (("left", 3),), ()]
@@ -181,24 +188,42 @@ class TestTrace:
         robot, bal, tool, plan = self.make_inputs(holders)
         trace = trace_plan(plan, robot, bal, tool)
         for arm in ("left", "right"):
-            mags = [e.magnitude for e in trace.entries if e.arm == arm]
+            mags = [np.abs(torques).max()
+                    for side, torques in zip(trace.arm, trace.entries)
+                    if side == arm]
             assert len(mags) == 4
             assert trace.peak(arm) == max(mags)
 
     def test_peak_requires_entries(self):
-        trace = TorqueTrace(entries=())
+        trace = TorqueTrace(waypoint=np.zeros(0, dtype=int),
+                            arm=np.zeros(0, dtype=str), entries=np.zeros((0, 6)))
         with pytest.raises(EmptyTrace):
             trace.peak("left")
+
+    def test_a_plan_with_no_held_waypoint_gives_an_empty_trace(self):
+        robot, bal, tool, plan = self.make_inputs([(), (), ()])
+        trace = trace_plan(plan, robot, bal, tool)
+        assert len(trace.entries) == 0
+        assert torque_csv(trace) == ",".join(TORQUE_HEADER) + "\n"
+        assert trace.arms() == ()
+        for arm in ("left", "right"):
+            with pytest.raises(EmptyTrace):
+                trace.peak(arm)
 
 
 class TestComparison:
     """Peak-torque comparison of the two planner modes, read through
     SweepReport.torque_summary on one synthetic cell."""
 
-    def entry(self, w, arm, mag):
-        tau = np.zeros(6)
-        tau[2] = mag
-        return TorqueEntry(waypoint=w, arm=arm, torques=tau)
+    @staticmethod
+    def trace(*entries):
+        """A TorqueTrace of (waypoint, arm, magnitude) entries, each
+        magnitude on joint 3."""
+        tau = np.zeros((len(entries), 6))
+        tau[:, 2] = [mag for _, _, mag in entries]
+        return TorqueTrace(waypoint=np.array([w for w, _, _ in entries], dtype=int),
+                           arm=np.array([arm for _, arm, _ in entries], dtype=str),
+                           entries=tau)
 
     @staticmethod
     def summary(constrained: TorqueTrace, unconstrained: TorqueTrace):
@@ -214,33 +239,29 @@ class TestComparison:
                            roll_cols=(0.0,), cells=cells).torque_summary()
 
     def test_reduction_formula(self):
-        a = TorqueTrace(entries=(self.entry(0, "left", 1.0),
-                                 self.entry(1, "left", 3.0)))
-        b = TorqueTrace(entries=(self.entry(0, "left", 4.0),
-                                 self.entry(1, "left", 2.0)))
+        a = self.trace((0, "left", 1.0), (1, "left", 3.0))
+        b = self.trace((0, "left", 4.0), (1, "left", 2.0))
         ts = self.summary(a, b)
         assert ts.n_cells == 1
         assert ts.mean_reduction_pct == pytest.approx(25.0)
         assert ts.per_arm_mean_pct == {"left": pytest.approx(25.0)}
 
     def test_negative_reduction_allowed(self):
-        a = TorqueTrace(entries=(self.entry(0, "right", 5.0),))
-        b = TorqueTrace(entries=(self.entry(0, "right", 4.0),))
+        a = self.trace((0, "right", 5.0))
+        b = self.trace((0, "right", 4.0))
         ts = self.summary(a, b)
         assert ts.per_arm_mean_pct == {"right": pytest.approx(-25.0)}
 
     def test_arms_present_in_both_only(self):
-        a = TorqueTrace(entries=(self.entry(0, "left", 1.0),
-                                 self.entry(0, "right", 1.0)))
-        b = TorqueTrace(entries=(self.entry(0, "left", 2.0),))
+        a = self.trace((0, "left", 1.0), (0, "right", 1.0))
+        b = self.trace((0, "left", 2.0))
         ts = self.summary(a, b)
         assert set(ts.per_arm_mean_pct) == {"left"}
         assert ts.mean_reduction_pct == pytest.approx(50.0)
 
     def test_cells_without_a_shared_arm_are_skipped(self):
-        one = TorqueTrace(entries=(self.entry(0, "left", 1.0),))
-        for a, b in ((TorqueTrace(entries=()), one),
-                     (one, TorqueTrace(entries=(self.entry(0, "right", 1.0),)))):
+        one = self.trace((0, "left", 1.0))
+        for a, b in ((self.trace(), one), (one, self.trace((0, "right", 1.0)))):
             ts = self.summary(a, b)
             assert ts.n_cells == 0
             assert ts.mean_reduction_pct is None
