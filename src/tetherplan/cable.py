@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tetherplan.collision import Box, Shape, capsule_segments
-from tetherplan.geometry import Pose, ZeroVectorError, unit
+from tetherplan.geometry import ZeroVectorError, unit
 
 DEFAULT_MAX_BEND = math.radians(95.0)
 CABLE = "cable"            # collision name of the cable body
@@ -104,11 +104,6 @@ class BendConstraint:
     def __post_init__(self):
         if not (0.0 < self.theta_max < math.pi):
             raise ValueError("theta_max must lie strictly between 0 and pi radians")
-
-
-def bend_angle(pose: Pose, balancer: BalancerSpec, tool: ToolSpec) -> float:
-    """Angle between the connector boom and the cable, in radians."""
-    return float(bend_angle_batch(pose.r[None], pose.t[None], balancer, tool)[0])
 
 
 def cable_vectors(rot: np.ndarray, t: np.ndarray, balancer: BalancerSpec,

@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from tetherplan.geometry import Pose
-from tetherplan.robot import ArmModel, DualArm, fk_batch
+from tetherplan.robot import N_JOINTS, ArmModel, DualArm, fk_batch
 
 _DEG_EPS = 1e-14          # squared-length threshold for degenerate segments
 _COARSE_STRIDE = 8        # motion_clearances measures every 8th row in full
@@ -90,19 +90,6 @@ class Box:
 
 
 Shape = Capsule | Sphere | Box
-
-
-def segment_segment_distance(p1, p2, q1, q2) -> float:
-    """Exact minimum distance between closed segments [p1,p2] and [q1,q2]."""
-    d = _seg_seg_batch(np.asarray(p1, float)[None], np.asarray(p2, float)[None],
-                       np.asarray(q1, float)[None], np.asarray(q2, float)[None])
-    return float(d[0])
-
-
-def segment_box_distance(p1, p2, box: Box) -> float:
-    """Distance from segment to the box surface; 0 when they intersect."""
-    d = _seg_box_batch(np.asarray(p1, float)[None], np.asarray(p2, float)[None], box)
-    return float(d[0])
 
 
 def _seg_seg_batch(p1, p2, q1, q2) -> np.ndarray:
@@ -184,19 +171,6 @@ def capsule_segments(shapes: Iterable[Shape]) -> tuple[np.ndarray, np.ndarray]:
     return segs.reshape(-1, 2, 3), np.array([r for _, _, r in parts], dtype=float)
 
 
-def shape_clearance(a: Shape, b: Shape) -> float:
-    """Signed clearance between two shapes (box pairs unsupported)."""
-    if isinstance(a, Box) and isinstance(b, Box):
-        raise TypeError("box-box clearance is not supported")
-    if isinstance(a, Box):
-        return shape_clearance(b, a)
-    pa, pb, ra = _as_segment(a)
-    if isinstance(b, Box):
-        return segment_box_distance(pa, pb, b) - ra
-    qa, qb, rb = _as_segment(b)
-    return segment_segment_distance(pa, pb, qa, qb) - (ra + rb)
-
-
 @dataclass(frozen=True)
 class ArmLinkSpec:
     """Capsule radii for the six links plus the gripper palm geometry.
@@ -242,25 +216,27 @@ class CollisionWorld:
     def __init__(self, statics: Mapping[str, Shape],
                  link_spec: ArmLinkSpec,
                  excluded_pairs: Iterable[tuple[str, str]] = ()):
-        names = list(statics)
-        if len(set(names)) != len(names):
-            raise ValueError("static shape names must be unique")
         self.statics: dict[str, Shape] = dict(statics)
         self.link_spec = link_spec
         self.excluded = frozenset(frozenset(p) for p in excluded_pairs)
 
 
 def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:
-    """Link capsule segments for a batch of configurations: (W, 6, 2, 3)."""
-    rot, tcp, origins = fk_batch(arm, qs)
+    """Link capsule segments for a batch of configurations: (W, 6, 2, 3).
+
+    An arm that keeps one configuration on every row gets FK of that
+    row once, broadcast to every row (a read-only view).
+    """
+    qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS)
+    still = len(qs) > 1 and np.all(qs == qs[0])
+    rot, tcp, origins = fk_batch(arm, qs[:1] if still else qs)
     pts = origins.copy()
     pts[:, 7] = tcp - spec.palm_setback * rot[:, :, 2]
-    w = pts.shape[0]
-    segs = np.empty((w, _LINK_COUNT, 2, 3))
+    segs = np.empty((pts.shape[0], _LINK_COUNT, 2, 3))
     for k, (i, j) in enumerate(_LINK_SPANS):
         segs[:, k, 0] = pts[:, i]
         segs[:, k, 1] = pts[:, j]
-    return segs
+    return np.broadcast_to(segs, (len(qs),) + segs.shape[1:]) if still else segs
 
 
 @dataclass(frozen=True)
@@ -357,14 +333,6 @@ def _pair_table(statics: tuple[tuple[str, float | None], ...],
                       radius=radius, pair_names=tuple(pair_names))
 
 
-def _arm_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:
-    """arm_link_segments, computed on one row when the arm stays put."""
-    if len(qs) > 1 and np.all(qs == qs[0]):
-        segs = arm_link_segments(arm, spec, qs[:1])
-        return np.broadcast_to(segs, (len(qs),) + segs.shape[1:])
-    return arm_link_segments(arm, spec, qs)
-
-
 def _query(world: CollisionWorld, robot: DualArm,
            q_left: np.ndarray, q_right: np.ndarray,
            attached_segments: np.ndarray | None,
@@ -375,8 +343,8 @@ def _query(world: CollisionWorld, robot: DualArm,
     q_right = np.asarray(q_right, dtype=float).reshape(-1, 6)
     w = q_left.shape[0]
     parts = [
-        _arm_segments(robot.left, world.link_spec, q_left),
-        _arm_segments(robot.right, world.link_spec, q_right),
+        arm_link_segments(robot.left, world.link_spec, q_left),
+        arm_link_segments(robot.right, world.link_spec, q_right),
     ]
     stat, _ = capsule_segments(s for s in world.statics.values()
                                if not isinstance(s, Box))

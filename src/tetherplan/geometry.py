@@ -33,27 +33,6 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def rotate(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply rotation matrix r to vector v."""
-    return np.asarray(r, dtype=float) @ np.asarray(v, dtype=float)
-
-
-def angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle in [0, pi] between two vectors, scale invariant.
-
-    The cosine argument is clamped to [-1, 1] to guard float drift at 0
-    and pi.  Raises ZeroVectorError if either vector has norm < 1e-12.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < _EPS or nb < _EPS:
-        raise ZeroVectorError("angle_between requires nonzero vectors")
-    c = float(np.dot(a, b)) / (na * nb)
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
 def rot_x(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
@@ -188,29 +167,10 @@ class Pose:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
 
     @staticmethod
-    def identity() -> "Pose":
-        return Pose()
-
-    @staticmethod
     def from_rpy(xyz, rpy) -> "Pose":
         return Pose(rpy_to_rot(*rpy), np.asarray(xyz, dtype=float))
-
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        """Map a point from this pose's local frame to the parent frame."""
-        return self.r @ np.asarray(point, dtype=float) + self.t
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.r
-        m[:3, 3] = self.t
-        return m
 
 
 def compose(p: Pose, q: Pose) -> Pose:
     """Pose composition: the transform applying q first, then p."""
     return Pose(p.r @ q.r, p.r @ q.t + p.t)
-
-
-def inverse(p: Pose) -> Pose:
-    rt = p.r.T
-    return Pose(rt, -(rt @ p.t))

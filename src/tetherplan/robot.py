@@ -13,8 +13,8 @@ evaluates the chain that way, elementwise, with no 3x3 products.
 
 There is one chain kernel, fk_chain_batch, which evaluates the chain
 for a batch of configurations, each from its own base.  Every other
-call is built on it, and the scalar calls (fk, fk_frames, jacobian,
-ik) are batches of one.
+call (fk_batch, point_jacobian, ik_batch) is built on it and takes a
+batch; one configuration or one target is a batch of one row.
 
 ik_batch runs damped least squares (_dls) in two stacked passes: the
 seeds of all targets, then every random restart of the targets still
@@ -46,7 +46,7 @@ _IK_STEP_CLAMP = 0.2      # ik_batch's joint step bound per iteration, rad
 class ArmModel:
     """One UR3 arm: the module's chain at its base pose."""
 
-    base: Pose = Pose.identity()
+    base: Pose = Pose()
 
 
 @dataclass(frozen=True)
@@ -145,37 +145,16 @@ def fk_batch(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return fk_chain_batch(arm.base.r, arm.base.t, qs)[:3]
 
 
-def fk_frames(arm: ArmModel, q: np.ndarray) -> tuple[Pose, np.ndarray]:
-    """TCP pose plus the chain origin points (8, 3) for joint angles q."""
-    rot, tcp, origins = fk_batch(arm, q)
-    return Pose(rot[0], tcp[0]), origins[0]
-
-
-def fk(arm: ArmModel, q: np.ndarray) -> Pose:
-    """TCP pose for joint angles q."""
-    return fk_frames(arm, q)[0]
-
-
-def jacobian_batch(arm: ArmModel, qs: np.ndarray) -> np.ndarray:
-    """Geometric TCP Jacobians (W, 6, 6) of a block of configurations."""
-    _, tcp_t, origins, axes = fk_chain_batch(arm.base.r, arm.base.t, qs)
-    return _chain_jacobian(tcp_t, origins, axes)
-
-
 def _chain_jacobian(tcp_t: np.ndarray, origins: np.ndarray,
                     axes: np.ndarray) -> np.ndarray:
-    """Jacobians (W, 6, 6) from the fk_chain_batch outputs of W rows."""
+    """Geometric TCP Jacobians (W, 6, 6) from the fk_chain_batch outputs
+    of W rows: rows 0-2 linear (m/rad), rows 3-5 angular."""
     lever = tcp_t[:, None, :] - origins[:, 1:N_JOINTS + 1, :]
     linear = np.cross(axes, lever)
     jac = np.empty((linear.shape[0], 6, N_JOINTS))
     jac[:, :3, :] = linear.transpose(0, 2, 1)
     jac[:, 3:, :] = axes.transpose(0, 2, 1)
     return jac
-
-
-def jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Geometric TCP Jacobian, rows 0-2 linear (m/rad), rows 3-5 angular."""
-    return jacobian_batch(arm, q)[0]
 
 
 def point_jacobian(arm: ArmModel, qs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -274,16 +253,6 @@ class IKOptions:
     max_iters: int = 200
     restarts: int = 8
     seed: int = 0
-
-
-def ik(arm: ArmModel, target: Pose, seed_config: np.ndarray,
-       opts: IKOptions = IKOptions()) -> np.ndarray | None:
-    """Damped-least-squares IK.  Returns an in-limit solution or None.
-
-    ik_batch on the one target, so results are reproducible.
-    """
-    q, solved = ik_batch(arm, target.r, target.t, seed_config, opts)
-    return q[0] if solved[0] else None
 
 
 def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,

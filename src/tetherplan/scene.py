@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, bend_angle
+from .cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, bend_angle_batch
 from .collision import ArmLinkSpec, Box, Capsule, CollisionWorld, Shape, Sphere, link_names
 from .geometry import Pose, rot_x, rot_y
 from .planner import PlannerOptions, PlanningProblem
@@ -427,7 +427,7 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
     scene = Scene(name=name, base=base, options=options,
                   pitch_rows=pitch_rows, roll_cols=roll_cols)
 
-    theta0 = bend_angle(start_pose, balancer, tool)
+    theta0 = bend_angle_batch(start_pose.r[None], start_pose.t[None], balancer, tool)[0]
     if theta0 > 1e-6:
         raise ValidationError(
             "start_pose",

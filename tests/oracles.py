@@ -141,6 +141,14 @@ def _axis_angle_matrix(axis, angle: float) -> np.ndarray:
     return quat_matrix(quat_from_axis_angle(axis, angle))
 
 
+def homogeneous(r, t) -> np.ndarray:
+    """The 4x4 homogeneous matrix of rotation r and translation t."""
+    m = np.eye(4)
+    m[:3, :3] = r
+    m[:3, 3] = t
+    return m
+
+
 def fk_matrix_product(base_matrix: np.ndarray, axes, offsets, tcp_matrix: np.ndarray,
                       q: np.ndarray) -> np.ndarray:
     """Chain of per-joint 4x4 products: base * prod(Trans(off) Rot(axis, q)) * tcp."""

@@ -12,7 +12,6 @@ from tetherplan.cable import (
     BendConstraint,
     DegenerateCable,
     ToolSpec,
-    bend_angle,
     bend_angle_batch,
     cable_segments,
 )
@@ -44,35 +43,39 @@ def make_tool(connector=(0.0, 0.0, 0.09)):
 
 
 class TestBendAngle:
+    HANGING = np.array([[0.0, 0.0, 0.65]])
+
     def test_hanging_at_rest_is_zero(self):
-        pose = Pose(np.eye(3), [0.0, 0.0, 0.65])
-        assert bend_angle(pose, make_balancer(), make_tool()) == pytest.approx(0.0, abs=1e-12)
+        theta = bend_angle_batch(np.eye(3)[None], self.HANGING, make_balancer(), make_tool())
+        assert theta[0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("phi", np.linspace(0.0, math.pi * 0.9, 7).tolist())
     def test_pitch_equals_bend_for_centered_connector(self, phi):
         tool = make_tool(connector=(0.0, 0.0, 0.0))
-        pose = Pose(rot_y(phi), [0.0, 0.0, 0.65])
-        assert bend_angle(pose, make_balancer(), tool) == pytest.approx(phi, abs=1e-12)
+        theta = bend_angle_batch(rot_y(phi)[None], self.HANGING, make_balancer(), tool)
+        assert theta[0] == pytest.approx(phi, abs=1e-12)
 
     def test_spin_about_vertical_leaves_bend_unchanged(self):
         tool = make_tool(connector=(0.0, 0.0, 0.0))
         base = rot_y(0.7)
-        pose = Pose(base, [0.0, 0.0, 0.65])
-        ref = bend_angle(pose, make_balancer(), tool)
-        for psi in np.linspace(-math.pi, math.pi, 9):
-            spun = Pose(rot_z(psi) @ base, [0.0, 0.0, 0.65])
-            assert bend_angle(spun, make_balancer(), tool) == pytest.approx(ref, abs=1e-9)
+        ref = bend_angle_batch(base[None], self.HANGING, make_balancer(), tool)
+        spun = np.stack([rot_z(psi) @ base for psi in np.linspace(-math.pi, math.pi, 9)])
+        thetas = bend_angle_batch(spun, np.repeat(self.HANGING, 9, axis=0),
+                                  make_balancer(), tool)
+        np.testing.assert_allclose(thetas, ref[0], rtol=0, atol=1e-9)
 
     def test_matches_quaternion_arithmetic(self):
         rng = np.random.default_rng(21)
         tool = make_tool()
         bal = make_balancer()
+        quats, ts = [], []
         for _ in range(200):
-            q = random_quat(rng)
-            t = rng.uniform(-0.5, 0.5, 3)
-            t[2] = rng.uniform(0.3, 0.9)
-            pose = Pose(quat_matrix(q), t)
-            theta = bend_angle(pose, bal, tool)
+            quats.append(random_quat(rng))
+            ts.append(rng.uniform(-0.5, 0.5, 3))
+            ts[-1][2] = rng.uniform(0.3, 0.9)
+        thetas = bend_angle_batch(np.stack([quat_matrix(q) for q in quats]),
+                                  np.stack(ts), bal, tool)
+        for q, t, theta in zip(quats, ts, thetas):
             conn = quat_rotate(q, tool.connector_point) + t
             cable = ANCHOR - conn
             boom = quat_rotate(q, tool.cable_dir)
@@ -82,6 +85,7 @@ class TestBendAngle:
             assert theta == pytest.approx(expected, abs=1e-9)
 
     def test_batch_matches_scalar(self):
+        # A W-row batch equals its W rows, each a batch of one.
         rng = np.random.default_rng(22)
         tool = make_tool()
         bal = make_balancer()
@@ -90,16 +94,18 @@ class TestBendAngle:
         ts[:, 2] = rng.uniform(0.3, 0.9, 40)
         thetas = bend_angle_batch(rots, ts, bal, tool)
         for w in range(40):
-            assert thetas[w] == pytest.approx(
-                bend_angle(Pose(rots[w], ts[w]), bal, tool), abs=1e-12)
+            one = bend_angle_batch(rots[w:w + 1], ts[w:w + 1], bal, tool)
+            assert one.shape == (1,)
+            assert thetas[w] == pytest.approx(one[0], abs=1e-12)
 
     def test_connector_at_anchor_raises(self):
         tool = make_tool(connector=(0.0, 0.0, 0.0))
-        pose = Pose(np.eye(3), ANCHOR)
-        with pytest.raises(DegenerateCable):
-            bend_angle(pose, make_balancer(), tool)
         with pytest.raises(DegenerateCable):
             bend_angle_batch(np.eye(3)[None], ANCHOR[None], make_balancer(), tool)
+        # One degenerate row fails the whole batch.
+        with pytest.raises(DegenerateCable):
+            bend_angle_batch(np.stack([np.eye(3)] * 2), np.stack([self.HANGING[0], ANCHOR]),
+                             make_balancer(), tool)
 
 
 class TestConstraint:
@@ -117,7 +123,8 @@ class TestConstraint:
             tool_rot=pose.r[None], tool_t=pose.t[None], holding=((),),
             theta=np.zeros(1), clearance=np.zeros(1), edge_kinds=(),
             n_edges=0, joint_distance=0.0)
-        theta = bend_angle(pose, problem.balancer, problem.tool)
+        theta = bend_angle_batch(pose.r[None], pose.t[None], problem.balancer,
+                                 problem.tool)[0]
         for limit, flagged in ((theta, 0), (np.nextafter(theta, np.inf), None)):
             tight = replace(problem, constraint=BendConstraint(theta_max=float(limit)))
             assert recheck_plan(motion, tight).bend_waypoint == flagged
@@ -158,7 +165,7 @@ class TestSpecs:
             ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],
                      handle_a=[0, 0, -0.1], handle_b=[0, 0, 0.05],
                      handle_radius=0.02,
-                     shapes=(("tool/head", Box(Pose.identity(), [0.1, 0.1, 0.1])),))
+                     shapes=(("tool/head", Box(Pose(), [0.1, 0.1, 0.1])),))
 
     def test_tool_rejects_zero_handle(self):
         with pytest.raises(ValueError):
@@ -183,7 +190,7 @@ class TestSpecs:
                                     np.stack([p.t for p in poses]))
         assert world.shape == (2, 2, 2, 3)
         for w, pose in enumerate(poses):
-            assert np.allclose(world[w, 0, 0], pose.apply([0, 0, -0.10]))
-            assert np.allclose(world[w, 0, 1], pose.apply([0, 0, 0.05]))
-            assert np.allclose(world[w, 1, 0], pose.apply([0, 0, -0.13]))
+            assert np.allclose(world[w, 0, 0], pose.r @ [0, 0, -0.10] + pose.t)
+            assert np.allclose(world[w, 0, 1], pose.r @ [0, 0, 0.05] + pose.t)
+            assert np.allclose(world[w, 1, 0], pose.r @ [0, 0, -0.13] + pose.t)
             assert np.allclose(world[w, 1, 1], world[w, 1, 0])

@@ -9,20 +9,19 @@ from tetherplan.collision import (
     Capsule,
     CollisionWorld,
     Sphere,
-    _arm_segments,
     _build_pair_table,
     _pair_clearances,
     _seg_box_batch,
+    _seg_seg_batch,
     arm_link_segments,
+    capsule_segments,
     link_names,
     motion_clearances,
-    segment_box_distance,
-    segment_segment_distance,
-    shape_clearance,
 )
 from tetherplan.cable import CABLE
 from tetherplan.geometry import Pose, rpy_to_rot
-from tetherplan.robot import ArmModel, DualArm, fk_batch, fk_frames
+from tetherplan.robot import ArmModel, DualArm, fk_batch
+from tetherplan.scene import default_scene
 
 from helpers import HOME_LEFT, HOME_RIGHT, make_problem
 from oracles import segment_box_distance_sampled, segment_distance_sampled
@@ -33,49 +32,50 @@ def random_segment(rng, scale=1.0):
 
 
 class TestSegmentSegment:
+    # Each known answer is one pair, p1, p2, q1, q2 stacked in a (4, 3)
+    # array; the kernel takes any leading axes, none included.
     def test_parallel_segments(self):
-        d = segment_segment_distance([0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0])
+        d = _seg_seg_batch(*np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_crossing_segments(self):
-        d = segment_segment_distance([-1, 0, 0], [1, 0, 0], [0, -1, 1], [0, 1, 1])
+        d = _seg_seg_batch(*np.array([[-1, 0, 0], [1, 0, 0], [0, -1, 1], [0, 1, 1]], float))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_intersecting_segments(self):
-        d = segment_segment_distance([-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, 0])
+        d = _seg_seg_batch(*np.array([[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, 0]], float))
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_collinear_gap(self):
-        d = segment_segment_distance([0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0])
+        d = _seg_seg_batch(*np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], float))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_point_vs_point(self):
-        d = segment_segment_distance([1, 2, 3], [1, 2, 3], [1, 2, 7], [1, 2, 7])
+        d = _seg_seg_batch(*np.array([[1, 2, 3], [1, 2, 3], [1, 2, 7], [1, 2, 7]], float))
         assert d == pytest.approx(4.0, abs=1e-12)
 
     def test_point_vs_segment(self):
-        d = segment_segment_distance([0, 0, 2], [0, 0, 2], [-1, 0, 0], [1, 0, 0])
+        d = _seg_seg_batch(*np.array([[0, 0, 2], [0, 0, 2], [-1, 0, 0], [1, 0, 0]], float))
         assert d == pytest.approx(2.0, abs=1e-12)
-        d = segment_segment_distance([-1, 0, 0], [1, 0, 0], [5, 0, 2], [5, 0, 2])
+        d = _seg_seg_batch(*np.array([[-1, 0, 0], [1, 0, 0], [5, 0, 2], [5, 0, 2]], float))
         assert d == pytest.approx(np.hypot(4.0, 2.0), abs=1e-12)
 
     def test_matches_dense_sampling(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            p1, p2 = random_segment(rng)
-            q1, q2 = random_segment(rng)
-            exact = segment_segment_distance(p1, p2, q1, q2)
-            sampled = segment_distance_sampled(p1, p2, q1, q2)
-            assert exact <= sampled + 1e-12
-            assert exact == pytest.approx(sampled, abs=1e-6)
+        pairs = np.array([(*random_segment(rng), *random_segment(rng))
+                          for _ in range(200)])
+        exact = _seg_seg_batch(*pairs.transpose(1, 0, 2))
+        for pair, d in zip(pairs, exact):
+            sampled = segment_distance_sampled(*pair)
+            assert d <= sampled + 1e-12
+            assert d == pytest.approx(sampled, abs=1e-6)
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            p1, p2 = random_segment(rng)
-            q1, q2 = random_segment(rng)
-            assert segment_segment_distance(p1, p2, q1, q2) == pytest.approx(
-                segment_segment_distance(q1, q2, p1, p2), abs=1e-12)
+        p1, p2, q1, q2 = np.array([(*random_segment(rng), *random_segment(rng))
+                                   for _ in range(50)]).transpose(1, 0, 2)
+        np.testing.assert_allclose(_seg_seg_batch(p1, p2, q1, q2),
+                                   _seg_seg_batch(q1, q2, p1, p2), rtol=0, atol=1e-12)
 
     def test_rigid_motion_invariance(self):
         rng = np.random.default_rng(9)
@@ -84,40 +84,41 @@ class TestSegmentSegment:
             q1, q2 = random_segment(rng)
             r = rpy_to_rot(*rng.uniform(-np.pi, np.pi, 3))
             t = rng.uniform(-5, 5, 3)
-            d0 = segment_segment_distance(p1, p2, q1, q2)
-            d1 = segment_segment_distance(r @ p1 + t, r @ p2 + t,
-                                          r @ q1 + t, r @ q2 + t)
+            d0 = _seg_seg_batch(p1, p2, q1, q2)
+            d1 = _seg_seg_batch(r @ p1 + t, r @ p2 + t, r @ q1 + t, r @ q2 + t)
             assert d1 == pytest.approx(d0, abs=1e-9)
 
 
 class TestCapsules:
+    # A pair's clearance is its segment distance less the radius sum, as
+    # a query measures it; touching is 0.0, and only < 0.0 is a hit.
     def test_touching_is_free(self):
-        a = Capsule([0, 0, 0], [1, 0, 0], 0.5)
-        b = Capsule([0, 1.0, 0], [1, 1.0, 0], 0.5)
-        assert shape_clearance(a, b) == 0.0
+        segs, radii = capsule_segments([Capsule([0, 0, 0], [1, 0, 0], 0.5),
+                                        Capsule([0, 1.0, 0], [1, 1.0, 0], 0.5)])
+        assert _seg_seg_batch(*segs.reshape(4, 3)) - radii.sum() == 0.0
 
     def test_overlap_is_hit(self):
-        a = Capsule([0, 0, 0], [1, 0, 0], 0.5)
-        b = Capsule([0, 0.999, 0], [1, 0.999, 0], 0.5)
-        assert shape_clearance(a, b) < 0.0
+        segs, radii = capsule_segments([Capsule([0, 0, 0], [1, 0, 0], 0.5),
+                                        Capsule([0, 0.999, 0], [1, 0.999, 0], 0.5)])
+        assert _seg_seg_batch(*segs.reshape(4, 3)) - radii.sum() < 0.0
 
     def test_radius_growth_never_clears_a_hit(self):
         rng = np.random.default_rng(10)
-        for _ in range(100):
-            p1, p2 = random_segment(rng)
-            q1, q2 = random_segment(rng)
-            r1, r2 = rng.uniform(0.05, 0.5, 2)
-            a = Capsule(p1, p2, r1)
-            b = Capsule(q1, q2, r2)
-            if shape_clearance(a, b) < 0.0:
-                assert shape_clearance(Capsule(p1, p2, r1 + 0.1), b) < 0.0
-                assert shape_clearance(a, Capsule(q1, q2, r2 + 0.1)) < 0.0
+        rows = [(*random_segment(rng), *random_segment(rng), rng.uniform(0.05, 0.5, 2))
+                for _ in range(100)]
+        p1, p2, q1, q2, radii = (np.array(c) for c in zip(*rows))
+        dist = _seg_seg_batch(p1, p2, q1, q2)
+        hit = dist - radii.sum(axis=1) < 0.0
+        assert hit.any()
+        for grown in (radii + [0.1, 0.0], radii + [0.0, 0.1]):
+            assert np.all(dist[hit] - grown[hit].sum(axis=1) < 0.0)
 
     def test_sphere_is_degenerate_capsule(self):
-        s = Sphere([0, 0, 2], 0.5)
-        c = Capsule([-1, 0, 0], [1, 0, 0], 0.25)
-        assert shape_clearance(s, c) == pytest.approx(2.0 - 0.75, abs=1e-12)
-        assert shape_clearance(c, s) == pytest.approx(2.0 - 0.75, abs=1e-12)
+        segs, radii = capsule_segments([Sphere([0, 0, 2], 0.5),
+                                        Capsule([-1, 0, 0], [1, 0, 0], 0.25)])
+        assert np.array_equal(segs[0], [[0, 0, 2], [0, 0, 2]])
+        d = _seg_seg_batch(segs[:, 0], segs[:, 1], segs[::-1, 0], segs[::-1, 1])
+        np.testing.assert_allclose(d - radii.sum(), 2.0 - 0.75, rtol=0, atol=1e-12)
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -127,51 +128,53 @@ class TestCapsules:
 
 
 class TestSegmentBox:
-    BOX = Box(Pose.identity(), [1.0, 1.0, 1.0])
+    BOX = Box(Pose(), [1.0, 1.0, 1.0])
 
     def test_point_facing_a_face(self):
-        d = segment_box_distance([2, 0, 0], [2, 0, 0], self.BOX)
+        d = _seg_box_batch([2, 0, 0], [2, 0, 0], self.BOX)
         assert d == pytest.approx(1.0, abs=1e-9)
 
     def test_point_facing_an_edge(self):
-        d = segment_box_distance([2, 2, 0], [2, 2, 0], self.BOX)
+        d = _seg_box_batch([2, 2, 0], [2, 2, 0], self.BOX)
         assert d == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
     def test_point_facing_a_corner(self):
-        d = segment_box_distance([2, 2, 2], [2, 2, 2], self.BOX)
+        d = _seg_box_batch([2, 2, 2], [2, 2, 2], self.BOX)
         assert d == pytest.approx(np.sqrt(3.0), abs=1e-9)
 
     def test_point_inside(self):
-        d = segment_box_distance([0.5, -0.25, 0.1], [0.5, -0.25, 0.1], self.BOX)
+        d = _seg_box_batch([0.5, -0.25, 0.1], [0.5, -0.25, 0.1], self.BOX)
         assert d == 0.0
 
     def test_segment_through_box(self):
-        d = segment_box_distance([-3, 0, 0], [3, 0, 0], self.BOX)
+        d = _seg_box_batch([-3, 0, 0], [3, 0, 0], self.BOX)
         assert d == pytest.approx(0.0, abs=1e-9)
 
     def test_segment_passing_beside(self):
-        d = segment_box_distance([-3, 1.5, 0], [3, 1.5, 0], self.BOX)
+        d = _seg_box_batch([-3, 1.5, 0], [3, 1.5, 0], self.BOX)
         assert d == pytest.approx(0.5, abs=1e-9)
 
     def test_exact_known_answers(self):
+        d = _seg_box_batch(np.array([[2, 0, 0], [3, 3, 3], [1, 3, 0], [1, -3, 2]]),
+                           np.array([[0, 2, 0], [1.5, 1.5, 1.5], [1, 3, 0], [1, 3, 2]]),
+                           self.BOX)
         # Touches the edge x = y = 1 at its midpoint.
-        assert segment_box_distance([2, 0, 0], [0, 2, 0], self.BOX) == 0.0
+        assert d[0] == 0.0
         # Nearest at the end point, off the corner (1, 1, 1).
-        d = segment_box_distance([3, 3, 3], [1.5, 1.5, 1.5], self.BOX)
-        assert d == pytest.approx(np.sqrt(0.75), abs=1e-15)
+        assert d[1] == pytest.approx(np.sqrt(0.75), abs=1e-15)
         # A point and a segment lying in the face plane x = 1.
-        assert segment_box_distance([1, 3, 0], [1, 3, 0], self.BOX) == 2.0
-        assert segment_box_distance([1, -3, 2], [1, 3, 2], self.BOX) == 1.0
+        assert d[2] == 2.0
+        assert d[3] == 1.0
 
     def test_skew_segment_matches_dense_sampling(self):
         rng = np.random.default_rng(11)
         box = Box(Pose.from_rpy([0.3, 0.2, 0.5], [0.4, -0.3, 1.1]),
                   [0.5, 0.3, 0.8])
-        for _ in range(100):
-            p1, p2 = random_segment(rng, scale=2.0)
-            exact = segment_box_distance(p1, p2, box)
+        p1, p2 = np.array([random_segment(rng, scale=2.0)
+                           for _ in range(100)]).transpose(1, 0, 2)
+        for a, b, exact in zip(p1, p2, _seg_box_batch(p1, p2, box)):
             sampled = segment_box_distance_sampled(
-                p1, p2, box.pose.r, box.pose.t, box.half_extents)
+                a, b, box.pose.r, box.pose.t, box.half_extents)
             assert exact <= sampled + 1e-9
             assert exact == pytest.approx(sampled, abs=1e-5)
 
@@ -191,7 +194,7 @@ class TestSegmentBox:
             batch = _seg_box_batch(p1, p2, box)
             assert batch.shape == (6, 9)
             for w, k in np.ndindex(6, 9):
-                assert batch[w, k] == segment_box_distance(p1[w, k], p2[w, k], box)
+                assert batch[w, k] == _seg_box_batch(p1[w, k], p2[w, k], box)
                 sampled = segment_box_distance_sampled(
                     p1[w, k], p2[w, k], box.pose.r, box.pose.t, box.half_extents)
                 assert batch[w, k] <= sampled + 1e-9
@@ -205,18 +208,14 @@ class TestSegmentBox:
             t = rng.uniform(-2, 2, 3)
             box = Box(Pose(np.eye(3), [0, 0, 0]), [0.4, 0.6, 0.2])
             moved = Box(Pose(r, t), [0.4, 0.6, 0.2])
-            d0 = segment_box_distance(p1, p2, box)
-            d1 = segment_box_distance(r @ p1 + t, r @ p2 + t, moved)
+            d0 = _seg_box_batch(p1, p2, box)
+            d1 = _seg_box_batch(r @ p1 + t, r @ p2 + t, moved)
             assert d1 == pytest.approx(d0, abs=1e-7)
 
     def test_sphere_vs_box_clearance(self):
-        s = Sphere([3, 0, 0], 0.5)
-        assert shape_clearance(s, self.BOX) == pytest.approx(1.5, abs=1e-9)
-        assert shape_clearance(self.BOX, s) == pytest.approx(1.5, abs=1e-9)
-
-    def test_box_box_unsupported(self):
-        with pytest.raises(TypeError):
-            shape_clearance(self.BOX, Box(Pose.identity(), [1, 1, 1]))
+        segs, radii = capsule_segments([Sphere([3, 0, 0], 0.5)])
+        clear = _seg_box_batch(segs[:, 0], segs[:, 1], self.BOX) - radii
+        np.testing.assert_allclose(clear, [1.5], rtol=0, atol=1e-9)
 
 
 def make_robot():
@@ -249,7 +248,7 @@ class TestWorld:
     def test_static_capsule_through_arm_is_named(self):
         robot = make_robot()
         q = np.zeros(6)
-        _, pts = fk_frames(robot.left, q)
+        pts = fk_batch(robot.left, q)[2][0]
         elbow = 0.5 * (pts[2] + pts[3])
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar})
@@ -261,7 +260,7 @@ class TestWorld:
     def test_excluded_pair_is_ignored(self):
         robot = make_robot()
         q = np.zeros(6)
-        _, pts = fk_frames(robot.left, q)
+        pts = fk_batch(robot.left, q)[2][0]
         elbow = 0.5 * (pts[2] + pts[3])
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar},
@@ -290,11 +289,9 @@ class TestWorld:
         rng = np.random.default_rng(13)
         qs_l = rng.uniform(-1.0, 1.0, (5, 6))
         qs_r = rng.uniform(-1.0, 1.0, (5, 6))
-        held = []
-        for q in qs_l:
-            tcp, _ = fk_frames(robot.left, q)
-            held.append(Capsule(tcp.t - 0.05 * tcp.r[:, 2],
-                                tcp.t + 0.25 * tcp.r[:, 2], 0.02))
+        rot, tcp, _ = fk_batch(robot.left, qs_l)
+        held = [Capsule(t - 0.05 * r[:, 2], t + 0.25 * r[:, 2], 0.02)
+                for r, t in zip(rot, tcp)]
         tool_hits = 0
         for world, tools in ((make_world({"post": post}), None),
                              (make_world({"post": post, "table": table}), held)):
@@ -312,7 +309,16 @@ class TestWorld:
                     links = arm_link_segments(robot.arm(side), spec, q)[0]
                     for name, (a, b), r in zip(link_names(side), links, spec.radii):
                         shapes[name] = Capsule(a, b, r)
-                pair_clear = [shape_clearance(shapes[i], shapes[j]) for i, j in names]
+                pair_clear = []
+                for i, j in names:
+                    # The first of a pair is capsule-like; boxes come second.
+                    if isinstance(shapes[j], Box):
+                        segs, radii = capsule_segments([shapes[i]])
+                        d = _seg_box_batch(segs[0, 0], segs[0, 1], shapes[j])
+                    else:
+                        segs, radii = capsule_segments([shapes[i], shapes[j]])
+                        d = _seg_seg_batch(*segs.reshape(4, 3))
+                    pair_clear.append(d - radii.sum())
                 assert min(pair_clear) == pytest.approx(clear[w], abs=1e-9)
                 np.testing.assert_allclose(dense[w], pair_clear, rtol=0, atol=1e-9)
                 tool_hits += sum("tool" in p and c < 0.0
@@ -405,8 +411,10 @@ class TestBoundedClearances:
                                  *held_tool(robot, moving))
             # The idle arm's one-row FK, broadcast, is the FK of every row.
             spec = world.link_spec
-            assert np.array_equal(_arm_segments(robot.right, spec, idle),
-                                  arm_link_segments(robot.right, spec, idle))
+            segs = arm_link_segments(robot.right, spec, idle)
+            assert segs.strides[0] == 0
+            assert np.array_equal(segs, np.concatenate(
+                [arm_link_segments(robot.right, spec, q) for q in idle]))
 
     def test_exact_touch(self):
         # A capsule of radius 0.25 slides 0.25 above the top face of a
@@ -483,3 +491,32 @@ class TestPairTableMemo:
         other = _build_pair_table(excluded, self.NAMES, self.RADII)
         assert ("left/link1", CABLE) in table.pair_names
         assert set(other.pair_names) == set(table.pair_names) - {("left/link1", CABLE)}
+
+
+def test_pair_table_pairs_no_two_statics_and_no_two_attached_bodies():
+    # The default world with the tool shapes and the cable attached, and
+    # the same world with two static capsules and a second box added.
+    base = default_scene().base
+    _, radii, names = base.tool.shape_segments()
+    attached = names + [CABLE]
+    cluttered = CollisionWorld(
+        {**base.world.statics, "post": Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04),
+         "ball": Sphere([0.0, 0.3, 0.3], 0.05),
+         "crate": Box(Pose(rpy_to_rot(0.3, 0.2, 0.5), [0.35, -0.2, 0.45]),
+                      [0.1, 0.15, 0.05])},
+        base.world.link_spec, base.world.excluded)
+    for world in (base.world, cluttered):
+        table = _build_pair_table(world, attached, [*radii, base.balancer.cable_radius])
+        boxes = {n for n, s in world.statics.items() if isinstance(s, Box)}
+        statics = set(world.statics) - boxes
+        links = set(link_names("left") + link_names("right"))
+        capsules = 2 * len(link_names("left")) + len(statics) + len(attached)
+        assert boxes and table.box.max() >= 0
+        for (a, b), box, second in zip(table.pair_names, table.box, table.second):
+            assert not {a, b} <= statics | boxes
+            assert not {a, b} <= set(attached)
+            if box >= 0:
+                assert b in boxes and second == capsules
+                assert a in links or a in attached
+            else:
+                assert a not in boxes and b not in boxes

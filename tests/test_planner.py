@@ -27,7 +27,7 @@ from tetherplan.planner import (
     sample_grasps,
     solve_stations,
 )
-from tetherplan.robot import fk
+from tetherplan.robot import fk_batch
 from tetherplan.scene import default_scene
 
 
@@ -412,7 +412,7 @@ class TestEdgeValidation:
     def test_collision_before_bend_wins(self):
         problem, search = self._search()
         start = problem.start_pose
-        palm = fk(problem.robot.left, problem.home_left).t
+        palm = fk_batch(problem.robot.left, problem.home_left)[1][0]
         edge = self._fabricate(
             problem,
             [start.r, start.r, rot_x(math.radians(120.0))],
@@ -424,7 +424,7 @@ class TestEdgeValidation:
     def test_bend_at_same_row_outranks_collision(self):
         problem, search = self._search()
         start = problem.start_pose
-        palm = fk(problem.robot.left, problem.home_left).t
+        palm = fk_batch(problem.robot.left, problem.home_left)[1][0]
         edge = self._fabricate(
             problem,
             [start.r, rot_x(math.radians(120.0)), start.r],

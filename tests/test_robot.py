@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import (central_difference_jacobian, fk_matrix_chain, fk_matrix_product,
-                     in_limits, quat_matrix, random_quat, sequential_ik_batch)
+                     homogeneous, in_limits, quat_matrix, random_quat,
+                     sequential_ik_batch)
 from tetherplan.geometry import Pose, rot_axis_angle, rot_to_rotvec, rot_z
 from tetherplan import robot as rb
 
@@ -20,34 +21,33 @@ def arm():
 
 def test_fk_zero_config_hand_composed_chain(arm):
     # Chain offsets sum plus the TCP offset, orientation = TCP rotation.
-    pose = rb.fk(arm, np.zeros(6))
+    rot, tcp, _ = rb.fk_batch(arm, np.zeros(6))
     expected_t = np.array([
         0.0 - 0.24365 - 0.21325,
         0.0 - 0.11235 - 0.0819,
         0.1519 - 0.08535,
     ])
-    assert np.allclose(pose.t, expected_t, atol=1e-12)
-    assert np.allclose(pose.r, [[1, 0, 0], [0, 0, -1], [0, 1, 0]], atol=1e-12)
+    assert np.allclose(tcp[0], expected_t, atol=1e-12)
+    assert np.allclose(rot[0], [[1, 0, 0], [0, 0, -1], [0, 1, 0]], atol=1e-12)
 
 
 def test_fk_single_joint_rotation_spins_about_base_axis(arm):
     delta = 0.7
-    home = rb.fk(arm, np.zeros(6))
-    moved = rb.fk(arm, np.array([delta, 0, 0, 0, 0, 0]))
+    rot, tcp, _ = rb.fk_batch(arm, np.array([[0.0] * 6, [delta, 0, 0, 0, 0, 0]]))
     spin = rot_z(delta)
-    assert np.allclose(moved.t, spin @ home.t, atol=1e-12)
-    assert np.allclose(moved.r, spin @ home.r, atol=1e-12)
+    assert np.allclose(tcp[1], spin @ tcp[0], atol=1e-12)
+    assert np.allclose(rot[1], spin @ rot[0], atol=1e-12)
 
 
 def test_fk_matches_matrix_product_oracle(arm):
     rng = np.random.default_rng(42)
-    base_m = arm.base.as_matrix()
-    tcp_m = rb._UR3_TCP.as_matrix()
-    for _ in range(50):
-        q = rng.uniform(-math.pi, math.pi, size=6)
+    base_m = homogeneous(arm.base.r, arm.base.t)
+    tcp_m = homogeneous(rb._UR3_TCP.r, rb._UR3_TCP.t)
+    qs = np.stack([rng.uniform(-math.pi, math.pi, size=6) for _ in range(50)])
+    rot, tcp, _ = rb.fk_batch(arm, qs)
+    for q, r, t in zip(qs, rot, tcp):
         expected = fk_matrix_product(base_m, rb._UR3_AXES, rb._UR3_OFFSETS, tcp_m, q)
-        got = rb.fk(arm, q)
-        assert np.allclose(got.as_matrix(), expected, atol=1e-9)
+        assert np.allclose(homogeneous(r, t), expected, atol=1e-9)
 
 
 def _random_bases(rng, w):
@@ -69,10 +69,10 @@ def test_fk_chain_batch_matches_matrix_chain_oracle(w, per_row):
     rot, tcp, origins, axes = rb.fk_chain_batch(base_r, base_t, qs)
     assert (rot.shape, tcp.shape, origins.shape, axes.shape) == (
         (w, 3, 3), (w, 3), (w, 8, 3), (w, 6, 3))
-    tcp_m = rb._UR3_TCP.as_matrix()
+    tcp_m = homogeneous(rb._UR3_TCP.r, rb._UR3_TCP.t)
     for i in range(w):
-        base = Pose(base_r[i] if per_row else base_r,
-                    base_t[i] if per_row else base_t).as_matrix()
+        base = homogeneous(base_r[i] if per_row else base_r,
+                           base_t[i] if per_row else base_t)
         m, pts, ax = fk_matrix_chain(base, rb._UR3_AXES, rb._UR3_OFFSETS, tcp_m, qs[i])
         assert np.allclose(rot[i], m[:3, :3], rtol=0, atol=1e-12)
         assert np.allclose(tcp[i], m[:3, 3], rtol=0, atol=1e-12)
@@ -145,44 +145,34 @@ def test_fk_matches_published_dh_table(arm):
         return t
 
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        q = rng.uniform(-math.pi, math.pi, size=6)
-        assert np.allclose(rb.fk(arm, q).as_matrix(), dh_fk(q), atol=1e-9)
-
-
-def test_fk_batch_agrees_with_scalar(arm):
-    rng = np.random.default_rng(5)
-    qs = rng.uniform(-math.pi, math.pi, size=(25, 6))
-    rot, tcp, origins = rb.fk_batch(arm, qs)
-    for w in range(qs.shape[0]):
-        pose, pts = rb.fk_frames(arm, qs[w])
-        assert np.allclose(rot[w], pose.r, atol=1e-12)
-        assert np.allclose(tcp[w], pose.t, atol=1e-12)
-        assert np.allclose(origins[w], pts, atol=1e-12)
+    qs = np.stack([rng.uniform(-math.pi, math.pi, size=6) for _ in range(50)])
+    rot, tcp, _ = rb.fk_batch(arm, qs)
+    for q, r, t in zip(qs, rot, tcp):
+        assert np.allclose(homogeneous(r, t), dh_fk(q), atol=1e-9)
 
 
 def test_fk_deterministic(arm):
     q = np.array([0.3, -1.1, 0.7, 0.2, -0.4, 1.9])
-    a = rb.fk(arm, q)
-    b = rb.fk(arm, q)
-    assert np.array_equal(a.r, b.r) and np.array_equal(a.t, b.t)
+    a = rb.fk_batch(arm, q)
+    b = rb.fk_batch(arm, q)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def _pose_function(arm):
     def f(q):
-        return rb.fk(arm, q).t
+        return rb.fk_batch(arm, q)[1][0]
     return f
 
 
 def _orientation_columns_ok(arm, q):
-    jac = rb.jacobian(arm, q)
-    _, _, _, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
+    _, tcp, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
+    jac = rb._chain_jacobian(tcp, origins, axes)[0]
     return np.allclose(jac[3:, :], axes[0].T, atol=1e-12)
 
 
 def test_jacobian_zero_config_finite_difference(arm):
     q = np.zeros(6)
-    jac = rb.jacobian(arm, q)
+    jac = rb._chain_jacobian(*rb.fk_chain_batch(arm.base.r, arm.base.t, q)[1:])[0]
     fd = central_difference_jacobian(_pose_function(arm), q)
     scale = max(1.0, np.abs(fd).max())
     assert np.max(np.abs(jac[:3] - fd)) / scale < 1e-4
@@ -196,14 +186,14 @@ def test_jacobian_angular_rows_are_world_axes(arm):
 
 def test_jacobian_random_configs_vs_finite_difference(arm):
     rng = np.random.default_rng(17)
+    qs = np.stack([rng.uniform(-math.pi, math.pi, size=6) for _ in range(100)])
+    rot, tcp, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     worst = 0.0
-    for _ in range(100):
-        q = rng.uniform(-math.pi, math.pi, size=6)
-        jac = rb.jacobian(arm, q)
+    for q, jac, base in zip(qs, rb._chain_jacobian(tcp, origins, axes), rot):
         fd_lin = central_difference_jacobian(_pose_function(arm), q)
 
-        def rotvec_about(qq, base=rb.fk(arm, q).r):
-            return rot_to_rotvec(rb.fk(arm, qq).r @ base.T)
+        def rotvec_about(qq, base=base):
+            return rot_to_rotvec(rb.fk_batch(arm, qq)[0][0] @ base.T)
 
         fd_ang = central_difference_jacobian(rotvec_about, q)
         fd = np.vstack([fd_lin, fd_ang])
@@ -214,10 +204,10 @@ def test_jacobian_random_configs_vs_finite_difference(arm):
 
 def test_ik_fixed_point_returns_seed(arm):
     q0 = np.array([0.4, -1.2, 1.0, -0.5, 0.8, 0.1])
-    target = rb.fk(arm, q0)
-    got = rb.ik(arm, target, q0)
-    assert got is not None
-    assert np.allclose(got, q0, atol=1e-12)
+    rot, tcp, _ = rb.fk_batch(arm, q0)
+    got, ok = rb.ik_batch(arm, rot, tcp, q0)
+    assert ok[0]
+    assert np.allclose(got[0], q0, atol=1e-12)
 
 
 def test_ik_round_trip_random_targets(arm):
@@ -227,23 +217,23 @@ def test_ik_round_trip_random_targets(arm):
     trials = 40
     for _ in range(trials):
         q0 = rng.uniform(-math.pi, math.pi, size=6)
-        target = rb.fk(arm, q0)
+        target_r, target_t, _ = rb.fk_batch(arm, q0)
         seed = rng.uniform(-math.pi, math.pi, size=6)
-        q = rb.ik(arm, target, seed, opts)
-        if q is None:
+        q, ok = rb.ik_batch(arm, target_r, target_t, seed, opts)
+        if not ok[0]:
             continue
-        got = rb.fk(arm, q)
-        assert np.linalg.norm(got.t - target.t) < 1e-4
-        assert np.linalg.norm(rot_to_rotvec(target.r @ got.r.T)) < 1e-3
-        assert in_limits(q)
+        got_r, got_t, _ = rb.fk_batch(arm, q)
+        assert np.linalg.norm(got_t[0] - target_t[0]) < 1e-4
+        assert np.linalg.norm(rot_to_rotvec(target_r[0] @ got_r[0].T)) < 1e-3
+        assert in_limits(q[0])
         hits += 1
     assert hits >= int(0.95 * trials)
 
 
 def test_ik_unreachable_target_returns_none(arm):
-    target = Pose(np.eye(3), np.array([10.0, 0.0, 0.0]))
     opts = rb.IKOptions(restarts=2, max_iters=50)
-    assert rb.ik(arm, target, np.zeros(6), opts) is None
+    q, ok = rb.ik_batch(arm, np.eye(3), np.array([10.0, 0.0, 0.0]), np.zeros(6), opts)
+    assert not ok[0] and not q.any()
 
 
 def test_dual_arm_requires_distinct_bases(arm):
@@ -280,14 +270,6 @@ def test_fk_at_a_base_is_the_base_composed_with_fk_at_the_origin(arm):
         assert np.allclose(origins, origins0 @ r.T + t, rtol=0, atol=1e-12)
 
 
-def test_jacobian_batch_matches_scalar(arm):
-    rng = np.random.default_rng(41)
-    qs = rng.uniform(-2.0, 2.0, (15, 6))
-    jb = rb.jacobian_batch(arm, qs)
-    for w in range(15):
-        assert np.allclose(jb[w], rb.jacobian(arm, qs[w]), atol=1e-12)
-
-
 def test_rotvec_batch_matches_scalar():
     from tetherplan.geometry import rot_to_rotvec, rpy_to_rot, rot_axis_angle
     rng = np.random.default_rng(42)
@@ -321,11 +303,10 @@ def test_ik_batch_solves_reachable_targets(arm):
     opts = rb.IKOptions(seed=5)
     sol, ok = rb.ik_batch(arm, rots, ts, np.zeros(6), opts)
     assert ok.sum() >= 28
+    sol_r, sol_t, _ = rb.fk_batch(arm, sol)
     for i in np.nonzero(ok)[0]:
-        pose = rb.fk(arm, sol[i])
-        assert np.linalg.norm(pose.t - ts[i]) < opts.pos_tol
-        from tetherplan.geometry import rot_to_rotvec
-        assert np.linalg.norm(rot_to_rotvec(rots[i] @ pose.r.T)) < opts.ori_tol
+        assert np.linalg.norm(sol_t[i] - ts[i]) < opts.pos_tol
+        assert np.linalg.norm(rot_to_rotvec(rots[i] @ sol_r[i].T)) < opts.ori_tol
         assert in_limits(sol[i])
 
 
@@ -413,7 +394,8 @@ def test_filtered_chain_jacobian_equals_jacobian_batch(arm):
     keep = rng.random(25) < 0.6
     _, tcp_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     jac = rb._chain_jacobian(tcp_t[keep], origins[keep], axes[keep])
-    assert np.array_equal(jac, rb.jacobian_batch(arm, qs[keep]))
+    _, tcp_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs[keep])
+    assert np.array_equal(jac, rb._chain_jacobian(tcp_t, origins, axes))
 
 
 # UR3 wrist reach from the published link lengths: the three link
@@ -505,7 +487,7 @@ def test_reach_prune_bound_is_tight():
 def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
     rng = np.random.default_rng(48)
     q0 = rng.uniform(-1.5, 1.5, 6)
-    pose = rb.fk(arm, q0)
+    rot, tcp, _ = rb.fk_batch(arm, q0)
     rows = []
     chain = rb.fk_chain_batch
 
@@ -514,11 +496,11 @@ def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
         return chain(base_r, base_t, qs)
 
     monkeypatch.setattr(rb, "fk_chain_batch", counted)
-    q1, ok1 = rb.ik_batch(arm, pose.r, pose.t, q0 + 0.1)
+    q1, ok1 = rb.ik_batch(arm, rot, tcp, q0 + 0.1)
     alone = sum(rows)
     rows.clear()
-    q2, ok2 = rb.ik_batch(arm, np.stack([pose.r, pose.r]),
-                          np.stack([pose.t, pose.t + [2.0, 0.0, 0.0]]),
+    q2, ok2 = rb.ik_batch(arm, np.concatenate([rot, rot]),
+                          np.concatenate([tcp, tcp + [2.0, 0.0, 0.0]]),
                           q0 + 0.1, groups=[1, 1])
     assert ok1[0] and alone > 0
     assert sum(rows) == alone

@@ -5,7 +5,7 @@ import pytest
 import yaml
 from importlib import resources
 
-from tetherplan.cable import CABLE, bend_angle
+from tetherplan.cable import CABLE, bend_angle_batch
 from tetherplan.collision import _build_pair_table, motion_clearances
 from tetherplan.geometry import rot_y
 from tetherplan.planner import sample_grasps
@@ -45,7 +45,9 @@ class TestDefaultScene:
     def test_loads_and_hangs_straight(self):
         sc = default_scene()
         assert sc.name == "default"
-        assert bend_angle(sc.base.start_pose, sc.base.balancer, sc.base.tool) < 1e-6
+        start = sc.base.start_pose
+        theta = bend_angle_batch(start.r[None], start.t[None], sc.base.balancer, sc.base.tool)
+        assert theta[0] < 1e-6
 
     def test_grid_dimensions(self):
         sc = default_scene()
@@ -120,8 +122,9 @@ class TestCellProblems:
             u = np.array([-d * math.sin(p), h - d * math.cos(p)])
             v = np.array([math.sin(p), math.cos(p)])
             expected = math.acos(u @ v / np.linalg.norm(u))
-            cell = sc.problem(pitch=p)
-            theta = bend_angle(cell.start_pose, sc.base.balancer, sc.base.tool)
+            start = sc.problem(pitch=p).start_pose
+            theta = bend_angle_batch(start.r[None], start.t[None], sc.base.balancer,
+                                     sc.base.tool)[0]
             assert math.isclose(theta, expected, abs_tol=1e-9)
             assert theta > p  # the cable tilt always adds to the pitch
 

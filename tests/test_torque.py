@@ -9,7 +9,7 @@ from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
 from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
 from tetherplan.plan_io import TORQUE_HEADER, torque_csv
-from tetherplan.robot import ArmModel, DualArm, fk
+from tetherplan.robot import ArmModel, DualArm, fk_batch
 from tetherplan.torque import (
     EmptyTrace,
     TorqueTrace,
@@ -56,14 +56,15 @@ class TestJointTorques:
         qs, locals_, forces = (np.stack(a) for a in zip(*(
             (rng.uniform(-1.5, 1.5, 6), rng.uniform(-0.1, 0.1, 3),
              rng.uniform(-20, 20, 3)) for _ in range(50))))
-        points = np.stack([fk(arm, q).apply(local)
-                           for q, local in zip(qs, locals_)])
+        rot, tcp, _ = fk_batch(arm, qs)
+        points = np.einsum("wij,wj->wi", rot, locals_) + tcp
         taus = joint_torques(arm, qs, points, forces)
         assert taus.shape == (50, 6)
         for q, local, force, tau in zip(qs, locals_, forces, taus):
 
             def attached_point(qq, _local=local):
-                return fk(arm, qq).apply(_local)
+                r, t, _ = fk_batch(arm, qq)
+                return r[0] @ _local + t[0]
 
             jp = central_difference_jacobian(attached_point, q)
             assert np.allclose(tau, jp.T @ force, atol=1e-5)
@@ -72,7 +73,8 @@ class TestJointTorques:
         arm = ArmModel()
         rng = np.random.default_rng(32)
         q = rng.uniform(-1.0, 1.0, 6)
-        point = fk(arm, q).apply([0.0, 0.0, 0.05])
+        rot, tcp, _ = fk_batch(arm, q)
+        point = rot[0] @ [0.0, 0.0, 0.05] + tcp[0]
         f1 = rng.uniform(-10, 10, 3)
         f2 = rng.uniform(-10, 10, 3)
         qs, points = np.stack([q] * 3), np.stack([point] * 3)
@@ -83,21 +85,19 @@ class TestJointTorques:
     def test_zero_force_zero_torque(self):
         arm = ArmModel()
         q = np.array([0.3, -0.8, 1.1, 0.2, -0.4, 0.9])
-        point = fk(arm, q).t
-        assert np.allclose(joint_torques(arm, q[None], point[None],
-                                         np.zeros((1, 3))), 0.0)
+        _, tcp, _ = fk_batch(arm, q)
+        assert np.allclose(joint_torques(arm, q[None], tcp, np.zeros((1, 3))), 0.0)
 
     def test_vertical_force_exerts_no_base_torque(self):
         # Joint 1 spins about the vertical, so a vertical pull has no
         # moment about it regardless of configuration.
         arm = ArmModel()
         rng = np.random.default_rng(33)
-        qs, points = [], []
-        for _ in range(20):
-            qs.append(rng.uniform(-2.0, 2.0, 6))
-            points.append(fk(arm, qs[-1]).apply(rng.uniform(-0.1, 0.1, 3)))
-        taus = joint_torques(arm, np.stack(qs), np.stack(points),
-                             np.tile([0.0, 0.0, -19.62], (20, 1)))
+        qs, locals_ = (np.stack(a) for a in zip(*(
+            (rng.uniform(-2.0, 2.0, 6), rng.uniform(-0.1, 0.1, 3)) for _ in range(20))))
+        rot, tcp, _ = fk_batch(arm, qs)
+        points = np.einsum("wij,wj->wi", rot, locals_) + tcp
+        taus = joint_torques(arm, qs, points, np.tile([0.0, 0.0, -19.62], (20, 1)))
         assert np.all(np.abs(taus[:, 0]) < 1e-9)
 
     def test_rotating_the_whole_problem_preserves_torques(self):
@@ -105,7 +105,8 @@ class TestJointTorques:
         arm = ArmModel(base)
         rng = np.random.default_rng(34)
         q = rng.uniform(-1.0, 1.0, 6)
-        point = fk(arm, q).apply([0.02, 0.0, 0.05])
+        rot, tcp, _ = fk_batch(arm, q)
+        point = rot[0] @ [0.02, 0.0, 0.05] + tcp[0]
         force = rng.uniform(-15, 15, 3)
         tau = joint_torques(arm, q[None], point[None], force[None])
         r = rpy_to_rot(0.4, -0.7, 1.2)
@@ -158,12 +159,13 @@ class TestTrace:
         for w, side, torques in zip(trace.waypoint, trace.arm, trace.entries):
             arm = robot.arm(side)
             q = (plan.q_left if side == "left" else plan.q_right)[w]
-            connector = Pose(plan.tool_rot[w],
-                             plan.tool_t[w]).apply(tool.connector_point)
-            local = fk(arm, q).r.T @ (connector - fk(arm, q).t)
+            connector = plan.tool_rot[w] @ tool.connector_point + plan.tool_t[w]
+            rot, tcp, _ = fk_batch(arm, q)
+            local = rot[0].T @ (connector - tcp[0])
 
             def attached_point(qq, _arm=arm, _local=local):
-                return fk(_arm, qq).apply(_local)
+                r, t, _ = fk_batch(_arm, qq)
+                return r[0] @ _local + t[0]
 
             jp = central_difference_jacobian(attached_point, q)
             pull = bal.anchor - connector
