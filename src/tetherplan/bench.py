@@ -15,13 +15,14 @@ re-check carries the taut cable, anchor to connector, on every
 waypoint.  The constrained planner keeps every waypoint under the bend
 limit, so it never emits x, but it checks the cable only until the
 first grasp: a later * is an entanglement the constraint did not
-prevent.
+prevent.  A sweep re-checks each distinct waypoint row once, through one
+RecheckMemo beside its PlanCache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,31 +84,62 @@ class Outcome:
         return LABEL_SYMBOLS[self.label]
 
 
-def recheck_plan(motion: MotionPlan, problem: PlanningProblem) -> Recheck:
+@dataclass
+class RecheckMemo:
+    """Clearance and nearest pair index of each re-checked waypoint row,
+    keyed by the raw bytes of its q_left, q_right, tool_rot and tool_t
+    (-0.0 and 0.0 stay distinct), for the world, robot, tool and
+    balancer that filled it; pair_names is the table the indices read.
+    """
+
+    bodies: tuple = ()
+    pair_names: tuple = ()
+    rows: dict = field(default_factory=dict)
+
+
+def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
+                 memo: RecheckMemo | None = None) -> Recheck:
     """Re-derive bend, cable-contact, collision and grip facts from
     waypoints.
 
     Trusts nothing the planner recorded beyond the joint trajectories,
     tool track, and holding labels, and checks the tool track against
-    the joints of the arms holding it (_grip_waypoint).
+    the joints of the arms holding it (_grip_waypoint).  Only the rows
+    that memo (a fresh one when None) lacks are measured, each once, in
+    plan order; the others are read back from it.
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
     over = np.nonzero(theta >= problem.constraint.theta_max)[0]
     bend_wp = int(over[0]) if over.size else None
 
-    # The tool shapes and the taut cable ride on every waypoint.
-    _, radii, names = problem.tool.shape_segments()
-    segs = np.concatenate(
-        [problem.tool.segments_world(motion.tool_rot, motion.tool_t),
-         cable_segments(motion.tool_rot, motion.tool_t, problem.balancer,
-                        problem.tool)], axis=1)
-    clear, pair_idx, pair_names = motion_clearances(
-        problem.world, problem.robot, motion.q_left, motion.q_right, segs,
-        np.append(radii, problem.balancer.cable_radius), names + [CABLE])
+    memo = RecheckMemo() if memo is None else memo
+    bodies = (problem.world, problem.robot, problem.tool, problem.balancer)
+    if memo.bodies and any(a is not b for a, b in zip(bodies, memo.bodies)):
+        raise ValueError("a RecheckMemo serves only the scene that filled it")
+    memo.bodies = bodies
+    raw = np.hstack([motion.q_left, motion.q_right,
+                     motion.tool_rot.reshape(-1, 9), motion.tool_t])
+    keys = raw.view(f"V{raw[0].nbytes}").ravel().tolist()
+    # A row of each key the memo lacks, in plan order (equal keys, equal rows).
+    at = {key: i for i, key in enumerate(keys) if key not in memo.rows}
+    if at:
+        new = np.fromiter(at.values(), dtype=int, count=len(at))
+        rot, t = motion.tool_rot[new], motion.tool_t[new]
+        # The tool shapes and the taut cable ride on every waypoint.
+        _, radii, names = problem.tool.shape_segments()
+        segs = np.concatenate(
+            [problem.tool.segments_world(rot, t),
+             cable_segments(rot, t, problem.balancer, problem.tool)], axis=1)
+        clear, pair_idx, memo.pair_names = motion_clearances(
+            problem.world, problem.robot, motion.q_left[new],
+            motion.q_right[new], segs,
+            np.append(radii, problem.balancer.cable_radius), names + [CABLE])
+        memo.rows.update(zip(at, zip(clear.tolist(), pair_idx.tolist())))
+    clear, pair_idx = map(np.array, zip(*map(memo.rows.__getitem__, keys)))
     first = {}      # is the row's nearest pair the cable's -> first such row
     for i in np.nonzero(clear < 0.0)[0]:
-        first.setdefault(CABLE in pair_names[pair_idx[i]], int(i))
+        first.setdefault(CABLE in memo.pair_names[pair_idx[i]], int(i))
 
     return Recheck(
         theta_max=float(theta.max()),
@@ -143,7 +175,7 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem) -> int | None:
         run_start = np.maximum.accumulate(
             np.where(begins, np.arange(held.size), 0))
         tcp_r, tcp_t, _ = fk_batch(problem.robot.arm(side), qs[held])
-        rel_r = tcp_r.transpose(0, 2, 1) @ motion.tool_rot[held]
+        rel_r = np.einsum("wji,wjk->wik", tcp_r, motion.tool_rot[held])
         rel_t = np.einsum("wji,wj->wi", tcp_r, motion.tool_t[held] - tcp_t)
         local = np.einsum("wij,pj->wpi", rel_r, points) + rel_t[:, None, :]
         drift = np.linalg.norm(local - local[run_start], axis=2).max(axis=1)
@@ -280,7 +312,8 @@ class SweepReport:
 
 
 def run_cell(scene: Scene, row: int, col: int, mode: str,
-             cache: PlanCache | None = None) -> SweepCell:
+             cache: PlanCache | None = None,
+             memo: RecheckMemo | None = None) -> SweepCell:
     """Plan, re-check, and classify one grid cell."""
     pitch = scene.pitch_rows[row]
     roll = scene.roll_cols[col]
@@ -291,7 +324,7 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
     recheck = None
     peaks = {}
     if result.plan is not None:
-        recheck = recheck_plan(result.plan, problem)
+        recheck = recheck_plan(result.plan, problem, memo)
         trace = trace_plan(result.plan, problem.robot, problem.balancer,
                            problem.tool)
         peaks = {arm: trace.peak(arm) for arm in trace.arms()}
@@ -313,14 +346,17 @@ def sweep(scene: Scene) -> SweepReport:
     batch (solve_stations).  The cells then run one after another against
     that shared plan cache.  A cell's result does not depend on which
     cells ran before it: the cache is content-addressed and the planner
-    budget counts the path edges it checks, cache hits included.  The report
-    holds no timings, so two sweeps of one scene compare equal.
+    budget counts the path edges it checks, cache hits included.  Nor does
+    its re-check: the RecheckMemo beside the cache hands back each row that
+    an earlier cell measured, and motion_clearances gives a row the same
+    dense min and argmin bit for bit whichever rows share its call.  The
+    report holds no timings, so two sweeps of one scene compare equal.
     """
-    cache = PlanCache()
+    cache, memo = PlanCache(), RecheckMemo()
     solve_stations([scene.problem(pitch=p, roll=r)
                     for p in scene.pitch_rows for r in scene.roll_cols],
                    scene.options, cache)
-    cells = [run_cell(scene, i, j, mode, cache)
+    cells = [run_cell(scene, i, j, mode, cache, memo)
              for i in range(len(scene.pitch_rows))
              for j in range(len(scene.roll_cols))
              for mode in ("constrained", "unconstrained")]

@@ -135,9 +135,11 @@ def _seg_box_batch(p1, p2, box: Box) -> np.ndarray:
 
     Along the segment the squared distance is a convex quadratic on each
     piece between face-plane crossings; take each piece's clamped vertex.
+    No step calls BLAS, so a row's distance depends neither on the rows
+    that share the call nor on the BLAS kernel.
     """
-    a = (p1 - box.pose.t) @ box.pose.r
-    d = (p2 - box.pose.t) @ box.pose.r - a
+    a = np.einsum("...j,ji->...i", p1 - box.pose.t, box.pose.r)
+    d = np.einsum("...j,ji->...i", p2 - box.pose.t, box.pose.r) - a
     half = box.half_extents
     dd = np.concatenate([d, d], axis=-1)
     cross = np.divide(np.concatenate([half - a, -half - a], axis=-1), dd,

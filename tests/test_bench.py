@@ -9,13 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import HOME_LEFT, HOME_RIGHT, QUICK, make_problem, scene_from
+from helpers import HOME_LEFT, HOME_RIGHT, QUICK, make_problem, make_tool, \
+    scene_from
 
 import tetherplan
 from tetherplan.bench import (
     CSV_HEADER,
     Outcome,
     Recheck,
+    RecheckMemo,
     SweepCell,
     SweepReport,
     cells_csv,
@@ -26,7 +28,7 @@ from tetherplan.bench import (
     sweep,
 )
 from tetherplan.cable import BendConstraint
-from tetherplan.collision import Box, arm_link_segments
+from tetherplan.collision import Box, CollisionWorld, arm_link_segments
 from tetherplan.geometry import Pose
 from tetherplan.plan_io import read_plan_csv
 from tetherplan.planner import MotionPlan, PlannerStats, PlanResult, plan
@@ -325,6 +327,82 @@ class TestGrip:
             for h in motion.holding[41:])
         rc = recheck_plan(replace(motion, holding=holding), problem)
         assert rc.grip_waypoint is None
+
+
+@pytest.fixture(scope="module")
+def default_cut():
+    """Rows 75 and 90 deg by columns -10 and 0 deg of the default scene:
+    successes, a bend violation and a failure, in both modes."""
+    scene = default_scene()
+    return replace(scene, pitch_rows=scene.pitch_rows[-2:],
+                   roll_cols=scene.roll_cols[1:3])
+
+
+def _sweep_recording(scene, monkeypatch):
+    """sweep(scene), with the (motion, problem, record) of each re-check
+    and the rows each clearance call of the re-check receives."""
+    rechecks, rows = [], []
+
+    def recording_recheck(motion, problem, memo=None):
+        record = real_recheck(motion, problem, memo)
+        rechecks.append((motion, problem, record))
+        return record
+
+    def recording_clearances(world, robot, q_left, q_right, segs, *rest):
+        rows.extend(np.concatenate(
+            [q_left, q_right, segs.reshape(len(segs), -1)], axis=1))
+        return real_clearances(world, robot, q_left, q_right, segs, *rest)
+
+    real_recheck = recheck_plan
+    real_clearances = tetherplan.bench.motion_clearances
+    monkeypatch.setattr(tetherplan.bench, "recheck_plan", recording_recheck)
+    monkeypatch.setattr(tetherplan.bench, "motion_clearances",
+                        recording_clearances)
+    return sweep(scene), rechecks, rows
+
+
+def _row_keys(motion):
+    return [np.concatenate([motion.q_left[i], motion.q_right[i],
+                            motion.tool_rot[i].ravel(), motion.tool_t[i]]
+                           ).tobytes() for i in range(motion.n_waypoints)]
+
+
+class TestRecheckMemo:
+    def test_sweep_records_equal_fresh_rechecks(self, default_cut,
+                                                monkeypatch):
+        report, rechecks, _ = _sweep_recording(default_cut, monkeypatch)
+        assert [c.recheck for c in report.cells if c.recheck] == [
+            r for _, _, r in rechecks]
+        assert {c.outcome.label for c in report.cells} == {
+            "success", "bend_violation", "no_plan"}
+        assert len(rechecks) == 6
+        # Recheck equality compares every field, floats by ==.
+        for motion, problem, record in rechecks:
+            assert recheck_plan(motion, problem) == record
+        memo = RecheckMemo()
+        for motion, problem, record in reversed(rechecks):
+            assert recheck_plan(motion, problem, memo) == record
+
+    def test_each_distinct_row_is_measured_once(self, default_cut,
+                                                monkeypatch):
+        _, rechecks, rows = _sweep_recording(default_cut, monkeypatch)
+        distinct = {k for motion, _, _ in rechecks for k in _row_keys(motion)}
+        assert sum(m.n_waypoints for m, _, _ in rechecks) > len(distinct)
+        assert len(rows) == len(distinct)
+        assert len({row.tobytes() for row in rows}) == len(rows)
+
+    def test_memo_serves_only_the_scene_that_filled_it(self, solved):
+        problem, motion = solved
+        memo = RecheckMemo()
+        record = recheck_plan(motion, problem, memo)
+        assert recheck_plan(motion, replace(problem, goal_pose=Pose()),
+                            memo) == record
+        world = CollisionWorld(problem.world.statics, problem.world.link_spec,
+                               problem.world.excluded)
+        for other in (replace(problem, world=world),
+                      replace(problem, tool=make_tool())):
+            with pytest.raises(ValueError, match="only the scene"):
+                recheck_plan(motion, other, memo)
 
 
 class TestSweep:

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tetherplan
 from tetherplan.collision import (
     ArmLinkSpec,
     Box,
@@ -520,3 +525,65 @@ def test_pair_table_pairs_no_two_statics_and_no_two_attached_bodies():
                 assert a in links or a in attached
             else:
                 assert a not in boxes and b not in boxes
+
+
+# motion_clearances of 64 rows by a tilted arm base and a rotated crate,
+# with a capsule tossed about the crate, and again on a seeded subset of the rows and on a
+# permutation of that subset; the rotations come from rot_x, rot_y, rot_z
+# and einsum, so no BLAS call builds them.  Hashed byte for byte.
+_ROWS_DIGEST = """\
+import hashlib
+import numpy as np
+from tetherplan.collision import (ArmLinkSpec, Box, Capsule, CollisionWorld,
+                                  motion_clearances)
+from tetherplan.geometry import Pose, rot_x, rot_y, rot_z
+from tetherplan.robot import ArmModel, DualArm
+tilt = np.einsum("ij,jk->ik", rot_x(0.4), rot_y(-0.3))
+robot = DualArm(left=ArmModel(Pose(tilt, [0.0, 0.25, 0.0])),
+                right=ArmModel(Pose(rot_z(0.2), [0.0, -0.25, 0.0])))
+crate = Box(Pose(np.einsum("ij,jk->ik", rot_z(0.5), rot_x(0.3)),
+                 [0.3, 0.0, 0.3]), [0.1, 0.15, 0.05])
+world = CollisionWorld(
+    {"crate": crate, "post": Capsule([0.3, 0.4, 0.0], [0.3, 0.4, 1.0], 0.04)},
+    ArmLinkSpec(radii=[0.045, 0.045, 0.04, 0.035, 0.035, 0.03]))
+rng = np.random.default_rng(41)
+home = np.array([[2.435, -0.529, -1.542, 0.5, -1.571, 2.435],
+                 [2.795, -0.529, -1.543, 0.501, -1.571, 2.795]])
+ql, qr = home[:, None] + rng.uniform(-0.3, 0.3, (2, 64, 6))
+held = crate.pose.t + rng.uniform(-0.25, 0.25, (64, 1, 2, 3))
+full = motion_clearances(world, robot, ql, qr, held, [0.02], ["tool"])
+subset = np.sort(rng.choice(64, 23, replace=False))
+perm = rng.permutation(subset)
+parts = [motion_clearances(world, robot, ql[k], qr[k], held[k], [0.02],
+                           ["tool"]) for k in (subset, perm)]
+digest = hashlib.sha256(b"".join(
+    a.tobytes() for out in (full, *parts) for a in out[:2])).hexdigest()
+"""
+
+
+
+def test_a_row_does_not_depend_on_the_rows_beside_it():
+    here: dict = {}
+    exec(_ROWS_DIGEST, here)
+    full = here["full"]
+    # The crate is the nearest body on some rows, so its kernel decides them.
+    assert any("crate" in full[2][k] for k in full[1])
+    for rows, (clear, idx, names) in zip((here["subset"], here["perm"]),
+                                         here["parts"]):
+        assert np.array_equal(clear, full[0][rows])
+        assert np.array_equal(idx, full[1][rows])
+        assert names == full[2]
+
+
+def test_clearances_do_not_depend_on_the_blas_kernel():
+    # As test_fk_does_not_depend_on_the_blas_kernel: Prescott is an
+    # OpenBLAS kernel without FMA, and OPENBLAS_CORETYPE only takes
+    # effect in an OpenBLAS built with DYNAMIC_ARCH.
+    src = str(Path(tetherplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+    prescott = subprocess.run([sys.executable, "-c", _ROWS_DIGEST + "print(digest)"],
+                              env=env, capture_output=True, text=True, check=True)
+    here: dict = {}
+    exec(_ROWS_DIGEST, here)
+    assert prescott.stdout.strip() == here["digest"]
