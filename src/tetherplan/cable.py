@@ -57,16 +57,15 @@ class ToolSpec:
     """Suspended tool: collision bodies, grasp handle, cable connector.
 
     All geometry lives in the tool frame.  handle_a/handle_b span the
-    graspable cylinder axis; shapes are the capsule-like collision
-    bodies (boxes are rejected because attached bodies must stay
-    capsule-like for the pairwise distance kernels).
+    graspable axis; shapes are the collision bodies, the handle's among
+    them (boxes are rejected because attached bodies must be capsules
+    for the pairwise distance kernels).
     """
 
     connector_point: np.ndarray
     cable_dir: np.ndarray
     handle_a: np.ndarray
     handle_b: np.ndarray
-    handle_radius: float
     shapes: tuple[tuple[str, Shape], ...] = ()
 
     def __post_init__(self):
@@ -74,14 +73,12 @@ class ToolSpec:
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float).reshape(3))
         object.__setattr__(self, "cable_dir", unit(self.cable_dir))
-        if not (self.handle_radius > 0.0):
-            raise ValueError("handle_radius must be positive")
         if np.linalg.norm(self.handle_b - self.handle_a) < _EPS:
             raise ValueError("handle axis must have nonzero length")
         for name, shape in self.shapes:
             if isinstance(shape, Box):
                 raise ValueError(f"tool shape {name!r}: boxes are not supported "
-                                 "for attached bodies, use capsules or spheres")
+                                 "for attached bodies, use capsules")
 
     def shape_segments(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Tool-frame segments (K, 2, 3), radii (K,), and names."""

@@ -1,7 +1,7 @@
 """Primitive-shape distance queries and the dual-arm collision world.
 
-Shapes are capsules, spheres and boxes.  Spheres are degenerate
-capsules internally, so the only distance kernels are
+Shapes are capsules and boxes; a sphere is a capsule whose two
+endpoints coincide, so the only distance kernels are
 segment-segment and segment-box, both exact closed forms (the latter
 minimizes the piecewise-quadratic squared distance along the segment
 one piece at a time).  Touching counts as free everywhere: a pair
@@ -67,17 +67,6 @@ class Capsule:
 
 
 @dataclass(frozen=True)
-class Sphere:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not (self.radius > 0.0):
-            raise ValueError("sphere radius must be positive")
-
-
-@dataclass(frozen=True)
 class Box:
     pose: Pose
     half_extents: np.ndarray
@@ -89,7 +78,7 @@ class Box:
         object.__setattr__(self, "half_extents", he)
 
 
-Shape = Capsule | Sphere | Box
+Shape = Capsule | Box
 
 
 def _seg_seg_batch(p1, p2, q1, q2) -> np.ndarray:
@@ -158,19 +147,11 @@ def _seg_box_batch(p1, p2, box: Box) -> np.ndarray:
     return np.linalg.norm(excess, axis=-1).min(axis=-1)
 
 
-def _as_segment(shape: Shape) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(shape, Capsule):
-        return shape.a, shape.b, shape.radius
-    if isinstance(shape, Sphere):
-        return shape.center, shape.center, shape.radius
-    raise TypeError(f"not a capsule-like shape: {shape!r}")
-
-
-def capsule_segments(shapes: Iterable[Shape]) -> tuple[np.ndarray, np.ndarray]:
-    """Segments (K, 2, 3) and radii (K,) of capsule-like shapes."""
-    parts = [_as_segment(s) for s in shapes]
-    segs = np.array([(a, b) for a, b, _ in parts], dtype=float)
-    return segs.reshape(-1, 2, 3), np.array([r for _, _, r in parts], dtype=float)
+def capsule_segments(capsules: Iterable[Capsule]) -> tuple[np.ndarray, np.ndarray]:
+    """Segments (K, 2, 3) and radii (K,) of capsules."""
+    caps = list(capsules)
+    segs = np.array([(c.a, c.b) for c in caps], dtype=float)
+    return segs.reshape(-1, 2, 3), np.array([c.radius for c in caps], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -261,7 +242,7 @@ def _build_pair_table(world: CollisionWorld,
                       attached_names: Sequence[str],
                       attached_radii: Sequence[float]) -> _PairTable:
     """The pair table, memoized on everything it reads."""
-    statics = tuple((n, None if isinstance(s, Box) else _as_segment(s)[2])
+    statics = tuple((n, None if isinstance(s, Box) else s.radius)
                     for n, s in world.statics.items())
     links = tuple(world.link_spec.radii.tolist())
     attached = tuple(zip(attached_names, map(float, attached_radii)))

@@ -2,9 +2,12 @@
 
 A scene bundles the robot placement, balancer, tool, obstacles, baseline
 start/goal poses, and planner settings.  Angles are degrees in the file
-and radians in memory; lengths are meters throughout.  Unknown keys are
-rejected so typos fail loudly instead of silently falling back to
-defaults.
+and radians in memory; lengths are meters throughout.  Unknown keys and
+keys repeated within one mapping are rejected, so typos fail loudly
+instead of silently falling back to defaults or overriding an earlier
+value.  Each mapping is read through a _Section, whose typed reads name
+a bad value by its dotted key path; describe() prints the planner and
+IK settings from the same key tables that parse them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 import yaml
 
 from .cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, bend_angle_batch
-from .collision import ArmLinkSpec, Box, Capsule, CollisionWorld, Shape, Sphere, link_names
+from .collision import ArmLinkSpec, Box, Capsule, CollisionWorld, Shape, link_names
 from .geometry import Pose, rot_x, rot_y
 from .planner import PlannerOptions, PlanningProblem
 from .robot import ArmModel, DualArm, IKOptions
@@ -45,95 +48,164 @@ class ValidationError(Exception):
         self.field = field
 
 
-_REQUIRED = object()
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated within one mapping; plain
+    safe_load keeps the last of the two without a word."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
-def _mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise ParseError(f"{path}: expected a mapping, got {type(node).__name__}")
-    return node
+# The Python types a scalar kind accepts, and its name in messages.
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+          str: (str, "a string")}
 
 
-def _check_keys(node: dict, allowed, path: str) -> None:
-    unknown = sorted(set(node) - set(allowed))
-    if unknown:
-        raise ParseError(f"{path}.{unknown[0]}: unknown key")
-
-
-def _get(node: dict, key: str, path: str, default=_REQUIRED):
-    if key in node:
-        return node[key]
-    if default is _REQUIRED:
-        raise ParseError(f"{path}.{key}: missing required key")
-    return default
-
-
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}: expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+def _scalar(value, path: str, kind: type):
+    """value as a finite float, an int or a str; a bool is none of them."""
+    accepts, what = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepts):
+        raise ParseError(f"{path}: expected {what}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
         raise ValidationError(path, f"must be finite, got {value}")
-    return float(value)
+    return kind(value)
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}: expected an integer, got {type(value).__name__}")
-    return value
+def _entries(value, path: str) -> list[tuple[str, object]]:
+    """(path, value) of each entry of a list."""
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected a list")
+    return [(f"{path}[{i}]", v) for i, v in enumerate(value)]
 
 
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{path}: expected a string, got {type(value).__name__}")
-    return value
-
-
-def _numbers(value, n: int, path: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != n:
+def _numbers(value, path: str, n: int | None) -> np.ndarray:
+    """A list of n numbers, or of any length if n is None."""
+    if n is not None and not (isinstance(value, list) and len(value) == n):
         raise ParseError(f"{path}: expected a list of {n} numbers")
-    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
+    return np.array([_scalar(v, p, float) for p, v in _entries(value, path)])
 
 
-def _pose(node, path: str) -> Pose:
-    node = _mapping(node, path)
-    _check_keys(node, ("xyz_m", "rpy_deg"), path)
-    xyz = _numbers(_get(node, "xyz_m", path), 3, f"{path}.xyz_m")
-    rpy = _numbers(_get(node, "rpy_deg", path, [0.0, 0.0, 0.0]), 3,
-                   f"{path}.rpy_deg")
-    return Pose.from_rpy(xyz, np.radians(rpy))
+_REQUIRED = object()
+_ROOT = "scene"
 
 
-def _shape(node, path: str) -> tuple[str, Shape]:
-    node = _mapping(node, path)
-    kind = _string(_get(node, "kind", path), f"{path}.kind")
-    name = _string(_get(node, "name", path), f"{path}.name")
+class _Section:
+    """One mapping of the scene file at a dotted path, built with the keys
+    it allows (None: the caller checks them).  Each typed read names a bad
+    value by its key's path, so a key is written once; an absent key with
+    a default gives that default, unchecked."""
+
+    def __init__(self, node, path: str, keys):
+        if not isinstance(node, dict):
+            raise ParseError(f"{path}: expected a mapping, got {type(node).__name__}")
+        unknown = [] if keys is None else sorted(set(node) - set(keys))
+        if unknown:
+            raise ParseError(f"{path}.{unknown[0]}: unknown key")
+        self.node, self.path = node, path
+
+    def at(self, key: str) -> str:
+        """Dotted path of key; the root's keys are named bare."""
+        return key if self.path == _ROOT else f"{self.path}.{key}"
+
+    def _read(self, key: str, default, check, *args):
+        """check(value, path, *args) of the value under key."""
+        if key in self.node:
+            return check(self.node[key], self.at(key), *args)
+        if default is _REQUIRED:
+            raise ParseError(f"{self.path}.{key}: missing required key")
+        return default
+
+    def number(self, key: str, default=_REQUIRED) -> float:
+        return self._read(key, default, _scalar, float)
+
+    def string(self, key: str, default=_REQUIRED) -> str:
+        return self._read(key, default, _scalar, str)
+
+    def vector(self, key: str, n: int | None = 3, default=_REQUIRED) -> np.ndarray:
+        return self._read(key, default, _numbers, n)
+
+    def items(self, key: str, default=_REQUIRED) -> list[tuple[str, object]]:
+        return self._read(key, default, _entries)
+
+    def child(self, key: str, keys, default=_REQUIRED) -> _Section:
+        """The mapping under key; a default of None lets it be absent or
+        null, and reads it as empty."""
+        node = self._read(key, default, lambda v, path: v)
+        return _Section({} if node is None and default is None else node,
+                        self.at(key), keys)
+
+    def options(self, schema: dict) -> dict:
+        """Keyword arguments for the keys of schema that this section
+        holds, range-checked; a "_deg" key's value becomes radians."""
+        kwargs = {}
+        for key, (name, kind, least) in schema.items():
+            value = self._read(key, None, _scalar, kind)
+            if value is None:
+                continue
+            if least is None and not value > 0:
+                raise ValidationError(self.at(key), "must be positive")
+            if least is not None and value < least:
+                raise ValidationError(self.at(key), f"must be at least {least}")
+            kwargs[name] = math.radians(value) if key.endswith("_deg") else value
+        return kwargs
+
+
+def _build(path: str, spec, **fields):
+    """spec(**fields); a ValueError it raises is a ValidationError at path."""
     try:
-        if kind == "capsule":
-            _check_keys(node, ("kind", "name", "a_xyz_m", "b_xyz_m", "radius_m"),
-                        path)
-            return name, Capsule(
-                _numbers(_get(node, "a_xyz_m", path), 3, f"{path}.a_xyz_m"),
-                _numbers(_get(node, "b_xyz_m", path), 3, f"{path}.b_xyz_m"),
-                _number(_get(node, "radius_m", path), f"{path}.radius_m"))
-        if kind == "sphere":
-            _check_keys(node, ("kind", "name", "center_xyz_m", "radius_m"), path)
-            return name, Sphere(
-                _numbers(_get(node, "center_xyz_m", path), 3,
-                         f"{path}.center_xyz_m"),
-                _number(_get(node, "radius_m", path), f"{path}.radius_m"))
-        if kind == "box":
-            _check_keys(node, ("kind", "name", "center_xyz_m", "rpy_deg",
-                               "half_extents_m"), path)
-            center = _numbers(_get(node, "center_xyz_m", path), 3,
-                              f"{path}.center_xyz_m")
-            rpy = _numbers(_get(node, "rpy_deg", path, [0.0, 0.0, 0.0]), 3,
-                           f"{path}.rpy_deg")
-            half = _numbers(_get(node, "half_extents_m", path), 3,
-                            f"{path}.half_extents_m")
-            return name, Box(Pose.from_rpy(center, np.radians(rpy)), half)
+        return spec(**fields)
     except ValueError as e:
         raise ValidationError(path, str(e)) from e
-    raise ParseError(f"{path}.kind: unknown shape kind {kind!r}")
+
+
+def _pose(s: _Section, xyz: str = "xyz_m") -> Pose:
+    t = s.vector(xyz)
+    return Pose.from_rpy(t, np.radians(s.vector("rpy_deg", default=(0.0, 0.0, 0.0))))
+
+
+_POSE_KEYS = ("xyz_m", "rpy_deg")
+# Keys of each shape kind besides kind and name.  A sphere is a capsule
+# whose two endpoints are its center.
+_SHAPE_KEYS = {"capsule": ("a_xyz_m", "b_xyz_m", "radius_m"),
+               "sphere": ("center_xyz_m", "radius_m"),
+               "box": ("center_xyz_m", "rpy_deg", "half_extents_m")}
+
+
+def _shape(node, path: str, known: set) -> tuple[str, Shape]:
+    """A named shape.  Its name joins known, which must not hold it yet:
+    clearance pairs go by name, so the cable, the arm links, the statics
+    and the tool shapes each need their own."""
+    head = _Section(node, path, None)   # the keys allowed depend on kind
+    kind, name = head.string("kind"), head.string("name")
+    if kind not in _SHAPE_KEYS:
+        raise ParseError(f"{head.at('kind')}: unknown shape kind {kind!r}")
+    s = _Section(node, path, ("kind", "name", *_SHAPE_KEYS[kind]))
+    if kind == "box":
+        shape = _build(path, Box, pose=_pose(s, "center_xyz_m"),
+                       half_extents=s.vector("half_extents_m"))
+    else:
+        a, b = ((s.vector("a_xyz_m"), s.vector("b_xyz_m")) if kind == "capsule"
+                else (s.vector("center_xyz_m"),) * 2)
+        shape = _build(path, Capsule, a=a, b=b, radius=s.number("radius_m"))
+    if name in known:
+        raise ValidationError(head.at("name"), f"duplicate body name {name!r}")
+    known.add(name)
+    return name, shape
+
+
+def _shown(key: str, value) -> str:
+    """A setting as the file writes it under key: degrees for "_deg"."""
+    return f"{math.degrees(value):.6g}" if key.endswith("_deg") else f"{value}"
 
 
 @dataclass(frozen=True)
@@ -167,265 +239,142 @@ class Scene:
         return replace(self.base, start_pose=start, goal_pose=goal)
 
     def describe(self) -> str:
-        """Effective configuration, one setting per line."""
+        """Effective configuration, one setting per line; the planner and
+        IK settings under their file keys, the IK ones prefixed ik_."""
         b, o = self.base, self.options
         lines = [
             f"scene: {self.name}",
             f"anchor_xyz_m: {b.balancer.anchor.tolist()}",
             f"max_load_kg: {b.balancer.max_load}",
             f"cable_radius_m: {b.balancer.cable_radius}",
-            f"theta_max_deg: {math.degrees(b.constraint.theta_max):.6g}",
+            f"theta_max_deg: {_shown('theta_max_deg', b.constraint.theta_max)}",
             f"start_xyz_m: {b.start_pose.t.tolist()}",
             f"goal_xyz_m: {b.goal_pose.t.tolist()}",
             f"handover_count: {len(b.handover_poses)}",
             f"statics: {sorted(b.world.statics)}",
             f"link_radii_m: {b.world.link_spec.radii.tolist()}",
             f"palm_standoff_m: {b.world.link_spec.palm_setback}",
-            f"axial_samples: {o.axial_samples}",
-            f"roll_samples: {o.roll_samples}",
-            f"grasp_inset_m: {o.grasp_inset}",
-            f"interp_step_deg: {math.degrees(o.interp_step):.6g}",
-            f"min_handover_separation_m: {o.min_handover_separation}",
-            f"max_edges: {o.max_edges}",
-            f"ik_restarts: {o.ik.restarts}",
-            f"ik_max_iters: {o.ik.max_iters}",
-            f"ik_seed: {o.ik.seed}",
-            f"ik_pos_tol_m: {o.ik.pos_tol}",
-            f"ik_ori_tol_rad: {o.ik.ori_tol}",
+            *(f"{key}: {_shown(key, getattr(o, field))}"
+              for key, (field, _, _) in _PLANNER_KEYS.items()),
+            *(f"ik_{key}: {_shown(key, getattr(o.ik, field))}"
+              for key, (field, _, _) in _IK_KEYS.items()),
             f"pitch_rows_deg: {[round(math.degrees(p), 6) for p in self.pitch_rows]}",
             f"roll_cols_deg: {[round(math.degrees(r), 6) for r in self.roll_cols]}",
         ]
         return "\n".join(lines)
 
 
-# Optional keys: file key -> (field name, parser, least value); None as
+# Optional keys: file key -> (field name, type, least value); None as
 # the least value means the value must be positive, and -inf leaves any
 # range check to the spec that takes the value.  A key the file omits
-# takes the field's default.
-_STANDOFF_KEY = {"palm_standoff_m": ("palm_setback", _number, None)}
-_CABLE_RADIUS_KEY = {"cable_radius_m": ("cable_radius", _number, -math.inf)}
+# takes the field's default.  describe() prints the planner and IK
+# tables in this order.
 _PLANNER_KEYS = {
-    "axial_samples": ("axial_samples", _integer, 1),
-    "roll_samples": ("roll_samples", _integer, 1),
-    "grasp_inset_m": ("grasp_inset", _number, None),
-    "interp_step_deg": ("interp_step", _number, None),
-    "min_handover_separation_m": ("min_handover_separation", _number, 0.0),
-    "max_edges": ("max_edges", _integer, 0),
+    "axial_samples": ("axial_samples", int, 1),
+    "roll_samples": ("roll_samples", int, 1),
+    "grasp_inset_m": ("grasp_inset", float, None),
+    "interp_step_deg": ("interp_step", float, None),
+    "min_handover_separation_m": ("min_handover_separation", float, 0.0),
+    "max_edges": ("max_edges", int, 0),
 }
 _IK_KEYS = {
-    "restarts": ("restarts", _integer, 1),
-    "max_iters": ("max_iters", _integer, 0),
-    "pos_tol_m": ("pos_tol", _number, None),
-    "ori_tol_rad": ("ori_tol", _number, None),
-    "seed": ("seed", _integer, 0),
+    "restarts": ("restarts", int, 1),
+    "max_iters": ("max_iters", int, 0),
+    "seed": ("seed", int, 0),
+    "pos_tol_m": ("pos_tol", float, None),
+    "ori_tol_rad": ("ori_tol", float, None),
 }
-
-
-def _options(node: dict, path: str, schema: dict) -> dict:
-    """Keyword arguments for the keys of node that schema lists, checked."""
-    kwargs = {}
-    for key, (name, parse, least) in schema.items():
-        if key not in node:
-            continue
-        value = parse(node[key], f"{path}.{key}")
-        if least is None and not value > 0:
-            raise ValidationError(f"{path}.{key}", "must be positive")
-        if least is not None and value < least:
-            raise ValidationError(f"{path}.{key}", f"must be at least {least}")
-        kwargs[name] = value
-    return kwargs
-
-
-def _parse_robot(node, path: str):
-    node = _mapping(node, path)
-    _check_keys(node, ("left_base", "right_base", "home_left_deg",
-                       "home_right_deg", "link_radii_m", "palm_standoff_m"),
-                path)
-    left_base = _pose(_get(node, "left_base", path), f"{path}.left_base")
-    right_base = _pose(_get(node, "right_base", path), f"{path}.right_base")
-    home_left = np.radians(_numbers(_get(node, "home_left_deg", path), 6,
-                                    f"{path}.home_left_deg"))
-    home_right = np.radians(_numbers(_get(node, "home_right_deg", path), 6,
-                                     f"{path}.home_right_deg"))
-    radii = _numbers(_get(node, "link_radii_m", path), 6, f"{path}.link_radii_m")
-    standoff = _options(node, path, _STANDOFF_KEY)
-    try:
-        robot = DualArm(left=ArmModel(left_base), right=ArmModel(right_base))
-        spec = ArmLinkSpec(radii=radii, **standoff)
-    except ValueError as e:
-        raise ValidationError(path, str(e)) from e
-    return robot, spec, home_left, home_right
-
-
-def _claim(known: set, name: str, path: str) -> None:
-    """Add name to the known body names.  Clearance pairs go by name, so
-    the cable, the arm links, the statics and the tool shapes each need
-    their own."""
-    if name in known:
-        raise ValidationError(path, f"duplicate body name {name!r}")
-    known.add(name)
-
-
-def _parse_tool(node, path: str, known: set) -> ToolSpec:
-    node = _mapping(node, path)
-    _check_keys(node, ("connector_xyz_m", "cable_dir", "handle_a_xyz_m",
-                       "handle_b_xyz_m", "handle_radius_m", "shapes"), path)
-    shapes_node = _get(node, "shapes", path)
-    if not isinstance(shapes_node, list) or not shapes_node:
-        raise ParseError(f"{path}.shapes: expected a non-empty list")
-    shapes = tuple(_shape(s, f"{path}.shapes[{i}]")
-                   for i, s in enumerate(shapes_node))
-    for i, (name, _) in enumerate(shapes):
-        _claim(known, name, f"{path}.shapes[{i}].name")
-    try:
-        return ToolSpec(
-            connector_point=_numbers(_get(node, "connector_xyz_m", path), 3,
-                                     f"{path}.connector_xyz_m"),
-            cable_dir=_numbers(_get(node, "cable_dir", path, [0.0, 0.0, 1.0]),
-                               3, f"{path}.cable_dir"),
-            handle_a=_numbers(_get(node, "handle_a_xyz_m", path), 3,
-                              f"{path}.handle_a_xyz_m"),
-            handle_b=_numbers(_get(node, "handle_b_xyz_m", path), 3,
-                              f"{path}.handle_b_xyz_m"),
-            handle_radius=_number(_get(node, "handle_radius_m", path),
-                                  f"{path}.handle_radius_m"),
-            shapes=shapes,
-        )
-    except ValueError as e:
-        raise ValidationError(path, str(e)) from e
-
-
-def _parse_planner(node, path: str) -> PlannerOptions:
-    if node is None:
-        return PlannerOptions()
-    node = _mapping(node, path)
-    _check_keys(node, [*_PLANNER_KEYS, "ik"], path)
-    kwargs = _options(node, path, _PLANNER_KEYS)
-    if "interp_step" in kwargs:
-        kwargs["interp_step"] = math.radians(kwargs["interp_step"])
-    if "ik" in node:
-        ik_node = _mapping(node["ik"], f"{path}.ik")
-        _check_keys(ik_node, _IK_KEYS, f"{path}.ik")
-        kwargs["ik"] = IKOptions(**_options(ik_node, f"{path}.ik", _IK_KEYS))
-    return PlannerOptions(**kwargs)
-
-
-def _parse_sweep(node, path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    grid = {"pitch_rows_deg": DEFAULT_PITCH_ROWS_DEG,
-            "roll_cols_deg": DEFAULT_ROLL_COLS_DEG}
-    if node is not None:
-        node = _mapping(node, path)
-        _check_keys(node, grid, path)
-        for key in grid.keys() & node.keys():
-            raw = node[key]
-            if not isinstance(raw, list):
-                raise ParseError(f"{path}.{key}: expected a list")
-            grid[key] = [_number(v, f"{path}.{key}[{i}]")
-                         for i, v in enumerate(raw)]
-    rows_deg, cols_deg = grid.values()
-    return (tuple(math.radians(v) for v in rows_deg),
-            tuple(math.radians(v) for v in cols_deg))
-
-
-_TOP_KEYS = ("name", "robot", "balancer", "tool", "constraint", "start_pose",
-             "goal_pose", "handover_poses", "statics", "collision_exclude",
-             "planner", "sweep")
 
 
 def parse_scene(text: str, source: str = "<string>") -> Scene:
     """Parse and validate scene YAML text."""
     try:
-        root = yaml.safe_load(text)
+        root = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" \
             if mark is not None else ""
         raise ParseError(f"{source}: invalid YAML{where}: {e}") from e
-    root = _mapping(root, "scene")
-    _check_keys(root, _TOP_KEYS, "scene")
+    root = _Section(root, _ROOT, (
+        "name", "robot", "balancer", "tool", "constraint", "start_pose", "goal_pose",
+        "handover_poses", "statics", "collision_exclude", "planner", "sweep"))
 
-    name = _string(_get(root, "name", "scene", "unnamed"), "name")
-    robot, link_spec, home_left, home_right = _parse_robot(
-        _get(root, "robot", "scene"), "robot")
+    name = root.string("name", "unnamed")
+    rob = root.child("robot", ("left_base", "right_base", "home_left_deg",
+                               "home_right_deg", "link_radii_m", "palm_standoff_m"))
+    left = ArmModel(_pose(rob.child("left_base", _POSE_KEYS)))
+    right = ArmModel(_pose(rob.child("right_base", _POSE_KEYS)))
+    home_left = np.radians(rob.vector("home_left_deg", 6))
+    home_right = np.radians(rob.vector("home_right_deg", 6))
+    radii = rob.vector("link_radii_m", 6)
+    standoff = rob.options({"palm_standoff_m": ("palm_setback", float, None)})
+    robot = _build(rob.path, DualArm, left=left, right=right)
+    link_spec = _build(rob.path, ArmLinkSpec, radii=radii, **standoff)
 
-    bal_node = _mapping(_get(root, "balancer", "scene"), "balancer")
-    _check_keys(bal_node, ("anchor_xyz_m", "max_load_kg", "cable_radius_m"),
-                "balancer")
-    try:
-        balancer = BalancerSpec(
-            anchor=_numbers(_get(bal_node, "anchor_xyz_m", "balancer"), 3,
-                            "balancer.anchor_xyz_m"),
-            max_load=_number(_get(bal_node, "max_load_kg", "balancer"),
-                             "balancer.max_load_kg"),
-            **_options(bal_node, "balancer", _CABLE_RADIUS_KEY))
-    except ValueError as e:
-        raise ValidationError("balancer", str(e)) from e
+    bal = root.child("balancer", ("anchor_xyz_m", "max_load_kg", "cable_radius_m"))
+    balancer = _build(
+        bal.path, BalancerSpec, anchor=bal.vector("anchor_xyz_m"),
+        max_load=bal.number("max_load_kg"),
+        **bal.options({"cable_radius_m": ("cable_radius", float, -math.inf)}))
 
-    con_node = _mapping(_get(root, "constraint", "scene", {}), "constraint")
-    _check_keys(con_node, ("theta_max_deg",), "constraint")
-    constraint = BendConstraint()
-    if "theta_max_deg" in con_node:
-        theta_max_deg = _number(con_node["theta_max_deg"],
-                                "constraint.theta_max_deg")
-        if not 0.0 < theta_max_deg < 180.0:
-            raise ValidationError("constraint.theta_max_deg",
-                                  f"must be in (0, 180), got {theta_max_deg}")
-        constraint = BendConstraint(theta_max=math.radians(theta_max_deg))
+    con = root.child("constraint", ("theta_max_deg",), {})
+    theta_max_deg = con.number("theta_max_deg", math.degrees(BendConstraint().theta_max))
+    if not 0.0 < theta_max_deg < 180.0:
+        raise ValidationError(con.at("theta_max_deg"),
+                              f"must be in (0, 180), got {theta_max_deg}")
+    constraint = BendConstraint(theta_max=math.radians(theta_max_deg))
 
-    start_pose = _pose(_get(root, "start_pose", "scene"), "start_pose")
-    goal_pose = _pose(_get(root, "goal_pose", "scene"), "goal_pose")
-    hovers_node = _get(root, "handover_poses", "scene", [])
-    if not isinstance(hovers_node, list):
-        raise ParseError("handover_poses: expected a list")
-    handover_poses = tuple(_pose(p, f"handover_poses[{i}]")
-                           for i, p in enumerate(hovers_node))
+    start_pose = _pose(root.child("start_pose", _POSE_KEYS))
+    goal_pose = _pose(root.child("goal_pose", _POSE_KEYS))
+    handover_poses = tuple(_pose(_Section(node, path, _POSE_KEYS))
+                           for path, node in root.items("handover_poses", []))
 
-    statics_node = _get(root, "statics", "scene", [])
-    if not isinstance(statics_node, list):
-        raise ParseError("statics: expected a list")
-    statics = {}
     known = {CABLE, *link_names("left"), *link_names("right")}
-    for i, s in enumerate(statics_node):
-        sname, shape = _shape(s, f"statics[{i}]")
-        _claim(known, sname, f"statics[{i}].name")
-        statics[sname] = shape
-    tool = _parse_tool(_get(root, "tool", "scene"), "tool", known)
+    statics = dict(_shape(node, path, known)
+                   for path, node in root.items("statics", []))
+    tl = root.child("tool", ("connector_xyz_m", "cable_dir", "handle_a_xyz_m",
+                             "handle_b_xyz_m", "shapes"))
+    entries = tl.items("shapes")
+    if not entries:
+        raise ParseError(f"{tl.at('shapes')}: expected a non-empty list")
+    shapes = tuple(_shape(node, path, known) for path, node in entries)
+    tool = _build(tl.path, ToolSpec, connector_point=tl.vector("connector_xyz_m"),
+                  cable_dir=tl.vector("cable_dir", default=(0.0, 0.0, 1.0)),
+                  handle_a=tl.vector("handle_a_xyz_m"),
+                  handle_b=tl.vector("handle_b_xyz_m"), shapes=shapes)
 
-    exclude_node = _get(root, "collision_exclude", "scene", [])
-    if not isinstance(exclude_node, list):
-        raise ParseError("collision_exclude: expected a list")
     excluded = []
-    for i, pair in enumerate(exclude_node):
+    for path, pair in root.items("collision_exclude", []):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"collision_exclude[{i}]: expected a pair of names")
-        a = _string(pair[0], f"collision_exclude[{i}][0]")
-        b = _string(pair[1], f"collision_exclude[{i}][1]")
-        for name_ in (a, b):
+            raise ParseError(f"{path}: expected a pair of names")
+        names = tuple(_scalar(v, p, str) for p, v in _entries(pair, path))
+        for name_ in names:
             if name_ not in known:
-                raise ValidationError(f"collision_exclude[{i}]",
-                                      f"unknown body name {name_!r}")
-        excluded.append((a, b))
+                raise ValidationError(path, f"unknown body name {name_!r}")
+        excluded.append(names)
 
-    options = _parse_planner(root.get("planner"), "planner")
+    planner = root.child("planner", (*_PLANNER_KEYS, "ik"), None)
+    kwargs = planner.options(_PLANNER_KEYS)
+    ik = IKOptions(**planner.child("ik", _IK_KEYS, {}).options(_IK_KEYS))
+    options = PlannerOptions(**kwargs, ik=ik)
     handle = float(np.linalg.norm(tool.handle_b - tool.handle_a))
     if not 2.0 * options.grasp_inset < handle:   # as sample_grasps needs
-        raise ValidationError(
-            "planner.grasp_inset_m",
-            f"an inset of {options.grasp_inset} m at both ends leaves no "
-            f"room on a handle of length {handle:.3f} m")
-    pitch_rows, roll_cols = _parse_sweep(root.get("sweep"), "sweep")
+        raise ValidationError(planner.at("grasp_inset_m"),
+                              f"an inset of {options.grasp_inset} m at both ends "
+                              f"leaves no room on a handle of length {handle:.3f} m")
+    sweep = root.child("sweep", ("pitch_rows_deg", "roll_cols_deg"), None)
+    rows_deg = sweep.vector("pitch_rows_deg", None, DEFAULT_PITCH_ROWS_DEG)
+    cols_deg = sweep.vector("roll_cols_deg", None, DEFAULT_ROLL_COLS_DEG)
 
     world = CollisionWorld(statics, link_spec, excluded)
-    try:
-        base = PlanningProblem(
-            robot=robot, world=world, balancer=balancer, tool=tool,
-            constraint=constraint, start_pose=start_pose, goal_pose=goal_pose,
-            handover_poses=handover_poses, home_left=home_left,
-            home_right=home_right)
-    except ValueError as e:
-        raise ValidationError("handover_poses", str(e)) from e
+    base = _build(
+        "handover_poses", PlanningProblem, robot=robot, world=world,
+        balancer=balancer, tool=tool, constraint=constraint, start_pose=start_pose,
+        goal_pose=goal_pose, handover_poses=handover_poses, home_left=home_left,
+        home_right=home_right)
     scene = Scene(name=name, base=base, options=options,
-                  pitch_rows=pitch_rows, roll_cols=roll_cols)
+                  pitch_rows=tuple(map(math.radians, rows_deg)),
+                  roll_cols=tuple(map(math.radians, cols_deg)))
 
     theta0 = bend_angle_batch(start_pose.r[None], start_pose.t[None], balancer, tool)[0]
     if theta0 > 1e-6:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from tetherplan.cable import BalancerSpec, BendConstraint, ToolSpec
-from tetherplan.collision import ArmLinkSpec, Capsule, CollisionWorld, Sphere
+from tetherplan.collision import ArmLinkSpec, Capsule, CollisionWorld
 from tetherplan.geometry import Pose
 from tetherplan.planner import PlannerOptions, PlanningProblem
 from tetherplan.robot import ArmModel, DualArm, IKOptions
@@ -26,9 +26,8 @@ def make_tool():
         cable_dir=[0.0, 0.0, 1.0],
         handle_a=[0.0, 0.0, -0.10],
         handle_b=[0.0, 0.0, 0.08],
-        handle_radius=0.018,
         shapes=(("tool/handle", Capsule([0, 0, -0.10], [0, 0, 0.08], 0.018)),
-                ("tool/head", Sphere([0, 0, -0.135], 0.03))),
+                ("tool/head", Capsule([0, 0, -0.135], [0, 0, -0.135], 0.03))),
     )
 
 

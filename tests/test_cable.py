@@ -15,7 +15,7 @@ from tetherplan.cable import (
     bend_angle_batch,
     cable_segments,
 )
-from tetherplan.collision import Box, Capsule, Sphere
+from tetherplan.collision import Box, Capsule
 from tetherplan.geometry import Pose, rot_y, rot_z, rpy_to_rot
 from tetherplan.planner import MotionPlan
 
@@ -36,9 +36,8 @@ def make_tool(connector=(0.0, 0.0, 0.09)):
         cable_dir=[0.0, 0.0, 1.0],
         handle_a=[0.0, 0.0, -0.10],
         handle_b=[0.0, 0.0, 0.05],
-        handle_radius=0.018,
         shapes=(("tool/body", Capsule([0, 0, -0.10], [0, 0, 0.05], 0.018)),
-                ("tool/tip", Sphere([0, 0, -0.13], 0.02))),
+                ("tool/tip", Capsule([0, 0, -0.13], [0, 0, -0.13], 0.02))),
     )
 
 
@@ -164,19 +163,16 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],
                      handle_a=[0, 0, -0.1], handle_b=[0, 0, 0.05],
-                     handle_radius=0.02,
                      shapes=(("tool/head", Box(Pose(), [0.1, 0.1, 0.1])),))
 
     def test_tool_rejects_zero_handle(self):
         with pytest.raises(ValueError):
             ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],
-                     handle_a=[0, 0, 0.02], handle_b=[0, 0, 0.02],
-                     handle_radius=0.02)
+                     handle_a=[0, 0, 0.02], handle_b=[0, 0, 0.02])
 
     def test_cable_dir_is_normalized(self):
         tool = ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 5.0],
-                        handle_a=[0, 0, -0.1], handle_b=[0, 0, 0.05],
-                        handle_radius=0.02)
+                        handle_a=[0, 0, -0.1], handle_b=[0, 0, 0.05])
         assert np.allclose(tool.cable_dir, [0, 0, 1])
 
     def test_shape_segments_and_world_transform(self):

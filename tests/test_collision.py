@@ -13,7 +13,6 @@ from tetherplan.collision import (
     Box,
     Capsule,
     CollisionWorld,
-    Sphere,
     _build_pair_table,
     _pair_clearances,
     _seg_box_batch,
@@ -119,7 +118,7 @@ class TestCapsules:
             assert np.all(dist[hit] - grown[hit].sum(axis=1) < 0.0)
 
     def test_sphere_is_degenerate_capsule(self):
-        segs, radii = capsule_segments([Sphere([0, 0, 2], 0.5),
+        segs, radii = capsule_segments([Capsule([0, 0, 2], [0, 0, 2], 0.5),
                                         Capsule([-1, 0, 0], [1, 0, 0], 0.25)])
         assert np.array_equal(segs[0], [[0, 0, 2], [0, 0, 2]])
         d = _seg_seg_batch(segs[:, 0], segs[:, 1], segs[::-1, 0], segs[::-1, 1])
@@ -129,7 +128,7 @@ class TestCapsules:
         with pytest.raises(ValueError):
             Capsule([0, 0, 0], [1, 0, 0], 0.0)
         with pytest.raises(ValueError):
-            Sphere([0, 0, 0], -1.0)
+            Capsule([0, 0, 0], [0, 0, 0], -1.0)
 
 
 class TestSegmentBox:
@@ -218,7 +217,7 @@ class TestSegmentBox:
             assert d1 == pytest.approx(d0, abs=1e-7)
 
     def test_sphere_vs_box_clearance(self):
-        segs, radii = capsule_segments([Sphere([3, 0, 0], 0.5)])
+        segs, radii = capsule_segments([Capsule([3, 0, 0], [3, 0, 0], 0.5)])
         clear = _seg_box_batch(segs[:, 0], segs[:, 1], self.BOX) - radii
         np.testing.assert_allclose(clear, [1.5], rtol=0, atol=1e-9)
 
@@ -455,7 +454,7 @@ class TestBoundedClearances:
         # centre, so each row's clearance meets its coarse neighbours'
         # bounds with equality: only the margin keeps the row's entry.
         robot = make_robot()
-        world = make_world({"ball": Sphere([2.0, 0.0, 0.5], 0.5)})
+        world = make_world({"ball": Capsule([2.0, 0.0, 0.5], [2.0, 0.0, 0.5], 0.5)})
         rng = np.random.default_rng(23)
         for _ in range(20):
             w = 33
@@ -506,7 +505,7 @@ def test_pair_table_pairs_no_two_statics_and_no_two_attached_bodies():
     attached = names + [CABLE]
     cluttered = CollisionWorld(
         {**base.world.statics, "post": Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04),
-         "ball": Sphere([0.0, 0.3, 0.3], 0.05),
+         "ball": Capsule([0.0, 0.3, 0.3], [0.0, 0.3, 0.3], 0.05),
          "crate": Box(Pose(rpy_to_rot(0.3, 0.2, 0.5), [0.35, -0.2, 0.45]),
                       [0.1, 0.15, 0.05])},
         base.world.link_spec, base.world.excluded)

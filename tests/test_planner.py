@@ -65,8 +65,7 @@ class TestSampleGrasps:
         with pytest.raises(EmptyGraspSet):
             sample_grasps(make_tool(), "left", 5, 0)
         short = ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],
-                         handle_a=[0, 0, 0.0], handle_b=[0, 0, 0.03],
-                         handle_radius=0.02)
+                         handle_a=[0, 0, 0.0], handle_b=[0, 0, 0.03])
         with pytest.raises(EmptyGraspSet):
             sample_grasps(short, "left", 3, 4)
 

@@ -1,15 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import yaml
 from importlib import resources
 
-from tetherplan.cable import CABLE, bend_angle_batch
-from tetherplan.collision import _build_pair_table, motion_clearances
+from tetherplan.cable import CABLE, BendConstraint, bend_angle_batch
+from tetherplan.collision import Capsule, _build_pair_table, motion_clearances
 from tetherplan.geometry import rot_y
 from tetherplan.planner import sample_grasps
 from tetherplan.scene import (
+    _IK_KEYS,
+    _PLANNER_KEYS,
     ParseError,
     ValidationError,
     default_scene,
@@ -41,6 +44,30 @@ def mutated(**edits) -> str:
 _DELETE = object()
 
 
+def _slot(doc, path: str):
+    """The mapping holding a dotted path's last key (list entries as
+    [i]), and that key."""
+    steps = [int(p) if p.isdigit() else p
+             for p in re.split(r"\.|\[|\]\.?", path) if p]
+    node = doc
+    for step in steps[:-1]:
+        node = node[step]
+    return node, steps[-1]
+
+
+def _key_paths(node, path: str = ""):
+    """Dotted path of every mapping key in node, entries of lists of
+    mappings included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            sub = f"{path}.{key}" if path else key
+            yield sub
+            yield from _key_paths(value, sub)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, f"{path}[{i}]")
+
+
 class TestDefaultScene:
     def test_loads_and_hangs_straight(self):
         sc = default_scene()
@@ -70,6 +97,10 @@ class TestDefaultScene:
         assert sc.options.interp_step < 0.1  # 2.9 degrees, not 2.9 radians
         assert np.all(np.abs(sc.base.home_left) < 2 * math.pi)
 
+    def test_omitted_constraint_takes_the_default_limit(self):
+        sc = parse_scene(mutated(constraint=_DELETE))
+        assert sc.base.constraint.theta_max == BendConstraint().theta_max
+
     def test_describe_mentions_effective_settings(self):
         text = default_scene().describe()
         assert "theta_max_deg: 95" in text
@@ -78,6 +109,28 @@ class TestDefaultScene:
         assert "ik_ori_tol_rad: 0.001" in text
         assert "link_radii_m: [0.045, 0.045, 0.04, 0.035, 0.035, 0.03]" in text
         assert "palm_standoff_m: 0.07" in text
+
+    def test_describe_prints_every_planner_and_ik_key(self):
+        # describe() walks the key tables that parse the planner block, so
+        # each file key prints under its own name with the file's value.
+        planner = {"axial_samples": 4, "roll_samples": 6, "grasp_inset_m": 0.03,
+                   "interp_step_deg": 3.5, "min_handover_separation_m": 0.05,
+                   "max_edges": 1000}
+        ik = {"restarts": 3, "max_iters": 50, "seed": 7, "pos_tol_m": 0.0002,
+              "ori_tol_rad": 0.002}
+        assert set(planner) == set(_PLANNER_KEYS) and set(ik) == set(_IK_KEYS)
+        text = parse_scene(mutated(planner={**planner, "ik": ik})).describe()
+        lines = text.splitlines()
+        for key, value in [*planner.items(),
+                           *((f"ik_{k}", v) for k, v in ik.items())]:
+            assert f"{key}: {value}" in lines
+
+    def test_sphere_is_a_capsule_with_equal_endpoints(self):
+        shapes = dict(default_scene().base.tool.shapes)
+        head = shapes["tool/head"]
+        assert isinstance(head, Capsule)
+        assert np.array_equal(head.a, [0.0, 0.0, -0.135])
+        assert np.array_equal(head.b, head.a) and head.radius == 0.03
 
     def test_load_scene_from_file(self, tmp_path):
         path = tmp_path / "scene.yaml"
@@ -157,6 +210,66 @@ class TestParseErrors:
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ParseError, match="max_load_kg"):
             parse_scene(mutated(balancer__max_load_kg=True))
+
+    def test_repeated_nested_key_is_rejected_with_its_line(self):
+        # Plain YAML loading keeps the last of two equal keys: this file
+        # would load with a 45 degree limit.
+        text = default_text().replace("  theta_max_deg: 95.0\n",
+                                      "  theta_max_deg: 95.0\n  theta_max_deg: 45.0\n")
+        line = text.splitlines().index("  theta_max_deg: 45.0") + 1
+        with pytest.raises(ParseError, match=rf"(?s)line {line}, column 3: .*"
+                           r"duplicate key 'theta_max_deg'"):
+            parse_scene(text)
+
+    def test_repeated_top_level_key_is_rejected_with_its_line(self):
+        # A second planner block would replace the first one entirely.
+        text = default_text() + "\nplanner:\n  max_edges: 5\n"
+        line = len(default_text().splitlines()) + 2
+        with pytest.raises(ParseError, match=rf"(?s)line {line}, column 1: .*"
+                           r"duplicate key 'planner'"):
+            parse_scene(text)
+
+    def test_merge_key_is_not_a_repeat(self):
+        text = default_text().replace("start_pose:\n", "start_pose: &start\n")
+        text = text.replace("goal_pose:\n", "goal_pose:\n  <<: *start\n")
+        goal = parse_scene(text).base.goal_pose
+        assert np.array_equal(goal.t, [0.3, -0.3, 0.45])
+
+    @pytest.mark.parametrize("path", [
+        "robot", "balancer", "tool", "start_pose", "goal_pose",
+        "robot.left_base", "robot.left_base.xyz_m", "robot.right_base",
+        "robot.right_base.xyz_m", "robot.home_left_deg", "robot.home_right_deg",
+        "robot.link_radii_m", "balancer.anchor_xyz_m", "balancer.max_load_kg",
+        "tool.connector_xyz_m", "tool.handle_a_xyz_m", "tool.handle_b_xyz_m",
+        "tool.shapes", "tool.shapes[0].kind", "tool.shapes[0].name",
+        "tool.shapes[0].a_xyz_m", "tool.shapes[0].b_xyz_m", "tool.shapes[0].radius_m",
+        "tool.shapes[1].center_xyz_m", "tool.shapes[1].radius_m",
+        "start_pose.xyz_m", "goal_pose.xyz_m", "handover_poses[0].xyz_m",
+        "statics[0].kind", "statics[0].name", "statics[0].center_xyz_m",
+        "statics[0].half_extents_m",
+    ])
+    def test_missing_required_key_names_its_path(self, path):
+        doc = yaml.safe_load(default_text())
+        node, key = _slot(doc, path)
+        del node[key]
+        named = path if "." in path else f"scene.{path}"
+        with pytest.raises(ParseError, match=re.escape(f"{named}: missing required key")):
+            parse_scene(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("path", [
+        *_key_paths(yaml.safe_load(default_text())),
+        "planner.ik.pos_tol_m", "planner.ik.ori_tol_rad",
+    ])
+    def test_wrongly_typed_key_names_its_path(self, path):
+        # A list where a mapping belongs, a number where a string
+        # belongs, and a string where a number, an integer or a list
+        # belongs.
+        doc = yaml.safe_load(default_text())
+        node, key = _slot(doc, path)
+        old = node.get(key, 1.0)
+        node[key] = [1] if isinstance(old, dict) else 7 if isinstance(old, str) else "x"
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}: expected "):
+            parse_scene(yaml.safe_dump(doc))
 
     def test_unknown_shape_kind(self):
         doc = yaml.safe_load(default_text())

@@ -24,7 +24,6 @@ from oracles import central_difference_jacobian
 def make_tool():
     return ToolSpec(connector_point=[0.0, 0.0, 0.09], cable_dir=[0, 0, 1],
                     handle_a=[0, 0, -0.10], handle_b=[0, 0, 0.05],
-                    handle_radius=0.018,
                     shapes=(("tool/body", Capsule([0, 0, -0.1], [0, 0, 0.05], 0.018)),))
 
 
