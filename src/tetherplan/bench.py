@@ -15,8 +15,11 @@ re-check carries the taut cable, anchor to connector, on every
 waypoint.  The constrained planner keeps every waypoint under the bend
 limit, so it never emits x, but it checks the cable only until the
 first grasp: a later * is an entanglement the constraint did not
-prevent.  A sweep re-checks each distinct waypoint row once, through one
-RecheckMemo beside its PlanCache.
+prevent.  A sweep shares one PlanCache across its cells and both modes,
+so it solves each station once and measures each edge once (an
+approach once with the cable attached, once without); and it re-checks
+each distinct waypoint row once, through one RecheckMemo beside that
+cache.
 """
 
 from __future__ import annotations
@@ -344,8 +347,10 @@ def sweep(scene: Scene) -> SweepReport:
 
     Station IK for every cell is solved first, both arms in one grouped
     batch (solve_stations).  The cells then run one after another against
-    that shared plan cache.  A cell's result does not depend on which
-    cells ran before it: the cache is content-addressed and the planner
+    that shared plan cache, the constrained mode of a cell first.  A
+    cell's result depends neither on which cells ran before it nor on
+    their mode: the cache is content-addressed, holds an edge's
+    measurement apart from each mode's verdict on it, and the planner
     budget counts the path edges it checks, cache hits included.  Nor does
     its re-check: the RecheckMemo beside the cache hands back each row that
     an earlier cell measured, and motion_clearances gives a row the same

@@ -23,7 +23,10 @@ with their bend angles and clearances, and the plan joins those
 blocks, so each waypoint is measured once.  In constrained mode every
 waypoint must keep the cable bend angle below the limit, and the
 hanging cable is an obstacle until the tool is first grasped: a
-constrained approach edge attaches it beside the tool shapes.
+constrained approach edge attaches it beside the tool shapes.  So an
+edge is measured (built, bend-checked, clearance-measured) apart from
+the verdict a mode and a bend limit draw from it, and a cache shared by
+both modes measures each transfer and handover once.
 """
 
 from __future__ import annotations
@@ -202,24 +205,31 @@ class PlanResult:
 
 @dataclass
 class PlanCache:
-    """Cross-call memo for grasp sets, station grasp configs and edge
-    verdicts.
+    """Cross-call memo for grasp sets, station grasp configs and edges.
 
     grasps maps (handle end bytes, arm, sampling options) to the
     sample_grasps result, so a sweep samples each arm's grasps once.
     node_feasible maps (station key, arm) to the collision-free grasp
     configs there; solve_stations fills it up front, one grouped IK
-    call for both arms, and the search only reads it.  edge_verdict fills
-    lazily as edges are validated: it holds a passing edge's block
-    (rows, bend angles, clearances) and a failing edge's reason.  Keys
+    call for both arms, and the search only reads it.  The edge tables
+    fill lazily as edges are validated.  edge_measure maps (edge key,
+    cable attached) to the edge's measured block (rows, bend angles,
+    clearances) and each row's nearest pair.  Only a constrained
+    approach attaches the cable, so both modes share every transfer and
+    handover measurement, and no bend limit enters it.  edge_verdict
+    maps (edge key, constrained, bend limit) to what one mode under one
+    limit makes of that block: the block if the edge passes, else the
+    reason it fails; it gains one entry per uncached validation.  Keys
     are content-addressed (station name and pose bytes), so a cache
-    shared across a parameter sweep of one scene is safe: identical
-    queries recur whenever rows share a goal pose or columns share a
-    start pose, and the handover stations never change.
+    shared across a parameter sweep of one scene, modes and bend limits
+    included, is safe: identical queries recur whenever rows share a
+    goal pose or columns share a start pose, and the handover stations
+    never change.
     """
 
     grasps: dict = field(default_factory=dict)
     node_feasible: dict = field(default_factory=dict)
+    edge_measure: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
 
     def grasp_set(self, tool: ToolSpec, side: str,
@@ -447,7 +457,8 @@ class _Search:
         return (kind, giver, ggid, recv, rgid, self.station_keys[station])
 
     def validate_edge(self, spec: tuple) -> _EdgeData | str:
-        key = (self.edge_key(spec), self.constrained)
+        key = (self.edge_key(spec), self.constrained,
+               self.pb.constraint.theta_max)
         if key not in self.cache.edge_verdict:
             self.cache.edge_verdict[key] = self._validate_edge_uncached(spec)
         return self.cache.edge_verdict[key]
@@ -455,19 +466,11 @@ class _Search:
     def _validate_edge_uncached(self, spec: tuple) -> _EdgeData | str:
         """The edge's block with its bend angles and clearances, or the
         reason its first bad row fails; bend wins a tie with contact."""
-        data = self.build_edge(spec)
-        data.theta = bend_angle_batch(data.tool_rot, data.tool_t,
-                                      self.pb.balancer, self.pb.tool)
-        segs = self.pb.tool.segments_world(data.tool_rot, data.tool_t)
-        radii, names = self.tool_radii, self.tool_names
-        if self.constrained and data.kind == "approach":
-            segs = np.concatenate([segs, cable_segments(
-                data.tool_rot, data.tool_t, self.pb.balancer, self.pb.tool)], axis=1)
-            radii = np.append(radii, self.pb.balancer.cable_radius)
-            names = names + [CABLE]
-        data.clearance, pair_idx, pair_names = motion_clearances(
-            self.pb.world, self.pb.robot, data.q_left, data.q_right,
-            segs, radii, names)
+        attached = self.constrained and spec[0] == "approach"
+        key = (self.edge_key(spec), attached)
+        if key not in self.cache.edge_measure:
+            self.cache.edge_measure[key] = self._measure_edge(spec, attached)
+        data, pair_idx, pair_names = self.cache.edge_measure[key]
         # Only a transfer moves the tool away from a checked station.
         bent = (data.theta >= self.pb.constraint.theta_max) & (
             self.constrained and data.kind == "transfer")
@@ -479,6 +482,26 @@ class _Search:
             return "bend"
         pair = pair_names[pair_idx[first]]
         return "cable_collision" if CABLE in pair else "collision"
+
+    def _measure_edge(self, spec: tuple, attached: bool,
+                      ) -> tuple[_EdgeData, np.ndarray, list[str]]:
+        """The edge's block with its bend angles and clearances, the
+        cable among the tool shapes if attached, and each row's nearest
+        pair (index, pair names)."""
+        data = self.build_edge(spec)
+        data.theta = bend_angle_batch(data.tool_rot, data.tool_t,
+                                      self.pb.balancer, self.pb.tool)
+        segs = self.pb.tool.segments_world(data.tool_rot, data.tool_t)
+        radii, names = self.tool_radii, self.tool_names
+        if attached:
+            segs = np.concatenate([segs, cable_segments(
+                data.tool_rot, data.tool_t, self.pb.balancer, self.pb.tool)], axis=1)
+            radii = np.append(radii, self.pb.balancer.cable_radius)
+            names = names + [CABLE]
+        data.clearance, pair_idx, pair_names = motion_clearances(
+            self.pb.world, self.pb.robot, data.q_left, data.q_right,
+            segs, radii, names)
+        return data, pair_idx, pair_names
 
     # ----- search -----------------------------------------------------------
 

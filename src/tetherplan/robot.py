@@ -150,10 +150,14 @@ def _chain_jacobian(tcp_t: np.ndarray, origins: np.ndarray,
     """Geometric TCP Jacobians (W, 6, 6) from the fk_chain_batch outputs
     of W rows: rows 0-2 linear (m/rad), rows 3-5 angular."""
     lever = tcp_t[:, None, :] - origins[:, 1:N_JOINTS + 1, :]
-    linear = np.cross(axes, lever)
-    jac = np.empty((linear.shape[0], 6, N_JOINTS))
-    jac[:, :3, :] = linear.transpose(0, 2, 1)
-    jac[:, 3:, :] = axes.transpose(0, 2, 1)
+    ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]
+    lx, ly, lz = lever[..., 0], lever[..., 1], lever[..., 2]
+    jac = np.empty((lever.shape[0], 6, N_JOINTS))
+    # axes x lever, by components as np.cross computes it.
+    jac[:, 0] = ay * lz - az * ly
+    jac[:, 1] = az * lx - ax * lz
+    jac[:, 2] = ax * ly - ay * lx
+    jac[:, 3:] = axes.transpose(0, 2, 1)
     return jac
 
 
@@ -345,32 +349,32 @@ def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
     """
     k, u = q0.shape[:2]
     q = q0.reshape(k * u, N_JOINTS).copy()
-    target = np.tile(np.arange(u), k)
-    attempt = np.repeat(np.arange(k), u)
     first = np.full(u, k)          # first converged attempt; k while none has
-    active = np.ones(k * u, dtype=bool)
     eye = _IK_DAMPING * _IK_DAMPING * np.eye(6)
+    # The active rows, compacted: their index into q, target, attempt,
+    # current configuration and the target's base and pose.  They are
+    # filtered only when rows stop, and a converged row is written back.
+    idx = np.arange(k * u)
+    tj = np.tile(np.arange(u), k)
+    attempt = np.repeat(np.arange(k), u)
+    qa, br, bt, tr, tt = q, base_r[tj], base_t[tj], target_r[tj], target_t[tj]
     for it in range(opts.max_iters + 1):
-        idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        qa = q[idx]
-        tj = target[idx]
-        cur_r, cur_t, origins, axes = fk_chain_batch(base_r[tj], base_t[tj], qa)
-        e_pos = target_t[tj] - cur_t
-        e_rot = rot_to_rotvec(target_r[tj] @ cur_r.transpose(0, 2, 1))
+        cur_r, cur_t, origins, axes = fk_chain_batch(br, bt, qa)
+        e_pos = tt - cur_t
+        e_rot = rot_to_rotvec(tr @ cur_r.transpose(0, 2, 1))
         done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
                 & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
         if np.any(done):
-            hit = idx[done]
-            np.minimum.at(first, target[hit], attempt[hit])
-            active[hit] = False
-            active &= attempt < first[target]
-            keep = active[idx]
-            idx = idx[keep]
+            np.minimum.at(first, tj[done], attempt[done])
+            q[idx[done]] = qa[done]
+            keep = ~done & (attempt < first[tj])
+            idx, tj, attempt, qa, br, bt, tr, tt = (
+                a[keep] for a in (idx, tj, attempt, qa, br, bt, tr, tt))
             if idx.size == 0:
                 break
-            qa, e_pos, e_rot = qa[keep], e_pos[keep], e_rot[keep]
+            e_pos, e_rot = e_pos[keep], e_rot[keep]
             cur_t, origins, axes = cur_t[keep], origins[keep], axes[keep]
         if it == opts.max_iters:
             break
@@ -380,7 +384,7 @@ def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
         y = np.linalg.solve(gram, err[..., None])[..., 0]
         dq = np.einsum("wji,wj->wi", jac, y)
         dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
-        q[idx] = np.clip(qa + dq, -_UR3_LIMIT, _UR3_LIMIT)
+        qa = np.clip(qa + dq, -_UR3_LIMIT, _UR3_LIMIT)
     solved = first < k
     out = np.zeros((u, N_JOINTS))
     out[solved] = q[first[solved] * u + np.nonzero(solved)[0]]

@@ -76,8 +76,14 @@ def _scalar(value, path: str, kind: type):
     accepts, what = _KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, accepts):
         raise ParseError(f"{path}: expected {what}, got {type(value).__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ValidationError(path, f"must be finite, got {value}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:       # an int beyond the float range
+            raise ValidationError(path, "must be finite, got an integer "
+                                  "beyond the float range") from None
+        if not math.isfinite(value):
+            raise ValidationError(path, f"must be finite, got {value}")
     return kind(value)
 
 

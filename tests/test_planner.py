@@ -373,6 +373,52 @@ class TestAssembly:
         assert again.edge_kinds == first.edge_kinds
 
 
+class TestEdgeMemo:
+    """Both modes, and any bend limit, share an edge's measurement."""
+
+    @pytest.mark.parametrize("order", [(True, False), (False, True)])
+    def test_modes_share_each_transfer_and_handover_measurement(
+            self, monkeypatch, order):
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        fresh = {}
+        for constrained in order:
+            own = PlanCache()
+            fresh[constrained] = (plan(problem, constrained, QUICK, own),
+                                  set(own.edge_measure))
+        cache = PlanCache()
+        solve_stations([problem], QUICK, cache)
+        calls = []
+        monkeypatch.setattr(planner, "motion_clearances",
+                            lambda *a: calls.append(a) or motion_clearances(*a))
+        for constrained in order:
+            got = plan(problem, constrained, QUICK, cache)
+            want = fresh[constrained][0]
+            _same_result(got, want)
+            assert got.stats == want.stats
+        # Each call measures a different edge, and only the edges a
+        # fresh run of either mode measures.
+        rows = {(ql.tobytes(), qr.tobytes(), tuple(names))
+                for _, _, ql, qr, _, _, names in calls}
+        assert len(rows) == len(calls)
+        both = fresh[True][1] & fresh[False][1]
+        assert len(calls) == len(fresh[True][1] | fresh[False][1])
+        assert {kind for (kind, *_), _ in both} == {"transfer", "handover"}
+
+    def test_verdicts_under_another_bend_limit_are_not_reused(self):
+        # At 45 degrees the default scene's 30-degree pitch row rejects a
+        # transfer for bend that passes at its own limit of 95.
+        scene = default_scene()
+        problem = scene.problem(scene.pitch_rows[3], scene.roll_cols[0])
+        opts = replace(scene.options, time_budget=math.inf)
+        tight = replace(problem, constraint=BendConstraint(math.radians(45.0)))
+        cache = PlanCache()
+        assert plan(tight, True, opts, cache).stats.edges_rejected["bend"] > 0
+        got = plan(problem, True, opts, cache)
+        want = plan(problem, True, opts)
+        _same_result(got, want)
+        assert got.stats == want.stats
+
+
 class TestEdgeValidation:
     """Validator semantics, checked on hand-built edges.
 

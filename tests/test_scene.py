@@ -359,6 +359,11 @@ class TestValidationErrors:
         ("sweep__roll_cols_deg", [0.0, -math.inf], [0.0, -1e300]),
         ("handover_poses", [], [{"xyz_m": [0.32, 0.05, 0.45]}]),
         ("handover_poses", _DELETE, [{"xyz_m": [0.32, 0.05, 0.45]}]),
+        # float() of an int beyond the float range overflows, not inf.
+        pytest.param("balancer__max_load_kg", 10 ** 400, 2.0,
+                     id="balancer__max_load_kg-int_beyond_float"),
+        pytest.param("balancer__anchor_xyz_m", [0.3, 0.18, -10 ** 400],
+                     [0.3, 0.18, 1.15], id="balancer__anchor_xyz_m-int_beyond_float"),
     ])
     def test_unusable_value_rejected(self, key, bad, legal):
         with pytest.raises(ValidationError, match=key.replace("__", ".")):
