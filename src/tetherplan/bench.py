@@ -17,9 +17,10 @@ limit, so it never emits x, but it checks the cable only until the
 first grasp: a later * is an entanglement the constraint did not
 prevent.  A sweep shares one PlanCache across its cells and both modes,
 so it solves each station once and measures each edge once (an
-approach once with the cable attached, once without); and it re-checks
-each distinct waypoint row once, through one RecheckMemo beside that
-cache.
+approach once with the cable attached, once without).  One RecheckMemo
+beside that cache audits each distinct plan once under each bend limit
+(the two modes often return the same plan) and re-checks each distinct
+waypoint row once.
 """
 
 from __future__ import annotations
@@ -89,15 +90,27 @@ class Outcome:
 
 @dataclass
 class RecheckMemo:
-    """Clearance and nearest pair index of each re-checked waypoint row,
-    keyed by the raw bytes of its q_left, q_right, tool_rot and tool_t
-    (-0.0 and 0.0 stay distinct), for the world, robot, tool and
-    balancer that filled it; pair_names is the table the indices read.
+    """Audit results for the world, robot, tool and balancer that filled it.
+
+    rows holds the clearance and nearest pair index of each re-checked
+    waypoint row, keyed by the raw bytes of its q_left, q_right, tool_rot
+    and tool_t (-0.0 and 0.0 stay distinct); pair_names is the table the
+    indices read.  plans holds the (Recheck, peak torques) of each plan
+    run_cell audited, keyed by the raw bytes of its four arrays, its
+    holding and the bend limit it was checked against.
     """
 
     bodies: tuple = ()
     pair_names: tuple = ()
     rows: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)
+
+    def claim(self, problem: PlanningProblem):
+        """Bind the memo to problem's bodies; raise if it serves others."""
+        bodies = (problem.world, problem.robot, problem.tool, problem.balancer)
+        if self.bodies and any(a is not b for a, b in zip(bodies, self.bodies)):
+            raise ValueError("a RecheckMemo serves only the scene that filled it")
+        self.bodies = bodies
 
 
 def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
@@ -117,10 +130,7 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     bend_wp = int(over[0]) if over.size else None
 
     memo = RecheckMemo() if memo is None else memo
-    bodies = (problem.world, problem.robot, problem.tool, problem.balancer)
-    if memo.bodies and any(a is not b for a, b in zip(bodies, memo.bodies)):
-        raise ValueError("a RecheckMemo serves only the scene that filled it")
-    memo.bodies = bodies
+    memo.claim(problem)
     raw = np.hstack([motion.q_left, motion.q_right,
                      motion.tool_rot.reshape(-1, 9), motion.tool_t])
     keys = raw.view(f"V{raw[0].nbytes}").ravel().tolist()
@@ -317,7 +327,11 @@ class SweepReport:
 def run_cell(scene: Scene, row: int, col: int, mode: str,
              cache: PlanCache | None = None,
              memo: RecheckMemo | None = None) -> SweepCell:
-    """Plan, re-check, and classify one grid cell."""
+    """Plan, re-check, and classify one grid cell.
+
+    A plan that memo has audited under the same bend limit is not
+    re-checked or traced again: its record is read back.
+    """
     pitch = scene.pitch_rows[row]
     roll = scene.roll_cols[col]
     problem = scene.problem(pitch=pitch, roll=roll)
@@ -327,10 +341,7 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
     recheck = None
     peaks = {}
     if result.plan is not None:
-        recheck = recheck_plan(result.plan, problem, memo)
-        trace = trace_plan(result.plan, problem.robot, problem.balancer,
-                           problem.tool)
-        peaks = {arm: trace.peak(arm) for arm in trace.arms()}
+        recheck, peaks = _audit(result.plan, problem, memo)
     outcome = classify(result, recheck)
     motion = result.plan
     return SweepCell(
@@ -340,6 +351,25 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
         n_waypoints=motion.n_waypoints if motion else None,
         joint_distance=motion.joint_distance if motion else None,
         peak_torque=peaks)
+
+
+def _audit(motion: MotionPlan, problem: PlanningProblem,
+           memo: RecheckMemo | None) -> tuple[Recheck, dict]:
+    """(Recheck, peak torque per arm) of a finished plan, from memo's
+    plans table when it holds the same plan under the same bend limit."""
+    memo = RecheckMemo() if memo is None else memo
+    memo.claim(problem)
+    key = tuple(a.tobytes() for a in (motion.q_left, motion.q_right,
+                                      motion.tool_rot, motion.tool_t)
+                ) + (motion.holding, problem.constraint.theta_max)
+    if key not in memo.plans:
+        recheck = recheck_plan(motion, problem, memo)
+        trace = trace_plan(motion, problem.robot, problem.balancer,
+                           problem.tool)
+        memo.plans[key] = recheck, {arm: trace.peak(arm)
+                                    for arm in trace.arms()}
+    recheck, peaks = memo.plans[key]
+    return recheck, dict(peaks)
 
 
 def sweep(scene: Scene) -> SweepReport:
@@ -352,8 +382,11 @@ def sweep(scene: Scene) -> SweepReport:
     their mode: the cache is content-addressed, holds an edge's
     measurement apart from each mode's verdict on it, and the planner
     budget counts the path edges it checks, cache hits included.  Nor does
-    its re-check: the RecheckMemo beside the cache hands back each row that
-    an earlier cell measured, and motion_clearances gives a row the same
+    its audit: the RecheckMemo beside the cache hands back the record and
+    peak torques of a plan an earlier cell audited under the same bend
+    limit (a re-check and a trace read nothing but the plan's arrays and
+    holding, the bend limit and the scene's bodies), and each row that an
+    earlier re-check measured; motion_clearances gives a row the same
     dense min and argmin bit for bit whichever rows share its call.  The
     report holds no timings, so two sweeps of one scene compare equal.
     """

@@ -287,7 +287,8 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     the first restart that converges in the stacked pass is the one a
     sequential loop would have stopped at.  A call makes at most
     2 * (max_iters + 1) fk_chain_batch calls, however many arms it
-    serves.
+    serves; a row that steps back onto a configuration it held before
+    stops there (_dls), as it could never converge.
 
     Targets that _beyond_reach proves unreachable for their arm have no
     solution at any configuration.  They are never iterated and return
@@ -342,22 +343,33 @@ def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
 
     Start k of target j is attempt k of that target, at the target's
     base (base_r[j], base_t[j]).  A row stops when it meets the
-    tolerances, after opts.max_iters steps, or as soon as an earlier
-    attempt of its target has met them.  Returns (q (U, 6),
-    solved (U,)): each solved target's configuration from its first
-    attempt that converged; unsolved rows are zeros.
+    tolerances, after opts.max_iters steps, as soon as an earlier
+    attempt of its target has met them, or when a step takes it back to
+    a configuration it held before.  Returns (q (U, 6), solved (U,)):
+    each solved target's configuration from its first attempt that
+    converged; unsolved rows are zeros.
+
+    The last stop is Brent's cycle test (Brent 1980): each row saves
+    its start, then its configuration after steps 1, 2, 4, 8, ..., and
+    is dropped when a later step lands on the saved one bit for bit.
+    The saved state has already failed the tolerances, and a row's next
+    state is a function of its state, target and base alone, so such a
+    row would only cycle through failed states until max_iters; dropping
+    it changes no result.
     """
     k, u = q0.shape[:2]
     q = q0.reshape(k * u, N_JOINTS).copy()
     first = np.full(u, k)          # first converged attempt; k while none has
     eye = _IK_DAMPING * _IK_DAMPING * np.eye(6)
     # The active rows, compacted: their index into q, target, attempt,
-    # current configuration and the target's base and pose.  They are
+    # current configuration, the target's base and pose, and the saved
+    # configuration of the cycle test as int64 bit patterns.  They are
     # filtered only when rows stop, and a converged row is written back.
     idx = np.arange(k * u)
     tj = np.tile(np.arange(u), k)
     attempt = np.repeat(np.arange(k), u)
     qa, br, bt, tr, tt = q, base_r[tj], base_t[tj], target_r[tj], target_t[tj]
+    saved = qa.view(np.int64).copy()
     for it in range(opts.max_iters + 1):
         if idx.size == 0:
             break
@@ -370,8 +382,8 @@ def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
             np.minimum.at(first, tj[done], attempt[done])
             q[idx[done]] = qa[done]
             keep = ~done & (attempt < first[tj])
-            idx, tj, attempt, qa, br, bt, tr, tt = (
-                a[keep] for a in (idx, tj, attempt, qa, br, bt, tr, tt))
+            idx, tj, attempt, qa, br, bt, tr, tt, saved = (
+                a[keep] for a in (idx, tj, attempt, qa, br, bt, tr, tt, saved))
             if idx.size == 0:
                 break
             e_pos, e_rot = e_pos[keep], e_rot[keep]
@@ -385,6 +397,13 @@ def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
         dq = np.einsum("wji,wj->wi", jac, y)
         dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
         qa = np.clip(qa + dq, -_UR3_LIMIT, _UR3_LIMIT)
+        # The cycle test of the docstring: compare, then refresh.
+        cycling = (qa.view(np.int64) == saved).all(axis=1)
+        if np.any(cycling):
+            idx, tj, attempt, qa, br, bt, tr, tt, saved = (
+                a[~cycling] for a in (idx, tj, attempt, qa, br, bt, tr, tt, saved))
+        if it & (it + 1) == 0:      # it + 1 a power of two
+            saved = qa.view(np.int64)
     solved = first < k
     out = np.zeros((u, N_JOINTS))
     out[solved] = q[first[solved] * u + np.nonzero(solved)[0]]

@@ -50,7 +50,16 @@ class ValidationError(Exception):
 
 class _UniqueKeyLoader(yaml.SafeLoader):
     """SafeLoader that rejects a key repeated within one mapping; plain
-    safe_load keeps the last of the two without a word."""
+    safe_load keeps the last of the two without a word.  An integer
+    Python cannot read (more than 4,300 digits) is a YAML error at its
+    mark, not the bare ValueError of SafeLoader's int constructor."""
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError as e:
+            raise yaml.constructor.ConstructorError(
+                None, None, f"unreadable integer: {e}", node.start_mark) from e
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -64,6 +73,10 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                         f"found duplicate key {key!r}", key_node.start_mark)
                 seen.add(key)
         return super().construct_mapping(node, deep=deep)
+
+
+_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int",
+                                 _UniqueKeyLoader.construct_yaml_int)
 
 
 # The Python types a scalar kind accepts, and its name in messages.

@@ -25,14 +25,17 @@ from tetherplan.bench import (
     _GRIP_TOL,
     recheck_plan,
     render_grid,
+    run_cell,
     sweep,
 )
-from tetherplan.cable import BendConstraint
+from tetherplan.cable import BendConstraint, bend_angle_batch
 from tetherplan.collision import Box, CollisionWorld, arm_link_segments
 from tetherplan.geometry import Pose
 from tetherplan.plan_io import read_plan_csv
-from tetherplan.planner import MotionPlan, PlannerStats, PlanResult, plan
+from tetherplan.planner import MotionPlan, PlanCache, PlannerStats, \
+    PlanResult, plan
 from tetherplan.scene import default_scene
+from tetherplan.torque import trace_plan
 
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "default_sweep.csv"
 # Stored plans of the default sweep, named r<row>c<col>_<mode>.csv.
@@ -339,9 +342,10 @@ def default_cut():
 
 
 def _sweep_recording(scene, monkeypatch):
-    """sweep(scene), with the (motion, problem, record) of each re-check
-    and the rows each clearance call of the re-check receives."""
-    rechecks, rows = [], []
+    """sweep(scene), with the (motion, problem, record) of each re-check,
+    the rows each clearance call of the re-check receives, the plan of
+    each planned cell, in cell order, and how many traces ran."""
+    rechecks, rows, plans, traces = [], [], [], []
 
     def recording_recheck(motion, problem, memo=None):
         record = real_recheck(motion, problem, memo)
@@ -353,12 +357,32 @@ def _sweep_recording(scene, monkeypatch):
             [q_left, q_right, segs.reshape(len(segs), -1)], axis=1))
         return real_clearances(world, robot, q_left, q_right, segs, *rest)
 
+    def recording_plan(problem, **kw):
+        result = real_plan(problem, **kw)
+        if result.plan is not None:
+            plans.append((result.plan, problem))
+        return result
+
+    def recording_trace(motion, *bodies):
+        traces.append(motion)
+        return real_trace(motion, *bodies)
+
     real_recheck = recheck_plan
     real_clearances = tetherplan.bench.motion_clearances
+    real_plan = tetherplan.bench.plan
+    real_trace = trace_plan
     monkeypatch.setattr(tetherplan.bench, "recheck_plan", recording_recheck)
     monkeypatch.setattr(tetherplan.bench, "motion_clearances",
                         recording_clearances)
-    return sweep(scene), rechecks, rows
+    monkeypatch.setattr(tetherplan.bench, "plan", recording_plan)
+    monkeypatch.setattr(tetherplan.bench, "trace_plan", recording_trace)
+    return sweep(scene), rechecks, rows, plans, len(traces)
+
+
+def _plan_key(motion):
+    return tuple(a.tobytes() for a in (motion.q_left, motion.q_right,
+                                       motion.tool_rot, motion.tool_t)
+                 ) + (motion.holding,)
 
 
 def _row_keys(motion):
@@ -370,22 +394,68 @@ def _row_keys(motion):
 class TestRecheckMemo:
     def test_sweep_records_equal_fresh_rechecks(self, default_cut,
                                                 monkeypatch):
-        report, rechecks, _ = _sweep_recording(default_cut, monkeypatch)
-        assert [c.recheck for c in report.cells if c.recheck] == [
-            r for _, _, r in rechecks]
+        report, rechecks, _, plans, _ = _sweep_recording(default_cut,
+                                                         monkeypatch)
+        cells = [c for c in report.cells if c.recheck]
         assert {c.outcome.label for c in report.cells} == {
             "success", "bend_violation", "no_plan"}
-        assert len(rechecks) == 6
+        assert len(cells) == len(plans) == 6
         # Recheck equality compares every field, floats by ==.
+        for cell, (motion, problem) in zip(cells, plans):
+            assert recheck_plan(motion, problem) == cell.recheck
+            trace = trace_plan(motion, problem.robot, problem.balancer,
+                               problem.tool)
+            assert cell.peak_torque == {arm: trace.peak(arm)
+                                        for arm in trace.arms()}
+        memo = RecheckMemo()
+        for cell, (motion, problem) in reversed(list(zip(cells, plans))):
+            assert recheck_plan(motion, problem, memo) == cell.recheck
         for motion, problem, record in rechecks:
             assert recheck_plan(motion, problem) == record
+
+    def test_each_distinct_plan_is_audited_once(self, default_cut,
+                                                monkeypatch):
+        _, rechecks, _, plans, n_traces = _sweep_recording(default_cut,
+                                                           monkeypatch)
+        # Both modes of a 75-deg cell return the same plan.
+        distinct = {_plan_key(motion) for motion, _ in plans}
+        assert len(rechecks) == n_traces == len(distinct) < len(plans)
+
+    def test_plans_under_another_bend_limit_are_not_reused(self,
+                                                          benign_scene):
+        problem = benign_scene.problem()
+        motion = plan(problem, constrained=False,
+                      options=benign_scene.options).plan
+        theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
+                                 problem.balancer, problem.tool)
+        tight = replace(benign_scene, base=replace(
+            problem, constraint=BendConstraint(0.5 * float(theta.max()))))
+        cache, memo = PlanCache(), RecheckMemo()
+        loose = run_cell(benign_scene, 0, 0, "unconstrained", cache, memo)
+        bent = run_cell(tight, 0, 0, "unconstrained", cache, memo)
+        assert loose.outcome.label == "success"
+        assert bent.outcome.label == "bend_violation"
+        assert bent.recheck == recheck_plan(motion, tight.problem())
+        assert bent.peak_torque == loose.peak_torque
+        assert len(memo.plans) == 2
+
+    def test_plan_entries_serve_only_the_scene_that_filled_them(
+            self, benign_scene):
         memo = RecheckMemo()
-        for motion, problem, record in reversed(rechecks):
-            assert recheck_plan(motion, problem, memo) == record
+        cell = run_cell(benign_scene, 0, 0, "unconstrained", memo=memo)
+        assert run_cell(benign_scene, 0, 0, "unconstrained", memo=memo) == cell
+        assert len(memo.plans) == 1
+        world = benign_scene.base.world
+        other = replace(benign_scene, base=replace(
+            benign_scene.base, world=CollisionWorld(
+                world.statics, world.link_spec, world.excluded)))
+        # The same plan, so the plan entry would answer it.
+        with pytest.raises(ValueError, match="only the scene"):
+            run_cell(other, 0, 0, "unconstrained", memo=memo)
 
     def test_each_distinct_row_is_measured_once(self, default_cut,
                                                 monkeypatch):
-        _, rechecks, rows = _sweep_recording(default_cut, monkeypatch)
+        _, rechecks, rows, _, _ = _sweep_recording(default_cut, monkeypatch)
         distinct = {k for motion, _, _ in rechecks for k in _row_keys(motion)}
         assert sum(m.n_waypoints for m, _, _ in rechecks) > len(distinct)
         assert len(rows) == len(distinct)

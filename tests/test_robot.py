@@ -595,6 +595,31 @@ def test_ik_batch_equals_sequential_restarts_on_late_solves(arm):
     assert np.array_equal(q, q_ref)
 
 
+def test_ik_rows_that_revisit_a_configuration_stop_early(arm, monkeypatch):
+    # Zero tolerances: no row converges, and the rows that reach their
+    # target settle on fixed points that no step leaves.  The oracle runs
+    # every row to max_iters; the batch stops a row at its first repeat.
+    rng = np.random.default_rng(51)
+    qs = rng.uniform(-math.pi, math.pi, (20, 6))
+    rots, ts, _ = rb.fk_batch(arm, qs)
+    seeds = qs + 0.05 * rng.normal(size=qs.shape)
+    opts = rb.IKOptions(pos_tol=0.0, ori_tol=0.0, restarts=1)
+    chain = rb.fk_chain_batch
+    rows = []
+
+    def counted(base_r, base_t, q):
+        rows.append(len(q))
+        return chain(base_r, base_t, q)
+
+    monkeypatch.setattr(rb, "fk_chain_batch", counted)
+    q, ok = rb.ik_batch(arm, rots, ts, seeds, opts)
+    monkeypatch.undo()
+    q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts)
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(q, q_ref)
+    assert sum(rows) < (opts.max_iters + 1) * len(qs)
+
+
 def test_ik_batch_makes_at_most_two_passes_of_fk_calls(arm, monkeypatch):
     rng = np.random.default_rng(49)
     rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (12, 6)))

@@ -229,6 +229,15 @@ class TestParseErrors:
                            r"duplicate key 'planner'"):
             parse_scene(text)
 
+    def test_integer_too_long_to_read_is_reported_with_its_line(self):
+        # Python refuses int() of more than 4,300 decimal digits.
+        text = default_text().replace("  max_load_kg: 2.0\n",
+                                      "  max_load_kg: 1" + "0" * 5000 + "\n")
+        line = text.splitlines().index("  max_load_kg: 1" + "0" * 5000) + 1
+        with pytest.raises(ParseError, match=rf"(?s)line {line}, column 16: "
+                           r"unreadable integer"):
+            parse_scene(text)
+
     def test_merge_key_is_not_a_repeat(self):
         text = default_text().replace("start_pose:\n", "start_pose: &start\n")
         text = text.replace("goal_pose:\n", "goal_pose:\n  <<: *start\n")
