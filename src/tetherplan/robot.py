@@ -16,13 +16,18 @@ for a batch of configurations, each from its own base.  Every other
 call (fk_batch, point_jacobian, ik_batch) is built on it and takes a
 batch; one configuration or one target is a batch of one row.
 
-ik_batch runs damped least squares (_dls) in two stacked passes: the
-seeds of all targets, then every random restart of the targets still
-unsolved at once, keeping each target's first restart that converges.
-That is exactly what running the restarts one after another returns.
+ik_batch runs damped least squares (_dls) in one loop: every seed
+starts at iteration 0, and the random restarts of the targets still
+unsolved join at iteration _IK_RESTART_AFTER (or right after the seeds'
+last iteration, if that is sooner) while the slow seeds still run.
+Each row counts its own steps, and each target keeps its first attempt
+that converges, so the loop returns exactly what running the restarts
+one after another returns: the join moves when a row runs, not what it
+computes.  A call makes at most min(_IK_RESTART_AFTER, max_iters + 1)
++ max_iters + 1 fk_chain_batch calls.
 One call may serve arms at different bases, so both arms of a DualArm
 iterate in one loop; each row carries its own arm's base through FK.
-Before either pass, _beyond_reach drops the targets that two UR
+Before the loop, _beyond_reach drops the targets that two UR
 existence tests (wrist reach, elbow plane) prove unreachable within
 the acceptance tolerances.
 """
@@ -30,7 +35,7 @@ the acceptance tolerances.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,7 @@ from tetherplan.geometry import Pose, rot_to_rotvec
 N_JOINTS = 6
 _IK_DAMPING = 0.05        # ik_batch's damped-least-squares damping
 _IK_STEP_CLAMP = 0.2      # ik_batch's joint step bound per iteration, rad
+_IK_RESTART_AFTER = 32    # iteration at which ik_batch's restarts join the seeds
 
 
 @dataclass(frozen=True)
@@ -278,17 +284,17 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     Returns (q (B, 6), solved (B,)); rows with solved False are zeros.
     A target's result is the first attempt that converges.
 
-    The attempts run in two passes of _dls: the seeds, then every
-    restart of every target the seeds leave unsolved, stacked into one
-    batch.  This returns what running the restarts one after another
+    The attempts run in one loop of _dls: the seeds from iteration 0,
+    the restarts of the targets still unsolved from iteration J =
+    min(_IK_RESTART_AFTER, max_iters + 1), each row counting its own
+    steps.  This returns what running the restarts one after another
     would: a row's iterates depend only on its start, its target and
-    its arm's base, and the restart starts are the same draws in the
-    same order, drawn whether or not an earlier attempt succeeds.  So
-    the first restart that converges in the stacked pass is the one a
-    sequential loop would have stopped at.  A call makes at most
-    2 * (max_iters + 1) fk_chain_batch calls, however many arms it
-    serves; a row that steps back onto a configuration it held before
-    stops there (_dls), as it could never converge.
+    its arm's base, the restart starts are the same draws in the same
+    order, drawn whether or not an earlier attempt succeeds, and a row
+    runs on when a later attempt of its target converges first.  A call
+    makes at most J + max_iters + 1 fk_chain_batch calls, however many
+    arms it serves; a row that steps back onto a configuration it held
+    before stops there (_dls), as it could never converge.
 
     Targets that _beyond_reach proves unreachable for their arm have no
     solution at any configuration.  They are never iterated and return
@@ -316,80 +322,100 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     base_r = np.stack([a.base.r for a in arms])[owner]
     base_t = np.stack([a.base.t for a in arms])[owner]
     seeds = np.broadcast_to(np.asarray(seed_config, dtype=float), (b, N_JOINTS))
-    rows = np.nonzero(~beyond)[0]
-    starts = np.clip(seeds[rows], -_UR3_LIMIT, _UR3_LIMIT)[None]
-    q, ok = _dls(starts, base_r[rows], base_t[rows], target_r[rows],
-                 target_t[rows], opts)
-    solution[rows[ok]] = q[ok]
-    solved[rows[ok]] = True
-    rows = rows[~ok]
-    if opts.restarts > 1 and rows.size:
+    live = np.nonzero(~beyond)[0]
+
+    def draw(rows: np.ndarray) -> np.ndarray:
+        # Every restart's draws for all B targets, of which live[rows] keep theirs.
         rngs = [np.random.default_rng(opts.seed) for _ in sizes]
-        starts = np.stack([
+        return np.stack([
             np.concatenate([rng.uniform(-_UR3_LIMIT, _UR3_LIMIT, (g, N_JOINTS))
-                            for rng, g in zip(rngs, sizes)])
+                            for rng, g in zip(rngs, sizes)])[live[rows]]
             for _ in range(opts.restarts - 1)])
-        q, ok = _dls(starts[:, rows], base_r[rows], base_t[rows],
-                     target_r[rows], target_t[rows], opts)
-        solution[rows[ok]] = q[ok]
-        solved[rows[ok]] = True
+
+    q, ok = _dls(np.clip(seeds[live], -_UR3_LIMIT, _UR3_LIMIT), draw, base_r[live],
+                 base_t[live], target_r[live], target_t[live], opts)
+    solution[live[ok]] = q[ok]
+    solved[live[ok]] = True
     return solution, solved
 
 
-def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
-         target_r: np.ndarray, target_t: np.ndarray,
-         opts: IKOptions) -> tuple[np.ndarray, np.ndarray]:
-    """Damped least squares from K starts (K, U, 6) of U targets at once.
+def _dls(seeds: np.ndarray, draw: Callable[[np.ndarray], np.ndarray],
+         base_r: np.ndarray, base_t: np.ndarray, target_r: np.ndarray,
+         target_t: np.ndarray, opts: IKOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Damped least squares for U targets, every attempt in one loop.
 
-    Start k of target j is attempt k of that target, at the target's
-    base (base_r[j], base_t[j]).  A row stops when it meets the
-    tolerances, after opts.max_iters steps, as soon as an earlier
-    attempt of its target has met them, or when a step takes it back to
-    a configuration it held before.  Returns (q (U, 6), solved (U,)):
-    each solved target's configuration from its first attempt that
-    converged; unsolved rows are zeros.
+    Attempt 0 of target j starts from seeds[j] at iteration 0.  Attempts
+    1 ... K - 1 (K = max(opts.restarts, 1)) of the targets still unsolved
+    join at iteration J = min(_IK_RESTART_AFTER, opts.max_iters + 1),
+    from draw(rows): the (K - 1, len(rows), 6) starts of those targets.
+    draw is called only then and only if some target is unsolved, and an
+    iteration with no active row does nothing, so once every seed has
+    stopped the loop goes straight on to J.  Every row works at its
+    target's base (base_r[j], base_t[j]) and counts its own steps.  A row stops when it meets the tolerances, after opts.max_iters
+    steps of its own, as soon as an earlier attempt of its target has met
+    them, or when a step takes it back to a configuration it held before.
+    So a call makes at most J + opts.max_iters + 1 fk_chain_batch calls.
+    Returns (q (U, 6), solved (U,)): each solved target's configuration
+    from its first attempt that converged; unsolved rows are zeros.
+
+    A row's iterates depend only on its start, its target and its base,
+    so the join moves when a row runs, not what it computes.  A restart
+    that converges first does not stop the attempts before it, and those
+    run until they converge or fail, so the attempt kept is the first
+    that converges, as in running the attempts one after another.
 
     The last stop is Brent's cycle test (Brent 1980): each row saves
-    its start, then its configuration after steps 1, 2, 4, 8, ..., and
-    is dropped when a later step lands on the saved one bit for bit.
+    its start, then its configuration after its steps 1, 2, 4, 8, ...,
+    and is dropped when a later step lands on the saved one bit for bit.
     The saved state has already failed the tolerances, and a row's next
     state is a function of its state, target and base alone, so such a
     row would only cycle through failed states until max_iters; dropping
     it changes no result.
     """
-    k, u = q0.shape[:2]
-    q = q0.reshape(k * u, N_JOINTS).copy()
+    k, u = max(opts.restarts, 1), seeds.shape[0]
+    join = min(_IK_RESTART_AFTER, opts.max_iters + 1)
     first = np.full(u, k)          # first converged attempt; k while none has
+    out = np.zeros((u, N_JOINTS))
     eye = _IK_DAMPING * _IK_DAMPING * np.eye(6)
-    # The active rows, compacted: their index into q, target, attempt,
+    # The active rows, compacted: their target, attempt and step count,
     # current configuration, the target's base and pose, and the saved
     # configuration of the cycle test as int64 bit patterns.  They are
-    # filtered only when rows stop, and a converged row is written back.
-    idx = np.arange(k * u)
-    tj = np.tile(np.arange(u), k)
-    attempt = np.repeat(np.arange(k), u)
-    qa, br, bt, tr, tt = q, base_r[tj], base_t[tj], target_r[tj], target_t[tj]
+    # filtered only when rows stop, and a winning row is written out.
+    tj = np.arange(u)
+    attempt = np.zeros(u, dtype=int)
+    age = np.zeros(u, dtype=int)
+    qa, br, bt, tr, tt = seeds, base_r, base_t, target_r, target_t
     saved = qa.view(np.int64).copy()
-    for it in range(opts.max_iters + 1):
-        if idx.size == 0:
-            break
+    for it in range(join + opts.max_iters + 1):
+        if it == join and k > 1 and (rows := np.nonzero(first == k)[0]).size:
+            starts = draw(rows).reshape(-1, N_JOINTS)
+            rj = np.tile(rows, k - 1)
+            new = (rj, np.repeat(np.arange(1, k), rows.size), np.zeros_like(rj),
+                   starts, base_r[rj], base_t[rj], target_r[rj], target_t[rj],
+                   starts.view(np.int64))
+            tj, attempt, age, qa, br, bt, tr, tt, saved = (
+                np.concatenate(pair) for pair in zip(
+                    (tj, attempt, age, qa, br, bt, tr, tt, saved), new))
+        if tj.size == 0:
+            continue
         cur_r, cur_t, origins, axes = fk_chain_batch(br, bt, qa)
         e_pos = tt - cur_t
         e_rot = rot_to_rotvec(tr @ cur_r.transpose(0, 2, 1))
         done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
                 & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
-        if np.any(done):
-            np.minimum.at(first, tj[done], attempt[done])
-            q[idx[done]] = qa[done]
-            keep = ~done & (attempt < first[tj])
-            idx, tj, attempt, qa, br, bt, tr, tt, saved = (
-                a[keep] for a in (idx, tj, attempt, qa, br, bt, tr, tt, saved))
-            if idx.size == 0:
-                break
+        stop = done | (age == opts.max_iters)
+        if np.any(stop):
+            if np.any(done):
+                np.minimum.at(first, tj[done], attempt[done])
+                wins = done & (attempt == first[tj])
+                out[tj[wins]] = qa[wins]
+            keep = ~stop & (attempt < first[tj])
+            tj, attempt, age, qa, br, bt, tr, tt, saved = (
+                a[keep] for a in (tj, attempt, age, qa, br, bt, tr, tt, saved))
+            if tj.size == 0:
+                continue
             e_pos, e_rot = e_pos[keep], e_rot[keep]
             cur_t, origins, axes = cur_t[keep], origins[keep], axes[keep]
-        if it == opts.max_iters:
-            break
         jac = _chain_jacobian(cur_t, origins, axes)
         err = np.concatenate([e_pos, e_rot], axis=1)
         gram = jac @ jac.transpose(0, 2, 1) + eye
@@ -397,14 +423,13 @@ def _dls(q0: np.ndarray, base_r: np.ndarray, base_t: np.ndarray,
         dq = np.einsum("wji,wj->wi", jac, y)
         dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
         qa = np.clip(qa + dq, -_UR3_LIMIT, _UR3_LIMIT)
+        age += 1
         # The cycle test of the docstring: compare, then refresh.
         cycling = (qa.view(np.int64) == saved).all(axis=1)
         if np.any(cycling):
-            idx, tj, attempt, qa, br, bt, tr, tt, saved = (
-                a[~cycling] for a in (idx, tj, attempt, qa, br, bt, tr, tt, saved))
-        if it & (it + 1) == 0:      # it + 1 a power of two
-            saved = qa.view(np.int64)
-    solved = first < k
-    out = np.zeros((u, N_JOINTS))
-    out[solved] = q[first[solved] * u + np.nonzero(solved)[0]]
-    return out, solved
+            tj, attempt, age, qa, br, bt, tr, tt, saved = (
+                a[~cycling] for a in (tj, attempt, age, qa, br, bt, tr, tt, saved))
+        fresh = (age & (age - 1)) == 0    # age a power of two
+        if np.any(fresh):
+            saved = np.where(fresh[:, None], qa.view(np.int64), saved)
+    return out, first < k

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -595,6 +596,21 @@ def test_ik_batch_equals_sequential_restarts_on_late_solves(arm):
     assert np.array_equal(q, q_ref)
 
 
+def _fk_calls(monkeypatch, call):
+    """(result of call(), the row count of each fk_chain_batch call it made)."""
+    rows = []
+    chain = rb.fk_chain_batch
+
+    def counted(base_r, base_t, qs):
+        rows.append(len(qs))
+        return chain(base_r, base_t, qs)
+
+    monkeypatch.setattr(rb, "fk_chain_batch", counted)
+    result = call()
+    monkeypatch.undo()
+    return result, rows
+
+
 def test_ik_rows_that_revisit_a_configuration_stop_early(arm, monkeypatch):
     # Zero tolerances: no row converges, and the rows that reach their
     # target settle on fixed points that no step leaves.  The oracle runs
@@ -604,38 +620,90 @@ def test_ik_rows_that_revisit_a_configuration_stop_early(arm, monkeypatch):
     rots, ts, _ = rb.fk_batch(arm, qs)
     seeds = qs + 0.05 * rng.normal(size=qs.shape)
     opts = rb.IKOptions(pos_tol=0.0, ori_tol=0.0, restarts=1)
-    chain = rb.fk_chain_batch
-    rows = []
-
-    def counted(base_r, base_t, q):
-        rows.append(len(q))
-        return chain(base_r, base_t, q)
-
-    monkeypatch.setattr(rb, "fk_chain_batch", counted)
-    q, ok = rb.ik_batch(arm, rots, ts, seeds, opts)
-    monkeypatch.undo()
+    (q, ok), rows = _fk_calls(monkeypatch,
+                              lambda: rb.ik_batch(arm, rots, ts, seeds, opts))
     q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts)
     assert np.array_equal(ok, ok_ref)
     assert np.array_equal(q, q_ref)
     assert sum(rows) < (opts.max_iters + 1) * len(qs)
 
 
-def test_ik_batch_makes_at_most_two_passes_of_fk_calls(arm, monkeypatch):
+def test_ik_batch_fk_calls_end_max_iters_after_the_join(arm, monkeypatch):
+    # With max_iters 5 the restarts join right after the seeds' last
+    # iteration; with 60 they join at _IK_RESTART_AFTER, the seeds still
+    # running.  Either way every row stops after max_iters steps of its own.
     rng = np.random.default_rng(49)
     rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (12, 6)))
-    opts = rb.IKOptions(max_iters=5, restarts=8, seed=4)
-    calls = []
-    chain = rb.fk_chain_batch
+    for max_iters in (5, 60):
+        opts = rb.IKOptions(max_iters=max_iters, restarts=8, seed=4)
+        join = min(rb._IK_RESTART_AFTER, max_iters + 1)
+        (_, ok), rows = _fk_calls(
+            monkeypatch, lambda: rb.ik_batch(arm, rots, ts, np.zeros(6), opts))
+        # A target left unsolved has run all 8 attempts.
+        assert not ok.all()
+        assert join < len(rows) <= join + max_iters + 1
 
-    def counted(base_r, base_t, qs):
-        calls.append(len(qs))
-        return chain(base_r, base_t, qs)
 
-    monkeypatch.setattr(rb, "fk_chain_batch", counted)
-    _, ok = rb.ik_batch(arm, rots, ts, np.zeros(6), opts)
-    # A target left unsolved has run all 8 attempts.
-    assert not ok.all()
-    assert len(calls) <= 2 * (opts.max_iters + 1)
+def _single_attempt(arm, rot, t, start, opts, monkeypatch):
+    """(solved, q, fk_chain_batch calls) of one attempt from start, run as
+    ik_batch without restarts; a row that converges at its step s makes
+    s + 1 calls, one per iteration."""
+    (q, ok), rows = _fk_calls(monkeypatch, lambda: rb.ik_batch(
+        arm, rot, t, start, replace(opts, restarts=1)))
+    return bool(ok[0]), q[0], len(rows)
+
+
+def _restart_starts(opts):
+    """The restart starts of a one-target call, attempt 1 first."""
+    rng = np.random.default_rng(opts.seed)
+    return [rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (1, 6))[0]
+            for _ in range(opts.restarts - 1)]
+
+
+def _one_target(arm, case):
+    """A reachable target (FK of a random configuration) and a random seed."""
+    rng = np.random.default_rng(case)
+    rot, t, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (1, 6)))
+    return rot, t, rng.uniform(-math.pi, math.pi, 6)
+
+
+def test_seed_converging_after_an_earlier_restart_still_wins(arm, monkeypatch):
+    # Across the join: the seed converges after 99 steps, while restarts
+    # that joined at _IK_RESTART_AFTER converge sooner.  The seed is
+    # attempt 0, so its configuration is the result.
+    opts = rb.IKOptions(seed=0)
+    join = rb._IK_RESTART_AFTER
+    rot, t, seed = _one_target(arm, 45)
+    seed_ok, seed_q, seed_its = _single_attempt(arm, rot, t, seed, opts, monkeypatch)
+    assert seed_ok and seed_its > join
+    attempts = [_single_attempt(arm, rot, t, start, opts, monkeypatch)
+                for start in _restart_starts(opts)]
+    # Restarts that converge before the seed, counting from iteration 0.
+    assert sum(ok and join + its < seed_its for ok, _, its in attempts) >= 2
+    q, ok = rb.ik_batch(arm, rot, t, seed, opts)
+    q_ref, ok_ref = sequential_ik_batch(arm, rot, t, seed, opts)
+    assert ok[0] and np.array_equal(ok, ok_ref)
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(q[0], seed_q)
+
+
+def test_restart_solves_a_target_whose_seed_cycles_before_the_join(arm, monkeypatch):
+    # Across the join: the seed stops unsolved after 10 steps, a cycle
+    # (fewer than max_iters), so no row is active until the restarts
+    # join.  Attempts 1 and 6 both converge at their 14th step; attempt
+    # 1 is the result.
+    opts = rb.IKOptions(seed=0)
+    rot, t, seed = _one_target(arm, 466)
+    seed_ok, _, seed_its = _single_attempt(arm, rot, t, seed, opts, monkeypatch)
+    assert not seed_ok and seed_its < rb._IK_RESTART_AFTER
+    attempts = [_single_attempt(arm, rot, t, start, opts, monkeypatch)
+                for start in _restart_starts(opts)]
+    assert attempts[0][0] and attempts[5][0] and attempts[0][2] == attempts[5][2]
+    q, ok = rb.ik_batch(arm, rot, t, seed, opts)
+    q_ref, ok_ref = sequential_ik_batch(arm, rot, t, seed, opts)
+    assert ok[0] and np.array_equal(ok, ok_ref)
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(q[0], attempts[0][1])
 
 
 def _arm_share(rng, arm, n_groups):
