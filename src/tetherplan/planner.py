@@ -10,9 +10,10 @@ pose, a fixed set of handover poses, and the goal pose.  Edges are
     tool, then the first arm withdraws to home.
 
 Node feasibility is solved up front: before the search starts,
-solve_stations runs IK for every station the plan may visit, the
-stations of both arms in one grouped batch (a sweep does this once for
-all of its cells).  Uniform-cost search then orders paths by (edge
+solve_stations runs IK for each grasp of one table, shared by both
+arms, at every station the plan may visit, both arms in one grouped
+batch, then clears each arm's solutions against the resting tool in
+one call (a sweep does this once for all of its cells).  Uniform-cost search then orders paths by (edge
 count, summed joint distance).  Edge feasibility is expensive, so the
 search is path-first (LazySP, Dellin and Srinivasa 2016): it finds the
 best path with every unchecked edge taken as valid, checks that path's
@@ -41,7 +42,7 @@ import numpy as np
 from tetherplan.cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, \
     bend_angle_batch, cable_segments
 from tetherplan.collision import CollisionWorld, motion_clearances
-from tetherplan.geometry import Pose, compose, rot_axis_angle, unit
+from tetherplan.geometry import Pose, unit
 from tetherplan.robot import DualArm, IKOptions, N_JOINTS, fk_batch, ik_batch
 
 ROOT = "root"
@@ -52,25 +53,22 @@ class EmptyGraspSet(Exception):
 
 
 @dataclass(frozen=True)
-class GraspCandidate:
-    """A gripper TCP pose on the tool handle, in the tool frame.
+class GraspSet:
+    """Read-only gripper TCP frames r (G, 3, 3), t (G, 3) on the tool
+    handle, in the tool frame; row g is grasp id g.  The TCP sits on the
+    handle axis, y runs along the handle and z is the approach
+    direction.  axial (G,) is the distance from the handle start, used
+    to keep handover grasps apart."""
 
-    The TCP sits on the handle axis; the frame's y axis runs along the
-    handle and its z axis is the approach direction.  axial is the
-    distance of the grasp point from the handle start, used to keep
-    handover grasps apart.
-    """
-
-    side: str
-    grasp_id: int
-    pose_tool: Pose
-    axial: float
+    r: np.ndarray
+    t: np.ndarray
+    axial: np.ndarray
 
 
-def sample_grasps(tool: ToolSpec, side: str, axial_samples: int = 5,
-                  roll_samples: int = 12, inset: float = 0.02,
-                  ) -> tuple[GraspCandidate, ...]:
-    """Evenly sampled side-on grasps along the tool handle."""
+def sample_grasps(tool: ToolSpec, axial_samples: int = 5,
+                  roll_samples: int = 12, inset: float = 0.02) -> GraspSet:
+    """Evenly sampled side-on grasps along the tool handle, the rolls of
+    each axial position in turn."""
     if axial_samples < 1 or roll_samples < 1:
         raise EmptyGraspSet("axial_samples and roll_samples must be at least 1")
     span = tool.handle_b - tool.handle_a
@@ -84,19 +82,23 @@ def sample_grasps(tool: ToolSpec, side: str, axial_samples: int = 5,
     if abs(float(axis @ probe)) > 0.9:
         probe = np.array([0.0, 1.0, 0.0])
     normal = unit(probe - (probe @ axis) * axis)
+    # Each roll's Rodrigues matrix, term by term as rot_axis_angle forms it.
+    kx, ky, kz = unit(axis)
+    khat = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    psi = [2.0 * math.pi * j / roll_samples for j in range(roll_samples)]
+    sin = np.array([math.sin(a) for a in psi])[:, None, None]
+    versin = np.array([1.0 - math.cos(a) for a in psi])[:, None, None]
+    approach = (np.eye(3) + sin * khat + versin * (khat @ khat)) @ normal
+    frames = np.stack([np.cross(axis, approach),
+                       np.broadcast_to(axis, approach.shape), approach], axis=2)
     positions = np.linspace(inset, length - inset, axial_samples)
-    out = []
-    for i, pos in enumerate(positions):
-        point = tool.handle_a + pos * axis
-        for j in range(roll_samples):
-            psi = 2.0 * math.pi * j / roll_samples
-            approach = rot_axis_angle(axis, psi) @ normal
-            rot = np.column_stack([np.cross(axis, approach), axis, approach])
-            out.append(GraspCandidate(side=side,
-                                      grasp_id=i * roll_samples + j,
-                                      pose_tool=Pose(rot, point),
-                                      axial=float(pos)))
-    return tuple(out)
+    grasps = GraspSet(
+        r=np.tile(frames, (axial_samples, 1, 1)),
+        t=np.repeat(tool.handle_a + positions[:, None] * axis, roll_samples, axis=0),
+        axial=np.repeat(positions, roll_samples))
+    for arr in (grasps.r, grasps.t, grasps.axial):
+        arr.flags.writeable = False
+    return grasps
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,9 @@ class PlanResult:
 class PlanCache:
     """Cross-call memo for grasp sets, station grasp configs and edges.
 
-    grasps maps (handle end bytes, arm, sampling options) to the
-    sample_grasps result, so a sweep samples each arm's grasps once.
+    grasps maps (handle end bytes, sampling options) to the
+    sample_grasps table, which both arms read, so a sweep samples its
+    grasps once.
     node_feasible maps (station key, arm) to the collision-free grasp
     configs there; solve_stations fills it up front, one grouped IK
     call for both arms, and the search only reads it.  The edge tables
@@ -232,15 +235,14 @@ class PlanCache:
     edge_measure: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
 
-    def grasp_set(self, tool: ToolSpec, side: str,
-                  options: PlannerOptions) -> tuple[GraspCandidate, ...]:
-        """sample_grasps(tool, side, ...) under options, memoized."""
-        key = (tool.handle_a.tobytes(), tool.handle_b.tobytes(), side,
+    def grasp_set(self, tool: ToolSpec, options: PlannerOptions) -> GraspSet:
+        """sample_grasps(tool, ...) under options, memoized."""
+        key = (tool.handle_a.tobytes(), tool.handle_b.tobytes(),
                options.axial_samples, options.roll_samples,
                options.grasp_inset)
         if key not in self.grasps:
             self.grasps[key] = sample_grasps(
-                tool, side, options.axial_samples, options.roll_samples,
+                tool, options.axial_samples, options.roll_samples,
                 options.grasp_inset)
         return self.grasps[key]
 
@@ -272,11 +274,13 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
     Collects the (station, arm) pairs of all problems that the cache
     lacks and solves them in one grouped ik_batch call, one group per
     pair on that pair's arm, so every pair gets exactly the configs a
-    call of its own would give.  Solved grasps then pass the static
-    clearance check at their station.  In constrained mode stations that
-    break the bend limit are skipped, and so are all stations of a
-    problem whose start breaks it, since its search never leaves the
-    start.  Problems sharing a cache must share a scene; see PlanCache.
+    call of its own would give.  Each arm's solved grasps then pass the
+    static clearance check, the tool resting at their station, in one
+    motion_clearances call.  In constrained mode stations that break the
+    bend limit are skipped, and so are all stations of a problem whose
+    start breaks it, since its search never leaves the start.  Problems
+    sharing a cache share a scene (see PlanCache), so one robot, world
+    and tool serve them all.
     """
     jobs = []
     seen = set(cache.node_feasible)
@@ -296,40 +300,35 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
                 jobs.append((key, side, problem, pose))
     if not jobs:
         return
-    grasps = [cache.grasp_set(problem.tool, side, options)
-              for _, side, problem, _ in jobs]
-    targets = [compose(pose, g.pose_tool)
-               for (*_, pose), gs in zip(jobs, grasps) for g in gs]
-    sizes = [len(gs) for gs in grasps]
-    seeds = np.repeat([problem.home(side) for _, side, problem, _ in jobs],
-                      sizes, axis=0)
-    arms = [problem.robot.arm(side) for _, side, problem, _ in jobs]
-    sols, ok = ik_batch(arms, np.stack([t.r for t in targets]),
-                        np.stack([t.t for t in targets]),
-                        seeds, options.ik, sizes)
-    lo = 0
-    for (key, side, problem, pose), n in zip(jobs, sizes):
-        cache.node_feasible[(key, side)] = _clear_grasps(
-            problem, side, pose, sols[lo:lo + n], ok[lo:lo + n])
-        lo += n
-
-
-def _clear_grasps(problem: PlanningProblem, side: str, pose: Pose,
-                  sols: np.ndarray, ok: np.ndarray) -> dict[int, np.ndarray]:
-    """gid -> config of the solved grasps that clear the resting tool."""
-    feasible: dict[int, np.ndarray] = {}
-    idx = np.nonzero(ok)[0]
-    if idx.size:
-        ql, qr = problem.one_arm_moves(side, sols[idx])
-        _, radii, names = problem.tool.shape_segments()
-        segs = problem.tool.segments_world(pose.r[None], pose.t[None])
-        att = np.broadcast_to(segs, (idx.size,) + segs.shape[1:])
-        clear, _, _ = motion_clearances(problem.world, problem.robot, ql, qr,
-                                        att, radii, names)
-        for j, gid in enumerate(idx):
-            if clear[j] >= 0.0:
-                feasible[int(gid)] = sols[gid]
-    return feasible
+    shared = jobs[0][2]
+    grasps = cache.grasp_set(shared.tool, options)
+    g = grasps.axial.size
+    sides = [side for _, side, _, _ in jobs]
+    rot = np.stack([pose.r for *_, pose in jobs])
+    t = np.stack([pose.t for *_, pose in jobs])
+    # Grasp by grasp, these products are the ones compose(pose, grasp) forms.
+    sols, ok = ik_batch([shared.robot.arm(side) for side in sides],
+                        np.concatenate([r @ grasps.r for r in rot]),
+                        np.concatenate([(r @ grasps.t[..., None])[..., 0] + v
+                                        for r, v in zip(rot, t)]),
+                        np.repeat([shared.home(side) for side in sides], g, axis=0),
+                        options.ik, [g] * len(jobs))
+    sols = sols.reshape(len(jobs), g, N_JOINTS)
+    feasible: list[dict[int, np.ndarray]] = [{} for _ in jobs]
+    _, radii, names = shared.tool.shape_segments()
+    for side in ("left", "right"):
+        rows, gids = np.nonzero(ok.reshape(len(jobs), g)
+                                & (np.array(sides) == side)[:, None])
+        if rows.size:
+            ql, qr = shared.one_arm_moves(side, sols[rows, gids])
+            clear, _, _ = motion_clearances(
+                shared.world, shared.robot, ql, qr,
+                shared.tool.segments_world(rot[rows], t[rows]), radii, names)
+            for row, gid in zip(rows[clear >= 0.0].tolist(),
+                                gids[clear >= 0.0].tolist()):
+                feasible[row][gid] = sols[row, gid]
+    for (key, side, _, _), configs in zip(jobs, feasible):
+        cache.node_feasible[(key, side)] = configs
 
 
 def interp_joints(qa: np.ndarray, qb: np.ndarray, step: float) -> np.ndarray:
@@ -366,8 +365,8 @@ class _Search:
         self.opt = options
         self.cache = cache
         self.stats = PlannerStats()
-        self.grasps = {side: cache.grasp_set(problem.tool, side, options)
-                       for side in ("left", "right")}
+        self.grasps = cache.grasp_set(problem.tool, options)
+        self.axial = self.grasps.axial.tolist()
         self.station_poses, self.station_keys, self.theta_station = _stations(problem)
         self.goal_idx = len(self.station_poses) - 1
         _, self.tool_radii, self.tool_names = problem.tool.shape_segments()
@@ -392,12 +391,12 @@ class _Search:
 
     # ----- edge construction ------------------------------------------------
 
-    def _tool_track(self, side: str, grasp: GraspCandidate, qs: np.ndarray,
+    def _tool_track(self, side: str, gid: int, qs: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tool pose per waypoint while side holds it with grasp."""
+        """Tool pose per waypoint while side holds it with grasp gid."""
         tcp_r, tcp_t, _ = fk_batch(self.pb.robot.arm(side), qs)
-        tool_rot = tcp_r @ grasp.pose_tool.r.T
-        tool_t = tcp_t - np.einsum("wij,j->wi", tool_rot, grasp.pose_tool.t)
+        tool_rot = tcp_r @ self.grasps.r[gid].T
+        tool_t = tcp_t - np.einsum("wij,j->wi", tool_rot, self.grasps.t[gid])
         return tool_rot, tool_t
 
     def build_edge(self, spec: tuple) -> _EdgeData:
@@ -420,8 +419,7 @@ class _Search:
             qs = interp_joints(q_from, q_to, self.opt.interp_step)
             w = qs.shape[0]
             ql, qr = self.pb.one_arm_moves(side, qs)
-            grasp = self.grasps[side][gid]
-            rot, t = self._tool_track(side, grasp, qs)
+            rot, t = self._tool_track(side, gid, qs)
             holding = tuple((((side, gid),),) * w)
             return _EdgeData(ql, qr, rot, t, holding, kind)
         if kind == "handover":
@@ -537,9 +535,9 @@ class _Search:
                         ("transfer", station, dst, side, gid), dist))
         if 0 < station < self.goal_idx:
             recv = "right" if side == "left" else "left"
-            my_axial = self.grasps[side][gid].axial
+            my_axial = self.axial[gid]
             for rgid, q_recv in sorted(self.node_configs(station, recv).items()):
-                if abs(self.grasps[recv][rgid].axial - my_axial) < \
+                if abs(self.axial[rgid] - my_axial) < \
                         self.opt.min_handover_separation:
                     continue
                 dist = (float(np.linalg.norm(q_recv - self.pb.home(recv)))

@@ -3,7 +3,7 @@
 Everything here is deliberately written against first principles
 (quaternion algebra, dense sampling, finite differences, homogeneous
 matrix products) and never calls into the library code paths it is used
-to check.  There are three exceptions.  sequential_ik_batch, the
+to check.  There are five exceptions.  sequential_ik_batch, the
 reference for ik_batch's restart schedule: ik_batch must match it bit
 for bit, so it runs the library's own FK, log-map and Jacobian kernels.
 pop_and_check_search, the reference for the planner's path-first
@@ -11,7 +11,12 @@ search: plan() must return its plan, so it drives a planner _Search's
 own successors, validate_edge and _assemble.  row_by_row_parse_plan_csv,
 the reference for the whole-array plan parser: it shares the file
 format's header, preamble parsers and holding parser, and converts each
-row on its own.
+row on its own.  per_grasp_sample_grasps and per_pair_station_solve, the
+references for the whole-array grasp table and station set-up: they
+build each grasp with the library's rot_axis_angle and each IK target
+with compose, and call ik_batch and motion_clearances, one clearance
+call per (station, arm) pair, since the stacked forms must match these
+kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ import time
 import numpy as np
 
 from tetherplan import robot as rb
-from tetherplan.planner import ROOT, MotionPlan, PlanResult, solve_stations
-from tetherplan.geometry import rot_to_rotvec
+from tetherplan.collision import motion_clearances
+from tetherplan.planner import ROOT, MotionPlan, PlanResult, _stations, \
+    solve_stations
+from tetherplan.geometry import Pose, compose, rot_axis_angle, rot_to_rotvec, \
+    unit
 from tetherplan.plan_io import _PREAMBLE, PLAN_HEADER, parse_holding
 
 
@@ -302,6 +310,88 @@ def pop_and_check_search(search) -> PlanResult:
         blocks.append(block)
     plan = search._assemble(blocks[::-1], settled[goal_node])
     return PlanResult(plan=plan, failure=None, stats=stats)
+
+
+# --- the per-grasp station set-up reference ---
+
+def per_grasp_sample_grasps(tool, axial_samples: int, roll_samples: int,
+                            inset: float):
+    """sample_grasps one grasp at a time: a rot_axis_angle and a
+    column_stack per grasp.  Returns r (G, 3, 3), t (G, 3), axial (G,)."""
+    span = tool.handle_b - tool.handle_a
+    length = float(np.linalg.norm(span))
+    axis = span / length
+    probe = np.array([1.0, 0.0, 0.0])
+    if abs(float(axis @ probe)) > 0.9:
+        probe = np.array([0.0, 1.0, 0.0])
+    normal = unit(probe - (probe @ axis) * axis)
+    rots, points, axial = [], [], []
+    for pos in np.linspace(inset, length - inset, axial_samples):
+        for j in range(roll_samples):
+            approach = rot_axis_angle(axis, 2.0 * math.pi * j / roll_samples) @ normal
+            rots.append(np.column_stack([np.cross(axis, approach), axis, approach]))
+            points.append(tool.handle_a + pos * axis)
+            axial.append(float(pos))
+    return np.stack(rots), np.stack(points), np.array(axial)
+
+
+def per_pair_station_solve(problems, options, constrained: bool = False):
+    """solve_stations on a fresh cache, one (station, arm) pair at a time.
+
+    Each pair samples its own grasps (per_grasp_sample_grasps) and
+    composes its targets grasp by grasp; the targets of all pairs go to
+    one grouped ik_batch call, one group per pair, as in solve_stations.
+    Each pair's solved grasps then get a motion_clearances call of their
+    own, the other arm at home and the tool resting at the pair's
+    station.  Returns (target_r, target_t, node_feasible).
+    """
+    jobs = []
+    for problem in problems:
+        poses, keys, thetas = _stations(problem)
+        keep = (thetas < problem.constraint.theta_max if constrained
+                else np.ones(len(poses), dtype=bool))
+        if not keep[0]:
+            continue
+        for key, pose, kept in zip(keys, poses, keep):
+            for side in ("left", "right"):
+                if kept and (key, side) not in [job[:2] for job in jobs]:
+                    jobs.append((key, side, problem, pose))
+    if not jobs:
+        return np.empty((0, 3, 3)), np.empty((0, 3)), {}
+    targets, sizes = [], []
+    for _, _, problem, pose in jobs:
+        rots, points, _ = per_grasp_sample_grasps(
+            problem.tool, options.axial_samples, options.roll_samples,
+            options.grasp_inset)
+        targets += [compose(pose, Pose(r, t)) for r, t in zip(rots, points)]
+        sizes.append(len(rots))
+    target_r = np.stack([t.r for t in targets])
+    target_t = np.stack([t.t for t in targets])
+    sols, ok = rb.ik_batch(
+        [problem.robot.arm(side) for _, side, problem, _ in jobs],
+        target_r, target_t,
+        np.repeat([problem.home(side) for _, side, problem, _ in jobs],
+                  sizes, axis=0),
+        options.ik, sizes)
+    feasible = {}
+    lo = 0
+    for (key, side, problem, pose), n in zip(jobs, sizes):
+        configs = {}
+        idx = np.nonzero(ok[lo:lo + n])[0]
+        if idx.size:
+            ql, qr = problem.one_arm_moves(side, sols[lo + idx])
+            _, radii, names = problem.tool.shape_segments()
+            segs = problem.tool.segments_world(pose.r[None], pose.t[None])
+            clear, _, _ = motion_clearances(
+                problem.world, problem.robot, ql, qr,
+                np.broadcast_to(segs, (idx.size,) + segs.shape[1:]),
+                radii, names)
+            for j, gid in enumerate(idx):
+                if clear[j] >= 0.0:
+                    configs[int(gid)] = sols[lo + gid]
+        feasible[(key, side)] = configs
+        lo += n
+    return target_r, target_t, feasible
 
 
 # --- the row-by-row plan CSV parser reference ---

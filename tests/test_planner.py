@@ -6,14 +6,15 @@ import pytest
 from helpers import QUICK, make_problem, make_tool
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from oracles import pop_and_check_search
+from oracles import per_grasp_sample_grasps, per_pair_station_solve, \
+    pop_and_check_search
 
 from tetherplan import planner, robot
 from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch, \
     cable_segments
 from tetherplan.collision import Capsule, CollisionWorld, _pair_clearances, \
     motion_clearances
-from tetherplan.geometry import Pose, rot_x
+from tetherplan.geometry import Pose, rot_x, rpy_to_rot
 from tetherplan.planner import (
     EmptyGraspSet,
     PlanCache,
@@ -33,41 +34,42 @@ from tetherplan.scene import default_scene
 
 class TestSampleGrasps:
     def test_count_and_ids(self):
-        grasps = sample_grasps(make_tool(), "left", 5, 12)
-        assert len(grasps) == 60
-        assert [g.grasp_id for g in grasps] == list(range(60))
-        assert all(g.side == "left" for g in grasps)
+        grasps = sample_grasps(make_tool(), 5, 12)
+        # Row g is grasp id g: the rolls of each axial position in turn.
+        assert grasps.r.shape == (60, 3, 3)
+        assert grasps.t.shape == (60, 3)
+        assert grasps.axial.shape == (60,)
+        assert np.array_equal(grasps.axial[::12], np.unique(grasps.axial))
 
     def test_frames_are_valid(self):
         tool = make_tool()
         axis = np.array([0.0, 0.0, 1.0])
-        for g in sample_grasps(tool, "right", 4, 6):
-            r = g.pose_tool.r
+        grasps = sample_grasps(tool, 4, 6)
+        for r, t, axial in zip(grasps.r, grasps.t, grasps.axial):
             assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0)
             # y column runs along the handle.
             assert np.allclose(r[:, 1], axis, atol=1e-12)
             # Grasp point lies on the handle axis, inside the inset band.
-            assert g.pose_tool.t[0] == pytest.approx(0.0, abs=1e-12)
-            assert g.pose_tool.t[1] == pytest.approx(0.0, abs=1e-12)
-            assert -0.10 + 0.02 - 1e-9 <= g.pose_tool.t[2] <= 0.08 - 0.02 + 1e-9
-            assert g.axial == pytest.approx(g.pose_tool.t[2] + 0.10)
+            assert t[0] == pytest.approx(0.0, abs=1e-12)
+            assert t[1] == pytest.approx(0.0, abs=1e-12)
+            assert -0.10 + 0.02 - 1e-9 <= t[2] <= 0.08 - 0.02 + 1e-9
+            assert axial == pytest.approx(t[2] + 0.10)
 
     def test_rolls_cover_the_circle(self):
-        grasps = sample_grasps(make_tool(), "left", 1, 8)
-        dirs = np.stack([g.pose_tool.r[:, 2] for g in grasps])
+        dirs = sample_grasps(make_tool(), 1, 8).r[:, :, 2]
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
         assert np.linalg.norm(dirs.sum(axis=0)) < 1e-9
 
     def test_empty_parameterizations_raise(self):
         with pytest.raises(EmptyGraspSet):
-            sample_grasps(make_tool(), "left", 0, 12)
+            sample_grasps(make_tool(), 0, 12)
         with pytest.raises(EmptyGraspSet):
-            sample_grasps(make_tool(), "left", 5, 0)
+            sample_grasps(make_tool(), 5, 0)
         short = ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],
                          handle_a=[0, 0, 0.0], handle_b=[0, 0, 0.03])
         with pytest.raises(EmptyGraspSet):
-            sample_grasps(short, "left", 3, 4)
+            sample_grasps(short, 3, 4)
 
     def test_cache_samples_each_content_key_once(self, monkeypatch):
         calls = []
@@ -80,17 +82,15 @@ class TestSampleGrasps:
         monkeypatch.setattr(planner, "sample_grasps", counted)
         cache = PlanCache()
         opts = PlannerOptions(axial_samples=3, roll_samples=4)
-        first = cache.grasp_set(make_tool(), "left", opts)
-        assert cache.grasp_set(make_tool(), "left", opts) is first
-        fresh = sample(make_tool(), "left", 3, 4, opts.grasp_inset)
-        assert [(g.grasp_id, g.axial) for g in first] == \
-            [(g.grasp_id, g.axial) for g in fresh]
-        assert all(np.array_equal(a.pose_tool.r, b.pose_tool.r)
-                   and np.array_equal(a.pose_tool.t, b.pose_tool.t)
-                   for a, b in zip(first, fresh))
-        cache.grasp_set(make_tool(), "right", opts)
-        cache.grasp_set(make_tool(), "left", replace(opts, roll_samples=5))
-        assert len(calls) == 3
+        first = cache.grasp_set(make_tool(), opts)
+        assert cache.grasp_set(make_tool(), opts) is first
+        fresh = sample(make_tool(), 3, 4, opts.grasp_inset)
+        for name in ("r", "t", "axial"):
+            assert np.array_equal(getattr(first, name), getattr(fresh, name))
+            # Both arms and every problem read the one table.
+            assert not getattr(first, name).flags.writeable
+        cache.grasp_set(make_tool(), replace(opts, roll_samples=5))
+        assert len(calls) == 2
 
 
 class TestInterp:
@@ -599,3 +599,96 @@ class TestStationSolve:
         result = plan(bent, constrained=True, options=QUICK)
         assert result.failure == "no_feasible_start"
         assert calls == []
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestStationArrays:
+    """The whole-array station set-up equals the per-grasp, per-(station,
+    arm) construction bit for bit (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("case", ["default", "x-handle", "3x7"])
+    def test_grasp_table_equals_the_per_grasp_construction(self, case):
+        scene = default_scene()
+        tool, opts = scene.base.tool, scene.options
+        samples = (opts.axial_samples, opts.roll_samples, opts.grasp_inset)
+        if case == "x-handle":
+            # Nearly along x, so the roll reference turns from y instead.
+            tool = replace(tool, handle_a=[-0.1, 0.01, 0.0],
+                           handle_b=[0.12, 0.0, 0.005])
+        if case == "3x7":
+            samples = (3, 7, 0.02)
+        got = sample_grasps(tool, *samples)
+        want = per_grasp_sample_grasps(tool, *samples)
+        for name, ref in zip(("r", "t", "axial"), want):
+            assert _same_bits(getattr(got, name), ref)
+
+    def test_ik_targets_equal_compose_per_grasp(self, monkeypatch):
+        calls = []
+        ik = planner.ik_batch
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return ik(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "ik_batch", recorded)
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45],
+                               goal_rot=rpy_to_rot(0.2, -0.3, 0.5),
+                               hover_rot=rot_x(-0.4))
+        solve_stations([problem], QUICK, PlanCache())
+        want_r, want_t, _ = per_pair_station_solve([problem], QUICK)
+        (_, target_r, target_t, *_), = calls
+        assert target_r.shape == (6 * 24, 3, 3)
+        assert _same_bits(target_r, want_r)
+        assert _same_bits(target_t, want_t)
+
+    @pytest.mark.parametrize("constrained", [False, True],
+                             ids=["default-sweep", "constrained-cold-cell"])
+    def test_node_feasible_equals_the_per_pair_reference(self, monkeypatch,
+                                                         constrained):
+        scene = default_scene()
+        if constrained:
+            # Under a 50 deg limit this cell keeps its start (41 deg) and
+            # handover (15 deg) and prunes its goal (56 deg).
+            problems = [replace(scene.problem(scene.pitch_rows[3],
+                                              scene.roll_cols[3]),
+                                constraint=BendConstraint(math.radians(50.0)))]
+        else:
+            problems = [scene.problem(p, r) for p in scene.pitch_rows
+                        for r in scene.roll_cols]
+        calls = []
+        clearances = planner.motion_clearances
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return clearances(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "motion_clearances", counted)
+        cache = PlanCache()
+        solve_stations(problems, scene.options, cache, constrained)
+        # One call per arm; one per (station, arm) pair would be 4 or 28.
+        assert 0 < len(calls) <= 2
+        _, _, want = per_pair_station_solve(problems, scene.options,
+                                            constrained)
+        assert list(cache.node_feasible) == list(want)
+        assert len(want) == (4 if constrained else 28)
+        for key, configs in want.items():
+            got = cache.node_feasible[key]
+            assert list(got) == list(configs)
+            assert all(_same_bits(got[gid], q) for gid, q in configs.items())
+        assert any(want.values())
+
+    def test_no_solved_grasp_makes_no_clearance_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(planner, "motion_clearances",
+                            lambda *a, **k: calls.append(a))
+        far = make_problem([2.0, 0.0, 0.5], [2.2, 0.0, 0.5],
+                           hover_t=(2.1, 0.0, 0.5))
+        cache = PlanCache()
+        solve_stations([far], QUICK, cache)
+        assert calls == []
+        assert len(cache.node_feasible) == 6
+        assert all(configs == {} for configs in cache.node_feasible.values())

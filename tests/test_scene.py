@@ -387,7 +387,7 @@ class TestValidationErrors:
                 parse_scene(mutated(planner__grasp_inset_m=bad))
         widest = float(np.nextafter(half, 0.0))
         sc = parse_scene(mutated(planner__grasp_inset_m=widest))
-        assert sample_grasps(sc.base.tool, "left", inset=sc.options.grasp_inset)
+        assert sample_grasps(sc.base.tool, inset=sc.options.grasp_inset).axial.size
 
     @pytest.mark.parametrize("bad", [-0.2, 0.0])
     def test_palm_standoff_must_be_positive(self, bad):
