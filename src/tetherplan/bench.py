@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cable import CABLE, bend_angle_batch, cable_segments
+from .cable import CABLE, bend_angle_batch
 from .collision import motion_clearances
 from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
     plan, solve_stations
@@ -138,16 +138,11 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     at = {key: i for i, key in enumerate(keys) if key not in memo.rows}
     if at:
         new = np.fromiter(at.values(), dtype=int, count=len(at))
-        rot, t = motion.tool_rot[new], motion.tool_t[new]
         # The tool shapes and the taut cable ride on every waypoint.
-        _, radii, names = problem.tool.shape_segments()
-        segs = np.concatenate(
-            [problem.tool.segments_world(rot, t),
-             cable_segments(rot, t, problem.balancer, problem.tool)], axis=1)
         clear, pair_idx, memo.pair_names = motion_clearances(
             problem.world, problem.robot, motion.q_left[new],
-            motion.q_right[new], segs,
-            np.append(radii, problem.balancer.cable_radius), names + [CABLE])
+            motion.q_right[new], *problem.tool.bodies(
+                motion.tool_rot[new], motion.tool_t[new], problem.balancer))
         memo.rows.update(zip(at, zip(clear.tolist(), pair_idx.tolist())))
     clear, pair_idx = map(np.array, zip(*map(memo.rows.__getitem__, keys)))
     first = {}      # is the row's nearest pair the cable's -> first such row

@@ -9,8 +9,8 @@ over.  Orientations whose bend angle reaches the limit would kink the
 cable against the connector, so they are rejected.
 
 The taut cable is also a collision body: cable_segments gives it at
-each waypoint's tool pose, attached beside the tool shapes, which it is
-never measured against.
+each waypoint's tool pose, and ToolSpec.bodies attaches it beside the
+tool shapes, which it is never measured against.
 """
 
 from __future__ import annotations
@@ -85,11 +85,19 @@ class ToolSpec:
         segs, radii = capsule_segments(shape for _, shape in self.shapes)
         return segs, radii, [name for name, _ in self.shapes]
 
-    def segments_world(self, rot: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """World-frame segments (W, K, 2, 3) of the shapes at W tool poses."""
-        segs, _, _ = self.shape_segments()
-        return (np.einsum("wij,kpj->wkpi", np.ascontiguousarray(rot), segs)
+    def bodies(self, rot: np.ndarray, t: np.ndarray,
+               balancer: BalancerSpec | None = None,
+               ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """World segments (W, K, 2, 3), radii (K,) and names of the bodies
+        that ride with the tool at W poses rot (W,3,3), t (W,3): the
+        shapes, then the taut cable (CABLE) when a balancer is given."""
+        segs, radii, names = self.shape_segments()
+        segs = (np.einsum("wij,kpj->wkpi", np.ascontiguousarray(rot), segs)
                 + np.asarray(t)[:, None, None, :])
+        if balancer is None:
+            return segs, radii, names
+        return (np.concatenate([segs, cable_segments(rot, t, balancer, self)], axis=1),
+                np.append(radii, balancer.cable_radius), names + [CABLE])
 
 
 @dataclass(frozen=True)

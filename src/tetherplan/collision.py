@@ -404,7 +404,7 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
         return np.full(w, np.inf), np.zeros(w, dtype=int), table.pair_names
     clear = np.full((w, p), np.inf)
     is_coarse = np.zeros(w, dtype=bool)
-    is_coarse[::_COARSE_STRIDE] = is_coarse[-1] = True
+    is_coarse[::_COARSE_STRIDE] = is_coarse[-1:] = True
     coarse, fine = np.flatnonzero(is_coarse), np.flatnonzero(~is_coarse)
     rows, cols = np.divmod(np.arange(coarse.size * p), p)
     clear[coarse] = _measure(caps, boxes, table, coarse[rows], cols

@@ -2,7 +2,9 @@
 
 The planner searches a grasp graph.  Nodes are "arm X holds the tool
 with grasp g while the tool rests at station S"; stations are the start
-pose, a fixed set of handover poses, and the goal pose.  Edges are
+pose, a fixed set of handover poses, and the goal pose, each named by a
+content key (its name and pose bytes) in nodes, edge specs and the
+cache.  Edges are
 
   * approach: an arm moves from home to its grasp on the resting tool,
   * transfer: the holding arm carries the tool between two stations,
@@ -12,22 +14,24 @@ pose, a fixed set of handover poses, and the goal pose.  Edges are
 Node feasibility is solved up front: before the search starts,
 solve_stations runs IK for each grasp of one table, shared by both
 arms, at every station the plan may visit, both arms in one grouped
-batch, then clears each arm's solutions against the resting tool in
-one call (a sweep does this once for all of its cells).  Uniform-cost search then orders paths by (edge
-count, summed joint distance).  Edge feasibility is expensive, so the
-search is path-first (LazySP, Dellin and Srinivasa 2016): it finds the
-best path with every unchecked edge taken as valid, checks that path's
-edges in order, and searches again without the first that fails.
-Costs never change with validation, so the first path whose edges all
-pass is the best valid one.  A valid edge keeps the rows it checked
-with their bend angles and clearances, and the plan joins those
-blocks, so each waypoint is measured once.  In constrained mode every
-waypoint must keep the cable bend angle below the limit, and the
-hanging cable is an obstacle until the tool is first grasped: a
-constrained approach edge attaches it beside the tool shapes.  So an
-edge is measured (built, bend-checked, clearance-measured) apart from
-the verdict a mode and a bend limit draw from it, and a cache shared by
-both modes measures each transfer and handover once.
+batch, then clears each arm's solutions against the resting tool in one
+call (a sweep does this once for all of its cells).  Which stations a
+plan may visit is decided once per plan, by _stations.  Uniform-cost
+search then orders paths by (edge count, summed joint distance).  Edge
+feasibility is expensive, so the search is path-first (LazySP, Dellin
+and Srinivasa 2016): it finds the best path with every unchecked edge
+taken as valid, checks that path's edges in order, and searches again
+without the first that fails.  Costs never change with validation, so
+the first path whose edges all pass is the best valid one.  A valid
+edge keeps the rows it checked with their bend angles and clearances,
+and the plan joins those blocks, so each waypoint is measured once.  In
+constrained mode every waypoint must keep the cable bend angle below
+the limit, and the hanging cable is an obstacle until the tool is first
+grasped: a constrained approach edge attaches it beside the tool
+shapes.  So an edge is measured (built, bend-checked,
+clearance-measured) apart from the verdict a mode and a bend limit draw
+from it, and a cache shared by both modes measures each transfer and
+handover once.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tetherplan.cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, \
-    bend_angle_batch, cable_segments
+    bend_angle_batch
 from tetherplan.collision import CollisionWorld, motion_clearances
 from tetherplan.geometry import Pose, unit
 from tetherplan.robot import DualArm, IKOptions, N_JOINTS, fk_batch, ik_batch
@@ -215,15 +219,17 @@ class PlanCache:
     node_feasible maps (station key, arm) to the collision-free grasp
     configs there; solve_stations fills it up front, one grouped IK
     call for both arms, and the search only reads it.  The edge tables
-    fill lazily as edges are validated.  edge_measure maps (edge key,
-    cable attached) to the edge's measured block (rows, bend angles,
-    clearances) and each row's nearest pair.  Only a constrained
-    approach attaches the cable, so both modes share every transfer and
-    handover measurement, and no bend limit enters it.  edge_verdict
-    maps (edge key, constrained, bend limit) to what one mode under one
-    limit makes of that block: the block if the edge passes, else the
-    reason it fails; it gains one entry per uncached validation.  Keys
-    are content-addressed (station name and pose bytes), so a cache
+    fill lazily as edges are validated, keyed by edge specs that name
+    stations by key: ("approach", start, arm, grasp), ("transfer", from,
+    to, arm, grasp) and ("handover", station, giver, grasp, receiver,
+    grasp).  edge_measure maps (spec, cable attached) to the edge's
+    measured block (rows, bend angles, clearances) and each row's
+    nearest pair.  Only a constrained approach attaches the cable, so
+    both modes share every transfer and handover measurement, and no
+    bend limit enters it.  edge_verdict maps (spec, constrained, bend
+    limit) to what one mode under one limit makes of that block: the
+    block if the edge passes, else the reason it fails; it gains one
+    entry per uncached validation.  Keys are content-addressed, so a cache
     shared across a parameter sweep of one scene, modes and bend limits
     included, is safe: identical queries recur whenever rows share a
     goal pose or columns share a start pose, and the handover stations
@@ -253,46 +259,57 @@ def _pose_key(pose: Pose) -> bytes:
             + (np.round(pose.t, 12) + 0.0).tobytes())
 
 
-def _stations(problem: PlanningProblem,
+def _stations(problem: PlanningProblem, constrained: bool,
               ) -> tuple[list[Pose], list[bytes], np.ndarray]:
-    """Poses, content keys and cable bend angles of the stations: the
-    start, every handover, then the goal."""
+    """Poses, content keys and live mask of the stations: the start,
+    every handover, then the goal.  The mask is the planner's one
+    pruning decision: in constrained mode a station is live while its
+    cable bend angle stays below the limit, otherwise every one is."""
     names = ["start", *(f"hover{k}" for k in range(len(problem.handover_poses))),
              "goal"]
     poses = [problem.start_pose, *problem.handover_poses, problem.goal_pose]
     keys = [name.encode() + _pose_key(pose) for name, pose in zip(names, poses)]
-    thetas = bend_angle_batch(np.stack([p.r for p in poses]),
-                              np.stack([p.t for p in poses]),
-                              problem.balancer, problem.tool)
-    return poses, keys, thetas
+    live = np.ones(len(poses), dtype=bool)
+    if constrained:
+        live = bend_angle_batch(np.stack([p.r for p in poses]),
+                                np.stack([p.t for p in poses]), problem.balancer,
+                                problem.tool) < problem.constraint.theta_max
+    return poses, keys, live
+
+
+def _visits(poses: list[Pose], keys: list[bytes], live: np.ndarray,
+            ) -> dict[bytes, Pose]:
+    """Key -> pose of the stations a search may visit, in table order:
+    the live ones, or none if the start is not live, since the search
+    never leaves it then."""
+    return {key: pose for key, pose, ok in zip(keys, poses, live) if ok and live[0]}
 
 
 def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
                    constrained: bool = False) -> None:
     """Fill cache.node_feasible for every station a plan may visit.
 
-    Collects the (station, arm) pairs of all problems that the cache
+    Collects the (station key, arm) pairs of all problems that the cache
     lacks and solves them in one grouped ik_batch call, one group per
     pair on that pair's arm, so every pair gets exactly the configs a
     call of its own would give.  Each arm's solved grasps then pass the
     static clearance check, the tool resting at their station, in one
-    motion_clearances call.  In constrained mode stations that break the
-    bend limit are skipped, and so are all stations of a problem whose
-    start breaks it, since its search never leaves the start.  Problems
-    sharing a cache share a scene (see PlanCache), so one robot, world
-    and tool serve them all.
+    motion_clearances call.  Only the stations _visits keeps are
+    solved: in constrained mode none over the bend limit, and none of a
+    problem whose start is over it.  Problems sharing a cache share a
+    scene (see PlanCache), so one robot, world and tool serve them all.
     """
+    _solve_stations([(problem, _visits(*_stations(problem, constrained)))
+                     for problem in problems], options, cache)
+
+
+def _solve_stations(visits: list[tuple[PlanningProblem, dict[bytes, Pose]]],
+                    options: PlannerOptions, cache: PlanCache) -> None:
+    """solve_stations on (problem, _visits table) pairs."""
     jobs = []
     seen = set(cache.node_feasible)
-    for problem in problems:
-        poses, keys, thetas = _stations(problem)
-        stations = list(zip(keys, poses))
-        if constrained:
-            ok = thetas < problem.constraint.theta_max
-            if not ok[0]:
-                continue
-            stations = [st for st, keep in zip(stations, ok) if keep]
-        for key, pose in stations:
+    for problem, stations in visits:
+        for key, pose in stations.items():
             for side in ("left", "right"):
                 if (key, side) in seen:
                     continue
@@ -315,15 +332,13 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
                         options.ik, [g] * len(jobs))
     sols = sols.reshape(len(jobs), g, N_JOINTS)
     feasible: list[dict[int, np.ndarray]] = [{} for _ in jobs]
-    _, radii, names = shared.tool.shape_segments()
     for side in ("left", "right"):
         rows, gids = np.nonzero(ok.reshape(len(jobs), g)
                                 & (np.array(sides) == side)[:, None])
         if rows.size:
             ql, qr = shared.one_arm_moves(side, sols[rows, gids])
-            clear, _, _ = motion_clearances(
-                shared.world, shared.robot, ql, qr,
-                shared.tool.segments_world(rot[rows], t[rows]), radii, names)
+            clear, _, _ = motion_clearances(shared.world, shared.robot, ql, qr,
+                                            *shared.tool.bodies(rot[rows], t[rows]))
             for row, gid in zip(rows[clear >= 0.0].tolist(),
                                 gids[clear >= 0.0].tolist()):
                 feasible[row][gid] = sols[row, gid]
@@ -356,7 +371,9 @@ class _EdgeData:
 
 
 class _Search:
-    """Planner internals for one plan() call."""
+    """Planner internals for one plan() call.  A station is named by its
+    content key (_stations) in nodes, edge specs and the cache; start
+    and goal are the end keys, stations the _visits table."""
 
     def __init__(self, problem: PlanningProblem, constrained: bool,
                  options: PlannerOptions, cache: PlanCache):
@@ -364,30 +381,12 @@ class _Search:
         self.constrained = constrained
         self.opt = options
         self.cache = cache
-        self.stats = PlannerStats()
         self.grasps = cache.grasp_set(problem.tool, options)
         self.axial = self.grasps.axial.tolist()
-        self.station_poses, self.station_keys, self.theta_station = _stations(problem)
-        self.goal_idx = len(self.station_poses) - 1
-        _, self.tool_radii, self.tool_names = problem.tool.shape_segments()
-        if constrained:
-            self.stats.stations_pruned = sum(
-                1 for th in self.theta_station
-                if th >= problem.constraint.theta_max)
-
-    # ----- node feasibility -------------------------------------------------
-
-    def node_configs(self, station: int, side: str) -> dict[int, np.ndarray]:
-        """Feasible grasp configs at a station: gid -> joint vector.
-
-        Reads the cache that solve_stations filled.
-        """
-        return self.cache.node_feasible[(self.station_keys[station], side)]
-
-    def station_ok(self, station: int) -> bool:
-        if not self.constrained:
-            return True
-        return self.theta_station[station] < self.pb.constraint.theta_max
+        poses, keys, live = _stations(problem, constrained)
+        self.start, self.goal = keys[0], keys[-1]
+        self.stations = _visits(poses, keys, live)
+        self.stats = PlannerStats(stations_pruned=int(np.count_nonzero(~live)))
 
     # ----- edge construction ------------------------------------------------
 
@@ -400,63 +399,44 @@ class _Search:
         return tool_rot, tool_t
 
     def build_edge(self, spec: tuple) -> _EdgeData:
-        kind = spec[0]
-        if kind == "approach":
-            _, side, gid = spec
-            q_grasp = self.node_configs(0, side)[gid]
-            qs = interp_joints(self.pb.home(side), q_grasp, self.opt.interp_step)
-            w = qs.shape[0]
-            ql, qr = self.pb.one_arm_moves(side, qs)
-            pose = self.station_poses[0]
-            rot = np.broadcast_to(pose.r, (w, 3, 3))
-            t = np.broadcast_to(pose.t, (w, 3))
-            holding = tuple(() if i < w - 1 else ((side, gid),) for i in range(w))
-            return _EdgeData(ql, qr, rot, t, holding, kind)
+        kind, feasible, step = spec[0], self.cache.node_feasible, self.opt.interp_step
         if kind == "transfer":
             _, src, dst, side, gid = spec
-            q_from = self.node_configs(src, side)[gid]
-            q_to = self.node_configs(dst, side)[gid]
-            qs = interp_joints(q_from, q_to, self.opt.interp_step)
-            w = qs.shape[0]
+            qs = interp_joints(feasible[(src, side)][gid], feasible[(dst, side)][gid], step)
             ql, qr = self.pb.one_arm_moves(side, qs)
             rot, t = self._tool_track(side, gid, qs)
-            holding = tuple((((side, gid),),) * w)
+            holding = tuple((((side, gid),),) * qs.shape[0])
             return _EdgeData(ql, qr, rot, t, holding, kind)
-        if kind == "handover":
+        if kind == "approach":
+            _, station, side, gid = spec
+            qs = interp_joints(self.pb.home(side), feasible[(station, side)][gid], step)
+            w = qs.shape[0]
+            ql, qr = self.pb.one_arm_moves(side, qs)
+            holding = tuple(() if i < w - 1 else ((side, gid),) for i in range(w))
+        elif kind == "handover":
             _, station, giver, ggid, recv, rgid = spec
-            q_give = self.node_configs(station, giver)[ggid]
-            q_recv = self.node_configs(station, recv)[rgid]
-            seg1 = interp_joints(self.pb.home(recv), q_recv, self.opt.interp_step)
-            seg2 = interp_joints(q_give, self.pb.home(giver), self.opt.interp_step)
+            q_give = feasible[(station, giver)][ggid]
+            q_recv = feasible[(station, recv)][rgid]
+            seg1 = interp_joints(self.pb.home(recv), q_recv, step)
+            seg2 = interp_joints(q_give, self.pb.home(giver), step)
             w1, w2 = seg1.shape[0], seg2.shape[0]
-            w = w1 + w2 - 1
             give = np.vstack([np.tile(q_give, (w1, 1)), seg2[1:]])
             take = np.vstack([seg1, np.tile(q_recv, (w2 - 1, 1))])
             ql, qr = (give, take) if giver == "left" else (take, give)
-            pose = self.station_poses[station]
-            rot = np.broadcast_to(pose.r, (w, 3, 3))
-            t = np.broadcast_to(pose.t, (w, 3))
             holding = ((((giver, ggid),),) * (w1 - 1)
                        + (((giver, ggid), (recv, rgid)),)
                        + (((recv, rgid),),) * (w2 - 1))
-            return _EdgeData(ql, qr, rot, t, holding, kind)
-        raise ValueError(f"unknown edge kind {kind!r}")
+        else:
+            raise ValueError(f"unknown edge kind {kind!r}")
+        # The tool rests at the station on every row.
+        pose, w = self.stations[station], ql.shape[0]
+        return _EdgeData(ql, qr, np.broadcast_to(pose.r, (w, 3, 3)),
+                         np.broadcast_to(pose.t, (w, 3)), holding, kind)
 
     # ----- edge validation --------------------------------------------------
 
-    def edge_key(self, spec: tuple) -> tuple:
-        kind = spec[0]
-        if kind == "approach":
-            return (kind, spec[1], spec[2], self.station_keys[0])
-        if kind == "transfer":
-            return (kind, spec[3], spec[4],
-                    self.station_keys[spec[1]], self.station_keys[spec[2]])
-        _, station, giver, ggid, recv, rgid = spec
-        return (kind, giver, ggid, recv, rgid, self.station_keys[station])
-
     def validate_edge(self, spec: tuple) -> _EdgeData | str:
-        key = (self.edge_key(spec), self.constrained,
-               self.pb.constraint.theta_max)
+        key = (spec, self.constrained, self.pb.constraint.theta_max)
         if key not in self.cache.edge_verdict:
             self.cache.edge_verdict[key] = self._validate_edge_uncached(spec)
         return self.cache.edge_verdict[key]
@@ -465,7 +445,7 @@ class _Search:
         """The edge's block with its bend angles and clearances, or the
         reason its first bad row fails; bend wins a tie with contact."""
         attached = self.constrained and spec[0] == "approach"
-        key = (self.edge_key(spec), attached)
+        key = (spec, attached)
         if key not in self.cache.edge_measure:
             self.cache.edge_measure[key] = self._measure_edge(spec, attached)
         data, pair_idx, pair_names = self.cache.edge_measure[key]
@@ -489,16 +469,10 @@ class _Search:
         data = self.build_edge(spec)
         data.theta = bend_angle_batch(data.tool_rot, data.tool_t,
                                       self.pb.balancer, self.pb.tool)
-        segs = self.pb.tool.segments_world(data.tool_rot, data.tool_t)
-        radii, names = self.tool_radii, self.tool_names
-        if attached:
-            segs = np.concatenate([segs, cable_segments(
-                data.tool_rot, data.tool_t, self.pb.balancer, self.pb.tool)], axis=1)
-            radii = np.append(radii, self.pb.balancer.cable_radius)
-            names = names + [CABLE]
         data.clearance, pair_idx, pair_names = motion_clearances(
             self.pb.world, self.pb.robot, data.q_left, data.q_right,
-            segs, radii, names)
+            *self.pb.tool.bodies(data.tool_rot, data.tool_t,
+                                 self.pb.balancer if attached else None))
         return data, pair_idx, pair_names
 
     # ----- search -----------------------------------------------------------
@@ -506,37 +480,37 @@ class _Search:
     def successors(self, node) -> list[tuple[tuple, tuple, float]]:
         """(successor node, edge spec, edge joint distance), in fixed order."""
         out = []
+        feasible = self.cache.node_feasible
         if node == ROOT:
-            if not self.station_ok(0):
+            if self.start not in self.stations:
                 return out
             for side in ("left", "right"):
                 home = self.pb.home(side)
-                for gid, q in sorted(self.node_configs(0, side).items()):
+                for gid, q in sorted(feasible[(self.start, side)].items()):
                     dist = float(np.linalg.norm(q - home))
-                    out.append((("node", 0, side, gid),
-                                ("approach", side, gid), dist))
+                    out.append((("node", self.start, side, gid),
+                                ("approach", self.start, side, gid), dist))
             return out
         _, station, side, gid = node
-        if station == self.goal_idx:
+        if station == self.goal:
             return out
-        q_here = self.node_configs(station, side)[gid]
-        if station == 0:
-            targets = range(1, len(self.station_poses))
+        q_here = feasible[(station, side)][gid]
+        # From the start: the live hovers, then the goal; from a hover: the goal.
+        if station == self.start:
+            targets = list(self.stations)[1:]
         else:
-            targets = [self.goal_idx]
+            targets = [self.goal] if self.goal in self.stations else []
         for dst in targets:
-            if not self.station_ok(dst):
-                continue
-            q_dst = self.node_configs(dst, side).get(gid)
+            q_dst = feasible[(dst, side)].get(gid)
             if q_dst is None:
                 continue
             dist = float(np.linalg.norm(q_dst - q_here))
             out.append((("node", dst, side, gid),
                         ("transfer", station, dst, side, gid), dist))
-        if 0 < station < self.goal_idx:
+        if station != self.start:
             recv = "right" if side == "left" else "left"
             my_axial = self.axial[gid]
-            for rgid, q_recv in sorted(self.node_configs(station, recv).items()):
+            for rgid, q_recv in sorted(feasible[(station, recv)].items()):
                 if abs(self.axial[rgid] - my_axial) < \
                         self.opt.min_handover_separation:
                     continue
@@ -562,7 +536,7 @@ class _Search:
             parents[node] = (parent, spec)
             if node != ROOT:
                 self.stats.nodes_settled += 1
-                if node[1] == self.goal_idx:
+                if node[1] == self.goal:
                     path = []
                     while node != ROOT:
                         node, spec = parents[node]
@@ -581,7 +555,7 @@ class _Search:
 
     def run(self) -> PlanResult:
         t0 = time.monotonic()
-        solve_stations([self.pb], self.opt, self.cache, self.constrained)
+        _solve_stations([(self.pb, self.stations)], self.opt, self.cache)
         succ: dict = {}
         bad: set = set()
         blocks: dict = {}

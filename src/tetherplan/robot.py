@@ -151,11 +151,12 @@ def fk_batch(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return fk_chain_batch(arm.base.r, arm.base.t, qs)[:3]
 
 
-def _chain_jacobian(tcp_t: np.ndarray, origins: np.ndarray,
+def _chain_jacobian(points: np.ndarray, origins: np.ndarray,
                     axes: np.ndarray) -> np.ndarray:
-    """Geometric TCP Jacobians (W, 6, 6) from the fk_chain_batch outputs
-    of W rows: rows 0-2 linear (m/rad), rows 3-5 angular."""
-    lever = tcp_t[:, None, :] - origins[:, 1:N_JOINTS + 1, :]
+    """Geometric Jacobians (W, 6, 6) of W world points (W, 3) rigidly
+    attached to the TCP body, from the fk_chain_batch outputs of W rows:
+    rows 0-2 linear (m/rad), rows 3-5 angular."""
+    lever = points[:, None, :] - origins[:, 1:N_JOINTS + 1, :]
     ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]
     lx, ly, lz = lever[..., 0], lever[..., 1], lever[..., 2]
     jac = np.empty((lever.shape[0], 6, N_JOINTS))
@@ -173,9 +174,8 @@ def point_jacobian(arm: ArmModel, qs: np.ndarray, points: np.ndarray) -> np.ndar
     qs is (W, 6) and points (W, 3), one point per configuration.
     """
     _, _, origins, axes = fk_chain_batch(arm.base.r, arm.base.t, qs)
-    points = np.asarray(points, dtype=float).reshape(-1, 1, 3)
-    linear = np.cross(axes, points - origins[:, 1:N_JOINTS + 1, :])
-    return linear.transpose(0, 2, 1)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    return _chain_jacobian(points, origins, axes)[:, :3]
 
 
 def _beyond_reach(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,

@@ -14,9 +14,9 @@ format's header, preamble parsers and holding parser, and converts each
 row on its own.  per_grasp_sample_grasps and per_pair_station_solve, the
 references for the whole-array grasp table and station set-up: they
 build each grasp with the library's rot_axis_angle and each IK target
-with compose, and call ik_batch and motion_clearances, one clearance
-call per (station, arm) pair, since the stacked forms must match these
-kernels bit for bit.
+with compose, prune stations by bend_angle_batch themselves, and call
+ik_batch and motion_clearances, one clearance call per (station, arm)
+pair, since the stacked forms must match these kernels bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import time
 import numpy as np
 
 from tetherplan import robot as rb
+from tetherplan.cable import bend_angle_batch
 from tetherplan.collision import motion_clearances
 from tetherplan.planner import ROOT, MotionPlan, PlanResult, _stations, \
     solve_stations
@@ -290,7 +291,7 @@ def pop_and_check_search(search) -> PlanResult:
         settled[node] = (edges, dist)
         parents[node] = (parent, block)
         stats.nodes_settled += 1
-        if node[1] == search.goal_idx:
+        if node[1] == search.goal:
             goal_node = node
             break
         for succ, succ_spec, succ_dist in search.successors(node):
@@ -338,16 +339,22 @@ def per_grasp_sample_grasps(tool, axial_samples: int, roll_samples: int,
 def per_pair_station_solve(problems, options, constrained: bool = False):
     """solve_stations on a fresh cache, one (station, arm) pair at a time.
 
-    Each pair samples its own grasps (per_grasp_sample_grasps) and
-    composes its targets grasp by grasp; the targets of all pairs go to
-    one grouped ik_batch call, one group per pair, as in solve_stations.
+    In constrained mode a station is kept while its bend_angle_batch
+    angle is below the limit, and no station of a problem whose start
+    is over it.  Each pair samples its own grasps
+    (per_grasp_sample_grasps) and composes its targets grasp by grasp;
+    the targets of all pairs go to one grouped ik_batch call, one group
+    per pair, as in solve_stations.
     Each pair's solved grasps then get a motion_clearances call of their
     own, the other arm at home and the tool resting at the pair's
     station.  Returns (target_r, target_t, node_feasible).
     """
     jobs = []
     for problem in problems:
-        poses, keys, thetas = _stations(problem)
+        poses, keys, _ = _stations(problem, False)
+        thetas = bend_angle_batch(np.stack([p.r for p in poses]),
+                                  np.stack([p.t for p in poses]),
+                                  problem.balancer, problem.tool)
         keep = (thetas < problem.constraint.theta_max if constrained
                 else np.ones(len(poses), dtype=bool))
         if not keep[0]:
@@ -380,8 +387,7 @@ def per_pair_station_solve(problems, options, constrained: bool = False):
         idx = np.nonzero(ok[lo:lo + n])[0]
         if idx.size:
             ql, qr = problem.one_arm_moves(side, sols[lo + idx])
-            _, radii, names = problem.tool.shape_segments()
-            segs = problem.tool.segments_world(pose.r[None], pose.t[None])
+            segs, radii, names = problem.tool.bodies(pose.r[None], pose.t[None])
             clear, _, _ = motion_clearances(
                 problem.world, problem.robot, ql, qr,
                 np.broadcast_to(segs, (idx.size,) + segs.shape[1:]),

@@ -7,6 +7,7 @@ from helpers import HOME_LEFT, HOME_RIGHT, make_problem
 
 from tetherplan.bench import recheck_plan
 from tetherplan.cable import (
+    CABLE,
     DEFAULT_MAX_BEND,
     BalancerSpec,
     BendConstraint,
@@ -182,11 +183,37 @@ class TestSpecs:
         assert names == ["tool/body", "tool/tip"]
         assert radii == pytest.approx([0.018, 0.02])
         poses = [Pose(rot_y(0.5), [0.1, -0.2, 0.8]), Pose(rot_z(2.0), [0.0, 0.3, 0.5])]
-        world = tool.segments_world(np.stack([p.r for p in poses]),
-                                    np.stack([p.t for p in poses]))
+        world, world_radii, world_names = tool.bodies(np.stack([p.r for p in poses]),
+                                                      np.stack([p.t for p in poses]))
         assert world.shape == (2, 2, 2, 3)
+        assert np.array_equal(world_radii, radii) and world_names == names
         for w, pose in enumerate(poses):
             assert np.allclose(world[w, 0, 0], pose.r @ [0, 0, -0.10] + pose.t)
             assert np.allclose(world[w, 0, 1], pose.r @ [0, 0, 0.05] + pose.t)
             assert np.allclose(world[w, 1, 0], pose.r @ [0, 0, -0.13] + pose.t)
             assert np.allclose(world[w, 1, 1], world[w, 1, 0])
+
+
+def test_bodies_equal_the_elementwise_transform():
+    # The shapes move by sum_j rot[:, :, j] * p[j] + t, element by element,
+    # and the cable is cable_segments', both bit for bit: no BLAS kernel
+    # enters the bodies that ride with the tool.
+    rng = np.random.default_rng(29)
+    tool, balancer = make_tool((0.1, 0.0, 0.09)), make_balancer()
+    rot = np.stack([quat_matrix(random_quat(rng)) for _ in range(50)])
+    t = rng.uniform(-0.5, 0.5, (50, 3))
+    local, radii, names = tool.shape_segments()
+    want = (rot[:, None, None, :, 0] * local[None, :, :, None, 0]
+            + rot[:, None, None, :, 1] * local[None, :, :, None, 1]
+            + rot[:, None, None, :, 2] * local[None, :, :, None, 2]
+            ) + t[:, None, None, :]
+    segs, got_radii, got_names = tool.bodies(rot, t)
+    assert segs.tobytes() == want.tobytes()
+    assert np.array_equal(got_radii, radii) and got_names == names
+    segs, got_radii, got_names = tool.bodies(rot, t, balancer)
+    k = len(names)
+    assert segs.shape == (50, k + 1, 2, 3)
+    assert segs[:, :k].tobytes() == want.tobytes()
+    assert segs[:, k:].tobytes() == cable_segments(rot, t, balancer, tool).tobytes()
+    assert np.array_equal(got_radii, [*radii, balancer.cable_radius])
+    assert got_names == names + [CABLE]

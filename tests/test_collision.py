@@ -469,6 +469,22 @@ class TestBoundedClearances:
                 world, robot, ql, qr, segs, [0.01], ["tool"])
             assert {names[k] for k in idx} == {("ball", "tool")}
 
+    def test_empty_batch_returns_empty(self):
+        # Zero rows give empty (W,) arrays and the pair names, with and
+        # without attached bodies, as every other batch kernel does.
+        robot = make_robot()
+        world = cluttered_world()
+        empty = np.zeros((0, 6))
+        for k in (0, 1):
+            radii, names = [0.02] * k, ["tool"] * k
+            clear, idx, pairs = motion_clearances(
+                world, robot, empty, empty, np.zeros((0, k, 2, 3)), radii, names)
+            assert clear.shape == idx.shape == (0,)
+            assert pairs == motion_clearances(
+                world, robot, HOME_LEFT[None], HOME_RIGHT[None],
+                np.zeros((1, k, 2, 3)), radii, names)[2]
+            assert any("tool" in pair for pair in pairs) == bool(k)
+
 
 class TestPairTableMemo:
     # The tool shapes and the cable, attached as a constrained approach

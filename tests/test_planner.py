@@ -10,8 +10,7 @@ from oracles import per_grasp_sample_grasps, per_pair_station_solve, \
     pop_and_check_search
 
 from tetherplan import planner, robot
-from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch, \
-    cable_segments
+from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch
 from tetherplan.collision import Capsule, CollisionWorld, _pair_clearances, \
     motion_clearances
 from tetherplan.geometry import Pose, rot_x, rpy_to_rot
@@ -145,8 +144,8 @@ class TestPlanning:
         cache = PlanCache()
         solve_stations([problem], QUICK, cache)
         probe = _Search(problem, True, QUICK, cache)
-        assert not probe.node_configs(0, "right")
-        assert not probe.node_configs(2, "left")
+        assert not cache.node_feasible[(probe.start, "right")]
+        assert not cache.node_feasible[(probe.goal, "left")]
         result = plan(problem, constrained=True, options=QUICK)
         assert result.success, result.stats
         p = result.plan
@@ -340,16 +339,12 @@ class TestAssembly:
             p.theta, bend_angle_batch(rot, t, problem.balancer, problem.tool))
         # The approach ends on the first held waypoint.
         approach = next(i for i, h in enumerate(p.holding) if h) + 1
-        _, radii, names = problem.tool.shape_segments()
-        segs = problem.tool.segments_world(rot, t)
         dense, _ = _pair_clearances(problem.world, problem.robot, p.q_left,
-                                    p.q_right, segs, radii, names)
+                                    p.q_right, *problem.tool.bodies(rot, t))
         want = dense.min(axis=1)
         with_cable, table = _pair_clearances(
             problem.world, problem.robot, p.q_left, p.q_right,
-            np.concatenate([segs, cable_segments(rot, t, problem.balancer,
-                                                 problem.tool)], axis=1),
-            np.append(radii, problem.balancer.cable_radius), names + [CABLE])
+            *problem.tool.bodies(rot, t, problem.balancer))
         if constrained:
             want[:approach] = with_cable[:approach].min(axis=1)
         assert np.array_equal(p.clearance, want)
@@ -504,8 +499,8 @@ class TestEdgeValidation:
         k = len(problem.tool.shapes)
         nearest_cable = 0
         for side in ("left", "right"):
-            for gid in sorted(search.node_configs(0, side)):
-                search._validate_edge_uncached(("approach", side, gid))
+            for gid in sorted(search.cache.node_feasible[(search.start, side)]):
+                search._validate_edge_uncached(("approach", search.start, side, gid))
                 args = calls.pop()
                 _, robot, ql, qr, segs, radii, names = args
                 assert names[k:] == [CABLE]
@@ -588,6 +583,28 @@ class TestStationSolve:
         assert 0 < fk_calls_per_ik[0] <= (robot._IK_RESTART_AFTER
                                           + scene.options.ik.max_iters + 1)
         assert len(cache.node_feasible) == 28
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_one_plan_builds_its_station_table_once(self, monkeypatch,
+                                                    constrained):
+        calls = []
+        stations = planner._stations
+        monkeypatch.setattr(planner, "_stations",
+                            lambda *a: calls.append(a) or stations(*a))
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        assert plan(problem, constrained=constrained, options=QUICK).success
+        assert len(calls) == 1
+
+    def test_unconstrained_stations_are_all_live_without_a_bend_check(
+            self, monkeypatch):
+        def no_bend(*args):
+            raise AssertionError("an unconstrained station table checked the bend")
+
+        monkeypatch.setattr(planner, "bend_angle_batch", no_bend)
+        bent = replace(make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45]),
+                       start_pose=Pose(rot_x(math.radians(120.0)), [0.3, 0.35, 0.45]))
+        poses, keys, live = planner._stations(bent, False)
+        assert len(poses) == len(keys) == live.size == 3 and live.all()
 
     def test_bent_start_fails_without_ik(self, monkeypatch):
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])

@@ -827,3 +827,16 @@ def test_wrist_inside_the_shoulder_cylinder_is_flagged():
         rots, ts, _ = _wrist_targets(arm, rng, rad, rng.uniform(-0.4, 0.4, 40),
                                      z6 / np.linalg.norm(z6))
         assert np.all(rb._beyond_reach(arm, rots, ts, opts) == flagged)
+
+
+def test_point_jacobian_equals_the_cross_product_form(arm):
+    # The linear rows of the one Jacobian kernel, at points of their
+    # own, equal np.cross of the joint axes and levers bit for bit.
+    rng = np.random.default_rng(53)
+    qs = rng.uniform(-2.0, 2.0, (40, 6))
+    points = rng.uniform(-0.5, 0.5, (40, 3))
+    _, _, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    want = np.cross(axes, points[:, None, :] - origins[:, 1:7]).transpose(0, 2, 1)
+    got = rb.point_jacobian(arm, qs, points)
+    assert got.shape == (40, 3, 6)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
