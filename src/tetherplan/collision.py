@@ -9,9 +9,10 @@ collides only when its clearance is strictly negative.
 
 A query assembles the arm, static and attached capsules (the tool's
 shapes and its cable) of a batch of waypoints (an arm that keeps one
-configuration on every row gets FK once) and a pair table, memoized on
-the names, kinds and radii it reads.  _pair_clearances measures the dense (W, P) matrix of pair
-clearances, the reference that motion_clearances is tested against.
+configuration on every row gets FK once) and the world's pair table
+for the attached set, built once per world and attached set.
+_pair_clearances measures the dense (W, P) matrix of pair clearances,
+the reference that motion_clearances is tested against.
 
 motion_clearances returns the same matrix's minimum and first argmin
 per row but measures only the entries that can decide them.  It
@@ -35,8 +36,8 @@ min and np.argmin bit for bit.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -189,19 +190,26 @@ def link_names(side: str) -> list[str]:
 
 class CollisionWorld:
     """Immutable scene of what never moves, plus the link geometry both
-    arms share.
+    arms share, split once into what a clearance query reads.
 
     Whatever moves with the tool (its shapes and its cable) is attached
     per query, one row per waypoint, and attached bodies are never
-    measured against one another.
+    measured against one another.  pair_tables holds the pair table of
+    each attached set that a query has named (_pair_table).
     """
 
     def __init__(self, statics: Mapping[str, Shape],
                  link_spec: ArmLinkSpec,
                  excluded_pairs: Iterable[tuple[str, str]] = ()):
-        self.statics: dict[str, Shape] = dict(statics)
+        self.statics: Mapping[str, Shape] = MappingProxyType(dict(statics))
         self.link_spec = link_spec
         self.excluded = frozenset(frozenset(p) for p in excluded_pairs)
+        caps = {n: s for n, s in self.statics.items() if not isinstance(s, Box)}
+        self.capsule_names = tuple(caps)
+        self.capsule_segments, self.capsule_radii = capsule_segments(caps.values())
+        self.box_names = tuple(n for n in self.statics if n not in caps)
+        self.boxes = tuple(self.statics[n] for n in self.box_names)
+        self.pair_tables: dict[tuple, _PairTable] = {}
 
 
 def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:
@@ -238,105 +246,75 @@ class _PairTable:
     pair_names: tuple[tuple[str, str], ...]
 
 
-def _build_pair_table(world: CollisionWorld,
-                      attached_names: Sequence[str],
-                      attached_radii: Sequence[float]) -> _PairTable:
-    """The pair table, memoized on everything it reads."""
-    statics = tuple((n, None if isinstance(s, Box) else s.radius)
-                    for n, s in world.statics.items())
-    links = tuple(world.link_spec.radii.tolist())
-    attached = tuple(zip(attached_names, map(float, attached_radii)))
-    return _pair_table(statics, world.excluded, links, attached)
+def _pair_table(world: CollisionWorld, attached_names: Sequence[str],
+                attached_radii: Sequence[float]) -> _PairTable:
+    """The pair table of world with these bodies attached, built once
+    per world and attached set.
 
-
-@functools.lru_cache(maxsize=64)
-def _pair_table(statics: tuple[tuple[str, float | None], ...],
-                excluded_pairs: frozenset,
-                link_radii: tuple[float, ...],
-                attached: tuple[tuple[str, float], ...]) -> _PairTable:
-    names: list[str] = []
-    radii: list[float] = []
-    group: list[str] = []        # "left", "right", "static", "attached"
-    for side in ("left", "right"):
-        names += link_names(side)
-        radii += link_radii
-        group += [side] * _LINK_COUNT
-    for n, r in statics:
-        if r is not None:
-            names.append(n)
-            radii.append(r)
-            group.append("static")
-    for n, r in attached:
-        names.append(n)
-        radii.append(r)
-        group.append("attached")
-
-    def excluded(i: int, j: int) -> bool:
-        gi, gj = group[i], group[j]
-        if gi == gj and gi in ("static", "attached"):
-            return True
-        if gi == gj:  # same arm: skip adjacent links
-            li = int(names[i].rsplit("link", 1)[1])
-            lj = int(names[j].rsplit("link", 1)[1])
-            if abs(li - lj) <= 1:
-                return True
-        if frozenset((names[i], names[j])) in excluded_pairs:
-            return True
-        return False
-
-    n = len(names)
-    first, second, box, pair_names = [], [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if excluded(i, j):
-                continue
-            first.append(i)
-            second.append(j)
-            box.append(-1)
-            pair_names.append((names[i], names[j]))
-    boxes = [name for name, r in statics if r is None]
-    for bi, bname in enumerate(boxes):
-        for i in range(n):
-            if group[i] == "static":
-                continue
-            if frozenset((names[i], bname)) in excluded_pairs:
-                continue
-            first.append(i)
-            second.append(n)
-            box.append(bi)
-            pair_names.append((names[i], bname))
-
-    first_arr, second_arr, box_arr = (np.asarray(v, dtype=int)
-                                      for v in (first, second, box))
-    radii_arr = np.append(radii, 0.0)
-    radius = radii_arr[first_arr] + radii_arr[second_arr]
-    for arr in (first_arr, second_arr, box_arr, radius):
-        arr.flags.writeable = False      # shared by every caller of the memo
-    return _PairTable(first=first_arr, second=second_arr, box=box_arr,
-                      radius=radius, pair_names=tuple(pair_names))
+    Capsules are numbered left links, right links, static capsules,
+    attached bodies.  Capsule pairs come in np.triu_indices order, then
+    each box with every capsule that moves, box by box.  No pair joins
+    two statics, two attached bodies, adjacent links of one arm or two
+    names that world.excluded pairs.
+    """
+    key = (tuple(attached_names), tuple(map(float, attached_radii)))
+    if key in world.pair_tables:
+        return world.pair_tables[key]
+    names = [*link_names("left"), *link_names("right"), *world.capsule_names, *key[0]]
+    n, n_box = len(names), len(world.boxes)
+    # 0 and 1: an arm's links in chain order; 2: static; 3: attached.
+    group = np.repeat([0, 1, 2, 3], [_LINK_COUNT, _LINK_COUNT,
+                                     len(world.capsule_names), len(key[0])])
+    i, j = np.triu_indices(n, 1)
+    keep = (group[i] != group[j]) | ((group[i] < 2) & (j - i > 1))
+    moving = np.flatnonzero(group != 2)
+    # A pair's other body indexes names, and past them the boxes.
+    first = np.concatenate([i[keep], np.tile(moving, n_box)])
+    other = np.concatenate([j[keep], np.repeat(n + np.arange(n_box), moving.size)])
+    every = names + list(world.box_names)
+    pairs = [(every[a], every[b]) for a, b in zip(first.tolist(), other.tolist())]
+    named = np.array([frozenset(p) not in world.excluded for p in pairs], dtype=bool)
+    first, other = first[named], other[named]
+    radius = np.concatenate([world.link_spec.radii, world.link_spec.radii,
+                             world.capsule_radii, key[1], [0.0]])
+    second = np.minimum(other, n)
+    table = _PairTable(first=first, second=second, box=np.maximum(other - n, -1),
+                       radius=radius[first] + radius[second],
+                       pair_names=tuple(p for p, ok in zip(pairs, named) if ok))
+    for arr in (table.first, table.second, table.box, table.radius):
+        arr.flags.writeable = False      # shared by every query of world
+    world.pair_tables[key] = table
+    return table
 
 
 def _query(world: CollisionWorld, robot: DualArm,
            q_left: np.ndarray, q_right: np.ndarray,
            attached_segments: np.ndarray | None,
            attached_radii: Sequence[float],
-           attached_names: Sequence[str]) -> tuple[np.ndarray, list[Box], _PairTable]:
-    """Capsule segments (W, N, 2, 3), static boxes and the pair table."""
-    q_left = np.asarray(q_left, dtype=float).reshape(-1, 6)
-    q_right = np.asarray(q_right, dtype=float).reshape(-1, 6)
-    w = q_left.shape[0]
-    parts = [
-        arm_link_segments(robot.left, world.link_spec, q_left),
-        arm_link_segments(robot.right, world.link_spec, q_right),
-    ]
-    stat, _ = capsule_segments(s for s in world.statics.values()
-                               if not isinstance(s, Box))
-    parts.append(np.broadcast_to(stat, (w,) + stat.shape))
-    if attached_segments is not None and len(attached_names):
-        parts.append(np.asarray(attached_segments, dtype=float))
-    boxes = [s for s in world.statics.values() if isinstance(s, Box)]
-    table = _build_pair_table(world, attached_names, attached_radii)
-    return np.concatenate(parts, axis=1), boxes, table
+           attached_names: Sequence[str]) -> tuple[np.ndarray, _PairTable]:
+    """Capsule segments (W, N, 2, 3) and the pair table.
+
+    Raises ValueError unless q_left, q_right and attached_segments have
+    one row per waypoint, and attached_segments, attached_names and
+    attached_radii one entry per attached body.
+    """
+    left, right = (arm_link_segments(arm, world.link_spec, q)
+                   for arm, q in ((robot.left, q_left), (robot.right, q_right)))
+    w = len(left)
+    segs = np.asarray(np.empty((w, 0, 2, 3)) if attached_segments is None
+                      else attached_segments, dtype=float)
+    if segs.ndim != 4 or segs.shape[2:] != (2, 3):
+        raise ValueError(f"attached_segments must be (W, K, 2, 3), not {segs.shape}")
+    if not w == len(right) == len(segs):
+        raise ValueError(f"q_left has {w} rows, q_right {len(right)} and "
+                         f"attached_segments {len(segs)}; they must agree")
+    if not segs.shape[1] == len(attached_names) == len(attached_radii):
+        raise ValueError(f"attached_segments holds {segs.shape[1]} bodies, "
+                         f"attached_names {len(attached_names)} and "
+                         f"attached_radii {len(attached_radii)}; they must agree")
+    statics = np.broadcast_to(world.capsule_segments, (w,) + world.capsule_segments.shape)
+    return (np.concatenate([left, right, statics, segs], axis=1),
+            _pair_table(world, attached_names, attached_radii))
 
 
 def _measure(caps: np.ndarray, boxes: Sequence[Box], table: _PairTable,
@@ -369,12 +347,11 @@ def _pair_clearances(world: CollisionWorld, robot: DualArm,
     The dense matrix; see motion_clearances for the arguments.  Columns
     follow table.pair_names.
     """
-    caps, boxes, table = _query(world, robot, q_left, q_right,
-                                attached_segments, attached_radii,
-                                attached_names)
+    caps, table = _query(world, robot, q_left, q_right, attached_segments,
+                         attached_radii, attached_names)
     w, p = caps.shape[0], len(table.pair_names)
     rows, cols = np.divmod(np.arange(w * p), p)
-    return _measure(caps, boxes, table, rows, cols).reshape(w, p), table
+    return _measure(caps, world.boxes, table, rows, cols).reshape(w, p), table
 
 
 def motion_clearances(world: CollisionWorld, robot: DualArm,
@@ -396,9 +373,8 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
     docstring) cannot place above the row's least upper bound plus
     _BOUND_MARGIN.  The rows need not form a motion.
     """
-    caps, boxes, table = _query(world, robot, q_left, q_right,
-                                attached_segments, attached_radii,
-                                attached_names)
+    caps, table = _query(world, robot, q_left, q_right, attached_segments,
+                         attached_radii, attached_names)
     w, p = caps.shape[0], len(table.pair_names)
     if not p:
         return np.full(w, np.inf), np.zeros(w, dtype=int), table.pair_names
@@ -407,7 +383,7 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
     is_coarse[::_COARSE_STRIDE] = is_coarse[-1:] = True
     coarse, fine = np.flatnonzero(is_coarse), np.flatnonzero(~is_coarse)
     rows, cols = np.divmod(np.arange(coarse.size * p), p)
-    clear[coarse] = _measure(caps, boxes, table, coarse[rows], cols
+    clear[coarse] = _measure(caps, world.boxes, table, coarse[rows], cols
                              ).reshape(coarse.size, p)
     if fine.size:
         lower = np.full((fine.size, p), -np.inf)
@@ -425,7 +401,7 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
             upper = np.minimum(upper, clear[near] + slack)
         rows, cols = np.nonzero(lower <= upper.min(axis=1, keepdims=True)
                                 + _BOUND_MARGIN)
-        clear[fine[rows], cols] = _measure(caps, boxes, table, fine[rows], cols)
+        clear[fine[rows], cols] = _measure(caps, world.boxes, table, fine[rows], cols)
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(w), idx], idx, table.pair_names
 

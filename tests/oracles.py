@@ -17,6 +17,8 @@ build each grasp with the library's rot_axis_angle and each IK target
 with compose, prune stations by bend_angle_batch themselves, and call
 ik_batch and motion_clearances, one clearance call per (station, arm)
 pair, since the stacked forms must match these kernels bit for bit.
+loop_pair_table, the reference for the masked pair table: it returns
+the library's _PairTable record, named by link_names.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from tetherplan import robot as rb
 from tetherplan.cable import bend_angle_batch
-from tetherplan.collision import motion_clearances
+from tetherplan.collision import Box, _PairTable, link_names, motion_clearances
 from tetherplan.planner import ROOT, MotionPlan, PlanResult, _stations, \
     solve_stations
 from tetherplan.geometry import Pose, compose, rot_axis_angle, rot_to_rotvec, \
@@ -477,3 +479,58 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
         edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
         joint_distance=meta["joint_distance_rad"])
+
+
+# --- pair-by-pair pair table ---
+
+def loop_pair_table(world, attached_names, attached_radii) -> _PairTable:
+    """The clearance pair table, one candidate pair at a time.
+
+    Reads the statics in world.statics order and tells adjacent links
+    of one arm by the link numbers in their names.
+    """
+    names, radii, group = [], [], []
+    for side in ("left", "right"):
+        names += link_names(side)
+        radii += world.link_spec.radii.tolist()
+        group += [side] * len(link_names(side))
+    for name, shape in world.statics.items():
+        if not isinstance(shape, Box):
+            names.append(name)
+            radii.append(shape.radius)
+            group.append("static")
+    for name, radius in zip(attached_names, attached_radii, strict=True):
+        names.append(name)
+        radii.append(float(radius))
+        group.append("attached")
+
+    def skipped(i, j):
+        if group[i] == group[j] and group[i] in ("static", "attached"):
+            return True
+        if group[i] == group[j] and abs(int(names[i].rsplit("link", 1)[1])
+                                        - int(names[j].rsplit("link", 1)[1])) <= 1:
+            return True
+        return frozenset((names[i], names[j])) in world.excluded
+
+    n = len(names)
+    first, second, box, pair_names = [], [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not skipped(i, j):
+                first.append(i)
+                second.append(j)
+                box.append(-1)
+                pair_names.append((names[i], names[j]))
+    boxes = [name for name, shape in world.statics.items() if isinstance(shape, Box)]
+    for bi, bname in enumerate(boxes):
+        for i in range(n):
+            if group[i] != "static" and frozenset((names[i], bname)) not in world.excluded:
+                first.append(i)
+                second.append(n)
+                box.append(bi)
+                pair_names.append((names[i], bname))
+    first, second, box = (np.asarray(v, dtype=int) for v in (first, second, box))
+    radii = np.append(radii, 0.0)
+    return _PairTable(first=first, second=second, box=box,
+                      radius=radii[first] + radii[second],
+                      pair_names=tuple(pair_names))

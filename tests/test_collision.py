@@ -13,8 +13,8 @@ from tetherplan.collision import (
     Box,
     Capsule,
     CollisionWorld,
-    _build_pair_table,
     _pair_clearances,
+    _pair_table,
     _seg_box_batch,
     _seg_seg_batch,
     arm_link_segments,
@@ -28,7 +28,8 @@ from tetherplan.robot import ArmModel, DualArm, fk_batch
 from tetherplan.scene import default_scene
 
 from helpers import HOME_LEFT, HOME_RIGHT, make_problem
-from oracles import segment_box_distance_sampled, segment_distance_sampled
+from oracles import loop_pair_table, segment_box_distance_sampled, \
+    segment_distance_sampled
 
 
 def random_segment(rng, scale=1.0):
@@ -486,60 +487,127 @@ class TestBoundedClearances:
             assert any("tool" in pair for pair in pairs) == bool(k)
 
 
-class TestPairTableMemo:
-    # The tool shapes and the cable, attached as a constrained approach
-    # edge and the re-check attach them.
-    NAMES = ["tool/handle", "tool/head", CABLE]
-    RADII = [0.018, 0.03, 0.01]
+# The tool shapes and the cable, attached as a constrained approach edge
+# and the re-check attach them.
+ATTACHED = ["tool/handle", "tool/head", CABLE]
+ATTACHED_RADII = [0.018, 0.03, 0.01]
 
-    def test_equal_worlds_share_one_table(self):
+
+class TestPairTableMemo:
+    def test_one_world_builds_each_table_once(self):
         first, second = (make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3]).world
                          for _ in range(2))
-        assert first is not second
-        table = _build_pair_table(first, self.NAMES, self.RADII)
-        assert _build_pair_table(second, self.NAMES, self.RADII) is table
+        tables = [_pair_table(first, ATTACHED[:k], ATTACHED_RADII[:k])
+                  for k in (2, 3)]
+        assert tables[0] is not tables[1]
+        for k, table in zip((2, 3), tables):
+            assert _pair_table(first, ATTACHED[:k], ATTACHED_RADII[:k]) is table
+            assert _pair_table(first, tuple(ATTACHED[:k]),
+                               np.array(ATTACHED_RADII[:k])) is table
+        assert len(first.pair_tables) == 2
+        # An equal but separate world builds its own.
+        other = _pair_table(second, ATTACHED, ATTACHED_RADII)
+        assert other is not tables[1] and other.pair_names == tables[1].pair_names
+        # The statics are read-only, so neither the split nor a table
+        # goes stale.
+        with pytest.raises(TypeError):
+            first.statics["post"] = Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04)
 
     def test_a_changed_input_gets_its_own_table(self):
         world = make_problem([0.3, 0.0, 0.3], [0.3, 0.1, 0.3]).world
-        table = _build_pair_table(world, self.NAMES, self.RADII)
-        thicker = _build_pair_table(world, self.NAMES, self.RADII[:2] + [0.02])
+        table = _pair_table(world, ATTACHED, ATTACHED_RADII)
+        thicker = _pair_table(world, ATTACHED, ATTACHED_RADII[:2] + [0.02])
         assert thicker is not table
         assert not np.array_equal(thicker.radius, table.radius)
         excluded = CollisionWorld(world.statics, world.link_spec,
                                   [*map(tuple, world.excluded),
                                    (CABLE, "left/link1")])
-        other = _build_pair_table(excluded, self.NAMES, self.RADII)
+        other = _pair_table(excluded, ATTACHED, ATTACHED_RADII)
         assert ("left/link1", CABLE) in table.pair_names
         assert set(other.pair_names) == set(table.pair_names) - {("left/link1", CABLE)}
+
+
+def pair_table_worlds():
+    """The default world; it with two static capsules, a second turned
+    box and two more exclusions; a world with no box; one with no
+    statics at all."""
+    base = default_scene().base.world
+    cluttered = CollisionWorld(
+        {**base.statics, "post": Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04),
+         "ball": Capsule([0.0, 0.3, 0.3], [0.0, 0.3, 0.3], 0.05),
+         "crate": Box(Pose(rpy_to_rot(0.3, 0.2, 0.5), [0.35, -0.2, 0.45]),
+                      [0.1, 0.15, 0.05])},
+        base.link_spec, [*map(tuple, base.excluded), (CABLE, "left/link1"),
+                         ("crate", "right/link6")])
+    no_box = CollisionWorld({"post": cluttered.statics["post"]}, base.link_spec,
+                            [("post", "tool/head")])
+    return {"default": base, "cluttered": cluttered, "no_box": no_box,
+            "bare": CollisionWorld({}, base.link_spec)}
+
+
+@pytest.mark.parametrize("world", ["default", "cluttered", "no_box", "bare"])
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_pair_table_equals_the_loop_reference(world, k):
+    world = pair_table_worlds()[world]
+    got = _pair_table(world, ATTACHED[:k], ATTACHED_RADII[:k])
+    want = loop_pair_table(world, ATTACHED[:k], ATTACHED_RADII[:k])
+    assert got.pair_names == want.pair_names
+    for name in ("first", "second", "box", "radius"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable
 
 
 def test_pair_table_pairs_no_two_statics_and_no_two_attached_bodies():
     # The default world with the tool shapes and the cable attached, and
     # the same world with two static capsules and a second box added.
-    base = default_scene().base
-    _, radii, names = base.tool.shape_segments()
-    attached = names + [CABLE]
-    cluttered = CollisionWorld(
-        {**base.world.statics, "post": Capsule([0.3, 0.0, 0.0], [0.3, 0.0, 1.0], 0.04),
-         "ball": Capsule([0.0, 0.3, 0.3], [0.0, 0.3, 0.3], 0.05),
-         "crate": Box(Pose(rpy_to_rot(0.3, 0.2, 0.5), [0.35, -0.2, 0.45]),
-                      [0.1, 0.15, 0.05])},
-        base.world.link_spec, base.world.excluded)
-    for world in (base.world, cluttered):
-        table = _build_pair_table(world, attached, [*radii, base.balancer.cable_radius])
+    worlds = pair_table_worlds()
+    for world in (worlds["default"], worlds["cluttered"]):
+        table = _pair_table(world, ATTACHED, ATTACHED_RADII)
         boxes = {n for n, s in world.statics.items() if isinstance(s, Box)}
         statics = set(world.statics) - boxes
         links = set(link_names("left") + link_names("right"))
-        capsules = 2 * len(link_names("left")) + len(statics) + len(attached)
+        capsules = 2 * len(link_names("left")) + len(statics) + len(ATTACHED)
         assert boxes and table.box.max() >= 0
         for (a, b), box, second in zip(table.pair_names, table.box, table.second):
             assert not {a, b} <= statics | boxes
-            assert not {a, b} <= set(attached)
+            assert not {a, b} <= set(ATTACHED)
             if box >= 0:
                 assert b in boxes and second == capsules
-                assert a in links or a in attached
+                assert a in links or a in ATTACHED
             else:
                 assert a not in boxes and b not in boxes
+
+
+@pytest.mark.parametrize("edit, message", [
+    # The first two were dropped without a word: the last body left
+    # every pair, or zip left the last name out of the table.
+    (lambda a: a.update(attached_names=ATTACHED[:-1], attached_radii=ATTACHED_RADII[:-1]),
+     "attached_segments holds 3 bodies, attached_names 2 and attached_radii 2"),
+    (lambda a: a.update(attached_radii=ATTACHED_RADII[:-1]),
+     "attached_segments holds 3 bodies, attached_names 3 and attached_radii 2"),
+    (lambda a: a.update(attached_segments=a["attached_segments"][:, :-1]),
+     "attached_segments holds 2 bodies, attached_names 3 and attached_radii 3"),
+    (lambda a: a.update(attached_segments=None),
+     "attached_segments holds 0 bodies, attached_names 3 and attached_radii 3"),
+    (lambda a: a.update(q_right=a["q_right"][:-1]),
+     "q_left has 4 rows, q_right 3 and attached_segments 4"),
+    (lambda a: a.update(attached_segments=a["attached_segments"][:-1]),
+     "q_left has 4 rows, q_right 4 and attached_segments 3"),
+    (lambda a: a.update(attached_segments=a["attached_segments"][0]),
+     r"attached_segments must be \(W, K, 2, 3\), not \(3, 2, 3\)"),
+], ids=["one_segment_too_many", "one_radius_short", "one_segment_short",
+        "names_without_segments", "q_right_short", "segment_rows_short",
+        "segments_without_rows"])
+def test_mismatched_attached_inputs_raise(edit, message):
+    w = 4
+    args = dict(q_left=np.tile(HOME_LEFT, (w, 1)), q_right=np.tile(HOME_RIGHT, (w, 1)),
+                attached_segments=np.tile([[0.3, 0.0, 0.3], [0.3, 0.0, 0.5]], (w, 3, 1, 1)),
+                attached_radii=ATTACHED_RADII, attached_names=ATTACHED)
+    motion_clearances(cluttered_world(), make_robot(), **args)
+    edit(args)
+    with pytest.raises(ValueError, match=message):
+        motion_clearances(cluttered_world(), make_robot(), **args)
 
 
 # motion_clearances of 64 rows by a tilted arm base and a rotated crate,

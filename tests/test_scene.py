@@ -7,7 +7,7 @@ import yaml
 from importlib import resources
 
 from tetherplan.cable import CABLE, BendConstraint, bend_angle_batch
-from tetherplan.collision import Capsule, _build_pair_table, motion_clearances
+from tetherplan.collision import Capsule, _pair_table, motion_clearances
 from tetherplan.geometry import rot_y
 from tetherplan.planner import sample_grasps
 from tetherplan.scene import (
@@ -404,7 +404,7 @@ class TestValidationErrors:
         doc["collision_exclude"] += [["cable", "tool/head"], ["cable", "left/link3"]]
         base = parse_scene(yaml.safe_dump(doc)).base
         _, radii, names = base.tool.shape_segments()
-        pairs = _build_pair_table(base.world, names + [CABLE],
-                                  [*radii, base.balancer.cable_radius]).pair_names
+        pairs = _pair_table(base.world, names + [CABLE],
+                            [*radii, base.balancer.cable_radius]).pair_names
         assert ("left/link2", CABLE) in pairs
         assert ("left/link3", CABLE) not in pairs
