@@ -92,16 +92,15 @@ class Outcome:
 class RecheckMemo:
     """Audit results for the world, robot, tool and balancer that filled it.
 
-    rows holds the clearance and nearest pair index of each re-checked
-    waypoint row, keyed by the raw bytes of its q_left, q_right, tool_rot
-    and tool_t (-0.0 and 0.0 stay distinct); pair_names is the table the
-    indices read.  plans holds the (Recheck, peak torques) of each plan
-    run_cell audited, keyed by the raw bytes of its four arrays, its
-    holding and the bend limit it was checked against.
+    rows holds the clearance of each re-checked waypoint row and whether
+    its nearest pair includes the cable, keyed by the raw bytes of its
+    q_left, q_right, tool_rot and tool_t (-0.0 and 0.0 stay distinct).
+    plans holds the (Recheck, peak torques) of each plan run_cell
+    audited, keyed by the raw bytes of its four arrays, its holding and
+    the bend limit it was checked against.
     """
 
     bodies: tuple = ()
-    pair_names: tuple = ()
     rows: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)
 
@@ -139,15 +138,17 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     if at:
         new = np.fromiter(at.values(), dtype=int, count=len(at))
         # The tool shapes and the taut cable ride on every waypoint.
-        clear, pair_idx, memo.pair_names = motion_clearances(
+        clear, pair_idx, pair_names = motion_clearances(
             problem.world, problem.robot, motion.q_left[new],
             motion.q_right[new], *problem.tool.bodies(
                 motion.tool_rot[new], motion.tool_t[new], problem.balancer))
-        memo.rows.update(zip(at, zip(clear.tolist(), pair_idx.tolist())))
-    clear, pair_idx = map(np.array, zip(*map(memo.rows.__getitem__, keys)))
+        # With no pair at all every index is 0 and every clearance inf.
+        cable = np.array([CABLE in pair for pair in pair_names] or [False])
+        memo.rows.update(zip(at, zip(clear.tolist(), cable[pair_idx].tolist())))
+    clear, cable = map(np.array, zip(*map(memo.rows.__getitem__, keys)))
     first = {}      # is the row's nearest pair the cable's -> first such row
     for i in np.nonzero(clear < 0.0)[0]:
-        first.setdefault(CABLE in memo.pair_names[pair_idx[i]], int(i))
+        first.setdefault(bool(cable[i]), int(i))
 
     return Recheck(
         theta_max=float(theta.max()),

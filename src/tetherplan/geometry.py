@@ -53,14 +53,6 @@ def rpy_to_rot(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
 
 
-def rot_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a (non-zero) axis."""
-    k = unit(axis)
-    kx, ky, kz = k
-    khat = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + math.sin(angle) * khat + (1.0 - math.cos(angle)) * (khat @ khat)
-
-
 def rot_to_rotvec(r: np.ndarray) -> np.ndarray:
     """SO(3) log map: rotations (..., 3, 3) -> axis * angle vectors (..., 3).
 
@@ -169,8 +161,3 @@ class Pose:
     @staticmethod
     def from_rpy(xyz, rpy) -> "Pose":
         return Pose(rpy_to_rot(*rpy), np.asarray(xyz, dtype=float))
-
-
-def compose(p: Pose, q: Pose) -> Pose:
-    """Pose composition: the transform applying q first, then p."""
-    return Pose(p.r @ q.r, p.r @ q.t + p.t)

@@ -2,9 +2,8 @@
 
 The planner searches a grasp graph.  Nodes are "arm X holds the tool
 with grasp g while the tool rests at station S"; stations are the start
-pose, a fixed set of handover poses, and the goal pose, each named by a
-content key (its name and pose bytes) in nodes, edge specs and the
-cache.  Edges are
+pose, a fixed set of handover poses and the goal pose, each named by a
+content key (its name and pose bytes).  Edges are
 
   * approach: an arm moves from home to its grasp on the resting tool,
   * transfer: the holding arm carries the tool between two stations,
@@ -28,10 +27,9 @@ and the plan joins those blocks, so each waypoint is measured once.  In
 constrained mode every waypoint must keep the cable bend angle below
 the limit, and the hanging cable is an obstacle until the tool is first
 grasped: a constrained approach edge attaches it beside the tool
-shapes.  So an edge is measured (built, bend-checked,
-clearance-measured) apart from the verdict a mode and a bend limit draw
-from it, and a cache shared by both modes measures each transfer and
-handover once.
+shapes.  So an edge's measurement (rows, bend angles, clearances) is
+kept apart from the verdict a mode and a bend limit draw from it, and a
+cache shared by both modes measures each transfer and handover once.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ def sample_grasps(tool: ToolSpec, axial_samples: int = 5,
     if abs(float(axis @ probe)) > 0.9:
         probe = np.array([0.0, 1.0, 0.0])
     normal = unit(probe - (probe @ axis) * axis)
-    # Each roll's Rodrigues matrix, term by term as rot_axis_angle forms it.
+    # Each roll's Rodrigues matrix, term by term as oracles.rot_axis_angle does.
     kx, ky, kz = unit(axis)
     khat = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
     psi = [2.0 * math.pi * j / roll_samples for j in range(roll_samples)]
@@ -211,46 +209,50 @@ class PlanResult:
 
 @dataclass
 class PlanCache:
-    """Cross-call memo for grasp sets, station grasp configs and edges.
+    """Cross-call memo for the grasp table, station grasp configs and
+    edges, bound to the tool and options that filled it.
 
-    grasps maps (handle end bytes, sampling options) to the
-    sample_grasps table, which both arms read, so a sweep samples its
-    grasps once.
-    node_feasible maps (station key, arm) to the collision-free grasp
-    configs there; solve_stations fills it up front, one grouped IK
-    call for both arms, and the search only reads it.  The edge tables
-    fill lazily as edges are validated, keyed by edge specs that name
-    stations by key: ("approach", start, arm, grasp), ("transfer", from,
-    to, arm, grasp) and ("handover", station, giver, grasp, receiver,
-    grasp).  edge_measure maps (spec, cable attached) to the edge's
-    measured block (rows, bend angles, clearances) and each row's
-    nearest pair.  Only a constrained approach attaches the cable, so
-    both modes share every transfer and handover measurement, and no
-    bend limit enters it.  edge_verdict maps (spec, constrained, bend
-    limit) to what one mode under one limit makes of that block: the
-    block if the edge passes, else the reason it fails; it gains one
-    entry per uncached validation.  Keys are content-addressed, so a cache
-    shared across a parameter sweep of one scene, modes and bend limits
-    included, is safe: identical queries recur whenever rows share a
-    goal pose or columns share a start pose, and the handover stations
-    never change.
+    The first claim records what the tables depend on (bound: the
+    tool's handle ends, axial_samples, roll_samples, grasp_inset,
+    interp_step and ik) and samples grasp_table, which both arms read;
+    a later claim under other values raises ValueError.  max_edges,
+    time_budget and min_handover_separation enter no table, so they stay
+    free.  Problems sharing a cache share a scene.  node_feasible maps
+    (station key, arm) to the collision-free grasp configs there;
+    solve_stations fills it up front, one grouped IK call for both
+    arms, and the search only reads it.  The edge tables fill lazily,
+    keyed by edge specs that name stations by key: ("approach", start,
+    arm, grasp), ("transfer", from, to, arm, grasp) and ("handover",
+    station, giver, grasp, receiver, grasp).  edge_measure maps (spec,
+    cable attached) to the edge's measured block (rows, bend angles,
+    clearances) and each row's nearest pair; only a constrained approach
+    attaches the cable, so both modes share every transfer and handover
+    measurement.  edge_verdict maps (spec, constrained, bend limit) to
+    the block if the edge passes there, else the reason it fails.  So
+    one cache serves a sweep of one scene, modes and bend limits
+    included.
     """
 
-    grasps: dict = field(default_factory=dict)
     node_feasible: dict = field(default_factory=dict)
     edge_measure: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
+    bound: dict | None = field(default=None, init=False)
+    grasp_table: GraspSet | None = field(default=None, init=False)
+    _BOUND_FIELDS = ("axial_samples", "roll_samples", "grasp_inset", "interp_step", "ik")
 
-    def grasp_set(self, tool: ToolSpec, options: PlannerOptions) -> GraspSet:
-        """sample_grasps(tool, ...) under options, memoized."""
-        key = (tool.handle_a.tobytes(), tool.handle_b.tobytes(),
-               options.axial_samples, options.roll_samples,
-               options.grasp_inset)
-        if key not in self.grasps:
-            self.grasps[key] = sample_grasps(
-                tool, options.axial_samples, options.roll_samples,
-                options.grasp_inset)
-        return self.grasps[key]
+    def claim(self, tool: ToolSpec, options: PlannerOptions) -> GraspSet:
+        """The grasp table; raises ValueError if tool or options differ
+        from the first claim's in a bound value."""
+        bound = dict(handle_a=tool.handle_a.tobytes(), handle_b=tool.handle_b.tobytes(),
+                     **{k: getattr(options, k) for k in self._BOUND_FIELDS})
+        if self.bound is None:
+            self.bound, self.grasp_table = bound, sample_grasps(
+                tool, options.axial_samples, options.roll_samples, options.grasp_inset)
+        elif bound != self.bound:
+            name = next(k for k in bound if bound[k] != self.bound[k])
+            raise ValueError("a PlanCache serves only the options that filled "
+                             f"it; {name} differs")
+        return self.grasp_table
 
 
 def _pose_key(pose: Pose) -> bytes:
@@ -260,11 +262,12 @@ def _pose_key(pose: Pose) -> bytes:
 
 
 def _stations(problem: PlanningProblem, constrained: bool,
-              ) -> tuple[list[Pose], list[bytes], np.ndarray]:
-    """Poses, content keys and live mask of the stations: the start,
-    every handover, then the goal.  The mask is the planner's one
-    pruning decision: in constrained mode a station is live while its
-    cable bend angle stays below the limit, otherwise every one is."""
+              ) -> tuple[dict[bytes, Pose], bytes, bytes, int]:
+    """Key -> pose of the stations a search may visit (start, handovers,
+    goal), the start's and goal's keys, and the count pruned.  This is
+    the planner's one pruning decision: in constrained mode a station
+    stays while its cable bend angle is below the limit, and none stays
+    if the start does not, since the search never leaves it then."""
     names = ["start", *(f"hover{k}" for k in range(len(problem.handover_poses))),
              "goal"]
     poses = [problem.start_pose, *problem.handover_poses, problem.goal_pose]
@@ -274,15 +277,8 @@ def _stations(problem: PlanningProblem, constrained: bool,
         live = bend_angle_batch(np.stack([p.r for p in poses]),
                                 np.stack([p.t for p in poses]), problem.balancer,
                                 problem.tool) < problem.constraint.theta_max
-    return poses, keys, live
-
-
-def _visits(poses: list[Pose], keys: list[bytes], live: np.ndarray,
-            ) -> dict[bytes, Pose]:
-    """Key -> pose of the stations a search may visit, in table order:
-    the live ones, or none if the start is not live, since the search
-    never leaves it then."""
-    return {key: pose for key, pose, ok in zip(keys, poses, live) if ok and live[0]}
+    visits = {key: pose for key, pose, ok in zip(keys, poses, live) if ok and live[0]}
+    return visits, keys[0], keys[-1], int(np.count_nonzero(~live))
 
 
 def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
@@ -294,41 +290,37 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
     pair on that pair's arm, so every pair gets exactly the configs a
     call of its own would give.  Each arm's solved grasps then pass the
     static clearance check, the tool resting at their station, in one
-    motion_clearances call.  Only the stations _visits keeps are
-    solved: in constrained mode none over the bend limit, and none of a
-    problem whose start is over it.  Problems sharing a cache share a
-    scene (see PlanCache), so one robot, world and tool serve them all.
+    motion_clearances call.  Only the stations _stations keeps are
+    solved, each at the first pose its key names.  Problems sharing a
+    cache share a scene, so the first one's robot, world and tool serve
+    them all.
     """
-    _solve_stations([(problem, _visits(*_stations(problem, constrained)))
-                     for problem in problems], options, cache)
+    stations: dict[bytes, Pose] = {}
+    for problem in problems:
+        for key, pose in _stations(problem, constrained)[0].items():
+            stations.setdefault(key, pose)
+    if problems:
+        _solve_stations(problems[0], stations, options, cache)
 
 
-def _solve_stations(visits: list[tuple[PlanningProblem, dict[bytes, Pose]]],
+def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
                     options: PlannerOptions, cache: PlanCache) -> None:
-    """solve_stations on (problem, _visits table) pairs."""
-    jobs = []
-    seen = set(cache.node_feasible)
-    for problem, stations in visits:
-        for key, pose in stations.items():
-            for side in ("left", "right"):
-                if (key, side) in seen:
-                    continue
-                seen.add((key, side))
-                jobs.append((key, side, problem, pose))
+    """solve_stations on one key -> pose table, in the scene of problem."""
+    grasps = cache.claim(problem.tool, options)
+    jobs = [(key, side, pose) for key, pose in stations.items()
+            for side in ("left", "right") if (key, side) not in cache.node_feasible]
     if not jobs:
         return
-    shared = jobs[0][2]
-    grasps = cache.grasp_set(shared.tool, options)
     g = grasps.axial.size
-    sides = [side for _, side, _, _ in jobs]
+    sides = [side for _, side, _ in jobs]
     rot = np.stack([pose.r for *_, pose in jobs])
     t = np.stack([pose.t for *_, pose in jobs])
-    # Grasp by grasp, these products are the ones compose(pose, grasp) forms.
-    sols, ok = ik_batch([shared.robot.arm(side) for side in sides],
+    # Grasp by grasp, these products are the ones oracles.compose forms.
+    sols, ok = ik_batch([problem.robot.arm(side) for side in sides],
                         np.concatenate([r @ grasps.r for r in rot]),
                         np.concatenate([(r @ grasps.t[..., None])[..., 0] + v
                                         for r, v in zip(rot, t)]),
-                        np.repeat([shared.home(side) for side in sides], g, axis=0),
+                        np.repeat([problem.home(side) for side in sides], g, axis=0),
                         options.ik, [g] * len(jobs))
     sols = sols.reshape(len(jobs), g, N_JOINTS)
     feasible: list[dict[int, np.ndarray]] = [{} for _ in jobs]
@@ -336,13 +328,13 @@ def _solve_stations(visits: list[tuple[PlanningProblem, dict[bytes, Pose]]],
         rows, gids = np.nonzero(ok.reshape(len(jobs), g)
                                 & (np.array(sides) == side)[:, None])
         if rows.size:
-            ql, qr = shared.one_arm_moves(side, sols[rows, gids])
-            clear, _, _ = motion_clearances(shared.world, shared.robot, ql, qr,
-                                            *shared.tool.bodies(rot[rows], t[rows]))
+            ql, qr = problem.one_arm_moves(side, sols[rows, gids])
+            clear, _, _ = motion_clearances(problem.world, problem.robot, ql, qr,
+                                            *problem.tool.bodies(rot[rows], t[rows]))
             for row, gid in zip(rows[clear >= 0.0].tolist(),
                                 gids[clear >= 0.0].tolist()):
                 feasible[row][gid] = sols[row, gid]
-    for (key, side, _, _), configs in zip(jobs, feasible):
+    for (key, side, _), configs in zip(jobs, feasible):
         cache.node_feasible[(key, side)] = configs
 
 
@@ -372,8 +364,8 @@ class _EdgeData:
 
 class _Search:
     """Planner internals for one plan() call.  A station is named by its
-    content key (_stations) in nodes, edge specs and the cache; start
-    and goal are the end keys, stations the _visits table."""
+    content key in nodes, edge specs and the cache; stations is the
+    table _stations returns, start and goal its end keys."""
 
     def __init__(self, problem: PlanningProblem, constrained: bool,
                  options: PlannerOptions, cache: PlanCache):
@@ -381,12 +373,10 @@ class _Search:
         self.constrained = constrained
         self.opt = options
         self.cache = cache
-        self.grasps = cache.grasp_set(problem.tool, options)
+        self.grasps = cache.claim(problem.tool, options)
         self.axial = self.grasps.axial.tolist()
-        poses, keys, live = _stations(problem, constrained)
-        self.start, self.goal = keys[0], keys[-1]
-        self.stations = _visits(poses, keys, live)
-        self.stats = PlannerStats(stations_pruned=int(np.count_nonzero(~live)))
+        self.stations, self.start, self.goal, pruned = _stations(problem, constrained)
+        self.stats = PlannerStats(stations_pruned=pruned)
 
     # ----- edge construction ------------------------------------------------
 
@@ -555,7 +545,7 @@ class _Search:
 
     def run(self) -> PlanResult:
         t0 = time.monotonic()
-        _solve_stations([(self.pb, self.stations)], self.opt, self.cache)
+        _solve_stations(self.pb, self.stations, self.opt, self.cache)
         succ: dict = {}
         bad: set = set()
         blocks: dict = {}

@@ -1,9 +1,11 @@
 """Shared scenario builders for the planner and benchmark tests."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from tetherplan.cable import BalancerSpec, BendConstraint, ToolSpec
-from tetherplan.collision import ArmLinkSpec, Capsule, CollisionWorld
+from tetherplan.collision import ArmLinkSpec, Box, Capsule, CollisionWorld
 from tetherplan.geometry import Pose
 from tetherplan.planner import PlannerOptions, PlanningProblem
 from tetherplan.robot import ArmModel, DualArm, IKOptions
@@ -60,3 +62,33 @@ def scene_from(problem: PlanningProblem, options: PlannerOptions = QUICK,
     """Wrap a single planning problem as a (possibly 1x1) benchmark scene."""
     return Scene(name=name, base=problem, options=options,
                  pitch_rows=tuple(pitch_rows), roll_cols=tuple(roll_cols))
+
+
+def moved_scene(scene: Scene, rot: np.ndarray, shift) -> Scene:
+    """scene under the rigid motion x -> rot x + shift.
+
+    The arm bases, the balancer anchor, the station poses and the
+    statics move.  What is written in a body's own frame (the tool, the
+    link radii, the grid's pitch and roll offsets) and the joint-space
+    homes stay as they are.
+    """
+    shift = np.asarray(shift, dtype=float)
+
+    def pose(p: Pose) -> Pose:
+        return Pose(rot @ p.r, rot @ p.t + shift)
+
+    def shape(s):
+        if isinstance(s, Box):
+            return Box(pose(s.pose), s.half_extents)
+        return Capsule(rot @ s.a + shift, rot @ s.b + shift, s.radius)
+
+    b = scene.base
+    world = CollisionWorld({name: shape(s) for name, s in b.world.statics.items()},
+                           b.world.link_spec, b.world.excluded)
+    return replace(scene, base=replace(
+        b, world=world,
+        robot=DualArm(left=ArmModel(pose(b.robot.left.base)),
+                      right=ArmModel(pose(b.robot.right.base))),
+        balancer=replace(b.balancer, anchor=rot @ b.balancer.anchor + shift),
+        start_pose=pose(b.start_pose), goal_pose=pose(b.goal_pose),
+        handover_poses=tuple(map(pose, b.handover_poses))))

@@ -3,22 +3,24 @@
 Everything here is deliberately written against first principles
 (quaternion algebra, dense sampling, finite differences, homogeneous
 matrix products) and never calls into the library code paths it is used
-to check.  There are five exceptions.  sequential_ik_batch, the
-reference for ik_batch's restart schedule: ik_batch must match it bit
-for bit, so it runs the library's own FK, log-map and Jacobian kernels.
-pop_and_check_search, the reference for the planner's path-first
-search: plan() must return its plan, so it drives a planner _Search's
-own successors, validate_edge and _assemble.  row_by_row_parse_plan_csv,
-the reference for the whole-array plan parser: it shares the file
-format's header, preamble parsers and holding parser, and converts each
-row on its own.  per_grasp_sample_grasps and per_pair_station_solve, the
-references for the whole-array grasp table and station set-up: they
-build each grasp with the library's rot_axis_angle and each IK target
-with compose, prune stations by bend_angle_batch themselves, and call
-ik_batch and motion_clearances, one clearance call per (station, arm)
-pair, since the stacked forms must match these kernels bit for bit.
-loop_pair_table, the reference for the masked pair table: it returns
-the library's _PairTable record, named by link_names.
+to check.  rot_axis_angle and compose are the Rodrigues rotation and the
+pose product written out in full; the planner's stacked grasp table and
+IK targets must equal them bit for bit.  There are five exceptions.
+sequential_ik_batch, the reference for ik_batch's restart schedule:
+ik_batch must match it bit for bit, so it runs the library's own FK,
+log-map and Jacobian kernels.  pop_and_check_search, the reference for
+the planner's path-first search: plan() must return its plan, so it
+drives a planner _Search's own successors, validate_edge and _assemble.
+row_by_row_parse_plan_csv, the reference for the whole-array plan
+parser: it shares the file format's header, preamble parsers and holding
+parser, and converts each row on its own.  per_grasp_sample_grasps and
+per_pair_station_solve, the references for the whole-array grasp table
+and station set-up: they build each grasp with rot_axis_angle and each
+IK target with compose, prune stations by bend_angle_batch themselves,
+and call ik_batch and motion_clearances, one clearance call per
+(station, arm) pair, since the stacked forms must match these kernels
+bit for bit.  loop_pair_table, the reference for the masked pair table:
+it returns the library's _PairTable record, named by link_names.
 """
 
 from __future__ import annotations
@@ -34,9 +36,22 @@ from tetherplan.cable import bend_angle_batch
 from tetherplan.collision import Box, _PairTable, link_names, motion_clearances
 from tetherplan.planner import ROOT, MotionPlan, PlanResult, _stations, \
     solve_stations
-from tetherplan.geometry import Pose, compose, rot_axis_angle, rot_to_rotvec, \
-    unit
+from tetherplan.geometry import Pose, rot_to_rotvec, unit
 from tetherplan.plan_io import _PREAMBLE, PLAN_HEADER, parse_holding
+
+
+# --- Rodrigues rotation and pose composition, term by term ---
+
+def rot_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues rotation about a (non-zero) axis."""
+    kx, ky, kz = unit(axis)
+    khat = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    return np.eye(3) + math.sin(angle) * khat + (1.0 - math.cos(angle)) * (khat @ khat)
+
+
+def compose(p: Pose, q: Pose) -> Pose:
+    """Pose composition: the transform applying q first, then p."""
+    return Pose(p.r @ q.r, p.r @ q.t + p.t)
 
 
 # --- quaternion oracle (Hamilton convention, [w, x, y, z]) ---
@@ -353,7 +368,8 @@ def per_pair_station_solve(problems, options, constrained: bool = False):
     """
     jobs = []
     for problem in problems:
-        poses, keys, _ = _stations(problem, False)
+        stations = _stations(problem, False)[0]
+        keys, poses = list(stations), list(stations.values())
         thetas = bend_angle_batch(np.stack([p.r for p in poses]),
                                   np.stack([p.t for p in poses]),
                                   problem.balancer, problem.tool)

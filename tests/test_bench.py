@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import HOME_LEFT, HOME_RIGHT, QUICK, make_problem, make_tool, \
-    scene_from
+    moved_scene, scene_from
+from oracles import rot_axis_angle
 
 import tetherplan
+from tetherplan import bench
 from tetherplan.bench import (
     CSV_HEADER,
     Outcome,
@@ -579,6 +581,13 @@ class TestSweep:
         assert "n/a" in text
         assert cells_csv(empty).strip() == CSV_HEADER
 
+    def test_empty_grid_sweeps_to_an_empty_report(self):
+        scene = scene_from(make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45]),
+                           pitch_rows=())
+        report = sweep(scene)
+        assert report.cells == ()
+        assert cells_csv(report).strip() == CSV_HEADER
+
 
 @pytest.fixture(scope="module")
 def default_report():
@@ -603,6 +612,36 @@ def test_default_sweep_matches_golden_csv(default_report):
             else:
                 assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9), (
                     w["row"], w["col"], w["mode"], key)
+
+
+def test_a_rigid_motion_of_the_scene_moves_every_plan_with_it(monkeypatch):
+    """A plan depends on the scene's geometry, not on the frame it is
+    written in: moved by a rigid motion, a cut of the default sweep
+    writes the same CSV, and every plan moves with the scene."""
+    scene = default_scene()
+    cut = replace(scene, pitch_rows=scene.pitch_rows[::7],
+                  roll_cols=scene.roll_cols[::4])
+    assert [round(math.degrees(v)) for v in cut.pitch_rows + cut.roll_cols] \
+        == [0, 90, -20, 20]
+    rot, shift = rot_axis_angle([1.0, 2.0, 3.0], math.radians(23.0)), [0.3, -0.2, 0.1]
+    results = []
+    run = bench.plan
+    monkeypatch.setattr(bench, "plan",
+                        lambda *a, **k: results.append(run(*a, **k)) or results[-1])
+    here, there = sweep(cut), sweep(moved_scene(cut, rot, shift))
+    assert cells_csv(there) == cells_csv(here)
+    assert "".join(c.outcome.symbol for c in here.cells) == "ooooFxFx"
+    for got, want in zip(results[8:], results[:8], strict=True):
+        assert got.failure == want.failure and got.stats == want.stats
+        if want.plan is None:
+            assert got.plan is None
+            continue
+        g, w = got.plan, want.plan
+        assert (g.holding, g.edge_kinds) == (w.holding, w.edge_kinds)
+        for name in ("q_left", "q_right"):
+            assert np.abs(getattr(g, name) - getattr(w, name)).max() <= 1e-12
+        assert np.abs(g.tool_rot - rot @ w.tool_rot).max() <= 1e-12
+        assert np.abs(g.tool_t - (w.tool_t @ rot.T + shift)).max() <= 1e-12
 
 
 def test_default_sweep_plans_keep_their_grip(default_report):

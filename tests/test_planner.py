@@ -70,26 +70,29 @@ class TestSampleGrasps:
         with pytest.raises(EmptyGraspSet):
             sample_grasps(short, 3, 4)
 
-    def test_cache_samples_each_content_key_once(self, monkeypatch):
+    def test_cache_samples_one_read_only_table(self, monkeypatch):
         calls = []
         sample = planner.sample_grasps
-
-        def counted(*args):
-            calls.append(args)
-            return sample(*args)
-
-        monkeypatch.setattr(planner, "sample_grasps", counted)
+        monkeypatch.setattr(planner, "sample_grasps",
+                            lambda *a: calls.append(a) or sample(*a))
         cache = PlanCache()
         opts = PlannerOptions(axial_samples=3, roll_samples=4)
-        first = cache.grasp_set(make_tool(), opts)
-        assert cache.grasp_set(make_tool(), opts) is first
+        first = cache.claim(make_tool(), opts)
+        # Options that enter no table leave a claim free.
+        free = replace(opts, max_edges=5, time_budget=1.0,
+                       min_handover_separation=0.2)
+        assert cache.claim(make_tool(), free) is first
         fresh = sample(make_tool(), 3, 4, opts.grasp_inset)
         for name in ("r", "t", "axial"):
             assert np.array_equal(getattr(first, name), getattr(fresh, name))
             # Both arms and every problem read the one table.
             assert not getattr(first, name).flags.writeable
-        cache.grasp_set(make_tool(), replace(opts, roll_samples=5))
-        assert len(calls) == 2
+        with pytest.raises(ValueError, match="roll_samples differs"):
+            cache.claim(make_tool(), replace(opts, roll_samples=5))
+        with pytest.raises(ValueError, match="handle_b differs"):
+            cache.claim(replace(make_tool(), handle_b=np.array([0.0, 0.0, 0.09])),
+                        opts)
+        assert len(calls) == 1 and cache.grasp_table is first
 
 
 class TestInterp:
@@ -257,9 +260,9 @@ def _same_result(got, want):
 
 
 def _reference(problem, constrained, options, cache):
-    """The pop-and-check search on the stations of cache, with edge
-    verdicts of its own."""
-    own = PlanCache(grasps=cache.grasps, node_feasible=cache.node_feasible)
+    """The pop-and-check search on the stations of cache, with a grasp
+    table and edge verdicts of its own."""
+    own = PlanCache(node_feasible=cache.node_feasible)
     return pop_and_check_search(_Search(problem, constrained, options, own))
 
 
@@ -410,6 +413,37 @@ class TestEdgeMemo:
         assert plan(tight, True, opts, cache).stats.edges_rejected["bend"] > 0
         got = plan(problem, True, opts, cache)
         want = plan(problem, True, opts)
+        _same_result(got, want)
+        assert got.stats == want.stats
+
+
+class TestCacheBinding:
+    """A PlanCache serves only the tool and options that filled it."""
+
+    @pytest.mark.parametrize("change, bound", [
+        (dict(axial_samples=3), True),
+        (dict(interp_step=3 * PlannerOptions().interp_step), True),
+        (dict(ik=robot.IKOptions(restarts=1, max_iters=20)), True),
+        (dict(max_edges=500), False),
+        (dict(time_budget=math.inf), False),
+        (dict(min_handover_separation=0.2), False),
+    ], ids=["axial_samples", "interp_step", "ik", "max_edges", "time_budget",
+            "min_handover_separation"])
+    def test_reuse_under_other_options(self, change, bound):
+        # Sampled grasps, station configs and edge rows depend on the
+        # bound options, so a reuse would read tables filled under others.
+        scene = default_scene()
+        problem = scene.problem(scene.pitch_rows[0], scene.roll_cols[0])
+        cache = PlanCache()
+        plan(problem, True, scene.options, cache)
+        other = replace(scene.options, **change)
+        if bound:
+            with pytest.raises(ValueError, match=f"only the options that filled "
+                                                 f"it; {next(iter(change))} differs"):
+                plan(problem, True, other, cache)
+            return
+        got = plan(problem, True, other, cache)
+        want = plan(problem, True, other)
         _same_result(got, want)
         assert got.stats == want.stats
 
@@ -603,8 +637,10 @@ class TestStationSolve:
         monkeypatch.setattr(planner, "bend_angle_batch", no_bend)
         bent = replace(make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45]),
                        start_pose=Pose(rot_x(math.radians(120.0)), [0.3, 0.35, 0.45]))
-        poses, keys, live = planner._stations(bent, False)
-        assert len(poses) == len(keys) == live.size == 3 and live.all()
+        stations, start, goal, pruned = planner._stations(bent, False)
+        assert len(stations) == 3 and pruned == 0
+        assert [start, goal] == [list(stations)[0], list(stations)[-1]]
+        assert stations[start] is bent.start_pose
 
     def test_bent_start_fails_without_ik(self, monkeypatch):
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])

@@ -10,8 +10,8 @@ import pytest
 
 from oracles import (central_difference_jacobian, fk_matrix_chain, fk_matrix_product,
                      homogeneous, in_limits, quat_matrix, random_quat,
-                     sequential_ik_batch)
-from tetherplan.geometry import Pose, rot_axis_angle, rot_to_rotvec, rot_z
+                     rot_axis_angle, sequential_ik_batch)
+from tetherplan.geometry import Pose, rot_to_rotvec, rot_z
 from tetherplan import robot as rb
 
 
@@ -272,7 +272,7 @@ def test_fk_at_a_base_is_the_base_composed_with_fk_at_the_origin(arm):
 
 
 def test_rotvec_batch_matches_scalar():
-    from tetherplan.geometry import rot_to_rotvec, rpy_to_rot, rot_axis_angle
+    from tetherplan.geometry import rot_to_rotvec, rpy_to_rot
     rng = np.random.default_rng(42)
     rots = [rpy_to_rot(*rng.uniform(-math.pi, math.pi, 3)) for _ in range(60)]
     # Identity, small angles and every band near a half turn.
