@@ -17,16 +17,16 @@ limit, so it never emits x, but it checks the cable only until the
 first grasp: a later * is an entanglement the constraint did not
 prevent.  A sweep shares one PlanCache across its cells and both modes,
 so it solves each station once and measures each edge once (an
-approach once with the cable attached, once without).  One RecheckMemo
-beside that cache audits each distinct plan once under each bend limit
-(the two modes often return the same plan) and re-checks each distinct
-waypoint row once.
+approach once with the cable attached, once without).  The same cache
+holds the audit's own tables, so each distinct plan is audited once
+under each bend limit (the two modes often return the same plan) and
+each distinct waypoint row is re-checked once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,53 +88,30 @@ class Outcome:
         return LABEL_SYMBOLS[self.label]
 
 
-@dataclass
-class RecheckMemo:
-    """Audit results for the world, robot, tool and balancer that filled it.
-
-    rows holds the clearance of each re-checked waypoint row and whether
-    its nearest pair includes the cable, keyed by the raw bytes of its
-    q_left, q_right, tool_rot and tool_t (-0.0 and 0.0 stay distinct).
-    plans holds the (Recheck, peak torques) of each plan run_cell
-    audited, keyed by the raw bytes of its four arrays, its holding and
-    the bend limit it was checked against.
-    """
-
-    bodies: tuple = ()
-    rows: dict = field(default_factory=dict)
-    plans: dict = field(default_factory=dict)
-
-    def claim(self, problem: PlanningProblem):
-        """Bind the memo to problem's bodies; raise if it serves others."""
-        bodies = (problem.world, problem.robot, problem.tool, problem.balancer)
-        if self.bodies and any(a is not b for a, b in zip(bodies, self.bodies)):
-            raise ValueError("a RecheckMemo serves only the scene that filled it")
-        self.bodies = bodies
-
-
 def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
-                 memo: RecheckMemo | None = None) -> Recheck:
+                 cache: PlanCache | None = None) -> Recheck:
     """Re-derive bend, cable-contact, collision and grip facts from
     waypoints.
 
     Trusts nothing the planner recorded beyond the joint trajectories,
     tool track, and holding labels, and checks the tool track against
-    the joints of the arms holding it (_grip_waypoint).  Only the rows
-    that memo (a fresh one when None) lacks are measured, each once, in
-    plan order; the others are read back from it.
+    the joints of the arms holding it (_grip_waypoint).  It binds cache
+    (a fresh one when None) to problem's scene and reads none of the
+    planner's tables, only cache.rows: only the rows that it lacks are
+    measured, each once, in plan order; the others are read back.
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
     over = np.nonzero(theta >= problem.constraint.theta_max)[0]
     bend_wp = int(over[0]) if over.size else None
 
-    memo = RecheckMemo() if memo is None else memo
-    memo.claim(problem)
+    cache = PlanCache() if cache is None else cache
+    cache.bind(problem)
     raw = np.hstack([motion.q_left, motion.q_right,
                      motion.tool_rot.reshape(-1, 9), motion.tool_t])
     keys = raw.view(f"V{raw[0].nbytes}").ravel().tolist()
-    # A row of each key the memo lacks, in plan order (equal keys, equal rows).
-    at = {key: i for i, key in enumerate(keys) if key not in memo.rows}
+    # A row of each key the cache lacks, in plan order (equal keys, equal rows).
+    at = {key: i for i, key in enumerate(keys) if key not in cache.rows}
     if at:
         new = np.fromiter(at.values(), dtype=int, count=len(at))
         # The tool shapes and the taut cable ride on every waypoint.
@@ -144,8 +121,8 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
                 motion.tool_rot[new], motion.tool_t[new], problem.balancer))
         # With no pair at all every index is 0 and every clearance inf.
         cable = np.array([CABLE in pair for pair in pair_names] or [False])
-        memo.rows.update(zip(at, zip(clear.tolist(), cable[pair_idx].tolist())))
-    clear, cable = map(np.array, zip(*map(memo.rows.__getitem__, keys)))
+        cache.rows.update(zip(at, zip(clear.tolist(), cable[pair_idx].tolist())))
+    clear, cable = map(np.array, zip(*map(cache.rows.__getitem__, keys)))
     first = {}      # is the row's nearest pair the cable's -> first such row
     for i in np.nonzero(clear < 0.0)[0]:
         first.setdefault(bool(cable[i]), int(i))
@@ -321,25 +298,33 @@ class SweepReport:
 
 
 def run_cell(scene: Scene, row: int, col: int, mode: str,
-             cache: PlanCache | None = None,
-             memo: RecheckMemo | None = None) -> SweepCell:
+             cache: PlanCache | None = None) -> SweepCell:
     """Plan, re-check, and classify one grid cell.
 
-    A plan that memo has audited under the same bend limit is not
+    A plan that cache.plans holds under the same bend limit is not
     re-checked or traced again: its record is read back.
     """
     pitch = scene.pitch_rows[row]
     roll = scene.roll_cols[col]
     problem = scene.problem(pitch=pitch, roll=roll)
     options = replace(scene.options, time_budget=math.inf)
+    cache = PlanCache() if cache is None else cache
+    # plan() binds the cache to problem's scene, so plans serves only it.
     result = plan(problem, constrained=(mode == "constrained"),
                   options=options, cache=cache)
-    recheck = None
-    peaks = {}
-    if result.plan is not None:
-        recheck, peaks = _audit(result.plan, problem, memo)
+    motion, recheck, peaks = result.plan, None, {}
+    if motion is not None:
+        key = tuple(a.tobytes() for a in (motion.q_left, motion.q_right,
+                                          motion.tool_rot, motion.tool_t)
+                    ) + (motion.holding, problem.constraint.theta_max)
+        if key not in cache.plans:
+            recheck = recheck_plan(motion, problem, cache)
+            trace = trace_plan(motion, problem.robot, problem.balancer, problem.tool)
+            cache.plans[key] = recheck, {arm: trace.peak(arm)
+                                         for arm in trace.arms()}
+        recheck, peaks = cache.plans[key]
+        peaks = dict(peaks)
     outcome = classify(result, recheck)
-    motion = result.plan
     return SweepCell(
         row=row, col=col, pitch=pitch, roll=roll, mode=mode, outcome=outcome,
         recheck=recheck,
@@ -347,25 +332,6 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
         n_waypoints=motion.n_waypoints if motion else None,
         joint_distance=motion.joint_distance if motion else None,
         peak_torque=peaks)
-
-
-def _audit(motion: MotionPlan, problem: PlanningProblem,
-           memo: RecheckMemo | None) -> tuple[Recheck, dict]:
-    """(Recheck, peak torque per arm) of a finished plan, from memo's
-    plans table when it holds the same plan under the same bend limit."""
-    memo = RecheckMemo() if memo is None else memo
-    memo.claim(problem)
-    key = tuple(a.tobytes() for a in (motion.q_left, motion.q_right,
-                                      motion.tool_rot, motion.tool_t)
-                ) + (motion.holding, problem.constraint.theta_max)
-    if key not in memo.plans:
-        recheck = recheck_plan(motion, problem, memo)
-        trace = trace_plan(motion, problem.robot, problem.balancer,
-                           problem.tool)
-        memo.plans[key] = recheck, {arm: trace.peak(arm)
-                                    for arm in trace.arms()}
-    recheck, peaks = memo.plans[key]
-    return recheck, dict(peaks)
 
 
 def sweep(scene: Scene) -> SweepReport:
@@ -378,19 +344,19 @@ def sweep(scene: Scene) -> SweepReport:
     their mode: the cache is content-addressed, holds an edge's
     measurement apart from each mode's verdict on it, and the planner
     budget counts the path edges it checks, cache hits included.  Nor does
-    its audit: the RecheckMemo beside the cache hands back the record and
-    peak torques of a plan an earlier cell audited under the same bend
-    limit (a re-check and a trace read nothing but the plan's arrays and
-    holding, the bend limit and the scene's bodies), and each row that an
-    earlier re-check measured; motion_clearances gives a row the same
-    dense min and argmin bit for bit whichever rows share its call.  The
-    report holds no timings, so two sweeps of one scene compare equal.
+    its audit: the cache hands back the record and peak torques of a plan
+    an earlier cell audited under the same bend limit (a re-check and a
+    trace read nothing but the plan's arrays and holding, the bend limit
+    and the scene's bodies, which the cache is bound to), and each row
+    that an earlier re-check measured; motion_clearances gives a row the
+    same dense min and argmin bit for bit whichever rows share its call.
+    The report holds no timings, so two sweeps of one scene compare equal.
     """
-    cache, memo = PlanCache(), RecheckMemo()
+    cache = PlanCache()
     solve_stations([scene.problem(pitch=p, roll=r)
                     for p in scene.pitch_rows for r in scene.roll_cols],
                    scene.options, cache)
-    cells = [run_cell(scene, i, j, mode, cache, memo)
+    cells = [run_cell(scene, i, j, mode, cache)
              for i in range(len(scene.pitch_rows))
              for j in range(len(scene.roll_cols))
              for mode in ("constrained", "unconstrained")]

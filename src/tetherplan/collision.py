@@ -8,9 +8,8 @@ one piece at a time).  Touching counts as free everywhere: a pair
 collides only when its clearance is strictly negative.
 
 A query assembles the arm, static and attached capsules (the tool's
-shapes and its cable) of a batch of waypoints (an arm that keeps one
-configuration on every row gets FK once) and the world's pair table
-for the attached set, built once per world and attached set.
+shapes and its cable) of a batch of waypoints and the world's pair
+table for the attached set, built once per world and attached set.
 _pair_clearances measures the dense (W, P) matrix of pair clearances,
 the reference that motion_clearances is tested against.
 
@@ -213,21 +212,16 @@ class CollisionWorld:
 
 
 def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:
-    """Link capsule segments for a batch of configurations: (W, 6, 2, 3).
-
-    An arm that keeps one configuration on every row gets FK of that
-    row once, broadcast to every row (a read-only view).
-    """
+    """Link capsule segments for a batch of configurations: (W, 6, 2, 3)."""
     qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS)
-    still = len(qs) > 1 and np.all(qs == qs[0])
-    rot, tcp, origins = fk_batch(arm, qs[:1] if still else qs)
+    rot, tcp, origins = fk_batch(arm, qs)
     pts = origins.copy()
     pts[:, 7] = tcp - spec.palm_setback * rot[:, :, 2]
     segs = np.empty((pts.shape[0], _LINK_COUNT, 2, 3))
     for k, (i, j) in enumerate(_LINK_SPANS):
         segs[:, k, 0] = pts[:, i]
         segs[:, k, 1] = pts[:, j]
-    return np.broadcast_to(segs, (len(qs),) + segs.shape[1:]) if still else segs
+    return segs
 
 
 @dataclass(frozen=True)

@@ -209,45 +209,64 @@ class PlanResult:
 
 @dataclass
 class PlanCache:
-    """Cross-call memo for the grasp table, station grasp configs and
-    edges, bound to the tool and options that filled it.
+    """A sweep's memo of one scene: the grasp table, station grasp
+    configs and edges, and the re-check's rows and plans.
 
-    The first claim records what the tables depend on (bound: the
-    tool's handle ends, axial_samples, roll_samples, grasp_inset,
-    interp_step and ik) and samples grasp_table, which both arms read;
-    a later claim under other values raises ValueError.  max_edges,
+    bind records the first problem's scene (world, robot, tool and
+    balancer by identity; the homes by value, as each PlanningProblem
+    holds its own copy) and raises ValueError for another scene.  claim
+    binds, and its first call records the options the planner tables
+    depend on (bound: axial_samples, roll_samples, grasp_inset,
+    interp_step and ik) and samples grasp_table, which both arms read; a
+    later claim under other values raises ValueError.  max_edges,
     time_budget and min_handover_separation enter no table, so they stay
-    free.  Problems sharing a cache share a scene.  node_feasible maps
-    (station key, arm) to the collision-free grasp configs there;
-    solve_stations fills it up front, one grouped IK call for both
-    arms, and the search only reads it.  The edge tables fill lazily,
-    keyed by edge specs that name stations by key: ("approach", start,
-    arm, grasp), ("transfer", from, to, arm, grasp) and ("handover",
-    station, giver, grasp, receiver, grasp).  edge_measure maps (spec,
-    cable attached) to the edge's measured block (rows, bend angles,
-    clearances) and each row's nearest pair; only a constrained approach
-    attaches the cable, so both modes share every transfer and handover
-    measurement.  edge_verdict maps (spec, constrained, bend limit) to
-    the block if the edge passes there, else the reason it fails.  So
-    one cache serves a sweep of one scene, modes and bend limits
-    included.
+    free.  node_feasible maps (station key, arm) to the collision-free
+    grasp configs there; solve_stations fills it up front, one grouped
+    IK call for both arms, and the search only reads it.  The edge tables
+    fill lazily, keyed by edge specs that name stations by key:
+    ("approach", start, arm, grasp), ("transfer", from, to, arm, grasp)
+    and ("handover", station, giver, grasp, receiver, grasp).
+    edge_measure maps (spec, cable attached) to the edge's measured block
+    (rows, bend angles, clearances) and each row's nearest pair; only a
+    constrained approach attaches the cable, so both modes share every
+    transfer and handover measurement.  edge_verdict maps (spec,
+    constrained, bend limit) to the block if the edge passes there, else
+    the reason it fails.  The re-check reads none of these, only rows: a
+    waypoint row's raw bytes (q_left, q_right, tool_rot, tool_t; -0.0 and
+    0.0 stay distinct) -> its clearance and whether its nearest pair
+    includes the cable.  bench's plan audit reads plans: a plan's raw
+    array bytes, holding and bend limit -> its (Recheck, peak torques).
     """
 
     node_feasible: dict = field(default_factory=dict)
     edge_measure: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict, init=False)
+    plans: dict = field(default_factory=dict, init=False)
+    bodies: tuple = field(default=(), init=False)
+    homes: bytes = field(default=b"", init=False)
     bound: dict | None = field(default=None, init=False)
     grasp_table: GraspSet | None = field(default=None, init=False)
     _BOUND_FIELDS = ("axial_samples", "roll_samples", "grasp_inset", "interp_step", "ik")
 
-    def claim(self, tool: ToolSpec, options: PlannerOptions) -> GraspSet:
-        """The grasp table; raises ValueError if tool or options differ
-        from the first claim's in a bound value."""
-        bound = dict(handle_a=tool.handle_a.tobytes(), handle_b=tool.handle_b.tobytes(),
-                     **{k: getattr(options, k) for k in self._BOUND_FIELDS})
+    def bind(self, problem: PlanningProblem) -> None:
+        """Bind to problem's scene; raise ValueError if another filled it."""
+        bodies = (problem.world, problem.robot, problem.tool, problem.balancer)
+        homes = problem.home_left.tobytes() + problem.home_right.tobytes()
+        if not self.bodies:
+            self.bodies, self.homes = bodies, homes
+        elif any(a is not b for a, b in zip(bodies, self.bodies)) or homes != self.homes:
+            raise ValueError("a PlanCache serves only the scene that filled it")
+
+    def claim(self, problem: PlanningProblem, options: PlannerOptions) -> GraspSet:
+        """The grasp table; binds problem, and raises ValueError if options
+        differ from the first claim's in a bound value."""
+        self.bind(problem)
+        bound = {k: getattr(options, k) for k in self._BOUND_FIELDS}
         if self.bound is None:
             self.bound, self.grasp_table = bound, sample_grasps(
-                tool, options.axial_samples, options.roll_samples, options.grasp_inset)
+                problem.tool, options.axial_samples, options.roll_samples,
+                options.grasp_inset)
         elif bound != self.bound:
             name = next(k for k in bound if bound[k] != self.bound[k])
             raise ValueError("a PlanCache serves only the options that filled "
@@ -281,23 +300,23 @@ def _stations(problem: PlanningProblem, constrained: bool,
     return visits, keys[0], keys[-1], int(np.count_nonzero(~live))
 
 
-def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
-                   constrained: bool = False) -> None:
-    """Fill cache.node_feasible for every station a plan may visit.
+def solve_stations(problems, options: PlannerOptions, cache: PlanCache) -> None:
+    """Fill cache.node_feasible for every station of the problems.
 
     Collects the (station key, arm) pairs of all problems that the cache
     lacks and solves them in one grouped ik_batch call, one group per
     pair on that pair's arm, so every pair gets exactly the configs a
     call of its own would give.  Each arm's solved grasps then pass the
     static clearance check, the tool resting at their station, in one
-    motion_clearances call.  Only the stations _stations keeps are
-    solved, each at the first pose its key names.  Problems sharing a
-    cache share a scene, so the first one's robot, world and tool serve
-    them all.
+    motion_clearances call.  Each station is solved at the first pose
+    its key names.  Every problem is claimed, so all share the cache's
+    scene, and the first one's robot, world, tool and homes serve them
+    all; a problem of another scene raises ValueError.
     """
     stations: dict[bytes, Pose] = {}
     for problem in problems:
-        for key, pose in _stations(problem, constrained)[0].items():
+        cache.claim(problem, options)
+        for key, pose in _stations(problem, False)[0].items():
             stations.setdefault(key, pose)
     if problems:
         _solve_stations(problems[0], stations, options, cache)
@@ -306,7 +325,7 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache,
 def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
                     options: PlannerOptions, cache: PlanCache) -> None:
     """solve_stations on one key -> pose table, in the scene of problem."""
-    grasps = cache.claim(problem.tool, options)
+    grasps = cache.claim(problem, options)
     jobs = [(key, side, pose) for key, pose in stations.items()
             for side in ("left", "right") if (key, side) not in cache.node_feasible]
     if not jobs:
@@ -373,7 +392,7 @@ class _Search:
         self.constrained = constrained
         self.opt = options
         self.cache = cache
-        self.grasps = cache.claim(problem.tool, options)
+        self.grasps = cache.claim(problem, options)
         self.axial = self.grasps.axial.tolist()
         self.stations, self.start, self.goal, pruned = _stations(problem, constrained)
         self.stats = PlannerStats(stations_pruned=pruned)

@@ -34,8 +34,8 @@ import numpy as np
 from tetherplan import robot as rb
 from tetherplan.cable import bend_angle_batch
 from tetherplan.collision import Box, _PairTable, link_names, motion_clearances
-from tetherplan.planner import ROOT, MotionPlan, PlanResult, _stations, \
-    solve_stations
+from tetherplan.planner import ROOT, MotionPlan, PlanResult, _solve_stations, \
+    _stations
 from tetherplan.geometry import Pose, rot_to_rotvec, unit
 from tetherplan.plan_io import _PREAMBLE, PLAN_HEADER, parse_holding
 
@@ -281,7 +281,7 @@ def pop_and_check_search(search) -> PlanResult:
     failure is no_feasible_start.
     """
     t0 = time.monotonic()
-    solve_stations([search.pb], search.opt, search.cache, search.constrained)
+    _solve_stations(search.pb, search.stations, search.opt, search.cache)
     stats = search.stats
     counter = 0
     heap: list[tuple] = []

@@ -19,7 +19,6 @@ from tetherplan.bench import (
     CSV_HEADER,
     Outcome,
     Recheck,
-    RecheckMemo,
     SweepCell,
     SweepReport,
     cells_csv,
@@ -349,8 +348,8 @@ def _sweep_recording(scene, monkeypatch):
     each planned cell, in cell order, and how many traces ran."""
     rechecks, rows, plans, traces = [], [], [], []
 
-    def recording_recheck(motion, problem, memo=None):
-        record = real_recheck(motion, problem, memo)
+    def recording_recheck(motion, problem, cache=None):
+        record = real_recheck(motion, problem, cache)
         rechecks.append((motion, problem, record))
         return record
 
@@ -394,6 +393,8 @@ def _row_keys(motion):
 
 
 class TestRecheckMemo:
+    """The audit's memo: the rows and plans tables of the sweep's PlanCache."""
+
     def test_sweep_records_equal_fresh_rechecks(self, default_cut,
                                                 monkeypatch):
         report, rechecks, _, plans, _ = _sweep_recording(default_cut,
@@ -409,9 +410,9 @@ class TestRecheckMemo:
                                problem.tool)
             assert cell.peak_torque == {arm: trace.peak(arm)
                                         for arm in trace.arms()}
-        memo = RecheckMemo()
+        cache = PlanCache()
         for cell, (motion, problem) in reversed(list(zip(cells, plans))):
-            assert recheck_plan(motion, problem, memo) == cell.recheck
+            assert recheck_plan(motion, problem, cache) == cell.recheck
         for motion, problem, record in rechecks:
             assert recheck_plan(motion, problem) == record
 
@@ -432,28 +433,28 @@ class TestRecheckMemo:
                                  problem.balancer, problem.tool)
         tight = replace(benign_scene, base=replace(
             problem, constraint=BendConstraint(0.5 * float(theta.max()))))
-        cache, memo = PlanCache(), RecheckMemo()
-        loose = run_cell(benign_scene, 0, 0, "unconstrained", cache, memo)
-        bent = run_cell(tight, 0, 0, "unconstrained", cache, memo)
+        cache = PlanCache()
+        loose = run_cell(benign_scene, 0, 0, "unconstrained", cache)
+        bent = run_cell(tight, 0, 0, "unconstrained", cache)
         assert loose.outcome.label == "success"
         assert bent.outcome.label == "bend_violation"
         assert bent.recheck == recheck_plan(motion, tight.problem())
         assert bent.peak_torque == loose.peak_torque
-        assert len(memo.plans) == 2
+        assert len(cache.plans) == 2
 
     def test_plan_entries_serve_only_the_scene_that_filled_them(
             self, benign_scene):
-        memo = RecheckMemo()
-        cell = run_cell(benign_scene, 0, 0, "unconstrained", memo=memo)
-        assert run_cell(benign_scene, 0, 0, "unconstrained", memo=memo) == cell
-        assert len(memo.plans) == 1
+        cache = PlanCache()
+        cell = run_cell(benign_scene, 0, 0, "unconstrained", cache)
+        assert run_cell(benign_scene, 0, 0, "unconstrained", cache) == cell
+        assert len(cache.plans) == 1
         world = benign_scene.base.world
         other = replace(benign_scene, base=replace(
             benign_scene.base, world=CollisionWorld(
                 world.statics, world.link_spec, world.excluded)))
         # The same plan, so the plan entry would answer it.
         with pytest.raises(ValueError, match="only the scene"):
-            run_cell(other, 0, 0, "unconstrained", memo=memo)
+            run_cell(other, 0, 0, "unconstrained", cache)
 
     def test_each_distinct_row_is_measured_once(self, default_cut,
                                                 monkeypatch):
@@ -465,16 +466,16 @@ class TestRecheckMemo:
 
     def test_memo_serves_only_the_scene_that_filled_it(self, solved):
         problem, motion = solved
-        memo = RecheckMemo()
-        record = recheck_plan(motion, problem, memo)
+        cache = PlanCache()
+        record = recheck_plan(motion, problem, cache)
         assert recheck_plan(motion, replace(problem, goal_pose=Pose()),
-                            memo) == record
+                            cache) == record
         world = CollisionWorld(problem.world.statics, problem.world.link_spec,
                                problem.world.excluded)
         for other in (replace(problem, world=world),
                       replace(problem, tool=make_tool())):
             with pytest.raises(ValueError, match="only the scene"):
-                recheck_plan(motion, other, memo)
+                recheck_plan(motion, other, cache)
 
 
 class TestSweep:

@@ -10,8 +10,9 @@ from oracles import per_grasp_sample_grasps, per_pair_station_solve, \
     pop_and_check_search
 
 from tetherplan import planner, robot
+from tetherplan.bench import recheck_plan
 from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch
-from tetherplan.collision import Capsule, CollisionWorld, _pair_clearances, \
+from tetherplan.collision import Box, Capsule, CollisionWorld, _pair_clearances, \
     motion_clearances
 from tetherplan.geometry import Pose, rot_x, rpy_to_rot
 from tetherplan.planner import (
@@ -22,12 +23,14 @@ from tetherplan.planner import (
     _EdgeData,
     _Search,
     _pose_key,
+    _solve_stations,
+    _stations,
     interp_joints,
     plan,
     sample_grasps,
     solve_stations,
 )
-from tetherplan.robot import fk_batch
+from tetherplan.robot import ArmModel, DualArm, fk_batch
 from tetherplan.scene import default_scene
 
 
@@ -76,22 +79,23 @@ class TestSampleGrasps:
         monkeypatch.setattr(planner, "sample_grasps",
                             lambda *a: calls.append(a) or sample(*a))
         cache = PlanCache()
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
         opts = PlannerOptions(axial_samples=3, roll_samples=4)
-        first = cache.claim(make_tool(), opts)
-        # Options that enter no table leave a claim free.
+        first = cache.claim(problem, opts)
+        # Options that enter no table, and other stations, leave a claim free.
         free = replace(opts, max_edges=5, time_budget=1.0,
                        min_handover_separation=0.2)
-        assert cache.claim(make_tool(), free) is first
+        assert cache.claim(replace(problem, goal_pose=Pose()), free) is first
         fresh = sample(make_tool(), 3, 4, opts.grasp_inset)
         for name in ("r", "t", "axial"):
             assert np.array_equal(getattr(first, name), getattr(fresh, name))
             # Both arms and every problem read the one table.
             assert not getattr(first, name).flags.writeable
         with pytest.raises(ValueError, match="roll_samples differs"):
-            cache.claim(make_tool(), replace(opts, roll_samples=5))
-        with pytest.raises(ValueError, match="handle_b differs"):
-            cache.claim(replace(make_tool(), handle_b=np.array([0.0, 0.0, 0.09])),
-                        opts)
+            cache.claim(problem, replace(opts, roll_samples=5))
+        with pytest.raises(ValueError, match="only the scene"):
+            cache.claim(replace(problem, tool=replace(
+                make_tool(), handle_b=np.array([0.0, 0.0, 0.09]))), opts)
         assert len(calls) == 1 and cache.grasp_table is first
 
 
@@ -418,7 +422,7 @@ class TestEdgeMemo:
 
 
 class TestCacheBinding:
-    """A PlanCache serves only the tool and options that filled it."""
+    """A PlanCache serves only the scene and options that filled it."""
 
     @pytest.mark.parametrize("change, bound", [
         (dict(axial_samples=3), True),
@@ -444,6 +448,61 @@ class TestCacheBinding:
             return
         got = plan(problem, True, other, cache)
         want = plan(problem, True, other)
+        _same_result(got, want)
+        assert got.stats == want.stats
+
+    def test_reuse_in_a_world_with_a_wall_raises(self):
+        # Reused, the cache would return a plan through the wall: its
+        # station configs and edge verdicts were drawn without it.
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        cache = PlanCache()
+        motion = plan(problem, True, QUICK, cache).plan
+        wall = Box(Pose(np.eye(3), [0.3, 0.0, 0.3]), [0.05, 0.05, 0.3])
+        world = problem.world
+        walled = replace(problem, world=CollisionWorld(
+            {"wall": wall}, world.link_spec, world.excluded))
+        with pytest.raises(ValueError, match="only the scene"):
+            plan(walled, True, QUICK, cache)
+        with pytest.raises(ValueError, match="only the scene"):
+            solve_stations([walled], QUICK, cache)
+        with pytest.raises(ValueError, match="only the scene"):
+            recheck_plan(motion, walled, cache)
+        assert plan(walled, True, QUICK).failure == "exhausted"
+
+    @pytest.mark.parametrize("change, bound", [
+        ("robot", True), ("tool", True), ("balancer", True), ("homes", True),
+        ("start", False), ("goal", False), ("bend_limit", False),
+    ])
+    def test_reuse_in_another_scene(self, change, bound):
+        scene = default_scene()
+        problem = scene.problem(scene.pitch_rows[0], scene.roll_cols[0])
+        cache = PlanCache()
+        motion = plan(problem, True, scene.options, cache).plan
+        left = problem.robot.left.base
+        other = {
+            "robot": lambda: replace(problem, robot=DualArm(
+                left=ArmModel(Pose(left.r, left.t + [0.0, 0.05, 0.0])),
+                right=problem.robot.right)),
+            "tool": lambda: replace(problem, tool=replace(
+                problem.tool, handle_b=problem.tool.handle_b + [0.0, 0.0, 0.01])),
+            "balancer": lambda: replace(problem, balancer=replace(
+                problem.balancer, anchor=problem.balancer.anchor + [0.1, 0.0, 0.0])),
+            "homes": lambda: replace(problem, home_left=problem.home_left + 0.1),
+            "start": lambda: scene.problem(scene.pitch_rows[1], scene.roll_cols[0]),
+            "goal": lambda: scene.problem(scene.pitch_rows[0], scene.roll_cols[1]),
+            "bend_limit": lambda: replace(
+                problem, constraint=BendConstraint(math.radians(50.0))),
+        }[change]()
+        if bound:
+            with pytest.raises(ValueError, match="only the scene"):
+                plan(other, True, scene.options, cache)
+            with pytest.raises(ValueError, match="only the scene"):
+                solve_stations([other], scene.options, cache)
+            with pytest.raises(ValueError, match="only the scene"):
+                recheck_plan(motion, other, cache)
+            return
+        got = plan(other, True, scene.options, cache)
+        want = plan(other, True, scene.options)
         _same_result(got, want)
         assert got.stats == want.stats
 
@@ -518,7 +577,7 @@ class TestEdgeValidation:
         problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45],
                                cable_radius=0.05)
         search = _Search(problem, True, QUICK, PlanCache())
-        solve_stations([problem], QUICK, search.cache, True)
+        _solve_stations(problem, search.stations, QUICK, search.cache)
         pose, world = problem.start_pose, problem.world
         cable = Capsule(problem.balancer.anchor,
                         pose.t + pose.r @ problem.tool.connector_point,
@@ -559,7 +618,7 @@ class TestStationSolve:
 
     def test_prefilled_cache_gives_the_same_plan_without_ik(self, monkeypatch):
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
-        other = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
+        other = replace(problem, goal_pose=Pose(np.eye(3), [0.3, 0.1, 0.45]))
         cold = plan(problem, constrained=True, options=QUICK).plan
         cache = PlanCache()
         solve_stations([other, problem], QUICK, cache)
@@ -575,20 +634,29 @@ class TestStationSolve:
         assert warm.holding == cold.holding
         assert warm.edge_kinds == cold.edge_kinds
 
-    @pytest.mark.parametrize("constrained", [False, True])
-    def test_station_configs_do_not_depend_on_the_batch(self, constrained):
+    def test_station_configs_do_not_depend_on_the_batch(self):
         p = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
-        q = make_problem([0.25, 0.3, 0.4], [0.3, 0.1, 0.45],
-                         hover_t=(0.3, 0.05, 0.5))
+        q = replace(p, start_pose=Pose(np.eye(3), [0.25, 0.3, 0.4]),
+                    goal_pose=Pose(np.eye(3), [0.3, 0.1, 0.45]),
+                    handover_poses=(Pose(np.eye(3), [0.3, 0.05, 0.5]),))
         alone, shared = PlanCache(), PlanCache()
-        solve_stations([p], QUICK, alone, constrained)
-        solve_stations([q, p], QUICK, shared, constrained)
+        solve_stations([p], QUICK, alone)
+        solve_stations([q, p], QUICK, shared)
         assert len(shared.node_feasible) > len(alone.node_feasible) == 6
         for key, configs in alone.node_feasible.items():
             assert configs.keys() == shared.node_feasible[key].keys()
             for gid, config in configs.items():
                 assert np.array_equal(config, shared.node_feasible[key][gid])
         assert any(alone.node_feasible.values())
+
+    def test_problems_of_two_scenes_raise(self):
+        # make_problem builds every body anew, so these are two scenes.
+        p = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        q = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
+        cache = PlanCache()
+        with pytest.raises(ValueError, match="only the scene"):
+            solve_stations([p, q], QUICK, cache)
+        assert cache.node_feasible == {}
 
     def test_default_sweep_stations_take_one_ik_loop(self, monkeypatch):
         # Both arms of every cell share one ik_batch call, so one DLS loop,
@@ -721,7 +789,12 @@ class TestStationArrays:
 
         monkeypatch.setattr(planner, "motion_clearances", counted)
         cache = PlanCache()
-        solve_stations(problems, scene.options, cache, constrained)
+        if constrained:
+            # A constrained plan solves its own pruned table, as run() does.
+            (problem,) = problems
+            _solve_stations(problem, _stations(problem, True)[0], scene.options, cache)
+        else:
+            solve_stations(problems, scene.options, cache)
         # One call per arm; one per (station, arm) pair would be 4 or 28.
         assert 0 < len(calls) <= 2
         _, _, want = per_pair_station_solve(problems, scene.options,
