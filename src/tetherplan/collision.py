@@ -14,23 +14,18 @@ _pair_clearances measures the dense (W, P) matrix of pair clearances,
 the reference that motion_clearances is tested against.
 
 motion_clearances returns the same matrix's minimum and first argmin
-per row but measures only the entries that can decide them.  It
-measures every _COARSE_STRIDE-th row and the last in full.  Moving a
-segment's endpoints by at most d moves each of its points by at most
-d, so its distance to another segment changes by at most d plus the
-other's displacement, and boxes do not move.  On any other row k a
-pair of capsules i, j therefore lies within c[a] +- (d_i + d_j) of its
-clearance c[a] at each coarse neighbour a, with d the largest endpoint
-displacement of a capsule between rows a and k (the distance bound of
-Schwarzer, Saha and Latombe's adaptive collision checking, IEEE T-RO
-2005, read off the capsules rather than the joint steps, so it holds
-for rows that are not a motion).  An entry is measured only if its
-lower bound is not above the row's least upper bound plus
-_BOUND_MARGIN, which covers the float rounding of the bounds.  Every
-skipped entry is then above the row's minimum, so the minimum and the
-first column that attains it are measured, by the same kernels on the
-same segments as in the dense matrix: the outputs equal the dense
-min and np.argmin bit for bit.
+per row but measures only the entries that can decide them.  A
+segment's midpoint m lies on it, and each of its points within h, half
+its length, of m.  So two segments lie between |m_i - m_j| - h_i - h_j
+and |m_i - m_j| apart, and a segment and a box between
+d(m_i, box) - h_i and d(m_i, box): a bounding-sphere broad phase per
+row (Quinlan, ICRA 1994).  An entry is measured only if its lower bound
+is not above the row's least upper bound plus _BOUND_MARGIN, which
+covers the float rounding of the bounds.  Every skipped entry is then
+above the row's minimum, so the minimum and the first column that
+attains it are measured, by the same kernels on the same segments as
+in the dense matrix: the outputs equal the dense min and np.argmin bit
+for bit, and no row's result depends on another row.
 """
 
 from __future__ import annotations
@@ -45,8 +40,7 @@ from tetherplan.geometry import Pose
 from tetherplan.robot import N_JOINTS, ArmModel, DualArm, fk_batch
 
 _DEG_EPS = 1e-14          # squared-length threshold for degenerate segments
-_COARSE_STRIDE = 8        # motion_clearances measures every 8th row in full
-_BOUND_MARGIN = 1e-9      # m; float rounding allowance of the displacement bound
+_BOUND_MARGIN = 1e-9      # m; float rounding allowance of the midpoint bounds
 
 
 @dataclass(frozen=True)
@@ -178,9 +172,9 @@ class ArmLinkSpec:
 
 
 _LINK_COUNT = 6
-# Pairs of origin-array indices spanned by each link capsule; slot 7 is
+# Origin-array indices spanned by each link capsule; slot 7 is
 # rewritten to the palm point before use.
-_LINK_SPANS = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
+_LINK_SPANS = np.array([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
 
 
 def link_names(side: str) -> list[str]:
@@ -217,11 +211,7 @@ def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.nd
     rot, tcp, origins = fk_batch(arm, qs)
     pts = origins.copy()
     pts[:, 7] = tcp - spec.palm_setback * rot[:, :, 2]
-    segs = np.empty((pts.shape[0], _LINK_COUNT, 2, 3))
-    for k, (i, j) in enumerate(_LINK_SPANS):
-        segs[:, k, 0] = pts[:, i]
-        segs[:, k, 1] = pts[:, j]
-    return segs
+    return pts[:, _LINK_SPANS]
 
 
 @dataclass(frozen=True)
@@ -348,6 +338,32 @@ def _pair_clearances(world: CollisionWorld, robot: DualArm,
     return _measure(caps, world.boxes, table, rows, cols).reshape(w, p), table
 
 
+def _pair_bounds(caps: np.ndarray, boxes: Sequence[Box],
+                 table: _PairTable) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds (W, P) on the clearance matrix from each
+    capsule's midpoint and half-length (module docstring); the midpoints
+    are (3, N, W), so that a column gathers whole rows.
+    """
+    mid = np.ascontiguousarray((0.5 * (caps[:, :, 0] + caps[:, :, 1])).T)
+    half = 0.5 * np.linalg.norm(caps[:, :, 1] - caps[:, :, 0], axis=-1).T
+    upper, slack = np.empty((2, len(table.pair_names), caps.shape[0]))
+    # The box columns follow the capsule pairs, box by box.
+    edges = np.searchsorted(table.box, np.arange(len(boxes) + 1))
+    first, second = table.first[:edges[0]], table.second[:edges[0]]
+    gap = mid[:, first] - mid[:, second]
+    upper[:edges[0]] = np.sqrt(np.einsum("ipw,ipw->pw", gap, gap))
+    slack[:edges[0]] = half[first] + half[second]
+    for box, lo, hi in zip(boxes, edges, edges[1:]):
+        first = table.first[lo:hi]
+        rel = mid[:, first] - box.pose.t[:, None, None]
+        local = np.abs(np.einsum("jpw,ji->ipw", rel, box.pose.r))
+        excess = np.maximum(local - box.half_extents[:, None, None], 0.0)
+        upper[lo:hi] = np.sqrt(np.einsum("ipw,ipw->pw", excess, excess))
+        slack[lo:hi] = half[first]
+    upper -= table.radius[:, None]
+    return (upper - slack).T, upper.T
+
+
 def motion_clearances(world: CollisionWorld, robot: DualArm,
                       q_left: np.ndarray, q_right: np.ndarray,
                       attached_segments: np.ndarray | None = None,
@@ -362,40 +378,18 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
     Returns (clearance (W,), argmin pair index (W,), pair name table),
     equal bit for bit to the min and np.argmin of the dense matrix of
     _pair_clearances.  Only the entries that can decide a row's minimum
-    are measured: every _COARSE_STRIDE-th row and the last in full, and
-    on each other row the pairs that the displacement bound (module
-    docstring) cannot place above the row's least upper bound plus
-    _BOUND_MARGIN.  The rows need not form a motion.
+    are measured: those whose midpoint lower bound (module docstring) is
+    not above the row's least upper bound plus _BOUND_MARGIN, all in one
+    _measure call.  The rows need not form a motion.
     """
     caps, table = _query(world, robot, q_left, q_right, attached_segments,
                          attached_radii, attached_names)
     w, p = caps.shape[0], len(table.pair_names)
     if not p:
         return np.full(w, np.inf), np.zeros(w, dtype=int), table.pair_names
+    lower, upper = _pair_bounds(caps, world.boxes, table)
+    rows, cols = np.nonzero(lower <= upper.min(axis=1, keepdims=True) + _BOUND_MARGIN)
     clear = np.full((w, p), np.inf)
-    is_coarse = np.zeros(w, dtype=bool)
-    is_coarse[::_COARSE_STRIDE] = is_coarse[-1:] = True
-    coarse, fine = np.flatnonzero(is_coarse), np.flatnonzero(~is_coarse)
-    rows, cols = np.divmod(np.arange(coarse.size * p), p)
-    clear[coarse] = _measure(caps, world.boxes, table, coarse[rows], cols
-                             ).reshape(coarse.size, p)
-    if fine.size:
-        lower = np.full((fine.size, p), -np.inf)
-        upper = np.full((fine.size, p), np.inf)
-        # Largest endpoint displacement of each capsule from a coarse
-        # neighbour; the slot past the last capsule stays 0 for boxes.
-        moved = np.zeros((fine.size, caps.shape[1] + 1))
-        before = fine - fine % _COARSE_STRIDE
-        for near in (before, np.minimum(before + _COARSE_STRIDE, w - 1)):
-            step = caps[fine] - caps[near]
-            moved[:, :-1] = np.sqrt(
-                np.einsum("wnei,wnei->wne", step, step).max(axis=-1))
-            slack = moved[:, table.first] + moved[:, table.second]
-            lower = np.maximum(lower, clear[near] - slack)
-            upper = np.minimum(upper, clear[near] + slack)
-        rows, cols = np.nonzero(lower <= upper.min(axis=1, keepdims=True)
-                                + _BOUND_MARGIN)
-        clear[fine[rows], cols] = _measure(caps, world.boxes, table, fine[rows], cols)
+    clear[rows, cols] = _measure(caps, world.boxes, table, rows, cols)
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(w), idx], idx, table.pair_names
-

@@ -2,9 +2,9 @@
 
 A plan file is a CSV with one row per waypoint, preceded by a short
 ``# key: value`` preamble carrying whole-plan facts (mode, edge kinds,
-joint distance), each key at most once.  Floats are written with nine
-significant digits, which round-trips joint angles and poses to well
-below actuator resolution.
+joint distance), each key at most once and none after the header.
+Floats are written with nine significant digits, which round-trips
+joint angles and poses to well below actuator resolution.
 
 The theta_rad and min_clearance_m columns hold the values the planner
 validated: the cable bend angle and the least clearance of each
@@ -123,6 +123,8 @@ def parse_plan_csv(text: str) -> MotionPlan:
         if not line:
             continue
         if line.startswith("#"):
+            if header_seen:
+                raise ValueError(f"line {ln}: preamble line after the header")
             key, _, value = (p.strip() for p in line.lstrip("# ").partition(":"))
             if key in meta_lns:
                 raise ValueError(f"line {ln}: '# {key}:' repeats line "

@@ -444,6 +444,8 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
         if not line:
             continue
         if line.startswith("#"):
+            if header_seen:
+                raise ValueError(f"line {ln}: preamble line after the header")
             key, _, value = (p.strip() for p in line.lstrip("# ").partition(":"))
             if key in meta_lns:
                 raise ValueError(f"line {ln}: '# {key}:' repeats line "

@@ -13,8 +13,10 @@ from tetherplan.collision import (
     Box,
     Capsule,
     CollisionWorld,
+    _pair_bounds,
     _pair_clearances,
     _pair_table,
+    _query,
     _seg_box_batch,
     _seg_seg_batch,
     arm_link_segments,
@@ -451,23 +453,36 @@ class TestBoundedClearances:
 
     def test_tight_bound(self):
         # A point held inside a static sphere moves straight at its
-        # centre, so each row's clearance meets its coarse neighbours'
-        # bounds with equality: only the margin keeps the row's entry.
+        # centre, so its entry's bounds meet its clearance with equality.
+        # In the second pass a rod on the same line points end to end at
+        # the centre from the other side, as far from it as the point:
+        # the rod's midpoint lower bound equals its clearance and the
+        # point's upper bound, so only the margin keeps the rod's entry
+        # when rounding lifts that lower bound above the point's.
         robot = make_robot()
-        world = make_world({"ball": Capsule([2.0, 0.0, 0.5], [2.0, 0.0, 0.5], 0.5)})
+        centre = np.array([2.0, 0.0, 0.5])
+        world = make_world({"ball": Capsule(centre, centre, 0.5)})
         rng = np.random.default_rng(23)
-        for _ in range(20):
-            w = 33
-            heading = rng.normal(size=3)
-            heading /= np.linalg.norm(heading)
-            dist = np.linspace(0.45, 0.05, w) + rng.uniform(0.0, 0.04)
-            point = np.array([2.0, 0.0, 0.5]) + dist[:, None] * heading
-            segs = np.repeat(point[:, None, None], 2, axis=2)
-            ql = np.tile(HOME_LEFT, (w, 1))
-            qr = np.tile(HOME_RIGHT, (w, 1))
-            clear, idx, names = assert_matches_dense(
-                world, robot, ql, qr, segs, [0.01], ["tool"])
-            assert {names[k] for k in idx} == {("ball", "tool")}
+        for rod in (False, True):
+            for _ in range(20):
+                w = 33
+                heading = rng.normal(size=3)
+                heading /= np.linalg.norm(heading)
+                dist = np.linspace(0.45, 0.05, w) + rng.uniform(0.0, 0.04)
+                point = centre + dist[:, None] * heading
+                segs = np.repeat(point[:, None, None], 2, axis=2)
+                radii, names = [0.01], ["tool"]
+                if rod:
+                    far = centre - (dist + rng.uniform(0.05, 0.5))[:, None] * heading
+                    near = centre - dist[:, None] * heading
+                    segs = np.concatenate(
+                        [segs, np.stack([far, near], axis=1)[:, None]], axis=1)
+                    radii, names = [0.01, 0.01], ["tool", "rod"]
+                ql = np.tile(HOME_LEFT, (w, 1))
+                qr = np.tile(HOME_RIGHT, (w, 1))
+                clear, idx, pairs = assert_matches_dense(
+                    world, robot, ql, qr, segs, radii, names)
+                assert {pairs[k] for k in idx} <= {("ball", n) for n in names}
 
     def test_empty_batch_returns_empty(self):
         # Zero rows give empty (W,) arrays and the pair names, with and
@@ -484,6 +499,30 @@ class TestBoundedClearances:
                 world, robot, HOME_LEFT[None], HOME_RIGHT[None],
                 np.zeros((1, k, 2, 3)), radii, names)[2]
             assert any("tool" in pair for pair in pairs) == bool(k)
+
+
+def test_pair_bounds_enclose_the_exact_clearance():
+    # Seeded configurations of the cluttered world, whose crate is
+    # turned, with the held tool and a sphere attached.  A sphere has no
+    # half-length, so its box bounds are its exact clearance.
+    robot = make_robot()
+    world = cluttered_world()
+    rng = np.random.default_rng(31)
+    w = 200
+    ql, qr = rng.uniform(-np.pi, np.pi, (2, w, 6))
+    tool, _, _ = held_tool(robot, ql)
+    ball = np.repeat(rng.uniform([0.1, -0.5, 0.0], [0.6, 0.5, 0.7], (w, 1, 1, 3)),
+                     2, axis=2)
+    attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
+    caps, table = _query(world, robot, ql, qr, *attach)
+    lower, upper = _pair_bounds(caps, world.boxes, table)
+    exact, _ = _pair_clearances(world, robot, ql, qr, *attach)
+    assert lower.shape == upper.shape == exact.shape
+    assert np.all(lower <= exact + 1e-12) and np.all(exact <= upper + 1e-12)
+    on_box = (table.box >= 0) & np.array([a == "ball" for a, _ in table.pair_names])
+    assert on_box.sum() == len(world.boxes)
+    assert np.allclose(lower[:, on_box], exact[:, on_box], rtol=0.0, atol=1e-12)
+    assert np.allclose(upper[:, on_box], exact[:, on_box], rtol=0.0, atol=1e-12)
 
 
 # The tool shapes and the cable, attached as a constrained approach edge

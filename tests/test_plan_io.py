@@ -189,6 +189,21 @@ class TestPlanParseErrors:
         text = "# mode: unconstrained\n" + plan_csv(motion)
         _rejected_on_one_line(text, "line 2: '# mode:' repeats line 1")
 
+    @pytest.mark.parametrize("edit", ["key_moved_to_the_end", "note_between_rows"])
+    def test_preamble_line_after_the_header_names_its_line(self, solved, edit):
+        # The third preamble line moves past the last waypoint, or a
+        # note goes in on line 6, between waypoints 0 and 1.
+        _, motion = solved
+        lines = plan_csv(motion).splitlines()
+        if edit == "key_moved_to_the_end":
+            lines.append(lines.pop(2))
+            line = len(lines)
+        else:
+            lines.insert(5, "# note: hello")
+            line = 6
+        _rejected_on_one_line("\n".join(lines),
+                              f"line {line}: preamble line after the header")
+
     @pytest.mark.parametrize("holding, message", [
         ("left:x", "malformed"), ("left:\u00b2", "malformed"),
         ("left:3+left:5", "twice")])
