@@ -146,8 +146,6 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem) -> int | None:
     run's first waypoint put it, to within _GRIP_TOL at every shape
     endpoint.
     """
-    segs, _, _ = problem.tool.shape_segments()
-    points = segs.reshape(-1, 3)
     holders = [dict(h) for h in motion.holding]
     first = None
     for side, qs in (("left", motion.q_left), ("right", motion.q_right)):
@@ -163,8 +161,8 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem) -> int | None:
         tcp_r, tcp_t, _ = fk_batch(problem.robot.arm(side), qs[held])
         rel_r = np.einsum("wji,wjk->wik", tcp_r, motion.tool_rot[held])
         rel_t = np.einsum("wji,wj->wi", tcp_r, motion.tool_t[held] - tcp_t)
-        local = np.einsum("wij,pj->wpi", rel_r, points) + rel_t[:, None, :]
-        drift = np.linalg.norm(local - local[run_start], axis=2).max(axis=1)
+        local = problem.tool.bodies(rel_r, rel_t)[0]
+        drift = np.linalg.norm(local - local[run_start], axis=3).max(axis=(1, 2))
         bad = held[(drift > _GRIP_TOL) | regrasp]
         if bad.size and (first is None or bad[0] < first):
             first = int(bad[0])

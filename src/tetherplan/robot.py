@@ -20,22 +20,22 @@ ik_batch runs damped least squares (_dls) in one loop: every seed
 starts at iteration 0, and the random restarts of the targets still
 unsolved join at iteration _IK_RESTART_AFTER (or right after the seeds'
 last iteration, if that is sooner) while the slow seeds still run.
-Each row counts its own steps, and each target keeps its first attempt
-that converges, so the loop returns exactly what running the restarts
-one after another returns: the join moves when a row runs, not what it
-computes.  A call makes at most min(_IK_RESTART_AFTER, max_iters + 1)
-+ max_iters + 1 fk_chain_batch calls.
-One call may serve arms at different bases, so both arms of a DualArm
-iterate in one loop; each row carries its own arm's base through FK.
-Before the loop, _beyond_reach drops the targets that two UR
-existence tests (wrist reach, elbow plane) prove unreachable within
-the acceptance tolerances.
+The restart starts are one table, sampled up front.  A row carries only
+its target index, attempt, configuration and cycle-test state; it
+reads its target and its arm's base by that index, and its step count
+follows from its attempt.  The loop returns exactly what running the
+restarts one after another returns (_dls says why), in at most
+min(_IK_RESTART_AFTER, max_iters + 1) + max_iters + 1 fk_chain_batch
+calls.  One call may serve arms at different bases, so both arms of a
+DualArm iterate in one loop.  Before the loop, _beyond_reach drops the
+targets that two UR existence tests (wrist reach, elbow plane) prove
+unreachable within the acceptance tolerances.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,28 +277,16 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     unsolved targets start from uniform in-limit samples.  groups
     splits the B targets into consecutive groups of the given sizes
     (default: one group of all B).  arm is one arm for every group or a
-    sequence of one arm per group.  Each group draws its restart samples
+    sequence of one arm per group.  Each group takes its restart samples
     from its own np.random.default_rng(opts.seed), (group size, 6) per
     restart, so a target's result depends only on its own group and
     arm: a grouped call returns exactly what one call per group would.
-    Returns (q (B, 6), solved (B,)); rows with solved False are zeros.
-    A target's result is the first attempt that converges.
-
-    The attempts run in one loop of _dls: the seeds from iteration 0,
-    the restarts of the targets still unsolved from iteration J =
-    min(_IK_RESTART_AFTER, max_iters + 1), each row counting its own
-    steps.  This returns what running the restarts one after another
-    would: a row's iterates depend only on its start, its target and
-    its arm's base, the restart starts are the same draws in the same
-    order, drawn whether or not an earlier attempt succeeds, and a row
-    runs on when a later attempt of its target converges first.  A call
-    makes at most J + max_iters + 1 fk_chain_batch calls, however many
-    arms it serves; a row that steps back onto a configuration it held
-    before stops there (_dls), as it could never converge.
+    Returns (q (B, 6), solved (B,)): each target's first attempt that
+    converges, as if the attempts ran one after another (_dls), or zeros.
 
     Targets that _beyond_reach proves unreachable for their arm have no
     solution at any configuration.  They are never iterated and return
-    unsolved; their rows still use up their group's restart draws, so
+    unsolved; their rows still use up their group's restart samples, so
     every other target sees the samples it would see without them.
     """
     target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
@@ -319,50 +307,48 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     for a in {id(a): a for a in arms}.values():
         mine = np.isin(owner, [i for i, x in enumerate(arms) if x is a])
         beyond[mine] = _beyond_reach(a, target_r[mine], target_t[mine], opts)
-    base_r = np.stack([a.base.r for a in arms])[owner]
-    base_t = np.stack([a.base.t for a in arms])[owner]
-    seeds = np.broadcast_to(np.asarray(seed_config, dtype=float), (b, N_JOINTS))
     live = np.nonzero(~beyond)[0]
-
-    def draw(rows: np.ndarray) -> np.ndarray:
-        # Every restart's draws for all B targets, of which live[rows] keep theirs.
-        rngs = [np.random.default_rng(opts.seed) for _ in sizes]
-        return np.stack([
-            np.concatenate([rng.uniform(-_UR3_LIMIT, _UR3_LIMIT, (g, N_JOINTS))
-                            for rng, g in zip(rngs, sizes)])[live[rows]]
-            for _ in range(opts.restarts - 1)])
-
-    q, ok = _dls(np.clip(seeds[live], -_UR3_LIMIT, _UR3_LIMIT), draw, base_r[live],
-                 base_t[live], target_r[live], target_t[live], opts)
+    seeds = np.broadcast_to(np.asarray(seed_config, dtype=float), (b, N_JOINTS))
+    # A Generator fills C order: one (K - 1, g, 6) block is K - 1 successive (g, 6) ones.
+    starts = np.concatenate([
+        np.random.default_rng(opts.seed).uniform(
+            -_UR3_LIMIT, _UR3_LIMIT, (max(opts.restarts - 1, 0), g, N_JOINTS))
+        for g in sizes], axis=1)[:, live]
+    q, ok = _dls(np.clip(seeds[live], -_UR3_LIMIT, _UR3_LIMIT), starts,
+                 np.stack([a.base.r for a in arms])[owner[live]],
+                 np.stack([a.base.t for a in arms])[owner[live]],
+                 target_r[live], target_t[live], opts)
     solution[live[ok]] = q[ok]
     solved[live[ok]] = True
     return solution, solved
 
 
-def _dls(seeds: np.ndarray, draw: Callable[[np.ndarray], np.ndarray],
-         base_r: np.ndarray, base_t: np.ndarray, target_r: np.ndarray,
-         target_t: np.ndarray, opts: IKOptions) -> tuple[np.ndarray, np.ndarray]:
+def _dls(seeds: np.ndarray, starts: np.ndarray, base_r: np.ndarray,
+         base_t: np.ndarray, target_r: np.ndarray, target_t: np.ndarray,
+         opts: IKOptions) -> tuple[np.ndarray, np.ndarray]:
     """Damped least squares for U targets, every attempt in one loop.
 
     Attempt 0 of target j starts from seeds[j] at iteration 0.  Attempts
-    1 ... K - 1 (K = max(opts.restarts, 1)) of the targets still unsolved
-    join at iteration J = min(_IK_RESTART_AFTER, opts.max_iters + 1),
-    from draw(rows): the (K - 1, len(rows), 6) starts of those targets.
-    draw is called only then and only if some target is unsolved, and an
+    a = 1 ... K - 1 (K = max(opts.restarts, 1)) of the targets still
+    unsolved start from starts[a - 1, j], (K - 1, U, 6), and join at
+    iteration J = min(_IK_RESTART_AFTER, opts.max_iters + 1).  An
     iteration with no active row does nothing, so once every seed has
     stopped the loop goes straight on to J.  Every row works at its
-    target's base (base_r[j], base_t[j]) and counts its own steps.  A row stops when it meets the tolerances, after opts.max_iters
-    steps of its own, as soon as an earlier attempt of its target has met
-    them, or when a step takes it back to a configuration it held before.
-    So a call makes at most J + opts.max_iters + 1 fk_chain_batch calls.
-    Returns (q (U, 6), solved (U,)): each solved target's configuration
-    from its first attempt that converged; unsolved rows are zeros.
+    target's base (base_r[j], base_t[j]) and steps once per iteration:
+    at iteration it, a seed row has taken it steps and a restart it - J.  A
+    row stops when it meets the tolerances, after opts.max_iters steps,
+    as soon as an earlier attempt of its target has met them, or when a
+    step takes it back to a configuration it held before.  So a call
+    makes at most J + opts.max_iters + 1 fk_chain_batch calls.  Returns
+    (q (U, 6), solved (U,)): each solved target's configuration from its
+    first attempt that converged; unsolved rows are zeros.
 
-    A row's iterates depend only on its start, its target and its base,
-    so the join moves when a row runs, not what it computes.  A restart
-    that converges first does not stop the attempts before it, and those
-    run until they converge or fail, so the attempt kept is the first
-    that converges, as in running the attempts one after another.
+    This is what running the attempts one after another returns.  A
+    row's iterates depend only on its start, its target and its base, so
+    the join moves when a row runs, not what it computes; the restart
+    starts are the same whether or not an earlier attempt succeeds; and
+    a restart that converges first does not stop the attempts before it,
+    so the attempt kept is the first that converges.
 
     The last stop is Brent's cycle test (Brent 1980): each row saves
     its start, then its configuration after its steps 1, 2, 4, 8, ...,
@@ -377,41 +363,32 @@ def _dls(seeds: np.ndarray, draw: Callable[[np.ndarray], np.ndarray],
     first = np.full(u, k)          # first converged attempt; k while none has
     out = np.zeros((u, N_JOINTS))
     eye = _IK_DAMPING * _IK_DAMPING * np.eye(6)
-    # The active rows, compacted: their target, attempt and step count,
-    # current configuration, the target's base and pose, and the saved
-    # configuration of the cycle test as int64 bit patterns.  They are
-    # filtered only when rows stop, and a winning row is written out.
-    tj = np.arange(u)
-    attempt = np.zeros(u, dtype=int)
-    age = np.zeros(u, dtype=int)
-    qa, br, bt, tr, tt = seeds, base_r, base_t, target_r, target_t
+    # The active rows: their target, attempt and configuration, and the
+    # saved configuration of the cycle test as int64 bit patterns.  They
+    # are filtered only when rows stop, and a winning row is written out.
+    tj, attempt, qa = np.arange(u), np.zeros(u, dtype=int), seeds
     saved = qa.view(np.int64).copy()
     for it in range(join + opts.max_iters + 1):
         if it == join and k > 1 and (rows := np.nonzero(first == k)[0]).size:
-            starts = draw(rows).reshape(-1, N_JOINTS)
-            rj = np.tile(rows, k - 1)
-            new = (rj, np.repeat(np.arange(1, k), rows.size), np.zeros_like(rj),
-                   starts, base_r[rj], base_t[rj], target_r[rj], target_t[rj],
-                   starts.view(np.int64))
-            tj, attempt, age, qa, br, bt, tr, tt, saved = (
-                np.concatenate(pair) for pair in zip(
-                    (tj, attempt, age, qa, br, bt, tr, tt, saved), new))
+            new = starts[:, rows].reshape(-1, N_JOINTS)
+            tj = np.concatenate([tj, np.tile(rows, k - 1)])
+            attempt = np.concatenate([attempt, np.repeat(np.arange(1, k), rows.size)])
+            qa, saved = np.concatenate([qa, new]), np.concatenate([saved, new.view(np.int64)])
         if tj.size == 0:
             continue
-        cur_r, cur_t, origins, axes = fk_chain_batch(br, bt, qa)
-        e_pos = tt - cur_t
-        e_rot = rot_to_rotvec(tr @ cur_r.transpose(0, 2, 1))
+        cur_r, cur_t, origins, axes = fk_chain_batch(base_r[tj], base_t[tj], qa)
+        e_pos = target_t[tj] - cur_t
+        e_rot = rot_to_rotvec(target_r[tj] @ cur_r.transpose(0, 2, 1))
         done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
                 & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
-        stop = done | (age == opts.max_iters)
+        stop = done | (it - join * (attempt > 0) == opts.max_iters)
         if np.any(stop):
             if np.any(done):
                 np.minimum.at(first, tj[done], attempt[done])
                 wins = done & (attempt == first[tj])
                 out[tj[wins]] = qa[wins]
             keep = ~stop & (attempt < first[tj])
-            tj, attempt, age, qa, br, bt, tr, tt, saved = (
-                a[keep] for a in (tj, attempt, age, qa, br, bt, tr, tt, saved))
+            tj, attempt, qa, saved = (a[keep] for a in (tj, attempt, qa, saved))
             if tj.size == 0:
                 continue
             e_pos, e_rot = e_pos[keep], e_rot[keep]
@@ -423,13 +400,12 @@ def _dls(seeds: np.ndarray, draw: Callable[[np.ndarray], np.ndarray],
         dq = np.einsum("wji,wj->wi", jac, y)
         dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
         qa = np.clip(qa + dq, -_UR3_LIMIT, _UR3_LIMIT)
-        age += 1
         # The cycle test of the docstring: compare, then refresh.
         cycling = (qa.view(np.int64) == saved).all(axis=1)
         if np.any(cycling):
-            tj, attempt, age, qa, br, bt, tr, tt, saved = (
-                a[~cycling] for a in (tj, attempt, age, qa, br, bt, tr, tt, saved))
-        fresh = (age & (age - 1)) == 0    # age a power of two
+            tj, attempt, qa, saved = (a[~cycling] for a in (tj, attempt, qa, saved))
+        steps = it + 1 - join * (attempt > 0)
+        fresh = (steps & (steps - 1)) == 0    # steps a power of two
         if np.any(fresh):
             saved = np.where(fresh[:, None], qa.view(np.int64), saved)
     return out, first < k

@@ -338,10 +338,8 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
 
     con = root.child("constraint", ("theta_max_deg",), {})
     theta_max_deg = con.number("theta_max_deg", math.degrees(BendConstraint().theta_max))
-    if not 0.0 < theta_max_deg < 180.0:
-        raise ValidationError(con.at("theta_max_deg"),
-                              f"must be in (0, 180), got {theta_max_deg}")
-    constraint = BendConstraint(theta_max=math.radians(theta_max_deg))
+    constraint = _build(con.at("theta_max_deg"), BendConstraint,
+                        theta_max=math.radians(theta_max_deg))
 
     start_pose = _pose(root.child("start_pose", _POSE_KEYS))
     goal_pose = _pose(root.child("goal_pose", _POSE_KEYS))

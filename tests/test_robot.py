@@ -542,11 +542,12 @@ def _ik_call(case):
     0.6 m of the base, where the elbow test rejects most, or a point
     2 m out).  Group sizes run over 0-4, restarts over 1-8 and
     max_iters over 0-80; half the calls seed every row on its own.
+    Case 16 has unequal groups and restarts 0: an empty restart table.
     """
     rng = np.random.default_rng(500 + case)
     arm = _random_base_ur3(rng)
     sizes = rng.integers(0, 5, size=rng.integers(1, 6)).tolist()
-    if case == 0:
+    if case in (0, 16):
         sizes = [0, 1, 4, 0, 3]
     b = sum(sizes)
     qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (b, 6))
@@ -570,10 +571,12 @@ def _ik_call(case):
         seeds = seeds[0] if b else np.zeros(6)
     opts = rb.IKOptions(max_iters=[0, 1, 5, 12, 30, 50, 80, 80][case % 8],
                         restarts=1 + case % 8, seed=int(rng.integers(1000)))
+    if case == 16:
+        opts = replace(opts, max_iters=50, restarts=0)
     return arm, rots, ts, seeds, opts, sizes
 
 
-@pytest.mark.parametrize("case", range(16))
+@pytest.mark.parametrize("case", range(17))
 def test_ik_batch_equals_sequential_restarts(case):
     arm, rots, ts, seeds, opts, sizes = _ik_call(case)
     q, ok = rb.ik_batch(arm, rots, ts, seeds, opts, sizes)

@@ -296,6 +296,11 @@ class TestValidationErrors:
         with pytest.raises(ValidationError, match="theta_max_deg"):
             parse_scene(mutated(constraint__theta_max_deg=180.0))
 
+    def test_threshold_that_rounds_to_zero_radians_rejected(self):
+        # The smallest positive double is above 0 deg but 0 rad.
+        with pytest.raises(ValidationError, match="theta_max_deg"):
+            parse_scene(mutated(constraint__theta_max_deg=5e-324))
+
     def test_negative_shape_radius_rejected(self):
         doc = yaml.safe_load(default_text())
         doc["statics"].append({"name": "bad", "kind": "sphere",
