@@ -10,8 +10,8 @@ collides only when its clearance is strictly negative.
 A query assembles the arm, static and attached capsules (the tool's
 shapes and its cable) of a batch of waypoints and the world's pair
 table for the attached set, built once per world and attached set.
-_pair_clearances measures the dense (W, P) matrix of pair clearances,
-the reference that motion_clearances is tested against.
+tests/oracles.py's dense_pair_clearances measures the dense (W, P)
+matrix of pair clearances, the reference motion_clearances is tested on.
 
 motion_clearances returns the same matrix's minimum and first argmin
 per row but measures only the entries that can decide them.  A
@@ -321,23 +321,6 @@ def _measure(caps: np.ndarray, boxes: Sequence[Box], table: _PairTable,
     return out
 
 
-def _pair_clearances(world: CollisionWorld, robot: DualArm,
-                     q_left: np.ndarray, q_right: np.ndarray,
-                     attached_segments: np.ndarray | None,
-                     attached_radii: Sequence[float],
-                     attached_names: Sequence[str]) -> tuple[np.ndarray, _PairTable]:
-    """Clearance of every active pair at every waypoint: ((W, P), table).
-
-    The dense matrix; see motion_clearances for the arguments.  Columns
-    follow table.pair_names.
-    """
-    caps, table = _query(world, robot, q_left, q_right, attached_segments,
-                         attached_radii, attached_names)
-    w, p = caps.shape[0], len(table.pair_names)
-    rows, cols = np.divmod(np.arange(w * p), p)
-    return _measure(caps, world.boxes, table, rows, cols).reshape(w, p), table
-
-
 def _pair_bounds(caps: np.ndarray, boxes: Sequence[Box],
                  table: _PairTable) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds (W, P) on the clearance matrix from each
@@ -376,11 +359,12 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
     shapes named attached_names.
 
     Returns (clearance (W,), argmin pair index (W,), pair name table),
-    equal bit for bit to the min and np.argmin of the dense matrix of
-    _pair_clearances.  Only the entries that can decide a row's minimum
-    are measured: those whose midpoint lower bound (module docstring) is
-    not above the row's least upper bound plus _BOUND_MARGIN, all in one
-    _measure call.  The rows need not form a motion.
+    equal bit for bit to the min and np.argmin of the dense matrix
+    (tests/oracles.py's dense_pair_clearances).  Only the entries that
+    can decide a row's minimum are measured: those whose midpoint lower
+    bound (module docstring) is not above the row's least upper bound
+    plus _BOUND_MARGIN, all in one _measure call.  The rows need not
+    form a motion.
     """
     caps, table = _query(world, robot, q_left, q_right, attached_segments,
                          attached_radii, attached_names)

@@ -62,18 +62,21 @@ def rot_to_rotvec(r: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     rots = r.reshape(-1, 3, 3)
-    trace = np.clip(np.einsum("wii->w", rots), -1.0, 3.0)
-    theta = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
-    skew = 0.5 * np.stack([rots[:, 2, 1] - rots[:, 1, 2],
-                           rots[:, 0, 2] - rots[:, 2, 0],
-                           rots[:, 1, 0] - rots[:, 0, 1]], axis=1)
+    # Clamping the trace to [-1, 3] first would change nothing: 0.5 * (t - 1)
+    # is monotone in t and exact at t = -1 and t = 3.
+    cos = 0.5 * (rots[:, 0, 0] + rots[:, 1, 1] + rots[:, 2, 2] - 1.0)
+    theta = np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0))
+    # r21 - r12, r02 - r20, r10 - r01, from one gather of the flat rows.
+    pairs = rots.reshape(-1, 9)[:, [7, 2, 3, 5, 6, 1]]
+    skew = 0.5 * (pairs[:, :3] - pairs[:, 3:])
     sin = np.sin(theta)
     small = theta < 1e-5
     near_pi = theta > math.pi - 1e-3
     scale = np.where(small | near_pi, 1.0, theta / np.where(sin == 0.0, 1.0, sin))
     out = scale[:, None] * skew
-    for idx in np.nonzero(near_pi)[0]:
-        out[idx] = _rotvec_near_pi(rots[idx])
+    if near_pi.any():
+        for idx in np.nonzero(near_pi)[0]:
+            out[idx] = _rotvec_near_pi(rots[idx])
     return out.reshape(r.shape[:-1])
 
 

@@ -21,10 +21,12 @@ starts at iteration 0, and the random restarts of the targets still
 unsolved join at iteration _IK_RESTART_AFTER (or right after the seeds'
 last iteration, if that is sooner) while the slow seeds still run.
 The restart starts are one table, sampled up front.  A row carries only
-its target index, attempt, configuration and cycle-test state; it
-reads its target and its arm's base by that index, and its step count
-follows from its attempt.  The loop returns exactly what running the
-restarts one after another returns (_dls says why), in at most
+its target index, attempt, configuration and cycle-test state; its
+target and its arm's base are gathered by that index when the row set
+changes.  Every seed has taken as many steps as every other, and so has
+every restart, so stops and cycle-test refreshes are decided per
+attempt class from the iteration number.  The loop returns exactly what
+running the restarts one after another returns (_dls says why), in at most
 min(_IK_RESTART_AFTER, max_iters + 1) + max_iters + 1 fk_chain_batch
 calls.  One call may serve arms at different bases, so both arms of a
 DualArm iterate in one loop.  Before the loop, _beyond_reach drops the
@@ -334,10 +336,12 @@ def _dls(seeds: np.ndarray, starts: np.ndarray, base_r: np.ndarray,
     iteration J = min(_IK_RESTART_AFTER, opts.max_iters + 1).  An
     iteration with no active row does nothing, so once every seed has
     stopped the loop goes straight on to J.  Every row works at its
-    target's base (base_r[j], base_t[j]) and steps once per iteration:
-    at iteration it, a seed row has taken it steps and a restart it - J.  A
-    row stops when it meets the tolerances, after opts.max_iters steps,
-    as soon as an earlier attempt of its target has met them, or when a
+    target's base (base_r[j], base_t[j]), gathered when the row set
+    changes, and steps once per iteration: at iteration it, every seed
+    has taken it steps and every restart it - J, so the max_iters stop
+    and the cycle test's refreshes are decided per attempt class from
+    it.  A row stops when it meets the tolerances, after opts.max_iters
+    steps, as soon as an earlier attempt of its target has met them, or when a
     step takes it back to a configuration it held before.  So a call
     makes at most J + opts.max_iters + 1 fk_chain_batch calls.  Returns
     (q (U, 6), solved (U,)): each solved target's configuration from its
@@ -367,7 +371,7 @@ def _dls(seeds: np.ndarray, starts: np.ndarray, base_r: np.ndarray,
     # saved configuration of the cycle test as int64 bit patterns.  They
     # are filtered only when rows stop, and a winning row is written out.
     tj, attempt, qa = np.arange(u), np.zeros(u, dtype=int), seeds
-    saved = qa.view(np.int64).copy()
+    saved, gathered = qa.view(np.int64).copy(), None
     for it in range(join + opts.max_iters + 1):
         if it == join and k > 1 and (rows := np.nonzero(first == k)[0]).size:
             new = starts[:, rows].reshape(-1, N_JOINTS)
@@ -376,14 +380,20 @@ def _dls(seeds: np.ndarray, starts: np.ndarray, base_r: np.ndarray,
             qa, saved = np.concatenate([qa, new]), np.concatenate([saved, new.view(np.int64)])
         if tj.size == 0:
             continue
-        cur_r, cur_t, origins, axes = fk_chain_batch(base_r[tj], base_t[tj], qa)
-        e_pos = target_t[tj] - cur_t
-        e_rot = rot_to_rotvec(target_r[tj] @ cur_r.transpose(0, 2, 1))
-        done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
-                & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
-        stop = done | (it - join * (attempt > 0) == opts.max_iters)
-        if np.any(stop):
-            if np.any(done):
+        if tj is not gathered:
+            gathered = tj
+            br, bt, tr, tt = base_r[tj], base_t[tj], target_r[tj], target_t[tj]
+        cur_r, cur_t, origins, axes = fk_chain_batch(br, bt, qa)
+        e_pos = tt - cur_t
+        e_rot = rot_to_rotvec(tr @ cur_r.transpose(0, 2, 1))
+        # Row norms as np.linalg.norm computes them.
+        done = ((np.sqrt(np.add.reduce(e_pos * e_pos, axis=1)) < opts.pos_tol)
+                & (np.sqrt(np.add.reduce(e_rot * e_rot, axis=1)) < opts.ori_tol))
+        # Seeds stop at it == max_iters and restarts at join + max_iters.
+        stop = (done | (attempt == 0) if it == opts.max_iters
+                else done | (it == join + opts.max_iters))
+        if stop.any():
+            if done.any():
                 np.minimum.at(first, tj[done], attempt[done])
                 wins = done & (attempt == first[tj])
                 out[tj[wins]] = qa[wins]
@@ -398,14 +408,15 @@ def _dls(seeds: np.ndarray, starts: np.ndarray, base_r: np.ndarray,
         gram = jac @ jac.transpose(0, 2, 1) + eye
         y = np.linalg.solve(gram, err[..., None])[..., 0]
         dq = np.einsum("wji,wj->wi", jac, y)
-        dq = np.clip(dq, -_IK_STEP_CLAMP, _IK_STEP_CLAMP)
-        qa = np.clip(qa + dq, -_UR3_LIMIT, _UR3_LIMIT)
+        dq = np.minimum(np.maximum(dq, -_IK_STEP_CLAMP), _IK_STEP_CLAMP)
+        qa = np.minimum(np.maximum(qa + dq, -_UR3_LIMIT), _UR3_LIMIT)
         # The cycle test of the docstring: compare, then refresh.
         cycling = (qa.view(np.int64) == saved).all(axis=1)
-        if np.any(cycling):
+        if cycling.any():
             tj, attempt, qa, saved = (a[~cycling] for a in (tj, attempt, qa, saved))
-        steps = it + 1 - join * (attempt > 0)
-        fresh = (steps & (steps - 1)) == 0    # steps a power of two
-        if np.any(fresh):
+        seed_fresh, restart_fresh = (s > 0 and (s & (s - 1)) == 0
+                                     for s in (it + 1, it + 1 - join))
+        if seed_fresh or restart_fresh:
+            fresh = np.where(attempt > 0, restart_fresh, seed_fresh)
             saved = np.where(fresh[:, None], qa.view(np.int64), saved)
     return out, first < k

@@ -5,10 +5,16 @@ Everything here is deliberately written against first principles
 matrix products) and never calls into the library code paths it is used
 to check.  rot_axis_angle and compose are the Rodrigues rotation and the
 pose product written out in full; the planner's stacked grasp table and
-IK targets must equal them bit for bit.  There are five exceptions.
+IK targets must equal them bit for bit.  There are eight exceptions.
+stacked_rot_to_rotvec, the reference for the log map's elementwise
+trace and one-gather skew part: rot_to_rotvec must equal it bit for
+bit, so it shares the library's near-pi branch, _rotvec_near_pi.
 sequential_ik_batch, the reference for ik_batch's restart schedule:
 ik_batch must match it bit for bit, so it runs the library's own FK,
-log-map and Jacobian kernels.  pop_and_check_search, the reference for
+log-map and Jacobian kernels.  lone_attempt_schedule, the reference
+for the rows of each FK call of ik_batch's joined loop, runs every
+attempt alone with the same kernels, so that each stops where it
+stops in the loop.  pop_and_check_search, the reference for
 the planner's path-first search: plan() must return its plan, so it
 drives a planner _Search's own successors, validate_edge and _assemble.
 row_by_row_parse_plan_csv, the reference for the whole-array plan
@@ -21,6 +27,9 @@ and call ik_batch and motion_clearances, one clearance call per
 (station, arm) pair, since the stacked forms must match these kernels
 bit for bit.  loop_pair_table, the reference for the masked pair table:
 it returns the library's _PairTable record, named by link_names.
+dense_pair_clearances, the reference for motion_clearances's bounded
+minimum: it measures every entry with the library's own query and
+distance kernels, since the minimum must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +42,11 @@ import numpy as np
 
 from tetherplan import robot as rb
 from tetherplan.cable import bend_angle_batch
-from tetherplan.collision import Box, _PairTable, link_names, motion_clearances
+from tetherplan.collision import Box, _PairTable, _measure, _query, link_names, \
+    motion_clearances
 from tetherplan.planner import ROOT, MotionPlan, PlanResult, _solve_stations, \
     _stations
-from tetherplan.geometry import Pose, rot_to_rotvec, unit
+from tetherplan.geometry import Pose, _rotvec_near_pi, rot_to_rotvec, unit
 from tetherplan.plan_io import _PREAMBLE, PLAN_HEADER, parse_holding
 
 
@@ -52,6 +62,26 @@ def rot_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 def compose(p: Pose, q: Pose) -> Pose:
     """Pose composition: the transform applying q first, then p."""
     return Pose(p.r @ q.r, p.r @ q.t + p.t)
+
+
+def stacked_rot_to_rotvec(r: np.ndarray) -> np.ndarray:
+    """rot_to_rotvec with the trace taken by np.einsum, the clamps by
+    np.clip and the skew part built by np.stack."""
+    r = np.asarray(r, dtype=float)
+    rots = r.reshape(-1, 3, 3)
+    trace = np.clip(np.einsum("wii->w", rots), -1.0, 3.0)
+    theta = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
+    skew = 0.5 * np.stack([rots[:, 2, 1] - rots[:, 1, 2],
+                           rots[:, 0, 2] - rots[:, 2, 0],
+                           rots[:, 1, 0] - rots[:, 0, 1]], axis=1)
+    sin = np.sin(theta)
+    small = theta < 1e-5
+    near_pi = theta > math.pi - 1e-3
+    scale = np.where(small | near_pi, 1.0, theta / np.where(sin == 0.0, 1.0, sin))
+    out = scale[:, None] * skew
+    for idx in np.nonzero(near_pi)[0]:
+        out[idx] = _rotvec_near_pi(rots[idx])
+    return out.reshape(r.shape[:-1])
 
 
 # --- quaternion oracle (Hamilton convention, [w, x, y, z]) ---
@@ -265,6 +295,67 @@ def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None)
         if solved.all():
             break
     return solution, solved
+
+
+def lone_attempt_schedule(arm, target_r, target_t, seed_config, opts, groups=None):
+    """Active (seed, restart) rows (2, J + max_iters + 1) at each
+    iteration of ik_batch's joined loop, from each attempt run alone.
+
+    Every attempt of every target, with sequential_ik_batch's starts,
+    runs as a row of its own from step 0.  It stops when it meets the
+    tolerances, after opts.max_iters steps, or when a step lands bit for
+    bit on the configuration saved at its start and after its steps 1,
+    2, 4, 8, ... (Brent).  Then the rows are laid out on the loop's
+    iterations: seeds from 0; the restarts of a target whose seed has
+    not met the tolerances before J = min(_IK_RESTART_AFTER, max_iters
+    + 1) from J, each up to the iteration at which an earlier attempt of
+    its target meets them.  No target may be beyond reach.
+    """
+    target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
+    target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
+    b, k = target_r.shape[0], max(1, opts.restarts)
+    sizes = [b] if groups is None else list(groups)
+    rngs = [np.random.default_rng(opts.seed) for _ in sizes]
+    lim, eye = rb._UR3_LIMIT, rb._IK_DAMPING * rb._IK_DAMPING * np.eye(6)
+    q = np.concatenate([np.clip(np.broadcast_to(np.asarray(seed_config, dtype=float),
+                                                (b, 6)), -lim, lim)]
+                       + [np.concatenate([rng.uniform(-lim, lim, (g, 6))
+                                          for rng, g in zip(rngs, sizes)])
+                          for _ in range(k - 1)])
+    tr, tt = np.tile(target_r, (k, 1, 1)), np.tile(target_t, (k, 1))
+    steps, met = np.zeros(k * b, dtype=int), np.zeros(k * b, dtype=bool)
+    alive, saved = np.ones(k * b, dtype=bool), q.copy()
+    for step in range(opts.max_iters + 1):
+        idx = np.nonzero(alive)[0]
+        steps[idx] += 1
+        cur_r, cur_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, q[idx])
+        e_pos = tt[idx] - cur_t
+        e_rot = rot_to_rotvec(tr[idx] @ cur_r.transpose(0, 2, 1))
+        done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
+                & (np.linalg.norm(e_rot, axis=1) < opts.ori_tol))
+        met[idx[done]], alive[idx[done]] = True, False
+        idx = idx[~done]
+        if idx.size == 0 or step == opts.max_iters:
+            break
+        jac = rb._chain_jacobian(cur_t[~done], origins[~done], axes[~done])
+        err = np.concatenate([e_pos[~done], e_rot[~done]], axis=1)
+        y = np.linalg.solve(jac @ jac.transpose(0, 2, 1) + eye, err[..., None])[..., 0]
+        dq = np.clip(np.einsum("wji,wj->wi", jac, y), -rb._IK_STEP_CLAMP, rb._IK_STEP_CLAMP)
+        q[idx] = np.clip(q[idx] + dq, -lim, lim)
+        alive[idx[(q[idx].view(np.int64) == saved[idx].view(np.int64)).all(axis=1)]] = False
+        if ((step + 1) & step) == 0:      # step + 1 is a power of two
+            saved[idx] = q[idx]
+    join = min(rb._IK_RESTART_AFTER, opts.max_iters + 1)
+    begin = np.where(np.arange(k) > 0, join, 0)[:, None] + np.zeros(b, dtype=int)
+    last = begin + steps.reshape(k, b) - 1
+    met_at = np.where(met.reshape(k, b), last, np.iinfo(int).max)
+    earlier = np.minimum.accumulate(np.vstack([np.full(b, np.iinfo(int).max), met_at[:-1]]))
+    last = np.minimum(last, earlier)
+    runs = np.vstack([np.ones(b, dtype=bool)] + [met_at[0] >= join] * (k - 1))
+    active = np.zeros((2, join + opts.max_iters + 1), dtype=int)
+    for a, j in zip(*np.nonzero(runs)):
+        active[int(a > 0), begin[a, j]:last[a, j] + 1] += 1
+    return active
 
 
 # --- the pop-and-check uniform-cost search reference ---
@@ -552,3 +643,19 @@ def loop_pair_table(world, attached_names, attached_radii) -> _PairTable:
     return _PairTable(first=first, second=second, box=box,
                       radius=radii[first] + radii[second],
                       pair_names=tuple(pair_names))
+
+
+# --- the dense clearance matrix ---
+
+def dense_pair_clearances(world, robot, q_left, q_right, attached_segments,
+                          attached_radii, attached_names):
+    """Clearance of every active pair at every waypoint: ((W, P), table).
+
+    The arguments are motion_clearances's; columns follow
+    table.pair_names.
+    """
+    caps, table = _query(world, robot, q_left, q_right, attached_segments,
+                         attached_radii, attached_names)
+    w, p = caps.shape[0], len(table.pair_names)
+    rows, cols = np.divmod(np.arange(w * p), p)
+    return _measure(caps, world.boxes, table, rows, cols).reshape(w, p), table

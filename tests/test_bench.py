@@ -31,7 +31,7 @@ from tetherplan.bench import (
 )
 from tetherplan.cable import BendConstraint, bend_angle_batch
 from tetherplan.collision import Box, CollisionWorld, arm_link_segments
-from tetherplan.geometry import Pose
+from tetherplan.geometry import Pose, rot_z
 from tetherplan.plan_io import read_plan_csv
 from tetherplan.planner import MotionPlan, PlanCache, PlannerStats, \
     PlanResult, plan
@@ -644,6 +644,24 @@ def test_a_rigid_motion_of_the_scene_moves_every_plan_with_it(monkeypatch):
         assert np.abs(g.tool_rot - rot @ w.tool_rot).max() <= 1e-12
         assert np.abs(g.tool_t - (w.tool_t @ rot.T + shift)).max() <= 1e-12
 
+
+
+def test_an_obstacle_far_from_every_plan_changes_no_cell():
+    """A 0.1 m box turned 30 deg about z at (3, 3, 3) m, out of reach of
+    the arms, the tool and its cable, leaves a cut of the default sweep's
+    CSV byte-identical.  It is listed before the table, so the table's
+    box index, pair columns and bounds all shift."""
+    scene = default_scene()
+    cut = replace(scene, pitch_rows=scene.pitch_rows[::7],
+                  roll_cols=scene.roll_cols[::4])
+    world = cut.base.world
+    far = Box(Pose(rot_z(math.radians(30.0)), np.array([3.0, 3.0, 3.0])),
+              np.full(3, 0.05))
+    crowded = CollisionWorld({"far": far, **world.statics}, world.link_spec,
+                             world.excluded)
+    assert crowded.box_names == ("far", "table")
+    with_far = replace(cut, base=replace(cut.base, world=crowded))
+    assert cells_csv(sweep(with_far)) == cells_csv(sweep(cut))
 
 def test_default_sweep_plans_keep_their_grip(default_report):
     rechecks = [c.recheck for c in default_report.cells if c.recheck]

@@ -14,7 +14,6 @@ from tetherplan.collision import (
     Capsule,
     CollisionWorld,
     _pair_bounds,
-    _pair_clearances,
     _pair_table,
     _query,
     _seg_box_batch,
@@ -30,8 +29,8 @@ from tetherplan.robot import ArmModel, DualArm, fk_batch
 from tetherplan.scene import default_scene
 
 from helpers import HOME_LEFT, HOME_RIGHT, make_problem
-from oracles import loop_pair_table, segment_box_distance_sampled, \
-    segment_distance_sampled
+from oracles import dense_pair_clearances, loop_pair_table, \
+    segment_box_distance_sampled, segment_distance_sampled
 
 
 def random_segment(rng, scale=1.0):
@@ -239,7 +238,7 @@ def make_world(statics=None, excluded=()):
 def overlaps(world, robot, q_left, q_right):
     """Strictly overlapping pairs of the bare arms at one configuration
     pair, read off the dense matrix's single row."""
-    clear, table = _pair_clearances(world, robot, q_left, q_right, None, (), ())
+    clear, table = dense_pair_clearances(world, robot, q_left, q_right, None, (), ())
     return [table.pair_names[k] for k in np.nonzero(clear[0] < 0.0)[0]]
 
 
@@ -305,7 +304,7 @@ class TestWorld:
             attach = (None, (), ()) if tools is None else (
                 np.array([[[c.a, c.b]] for c in tools]), [0.02], ["tool"])
             clear, _, names = motion_clearances(world, robot, qs_l, qs_r, *attach)
-            dense, pairs = _pair_clearances(world, robot, qs_l, qs_r, *attach)
+            dense, pairs = dense_pair_clearances(world, robot, qs_l, qs_r, *attach)
             assert pairs.pair_names == names
             for w in range(5):
                 shapes = dict(world.statics)
@@ -349,8 +348,8 @@ class TestWorld:
 
 def dense_minimum(world, robot, q_left, q_right, *attach):
     """Row minimum and first-index argmin of the dense pair matrix."""
-    clear, table = _pair_clearances(world, robot, q_left, q_right,
-                                    *(attach or (None, (), ())))
+    clear, table = dense_pair_clearances(world, robot, q_left, q_right,
+                                         *(attach or (None, (), ())))
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(clear.shape[0]), idx], idx, table.pair_names
 
@@ -516,7 +515,7 @@ def test_pair_bounds_enclose_the_exact_clearance():
     attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
     caps, table = _query(world, robot, ql, qr, *attach)
     lower, upper = _pair_bounds(caps, world.boxes, table)
-    exact, _ = _pair_clearances(world, robot, ql, qr, *attach)
+    exact, _ = dense_pair_clearances(world, robot, ql, qr, *attach)
     assert lower.shape == upper.shape == exact.shape
     assert np.all(lower <= exact + 1e-12) and np.all(exact <= upper + 1e-12)
     on_box = (table.box >= 0) & np.array([a == "ball" for a, _ in table.pair_names])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import compose, quat_from_axis_angle, quat_from_rpy, quat_matrix, \
-    random_quat, rot_axis_angle
+    random_quat, rot_axis_angle, stacked_rot_to_rotvec
 from tetherplan import geometry as geo
 
 
@@ -69,6 +69,24 @@ def test_rot_to_rotvec_round_trip():
         w = geo.rot_to_rotvec(rot_axis_angle(axis, angle))
         assert np.linalg.norm(w) == pytest.approx(angle, abs=1e-8)
         assert np.allclose(w / np.linalg.norm(w), axis, atol=1e-6)
+
+
+def test_rot_to_rotvec_equals_the_stacked_form():
+    # Random rotations, angles from 1e-12 rad past the 1e-5 small-angle
+    # switch, and angles within 1e-3 rad of pi down to pi itself, each
+    # also with a trace pushed just past the clamps; in one batch of
+    # stacked leading axes and one rotation at a time.
+    rng = np.random.default_rng(31)
+    angles = np.concatenate([np.geomspace(1e-12, 1e-3, 40),
+                             math.pi - np.geomspace(1e-12, 2e-3, 40), [0.0, math.pi]])
+    rots = [quat_matrix(random_quat(rng)) for _ in range(200)]
+    rots += [rot_axis_angle(rng.normal(size=3), a) for a in angles]
+    rots = np.array(rots)
+    rots = np.concatenate([rots, rots * (1.0 + rng.choice([-4e-16, 4e-16], (len(rots), 1, 1)))])
+    got = geo.rot_to_rotvec(rots.reshape(2, -1, 3, 3))
+    assert np.array_equal(got.reshape(-1, 3), stacked_rot_to_rotvec(rots))
+    for r, w in zip(rots, got.reshape(-1, 3)):
+        assert np.array_equal(geo.rot_to_rotvec(r), w)
 
 
 def test_quat_serialization_round_trip():

@@ -6,14 +6,13 @@ import pytest
 from helpers import QUICK, make_problem, make_tool
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from oracles import per_grasp_sample_grasps, per_pair_station_solve, \
-    pop_and_check_search
+from oracles import dense_pair_clearances, per_grasp_sample_grasps, \
+    per_pair_station_solve, pop_and_check_search
 
 from tetherplan import planner, robot
 from tetherplan.bench import recheck_plan
 from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch
-from tetherplan.collision import Box, Capsule, CollisionWorld, _pair_clearances, \
-    motion_clearances
+from tetherplan.collision import Box, Capsule, CollisionWorld, motion_clearances
 from tetherplan.geometry import Pose, rot_x, rpy_to_rot
 from tetherplan.planner import (
     EmptyGraspSet,
@@ -346,10 +345,10 @@ class TestAssembly:
             p.theta, bend_angle_batch(rot, t, problem.balancer, problem.tool))
         # The approach ends on the first held waypoint.
         approach = next(i for i, h in enumerate(p.holding) if h) + 1
-        dense, _ = _pair_clearances(problem.world, problem.robot, p.q_left,
-                                    p.q_right, *problem.tool.bodies(rot, t))
+        dense, _ = dense_pair_clearances(problem.world, problem.robot, p.q_left,
+                                         p.q_right, *problem.tool.bodies(rot, t))
         want = dense.min(axis=1)
-        with_cable, table = _pair_clearances(
+        with_cable, table = dense_pair_clearances(
             problem.world, problem.robot, p.q_left, p.q_right,
             *problem.tool.bodies(rot, t, problem.balancer))
         if constrained:

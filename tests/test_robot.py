@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import (central_difference_jacobian, fk_matrix_chain, fk_matrix_product,
-                     homogeneous, in_limits, quat_matrix, random_quat,
-                     rot_axis_angle, sequential_ik_batch)
+                     homogeneous, in_limits, lone_attempt_schedule, quat_matrix,
+                     random_quat, rot_axis_angle, sequential_ik_batch)
 from tetherplan.geometry import Pose, rot_to_rotvec, rot_z
 from tetherplan import robot as rb
 
@@ -645,6 +645,41 @@ def test_ik_batch_fk_calls_end_max_iters_after_the_join(arm, monkeypatch):
         # A target left unsolved has run all 8 attempts.
         assert not ok.all()
         assert join < len(rows) <= join + max_iters + 1
+
+
+@pytest.mark.parametrize("opts", [
+    rb.IKOptions(max_iters=200, restarts=8, seed=11),
+    rb.IKOptions(max_iters=20, restarts=8, seed=11),
+    rb.IKOptions(max_iters=0, restarts=8, seed=11),
+    rb.IKOptions(pos_tol=0.0, ori_tol=0.0, max_iters=100, restarts=3, seed=2),
+], ids=["both_classes_refresh_at_63", "join_after_the_seeds", "no_steps",
+        "no_row_converges"])
+def test_ik_batch_schedule_equals_lone_attempts(arm, monkeypatch, opts):
+    # The loop stops and refreshes each attempt class by the iteration
+    # number; each fk_chain_batch call must hold the rows that the
+    # attempts, run alone and laid out on the loop's iterations, have
+    # active there.  With 200 iterations seeds are still active at
+    # iteration 63, where they take step 64 and the restarts step 32;
+    # with 20 the restarts join at 21, right after the seeds' last
+    # iteration; with 0 seeds and restarts are measured once each; with
+    # zero tolerances no row converges, and every row ends by a cycle or
+    # by max_iters.
+    rng = np.random.default_rng(52)
+    rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (40, 6)))
+    seeds = rng.uniform(-math.pi, math.pi, (40, 6))
+    (q, ok), rows = _fk_calls(
+        monkeypatch, lambda: rb.ik_batch(arm, rots, ts, seeds, opts, [10, 30]))
+    q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts, [10, 30])
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(q, q_ref)
+    active = lone_attempt_schedule(arm, rots, ts, seeds, opts, [10, 30])
+    per_iteration = active.sum(axis=0)
+    assert rows == per_iteration[per_iteration > 0].tolist()
+    join = min(rb._IK_RESTART_AFTER, opts.max_iters + 1)
+    assert not active[0, opts.max_iters + 1:].any() and not active[1, :join].any()
+    assert active[1, join] > 0
+    if opts.max_iters > 63:
+        assert active[:, 63].all()
 
 
 def _single_attempt(arm, rot, t, start, opts, monkeypatch):
