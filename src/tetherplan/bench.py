@@ -20,7 +20,9 @@ so it solves each station once and measures each edge once (an
 approach once with the cable attached, once without).  The same cache
 holds the audit's own tables, so each distinct plan is audited once
 under each bend limit (the two modes often return the same plan) and
-each distinct waypoint row is re-checked once.
+each distinct waypoint row is re-checked once.  A re-check makes one
+FK call, which serves its clearance query and its grip check: each arm
+at each distinct row that either reads.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cable import CABLE, bend_angle_batch
-from .collision import motion_clearances
+from .collision import link_segments, motion_clearances
 from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
     plan, solve_stations
-from .robot import fk_batch
 from .scene import Scene
 from .torque import trace_plan
 
@@ -98,7 +99,9 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     the joints of the arms holding it (_grip_waypoint).  It binds cache
     (a fresh one when None) to problem's scene and reads none of the
     planner's tables, only cache.rows: only the rows that it lacks are
-    measured, each once, in plan order; the others are read back.
+    measured, each once, in plan order; the others are read back.  One
+    FK call (DualArm.fk) serves both checks: each arm runs once for each
+    distinct row that the clearance or that arm's grip check reads.
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
@@ -110,57 +113,83 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     raw = np.hstack([motion.q_left, motion.q_right,
                      motion.tool_rot.reshape(-1, 9), motion.tool_t])
     keys = raw.view(f"V{raw[0].nbytes}").ravel().tolist()
-    # A row of each key the cache lacks, in plan order (equal keys, equal rows).
-    at = {key: i for i, key in enumerate(keys) if key not in cache.rows}
-    if at:
-        new = np.fromiter(at.values(), dtype=int, count=len(at))
+    # Equal keys, equal rows: each row stands for the first row of its key.
+    first: dict = {}
+    rep = np.array([first.setdefault(key, i) for i, key in enumerate(keys)],
+                   dtype=int)
+    fresh = [key for key in first if key not in cache.rows]
+    new = np.array([first[key] for key in fresh], dtype=int)
+    ids = {h: [dict(h).get(side, -1) for side in ("left", "right")]
+           for h in set(motion.holding)}
+    gid = np.array(list(map(ids.__getitem__, motion.holding)),
+                   dtype=int).reshape(-1, 2)
+    # Each arm (0 left, 1 right) runs FK at the first row of each key
+    # that the clearance of the new rows or that arm's grip check reads.
+    reads = np.zeros((2, len(keys)), dtype=bool)
+    reads[:, new] = True
+    arm, at = np.nonzero(gid.T >= 0)
+    reads[arm, rep[at]] = True
+    arm, at = np.nonzero(reads)
+    right = arm == 1
+    rot, tcp, origins, _ = problem.robot.fk(right, np.where(
+        right[:, None], motion.q_right[at], motion.q_left[at]))
+    # fk_row[arm, i]: the FK row of that arm at waypoint i, if it ran.
+    fk_row = np.zeros((2, len(keys)), dtype=int)
+    fk_row[arm, at] = np.arange(arm.size)
+    fk_row = fk_row[:, rep]
+    if fresh:
+        k = fk_row[:, new].ravel()
         # The tool shapes and the taut cable ride on every waypoint.
         clear, pair_idx, pair_names = motion_clearances(
-            problem.world, problem.robot, motion.q_left[new],
-            motion.q_right[new], *problem.tool.bodies(
-                motion.tool_rot[new], motion.tool_t[new], problem.balancer))
+            problem.world,
+            link_segments(problem.world.link_spec, rot[k], tcp[k], origins[k]),
+            *problem.tool.bodies(motion.tool_rot[new], motion.tool_t[new],
+                                 problem.balancer))
         # With no pair at all every index is 0 and every clearance inf.
         cable = np.array([CABLE in pair for pair in pair_names] or [False])
-        cache.rows.update(zip(at, zip(clear.tolist(), cable[pair_idx].tolist())))
+        cache.rows.update(zip(fresh, zip(clear.tolist(), cable[pair_idx].tolist())))
     clear, cable = map(np.array, zip(*map(cache.rows.__getitem__, keys)))
-    first = {}      # is the row's nearest pair the cable's -> first such row
+    first_bad = {}      # is the row's nearest pair the cable's -> first such row
     for i in np.nonzero(clear < 0.0)[0]:
-        first.setdefault(bool(cable[i]), int(i))
+        first_bad.setdefault(bool(cable[i]), int(i))
 
     return Recheck(
         theta_max=float(theta.max()),
         bend_waypoint=bend_wp,
-        cable_waypoint=first.get(True),
-        collision_waypoint=first.get(False),
-        grip_waypoint=_grip_waypoint(motion, problem),
+        cable_waypoint=first_bad.get(True),
+        collision_waypoint=first_bad.get(False),
+        grip_waypoint=_grip_waypoint(motion, problem, gid, rot, tcp, fk_row),
         min_clearance=float(clear.min()),
     )
 
 
-def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem) -> int | None:
+def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem,
+                   gid: np.ndarray, tcp_r: np.ndarray, tcp_t: np.ndarray,
+                   fk_row: np.ndarray) -> int | None:
     """First held waypoint where the tool has left its holder's grip.
 
-    A hold is a run of consecutive waypoints on which one arm holds the
-    tool.  Along it the grasp id must not change, and the tool's pose
-    relative to that arm's TCP (FK of its joints) must stay where the
-    run's first waypoint put it, to within _GRIP_TOL at every shape
-    endpoint.
+    gid (W, 2) is each waypoint's grasp id of the left and the right
+    arm, -1 where that arm does not hold the tool.  Where it does, that
+    arm's TCP pose (FK of its joints) is tcp_r and tcp_t at row
+    fk_row[arm, waypoint] of recheck_plan's FK call.  A hold is a run of
+    consecutive waypoints on which one arm holds the tool.  Along it
+    the grasp id must not change, and the tool's pose relative to that
+    arm's TCP must stay where the run's first waypoint put it, to
+    within _GRIP_TOL at every shape endpoint.
     """
-    holders = [dict(h) for h in motion.holding]
     first = None
-    for side, qs in (("left", motion.q_left), ("right", motion.q_right)):
-        gid = np.array([h.get(side, -1) for h in holders])
-        held = np.nonzero(gid >= 0)[0]
+    for arm in (0, 1):
+        held = np.nonzero(gid[:, arm] >= 0)[0]
         if held.size == 0:
             continue
         step = np.diff(held) == 1
-        begins = np.r_[True, ~step]
-        regrasp = np.r_[False, step & (np.diff(gid[held]) != 0)]
+        begins = np.concatenate([[True], ~step])
+        regrasp = np.concatenate([[False], step & (np.diff(gid[held, arm]) != 0)])
         run_start = np.maximum.accumulate(
             np.where(begins, np.arange(held.size), 0))
-        tcp_r, tcp_t, _ = fk_batch(problem.robot.arm(side), qs[held])
-        rel_r = np.einsum("wji,wjk->wik", tcp_r, motion.tool_rot[held])
-        rel_t = np.einsum("wji,wj->wi", tcp_r, motion.tool_t[held] - tcp_t)
+        r, t = tcp_r[fk_row[arm, held]], tcp_t[fk_row[arm, held]]
+        rel_r = np.einsum("wji,wjk->wik", r, motion.tool_rot[held])
+        rel_t = np.einsum("wji,wj->wi", r, motion.tool_t[held] - t)
         local = problem.tool.bodies(rel_r, rel_t)[0]
         drift = np.linalg.norm(local - local[run_start], axis=3).max(axis=(1, 2))
         bad = held[(drift > _GRIP_TOL) | regrasp]

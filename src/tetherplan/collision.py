@@ -10,6 +10,9 @@ collides only when its clearance is strictly negative.
 A query assembles the arm, static and attached capsules (the tool's
 shapes and its cable) of a batch of waypoints and the world's pair
 table for the attached set, built once per world and attached set.
+FK does not run inside the clearance routine: the caller hands it both
+arms' link segments, from FK rows that it may share with other checks
+(link_segments), or from the joints in one FK call (arm_link_segments).
 tests/oracles.py's dense_pair_clearances measures the dense (W, P)
 matrix of pair clearances, the reference motion_clearances is tested on.
 
@@ -37,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from tetherplan.geometry import Pose
-from tetherplan.robot import N_JOINTS, ArmModel, DualArm, fk_batch
+from tetherplan.robot import N_JOINTS, DualArm
 
 _DEG_EPS = 1e-14          # squared-length threshold for degenerate segments
 _BOUND_MARGIN = 1e-9      # m; float rounding allowance of the midpoint bounds
@@ -205,13 +208,30 @@ class CollisionWorld:
         self.pair_tables: dict[tuple, _PairTable] = {}
 
 
-def arm_link_segments(arm: ArmModel, spec: ArmLinkSpec, qs: np.ndarray) -> np.ndarray:
-    """Link capsule segments for a batch of configurations: (W, 6, 2, 3)."""
-    qs = np.asarray(qs, dtype=float).reshape(-1, N_JOINTS)
-    rot, tcp, origins = fk_batch(arm, qs)
+def link_segments(spec: ArmLinkSpec, rot: np.ndarray, tcp: np.ndarray,
+                  origins: np.ndarray) -> np.ndarray:
+    """Link capsule segments (W, 12, 2, 3) of W waypoints, the left
+    arm's six links first, from the fk_chain_batch rot, tcp and origins
+    of their 2W rows: the left arm's W rows, then the right arm's."""
     pts = origins.copy()
     pts[:, 7] = tcp - spec.palm_setback * rot[:, :, 2]
-    return pts[:, _LINK_SPANS]
+    left, right = np.split(pts[:, _LINK_SPANS], 2)
+    return np.concatenate([left, right], axis=1)
+
+
+def arm_link_segments(robot: DualArm, spec: ArmLinkSpec, q_left: np.ndarray,
+                      q_right: np.ndarray) -> np.ndarray:
+    """link_segments of both arms' (W, 6) configurations, in one
+    fk_chain_batch call; ValueError unless their rows agree."""
+    q_left, q_right = (np.asarray(q, dtype=float).reshape(-1, N_JOINTS)
+                       for q in (q_left, q_right))
+    w = len(q_left)
+    if w != len(q_right):
+        raise ValueError(f"q_left has {w} rows and q_right {len(q_right)}; "
+                         "they must agree")
+    rot, tcp, origins, _ = robot.fk(np.arange(2 * w) >= w,
+                                    np.concatenate([q_left, q_right]))
+    return link_segments(spec, rot, tcp, origins)
 
 
 @dataclass(frozen=True)
@@ -271,33 +291,34 @@ def _pair_table(world: CollisionWorld, attached_names: Sequence[str],
     return table
 
 
-def _query(world: CollisionWorld, robot: DualArm,
-           q_left: np.ndarray, q_right: np.ndarray,
+def _query(world: CollisionWorld, links: np.ndarray,
            attached_segments: np.ndarray | None,
            attached_radii: Sequence[float],
            attached_names: Sequence[str]) -> tuple[np.ndarray, _PairTable]:
     """Capsule segments (W, N, 2, 3) and the pair table.
 
-    Raises ValueError unless q_left, q_right and attached_segments have
-    one row per waypoint, and attached_segments, attached_names and
-    attached_radii one entry per attached body.
+    Raises ValueError unless links is (W, 12, 2, 3) and
+    attached_segments has one row per waypoint, and attached_segments,
+    attached_names and attached_radii one entry per attached body.
     """
-    left, right = (arm_link_segments(arm, world.link_spec, q)
-                   for arm, q in ((robot.left, q_left), (robot.right, q_right)))
-    w = len(left)
+    links = np.asarray(links, dtype=float)
+    if links.ndim != 4 or links.shape[1:] != (2 * _LINK_COUNT, 2, 3):
+        raise ValueError(f"links must be (W, {2 * _LINK_COUNT}, 2, 3), "
+                         f"not {links.shape}")
+    w = len(links)
     segs = np.asarray(np.empty((w, 0, 2, 3)) if attached_segments is None
                       else attached_segments, dtype=float)
     if segs.ndim != 4 or segs.shape[2:] != (2, 3):
         raise ValueError(f"attached_segments must be (W, K, 2, 3), not {segs.shape}")
-    if not w == len(right) == len(segs):
-        raise ValueError(f"q_left has {w} rows, q_right {len(right)} and "
-                         f"attached_segments {len(segs)}; they must agree")
+    if w != len(segs):
+        raise ValueError(f"links has {w} rows and attached_segments "
+                         f"{len(segs)}; they must agree")
     if not segs.shape[1] == len(attached_names) == len(attached_radii):
         raise ValueError(f"attached_segments holds {segs.shape[1]} bodies, "
                          f"attached_names {len(attached_names)} and "
                          f"attached_radii {len(attached_radii)}; they must agree")
     statics = np.broadcast_to(world.capsule_segments, (w,) + world.capsule_segments.shape)
-    return (np.concatenate([left, right, statics, segs], axis=1),
+    return (np.concatenate([links, statics, segs], axis=1),
             _pair_table(world, attached_names, attached_radii))
 
 
@@ -347,15 +368,15 @@ def _pair_bounds(caps: np.ndarray, boxes: Sequence[Box],
     return (upper - slack).T, upper.T
 
 
-def motion_clearances(world: CollisionWorld, robot: DualArm,
-                      q_left: np.ndarray, q_right: np.ndarray,
+def motion_clearances(world: CollisionWorld, links: np.ndarray,
                       attached_segments: np.ndarray | None = None,
                       attached_radii: Sequence[float] = (),
                       attached_names: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Minimum clearance per waypoint over every active collision pair.
 
-    q_left/q_right are (W, 6).  attached_segments, when given, is
-    (W, K, 2, 3) world-frame segments of the capsule-like attached
+    links is both arms' (W, 12, 2, 3) link segments (link_segments, or
+    arm_link_segments of their joints).  attached_segments, when given,
+    is (W, K, 2, 3) world-frame segments of the capsule-like attached
     shapes named attached_names.
 
     Returns (clearance (W,), argmin pair index (W,), pair name table),
@@ -366,8 +387,8 @@ def motion_clearances(world: CollisionWorld, robot: DualArm,
     plus _BOUND_MARGIN, all in one _measure call.  The rows need not
     form a motion.
     """
-    caps, table = _query(world, robot, q_left, q_right, attached_segments,
-                         attached_radii, attached_names)
+    caps, table = _query(world, links, attached_segments, attached_radii,
+                         attached_names)
     w, p = caps.shape[0], len(table.pair_names)
     if not p:
         return np.full(w, np.inf), np.zeros(w, dtype=int), table.pair_names

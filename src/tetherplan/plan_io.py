@@ -12,14 +12,18 @@ waypoint, with the tool shapes attached and, on a constrained plan's
 approach rows, the cable too.  bench.recheck_plan ignores them and
 recomputes its own.
 
-The reader checks the structure line by line, then converts all numeric
-fields and all quaternions in whole-array steps; only when such a step
-raises are the rows redone one by one, so every error names its line.
+The reader checks the structure of all rows in whole-list steps,
+converts their numeric fields in one np.loadtxt call and their
+quaternions in one array step.  Rows are read line by line only to name
+an error: when a check or a step fails, and with float() where loadtxt
+rejects a spelling that float() takes (1_000), so that every error names
+its line and the same spellings parse.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -105,6 +109,11 @@ _PREAMBLE = {
 }
 
 
+# Joints, quaternion and position (columns 1-19), then theta and
+# clearance (columns 21-22).
+_NUMERIC = (*range(1, 20), 21, 22)
+
+
 def _raise_with_line(convert, rows, row_lns) -> None:
     """Convert rows one by one; re-raise the first ValueError with its line."""
     for row, ln in zip(rows, row_lns):
@@ -114,61 +123,87 @@ def _raise_with_line(convert, rows, row_lns) -> None:
             raise ValueError(f"line {ln}: {e}") from e
 
 
-def parse_plan_csv(text: str) -> MotionPlan:
-    meta, meta_lns = {}, {}
-    fields_by_row, row_lns, holding, holdings = [], [], [], {}
-    header_seen = False
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if header_seen:
-                raise ValueError(f"line {ln}: preamble line after the header")
-            key, _, value = (p.strip() for p in line.lstrip("# ").partition(":"))
-            if key in meta_lns:
-                raise ValueError(f"line {ln}: '# {key}:' repeats line "
-                                 f"{meta_lns[key]}")
-            meta_lns[key] = ln
-            try:
-                meta[key] = _PREAMBLE.get(key, str)(value)
-            except ValueError as e:
-                raise ValueError(f"line {ln}: {key}: {e}") from e
-            continue
-        if not header_seen:
-            if line.split(",") != PLAN_HEADER:
-                raise ValueError(f"line {ln}: unexpected plan CSV header")
-            header_seen = True
-            continue
-        fields = line.split(",")
+def _raise_first_bad_row(rows: list[str], row_lns: list[int]) -> None:
+    """Raise the structure error of the first malformed row, with its line."""
+    for k, (row, ln) in enumerate(zip(rows, row_lns)):
+        if row.startswith("#"):
+            raise ValueError(f"line {ln}: preamble line after the header")
+        fields = row.split(",")
         if len(fields) != len(PLAN_HEADER):
             raise ValueError(f"line {ln}: expected {len(PLAN_HEADER)} "
                              f"fields, got {len(fields)}")
-        if fields[0] != str(len(row_lns)):
-            raise ValueError(f"line {ln}: waypoint {fields[0]!r}, "
-                             f"expected {len(row_lns)}")
-        if fields[20] not in holdings:
-            try:
-                holdings[fields[20]] = parse_holding(fields[20])
-            except ValueError as e:
-                raise ValueError(f"line {ln}: {e}") from e
-        holding.append(holdings[fields[20]])
-        # Joints, quaternion and position (columns 1-19), then theta and
-        # clearance (columns 21-22).
-        fields_by_row.append(fields[1:20] + fields[21:])
-        row_lns.append(ln)
-    if not header_seen or not row_lns:
+        if fields[0] != str(k):
+            raise ValueError(f"line {ln}: waypoint {fields[0]!r}, expected {k}")
+        try:
+            parse_holding(fields[20])
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}") from e
+
+
+def _numbers(rows: list[str], row_lns: list[int]) -> np.ndarray:
+    """The _NUMERIC fields of rows as a (W, 21) array, in one loadtxt call.
+
+    loadtxt rejects some spellings that float() takes, such as 1_000;
+    then the fields go through float(), and, if that raises too, one row
+    at a time, so that the error names its line.
+    """
+    try:
+        return np.loadtxt(rows, delimiter=",", usecols=_NUMERIC,
+                          comments=None, ndmin=2)
+    except ValueError:
+        pick = operator.itemgetter(*_NUMERIC)
+        fields = [pick(row.split(",")) for row in rows]
+    try:
+        return np.array(list(map(float, itertools.chain.from_iterable(
+            fields)))).reshape(len(rows), -1)
+    except ValueError:
+        _raise_with_line(lambda f: list(map(float, f)), fields, row_lns)
+        raise
+
+
+def parse_plan_csv(text: str) -> MotionPlan:
+    lines = text.splitlines()
+    meta, meta_lns = {}, {}
+    header = len(lines)
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith("#"):
+            if line.split(",") != PLAN_HEADER:
+                raise ValueError(f"line {ln}: unexpected plan CSV header")
+            header = ln
+            break
+        key, _, value = (p.strip() for p in line.lstrip("# ").partition(":"))
+        if key in meta_lns:
+            raise ValueError(f"line {ln}: '# {key}:' repeats line "
+                             f"{meta_lns[key]}")
+        meta_lns[key] = ln
+        try:
+            meta[key] = _PREAMBLE.get(key, str)(value)
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {key}: {e}") from e
+    body = [raw.strip() for raw in lines[header:]]
+    row_lns = [ln for ln, line in enumerate(body, start=header + 1) if line]
+    rows = [line for line in body if line]
+    if not rows:
         raise ValueError("plan CSV has no waypoint rows")
+    # A row whose first field is its waypoint number starts with no "#".
+    if (any(row.count(",") != len(PLAN_HEADER) - 1 for row in rows)
+            or [row.partition(",")[0] for row in rows]
+            != list(map(str, range(len(rows))))):
+        _raise_first_bad_row(rows, row_lns)
+    texts = [row.rsplit(",", 3)[1] for row in rows]      # the holding fields
+    holdings = {}
+    for entry in dict.fromkeys(texts):
+        try:
+            holdings[entry] = parse_holding(entry)
+        except ValueError:
+            _raise_first_bad_row(rows, row_lns)
     for key in _PREAMBLE:
         if key not in meta:
             raise ValueError(f"plan CSV preamble is missing '# {key}:'")
-    try:
-        nums = np.array(list(map(float, itertools.chain.from_iterable(
-            fields_by_row)))).reshape(len(row_lns), -1)
-    except ValueError:
-        _raise_with_line(lambda fields: list(map(float, fields)),
-                         fields_by_row, row_lns)
-        raise
+    nums = _numbers(rows, row_lns)
     bad = np.nonzero(~np.isfinite(nums[:, :19]).all(axis=1))[0]
     if bad.size:
         raise ValueError(f"line {row_lns[bad[0]]}: joint, quaternion and "
@@ -183,7 +218,7 @@ def parse_plan_csv(text: str) -> MotionPlan:
     return MotionPlan(
         mode=meta["mode"], q_left=q_left, q_right=q_right,
         tool_rot=tool_rot, tool_t=tool_t,
-        holding=tuple(holding),
+        holding=tuple(map(holdings.__getitem__, texts)),
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
         edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
         joint_distance=meta["joint_distance_rad"])

@@ -43,7 +43,7 @@ import numpy as np
 
 from tetherplan.cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, \
     bend_angle_batch
-from tetherplan.collision import CollisionWorld, motion_clearances
+from tetherplan.collision import CollisionWorld, arm_link_segments, motion_clearances
 from tetherplan.geometry import Pose, unit
 from tetherplan.robot import DualArm, IKOptions, N_JOINTS, fk_batch, ik_batch
 
@@ -348,8 +348,10 @@ def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
                                 & (np.array(sides) == side)[:, None])
         if rows.size:
             ql, qr = problem.one_arm_moves(side, sols[rows, gids])
-            clear, _, _ = motion_clearances(problem.world, problem.robot, ql, qr,
-                                            *problem.tool.bodies(rot[rows], t[rows]))
+            clear, _, _ = motion_clearances(
+                problem.world, arm_link_segments(problem.robot,
+                                                 problem.world.link_spec, ql, qr),
+                *problem.tool.bodies(rot[rows], t[rows]))
             for row, gid in zip(rows[clear >= 0.0].tolist(),
                                 gids[clear >= 0.0].tolist()):
                 feasible[row][gid] = sols[row, gid]
@@ -479,7 +481,8 @@ class _Search:
         data.theta = bend_angle_batch(data.tool_rot, data.tool_t,
                                       self.pb.balancer, self.pb.tool)
         data.clearance, pair_idx, pair_names = motion_clearances(
-            self.pb.world, self.pb.robot, data.q_left, data.q_right,
+            self.pb.world, arm_link_segments(self.pb.robot, self.pb.world.link_spec,
+                                             data.q_left, data.q_right),
             *self.pb.tool.bodies(data.tool_rot, data.tool_t,
                                  self.pb.balancer if attached else None))
         return data, pair_idx, pair_names

@@ -13,8 +13,9 @@ evaluates the chain that way, elementwise, with no 3x3 products.
 
 There is one chain kernel, fk_chain_batch, which evaluates the chain
 for a batch of configurations, each from its own base.  Every other
-call (fk_batch, point_jacobian, ik_batch) is built on it and takes a
-batch; one configuration or one target is a batch of one row.
+call (fk_batch, DualArm.fk, point_jacobian, ik_batch) is built on it
+and takes a batch; one configuration or one target is a batch of one
+row.  DualArm.fk serves rows of both arms in one call.
 
 ik_batch runs damped least squares (_dls) in one loop: every seed
 starts at iteration 0, and the random restarts of the targets still
@@ -72,6 +73,20 @@ class DualArm:
         if side == "right":
             return self.right
         raise KeyError(f"unknown arm {side!r}")
+
+    def bases(self, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row base poses (W, 3, 3) and (W, 3) for fk_chain_batch:
+        the right arm's on the rows where the (W,) mask right is set,
+        the left arm's elsewhere."""
+        right = np.asarray(right, dtype=bool)
+        return (np.where(right[:, None, None], self.right.base.r, self.left.base.r),
+                np.where(right[:, None], self.right.base.t, self.left.base.t))
+
+    def fk(self, right: np.ndarray, qs: np.ndarray,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """fk_chain_batch of (W, 6) configurations of both arms in one
+        call, each row on the arm that bases(right) gives it."""
+        return fk_chain_batch(*self.bases(right), qs)
 
 
 # UR3 published link dimensions (standard DH d/a values), written as
@@ -170,12 +185,15 @@ def _chain_jacobian(points: np.ndarray, origins: np.ndarray,
     return jac
 
 
-def point_jacobian(arm: ArmModel, qs: np.ndarray, points: np.ndarray) -> np.ndarray:
+def point_jacobian(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
+                   points: np.ndarray) -> np.ndarray:
     """(W, 3, 6) Jacobians of world points rigidly attached to the TCP body.
 
-    qs is (W, 6) and points (W, 3), one point per configuration.
+    qs is (W, 6) and points (W, 3), one point per configuration; base_r
+    and base_t are one base for all rows or one per row, as
+    fk_chain_batch takes them.
     """
-    _, _, origins, axes = fk_chain_batch(arm.base.r, arm.base.t, qs)
+    _, _, origins, axes = fk_chain_batch(base_r, base_t, qs)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     return _chain_jacobian(points, origins, axes)[:, :3]
 

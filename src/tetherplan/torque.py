@@ -6,7 +6,8 @@ holds the tool, the pull at the connector maps through that arm's
 point Jacobian to a six-vector of joint torques.  trace_plan, the one
 entry point, collects them over a plan's waypoints, reading its joint,
 tool-pose and holding arrays, into a TorqueTrace of three arrays: the
-waypoint and arm of each entry and its (E, 6) torques.
+waypoint and arm of each entry and its (E, 6) torques.  One FK call
+serves the entries of both arms, each row from its own arm's base.
 bench.SweepReport.torque_summary compares the peaks of the two planner
 modes.
 """
@@ -32,15 +33,17 @@ def cable_tension(balancer: BalancerSpec) -> float:
     return balancer.max_load * GRAVITY
 
 
-def joint_torques(arm, qs: np.ndarray, points: np.ndarray,
-                  forces: np.ndarray) -> np.ndarray:
+def joint_torques(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
+                  points: np.ndarray, forces: np.ndarray) -> np.ndarray:
     """Joint torques (W, 6) balancing forces (W, 3) at points (W, 3).
 
-    Each point is rigidly attached to the last link and its force has no
-    moment, so the torque is the transpose point Jacobian times the
-    force, written elementwise so that no BLAS kernel enters it.
+    base_r and base_t are one arm base for all rows or one per row, as
+    fk_chain_batch takes them.  Each point is rigidly attached to the
+    last link and its force has no moment, so the torque is the
+    transpose point Jacobian times the force, written elementwise so
+    that no BLAS kernel enters it.
     """
-    jp = point_jacobian(arm, qs, points)
+    jp = point_jacobian(base_r, base_t, qs, points)
     f = np.asarray(forces, dtype=float).reshape(-1, 3)
     return (jp[:, 0] * f[:, 0, None] + jp[:, 1] * f[:, 1, None]
             + jp[:, 2] * f[:, 2, None])
@@ -74,8 +77,8 @@ def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
     tool_rot, tool_t and holding fields.  holding gives, per waypoint,
     the (arm side, grasp id) pairs of the arms currently gripping the
     tool; each such arm gets one entry, in waypoint order and then
-    holder order.  The connector points and cable forces of all entries
-    are computed at once, and each arm's torques in one batch.  Raises
+    holder order.  The connector points, cable forces and torques of all
+    entries are computed at once, both arms in one FK call.  Raises
     cable.DegenerateCable, a ZeroVectorError, when a held waypoint puts
     the connector within 1e-9 m of the anchor.
     """
@@ -87,11 +90,8 @@ def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
         balancer, tool)
     force = cable_tension(balancer) * (cable / norms[:, None])
     sides = np.array([side for _, side in rows], dtype=str)
-    tau = np.empty((len(rows), 6))
-    for side, qs in (("left", plan.q_left), ("right", plan.q_right)):
-        sel = np.nonzero(sides == side)[0]
-        if sel.size:
-            tau[sel] = joint_torques(
-                robot.arm(side), np.asarray(qs, dtype=float)[ws[sel]],
-                connector[sel], force[sel])
+    right = sides == "right"
+    qs = np.where(right[:, None], np.asarray(plan.q_right, dtype=float)[ws],
+                  np.asarray(plan.q_left, dtype=float)[ws])
+    tau = joint_torques(*robot.bases(right), qs, connector, force)
     return TorqueTrace(waypoint=ws, arm=sides, entries=tau)

@@ -42,8 +42,8 @@ import numpy as np
 
 from tetherplan import robot as rb
 from tetherplan.cable import bend_angle_batch
-from tetherplan.collision import Box, _PairTable, _measure, _query, link_names, \
-    motion_clearances
+from tetherplan.collision import Box, _PairTable, _measure, _query, \
+    arm_link_segments, link_names, motion_clearances
 from tetherplan.planner import ROOT, MotionPlan, PlanResult, _solve_stations, \
     _stations
 from tetherplan.geometry import Pose, _rotvec_near_pi, rot_to_rotvec, unit
@@ -498,7 +498,8 @@ def per_pair_station_solve(problems, options, constrained: bool = False):
             ql, qr = problem.one_arm_moves(side, sols[lo + idx])
             segs, radii, names = problem.tool.bodies(pose.r[None], pose.t[None])
             clear, _, _ = motion_clearances(
-                problem.world, problem.robot, ql, qr,
+                problem.world,
+                arm_link_segments(problem.robot, problem.world.link_spec, ql, qr),
                 np.broadcast_to(segs, (idx.size,) + segs.shape[1:]),
                 radii, names)
             for j, gid in enumerate(idx):
@@ -647,15 +648,15 @@ def loop_pair_table(world, attached_names, attached_radii) -> _PairTable:
 
 # --- the dense clearance matrix ---
 
-def dense_pair_clearances(world, robot, q_left, q_right, attached_segments,
-                          attached_radii, attached_names):
+def dense_pair_clearances(world, links, attached_segments, attached_radii,
+                          attached_names):
     """Clearance of every active pair at every waypoint: ((W, P), table).
 
     The arguments are motion_clearances's; columns follow
     table.pair_names.
     """
-    caps, table = _query(world, robot, q_left, q_right, attached_segments,
-                         attached_radii, attached_names)
+    caps, table = _query(world, links, attached_segments, attached_radii,
+                         attached_names)
     w, p = caps.shape[0], len(table.pair_names)
     rows, cols = np.divmod(np.arange(w * p), p)
     return _measure(caps, world.boxes, table, rows, cols).reshape(w, p), table

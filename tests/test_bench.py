@@ -161,8 +161,8 @@ class TestRecheckPlan:
         problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
         q_probe = HOME_LEFT + np.array([1.5, 0, 0, 0, 0, 0])
         spec = problem.world.link_spec
-        crossing = arm_link_segments(problem.robot.left, spec,
-                                     q_probe[None])[0][1].mean(axis=0)
+        crossing = arm_link_segments(problem.robot, spec, q_probe,
+                                     HOME_RIGHT)[0][1].mean(axis=0)
         # Hang the tool so the cable's midpoint-to-anchor line passes
         # through the crossing point, with the tool itself far below.
         connector = crossing - 0.5 * (problem.balancer.anchor - crossing)
@@ -287,6 +287,28 @@ def test_audit_does_not_depend_on_the_blas_kernel():
     assert prescott.stdout.strip() == here["digest"]
 
 
+def test_audit_runs_one_fk_call_per_recheck_and_per_trace(monkeypatch):
+    # The re-check's clearance and grip check share one FK call of each
+    # arm at each distinct row; the torque trace makes one of its own.
+    _, problem, motion = next(a for a in _audit_plans()
+                              if a[0] == "r0c0_constrained.csv")
+    rows = []
+    chain = tetherplan.robot.fk_chain_batch
+
+    def counted(base_r, base_t, qs):
+        rows.append(len(qs))
+        return chain(base_r, base_t, qs)
+
+    monkeypatch.setattr(tetherplan.robot, "fk_chain_batch", counted)
+    recheck_plan(motion, problem)
+    recheck_rows, rows[:] = list(rows), []
+    trace_plan(motion, problem.robot, problem.balancer, problem.tool)
+    distinct = len(set(_row_keys(motion)))
+    assert len(recheck_rows) == len(rows) == 1
+    assert recheck_rows[0] <= 2 * distinct
+    assert rows[0] == sum(map(len, motion.holding))
+
+
 class TestGrip:
     def test_stored_plans_keep_their_grip(self):
         names = []
@@ -353,10 +375,10 @@ def _sweep_recording(scene, monkeypatch):
         rechecks.append((motion, problem, record))
         return record
 
-    def recording_clearances(world, robot, q_left, q_right, segs, *rest):
+    def recording_clearances(world, links, segs, *rest):
         rows.extend(np.concatenate(
-            [q_left, q_right, segs.reshape(len(segs), -1)], axis=1))
-        return real_clearances(world, robot, q_left, q_right, segs, *rest)
+            [links.reshape(len(links), -1), segs.reshape(len(segs), -1)], axis=1))
+        return real_clearances(world, links, segs, *rest)
 
     def recording_plan(problem, **kw):
         result = real_plan(problem, **kw)
@@ -662,6 +684,38 @@ def test_an_obstacle_far_from_every_plan_changes_no_cell():
     assert crowded.box_names == ("far", "table")
     with_far = replace(cut, base=replace(cut.base, world=crowded))
     assert cells_csv(sweep(with_far)) == cells_csv(sweep(cut))
+
+
+def test_the_bend_limit_acts_only_on_constrained_plans(monkeypatch):
+    """On pitch rows 3-4 by roll columns 0-1 of the default sweep, at
+    95, 75, 60 and 45 deg: a constrained cell that plans (o) under a
+    limit plans under every looser one, and every unconstrained plan is
+    byte-identical under every limit, since only its label reads it."""
+    scene = default_scene()
+    cut = replace(scene, pitch_rows=scene.pitch_rows[3:5],
+                  roll_cols=scene.roll_cols[:2])
+    run = bench.plan
+    grids, free = [], []
+    for deg in (95.0, 75.0, 60.0, 45.0):
+        results = []
+        monkeypatch.setattr(bench, "plan", lambda *a, **k: results.append(
+            (k["constrained"], run(*a, **k))) or results[-1][1])
+        limited = replace(cut, base=replace(
+            cut.base, constraint=BendConstraint(math.radians(deg))))
+        grids.append(sum(sweep(limited).grid("constrained"), []))
+        free.append([None if r.plan is None else (
+            [getattr(r.plan, name).tobytes() for name in
+             ("q_left", "q_right", "tool_rot", "tool_t", "theta", "clearance")],
+            r.plan.holding, r.plan.edge_kinds, r.plan.joint_distance)
+            for constrained, r in results if not constrained])
+    assert len(free[0]) == 4 and all(free[0])
+    assert all(plans == free[0] for plans in free[1:])
+    # The limit changes some outcome here, so the relation is not vacuous.
+    assert grids[0] != grids[-1]
+    for i, looser in enumerate(grids):
+        for tighter in grids[i + 1:]:
+            assert all(a == "o" for a, b in zip(looser, tighter) if b == "o")
+
 
 def test_default_sweep_plans_keep_their_grip(default_report):
     rechecks = [c.recheck for c in default_report.cells if c.recheck]

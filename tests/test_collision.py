@@ -238,7 +238,8 @@ def make_world(statics=None, excluded=()):
 def overlaps(world, robot, q_left, q_right):
     """Strictly overlapping pairs of the bare arms at one configuration
     pair, read off the dense matrix's single row."""
-    clear, table = dense_pair_clearances(world, robot, q_left, q_right, None, (), ())
+    clear, table = dense_pair_clearances(
+        world, arm_link_segments(robot, world.link_spec, q_left, q_right), None, (), ())
     return [table.pair_names[k] for k in np.nonzero(clear[0] < 0.0)[0]]
 
 
@@ -247,7 +248,7 @@ class TestWorld:
         robot = make_robot()
         world = make_world()
         q = np.zeros((1, 6))
-        clear, _, _ = motion_clearances(world, robot, q, q)
+        clear, _, _ = motion_clearances(world, arm_link_segments(robot, world.link_spec, q, q))
         assert clear[0] > 0.0
         assert not overlaps(world, robot, q, q)
 
@@ -303,17 +304,18 @@ class TestWorld:
                              (make_world({"post": post, "table": table}), held)):
             attach = (None, (), ()) if tools is None else (
                 np.array([[[c.a, c.b]] for c in tools]), [0.02], ["tool"])
-            clear, _, names = motion_clearances(world, robot, qs_l, qs_r, *attach)
-            dense, pairs = dense_pair_clearances(world, robot, qs_l, qs_r, *attach)
+            links = arm_link_segments(robot, world.link_spec, qs_l, qs_r)
+            clear, _, names = motion_clearances(world, links, *attach)
+            dense, pairs = dense_pair_clearances(world, links, *attach)
             assert pairs.pair_names == names
             for w in range(5):
                 shapes = dict(world.statics)
                 if tools is not None:
                     shapes["tool"] = tools[w]
-                for side, q in (("left", qs_l[w]), ("right", qs_r[w])):
-                    spec = world.link_spec
-                    links = arm_link_segments(robot.arm(side), spec, q)[0]
-                    for name, (a, b), r in zip(link_names(side), links, spec.radii):
+                spec = world.link_spec
+                row = arm_link_segments(robot, spec, qs_l[w], qs_r[w])[0]
+                for side, segs in (("left", row[:6]), ("right", row[6:])):
+                    for name, (a, b), r in zip(link_names(side), segs, spec.radii):
                         shapes[name] = Capsule(a, b, r)
                 pair_clear = []
                 for i, j in names:
@@ -339,23 +341,25 @@ class TestWorld:
     def test_link_segments_shape(self):
         robot = make_robot()
         spec = ArmLinkSpec(radii=[0.04] * 6)
-        segs = arm_link_segments(robot.left, spec, np.zeros((3, 6)))
-        assert segs.shape == (3, 6, 2, 3)
-        # Consecutive links share an endpoint.
-        for k in range(4):
+        segs = arm_link_segments(robot, spec, np.zeros((3, 6)), np.ones((3, 6)))
+        assert segs.shape == (3, 12, 2, 3)
+        # Consecutive links of one arm share an endpoint.
+        for k in (*range(4), *range(6, 10)):
             assert np.allclose(segs[0, k, 1], segs[0, k + 1, 0])
 
 
 def dense_minimum(world, robot, q_left, q_right, *attach):
     """Row minimum and first-index argmin of the dense pair matrix."""
-    clear, table = dense_pair_clearances(world, robot, q_left, q_right,
-                                         *(attach or (None, (), ())))
+    clear, table = dense_pair_clearances(
+        world, arm_link_segments(robot, world.link_spec, q_left, q_right),
+        *(attach or (None, (), ())))
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(clear.shape[0]), idx], idx, table.pair_names
 
 
 def assert_matches_dense(world, robot, q_left, q_right, *attach):
-    got = motion_clearances(world, robot, q_left, q_right, *attach)
+    got = motion_clearances(
+        world, arm_link_segments(robot, world.link_spec, q_left, q_right), *attach)
     want = dense_minimum(world, robot, q_left, q_right, *attach)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -415,11 +419,11 @@ class TestBoundedClearances:
             idle = np.tile(HOME_RIGHT, (w, 1))
             assert_matches_dense(world, robot, moving, idle,
                                  *held_tool(robot, moving))
-            # Every row of the idle arm gets the segments of a call of its own.
+            # Every row gets the segments of a call of its own.
             spec = world.link_spec
-            segs = arm_link_segments(robot.right, spec, idle)
+            segs = arm_link_segments(robot, spec, moving, idle)
             assert np.array_equal(segs, np.concatenate(
-                [arm_link_segments(robot.right, spec, q) for q in idle]))
+                [arm_link_segments(robot, spec, m, q) for m, q in zip(moving, idle)]))
 
     def test_exact_touch(self):
         # A capsule of radius 0.25 slides 0.25 above the top face of a
@@ -492,10 +496,11 @@ class TestBoundedClearances:
         for k in (0, 1):
             radii, names = [0.02] * k, ["tool"] * k
             clear, idx, pairs = motion_clearances(
-                world, robot, empty, empty, np.zeros((0, k, 2, 3)), radii, names)
+                world, arm_link_segments(robot, world.link_spec, empty, empty),
+                np.zeros((0, k, 2, 3)), radii, names)
             assert clear.shape == idx.shape == (0,)
             assert pairs == motion_clearances(
-                world, robot, HOME_LEFT[None], HOME_RIGHT[None],
+                world, arm_link_segments(robot, world.link_spec, HOME_LEFT, HOME_RIGHT),
                 np.zeros((1, k, 2, 3)), radii, names)[2]
             assert any("tool" in pair for pair in pairs) == bool(k)
 
@@ -513,9 +518,10 @@ def test_pair_bounds_enclose_the_exact_clearance():
     ball = np.repeat(rng.uniform([0.1, -0.5, 0.0], [0.6, 0.5, 0.7], (w, 1, 1, 3)),
                      2, axis=2)
     attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
-    caps, table = _query(world, robot, ql, qr, *attach)
+    links = arm_link_segments(robot, world.link_spec, ql, qr)
+    caps, table = _query(world, links, *attach)
     lower, upper = _pair_bounds(caps, world.boxes, table)
-    exact, _ = dense_pair_clearances(world, robot, ql, qr, *attach)
+    exact, _ = dense_pair_clearances(world, links, *attach)
     assert lower.shape == upper.shape == exact.shape
     assert np.all(lower <= exact + 1e-12) and np.all(exact <= upper + 1e-12)
     on_box = (table.box >= 0) & np.array([a == "ball" for a, _ in table.pair_names])
@@ -628,9 +634,9 @@ def test_pair_table_pairs_no_two_statics_and_no_two_attached_bodies():
     (lambda a: a.update(attached_segments=None),
      "attached_segments holds 0 bodies, attached_names 3 and attached_radii 3"),
     (lambda a: a.update(q_right=a["q_right"][:-1]),
-     "q_left has 4 rows, q_right 3 and attached_segments 4"),
+     "q_left has 4 rows and q_right 3"),
     (lambda a: a.update(attached_segments=a["attached_segments"][:-1]),
-     "q_left has 4 rows, q_right 4 and attached_segments 3"),
+     "links has 4 rows and attached_segments 3"),
     (lambda a: a.update(attached_segments=a["attached_segments"][0]),
      r"attached_segments must be \(W, K, 2, 3\), not \(3, 2, 3\)"),
 ], ids=["one_segment_too_many", "one_radius_short", "one_segment_short",
@@ -641,10 +647,25 @@ def test_mismatched_attached_inputs_raise(edit, message):
     args = dict(q_left=np.tile(HOME_LEFT, (w, 1)), q_right=np.tile(HOME_RIGHT, (w, 1)),
                 attached_segments=np.tile([[0.3, 0.0, 0.3], [0.3, 0.0, 0.5]], (w, 3, 1, 1)),
                 attached_radii=ATTACHED_RADII, attached_names=ATTACHED)
-    motion_clearances(cluttered_world(), make_robot(), **args)
+
+    def clearances(q_left, q_right, **attach):
+        world = cluttered_world()
+        return motion_clearances(world, arm_link_segments(
+            make_robot(), world.link_spec, q_left, q_right), **attach)
+
+    clearances(**args)
     edit(args)
     with pytest.raises(ValueError, match=message):
-        motion_clearances(cluttered_world(), make_robot(), **args)
+        clearances(**args)
+
+
+def test_links_of_another_shape_raise():
+    world, robot = cluttered_world(), make_robot()
+    links = arm_link_segments(robot, world.link_spec, np.tile(HOME_LEFT, (4, 1)),
+                              np.tile(HOME_RIGHT, (4, 1)))
+    motion_clearances(world, links)
+    with pytest.raises(ValueError, match=r"links must be \(W, 12, 2, 3\), not \(4, 6, 2, 3\)"):
+        motion_clearances(world, links[:, :6])
 
 
 # motion_clearances of 64 rows by a tilted arm base and a rotated crate,
@@ -655,7 +676,7 @@ _ROWS_DIGEST = """\
 import hashlib
 import numpy as np
 from tetherplan.collision import (ArmLinkSpec, Box, Capsule, CollisionWorld,
-                                  motion_clearances)
+                                  arm_link_segments, motion_clearances)
 from tetherplan.geometry import Pose, rot_x, rot_y, rot_z
 from tetherplan.robot import ArmModel, DualArm
 tilt = np.einsum("ij,jk->ik", rot_x(0.4), rot_y(-0.3))
@@ -671,11 +692,12 @@ home = np.array([[2.435, -0.529, -1.542, 0.5, -1.571, 2.435],
                  [2.795, -0.529, -1.543, 0.501, -1.571, 2.795]])
 ql, qr = home[:, None] + rng.uniform(-0.3, 0.3, (2, 64, 6))
 held = crate.pose.t + rng.uniform(-0.25, 0.25, (64, 1, 2, 3))
-full = motion_clearances(world, robot, ql, qr, held, [0.02], ["tool"])
+links = arm_link_segments(robot, world.link_spec, ql, qr)
+full = motion_clearances(world, links, held, [0.02], ["tool"])
 subset = np.sort(rng.choice(64, 23, replace=False))
 perm = rng.permutation(subset)
-parts = [motion_clearances(world, robot, ql[k], qr[k], held[k], [0.02],
-                           ["tool"]) for k in (subset, perm)]
+parts = [motion_clearances(world, arm_link_segments(robot, world.link_spec, ql[k], qr[k]),
+                           held[k], [0.02], ["tool"]) for k in (subset, perm)]
 digest = hashlib.sha256(b"".join(
     a.tobytes() for out in (full, *parts) for a in out[:2])).hexdigest()
 """

@@ -230,6 +230,51 @@ class TestPlanParseErrors:
         _rejected_on_one_line(self._edit_waypoint_1(motion, **zero), "line 6")
 
 
+class TestPlanParseParity:
+    """The parser converts every numeric field in one loadtxt call and
+    redoes them with float() when that call raises; either way it
+    agrees with the row-by-row oracle."""
+
+    @pytest.mark.parametrize("column, field", [("theta_rad", "theta"),
+                                               ("min_clearance_m", "clearance")])
+    @pytest.mark.parametrize("value", ["1_000", " 1.5 ", "Infinity", "+1e-3"])
+    def test_spellings_float_takes_parse_as_the_oracle(self, solved, column,
+                                                       field, value):
+        # loadtxt rejects 1_000, which float() takes.
+        _, motion = solved
+        text = TestPlanParseErrors._edit_waypoint_1(motion, **{column: value})
+        got, want = parse_plan_csv(text), row_by_row_parse_plan_csv(text)
+        for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+                     "clearance"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.holding == want.holding
+        assert getattr(got, field)[1] == float(value)
+
+    @pytest.mark.parametrize("at", [2, 23])
+    def test_a_24th_field_names_its_line(self, solved, at):
+        # loadtxt would read the selected columns of the shifted row and
+        # drop the rest; inserted before the holding field, the extra
+        # field leaves the three last fields where they were.
+        _, motion = solved
+        lines = plan_csv(motion).splitlines()
+        fields = lines[5].split(",")
+        fields.insert(at, "0")
+        lines[5] = ",".join(fields)
+        _rejected_on_one_line("\n".join(lines), "line 6: expected 23 fields, got 24")
+
+    def test_a_non_numeric_joint_after_a_fallback_spelling_names_its_line(
+            self, solved):
+        # 1_000 on waypoint 1 sends every row through float(); the last
+        # row's joint field still fails there, on its own line.
+        _, motion = solved
+        lines = TestPlanParseErrors._edit_waypoint_1(
+            motion, theta_rad="1_000").splitlines()
+        fields = lines[-1].split(",")
+        fields[PLAN_HEADER.index("ql3")] = "1_000x"
+        lines[-1] = ",".join(fields)
+        _rejected_on_one_line("\n".join(lines), f"line {len(lines)}:")
+
+
 class TestTorqueCsv:
     def test_shape_and_magnitude(self, solved):
         problem, motion = solved

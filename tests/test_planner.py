@@ -12,7 +12,8 @@ from oracles import dense_pair_clearances, per_grasp_sample_grasps, \
 from tetherplan import planner, robot
 from tetherplan.bench import recheck_plan
 from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch
-from tetherplan.collision import Box, Capsule, CollisionWorld, motion_clearances
+from tetherplan.collision import Box, Capsule, CollisionWorld, arm_link_segments, \
+    motion_clearances
 from tetherplan.geometry import Pose, rot_x, rpy_to_rot
 from tetherplan.planner import (
     EmptyGraspSet,
@@ -345,12 +346,13 @@ class TestAssembly:
             p.theta, bend_angle_batch(rot, t, problem.balancer, problem.tool))
         # The approach ends on the first held waypoint.
         approach = next(i for i, h in enumerate(p.holding) if h) + 1
-        dense, _ = dense_pair_clearances(problem.world, problem.robot, p.q_left,
-                                         p.q_right, *problem.tool.bodies(rot, t))
+        links = arm_link_segments(problem.robot, problem.world.link_spec,
+                                  p.q_left, p.q_right)
+        dense, _ = dense_pair_clearances(problem.world, links,
+                                         *problem.tool.bodies(rot, t))
         want = dense.min(axis=1)
         with_cable, table = dense_pair_clearances(
-            problem.world, problem.robot, p.q_left, p.q_right,
-            *problem.tool.bodies(rot, t, problem.balancer))
+            problem.world, links, *problem.tool.bodies(rot, t, problem.balancer))
         if constrained:
             want[:approach] = with_cable[:approach].min(axis=1)
         assert np.array_equal(p.clearance, want)
@@ -398,8 +400,8 @@ class TestEdgeMemo:
             assert got.stats == want.stats
         # Each call measures a different edge, and only the edges a
         # fresh run of either mode measures.
-        rows = {(ql.tobytes(), qr.tobytes(), tuple(names))
-                for _, _, ql, qr, _, _, names in calls}
+        rows = {(links.tobytes(), tuple(names))
+                for _, links, _, _, names in calls}
         assert len(rows) == len(calls)
         both = fresh[True][1] & fresh[False][1]
         assert len(calls) == len(fresh[True][1] | fresh[False][1])
@@ -594,11 +596,11 @@ class TestEdgeValidation:
             for gid in sorted(search.cache.node_feasible[(search.start, side)]):
                 search._validate_edge_uncached(("approach", search.start, side, gid))
                 args = calls.pop()
-                _, robot, ql, qr, segs, radii, names = args
+                _, links, segs, radii, names = args
                 assert names[k:] == [CABLE]
                 clear, idx, pairs = motion_clearances(*args)
                 want, want_idx, want_pairs = motion_clearances(
-                    static, robot, ql, qr, segs[:, :k], radii[:k], names[:k])
+                    static, links, segs[:, :k], radii[:k], names[:k])
                 assert np.array_equal(clear, want)
                 assert [pairs[i] for i in idx] == [want_pairs[i] for i in want_idx]
                 nearest_cable += sum(CABLE in pairs[i] for i in idx)

@@ -91,6 +91,20 @@ def test_fk_chain_batch_row_equals_the_row_alone():
         assert all(np.array_equal(b[i], a[0]) for b, a in zip(batch, alone))
 
 
+def test_dual_arm_fk_equals_fk_of_each_arm():
+    # Rows of both arms, interleaved, against fk_batch of each arm's rows.
+    rng = np.random.default_rng(78)
+    (r_left, r_right), (t_left, t_right) = _random_bases(rng, 2)
+    robot = rb.DualArm(rb.ArmModel(Pose(r_left, t_left)),
+                       rb.ArmModel(Pose(r_right, t_right)))
+    qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (60, 6))
+    right = rng.random(60) < 0.5
+    both = robot.fk(right, qs)
+    for arm, rows in ((robot.left, ~right), (robot.right, right)):
+        alone = rb.fk_chain_batch(arm.base.r, arm.base.t, qs[rows])
+        assert all(np.array_equal(b[rows], a) for b, a in zip(both, alone))
+
+
 # A fixed FK block, built without LAPACK (rot_z), hashed byte for byte.
 _FK_DIGEST = """\
 import hashlib
@@ -875,6 +889,6 @@ def test_point_jacobian_equals_the_cross_product_form(arm):
     points = rng.uniform(-0.5, 0.5, (40, 3))
     _, _, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     want = np.cross(axes, points[:, None, :] - origins[:, 1:7]).transpose(0, 2, 1)
-    got = rb.point_jacobian(arm, qs, points)
+    got = rb.point_jacobian(arm.base.r, arm.base.t, qs, points)
     assert got.shape == (40, 3, 6)
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -7,7 +7,8 @@ import yaml
 from importlib import resources
 
 from tetherplan.cable import CABLE, BendConstraint, bend_angle_batch
-from tetherplan.collision import Capsule, _pair_table, motion_clearances
+from tetherplan.collision import Capsule, _pair_table, arm_link_segments, \
+    motion_clearances
 from tetherplan.geometry import rot_y
 from tetherplan.planner import sample_grasps
 from tetherplan.scene import (
@@ -87,8 +88,8 @@ class TestDefaultScene:
     def test_home_configuration_is_collision_free(self):
         sc = default_scene()
         b = sc.base
-        clear, _, _ = motion_clearances(b.world, b.robot, b.home_left[None],
-                                        b.home_right[None])
+        clear, _, _ = motion_clearances(b.world, arm_link_segments(
+            b.robot, b.world.link_spec, b.home_left, b.home_right))
         assert clear[0] >= 0.0
 
     def test_angles_are_radians_internally(self):

@@ -57,7 +57,7 @@ class TestJointTorques:
              rng.uniform(-20, 20, 3)) for _ in range(50))))
         rot, tcp, _ = fk_batch(arm, qs)
         points = np.einsum("wij,wj->wi", rot, locals_) + tcp
-        taus = joint_torques(arm, qs, points, forces)
+        taus = joint_torques(arm.base.r, arm.base.t, qs, points, forces)
         assert taus.shape == (50, 6)
         for q, local, force, tau in zip(qs, locals_, forces, taus):
 
@@ -77,7 +77,7 @@ class TestJointTorques:
         f1 = rng.uniform(-10, 10, 3)
         f2 = rng.uniform(-10, 10, 3)
         qs, points = np.stack([q] * 3), np.stack([point] * 3)
-        tau, tau1, tau2 = joint_torques(arm, qs, points,
+        tau, tau1, tau2 = joint_torques(arm.base.r, arm.base.t, qs, points,
                                         np.stack([2.0 * f1 - 0.5 * f2, f1, f2]))
         assert np.allclose(tau, 2.0 * tau1 - 0.5 * tau2, atol=1e-12)
 
@@ -85,7 +85,8 @@ class TestJointTorques:
         arm = ArmModel()
         q = np.array([0.3, -0.8, 1.1, 0.2, -0.4, 0.9])
         _, tcp, _ = fk_batch(arm, q)
-        assert np.allclose(joint_torques(arm, q[None], tcp, np.zeros((1, 3))), 0.0)
+        assert np.allclose(joint_torques(arm.base.r, arm.base.t, q[None], tcp,
+                                         np.zeros((1, 3))), 0.0)
 
     def test_vertical_force_exerts_no_base_torque(self):
         # Joint 1 spins about the vertical, so a vertical pull has no
@@ -96,7 +97,8 @@ class TestJointTorques:
             (rng.uniform(-2.0, 2.0, 6), rng.uniform(-0.1, 0.1, 3)) for _ in range(20))))
         rot, tcp, _ = fk_batch(arm, qs)
         points = np.einsum("wij,wj->wi", rot, locals_) + tcp
-        taus = joint_torques(arm, qs, points, np.tile([0.0, 0.0, -19.62], (20, 1)))
+        taus = joint_torques(arm.base.r, arm.base.t, qs, points,
+                             np.tile([0.0, 0.0, -19.62], (20, 1)))
         assert np.all(np.abs(taus[:, 0]) < 1e-9)
 
     def test_rotating_the_whole_problem_preserves_torques(self):
@@ -107,10 +109,11 @@ class TestJointTorques:
         rot, tcp, _ = fk_batch(arm, q)
         point = rot[0] @ [0.02, 0.0, 0.05] + tcp[0]
         force = rng.uniform(-15, 15, 3)
-        tau = joint_torques(arm, q[None], point[None], force[None])
+        tau = joint_torques(arm.base.r, arm.base.t, q[None], point[None], force[None])
         r = rpy_to_rot(0.4, -0.7, 1.2)
         moved = ArmModel(Pose(r @ base.r, r @ base.t))
-        tau2 = joint_torques(moved, q[None], (r @ point)[None], (r @ force)[None])
+        tau2 = joint_torques(moved.base.r, moved.base.t, q[None], (r @ point)[None],
+                             (r @ force)[None])
         assert np.allclose(tau, tau2, atol=1e-9)
 
 
