@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import robot
 from .cable import CABLE, bend_angle_batch
 from .collision import link_segments, motion_clearances
 from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
@@ -100,8 +101,9 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     (a fresh one when None) to problem's scene and reads none of the
     planner's tables, only cache.rows: only the rows that it lacks are
     measured, each once, in plan order; the others are read back.  One
-    FK call (DualArm.fk) serves both checks: each arm runs once for each
-    distinct row that the clearance or that arm's grip check reads.
+    fk_chain_batch call, on per-row bases, serves both checks: each arm
+    runs once for each distinct row that the clearance or that arm's
+    grip check reads.
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
@@ -131,8 +133,9 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     reads[arm, rep[at]] = True
     arm, at = np.nonzero(reads)
     right = arm == 1
-    rot, tcp, origins, _ = problem.robot.fk(right, np.where(
-        right[:, None], motion.q_right[at], motion.q_left[at]))
+    rot, tcp, origins, _ = robot.fk_chain_batch(
+        *problem.robot.bases(right),
+        np.where(right[:, None], motion.q_right[at], motion.q_left[at]))
     # fk_row[arm, i]: the FK row of that arm at waypoint i, if it ran.
     fk_row = np.zeros((2, len(keys)), dtype=int)
     fk_row[arm, at] = np.arange(arm.size)

@@ -39,6 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from tetherplan import robot as rb
 from tetherplan.geometry import Pose
 from tetherplan.robot import N_JOINTS, DualArm
 
@@ -229,8 +230,8 @@ def arm_link_segments(robot: DualArm, spec: ArmLinkSpec, q_left: np.ndarray,
     if w != len(q_right):
         raise ValueError(f"q_left has {w} rows and q_right {len(q_right)}; "
                          "they must agree")
-    rot, tcp, origins, _ = robot.fk(np.arange(2 * w) >= w,
-                                    np.concatenate([q_left, q_right]))
+    rot, tcp, origins, _ = rb.fk_chain_batch(
+        *robot.bases(np.arange(2 * w) >= w), np.concatenate([q_left, q_right]))
     return link_segments(spec, rot, tcp, origins)
 
 

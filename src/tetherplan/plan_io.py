@@ -12,17 +12,15 @@ waypoint, with the tool shapes attached and, on a constrained plan's
 approach rows, the cable too.  bench.recheck_plan ignores them and
 recomputes its own.
 
-The reader checks the structure of all rows in whole-list steps,
-converts their numeric fields in one np.loadtxt call and their
-quaternions in one array step.  Rows are read line by line only to name
-an error: when a check or a step fails, and with float() where loadtxt
-rejects a spelling that float() takes (1_000), so that every error names
-its line and the same spellings parse.
+The reader checks the structure of each row in one pass over the rows,
+then converts the numeric fields of all rows in one np.loadtxt call and
+their quaternions in one array step.  Only when loadtxt raises are the
+numeric fields converted row by row with float(), which also takes
+spellings that loadtxt rejects (1_000), so that an error names its line.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 import numpy as np
@@ -123,8 +121,10 @@ def _raise_with_line(convert, rows, row_lns) -> None:
             raise ValueError(f"line {ln}: {e}") from e
 
 
-def _raise_first_bad_row(rows: list[str], row_lns: list[int]) -> None:
-    """Raise the structure error of the first malformed row, with its line."""
+def _holdings(rows: list[str], row_lns: list[int]) -> list[tuple]:
+    """Each row's holding, after checking the row's structure; the first
+    malformed row raises its error with its line."""
+    parsed, out = {}, []
     for k, (row, ln) in enumerate(zip(rows, row_lns)):
         if row.startswith("#"):
             raise ValueError(f"line {ln}: preamble line after the header")
@@ -134,31 +134,36 @@ def _raise_first_bad_row(rows: list[str], row_lns: list[int]) -> None:
                              f"fields, got {len(fields)}")
         if fields[0] != str(k):
             raise ValueError(f"line {ln}: waypoint {fields[0]!r}, expected {k}")
-        try:
-            parse_holding(fields[20])
-        except ValueError as e:
-            raise ValueError(f"line {ln}: {e}") from e
+        text = fields[20]
+        if text not in parsed:
+            try:
+                parsed[text] = parse_holding(text)
+            except ValueError as e:
+                raise ValueError(f"line {ln}: {e}") from e
+        out.append(parsed[text])
+    return out
 
 
 def _numbers(rows: list[str], row_lns: list[int]) -> np.ndarray:
     """The _NUMERIC fields of rows as a (W, 21) array, in one loadtxt call.
 
     loadtxt rejects some spellings that float() takes, such as 1_000;
-    then the fields go through float(), and, if that raises too, one row
-    at a time, so that the error names its line.
+    then the rows go through float() one at a time, and the first row
+    that it rejects raises with its line.
     """
     try:
         return np.loadtxt(rows, delimiter=",", usecols=_NUMERIC,
                           comments=None, ndmin=2)
     except ValueError:
-        pick = operator.itemgetter(*_NUMERIC)
-        fields = [pick(row.split(",")) for row in rows]
-    try:
-        return np.array(list(map(float, itertools.chain.from_iterable(
-            fields)))).reshape(len(rows), -1)
-    except ValueError:
-        _raise_with_line(lambda f: list(map(float, f)), fields, row_lns)
-        raise
+        pass
+    pick = operator.itemgetter(*_NUMERIC)
+    out = []
+    for row, ln in zip(rows, row_lns):
+        try:
+            out.append(list(map(float, pick(row.split(",")))))
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {e}") from e
+    return np.array(out)
 
 
 def parse_plan_csv(text: str) -> MotionPlan:
@@ -188,18 +193,7 @@ def parse_plan_csv(text: str) -> MotionPlan:
     rows = [line for line in body if line]
     if not rows:
         raise ValueError("plan CSV has no waypoint rows")
-    # A row whose first field is its waypoint number starts with no "#".
-    if (any(row.count(",") != len(PLAN_HEADER) - 1 for row in rows)
-            or [row.partition(",")[0] for row in rows]
-            != list(map(str, range(len(rows))))):
-        _raise_first_bad_row(rows, row_lns)
-    texts = [row.rsplit(",", 3)[1] for row in rows]      # the holding fields
-    holdings = {}
-    for entry in dict.fromkeys(texts):
-        try:
-            holdings[entry] = parse_holding(entry)
-        except ValueError:
-            _raise_first_bad_row(rows, row_lns)
+    holdings = _holdings(rows, row_lns)
     for key in _PREAMBLE:
         if key not in meta:
             raise ValueError(f"plan CSV preamble is missing '# {key}:'")
@@ -218,7 +212,7 @@ def parse_plan_csv(text: str) -> MotionPlan:
     return MotionPlan(
         mode=meta["mode"], q_left=q_left, q_right=q_right,
         tool_rot=tool_rot, tool_t=tool_t,
-        holding=tuple(map(holdings.__getitem__, texts)),
+        holding=tuple(holdings),
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
         edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
         joint_distance=meta["joint_distance_rad"])

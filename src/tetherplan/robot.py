@@ -13,9 +13,9 @@ evaluates the chain that way, elementwise, with no 3x3 products.
 
 There is one chain kernel, fk_chain_batch, which evaluates the chain
 for a batch of configurations, each from its own base.  Every other
-call (fk_batch, DualArm.fk, point_jacobian, ik_batch) is built on it
-and takes a batch; one configuration or one target is a batch of one
-row.  DualArm.fk serves rows of both arms in one call.
+call (fk_batch, point_jacobian, ik_batch) is built on it and takes a
+batch; one configuration or one target is a batch of one row.  With
+the per-row bases of DualArm.bases, one call serves rows of both arms.
 
 ik_batch runs damped least squares (_dls) in one loop: every seed
 starts at iteration 0, and the random restarts of the targets still
@@ -81,12 +81,6 @@ class DualArm:
         right = np.asarray(right, dtype=bool)
         return (np.where(right[:, None, None], self.right.base.r, self.left.base.r),
                 np.where(right[:, None], self.right.base.t, self.left.base.t))
-
-    def fk(self, right: np.ndarray, qs: np.ndarray,
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """fk_chain_batch of (W, 6) configurations of both arms in one
-        call, each row on the arm that bases(right) gives it."""
-        return fk_chain_batch(*self.bases(right), qs)
 
 
 # UR3 published link dimensions (standard DH d/a values), written as

@@ -91,15 +91,16 @@ def test_fk_chain_batch_row_equals_the_row_alone():
         assert all(np.array_equal(b[i], a[0]) for b, a in zip(batch, alone))
 
 
-def test_dual_arm_fk_equals_fk_of_each_arm():
-    # Rows of both arms, interleaved, against fk_batch of each arm's rows.
+def test_dual_arm_bases_serve_each_arm_in_one_call():
+    # Rows of both arms, interleaved, in one fk_chain_batch call on the
+    # per-row bases, against fk_chain_batch of each arm's rows.
     rng = np.random.default_rng(78)
     (r_left, r_right), (t_left, t_right) = _random_bases(rng, 2)
     robot = rb.DualArm(rb.ArmModel(Pose(r_left, t_left)),
                        rb.ArmModel(Pose(r_right, t_right)))
     qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (60, 6))
     right = rng.random(60) < 0.5
-    both = robot.fk(right, qs)
+    both = rb.fk_chain_batch(*robot.bases(right), qs)
     for arm, rows in ((robot.left, ~right), (robot.right, right)):
         alone = rb.fk_chain_batch(arm.base.r, arm.base.t, qs[rows])
         assert all(np.array_equal(b[rows], a) for b, a in zip(both, alone))
