@@ -29,6 +29,19 @@ above the row's minimum, so the minimum and the first column that
 attains it are measured, by the same kernels on the same segments as
 in the dense matrix: the outputs equal the dense min and np.argmin bit
 for bit, and no row's result depends on another row.
+
+A query keeps its capsules component-major, (2 endpoints, 3 xyz, N
+capsules, W rows) in one contiguous array, so that the bounds and both
+kernels run on contiguous (W,), (n,) or (7, n) planes instead of
+strided length-3 rows.  The kernels keep their (..., 3) signature and
+move xyz to the front.  Each length-3 contraction is an explicit sum in
+the order that numpy (2.4) takes for the contiguous rows of the einsum
+form these kernels replace: _dot3 sums (x0 y0 + x2 y2) + x1 y1, as
+einsum("...i,...i") does, and _norm3 (x0² + x1²) + x2², as
+np.linalg.norm(axis=-1) does.  Pinning the orders keeps every distance
+bit for bit what it was, whatever the layout; einsum itself sums a
+strided row in the other order.  tests/oracles.py holds the einsum
+forms that the tests compare against.
 """
 
 from __future__ import annotations
@@ -73,22 +86,39 @@ class Box:
         he = np.asarray(self.half_extents, dtype=float)
         if not np.all(he > 0.0):
             raise ValueError("box half extents must be positive")
+        if not (np.isfinite(he).all() and np.isfinite(self.pose.r).all()
+                and np.isfinite(self.pose.t).all()):
+            raise ValueError("box pose and half extents must be finite")
         object.__setattr__(self, "half_extents", he)
 
 
 Shape = Capsule | Box
 
 
+def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over axis 0 of (3, ...) planes, summed in np.einsum's order
+    for a contiguous length-3 row (module docstring)."""
+    return (x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]
+
+
+def _norm3(x: np.ndarray) -> np.ndarray:
+    """|x| over axis 0 of (3, ...) planes, summed in np.linalg.norm's
+    order (module docstring)."""
+    return np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
+
+
 def _seg_seg_batch(p1, p2, q1, q2) -> np.ndarray:
     """Vectorized closest-distance between segment batches of shape (..., 3)."""
+    points = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in (p1, p2, q1, q2)))
+    p1, p2, q1, q2 = (np.moveaxis(p, -1, 0) for p in points)
     d1 = p2 - p1
     d2 = q2 - q1
     r = p1 - q1
-    a = np.einsum("...i,...i", d1, d1)
-    e = np.einsum("...i,...i", d2, d2)
-    f = np.einsum("...i,...i", d2, r)
-    c = np.einsum("...i,...i", d1, r)
-    b = np.einsum("...i,...i", d1, d2)
+    a = _dot3(d1, d1)
+    e = _dot3(d2, d2)
+    f = _dot3(d2, r)
+    c = _dot3(d1, r)
+    b = _dot3(d1, d2)
 
     a_deg = a <= _DEG_EPS
     e_deg = e <= _DEG_EPS
@@ -98,23 +128,22 @@ def _seg_seg_batch(p1, p2, q1, q2) -> np.ndarray:
     denom = a * e - b * b
     denom_ok = denom > _DEG_EPS * a_safe * e_safe
     s = np.where(denom_ok,
-                 np.clip((b * f - c * e) / np.where(denom_ok, denom, 1.0), 0.0, 1.0),
+                 ((b * f - c * e) / np.where(denom_ok, denom, 1.0)).clip(0.0, 1.0),
                  0.0)
     t = (b * s + f) / e_safe
     t_low = t < 0.0
     t_high = t > 1.0
-    t = np.clip(t, 0.0, 1.0)
-    s = np.where(t_low, np.clip(-c / a_safe, 0.0, 1.0), s)
-    s = np.where(t_high, np.clip((b - c) / a_safe, 0.0, 1.0), s)
+    t = t.clip(0.0, 1.0)
+    s = np.where(t_low, (-c / a_safe).clip(0.0, 1.0), s)
+    s = np.where(t_high, ((b - c) / a_safe).clip(0.0, 1.0), s)
 
     # Degenerate segments override the general solution.
     s = np.where(a_deg, 0.0, s)
-    t = np.where(a_deg, np.clip(f / e_safe, 0.0, 1.0), t)
+    t = np.where(a_deg, (f / e_safe).clip(0.0, 1.0), t)
     t = np.where(e_deg, 0.0, t)
-    s = np.where(e_deg & ~a_deg, np.clip(-c / a_safe, 0.0, 1.0), s)
+    s = np.where(e_deg & ~a_deg, (-c / a_safe).clip(0.0, 1.0), s)
 
-    diff = (p1 + s[..., None] * d1) - (q1 + t[..., None] * d2)
-    return np.linalg.norm(diff, axis=-1)
+    return _norm3((p1 + s * d1) - (q1 + t * d2))
 
 
 def _seg_box_batch(p1, p2, box: Box) -> np.ndarray:
@@ -125,24 +154,33 @@ def _seg_box_batch(p1, p2, box: Box) -> np.ndarray:
     No step calls BLAS, so a row's distance depends neither on the rows
     that share the call nor on the BLAS kernel.
     """
-    a = np.einsum("...j,ji->...i", p1 - box.pose.t, box.pose.r)
-    d = np.einsum("...j,ji->...i", p2 - box.pose.t, box.pose.r) - a
-    half = box.half_extents
-    dd = np.concatenate([d, d], axis=-1)
-    cross = np.divide(np.concatenate([half - a, -half - a], axis=-1), dd,
+    p1, p2 = np.broadcast_arrays(np.asarray(p1, dtype=float),
+                                 np.asarray(p2, dtype=float))
+    lead = p1.shape[:-1]
+    # Contiguous (3, n) planes, whatever the layout of the rows.
+    p1, p2 = (np.ascontiguousarray(np.moveaxis(p, -1, 0).reshape(3, -1))
+              for p in (p1, p2))
+    t = box.pose.t[:, None]
+    a = np.einsum("jn,ji->in", p1 - t, box.pose.r)
+    d = np.einsum("jn,ji->in", p2 - t, box.pose.r) - a
+    half = box.half_extents[:, None]
+    dd = np.concatenate([d, d])
+    cross = np.divide(np.concatenate([half - a, -half - a]), dd,
                       out=np.zeros_like(dd), where=dd != 0.0)
-    ends = np.broadcast_to([0.0, 1.0], a.shape[:-1] + (2,))
-    knots = np.sort(np.concatenate([ends, np.clip(cross, 0.0, 1.0)], axis=-1), axis=-1)
-    s0, s1 = knots[..., :-1], knots[..., 1:]
-    a, d = a[..., None, :], d[..., None, :]
-    mid = a + (0.5 * (s0 + s1))[..., None] * d
+    knots = np.empty((a.shape[1], 8))
+    knots[:, :2] = 0.0, 1.0
+    knots[:, 2:] = cross.clip(0.0, 1.0).T
+    knots.sort(axis=-1)
+    knots = np.ascontiguousarray(knots.T)
+    s0, s1 = knots[:-1], knots[1:]
+    a, d, half = a[:, None], d[:, None], half[:, None]
+    mid = a + (0.5 * (s0 + s1)) * d
     side = (mid > half).astype(float) - (mid < -half)
     c, e = side * (a - side * half), side * d     # excess is c + s * e
-    curv = np.einsum("...i,...i", e, e)
-    s = np.clip(np.divide(-np.einsum("...i,...i", c, e), curv,
-                          out=s0.copy(), where=curv > 0.0), s0, s1)
-    excess = np.maximum(np.abs(a + s[..., None] * d) - half, 0.0)
-    return np.linalg.norm(excess, axis=-1).min(axis=-1)
+    curv = _dot3(e, e)
+    s = np.divide(-_dot3(c, e), curv, out=s0.copy(), where=curv > 0.0).clip(s0, s1)
+    excess = np.maximum(np.abs(a + s * d) - half, 0.0)
+    return _norm3(excess).min(axis=0).reshape(lead)[()]
 
 
 def capsule_segments(capsules: Iterable[Capsule]) -> tuple[np.ndarray, np.ndarray]:
@@ -296,11 +334,12 @@ def _query(world: CollisionWorld, links: np.ndarray,
            attached_segments: np.ndarray | None,
            attached_radii: Sequence[float],
            attached_names: Sequence[str]) -> tuple[np.ndarray, _PairTable]:
-    """Capsule segments (W, N, 2, 3) and the pair table.
+    """Capsule segments, component-major (2, 3, N, W), and the pair table.
 
     Raises ValueError unless links is (W, 12, 2, 3) and
     attached_segments has one row per waypoint, and attached_segments,
-    attached_names and attached_radii one entry per attached body.
+    attached_names and attached_radii one entry per attached body, and
+    unless every link and attached segment is finite.
     """
     links = np.asarray(links, dtype=float)
     if links.ndim != 4 or links.shape[1:] != (2 * _LINK_COUNT, 2, 3):
@@ -318,55 +357,68 @@ def _query(world: CollisionWorld, links: np.ndarray,
         raise ValueError(f"attached_segments holds {segs.shape[1]} bodies, "
                          f"attached_names {len(attached_names)} and "
                          f"attached_radii {len(attached_radii)}; they must agree")
-    statics = np.broadcast_to(world.capsule_segments, (w,) + world.capsule_segments.shape)
-    return (np.concatenate([links, statics, segs], axis=1),
-            _pair_table(world, attached_names, attached_radii))
+    if not (np.isfinite(links).all() and np.isfinite(segs).all()):
+        raise ValueError("link and attached segments must be finite")
+    n_link, n_static = 2 * _LINK_COUNT, len(world.capsule_segments)
+    caps = np.empty((2, 3, n_link + n_static + segs.shape[1], w))
+    caps[:, :, :n_link] = links.transpose(2, 3, 1, 0)
+    caps[:, :, n_link:n_link + n_static] = world.capsule_segments.transpose(1, 2, 0)[..., None]
+    caps[:, :, n_link + n_static:] = segs.transpose(2, 3, 1, 0)
+    return caps, _pair_table(world, attached_names, attached_radii)
 
 
 def _measure(caps: np.ndarray, boxes: Sequence[Box], table: _PairTable,
              rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Clearance of the entries (rows[m], cols[m]) of the (W, P) matrix."""
+    """Clearance of the entries (cols[m], rows[m]) of the (P, W) matrix,
+    cols ascending.
+
+    Each kernel call takes the (n, 3) views of its entries' endpoints,
+    gathered from caps as contiguous (3, n) planes, so that the kernels
+    run on contiguous planes.
+    """
+    w = caps.shape[-1]
+    flat = caps.reshape(2, 3, -1)
     out = np.empty(rows.size)
-    box = table.box[cols]
-    for bi in range(-1, len(boxes)):
-        sel = np.nonzero(box == bi)[0]
-        if not sel.size:
+    # The box columns follow the capsule pairs, box by box.
+    edges = np.searchsorted(cols, np.searchsorted(table.box, np.arange(-1, len(boxes) + 1)))
+    for bi, lo, hi in zip(range(-1, len(boxes)), edges, edges[1:]):
+        if lo == hi:
             continue
-        r, c = rows[sel], cols[sel]
-        a = caps[r, table.first[c]]
+        r, c = rows[lo:hi], cols[lo:hi]
+        a = np.take(flat, table.first[c] * w + r, axis=2)
         if bi < 0:
-            b = caps[r, table.second[c]]
-            d = _seg_seg_batch(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+            b = np.take(flat, table.second[c] * w + r, axis=2)
+            d = _seg_seg_batch(a[0].T, a[1].T, b[0].T, b[1].T)
         else:
-            d = _seg_box_batch(a[:, 0], a[:, 1], boxes[bi])
-        out[sel] = d - table.radius[c]
+            d = _seg_box_batch(a[0].T, a[1].T, boxes[bi])
+        out[lo:hi] = d - table.radius[c]
     return out
 
 
 def _pair_bounds(caps: np.ndarray, boxes: Sequence[Box],
                  table: _PairTable) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds (W, P) on the clearance matrix from each
-    capsule's midpoint and half-length (module docstring); the midpoints
-    are (3, N, W), so that a column gathers whole rows.
+    """Lower and upper bounds (P, W) on the clearance matrix from each
+    capsule's midpoint and half-length (module docstring).
+
+    The midpoints are (3, N, W) planes, so that a column gathers whole
+    rows and each bound is one contiguous (W,) row.
     """
-    mid = np.ascontiguousarray((0.5 * (caps[:, :, 0] + caps[:, :, 1])).T)
-    half = 0.5 * np.linalg.norm(caps[:, :, 1] - caps[:, :, 0], axis=-1).T
-    upper, slack = np.empty((2, len(table.pair_names), caps.shape[0]))
+    mid = 0.5 * (caps[0] + caps[1])
+    half = 0.5 * _norm3(caps[1] - caps[0])
+    upper, slack = np.empty((2, len(table.pair_names), caps.shape[-1]))
     # The box columns follow the capsule pairs, box by box.
     edges = np.searchsorted(table.box, np.arange(len(boxes) + 1))
     first, second = table.first[:edges[0]], table.second[:edges[0]]
-    gap = mid[:, first] - mid[:, second]
-    upper[:edges[0]] = np.sqrt(np.einsum("ipw,ipw->pw", gap, gap))
-    slack[:edges[0]] = half[first] + half[second]
+    upper[:edges[0]] = _norm3(np.take(mid, first, axis=1) - np.take(mid, second, axis=1))
+    slack[:edges[0]] = np.take(half, first, axis=0) + np.take(half, second, axis=0)
     for box, lo, hi in zip(boxes, edges, edges[1:]):
         first = table.first[lo:hi]
-        rel = mid[:, first] - box.pose.t[:, None, None]
+        rel = np.take(mid, first, axis=1) - box.pose.t[:, None, None]
         local = np.abs(np.einsum("jpw,ji->ipw", rel, box.pose.r))
-        excess = np.maximum(local - box.half_extents[:, None, None], 0.0)
-        upper[lo:hi] = np.sqrt(np.einsum("ipw,ipw->pw", excess, excess))
-        slack[lo:hi] = half[first]
+        upper[lo:hi] = _norm3(np.maximum(local - box.half_extents[:, None, None], 0.0))
+        slack[lo:hi] = np.take(half, first, axis=0)
     upper -= table.radius[:, None]
-    return (upper - slack).T, upper.T
+    return upper - slack, upper
 
 
 def motion_clearances(world: CollisionWorld, links: np.ndarray,
@@ -390,12 +442,12 @@ def motion_clearances(world: CollisionWorld, links: np.ndarray,
     """
     caps, table = _query(world, links, attached_segments, attached_radii,
                          attached_names)
-    w, p = caps.shape[0], len(table.pair_names)
+    p, w = len(table.pair_names), caps.shape[-1]
     if not p:
         return np.full(w, np.inf), np.zeros(w, dtype=int), table.pair_names
     lower, upper = _pair_bounds(caps, world.boxes, table)
-    rows, cols = np.nonzero(lower <= upper.min(axis=1, keepdims=True) + _BOUND_MARGIN)
-    clear = np.full((w, p), np.inf)
-    clear[rows, cols] = _measure(caps, world.boxes, table, rows, cols)
-    idx = np.argmin(clear, axis=1)
-    return clear[np.arange(w), idx], idx, table.pair_names
+    cols, rows = np.nonzero(lower <= upper.min(axis=0) + _BOUND_MARGIN)
+    clear = np.full((p, w), np.inf)
+    clear[cols, rows] = _measure(caps, world.boxes, table, rows, cols)
+    idx = np.argmin(clear, axis=0)
+    return clear[idx, np.arange(w)], idx, table.pair_names

@@ -30,6 +30,10 @@ it returns the library's _PairTable record, named by link_names.
 dense_pair_clearances, the reference for motion_clearances's bounded
 minimum: it measures every entry with the library's own query and
 distance kernels, since the minimum must match it bit for bit.
+einsum_seg_seg_batch, einsum_seg_box_batch and einsum_pair_bounds, the
+references for the component-major clearance kernels and midpoint
+bounds: they are those routines in their einsum form, which the
+library's must equal bit for bit, so they share its _DEG_EPS.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ import numpy as np
 
 from tetherplan import robot as rb
 from tetherplan.cable import bend_angle_batch
-from tetherplan.collision import Box, _PairTable, _measure, _query, \
-    arm_link_segments, link_names, motion_clearances
+from tetherplan.collision import _DEG_EPS, Box, _PairTable, _measure, \
+    _query, arm_link_segments, link_names, motion_clearances
 from tetherplan.planner import ROOT, MotionPlan, PlanResult, _solve_stations, \
     _stations
 from tetherplan.geometry import Pose, _rotvec_near_pi, rot_to_rotvec, unit
@@ -657,6 +661,104 @@ def dense_pair_clearances(world, links, attached_segments, attached_radii,
     """
     caps, table = _query(world, links, attached_segments, attached_radii,
                          attached_names)
-    w, p = caps.shape[0], len(table.pair_names)
-    rows, cols = np.divmod(np.arange(w * p), p)
-    return _measure(caps, world.boxes, table, rows, cols).reshape(w, p), table
+    w, p = caps.shape[-1], len(table.pair_names)
+    cols, rows = np.divmod(np.arange(p * w), w)
+    return _measure(caps, world.boxes, table, rows, cols).reshape(p, w).T, table
+
+
+# --- the clearance kernels in their einsum form ---
+#
+# Verbatim copies of the kernels as they were before the clearance query
+# went component-major, renamed only; (..., 3) rows in, and (W, N, 2, 3)
+# capsules for einsum_pair_bounds, which returns (W, P) bounds.
+
+def einsum_seg_seg_batch(p1, p2, q1, q2) -> np.ndarray:
+    """Vectorized closest-distance between segment batches of shape (..., 3)."""
+    d1 = p2 - p1
+    d2 = q2 - q1
+    r = p1 - q1
+    a = np.einsum("...i,...i", d1, d1)
+    e = np.einsum("...i,...i", d2, d2)
+    f = np.einsum("...i,...i", d2, r)
+    c = np.einsum("...i,...i", d1, r)
+    b = np.einsum("...i,...i", d1, d2)
+
+    a_deg = a <= _DEG_EPS
+    e_deg = e <= _DEG_EPS
+    a_safe = np.where(a_deg, 1.0, a)
+    e_safe = np.where(e_deg, 1.0, e)
+
+    denom = a * e - b * b
+    denom_ok = denom > _DEG_EPS * a_safe * e_safe
+    s = np.where(denom_ok,
+                 np.clip((b * f - c * e) / np.where(denom_ok, denom, 1.0), 0.0, 1.0),
+                 0.0)
+    t = (b * s + f) / e_safe
+    t_low = t < 0.0
+    t_high = t > 1.0
+    t = np.clip(t, 0.0, 1.0)
+    s = np.where(t_low, np.clip(-c / a_safe, 0.0, 1.0), s)
+    s = np.where(t_high, np.clip((b - c) / a_safe, 0.0, 1.0), s)
+
+    # Degenerate segments override the general solution.
+    s = np.where(a_deg, 0.0, s)
+    t = np.where(a_deg, np.clip(f / e_safe, 0.0, 1.0), t)
+    t = np.where(e_deg, 0.0, t)
+    s = np.where(e_deg & ~a_deg, np.clip(-c / a_safe, 0.0, 1.0), s)
+
+    diff = (p1 + s[..., None] * d1) - (q1 + t[..., None] * d2)
+    return np.linalg.norm(diff, axis=-1)
+
+
+def einsum_seg_box_batch(p1, p2, box: Box) -> np.ndarray:
+    """Exact segment-box distance, vectorized over leading axes of p1/p2.
+
+    Along the segment the squared distance is a convex quadratic on each
+    piece between face-plane crossings; take each piece's clamped vertex.
+    No step calls BLAS, so a row's distance depends neither on the rows
+    that share the call nor on the BLAS kernel.
+    """
+    a = np.einsum("...j,ji->...i", p1 - box.pose.t, box.pose.r)
+    d = np.einsum("...j,ji->...i", p2 - box.pose.t, box.pose.r) - a
+    half = box.half_extents
+    dd = np.concatenate([d, d], axis=-1)
+    cross = np.divide(np.concatenate([half - a, -half - a], axis=-1), dd,
+                      out=np.zeros_like(dd), where=dd != 0.0)
+    ends = np.broadcast_to([0.0, 1.0], a.shape[:-1] + (2,))
+    knots = np.sort(np.concatenate([ends, np.clip(cross, 0.0, 1.0)], axis=-1), axis=-1)
+    s0, s1 = knots[..., :-1], knots[..., 1:]
+    a, d = a[..., None, :], d[..., None, :]
+    mid = a + (0.5 * (s0 + s1))[..., None] * d
+    side = (mid > half).astype(float) - (mid < -half)
+    c, e = side * (a - side * half), side * d     # excess is c + s * e
+    curv = np.einsum("...i,...i", e, e)
+    s = np.clip(np.divide(-np.einsum("...i,...i", c, e), curv,
+                          out=s0.copy(), where=curv > 0.0), s0, s1)
+    excess = np.maximum(np.abs(a + s[..., None] * d) - half, 0.0)
+    return np.linalg.norm(excess, axis=-1).min(axis=-1)
+
+
+def einsum_pair_bounds(caps: np.ndarray, boxes: Sequence[Box],
+                 table: _PairTable) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds (W, P) on the clearance matrix from each
+    capsule's midpoint and half-length (module docstring); the midpoints
+    are (3, N, W), so that a column gathers whole rows.
+    """
+    mid = np.ascontiguousarray((0.5 * (caps[:, :, 0] + caps[:, :, 1])).T)
+    half = 0.5 * np.linalg.norm(caps[:, :, 1] - caps[:, :, 0], axis=-1).T
+    upper, slack = np.empty((2, len(table.pair_names), caps.shape[0]))
+    # The box columns follow the capsule pairs, box by box.
+    edges = np.searchsorted(table.box, np.arange(len(boxes) + 1))
+    first, second = table.first[:edges[0]], table.second[:edges[0]]
+    gap = mid[:, first] - mid[:, second]
+    upper[:edges[0]] = np.sqrt(np.einsum("ipw,ipw->pw", gap, gap))
+    slack[:edges[0]] = half[first] + half[second]
+    for box, lo, hi in zip(boxes, edges, edges[1:]):
+        first = table.first[lo:hi]
+        rel = mid[:, first] - box.pose.t[:, None, None]
+        local = np.abs(np.einsum("jpw,ji->ipw", rel, box.pose.r))
+        excess = np.maximum(local - box.half_extents[:, None, None], 0.0)
+        upper[lo:hi] = np.sqrt(np.einsum("ipw,ipw->pw", excess, excess))
+        slack[lo:hi] = half[first]
+    upper -= table.radius[:, None]
+    return (upper - slack).T, upper.T

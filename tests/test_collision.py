@@ -29,7 +29,8 @@ from tetherplan.robot import ArmModel, DualArm, fk_batch
 from tetherplan.scene import default_scene
 
 from helpers import HOME_LEFT, HOME_RIGHT, make_problem
-from oracles import dense_pair_clearances, loop_pair_table, \
+from oracles import dense_pair_clearances, einsum_pair_bounds, \
+    einsum_seg_box_batch, einsum_seg_seg_batch, loop_pair_table, rot_axis_angle, \
     segment_box_distance_sampled, segment_distance_sampled
 
 
@@ -235,6 +236,10 @@ def make_world(statics=None, excluded=()):
     return CollisionWorld(statics or {}, spec, excluded)
 
 
+# Its top is at z = 0.1 m, into the arms at home.
+RAISED_TABLE = Box(Pose(np.eye(3), [0.0, 0.0, -0.3]), [1.0, 1.0, 0.4])
+
+
 def overlaps(world, robot, q_left, q_right):
     """Strictly overlapping pairs of the bare arms at one configuration
     pair, read off the dense matrix's single row."""
@@ -280,8 +285,7 @@ class TestWorld:
         world = make_world({"table": table})
         q = np.zeros(6)
         assert not overlaps(world, robot, q, q)
-        raised = Box(Pose(np.eye(3), [0.0, 0.0, -0.3]), [1.0, 1.0, 0.4])
-        world2 = make_world({"table": raised})
+        world2 = make_world({"table": RAISED_TABLE})
         pairs = overlaps(world2, robot, q, q)
         assert pairs
         assert any("table" in pair for pair in pairs)
@@ -520,7 +524,7 @@ def test_pair_bounds_enclose_the_exact_clearance():
     attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
     links = arm_link_segments(robot, world.link_spec, ql, qr)
     caps, table = _query(world, links, *attach)
-    lower, upper = _pair_bounds(caps, world.boxes, table)
+    lower, upper = (b.T for b in _pair_bounds(caps, world.boxes, table))
     exact, _ = dense_pair_clearances(world, links, *attach)
     assert lower.shape == upper.shape == exact.shape
     assert np.all(lower <= exact + 1e-12) and np.all(exact <= upper + 1e-12)
@@ -528,6 +532,125 @@ def test_pair_bounds_enclose_the_exact_clearance():
     assert on_box.sum() == len(world.boxes)
     assert np.allclose(lower[:, on_box], exact[:, on_box], rtol=0.0, atol=1e-12)
     assert np.allclose(upper[:, on_box], exact[:, on_box], rtol=0.0, atol=1e-12)
+
+
+class TestEinsumForms:
+    """The component-major kernels against verbatim copies of their
+    einsum forms (tests/oracles.py), bit for bit, on seeded batches of
+    12,000 rows: flat, with leading shape (W, K) = (40, 300), and as the
+    (n, 3) views of contiguous (3, n) planes that _measure passes.  The
+    einsum forms read contiguous (n, 3) rows, as they did in the library;
+    an einsum sums a row in another order when its rows are strided."""
+
+    N = 12_000
+
+    @classmethod
+    def segments(cls, rng):
+        """(4, N, 3) endpoints p1, p2, q1, q2: general segments over five
+        scales, then zero-length, parallel, collinear and touching ones,
+        and a quarter on a coarse dyadic grid, where such cases are exact."""
+        n, k = cls.N, cls.N // 8
+        p1, p2, q1, q2 = rng.uniform(-1.0, 1.0, (4, n, 3)) * 10.0 ** rng.integers(-3, 2, (n, 1))
+        p2[:k] = p1[:k]                                  # p is a point,
+        q2[k // 2:2 * k] = q1[k // 2:2 * k]              # q is, or both are
+        u = rng.uniform(-2.0, 2.0, (3, k, 1))
+        d = p2[2 * k:3 * k] - p1[2 * k:3 * k]
+        q2[2 * k:3 * k] = q1[2 * k:3 * k] + u[0] * d     # parallel
+        d = p2[3 * k:4 * k] - p1[3 * k:4 * k]
+        q1[3 * k:4 * k] = p1[3 * k:4 * k] + u[1] * d     # collinear
+        q2[3 * k:4 * k] = p1[3 * k:4 * k] + u[2] * d
+        d = p2[4 * k:5 * k] - p1[4 * k:5 * k]
+        q1[4 * k:5 * k] = p1[4 * k:5 * k] + np.abs(u[0]) / 2.0 * d   # touching or crossing
+        q1[4 * k:4 * k + k // 4] = p2[4 * k:4 * k + k // 4]          # a shared endpoint
+        grid = rng.integers(-3, 4, (4, n - 6 * k, 3)) / 4.0
+        p1[6 * k:], p2[6 * k:], q1[6 * k:], q2[6 * k:] = grid
+        return np.stack([p1, p2, q1, q2])
+
+    @staticmethod
+    def boxes(rng):
+        """An axis-aligned box and one turned about a random axis."""
+        turn = rot_axis_angle(rng.normal(size=3), rng.uniform(0.3, 3.0))
+        return (Box(Pose(np.eye(3), [0.25, -0.5, 0.0]), [0.5, 0.25, 0.75]),
+                Box(Pose(turn, [0.1, 0.2, -0.3]), [0.3, 0.5, 0.2]))
+
+    @classmethod
+    def box_segments(cls, rng, box):
+        """(2, N, 3) segments about box: general ones, points (a quarter
+        of them inside), segments along the box axes, and a quarter on a
+        dyadic grid in the box frame, which puts endpoints on the faces of
+        an axis-aligned box."""
+        n, k = cls.N, cls.N // 8
+        span = 2.0 * box.half_extents
+        local = rng.uniform(-span, span, (2, n, 3))
+        local[1, :2 * k] = local[0, :2 * k]
+        local[:, :k // 2] *= 0.4                               # points inside
+        along = rng.integers(0, 3, 2 * k)
+        local[1, 2 * k:4 * k] = local[0, 2 * k:4 * k]
+        local[1, 2 * k + np.arange(2 * k), along] += rng.uniform(-2.0, 2.0, 2 * k)
+        local[:, 6 * k:] = rng.integers(-4, 5, (2, n - 6 * k, 3)) / 4.0 * box.half_extents
+        return local @ box.pose.r.T + box.pose.t
+
+    @staticmethod
+    def forms(x):
+        """Kernel and einsum-form arguments from x (K, N, 3): flat, with
+        leading shape (40, 300), and, for the kernel, as (N, 3) views of
+        contiguous (3, N) planes."""
+        planes = np.ascontiguousarray(np.moveaxis(x, -1, -2))
+        return {"flat": (x, x),
+                "lead": (x.reshape(x.shape[:-2] + (40, 300, 3)),) * 2,
+                "views": (np.moveaxis(planes, -2, -1), x)}
+
+    @pytest.mark.parametrize("form", ["flat", "lead", "views"])
+    def test_seg_seg_equals_the_einsum_form(self, form):
+        segs = self.segments(np.random.default_rng(71))
+        got, want = self.forms(segs)[form]
+        assert got.shape == want.shape
+        assert np.array_equal(_seg_seg_batch(*got), einsum_seg_seg_batch(*want))
+
+    @pytest.mark.parametrize("form", ["flat", "lead", "views"])
+    def test_seg_box_equals_the_einsum_form(self, form):
+        rng = np.random.default_rng(72)
+        for box in self.boxes(rng):
+            segs = self.box_segments(rng, box)
+            got, want = self.forms(segs)[form]
+            inside = np.all(np.abs((segs - box.pose.t) @ box.pose.r)
+                            < 0.9 * box.half_extents, axis=(0, 2))
+            assert inside.sum() > 100
+            dist = _seg_box_batch(*got, box)
+            assert np.array_equal(dist, einsum_seg_box_batch(*want, box))
+            assert np.all(dist.reshape(-1)[inside] == 0.0)
+
+    def test_pair_bounds_and_dense_matrix_equal_the_einsum_forms(self):
+        # The cluttered world, whose crate is turned, with the held tool
+        # and a sphere attached; the einsum forms read the capsules in
+        # their (W, N, 2, 3) layout.
+        robot = make_robot()
+        world = cluttered_world()
+        rng = np.random.default_rng(73)
+        w = 120
+        ql, qr = rng.uniform(-np.pi, np.pi, (2, w, 6))
+        tool, _, _ = held_tool(robot, ql)
+        ball = np.repeat(rng.uniform([0.1, -0.5, 0.0], [0.6, 0.5, 0.7], (w, 1, 1, 3)),
+                         2, axis=2)
+        attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
+        links = arm_link_segments(robot, world.link_spec, ql, qr)
+        caps, table = _query(world, links, *attach)
+        rows = np.ascontiguousarray(caps.transpose(3, 2, 0, 1))
+        lower, upper = _pair_bounds(caps, world.boxes, table)
+        assert lower.size >= 10**4
+        want = einsum_pair_bounds(rows, world.boxes, table)
+        assert np.array_equal(lower, want[0].T) and np.array_equal(upper, want[1].T)
+        dense, _ = dense_pair_clearances(world, links, *attach)
+        first = rows[:, table.first]
+        want = np.empty_like(dense)
+        pairs = table.box < 0
+        second = rows[:, table.second[pairs]]
+        want[:, pairs] = einsum_seg_seg_batch(first[:, pairs, 0], first[:, pairs, 1],
+                                              second[:, :, 0], second[:, :, 1])
+        for k, box in enumerate(world.boxes):
+            on = table.box == k
+            want[:, on] = einsum_seg_box_batch(first[:, on, 0], first[:, on, 1], box)
+        assert np.array_equal(dense, want - table.radius)
 
 
 # The tool shapes and the cable, attached as a constrained approach edge
@@ -666,6 +789,38 @@ def test_links_of_another_shape_raise():
     motion_clearances(world, links)
     with pytest.raises(ValueError, match=r"links must be \(W, 12, 2, 3\), not \(4, 6, 2, 3\)"):
         motion_clearances(world, links[:, :6])
+
+
+@pytest.mark.parametrize("pose, half", [
+    (Pose(np.eye(3), [np.nan, 0.0, 0.5]), [0.1, 0.1, 0.1]),
+    (Pose(np.eye(3), [0.0, -np.inf, 0.5]), [0.1, 0.1, 0.1]),
+    (Pose(np.where(np.eye(3) > 0, np.nan, 0.0), [0.0, 0.0, 0.5]), [0.1, 0.1, 0.1]),
+    (Pose(np.eye(3), [0.0, 0.0, 0.5]), [0.1, np.inf, 0.1]),
+    (Pose(np.eye(3), [0.0, 0.0, 0.5]), [0.1, np.nan, 0.1]),
+], ids=["nan_centre", "inf_centre", "nan_rotation", "inf_half_extent",
+        "nan_half_extent"])
+def test_a_non_finite_box_is_rejected(pose, half):
+    # The two arms at home sink into the raised table.  A box at a NaN
+    # centre used to make each row's least upper bound NaN, so that no
+    # entry was measured and the row read +inf instead.
+    robot, world = make_robot(), make_world({"table": RAISED_TABLE})
+    links = arm_link_segments(robot, world.link_spec, HOME_LEFT, HOME_RIGHT)
+    assert motion_clearances(world, links)[0][0] < 0.0
+    with pytest.raises(ValueError, match="box"):
+        Box(pose, half)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("body", ["links", "attached"])
+def test_non_finite_segments_are_rejected(body, value):
+    robot, world = make_robot(), make_world({"table": RAISED_TABLE})
+    links = arm_link_segments(robot, world.link_spec, np.tile(HOME_LEFT, (4, 1)),
+                              np.tile(HOME_RIGHT, (4, 1)))
+    held = np.tile([[0.3, 0.0, 0.3], [0.3, 0.0, 0.5]], (4, 1, 1, 1))
+    assert np.all(motion_clearances(world, links, held, [0.02], ["tool"])[0] < 0.0)
+    (links if body == "links" else held)[2, 0, 1, 1] = value
+    with pytest.raises(ValueError, match="link and attached segments must be finite"):
+        motion_clearances(world, links, held, [0.02], ["tool"])
 
 
 # motion_clearances of 64 rows by a tilted arm base and a rotated crate,
