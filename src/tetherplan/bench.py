@@ -21,8 +21,8 @@ approach once with the cable attached, once without).  The same cache
 holds the audit's own tables, so each distinct plan is audited once
 under each bend limit (the two modes often return the same plan) and
 each distinct waypoint row is re-checked once.  A re-check makes one
-FK call, which serves its clearance query and its grip check: each arm
-at each distinct row that either reads.
+FK call, both arms at every distinct row, which serves its clearance
+query and its grip check.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     (a fresh one when None) to problem's scene and reads none of the
     planner's tables, only cache.rows: only the rows that it lacks are
     measured, each once, in plan order; the others are read back.  One
-    fk_chain_batch call, on per-row bases, serves both checks: each arm
-    runs once for each distinct row that the clearance or that arm's
-    grip check reads.
+    fk_chain_batch call, on per-row bases, serves both checks: both arms
+    at the first row of each distinct key, the left arm's rows first.
+    The link segments of the rows the cache lacks and the grip check's
+    TCP poses are read from it.
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
@@ -115,38 +116,28 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     raw = np.hstack([motion.q_left, motion.q_right,
                      motion.tool_rot.reshape(-1, 9), motion.tool_t])
     keys = raw.view(f"V{raw[0].nbytes}").ravel().tolist()
-    # Equal keys, equal rows: each row stands for the first row of its key.
-    first: dict = {}
-    rep = np.array([first.setdefault(key, i) for i, key in enumerate(keys)],
-                   dtype=int)
-    fresh = [key for key in first if key not in cache.rows]
-    new = np.array([first[key] for key in fresh], dtype=int)
-    ids = {h: [dict(h).get(side, -1) for side in ("left", "right")]
-           for h in set(motion.holding)}
-    gid = np.array(list(map(ids.__getitem__, motion.holding)),
-                   dtype=int).reshape(-1, 2)
-    # Each arm (0 left, 1 right) runs FK at the first row of each key
-    # that the clearance of the new rows or that arm's grip check reads.
-    reads = np.zeros((2, len(keys)), dtype=bool)
-    reads[:, new] = True
-    arm, at = np.nonzero(gid.T >= 0)
-    reads[arm, rep[at]] = True
-    arm, at = np.nonzero(reads)
-    right = arm == 1
-    rot, tcp, origins, _ = robot.fk_chain_batch(
-        *problem.robot.bases(right),
-        np.where(right[:, None], motion.q_right[at], motion.q_left[at]))
-    # fk_row[arm, i]: the FK row of that arm at waypoint i, if it ran.
-    fk_row = np.zeros((2, len(keys)), dtype=int)
-    fk_row[arm, at] = np.arange(arm.size)
-    fk_row = fk_row[:, rep]
+    # Equal keys, equal rows: each row stands for the first row of its
+    # key.  index: key -> (its number among the distinct keys, its first row).
+    index: dict = {}
+    slot = np.array([index.setdefault(key, (len(index), i))[0]
+                     for i, key in enumerate(keys)], dtype=int)
+    at, n = np.array([i for _, i in index.values()], dtype=int), len(index)
+    # The joint axes are not read; dropping them at once keeps them out
+    # of the clearance query's peak memory.
+    rot, tcp, origins = robot.fk_chain_batch(
+        *problem.robot.bases(np.arange(2 * n) >= n),
+        np.concatenate([motion.q_left[at], motion.q_right[at]]))[:3]
+    # fk[arm, i]: the FK row of that arm (0 left, 1 right) at waypoint i.
+    fk = slot + np.array([[0], [n]])
+    fresh = [key for key in index if key not in cache.rows]
     if fresh:
-        k = fk_row[:, new].ravel()
+        new = np.array([index[key][0] for key in fresh], dtype=int)
+        k = np.concatenate([new, new + n])
         # The tool shapes and the taut cable ride on every waypoint.
         clear, pair_idx, pair_names = motion_clearances(
             problem.world,
             link_segments(problem.world.link_spec, rot[k], tcp[k], origins[k]),
-            *problem.tool.bodies(motion.tool_rot[new], motion.tool_t[new],
+            *problem.tool.bodies(motion.tool_rot[at[new]], motion.tool_t[at[new]],
                                  problem.balancer))
         # With no pair at all every index is 0 and every clearance inf.
         cable = np.array([CABLE in pair for pair in pair_names] or [False])
@@ -161,25 +152,28 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
         bend_waypoint=bend_wp,
         cable_waypoint=first_bad.get(True),
         collision_waypoint=first_bad.get(False),
-        grip_waypoint=_grip_waypoint(motion, problem, gid, rot, tcp, fk_row),
+        grip_waypoint=_grip_waypoint(motion, problem, rot, tcp, fk),
         min_clearance=float(clear.min()),
     )
 
 
 def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem,
-                   gid: np.ndarray, tcp_r: np.ndarray, tcp_t: np.ndarray,
-                   fk_row: np.ndarray) -> int | None:
+                   tcp_r: np.ndarray, tcp_t: np.ndarray,
+                   fk: np.ndarray) -> int | None:
     """First held waypoint where the tool has left its holder's grip.
 
-    gid (W, 2) is each waypoint's grasp id of the left and the right
-    arm, -1 where that arm does not hold the tool.  Where it does, that
-    arm's TCP pose (FK of its joints) is tcp_r and tcp_t at row
-    fk_row[arm, waypoint] of recheck_plan's FK call.  A hold is a run of
-    consecutive waypoints on which one arm holds the tool.  Along it
-    the grasp id must not change, and the tool's pose relative to that
-    arm's TCP must stay where the run's first waypoint put it, to
-    within _GRIP_TOL at every shape endpoint.
+    An arm's TCP pose at a waypoint (FK of its joints) is tcp_r and tcp_t
+    at row fk[arm, waypoint] of recheck_plan's FK call, arm 0 the left
+    and 1 the right.  A hold is a run of consecutive waypoints on which
+    one arm holds the tool.  Along it the grasp id must not change, and
+    the tool's pose relative to that arm's TCP must stay where the run's
+    first waypoint put it, to within _GRIP_TOL at every shape endpoint.
     """
+    ids = {h: [dict(h).get(side, -1) for side in ("left", "right")]
+           for h in set(motion.holding)}
+    # Each waypoint's grasp id of each arm, -1 where that arm does not hold.
+    gid = np.array(list(map(ids.__getitem__, motion.holding)),
+                   dtype=int).reshape(-1, 2)
     first = None
     for arm in (0, 1):
         held = np.nonzero(gid[:, arm] >= 0)[0]
@@ -190,7 +184,7 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem,
         regrasp = np.concatenate([[False], step & (np.diff(gid[held, arm]) != 0)])
         run_start = np.maximum.accumulate(
             np.where(begins, np.arange(held.size), 0))
-        r, t = tcp_r[fk_row[arm, held]], tcp_t[fk_row[arm, held]]
+        r, t = tcp_r[fk[arm, held]], tcp_t[fk[arm, held]]
         rel_r = np.einsum("wji,wjk->wik", r, motion.tool_rot[held])
         rel_t = np.einsum("wji,wj->wi", r, motion.tool_t[held] - t)
         local = problem.tool.bodies(rel_r, rel_t)[0]

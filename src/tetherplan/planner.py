@@ -21,15 +21,17 @@ feasibility is expensive, so the search is path-first (LazySP, Dellin
 and Srinivasa 2016): it finds the best path with every unchecked edge
 taken as valid, checks that path's edges in order, and searches again
 without the first that fails.  Costs never change with validation, so
-the first path whose edges all pass is the best valid one.  A valid
-edge keeps the rows it checked with their bend angles and clearances,
-and the plan joins those blocks, so each waypoint is measured once.  In
-constrained mode every waypoint must keep the cable bend angle below
-the limit, and the hanging cable is an obstacle until the tool is first
-grasped: a constrained approach edge attaches it beside the tool
-shapes.  So an edge's measurement (rows, bend angles, clearances) is
-kept apart from the verdict a mode and a bend limit draw from it, and a
-cache shared by both modes measures each transfer and handover once.
+the first path whose edges all pass is the best valid one.  An edge
+makes one FK call, both arms at every row: its link segments and a
+carried tool's track come from it.  A valid edge keeps the rows it
+checked with their bend angles and clearances, and the plan joins
+those blocks, so each waypoint is measured once.  In constrained mode
+every waypoint must keep the cable bend angle below the limit, and the
+hanging cable is an obstacle until the tool is first grasped: a
+constrained approach edge attaches it beside the tool shapes.  So an
+edge's measurement (rows, bend angles, clearances) is kept apart from
+the verdict a mode and a bend limit draw from it, and a cache shared by
+both modes measures each transfer and handover once.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from tetherplan import robot as rb
 from tetherplan.cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, \
     bend_angle_batch
-from tetherplan.collision import CollisionWorld, arm_link_segments, motion_clearances
+from tetherplan.collision import CollisionWorld, arm_link_segments, link_segments, \
+    motion_clearances
 from tetherplan.geometry import Pose, unit
-from tetherplan.robot import DualArm, IKOptions, N_JOINTS, fk_batch, ik_batch
+from tetherplan.robot import DualArm, IKOptions, N_JOINTS, ik_batch
 
 ROOT = "root"
 
@@ -401,24 +405,18 @@ class _Search:
 
     # ----- edge construction ------------------------------------------------
 
-    def _tool_track(self, side: str, gid: int, qs: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Tool pose per waypoint while side holds it with grasp gid."""
-        tcp_r, tcp_t, _ = fk_batch(self.pb.robot.arm(side), qs)
-        tool_rot = tcp_r @ self.grasps.r[gid].T
-        tool_t = tcp_t - np.einsum("wij,j->wi", tool_rot, self.grasps.t[gid])
-        return tool_rot, tool_t
-
-    def build_edge(self, spec: tuple) -> _EdgeData:
+    def build_edge(self, spec: tuple) -> tuple[_EdgeData, np.ndarray]:
+        """The edge's rows and its (W, 12, 2, 3) link segments, from one
+        fk_chain_batch call over its (q_left, q_right) rows.  A carried
+        tool follows its holder's TCP rows of that call; a resting tool
+        sits at the station on every row."""
         kind, feasible, step = spec[0], self.cache.node_feasible, self.opt.interp_step
         if kind == "transfer":
             _, src, dst, side, gid = spec
             qs = interp_joints(feasible[(src, side)][gid], feasible[(dst, side)][gid], step)
             ql, qr = self.pb.one_arm_moves(side, qs)
-            rot, t = self._tool_track(side, gid, qs)
             holding = tuple((((side, gid),),) * qs.shape[0])
-            return _EdgeData(ql, qr, rot, t, holding, kind)
-        if kind == "approach":
+        elif kind == "approach":
             _, station, side, gid = spec
             qs = interp_joints(self.pb.home(side), feasible[(station, side)][gid], step)
             w = qs.shape[0]
@@ -439,10 +437,19 @@ class _Search:
                        + (((recv, rgid),),) * (w2 - 1))
         else:
             raise ValueError(f"unknown edge kind {kind!r}")
-        # The tool rests at the station on every row.
-        pose, w = self.stations[station], ql.shape[0]
-        return _EdgeData(ql, qr, np.broadcast_to(pose.r, (w, 3, 3)),
-                         np.broadcast_to(pose.t, (w, 3)), holding, kind)
+        w = ql.shape[0]
+        rot, tcp, origins, _ = rb.fk_chain_batch(
+            *self.pb.robot.bases(np.arange(2 * w) >= w), np.concatenate([ql, qr]))
+        links = link_segments(self.pb.world.link_spec, rot, tcp, origins)
+        if kind == "transfer":
+            held = slice(0, w) if side == "left" else slice(w, None)
+            tool_rot = rot[held] @ self.grasps.r[gid].T
+            tool_t = tcp[held] - np.einsum("wij,j->wi", tool_rot, self.grasps.t[gid])
+        else:
+            pose = self.stations[station]
+            tool_rot = np.broadcast_to(pose.r, (w, 3, 3))
+            tool_t = np.broadcast_to(pose.t, (w, 3))
+        return _EdgeData(ql, qr, tool_rot, tool_t, holding, kind), links
 
     # ----- edge validation --------------------------------------------------
 
@@ -477,12 +484,11 @@ class _Search:
         """The edge's block with its bend angles and clearances, the
         cable among the tool shapes if attached, and each row's nearest
         pair (index, pair names)."""
-        data = self.build_edge(spec)
+        data, links = self.build_edge(spec)
         data.theta = bend_angle_batch(data.tool_rot, data.tool_t,
                                       self.pb.balancer, self.pb.tool)
         data.clearance, pair_idx, pair_names = motion_clearances(
-            self.pb.world, arm_link_segments(self.pb.robot, self.pb.world.link_spec,
-                                             data.q_left, data.q_right),
+            self.pb.world, links,
             *self.pb.tool.bodies(data.tool_rot, data.tool_t,
                                  self.pb.balancer if attached else None))
         return data, pair_idx, pair_names

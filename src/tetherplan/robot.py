@@ -12,10 +12,11 @@ column, and its turn mixes the other two columns: fk_chain_batch
 evaluates the chain that way, elementwise, with no 3x3 products.
 
 There is one chain kernel, fk_chain_batch, which evaluates the chain
-for a batch of configurations, each from its own base.  Every other
-call (fk_batch, point_jacobian, ik_batch) is built on it and takes a
-batch; one configuration or one target is a batch of one row.  With
-the per-row bases of DualArm.bases, one call serves rows of both arms.
+for a batch of configurations, each from its own base; an arm's FK is
+fk_chain_batch(arm.base.r, arm.base.t, qs).  Every other call
+(point_jacobian, ik_batch) is built on it and takes a batch; one
+configuration or one target is a batch of one row.  With the per-row
+bases of DualArm.bases, one call serves rows of both arms.
 
 ik_batch runs damped least squares (_dls) in one loop: every seed
 starts at iteration 0, and the random restarts of the targets still
@@ -155,11 +156,6 @@ def fk_chain_batch(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
     origins = np.ascontiguousarray(origins.transpose(2, 0, 1))
     axes = np.ascontiguousarray(axes.transpose(2, 0, 1))
     return rot, origins[:, -1].copy(), origins, axes
-
-
-def fk_batch(arm: ArmModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rot (W,3,3), tcp (W,3), origins (W,8,3)) of fk_chain_batch."""
-    return fk_chain_batch(arm.base.r, arm.base.t, qs)[:3]
 
 
 def _chain_jacobian(points: np.ndarray, origins: np.ndarray,

@@ -5,7 +5,9 @@ Everything here is deliberately written against first principles
 matrix products) and never calls into the library code paths it is used
 to check.  rot_axis_angle and compose are the Rodrigues rotation and the
 pose product written out in full; the planner's stacked grasp table and
-IK targets must equal them bit for bit.  There are eight exceptions.
+IK targets must equal them bit for bit.  closed_form_ik, the analytic
+UR3 IK, reads only the chain's offsets and TCP from the library; the
+tests that use it check its branches by FK.  There are eight exceptions.
 stacked_rot_to_rotvec, the reference for the log map's elementwise
 trace and one-gather skew part: rot_to_rotvec must equal it bit for
 bit, so it shares the library's near-pi branch, _rotvec_near_pi.
@@ -246,6 +248,72 @@ def in_limits(q) -> bool:
     """True when every joint of q lies within the UR3's +-2 pi range
     (1e-12 slack)."""
     return bool(np.all(np.abs(np.asarray(q, dtype=float)) <= 2.0 * math.pi + 1e-12))
+
+
+# --- closed-form UR3 inverse kinematics (Hawkins 2013) ---
+
+# The chain layout closed_form_ik is derived for: joint 1 turns about z,
+# joints 2-4 and 6 about -y and joint 5 about -z, each in the frame the
+# joint before leaves.
+UR_AXES = np.array([[0, 0, 1], [0, -1, 0], [0, -1, 0], [0, -1, 0], [0, 0, -1],
+                    [0, -1, 0]], dtype=float)
+
+
+def closed_form_ik(base: Pose, target_r, target_t) -> np.ndarray:
+    """All 8 analytic branches (B, 8, 6) of the UR3 at base for B TCP
+    targets, NaN where a branch does not exist; angles in [-pi, pi).
+
+    Hawkins 2013 ("Analytic Inverse Kinematics for the Universal Robots
+    UR-5/UR-10 Arms"), written for this chain's axes (UR_AXES) and its
+    offsets d1 (joint 2 above joint 1), a2, a3 (the two arm links), d4
+    (joint 5 off the arm plane) and d5 (joint 6 off joint 5).  In the
+    base frame, with R_i the rotation after joint i and u = R_1 y:
+    - the flange pose F (the target less the TCP) puts the joint-6
+      origin at w = F_t, and w . u = -d4, which gives q1 (2 branches);
+    - joint 5's axis z4 = R_4 z is normal to u and to joint 6's axis
+      F_r y, so z4 = +-(u x F_r y) / |u x F_r y| (2 branches);
+    - the joint-4 origin w + d5 z4 + d4 u is a planar 2R problem in the
+      arm plane for q2 and q3 (2 branches);
+    - q4, q5 and q6 follow by atan2 from z4, F_r y and F_r x.
+    A branch is returned as computed: its FK meets the target only where
+    the target is reachable, which the caller checks.
+    """
+    offsets, tcp = rb._UR3_OFFSETS, rb._UR3_TCP
+    d1, a2, a3 = offsets[1, 2], -offsets[2, 0], -offsets[3, 0]
+    d4, d5 = -offsets[4, 1], -offsets[5, 2]
+    target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
+    target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
+    f_r = np.einsum("ji,wjk,lk->wil", base.r, target_r, tcp.r)
+    w = np.einsum("ji,wj->wi", base.r, target_t - base.t) - f_r @ tcp.t
+    x6, y6 = f_r[:, :, 0], f_r[:, :, 1]
+    z = np.array([0.0, 0.0, 1.0])
+    out = np.full((w.shape[0], 8, 6), np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for b1, s1 in enumerate((1.0, -1.0)):
+            q1 = s1 * np.arccos(-d4 / np.hypot(w[:, 0], w[:, 1])) \
+                - np.arctan2(w[:, 0], w[:, 1])
+            zero = np.zeros_like(q1)
+            x1 = np.stack([np.cos(q1), np.sin(q1), zero], axis=1)
+            u = np.stack([-np.sin(q1), np.cos(q1), zero], axis=1)
+            cross = np.cross(u, y6)
+            cross /= np.linalg.norm(cross, axis=1, keepdims=True)
+            for b5, s5 in enumerate((1.0, -1.0)):
+                z4 = s5 * cross
+                arm = w + d5 * z4 + d4 * u - d1 * z
+                reach_x, reach_z = -np.sum(arm * x1, axis=1), -arm[:, 2]
+                c3 = (reach_x ** 2 + reach_z ** 2 - a2 ** 2 - a3 ** 2) / (2.0 * a2 * a3)
+                theta = np.arctan2(-np.sum(z4 * x1, axis=1), z4[:, 2])
+                x4 = np.cos(theta)[:, None] * x1 + np.sin(theta)[:, None] * z
+                q5 = np.arctan2(np.sum(y6 * x4, axis=1), np.sum(y6 * u, axis=1))
+                x5 = np.cos(q5)[:, None] * x4 - np.sin(q5)[:, None] * u
+                q6 = np.arctan2(np.sum(x6 * z4, axis=1), np.sum(x6 * x5, axis=1))
+                for b3, s3 in enumerate((1.0, -1.0)):
+                    q3 = s3 * np.arccos(c3)
+                    q2 = np.arctan2(reach_z, reach_x) - np.arctan2(
+                        a3 * np.sin(q3), a2 + a3 * np.cos(q3))
+                    q = np.stack([q1, q2, q3, theta - q2 - q3, q5, q6], axis=1)
+                    out[:, 4 * b1 + 2 * b5 + b3] = (q + math.pi) % (2.0 * math.pi) - math.pi
+    return out
 
 
 def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None):

@@ -288,8 +288,8 @@ def test_audit_does_not_depend_on_the_blas_kernel():
 
 
 def test_audit_runs_one_fk_call_per_recheck_and_per_trace(monkeypatch):
-    # The re-check's clearance and grip check share one FK call of each
-    # arm at each distinct row; the torque trace makes one of its own.
+    # The re-check's clearance and grip check share one FK call of both
+    # arms at every distinct row; the torque trace makes one of its own.
     _, problem, motion = next(a for a in _audit_plans()
                               if a[0] == "r0c0_constrained.csv")
     rows = []
@@ -305,7 +305,7 @@ def test_audit_runs_one_fk_call_per_recheck_and_per_trace(monkeypatch):
     trace_plan(motion, problem.robot, problem.balancer, problem.tool)
     distinct = len(set(_row_keys(motion)))
     assert len(recheck_rows) == len(rows) == 1
-    assert recheck_rows[0] <= 2 * distinct
+    assert recheck_rows[0] == 2 * distinct
     assert rows[0] == sum(map(len, motion.holding))
 
 

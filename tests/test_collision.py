@@ -25,7 +25,7 @@ from tetherplan.collision import (
 )
 from tetherplan.cable import CABLE
 from tetherplan.geometry import Pose, rpy_to_rot
-from tetherplan.robot import ArmModel, DualArm, fk_batch
+from tetherplan.robot import ArmModel, DualArm, fk_chain_batch
 from tetherplan.scene import default_scene
 
 from helpers import HOME_LEFT, HOME_RIGHT, make_problem
@@ -260,7 +260,7 @@ class TestWorld:
     def test_static_capsule_through_arm_is_named(self):
         robot = make_robot()
         q = np.zeros(6)
-        pts = fk_batch(robot.left, q)[2][0]
+        pts = fk_chain_batch(robot.left.base.r, robot.left.base.t, q)[2][0]
         elbow = 0.5 * (pts[2] + pts[3])
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar})
@@ -272,7 +272,7 @@ class TestWorld:
     def test_excluded_pair_is_ignored(self):
         robot = make_robot()
         q = np.zeros(6)
-        pts = fk_batch(robot.left, q)[2][0]
+        pts = fk_chain_batch(robot.left.base.r, robot.left.base.t, q)[2][0]
         elbow = 0.5 * (pts[2] + pts[3])
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar},
@@ -300,7 +300,7 @@ class TestWorld:
         rng = np.random.default_rng(13)
         qs_l = rng.uniform(-1.0, 1.0, (5, 6))
         qs_r = rng.uniform(-1.0, 1.0, (5, 6))
-        rot, tcp, _ = fk_batch(robot.left, qs_l)
+        rot, tcp, _, _ = fk_chain_batch(robot.left.base.r, robot.left.base.t, qs_l)
         held = [Capsule(t - 0.05 * r[:, 2], t + 0.25 * r[:, 2], 0.02)
                 for r, t in zip(rot, tcp)]
         tool_hits = 0
@@ -373,7 +373,7 @@ def assert_matches_dense(world, robot, q_left, q_right, *attach):
 
 def held_tool(robot, q_left):
     """A capsule held along the left arm's approach axis: the attach args."""
-    rot, tcp, _ = fk_batch(robot.left, q_left)
+    rot, tcp, _, _ = fk_chain_batch(robot.left.base.r, robot.left.base.t, q_left)
     axis = rot[:, :, 2]
     segs = np.stack([tcp - 0.05 * axis, tcp + 0.25 * axis], axis=1)[:, None]
     return segs, [0.02], ["tool"]

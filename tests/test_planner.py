@@ -30,7 +30,7 @@ from tetherplan.planner import (
     sample_grasps,
     solve_stations,
 )
-from tetherplan.robot import ArmModel, DualArm, fk_batch
+from tetherplan.robot import ArmModel, DualArm, fk_chain_batch
 from tetherplan.scene import default_scene
 
 
@@ -520,8 +520,10 @@ class TestEdgeValidation:
         return problem, _Search(problem, True, QUICK, PlanCache())
 
     def _fabricate(self, problem, rots, ts):
+        """What build_edge returns for these tool poses, both arms home:
+        the rows and their link segments."""
         w = len(rots)
-        return _EdgeData(
+        edge = _EdgeData(
             q_left=np.tile(problem.home_left, (w, 1)),
             q_right=np.tile(problem.home_right, (w, 1)),
             tool_rot=np.stack(rots),
@@ -529,41 +531,45 @@ class TestEdgeValidation:
             holding=((("left", 0),),) * w,
             kind="transfer",
         )
+        return edge, arm_link_segments(problem.robot, problem.world.link_spec,
+                                       edge.q_left, edge.q_right)
 
     def test_mid_edge_bend_rejected(self):
         problem, search = self._search()
         start = problem.start_pose
         # Endpoints hang straight; the middle row pitches the tool far
         # past the limit, as joint interpolation can.
-        edge = self._fabricate(
+        built = self._fabricate(
             problem,
             [start.r, rot_x(math.radians(120.0)), start.r],
             [start.t, start.t, start.t])
-        search.build_edge = lambda spec: edge
+        search.build_edge = lambda spec: built
         reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
         assert reason == "bend"
 
     def test_collision_before_bend_wins(self):
         problem, search = self._search()
         start = problem.start_pose
-        palm = fk_batch(problem.robot.left, problem.home_left)[1][0]
-        edge = self._fabricate(
+        palm = fk_chain_batch(problem.robot.left.base.r, problem.robot.left.base.t,
+                              problem.home_left)[1][0]
+        built = self._fabricate(
             problem,
             [start.r, start.r, rot_x(math.radians(120.0))],
             [palm, start.t, start.t])
-        search.build_edge = lambda spec: edge
+        search.build_edge = lambda spec: built
         reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
         assert reason == "collision"
 
     def test_bend_at_same_row_outranks_collision(self):
         problem, search = self._search()
         start = problem.start_pose
-        palm = fk_batch(problem.robot.left, problem.home_left)[1][0]
-        edge = self._fabricate(
+        palm = fk_chain_batch(problem.robot.left.base.r, problem.robot.left.base.t,
+                              problem.home_left)[1][0]
+        built = self._fabricate(
             problem,
             [start.r, rot_x(math.radians(120.0)), start.r],
             [start.t, palm, start.t])
-        search.build_edge = lambda spec: edge
+        search.build_edge = lambda spec: built
         reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
         assert reason == "bend"
 
@@ -605,6 +611,48 @@ class TestEdgeValidation:
                 assert [pairs[i] for i in idx] == [want_pairs[i] for i in want_idx]
                 nearest_cable += sum(CABLE in pairs[i] for i in idx)
         assert nearest_cable > 0
+
+    def test_one_fk_call_per_measured_edge(self, monkeypatch):
+        # An edge's link segments and a carried tool's track come from
+        # one FK call over both arms' rows.
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        search = _Search(problem, True, QUICK, PlanCache())
+        _solve_stations(problem, search.stations, QUICK, search.cache)
+        feasible = search.cache.node_feasible
+        dst, side, gid = next((dst, side, gid) for dst in list(search.stations)[1:]
+                              for side in ("left", "right")
+                              for gid in sorted(feasible[(search.start, side)])
+                              if gid in feasible[(dst, side)])
+        rows = []
+        chain = robot.fk_chain_batch
+        monkeypatch.setattr(robot, "fk_chain_batch",
+                            lambda *a: rows.append(len(a[2])) or chain(*a))
+        for spec in (("transfer", search.start, dst, side, gid),
+                     ("approach", search.start, side, gid)):
+            rows.clear()
+            search._validate_edge_uncached(spec)
+            data = search.cache.edge_measure[(spec, spec[0] == "approach")][0]
+            assert rows == [2 * data.q_left.shape[0]], spec[0]
+
+    def test_the_edge_cache_keeps_no_link_segments(self):
+        # build_edge hands its link segments to the clearance query
+        # only, so the cache, which keeps every edge it measured, holds
+        # none of them.
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, _EdgeData):
+                yield from arrays(tuple(vars(value).values()))
+
+        cache = PlanCache()
+        problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        assert plan(problem, True, QUICK, cache).success
+        assert any(kind == "transfer" for (kind, *_), _ in cache.edge_measure)
+        shapes = {a.shape[1:] for a in arrays(list(cache.edge_measure.values()))}
+        assert (12, 2, 3) not in shapes and shapes
 
 
 class TestStationSolve:

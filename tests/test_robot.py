@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (central_difference_jacobian, fk_matrix_chain, fk_matrix_product,
                      homogeneous, in_limits, lone_attempt_schedule, quat_matrix,
                      random_quat, rot_axis_angle, sequential_ik_batch)
 from tetherplan.geometry import Pose, rot_to_rotvec, rot_z
+from tetherplan import planner
 from tetherplan import robot as rb
+from tetherplan.scene import default_scene
 
 
 @pytest.fixture
@@ -22,7 +25,7 @@ def arm():
 
 def test_fk_zero_config_hand_composed_chain(arm):
     # Chain offsets sum plus the TCP offset, orientation = TCP rotation.
-    rot, tcp, _ = rb.fk_batch(arm, np.zeros(6))
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, np.zeros(6))
     expected_t = np.array([
         0.0 - 0.24365 - 0.21325,
         0.0 - 0.11235 - 0.0819,
@@ -34,7 +37,8 @@ def test_fk_zero_config_hand_composed_chain(arm):
 
 def test_fk_single_joint_rotation_spins_about_base_axis(arm):
     delta = 0.7
-    rot, tcp, _ = rb.fk_batch(arm, np.array([[0.0] * 6, [delta, 0, 0, 0, 0, 0]]))
+    rot, tcp, _, _ = rb.fk_chain_batch(
+        arm.base.r, arm.base.t, np.array([[0.0] * 6, [delta, 0, 0, 0, 0, 0]]))
     spin = rot_z(delta)
     assert np.allclose(tcp[1], spin @ tcp[0], atol=1e-12)
     assert np.allclose(rot[1], spin @ rot[0], atol=1e-12)
@@ -45,7 +49,7 @@ def test_fk_matches_matrix_product_oracle(arm):
     base_m = homogeneous(arm.base.r, arm.base.t)
     tcp_m = homogeneous(rb._UR3_TCP.r, rb._UR3_TCP.t)
     qs = np.stack([rng.uniform(-math.pi, math.pi, size=6) for _ in range(50)])
-    rot, tcp, _ = rb.fk_batch(arm, qs)
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     for q, r, t in zip(qs, rot, tcp):
         expected = fk_matrix_product(base_m, rb._UR3_AXES, rb._UR3_OFFSETS, tcp_m, q)
         assert np.allclose(homogeneous(r, t), expected, atol=1e-9)
@@ -162,21 +166,21 @@ def test_fk_matches_published_dh_table(arm):
 
     rng = np.random.default_rng(7)
     qs = np.stack([rng.uniform(-math.pi, math.pi, size=6) for _ in range(50)])
-    rot, tcp, _ = rb.fk_batch(arm, qs)
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     for q, r, t in zip(qs, rot, tcp):
         assert np.allclose(homogeneous(r, t), dh_fk(q), atol=1e-9)
 
 
 def test_fk_deterministic(arm):
     q = np.array([0.3, -1.1, 0.7, 0.2, -0.4, 1.9])
-    a = rb.fk_batch(arm, q)
-    b = rb.fk_batch(arm, q)
+    a = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
+    b = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def _pose_function(arm):
     def f(q):
-        return rb.fk_batch(arm, q)[1][0]
+        return rb.fk_chain_batch(arm.base.r, arm.base.t, q)[1][0]
     return f
 
 
@@ -209,7 +213,7 @@ def test_jacobian_random_configs_vs_finite_difference(arm):
         fd_lin = central_difference_jacobian(_pose_function(arm), q)
 
         def rotvec_about(qq, base=base):
-            return rot_to_rotvec(rb.fk_batch(arm, qq)[0][0] @ base.T)
+            return rot_to_rotvec(rb.fk_chain_batch(arm.base.r, arm.base.t, qq)[0][0] @ base.T)
 
         fd_ang = central_difference_jacobian(rotvec_about, q)
         fd = np.vstack([fd_lin, fd_ang])
@@ -220,7 +224,7 @@ def test_jacobian_random_configs_vs_finite_difference(arm):
 
 def test_ik_fixed_point_returns_seed(arm):
     q0 = np.array([0.4, -1.2, 1.0, -0.5, 0.8, 0.1])
-    rot, tcp, _ = rb.fk_batch(arm, q0)
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, q0)
     got, ok = rb.ik_batch(arm, rot, tcp, q0)
     assert ok[0]
     assert np.allclose(got[0], q0, atol=1e-12)
@@ -233,12 +237,12 @@ def test_ik_round_trip_random_targets(arm):
     trials = 40
     for _ in range(trials):
         q0 = rng.uniform(-math.pi, math.pi, size=6)
-        target_r, target_t, _ = rb.fk_batch(arm, q0)
+        target_r, target_t, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, q0)
         seed = rng.uniform(-math.pi, math.pi, size=6)
         q, ok = rb.ik_batch(arm, target_r, target_t, seed, opts)
         if not ok[0]:
             continue
-        got_r, got_t, _ = rb.fk_batch(arm, q)
+        got_r, got_t, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
         assert np.linalg.norm(got_t[0] - target_t[0]) < 1e-4
         assert np.linalg.norm(rot_to_rotvec(target_r[0] @ got_r[0].T)) < 1e-3
         assert in_limits(q[0])
@@ -259,14 +263,10 @@ def test_dual_arm_requires_distinct_bases(arm):
     rb.DualArm(left=arm, right=other)
 
 
-def test_fk_chain_batch_matches_fk_batch(arm):
+def test_fk_chain_batch_returns_unit_joint_axes(arm):
     rng = np.random.default_rng(40)
     qs = rng.uniform(-2.0, 2.0, (20, 6))
-    r0, t0, o0 = rb.fk_batch(arm, qs)
-    r1, t1, o1, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
-    assert np.allclose(r0, r1)
-    assert np.allclose(t0, t1)
-    assert np.allclose(o0, o1)
+    _, _, _, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     assert axes.shape == (20, 6, 3)
     assert np.allclose(np.linalg.norm(axes, axis=2), 1.0)
 
@@ -276,11 +276,11 @@ def test_fk_at_a_base_is_the_base_composed_with_fk_at_the_origin(arm):
     # a rigid transform applied after the chain.
     rng = np.random.default_rng(39)
     qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (50, 6))
-    rot0, tcp0, origins0 = rb.fk_batch(arm, qs)
+    rot0, tcp0, origins0, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     for _ in range(10):
         moved = _random_base_ur3(rng)
         r, t = moved.base.r, moved.base.t
-        rot, tcp, origins = rb.fk_batch(moved, qs)
+        rot, tcp, origins, _ = rb.fk_chain_batch(moved.base.r, moved.base.t, qs)
         assert np.allclose(rot, r @ rot0, rtol=0, atol=1e-12)
         assert np.allclose(tcp, tcp0 @ r.T + t, rtol=0, atol=1e-12)
         assert np.allclose(origins, origins0 @ r.T + t, rtol=0, atol=1e-12)
@@ -315,11 +315,11 @@ def test_rotvec_batch_matches_scalar():
 def test_ik_batch_solves_reachable_targets(arm):
     rng = np.random.default_rng(43)
     qs = rng.uniform(-1.2, 1.2, (30, 6))
-    rots, ts, _ = rb.fk_batch(arm, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     opts = rb.IKOptions(seed=5)
     sol, ok = rb.ik_batch(arm, rots, ts, np.zeros(6), opts)
     assert ok.sum() >= 28
-    sol_r, sol_t, _ = rb.fk_batch(arm, sol)
+    sol_r, sol_t, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, sol)
     for i in np.nonzero(ok)[0]:
         assert np.linalg.norm(sol_t[i] - ts[i]) < opts.pos_tol
         assert np.linalg.norm(rot_to_rotvec(rots[i] @ sol_r[i].T)) < opts.ori_tol
@@ -329,7 +329,7 @@ def test_ik_batch_solves_reachable_targets(arm):
 def test_ik_batch_is_deterministic(arm):
     rng = np.random.default_rng(44)
     qs = rng.uniform(-1.0, 1.0, (10, 6))
-    rots, ts, _ = rb.fk_batch(arm, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     s1, ok1 = rb.ik_batch(arm, rots, ts, np.zeros(6), rb.IKOptions(seed=9))
     s2, ok2 = rb.ik_batch(arm, rots, ts, np.zeros(6), rb.IKOptions(seed=9))
     assert np.array_equal(ok1, ok2)
@@ -347,7 +347,7 @@ def test_ik_batch_flags_unreachable(arm):
 def test_ik_batch_per_target_seed_rows(arm):
     rng = np.random.default_rng(45)
     qs = rng.uniform(-1.0, 1.0, (6, 6))
-    rots, ts, _ = rb.fk_batch(arm, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     sol, ok = rb.ik_batch(arm, rots, ts, qs, rb.IKOptions(seed=2))
     assert ok.all()
     # Seeding each row with its own exact solution must return it unchanged.
@@ -358,7 +358,7 @@ def _mixed_targets(arm):
     """14 targets: rows 0-10 reachable, rows 11-13 far out of reach."""
     rng = np.random.default_rng(46)
     qs = rng.uniform(-1.5, 1.5, (14, 6))
-    rots, ts, _ = rb.fk_batch(arm, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     ts[11:] += [2.0, 0.0, 0.0]
     seeds = rng.uniform(-1.0, 1.0, (14, 6))
     return rots, ts, seeds
@@ -470,7 +470,7 @@ def test_reach_prune_never_flags_a_reachable_target(arm_seed):
     qs = np.vstack([_elbow_configs(rng, 200), stretched])
     assert np.all(_wrist_distance(arm, stretched) > _UR3_WRIST_REACH - 1e-3)
     assert np.all(_wrist_distance(arm, qs) <= _UR3_WRIST_REACH + 1e-12)
-    rots, ts, _ = rb.fk_batch(arm, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     assert not rb._beyond_reach(arm, rots, ts, opts).any()
     # Targets moved and turned by just under the acceptance tolerances:
     # some leave the bare bounds, none may be flagged.
@@ -490,7 +490,7 @@ def test_reach_prune_bound_is_tight():
     opts = rb.IKOptions()
     slack = opts.pos_tol + opts.ori_tol * np.linalg.norm(rb._UR3_TCP.t)
     qs = _stretched_configs(rng, 50)
-    rots, ts, _ = rb.fk_batch(arm, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     shoulder, wrist = _shoulder_and_wrist(arm, qs)
     dist = np.linalg.norm(wrist - shoulder, axis=1, keepdims=True)
     outward = (wrist - shoulder) / dist
@@ -503,7 +503,7 @@ def test_reach_prune_bound_is_tight():
 def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
     rng = np.random.default_rng(48)
     q0 = rng.uniform(-1.5, 1.5, 6)
-    rot, tcp, _ = rb.fk_batch(arm, q0)
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, q0)
     rows = []
     chain = rb.fk_chain_batch
 
@@ -568,7 +568,7 @@ def _ik_call(case):
     qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (b, 6))
     near = rng.random(b) < 0.25
     qs[near] = _stretched_configs(rng, int(near.sum()))
-    rots, ts, origins = rb.fk_batch(arm, qs)
+    rots, ts, origins, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     outward = origins[:, 6] - origins[:, 2]
     outward /= np.linalg.norm(outward, axis=1, keepdims=True)
     ts[near] += rng.uniform(0.0, 1e-3, (int(near.sum()), 1)) * outward[near]
@@ -604,7 +604,8 @@ def test_ik_batch_equals_sequential_restarts_on_late_solves(arm):
     # Random far seeds and a short iteration budget: most targets are
     # solved by a restart, often by more than one of them.
     rng = np.random.default_rng(50)
-    rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (40, 6)))
+    rots, ts, _, _ = rb.fk_chain_batch(
+        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (40, 6)))
     seeds = rng.uniform(-math.pi, math.pi, (40, 6))
     opts = rb.IKOptions(max_iters=25, restarts=8, seed=11)
     q, ok = rb.ik_batch(arm, rots, ts, seeds, opts, [10, 30])
@@ -635,7 +636,7 @@ def test_ik_rows_that_revisit_a_configuration_stop_early(arm, monkeypatch):
     # every row to max_iters; the batch stops a row at its first repeat.
     rng = np.random.default_rng(51)
     qs = rng.uniform(-math.pi, math.pi, (20, 6))
-    rots, ts, _ = rb.fk_batch(arm, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
     seeds = qs + 0.05 * rng.normal(size=qs.shape)
     opts = rb.IKOptions(pos_tol=0.0, ori_tol=0.0, restarts=1)
     (q, ok), rows = _fk_calls(monkeypatch,
@@ -651,7 +652,8 @@ def test_ik_batch_fk_calls_end_max_iters_after_the_join(arm, monkeypatch):
     # iteration; with 60 they join at _IK_RESTART_AFTER, the seeds still
     # running.  Either way every row stops after max_iters steps of its own.
     rng = np.random.default_rng(49)
-    rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (12, 6)))
+    rots, ts, _, _ = rb.fk_chain_batch(
+        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (12, 6)))
     for max_iters in (5, 60):
         opts = rb.IKOptions(max_iters=max_iters, restarts=8, seed=4)
         join = min(rb._IK_RESTART_AFTER, max_iters + 1)
@@ -680,7 +682,8 @@ def test_ik_batch_schedule_equals_lone_attempts(arm, monkeypatch, opts):
     # zero tolerances no row converges, and every row ends by a cycle or
     # by max_iters.
     rng = np.random.default_rng(52)
-    rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (40, 6)))
+    rots, ts, _, _ = rb.fk_chain_batch(
+        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (40, 6)))
     seeds = rng.uniform(-math.pi, math.pi, (40, 6))
     (q, ok), rows = _fk_calls(
         monkeypatch, lambda: rb.ik_batch(arm, rots, ts, seeds, opts, [10, 30]))
@@ -716,7 +719,8 @@ def _restart_starts(opts):
 def _one_target(arm, case):
     """A reachable target (FK of a random configuration) and a random seed."""
     rng = np.random.default_rng(case)
-    rot, t, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (1, 6)))
+    rot, t, _, _ = rb.fk_chain_batch(
+        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (1, 6)))
     return rot, t, rng.uniform(-math.pi, math.pi, 6)
 
 
@@ -765,7 +769,8 @@ def _arm_share(rng, arm, n_groups):
     from their solutions so that restarts solve many of them."""
     sizes = rng.integers(1, 5, size=n_groups).tolist()
     b = sum(sizes)
-    rots, ts, _ = rb.fk_batch(arm, rng.uniform(-math.pi, math.pi, (b, 6)))
+    rots, ts, _, _ = rb.fk_chain_batch(
+        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (b, 6)))
     ts[rng.random(b) < 0.2] += [2.0, 0.0, 0.0]
     seeds = rng.uniform(-math.pi, math.pi, (b, 6))
     return rots, ts, seeds, sizes
@@ -805,7 +810,7 @@ def test_two_arm_ik_batch_equals_one_call_per_arm(case):
 
 
 def test_ik_batch_takes_one_arm_per_group(arm):
-    rots, ts, _ = rb.fk_batch(arm, np.zeros((2, 6)))
+    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, np.zeros((2, 6)))
     moved = rb.ArmModel(Pose(np.eye(3), [0.3, -0.2, 0.1]))
     rb.ik_batch([arm, moved], rots, ts, np.zeros(6), rb.IKOptions(), [1, 1])
     with pytest.raises(ValueError, match="3 arms for 2 groups"):
@@ -880,6 +885,100 @@ def test_wrist_inside_the_shoulder_cylinder_is_flagged():
         rots, ts, _ = _wrist_targets(arm, rng, rad, rng.uniform(-0.4, 0.4, 40),
                                      z6 / np.linalg.norm(z6))
         assert np.all(rb._beyond_reach(arm, rots, ts, opts) == flagged)
+
+
+def _exact_branches(arm, rots, ts):
+    """closed_form_ik's branches (B, 8, 6) at arm's base and the (B, 8)
+    mask of those whose FK meets their target within 1e-9 (m, and per
+    rotation entry)."""
+    branches = oracles.closed_form_ik(arm.base, rots, ts)
+    b = branches.shape[0]
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t,
+                                       np.nan_to_num(branches).reshape(-1, 6))
+    err = np.maximum(
+        np.abs(rot.reshape(b, 8, 3, 3) - rots[:, None]).max(axis=(2, 3)),
+        np.abs(tcp.reshape(b, 8, 3) - ts[:, None]).max(axis=2))
+    return branches, (err <= 1e-9) & ~np.isnan(branches).any(axis=2)
+
+
+def test_closed_form_ik_branches_reproduce_fk_targets():
+    # Every branch that exists reaches the target, in limits, and one
+    # of them is the configuration the target came from.
+    assert np.array_equal(oracles.UR_AXES, rb._UR3_AXES)
+    rng = np.random.default_rng(80)
+    for _ in range(4):
+        arm = _random_base_ur3(rng)
+        qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (250, 6))
+        rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+        branches, exact = _exact_branches(arm, rots, ts)
+        assert np.array_equal(exact, ~np.isnan(branches).any(axis=2))
+        assert all(in_limits(q) for q in branches[exact])
+        turns = (branches - qs[:, None] + math.pi) % (2.0 * math.pi) - math.pi
+        assert np.all(np.nanmin(np.abs(turns).max(axis=2), axis=1) < 1e-9)
+        assert exact.sum() > 6 * len(qs)
+
+
+@pytest.fixture(scope="module")
+def station_ik():
+    """The default sweep's one station IK call: (arm per target, target
+    rotations, target points, q, solved), captured from solve_stations."""
+    scene = default_scene()
+    calls = []
+
+    def captured(arms, rots, ts, seeds, opts, groups):
+        out = rb.ik_batch(arms, rots, ts, seeds, opts, groups)
+        calls.append(([a for a, g in zip(arms, groups) for _ in range(g)],
+                      rots, ts, *out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "ik_batch", captured)
+        planner.solve_stations([scene.problem(pitch=p, roll=r) for p in scene.pitch_rows
+                                for r in scene.roll_cols], scene.options,
+                               planner.PlanCache())
+    (call,) = calls
+    return call
+
+
+def _per_arm(test, arms, rots, ts):
+    """(B,) mask of test(arm, rots, ts) on each arm's own targets."""
+    out = np.zeros(len(arms), dtype=bool)
+    for a in {id(a): a for a in arms}.values():
+        mine = np.array([x is a for x in arms])
+        out[mine] = test(a, rots[mine], ts[mine])
+    return out
+
+
+def _exactly_reachable(arm, rots, ts):
+    return _exact_branches(arm, rots, ts)[1].any(axis=1)
+
+
+def _beyond(arm, rots, ts):
+    return rb._beyond_reach(arm, rots, ts, rb.IKOptions())
+
+
+def test_reach_prune_flags_no_target_with_an_exact_solution(station_ik):
+    # Random targets around the shoulder, inside and beyond reach, and
+    # the default sweep's 1,680 station targets.
+    rng = np.random.default_rng(81)
+    for _ in range(4):
+        arm = _random_base_ur3(rng)
+        rots = np.array([quat_matrix(random_quat(rng)) for _ in range(500)])
+        shoulder = arm.base.t + arm.base.r @ rb._UR3_OFFSETS[1]
+        ts = shoulder + rng.normal(size=(500, 3)) * rng.uniform(0.0, 0.3, (500, 1))
+        exact, beyond = _exactly_reachable(arm, rots, ts), _beyond(arm, rots, ts)
+        assert exact.any() and beyond.any()
+        assert not (exact & beyond).any()
+    arms, rots, ts, _, _ = station_ik
+    assert len(arms) == 1680
+    assert not (_per_arm(_exactly_reachable, arms, rots, ts)
+                & _per_arm(_beyond, arms, rots, ts)).any()
+
+
+def test_every_station_target_ik_solves_has_an_exact_solution(station_ik):
+    arms, rots, ts, _, solved = station_ik
+    assert solved.sum() == 726
+    assert np.all(_per_arm(_exactly_reachable, arms, rots, ts)[solved])
 
 
 def test_point_jacobian_equals_the_cross_product_form(arm):

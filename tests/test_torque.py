@@ -9,7 +9,7 @@ from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
 from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
 from tetherplan.plan_io import TORQUE_HEADER, torque_csv
-from tetherplan.robot import ArmModel, DualArm, fk_batch
+from tetherplan.robot import ArmModel, DualArm, fk_chain_batch
 from tetherplan.torque import (
     EmptyTrace,
     TorqueTrace,
@@ -55,14 +55,14 @@ class TestJointTorques:
         qs, locals_, forces = (np.stack(a) for a in zip(*(
             (rng.uniform(-1.5, 1.5, 6), rng.uniform(-0.1, 0.1, 3),
              rng.uniform(-20, 20, 3)) for _ in range(50))))
-        rot, tcp, _ = fk_batch(arm, qs)
+        rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, qs)
         points = np.einsum("wij,wj->wi", rot, locals_) + tcp
         taus = joint_torques(arm.base.r, arm.base.t, qs, points, forces)
         assert taus.shape == (50, 6)
         for q, local, force, tau in zip(qs, locals_, forces, taus):
 
             def attached_point(qq, _local=local):
-                r, t, _ = fk_batch(arm, qq)
+                r, t, _, _ = fk_chain_batch(arm.base.r, arm.base.t, qq)
                 return r[0] @ _local + t[0]
 
             jp = central_difference_jacobian(attached_point, q)
@@ -72,7 +72,7 @@ class TestJointTorques:
         arm = ArmModel()
         rng = np.random.default_rng(32)
         q = rng.uniform(-1.0, 1.0, 6)
-        rot, tcp, _ = fk_batch(arm, q)
+        rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, q)
         point = rot[0] @ [0.0, 0.0, 0.05] + tcp[0]
         f1 = rng.uniform(-10, 10, 3)
         f2 = rng.uniform(-10, 10, 3)
@@ -84,7 +84,7 @@ class TestJointTorques:
     def test_zero_force_zero_torque(self):
         arm = ArmModel()
         q = np.array([0.3, -0.8, 1.1, 0.2, -0.4, 0.9])
-        _, tcp, _ = fk_batch(arm, q)
+        _, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, q)
         assert np.allclose(joint_torques(arm.base.r, arm.base.t, q[None], tcp,
                                          np.zeros((1, 3))), 0.0)
 
@@ -95,7 +95,7 @@ class TestJointTorques:
         rng = np.random.default_rng(33)
         qs, locals_ = (np.stack(a) for a in zip(*(
             (rng.uniform(-2.0, 2.0, 6), rng.uniform(-0.1, 0.1, 3)) for _ in range(20))))
-        rot, tcp, _ = fk_batch(arm, qs)
+        rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, qs)
         points = np.einsum("wij,wj->wi", rot, locals_) + tcp
         taus = joint_torques(arm.base.r, arm.base.t, qs, points,
                              np.tile([0.0, 0.0, -19.62], (20, 1)))
@@ -106,7 +106,7 @@ class TestJointTorques:
         arm = ArmModel(base)
         rng = np.random.default_rng(34)
         q = rng.uniform(-1.0, 1.0, 6)
-        rot, tcp, _ = fk_batch(arm, q)
+        rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, q)
         point = rot[0] @ [0.02, 0.0, 0.05] + tcp[0]
         force = rng.uniform(-15, 15, 3)
         tau = joint_torques(arm.base.r, arm.base.t, q[None], point[None], force[None])
@@ -162,11 +162,11 @@ class TestTrace:
             arm = robot.arm(side)
             q = (plan.q_left if side == "left" else plan.q_right)[w]
             connector = plan.tool_rot[w] @ tool.connector_point + plan.tool_t[w]
-            rot, tcp, _ = fk_batch(arm, q)
+            rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, q)
             local = rot[0].T @ (connector - tcp[0])
 
             def attached_point(qq, _arm=arm, _local=local):
-                r, t, _ = fk_batch(_arm, qq)
+                r, t, _, _ = fk_chain_batch(_arm.base.r, _arm.base.t, qq)
                 return r[0] @ _local + t[0]
 
             jp = central_difference_jacobian(attached_point, q)
