@@ -225,9 +225,10 @@ class PlanCache:
     later claim under other values raises ValueError.  max_edges,
     time_budget and min_handover_separation enter no table, so they stay
     free.  node_feasible maps (station key, arm) to the collision-free
-    grasp configs there; solve_stations fills it up front, one grouped
-    IK call for both arms, and the search only reads it.  The edge tables
-    fill lazily, keyed by edge specs that name stations by key:
+    grasp configs there, reach to their joint distances from the arm's
+    home; solve_stations fills both up front, one grouped IK call for
+    both arms, and the search only reads them.  The edge tables fill
+    lazily, keyed by edge specs that name stations by key:
     ("approach", start, arm, grasp), ("transfer", from, to, arm, grasp)
     and ("handover", station, giver, grasp, receiver, grasp).
     edge_measure maps (spec, cable attached) to the edge's measured block
@@ -243,6 +244,7 @@ class PlanCache:
     """
 
     node_feasible: dict = field(default_factory=dict)
+    reach: dict = field(default_factory=dict)
     edge_measure: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
     rows: dict = field(default_factory=dict, init=False)
@@ -361,6 +363,9 @@ def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
                 feasible[row][gid] = sols[row, gid]
     for (key, side, _), configs in zip(jobs, feasible):
         cache.node_feasible[(key, side)] = configs
+        home = problem.home(side)
+        cache.reach[(key, side)] = {gid: float(np.linalg.norm(q - home))
+                                    for gid, q in configs.items()}
 
 
 def interp_joints(qa: np.ndarray, qb: np.ndarray, step: float) -> np.ndarray:
@@ -496,19 +501,14 @@ class _Search:
     # ----- search -----------------------------------------------------------
 
     def successors(self, node) -> list[tuple[tuple, tuple, float]]:
-        """(successor node, edge spec, edge joint distance), in fixed order."""
-        out = []
-        feasible = self.cache.node_feasible
+        """(successor node, edge spec, edge joint distance), in fixed order.
+        An approach costs its reach, a handover the receiver's plus the giver's."""
+        feasible, reach = self.cache.node_feasible, self.cache.reach
         if node == ROOT:
-            if self.start not in self.stations:
-                return out
-            for side in ("left", "right"):
-                home = self.pb.home(side)
-                for gid, q in sorted(feasible[(self.start, side)].items()):
-                    dist = float(np.linalg.norm(q - home))
-                    out.append((("node", self.start, side, gid),
-                                ("approach", self.start, side, gid), dist))
-            return out
+            return [(("node", self.start, side, gid), ("approach", self.start, side, gid),
+                     dist) for side in ("left", "right") if self.start in self.stations
+                    for gid, dist in sorted(reach[(self.start, side)].items())]
+        out = []
         _, station, side, gid = node
         if station == self.goal:
             return out
@@ -527,15 +527,14 @@ class _Search:
                         ("transfer", station, dst, side, gid), dist))
         if station != self.start:
             recv = "right" if side == "left" else "left"
-            my_axial = self.axial[gid]
-            for rgid, q_recv in sorted(feasible[(station, recv)].items()):
+            my_axial, withdraw = self.axial[gid], reach[(station, side)][gid]
+            for rgid, dist in sorted(reach[(station, recv)].items()):
                 if abs(self.axial[rgid] - my_axial) < \
                         self.opt.min_handover_separation:
                     continue
-                dist = (float(np.linalg.norm(q_recv - self.pb.home(recv)))
-                        + float(np.linalg.norm(self.pb.home(side) - q_here)))
                 out.append((("node", station, recv, rgid),
-                            ("handover", station, side, gid, recv, rgid), dist))
+                            ("handover", station, side, gid, recv, rgid),
+                            dist + withdraw))
         return out
 
     def _shortest_path(self, succ: dict, bad: set,

@@ -7,7 +7,7 @@ to check.  rot_axis_angle and compose are the Rodrigues rotation and the
 pose product written out in full; the planner's stacked grasp table and
 IK targets must equal them bit for bit.  closed_form_ik, the analytic
 UR3 IK, reads only the chain's offsets and TCP from the library; the
-tests that use it check its branches by FK.  There are eight exceptions.
+tests that use it check its branches by FK.  There are nine exceptions.
 stacked_rot_to_rotvec, the reference for the log map's elementwise
 trace and one-gather skew part: rot_to_rotvec must equal it bit for
 bit, so it shares the library's near-pi branch, _rotvec_near_pi.
@@ -19,6 +19,10 @@ attempt alone with the same kernels, so that each stops where it
 stops in the loop.  pop_and_check_search, the reference for
 the planner's path-first search: plan() must return its plan, so it
 drives a planner _Search's own successors, validate_edge and _assemble.
+per_pair_successors, the reference for the search's edge costs: it
+prices each (node, successor) pair of a _Search from its station
+configs with 1-D norms of its own, and the costs that the search reads
+from its reach table must equal them bit for bit.
 row_by_row_parse_plan_csv, the reference for the whole-array plan
 parser: it shares the file format's header, preamble parsers and holding
 parser, and converts each row on its own.  per_grasp_sample_grasps and
@@ -491,6 +495,51 @@ def pop_and_check_search(search) -> PlanResult:
         blocks.append(block)
     plan = search._assemble(blocks[::-1], settled[goal_node])
     return PlanResult(plan=plan, failure=None, stats=stats)
+
+
+def per_pair_successors(search, node) -> list[tuple[tuple, tuple, float]]:
+    """search.successors(node) with every cost its own 1-D norm: an
+    approach's grasp from home, a transfer's between its two configs, a
+    handover's receiver grasp from home plus home from the giver's."""
+    out = []
+    feasible = search.cache.node_feasible
+    if node == ROOT:
+        if search.start not in search.stations:
+            return out
+        for side in ("left", "right"):
+            home = search.pb.home(side)
+            for gid, q in sorted(feasible[(search.start, side)].items()):
+                dist = float(np.linalg.norm(q - home))
+                out.append((("node", search.start, side, gid),
+                            ("approach", search.start, side, gid), dist))
+        return out
+    _, station, side, gid = node
+    if station == search.goal:
+        return out
+    q_here = feasible[(station, side)][gid]
+    if station == search.start:
+        targets = list(search.stations)[1:]
+    else:
+        targets = [search.goal] if search.goal in search.stations else []
+    for dst in targets:
+        q_dst = feasible[(dst, side)].get(gid)
+        if q_dst is None:
+            continue
+        dist = float(np.linalg.norm(q_dst - q_here))
+        out.append((("node", dst, side, gid),
+                    ("transfer", station, dst, side, gid), dist))
+    if station != search.start:
+        recv = "right" if side == "left" else "left"
+        my_axial = search.grasps.axial[gid]
+        for rgid, q_recv in sorted(feasible[(station, recv)].items()):
+            if abs(search.grasps.axial[rgid] - my_axial) < \
+                    search.opt.min_handover_separation:
+                continue
+            dist = (float(np.linalg.norm(q_recv - search.pb.home(recv)))
+                    + float(np.linalg.norm(search.pb.home(side) - q_here)))
+            out.append((("node", station, recv, rgid),
+                        ("handover", station, side, gid, recv, rgid), dist))
+    return out
 
 
 # --- the per-grasp station set-up reference ---

@@ -7,7 +7,7 @@ from helpers import QUICK, make_problem, make_tool
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from oracles import dense_pair_clearances, per_grasp_sample_grasps, \
-    per_pair_station_solve, pop_and_check_search
+    per_pair_station_solve, per_pair_successors, pop_and_check_search
 
 from tetherplan import planner, robot
 from tetherplan.bench import recheck_plan
@@ -16,6 +16,7 @@ from tetherplan.collision import Box, Capsule, CollisionWorld, arm_link_segments
     motion_clearances
 from tetherplan.geometry import Pose, rot_x, rpy_to_rot
 from tetherplan.planner import (
+    ROOT,
     EmptyGraspSet,
     PlanCache,
     PlannerOptions,
@@ -264,9 +265,9 @@ def _same_result(got, want):
 
 
 def _reference(problem, constrained, options, cache):
-    """The pop-and-check search on the stations of cache, with a grasp
-    table and edge verdicts of its own."""
-    own = PlanCache(node_feasible=cache.node_feasible)
+    """The pop-and-check search on the stations of cache and their reach,
+    with a grasp table and edge verdicts of its own."""
+    own = PlanCache(node_feasible=cache.node_feasible, reach=cache.reach)
     return pop_and_check_search(_Search(problem, constrained, options, own))
 
 
@@ -324,6 +325,48 @@ class TestPathFirstSearch:
         cache = PlanCache()
         got = plan(problem, constrained=constrained, options=QUICK, cache=cache)
         _same_result(got, _reference(problem, constrained, QUICK, cache))
+
+
+class TestSearchCosts:
+    """successors prices every edge as oracles.per_pair_successors does,
+    bit for bit, though it reads approach and handover costs from the
+    cache's reach table."""
+
+    @pytest.mark.parametrize("case", ["default", "handover", "separation",
+                                      "pruned"])
+    def test_successors_equal_the_per_pair_reference(self, case):
+        options, constrained = QUICK, True
+        if case == "default":
+            scene = default_scene()
+            problem = scene.problem(scene.pitch_rows[0], scene.roll_cols[0])
+            options = scene.options
+        elif case == "pruned":
+            # The start's cable hangs straight; every other station is
+            # over this limit, so the search keeps the start alone.
+            problem = replace(
+                make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45]),
+                constraint=BendConstraint(theta_max=0.01))
+        else:
+            # Only the handle's two end grasps are 0.1 m apart.
+            if case == "separation":
+                options = replace(QUICK, min_handover_separation=0.1)
+            problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+            constrained = False
+        search = _Search(problem, constrained, options, PlanCache())
+        _solve_stations(problem, search.stations, options, search.cache)
+        feasible = search.cache.node_feasible
+        nodes = [ROOT] + [("node", key, side, gid) for key in search.stations
+                          for side in ("left", "right")
+                          for gid in feasible[(key, side)]]
+        kinds = set()
+        for node in nodes:
+            got = search.successors(node)
+            want = per_pair_successors(search, node)
+            assert [(n, spec, d.hex()) for n, spec, d in got] == \
+                [(n, spec, d.hex()) for n, spec, d in want], node
+            kinds.update(spec[0] for _, spec, _ in got)
+        assert kinds == ({"approach"} if case == "pruned"
+                         else {"approach", "transfer", "handover"})
 
 
 class TestAssembly:
