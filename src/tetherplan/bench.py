@@ -20,9 +20,9 @@ so it solves each station once and measures each edge once (an
 approach once with the cable attached, once without).  The same cache
 holds the audit's own tables, so each distinct plan is audited once
 under each bend limit (the two modes often return the same plan) and
-each distinct waypoint row is re-checked once.  A re-check makes one
-FK call, both arms at every distinct row, which serves its clearance
-query and its grip check.
+a re-check measures only the waypoint rows that no earlier one did.  A
+re-check makes one FK call, both arms at every row, which serves its
+clearance query and its grip check.
 """
 
 from __future__ import annotations
@@ -100,11 +100,10 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     the joints of the arms holding it (_grip_waypoint).  It binds cache
     (a fresh one when None) to problem's scene and reads none of the
     planner's tables, only cache.rows: only the rows that it lacks are
-    measured, each once, in plan order; the others are read back.  One
+    measured, in plan order; the others are read back.  One
     fk_chain_batch call, on per-row bases, serves both checks: both arms
-    at the first row of each distinct key, the left arm's rows first.
-    The link segments of the rows the cache lacks and the grip check's
-    TCP poses are read from it.
+    at every row, the left arm's rows first.  The link segments of the
+    rows the cache lacks and the grip check's TCP poses are read from it.
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
@@ -116,32 +115,25 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     raw = np.hstack([motion.q_left, motion.q_right,
                      motion.tool_rot.reshape(-1, 9), motion.tool_t])
     keys = raw.view(f"V{raw[0].nbytes}").ravel().tolist()
-    # Equal keys, equal rows: each row stands for the first row of its
-    # key.  index: key -> (its number among the distinct keys, its first row).
-    index: dict = {}
-    slot = np.array([index.setdefault(key, (len(index), i))[0]
-                     for i, key in enumerate(keys)], dtype=int)
-    at, n = np.array([i for _, i in index.values()], dtype=int), len(index)
+    w = len(keys)
     # The joint axes are not read; dropping them at once keeps them out
     # of the clearance query's peak memory.
     rot, tcp, origins = robot.fk_chain_batch(
-        *problem.robot.bases(np.arange(2 * n) >= n),
-        np.concatenate([motion.q_left[at], motion.q_right[at]]))[:3]
-    # fk[arm, i]: the FK row of that arm (0 left, 1 right) at waypoint i.
-    fk = slot + np.array([[0], [n]])
-    fresh = [key for key in index if key not in cache.rows]
+        *problem.robot.bases(np.arange(2 * w) >= w),
+        np.concatenate([motion.q_left, motion.q_right]))[:3]
+    fresh = [i for i, key in enumerate(keys) if key not in cache.rows]
     if fresh:
-        new = np.array([index[key][0] for key in fresh], dtype=int)
-        k = np.concatenate([new, new + n])
+        k = np.concatenate([fresh, np.add(fresh, w)])
         # The tool shapes and the taut cable ride on every waypoint.
         clear, pair_idx, pair_names = motion_clearances(
             problem.world,
             link_segments(problem.world.link_spec, rot[k], tcp[k], origins[k]),
-            *problem.tool.bodies(motion.tool_rot[at[new]], motion.tool_t[at[new]],
+            *problem.tool.bodies(motion.tool_rot[fresh], motion.tool_t[fresh],
                                  problem.balancer))
         # With no pair at all every index is 0 and every clearance inf.
         cable = np.array([CABLE in pair for pair in pair_names] or [False])
-        cache.rows.update(zip(fresh, zip(clear.tolist(), cable[pair_idx].tolist())))
+        cache.rows.update(zip([keys[i] for i in fresh],
+                              zip(clear.tolist(), cable[pair_idx].tolist())))
     clear, cable = map(np.array, zip(*map(cache.rows.__getitem__, keys)))
     first_bad = {}      # is the row's nearest pair the cable's -> first such row
     for i in np.nonzero(clear < 0.0)[0]:
@@ -152,22 +144,23 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
         bend_waypoint=bend_wp,
         cable_waypoint=first_bad.get(True),
         collision_waypoint=first_bad.get(False),
-        grip_waypoint=_grip_waypoint(motion, problem, rot, tcp, fk),
+        grip_waypoint=_grip_waypoint(motion, problem, rot.reshape(2, w, 3, 3),
+                                     tcp.reshape(2, w, 3)),
         min_clearance=float(clear.min()),
     )
 
 
 def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem,
-                   tcp_r: np.ndarray, tcp_t: np.ndarray,
-                   fk: np.ndarray) -> int | None:
+                   tcp_r: np.ndarray, tcp_t: np.ndarray) -> int | None:
     """First held waypoint where the tool has left its holder's grip.
 
-    An arm's TCP pose at a waypoint (FK of its joints) is tcp_r and tcp_t
-    at row fk[arm, waypoint] of recheck_plan's FK call, arm 0 the left
-    and 1 the right.  A hold is a run of consecutive waypoints on which
-    one arm holds the tool.  Along it the grasp id must not change, and
-    the tool's pose relative to that arm's TCP must stay where the run's
-    first waypoint put it, to within _GRIP_TOL at every shape endpoint.
+    An arm's TCP pose at a waypoint (FK of its joints) is
+    tcp_r[arm, waypoint] and tcp_t[arm, waypoint], (2, W) views of
+    recheck_plan's FK call, arm 0 the left and 1 the right.  A hold is
+    a run of consecutive waypoints on which one arm holds the tool.
+    Along it the grasp id must not change, and the tool's pose relative
+    to that arm's TCP must stay where the run's first waypoint put it,
+    to within _GRIP_TOL at every shape endpoint.
     """
     ids = {h: [dict(h).get(side, -1) for side in ("left", "right")]
            for h in set(motion.holding)}
@@ -184,7 +177,7 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem,
         regrasp = np.concatenate([[False], step & (np.diff(gid[held, arm]) != 0)])
         run_start = np.maximum.accumulate(
             np.where(begins, np.arange(held.size), 0))
-        r, t = tcp_r[fk[arm, held]], tcp_t[fk[arm, held]]
+        r, t = tcp_r[arm, held], tcp_t[arm, held]
         rel_r = np.einsum("wji,wjk->wik", r, motion.tool_rot[held])
         rel_t = np.einsum("wji,wj->wi", r, motion.tool_t[held] - t)
         local = problem.tool.bodies(rel_r, rel_t)[0]

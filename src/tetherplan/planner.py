@@ -71,8 +71,8 @@ class GraspSet:
     axial: np.ndarray
 
 
-def sample_grasps(tool: ToolSpec, axial_samples: int = 5,
-                  roll_samples: int = 12, inset: float = 0.02) -> GraspSet:
+def sample_grasps(tool: ToolSpec, axial_samples: int, roll_samples: int,
+                  inset: float) -> GraspSet:
     """Evenly sampled side-on grasps along the tool handle, the rolls of
     each axial position in turn."""
     if axial_samples < 1 or roll_samples < 1:

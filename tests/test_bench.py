@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from helpers import HOME_LEFT, HOME_RIGHT, QUICK, make_problem, make_tool, \
     moved_scene, scene_from
-from oracles import rot_axis_angle
+from oracles import dense_pair_clearances, rot_axis_angle
 
 import tetherplan
 from tetherplan import bench
@@ -29,7 +29,7 @@ from tetherplan.bench import (
     run_cell,
     sweep,
 )
-from tetherplan.cable import BendConstraint, bend_angle_batch
+from tetherplan.cable import CABLE, BendConstraint, bend_angle_batch
 from tetherplan.collision import Box, CollisionWorld, arm_link_segments
 from tetherplan.geometry import Pose, rot_z
 from tetherplan.plan_io import read_plan_csv
@@ -289,7 +289,7 @@ def test_audit_does_not_depend_on_the_blas_kernel():
 
 def test_audit_runs_one_fk_call_per_recheck_and_per_trace(monkeypatch):
     # The re-check's clearance and grip check share one FK call of both
-    # arms at every distinct row; the torque trace makes one of its own.
+    # arms at every row; the torque trace makes one of its own.
     _, problem, motion = next(a for a in _audit_plans()
                               if a[0] == "r0c0_constrained.csv")
     rows = []
@@ -303,10 +303,60 @@ def test_audit_runs_one_fk_call_per_recheck_and_per_trace(monkeypatch):
     recheck_plan(motion, problem)
     recheck_rows, rows[:] = list(rows), []
     trace_plan(motion, problem.robot, problem.balancer, problem.tool)
-    distinct = len(set(_row_keys(motion)))
     assert len(recheck_rows) == len(rows) == 1
-    assert recheck_rows[0] == 2 * distinct
+    assert recheck_rows[0] == 2 * motion.n_waypoints
     assert rows[0] == sum(map(len, motion.holding))
+
+
+def _with_copies(motion, rows):
+    """motion with each waypoint of rows repeated right after itself."""
+    order = np.sort(np.concatenate([np.arange(motion.n_waypoints), rows]))
+    return replace(motion, q_left=motion.q_left[order],
+                   q_right=motion.q_right[order],
+                   tool_rot=motion.tool_rot[order], tool_t=motion.tool_t[order],
+                   holding=tuple(motion.holding[i] for i in order),
+                   theta=motion.theta[order],
+                   clearance=motion.clearance[order])
+
+
+@pytest.mark.parametrize("regrasp", [False, True], ids=["stored", "regrasp"])
+def test_recheck_of_a_plan_with_repeated_rows(regrasp):
+    # A free and a held waypoint, each followed by a copy of itself.
+    # The regrasp case relabels the hold after the copies (as in
+    # TestGrip), so that the grip waypoint must move past both copies.
+    _, problem, motion = next(a for a in _audit_plans()
+                              if a[0] == "r0c0_constrained.csv")
+    free, held = 10, 39
+    assert not motion.holding[free] and motion.holding[held]
+    if regrasp:
+        motion = replace(motion, holding=motion.holding[:40]
+                         + ((("left", 5),),) * 62 + motion.holding[102:])
+    copied = _with_copies(motion, [free, held])
+    assert copied.n_waypoints == motion.n_waypoints + 2
+
+    record = recheck_plan(motion, problem)
+    cache = PlanCache()
+    got = recheck_plan(copied, problem, cache)
+    assert (record.grip_waypoint == 40) == regrasp
+    shift = {f: None if i is None else i + (i > free) + (i > held)
+             for f in ("bend_waypoint", "cable_waypoint",
+                       "collision_waypoint", "grip_waypoint")
+             for i in [getattr(record, f)]}
+    assert got == replace(record, **shift)
+    assert len(cache.rows) == len(set(_row_keys(copied))) == motion.n_waypoints
+    assert recheck_plan(copied, problem) == got
+
+    links = arm_link_segments(problem.robot, problem.world.link_spec,
+                              copied.q_left, copied.q_right)
+    dense, table = dense_pair_clearances(
+        problem.world, links, *problem.tool.bodies(
+            copied.tool_rot, copied.tool_t, problem.balancer))
+    assert got.min_clearance == dense.min()
+    cable = [CABLE in table.pair_names[j] for j in dense.argmin(axis=1)]
+    bad = np.nonzero(dense.min(axis=1) < 0.0)[0]
+    assert got.cable_waypoint == next((i for i in bad if cable[i]), None)
+    assert got.collision_waypoint == next((i for i in bad if not cable[i]),
+                                          None)
 
 
 class TestGrip:

@@ -37,7 +37,7 @@ from tetherplan.scene import default_scene
 
 class TestSampleGrasps:
     def test_count_and_ids(self):
-        grasps = sample_grasps(make_tool(), 5, 12)
+        grasps = sample_grasps(make_tool(), 5, 12, 0.02)
         # Row g is grasp id g: the rolls of each axial position in turn.
         assert grasps.r.shape == (60, 3, 3)
         assert grasps.t.shape == (60, 3)
@@ -47,7 +47,7 @@ class TestSampleGrasps:
     def test_frames_are_valid(self):
         tool = make_tool()
         axis = np.array([0.0, 0.0, 1.0])
-        grasps = sample_grasps(tool, 4, 6)
+        grasps = sample_grasps(tool, 4, 6, 0.02)
         for r, t, axial in zip(grasps.r, grasps.t, grasps.axial):
             assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0)
@@ -60,19 +60,19 @@ class TestSampleGrasps:
             assert axial == pytest.approx(t[2] + 0.10)
 
     def test_rolls_cover_the_circle(self):
-        dirs = sample_grasps(make_tool(), 1, 8).r[:, :, 2]
+        dirs = sample_grasps(make_tool(), 1, 8, 0.02).r[:, :, 2]
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
         assert np.linalg.norm(dirs.sum(axis=0)) < 1e-9
 
     def test_empty_parameterizations_raise(self):
         with pytest.raises(EmptyGraspSet):
-            sample_grasps(make_tool(), 0, 12)
+            sample_grasps(make_tool(), 0, 12, 0.02)
         with pytest.raises(EmptyGraspSet):
-            sample_grasps(make_tool(), 5, 0)
+            sample_grasps(make_tool(), 5, 0, 0.02)
         short = ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],
                          handle_a=[0, 0, 0.0], handle_b=[0, 0, 0.03])
         with pytest.raises(EmptyGraspSet):
-            sample_grasps(short, 3, 4)
+            sample_grasps(short, 3, 4, 0.02)
 
     def test_cache_samples_one_read_only_table(self, monkeypatch):
         calls = []

@@ -393,7 +393,9 @@ class TestValidationErrors:
                 parse_scene(mutated(planner__grasp_inset_m=bad))
         widest = float(np.nextafter(half, 0.0))
         sc = parse_scene(mutated(planner__grasp_inset_m=widest))
-        assert sample_grasps(sc.base.tool, inset=sc.options.grasp_inset).axial.size
+        opts = sc.options
+        assert sample_grasps(sc.base.tool, opts.axial_samples, opts.roll_samples,
+                             opts.grasp_inset).axial.size
 
     @pytest.mark.parametrize("bad", [-0.2, 0.0])
     def test_palm_standoff_must_be_positive(self, bad):
