@@ -21,8 +21,8 @@ approach once with the cable attached, once without).  The same cache
 holds the audit's own tables, so each distinct plan is audited once
 under each bend limit (the two modes often return the same plan) and
 a re-check measures only the waypoint rows that no earlier one did.  A
-re-check makes one FK call, both arms at every row, which serves its
-clearance query and its grip check.
+re-check makes one arm_link_segments call, both arms at every row,
+for its clearance query and its grip check.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import robot
 from .cable import CABLE, bend_angle_batch
-from .collision import link_segments, motion_clearances
+from .collision import arm_link_segments, motion_clearances
 from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
     plan, solve_stations
 from .scene import Scene
@@ -101,9 +100,9 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     (a fresh one when None) to problem's scene and reads none of the
     planner's tables, only cache.rows: only the rows that it lacks are
     measured, in plan order; the others are read back.  One
-    fk_chain_batch call, on per-row bases, serves both checks: both arms
-    at every row, the left arm's rows first.  The link segments of the
-    rows the cache lacks and the grip check's TCP poses are read from it.
+    arm_link_segments call, both arms at every row, serves both checks:
+    the clearance query reads the link segments of the rows the cache
+    lacks, and the grip check reads the TCP poses.
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
@@ -115,19 +114,13 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
     raw = np.hstack([motion.q_left, motion.q_right,
                      motion.tool_rot.reshape(-1, 9), motion.tool_t])
     keys = raw.view(f"V{raw[0].nbytes}").ravel().tolist()
-    w = len(keys)
-    # The joint axes are not read; dropping them at once keeps them out
-    # of the clearance query's peak memory.
-    rot, tcp, origins = robot.fk_chain_batch(
-        *problem.robot.bases(np.arange(2 * w) >= w),
-        np.concatenate([motion.q_left, motion.q_right]))[:3]
+    links, tcp_r, tcp_t = arm_link_segments(problem.robot, problem.world.link_spec,
+                                            motion.q_left, motion.q_right)
     fresh = [i for i, key in enumerate(keys) if key not in cache.rows]
     if fresh:
-        k = np.concatenate([fresh, np.add(fresh, w)])
         # The tool shapes and the taut cable ride on every waypoint.
         clear, pair_idx, pair_names = motion_clearances(
-            problem.world,
-            link_segments(problem.world.link_spec, rot[k], tcp[k], origins[k]),
+            problem.world, links[fresh],
             *problem.tool.bodies(motion.tool_rot[fresh], motion.tool_t[fresh],
                                  problem.balancer))
         # With no pair at all every index is 0 and every clearance inf.
@@ -144,8 +137,7 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
         bend_waypoint=bend_wp,
         cable_waypoint=first_bad.get(True),
         collision_waypoint=first_bad.get(False),
-        grip_waypoint=_grip_waypoint(motion, problem, rot.reshape(2, w, 3, 3),
-                                     tcp.reshape(2, w, 3)),
+        grip_waypoint=_grip_waypoint(motion, problem, tcp_r, tcp_t),
         min_clearance=float(clear.min()),
     )
 
@@ -155,8 +147,8 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem,
     """First held waypoint where the tool has left its holder's grip.
 
     An arm's TCP pose at a waypoint (FK of its joints) is
-    tcp_r[arm, waypoint] and tcp_t[arm, waypoint], (2, W) views of
-    recheck_plan's FK call, arm 0 the left and 1 the right.  A hold is
+    tcp_r[arm, waypoint] and tcp_t[arm, waypoint], from recheck_plan's
+    arm_link_segments call, arm 0 the left and 1 the right.  A hold is
     a run of consecutive waypoints on which one arm holds the tool.
     Along it the grasp id must not change, and the tool's pose relative
     to that arm's TCP must stay where the run's first waypoint put it,

@@ -46,6 +46,8 @@ class BalancerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float).reshape(3))
+        if not np.isfinite(self.anchor).all():
+            raise ValueError("balancer anchor must be finite")
         if not (self.max_load > 0.0):
             raise ValueError("balancer max_load must be positive")
         if not (self.cable_radius > 0.0):
@@ -69,9 +71,11 @@ class ToolSpec:
     shapes: tuple[tuple[str, Shape], ...] = ()
 
     def __post_init__(self):
-        for name in ("connector_point", "handle_a", "handle_b"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float).reshape(3))
+        for name in ("connector_point", "cable_dir", "handle_a", "handle_b"):
+            value = np.asarray(getattr(self, name), dtype=float).reshape(3)
+            if not np.isfinite(value).all():
+                raise ValueError(f"tool {name} must be finite")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "cable_dir", unit(self.cable_dir))
         if np.linalg.norm(self.handle_b - self.handle_a) < _EPS:
             raise ValueError("handle axis must have nonzero length")

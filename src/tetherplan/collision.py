@@ -11,8 +11,8 @@ A query assembles the arm, static and attached capsules (the tool's
 shapes and its cable) of a batch of waypoints and the world's pair
 table for the attached set, built once per world and attached set.
 FK does not run inside the clearance routine: the caller hands it both
-arms' link segments, from FK rows that it may share with other checks
-(link_segments), or from the joints in one FK call (arm_link_segments).
+arms' link segments from arm_link_segments, whose one FK call also
+returns the TCP poses that a caller's other checks read.
 tests/oracles.py's dense_pair_clearances measures the dense (W, P)
 matrix of pair clearances, the reference motion_clearances is tested on.
 
@@ -247,30 +247,24 @@ class CollisionWorld:
         self.pair_tables: dict[tuple, _PairTable] = {}
 
 
-def link_segments(spec: ArmLinkSpec, rot: np.ndarray, tcp: np.ndarray,
-                  origins: np.ndarray) -> np.ndarray:
-    """Link capsule segments (W, 12, 2, 3) of W waypoints, the left
-    arm's six links first, from the fk_chain_batch rot, tcp and origins
-    of their 2W rows: the left arm's W rows, then the right arm's."""
-    pts = origins.copy()
-    pts[:, 7] = tcp - spec.palm_setback * rot[:, :, 2]
-    left, right = np.split(pts[:, _LINK_SPANS], 2)
-    return np.concatenate([left, right], axis=1)
-
-
 def arm_link_segments(robot: DualArm, spec: ArmLinkSpec, q_left: np.ndarray,
-                      q_right: np.ndarray) -> np.ndarray:
-    """link_segments of both arms' (W, 6) configurations, in one
-    fk_chain_batch call; ValueError unless their rows agree."""
+                      q_right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both arms' link segments (W, 12, 2, 3), the left arm's six links
+    first, and TCP poses tcp_r (2, W, 3, 3) and tcp_t (2, W, 3), arm 0
+    the left, of their (W, 6) configurations, from one fk_chain_batch
+    call on 2W rows; ValueError unless their rows agree."""
     q_left, q_right = (np.asarray(q, dtype=float).reshape(-1, N_JOINTS)
                        for q in (q_left, q_right))
     w = len(q_left)
     if w != len(q_right):
         raise ValueError(f"q_left has {w} rows and q_right {len(q_right)}; "
                          "they must agree")
-    rot, tcp, origins, _ = rb.fk_chain_batch(
-        *robot.bases(np.arange(2 * w) >= w), np.concatenate([q_left, q_right]))
-    return link_segments(spec, rot, tcp, origins)
+    rot, tcp, origins = rb.fk_chain_batch(
+        *robot.bases(np.arange(2 * w) >= w), np.concatenate([q_left, q_right]))[:3]
+    origins[:, 7] = tcp - spec.palm_setback * rot[:, :, 2]
+    left, right = np.split(origins[:, _LINK_SPANS], 2)
+    return (np.concatenate([left, right], axis=1), rot.reshape(2, w, 3, 3),
+            tcp.reshape(2, w, 3))
 
 
 @dataclass(frozen=True)
@@ -427,10 +421,9 @@ def motion_clearances(world: CollisionWorld, links: np.ndarray,
                       attached_names: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Minimum clearance per waypoint over every active collision pair.
 
-    links is both arms' (W, 12, 2, 3) link segments (link_segments, or
-    arm_link_segments of their joints).  attached_segments, when given,
-    is (W, K, 2, 3) world-frame segments of the capsule-like attached
-    shapes named attached_names.
+    links is both arms' (W, 12, 2, 3) link segments (arm_link_segments).
+    attached_segments, when given, is (W, K, 2, 3) world-frame segments
+    of the capsule-like attached shapes named attached_names.
 
     Returns (clearance (W,), argmin pair index (W,), pair name table),
     equal bit for bit to the min and np.argmin of the dense matrix

@@ -43,11 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tetherplan import robot as rb
 from tetherplan.cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, \
     bend_angle_batch
-from tetherplan.collision import CollisionWorld, arm_link_segments, link_segments, \
-    motion_clearances
+from tetherplan.collision import CollisionWorld, arm_link_segments, motion_clearances
 from tetherplan.geometry import Pose, unit
 from tetherplan.robot import DualArm, IKOptions, N_JOINTS, ik_batch
 
@@ -118,6 +116,10 @@ class PlannerOptions:
     time_budget: float = 60.0
     ik: IKOptions = IKOptions()
 
+    def __post_init__(self):
+        if not 0.0 < self.interp_step < math.inf:
+            raise ValueError("interp_step must be positive and finite")
+
 
 @dataclass(frozen=True)
 class PlanningProblem:
@@ -145,6 +147,9 @@ class PlanningProblem:
                            np.asarray(self.home_right, dtype=float).reshape(N_JOINTS))
         if not self.handover_poses:
             raise ValueError("at least one handover pose is required")
+        poses = (self.start_pose, self.goal_pose, *self.handover_poses)
+        if not all(np.isfinite(p.r).all() and np.isfinite(p.t).all() for p in poses):
+            raise ValueError("start, goal and handover poses must be finite")
 
     def home(self, side: str) -> np.ndarray:
         return self.home_left if side == "left" else self.home_right
@@ -355,8 +360,8 @@ def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
         if rows.size:
             ql, qr = problem.one_arm_moves(side, sols[rows, gids])
             clear, _, _ = motion_clearances(
-                problem.world, arm_link_segments(problem.robot,
-                                                 problem.world.link_spec, ql, qr),
+                problem.world, arm_link_segments(problem.robot, problem.world.link_spec,
+                                                 ql, qr)[0],
                 *problem.tool.bodies(rot[rows], t[rows]))
             for row, gid in zip(rows[clear >= 0.0].tolist(),
                                 gids[clear >= 0.0].tolist()):
@@ -412,9 +417,9 @@ class _Search:
 
     def build_edge(self, spec: tuple) -> tuple[_EdgeData, np.ndarray]:
         """The edge's rows and its (W, 12, 2, 3) link segments, from one
-        fk_chain_batch call over its (q_left, q_right) rows.  A carried
-        tool follows its holder's TCP rows of that call; a resting tool
-        sits at the station on every row."""
+        arm_link_segments call over its (q_left, q_right) rows.  A carried
+        tool follows its holder's TCP poses from that call; a resting
+        tool sits at the station on every row."""
         kind, feasible, step = spec[0], self.cache.node_feasible, self.opt.interp_step
         if kind == "transfer":
             _, src, dst, side, gid = spec
@@ -442,18 +447,16 @@ class _Search:
                        + (((recv, rgid),),) * (w2 - 1))
         else:
             raise ValueError(f"unknown edge kind {kind!r}")
-        w = ql.shape[0]
-        rot, tcp, origins, _ = rb.fk_chain_batch(
-            *self.pb.robot.bases(np.arange(2 * w) >= w), np.concatenate([ql, qr]))
-        links = link_segments(self.pb.world.link_spec, rot, tcp, origins)
+        links, rot, tcp = arm_link_segments(self.pb.robot, self.pb.world.link_spec,
+                                            ql, qr)
         if kind == "transfer":
-            held = slice(0, w) if side == "left" else slice(w, None)
-            tool_rot = rot[held] @ self.grasps.r[gid].T
-            tool_t = tcp[held] - np.einsum("wij,j->wi", tool_rot, self.grasps.t[gid])
+            arm = ("left", "right").index(side)
+            tool_rot = rot[arm] @ self.grasps.r[gid].T
+            tool_t = tcp[arm] - np.einsum("wij,j->wi", tool_rot, self.grasps.t[gid])
         else:
             pose = self.stations[station]
-            tool_rot = np.broadcast_to(pose.r, (w, 3, 3))
-            tool_t = np.broadcast_to(pose.t, (w, 3))
+            tool_rot = np.broadcast_to(pose.r, (len(links), 3, 3))
+            tool_t = np.broadcast_to(pose.t, (len(links), 3))
         return _EdgeData(ql, qr, tool_rot, tool_t, holding, kind), links
 
     # ----- edge validation --------------------------------------------------

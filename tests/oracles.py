@@ -620,7 +620,7 @@ def per_pair_station_solve(problems, options, constrained: bool = False):
             segs, radii, names = problem.tool.bodies(pose.r[None], pose.t[None])
             clear, _, _ = motion_clearances(
                 problem.world,
-                arm_link_segments(problem.robot, problem.world.link_spec, ql, qr),
+                arm_link_segments(problem.robot, problem.world.link_spec, ql, qr)[0],
                 np.broadcast_to(segs, (idx.size,) + segs.shape[1:]),
                 radii, names)
             for j, gid in enumerate(idx):

@@ -162,7 +162,7 @@ class TestRecheckPlan:
         q_probe = HOME_LEFT + np.array([1.5, 0, 0, 0, 0, 0])
         spec = problem.world.link_spec
         crossing = arm_link_segments(problem.robot, spec, q_probe,
-                                     HOME_RIGHT)[0][1].mean(axis=0)
+                                     HOME_RIGHT)[0][0][1].mean(axis=0)
         # Hang the tool so the cable's midpoint-to-anchor line passes
         # through the crossing point, with the tool itself far below.
         connector = crossing - 0.5 * (problem.balancer.anchor - crossing)
@@ -347,7 +347,7 @@ def test_recheck_of_a_plan_with_repeated_rows(regrasp):
     assert recheck_plan(copied, problem) == got
 
     links = arm_link_segments(problem.robot, problem.world.link_spec,
-                              copied.q_left, copied.q_right)
+                              copied.q_left, copied.q_right)[0]
     dense, table = dense_pair_clearances(
         problem.world, links, *problem.tool.bodies(
             copied.tool_rot, copied.tool_t, problem.balancer))

@@ -160,6 +160,20 @@ class TestSpecs:
         with pytest.raises(ValueError):
             make_balancer(cable_radius=-0.01)
 
+    @pytest.mark.parametrize("anchor", [[math.nan, 0.0, 1.6], [0.0, 0.0, math.inf]])
+    def test_balancer_rejects_a_non_finite_anchor(self, anchor):
+        with pytest.raises(ValueError, match="anchor must be finite"):
+            make_balancer(anchor=anchor)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["connector_point", "cable_dir", "handle_a", "handle_b"])
+    def test_tool_rejects_non_finite_vectors(self, name, bad):
+        fields = dict(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],
+                      handle_a=[0, 0, -0.1], handle_b=[0, 0, 0.05])
+        fields[name] = [0.0, bad, 0.05]
+        with pytest.raises(ValueError, match=f"tool {name} must be finite"):
+            ToolSpec(**fields)
+
     def test_tool_rejects_boxes(self):
         with pytest.raises(ValueError):
             ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],

@@ -244,7 +244,7 @@ def overlaps(world, robot, q_left, q_right):
     """Strictly overlapping pairs of the bare arms at one configuration
     pair, read off the dense matrix's single row."""
     clear, table = dense_pair_clearances(
-        world, arm_link_segments(robot, world.link_spec, q_left, q_right), None, (), ())
+        world, arm_link_segments(robot, world.link_spec, q_left, q_right)[0], None, (), ())
     return [table.pair_names[k] for k in np.nonzero(clear[0] < 0.0)[0]]
 
 
@@ -253,7 +253,7 @@ class TestWorld:
         robot = make_robot()
         world = make_world()
         q = np.zeros((1, 6))
-        clear, _, _ = motion_clearances(world, arm_link_segments(robot, world.link_spec, q, q))
+        clear, _, _ = motion_clearances(world, arm_link_segments(robot, world.link_spec, q, q)[0])
         assert clear[0] > 0.0
         assert not overlaps(world, robot, q, q)
 
@@ -308,7 +308,7 @@ class TestWorld:
                              (make_world({"post": post, "table": table}), held)):
             attach = (None, (), ()) if tools is None else (
                 np.array([[[c.a, c.b]] for c in tools]), [0.02], ["tool"])
-            links = arm_link_segments(robot, world.link_spec, qs_l, qs_r)
+            links = arm_link_segments(robot, world.link_spec, qs_l, qs_r)[0]
             clear, _, names = motion_clearances(world, links, *attach)
             dense, pairs = dense_pair_clearances(world, links, *attach)
             assert pairs.pair_names == names
@@ -317,7 +317,7 @@ class TestWorld:
                 if tools is not None:
                     shapes["tool"] = tools[w]
                 spec = world.link_spec
-                row = arm_link_segments(robot, spec, qs_l[w], qs_r[w])[0]
+                row = arm_link_segments(robot, spec, qs_l[w], qs_r[w])[0][0]
                 for side, segs in (("left", row[:6]), ("right", row[6:])):
                     for name, (a, b), r in zip(link_names(side), segs, spec.radii):
                         shapes[name] = Capsule(a, b, r)
@@ -345,17 +345,37 @@ class TestWorld:
     def test_link_segments_shape(self):
         robot = make_robot()
         spec = ArmLinkSpec(radii=[0.04] * 6)
-        segs = arm_link_segments(robot, spec, np.zeros((3, 6)), np.ones((3, 6)))
+        segs = arm_link_segments(robot, spec, np.zeros((3, 6)), np.ones((3, 6)))[0]
         assert segs.shape == (3, 12, 2, 3)
         # Consecutive links of one arm share an endpoint.
         for k in (*range(4), *range(6, 10)):
             assert np.allclose(segs[0, k, 1], segs[0, k + 1, 0])
 
+    def test_one_fk_call_gives_both_arms_links_and_tcp_poses(self, monkeypatch):
+        robot = make_robot()
+        spec = ArmLinkSpec(radii=[0.04] * 6, palm_setback=0.07)
+        rng = np.random.default_rng(38)
+        q_left, q_right = rng.uniform(-3.0, 3.0, (2, 7, 6))
+        rows, chain = [], fk_chain_batch
+        monkeypatch.setattr("tetherplan.robot.fk_chain_batch",
+                            lambda *a: rows.append(len(a[2])) or chain(*a))
+        links, tcp_r, tcp_t = arm_link_segments(robot, spec, q_left, q_right)
+        assert rows == [14]
+        assert links.shape == (7, 12, 2, 3)
+        assert tcp_r.shape == (2, 7, 3, 3) and tcp_t.shape == (2, 7, 3)
+        for arm, (model, q) in enumerate(((robot.left, q_left), (robot.right, q_right))):
+            # Each arm's poses are its FK alone, bit for bit.
+            rot, tcp, _, _ = chain(model.base.r, model.base.t, q)
+            assert np.array_equal(tcp_r[arm], rot) and np.array_equal(tcp_t[arm], tcp)
+            # Its last link ends at the palm point, set back from the TCP.
+            palm = tcp_t[arm] - spec.palm_setback * tcp_r[arm][:, :, 2]
+            assert np.array_equal(links[:, 6 * arm + 5, 1], palm)
+
 
 def dense_minimum(world, robot, q_left, q_right, *attach):
     """Row minimum and first-index argmin of the dense pair matrix."""
     clear, table = dense_pair_clearances(
-        world, arm_link_segments(robot, world.link_spec, q_left, q_right),
+        world, arm_link_segments(robot, world.link_spec, q_left, q_right)[0],
         *(attach or (None, (), ())))
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(clear.shape[0]), idx], idx, table.pair_names
@@ -363,7 +383,7 @@ def dense_minimum(world, robot, q_left, q_right, *attach):
 
 def assert_matches_dense(world, robot, q_left, q_right, *attach):
     got = motion_clearances(
-        world, arm_link_segments(robot, world.link_spec, q_left, q_right), *attach)
+        world, arm_link_segments(robot, world.link_spec, q_left, q_right)[0], *attach)
     want = dense_minimum(world, robot, q_left, q_right, *attach)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -425,9 +445,9 @@ class TestBoundedClearances:
                                  *held_tool(robot, moving))
             # Every row gets the segments of a call of its own.
             spec = world.link_spec
-            segs = arm_link_segments(robot, spec, moving, idle)
+            segs = arm_link_segments(robot, spec, moving, idle)[0]
             assert np.array_equal(segs, np.concatenate(
-                [arm_link_segments(robot, spec, m, q) for m, q in zip(moving, idle)]))
+                [arm_link_segments(robot, spec, m, q)[0] for m, q in zip(moving, idle)]))
 
     def test_exact_touch(self):
         # A capsule of radius 0.25 slides 0.25 above the top face of a
@@ -500,11 +520,11 @@ class TestBoundedClearances:
         for k in (0, 1):
             radii, names = [0.02] * k, ["tool"] * k
             clear, idx, pairs = motion_clearances(
-                world, arm_link_segments(robot, world.link_spec, empty, empty),
+                world, arm_link_segments(robot, world.link_spec, empty, empty)[0],
                 np.zeros((0, k, 2, 3)), radii, names)
             assert clear.shape == idx.shape == (0,)
             assert pairs == motion_clearances(
-                world, arm_link_segments(robot, world.link_spec, HOME_LEFT, HOME_RIGHT),
+                world, arm_link_segments(robot, world.link_spec, HOME_LEFT, HOME_RIGHT)[0],
                 np.zeros((1, k, 2, 3)), radii, names)[2]
             assert any("tool" in pair for pair in pairs) == bool(k)
 
@@ -522,7 +542,7 @@ def test_pair_bounds_enclose_the_exact_clearance():
     ball = np.repeat(rng.uniform([0.1, -0.5, 0.0], [0.6, 0.5, 0.7], (w, 1, 1, 3)),
                      2, axis=2)
     attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
-    links = arm_link_segments(robot, world.link_spec, ql, qr)
+    links = arm_link_segments(robot, world.link_spec, ql, qr)[0]
     caps, table = _query(world, links, *attach)
     lower, upper = (b.T for b in _pair_bounds(caps, world.boxes, table))
     exact, _ = dense_pair_clearances(world, links, *attach)
@@ -633,7 +653,7 @@ class TestEinsumForms:
         ball = np.repeat(rng.uniform([0.1, -0.5, 0.0], [0.6, 0.5, 0.7], (w, 1, 1, 3)),
                          2, axis=2)
         attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
-        links = arm_link_segments(robot, world.link_spec, ql, qr)
+        links = arm_link_segments(robot, world.link_spec, ql, qr)[0]
         caps, table = _query(world, links, *attach)
         rows = np.ascontiguousarray(caps.transpose(3, 2, 0, 1))
         lower, upper = _pair_bounds(caps, world.boxes, table)
@@ -774,7 +794,7 @@ def test_mismatched_attached_inputs_raise(edit, message):
     def clearances(q_left, q_right, **attach):
         world = cluttered_world()
         return motion_clearances(world, arm_link_segments(
-            make_robot(), world.link_spec, q_left, q_right), **attach)
+            make_robot(), world.link_spec, q_left, q_right)[0], **attach)
 
     clearances(**args)
     edit(args)
@@ -785,7 +805,7 @@ def test_mismatched_attached_inputs_raise(edit, message):
 def test_links_of_another_shape_raise():
     world, robot = cluttered_world(), make_robot()
     links = arm_link_segments(robot, world.link_spec, np.tile(HOME_LEFT, (4, 1)),
-                              np.tile(HOME_RIGHT, (4, 1)))
+                              np.tile(HOME_RIGHT, (4, 1)))[0]
     motion_clearances(world, links)
     with pytest.raises(ValueError, match=r"links must be \(W, 12, 2, 3\), not \(4, 6, 2, 3\)"):
         motion_clearances(world, links[:, :6])
@@ -804,7 +824,7 @@ def test_a_non_finite_box_is_rejected(pose, half):
     # centre used to make each row's least upper bound NaN, so that no
     # entry was measured and the row read +inf instead.
     robot, world = make_robot(), make_world({"table": RAISED_TABLE})
-    links = arm_link_segments(robot, world.link_spec, HOME_LEFT, HOME_RIGHT)
+    links = arm_link_segments(robot, world.link_spec, HOME_LEFT, HOME_RIGHT)[0]
     assert motion_clearances(world, links)[0][0] < 0.0
     with pytest.raises(ValueError, match="box"):
         Box(pose, half)
@@ -815,7 +835,7 @@ def test_a_non_finite_box_is_rejected(pose, half):
 def test_non_finite_segments_are_rejected(body, value):
     robot, world = make_robot(), make_world({"table": RAISED_TABLE})
     links = arm_link_segments(robot, world.link_spec, np.tile(HOME_LEFT, (4, 1)),
-                              np.tile(HOME_RIGHT, (4, 1)))
+                              np.tile(HOME_RIGHT, (4, 1)))[0]
     held = np.tile([[0.3, 0.0, 0.3], [0.3, 0.0, 0.5]], (4, 1, 1, 1))
     assert np.all(motion_clearances(world, links, held, [0.02], ["tool"])[0] < 0.0)
     (links if body == "links" else held)[2, 0, 1, 1] = value
@@ -847,11 +867,11 @@ home = np.array([[2.435, -0.529, -1.542, 0.5, -1.571, 2.435],
                  [2.795, -0.529, -1.543, 0.501, -1.571, 2.795]])
 ql, qr = home[:, None] + rng.uniform(-0.3, 0.3, (2, 64, 6))
 held = crate.pose.t + rng.uniform(-0.25, 0.25, (64, 1, 2, 3))
-links = arm_link_segments(robot, world.link_spec, ql, qr)
+links = arm_link_segments(robot, world.link_spec, ql, qr)[0]
 full = motion_clearances(world, links, held, [0.02], ["tool"])
 subset = np.sort(rng.choice(64, 23, replace=False))
 perm = rng.permutation(subset)
-parts = [motion_clearances(world, arm_link_segments(robot, world.link_spec, ql[k], qr[k]),
+parts = [motion_clearances(world, arm_link_segments(robot, world.link_spec, ql[k], qr[k])[0],
                            held[k], [0.02], ["tool"]) for k in (subset, perm)]
 digest = hashlib.sha256(b"".join(
     a.tobytes() for out in (full, *parts) for a in out[:2])).hexdigest()

@@ -122,6 +122,23 @@ class TestInterp:
         qs = interp_joints(q, q, 0.05)
         assert qs.shape == (2, 6)
 
+    @pytest.mark.parametrize("step", [0.0, -0.05, math.inf, math.nan])
+    def test_options_reject_a_step_that_is_not_positive_and_finite(self, step):
+        # A negative or infinite step would make every edge its two end
+        # rows, and the motion between them would go unchecked.
+        with pytest.raises(ValueError, match="interp_step must be positive and finite"):
+            PlannerOptions(interp_step=step)
+
+
+@pytest.mark.parametrize("pose", ["start_pose", "goal_pose", "handover_poses"])
+@pytest.mark.parametrize("part", ["r", "t"])
+def test_problem_rejects_a_non_finite_pose(pose, part):
+    problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
+    good = problem.handover_poses[0]
+    bad = replace(good, **{part: np.where([True, False, False], math.nan, getattr(good, part))})
+    with pytest.raises(ValueError, match="poses must be finite"):
+        replace(problem, **{pose: (bad,) if pose == "handover_poses" else bad})
+
 
 class TestPlanning:
     def test_direct_transfer(self):
@@ -390,7 +407,7 @@ class TestAssembly:
         # The approach ends on the first held waypoint.
         approach = next(i for i, h in enumerate(p.holding) if h) + 1
         links = arm_link_segments(problem.robot, problem.world.link_spec,
-                                  p.q_left, p.q_right)
+                                  p.q_left, p.q_right)[0]
         dense, _ = dense_pair_clearances(problem.world, links,
                                          *problem.tool.bodies(rot, t))
         want = dense.min(axis=1)
@@ -575,7 +592,7 @@ class TestEdgeValidation:
             kind="transfer",
         )
         return edge, arm_link_segments(problem.robot, problem.world.link_spec,
-                                       edge.q_left, edge.q_right)
+                                       edge.q_left, edge.q_right)[0]
 
     def test_mid_edge_bend_rejected(self):
         problem, search = self._search()

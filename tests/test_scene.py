@@ -89,7 +89,7 @@ class TestDefaultScene:
         sc = default_scene()
         b = sc.base
         clear, _, _ = motion_clearances(b.world, arm_link_segments(
-            b.robot, b.world.link_spec, b.home_left, b.home_right))
+            b.robot, b.world.link_spec, b.home_left, b.home_right)[0])
         assert clear[0] >= 0.0
 
     def test_angles_are_radians_internally(self):
