@@ -48,10 +48,10 @@ class BalancerSpec:
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float).reshape(3))
         if not np.isfinite(self.anchor).all():
             raise ValueError("balancer anchor must be finite")
-        if not (self.max_load > 0.0):
-            raise ValueError("balancer max_load must be positive")
-        if not (self.cable_radius > 0.0):
-            raise ValueError("cable_radius must be positive")
+        if not 0.0 < self.max_load < math.inf:
+            raise ValueError("balancer max_load must be positive and finite")
+        if not 0.0 < self.cable_radius < math.inf:
+            raise ValueError("cable_radius must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,10 @@ class PlannerOptions:
     def __post_init__(self):
         if not 0.0 < self.interp_step < math.inf:
             raise ValueError("interp_step must be positive and finite")
+        if not 0.0 < self.grasp_inset < math.inf:
+            raise ValueError("grasp_inset must be positive and finite")
+        if not 0.0 <= self.min_handover_separation < math.inf:
+            raise ValueError("min_handover_separation must be finite and at least 0")
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,8 @@ class PlanningProblem:
                            np.asarray(self.home_left, dtype=float).reshape(N_JOINTS))
         object.__setattr__(self, "home_right",
                            np.asarray(self.home_right, dtype=float).reshape(N_JOINTS))
+        if not (np.isfinite(self.home_left).all() and np.isfinite(self.home_right).all()):
+            raise ValueError("home_left and home_right must be finite")
         if not self.handover_poses:
             raise ValueError("at least one handover pose is required")
         poses = (self.start_pose, self.goal_pose, *self.handover_poses)
@@ -316,7 +322,7 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache) -> None:
 
     Collects the (station key, arm) pairs of all problems that the cache
     lacks and solves them in one grouped ik_batch call, one group per
-    pair on that pair's arm, so every pair gets exactly the configs a
+    pair at its arm's base, so every pair gets exactly the configs a
     call of its own would give.  Each arm's solved grasps then pass the
     static clearance check, the tool resting at their station, in one
     motion_clearances call.  Each station is solved at the first pose
@@ -342,21 +348,20 @@ def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
     if not jobs:
         return
     g = grasps.axial.size
-    sides = [side for _, side, _ in jobs]
+    right = np.array([side == "right" for _, side, _ in jobs])
     rot = np.stack([pose.r for *_, pose in jobs])
     t = np.stack([pose.t for *_, pose in jobs])
     # Grasp by grasp, these products are the ones oracles.compose forms.
-    sols, ok = ik_batch([problem.robot.arm(side) for side in sides],
+    sols, ok = ik_batch(problem.robot.bases(np.repeat(right, g)),
                         np.concatenate([r @ grasps.r for r in rot]),
                         np.concatenate([(r @ grasps.t[..., None])[..., 0] + v
                                         for r, v in zip(rot, t)]),
-                        np.repeat([problem.home(side) for side in sides], g, axis=0),
+                        np.repeat([problem.home(side) for _, side, _ in jobs], g, axis=0),
                         options.ik, [g] * len(jobs))
     sols = sols.reshape(len(jobs), g, N_JOINTS)
     feasible: list[dict[int, np.ndarray]] = [{} for _ in jobs]
-    for side in ("left", "right"):
-        rows, gids = np.nonzero(ok.reshape(len(jobs), g)
-                                & (np.array(sides) == side)[:, None])
+    for side, mine in (("left", ~right), ("right", right)):
+        rows, gids = np.nonzero(ok.reshape(len(jobs), g) & mine[:, None])
         if rows.size:
             ql, qr = problem.one_arm_moves(side, sols[rows, gids])
             clear, _, _ = motion_clearances(

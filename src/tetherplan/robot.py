@@ -1,10 +1,10 @@
 """Dual-arm kinematics: forward kinematics, Jacobian, numerical IK.
 
-Every arm is a UR3: its chain is a module constant, and an ArmModel is
-only the base pose it stands at.  The chain has six revolute joints,
-each an offset and an axis written in the frame left by the joint
-before (so they are world values in the zero configuration), closed
-by a fixed flange-to-TCP pose.  Every axis is a signed coordinate unit
+Every arm is a UR3: its chain is a module constant, and an arm is only
+the base Pose it stands at.  The chain has six revolute joints, each
+an offset and an axis written in the frame left by the joint before
+(so they are world values in the zero configuration), closed by a
+fixed flange-to-TCP pose.  Every axis is a signed coordinate unit
 vector, every offset has at most one nonzero entry, and the TCP
 rotation is a signed permutation.  So a joint's offset moves the
 origin along one column of the running rotation, its axis is a signed
@@ -13,10 +13,11 @@ evaluates the chain that way, elementwise, with no 3x3 products.
 
 There is one chain kernel, fk_chain_batch, which evaluates the chain
 for a batch of configurations, each from its own base; an arm's FK is
-fk_chain_batch(arm.base.r, arm.base.t, qs).  Every other call
-(point_jacobian, ik_batch) is built on it and takes a batch; one
-configuration or one target is a batch of one row.  With the per-row
-bases of DualArm.bases, one call serves rows of both arms.
+fk_chain_batch(base.r, base.t, qs).  Every other call (point_jacobian,
+ik_batch) is built on it, takes a batch, and takes one base for all
+rows or one per row as it does; one configuration or one target is a
+batch of one row.  With the per-row bases of DualArm.bases, one call
+serves rows of both arms.
 
 ik_batch runs damped least squares (_dls) in one loop: every seed
 starts at iteration 0, and the random restarts of the targets still
@@ -24,7 +25,7 @@ unsolved join at iteration _IK_RESTART_AFTER (or right after the seeds'
 last iteration, if that is sooner) while the slow seeds still run.
 The restart starts are one table, sampled up front.  A row carries only
 its target index, attempt, configuration and cycle-test state; its
-target and its arm's base are gathered by that index when the row set
+target and its base are gathered by that index when the row set
 changes.  Every seed has taken as many steps as every other, and so has
 every restart, so stops and cycle-test refreshes are decided per
 attempt class from the iteration number.  The loop returns exactly what
@@ -53,35 +54,24 @@ _IK_RESTART_AFTER = 32    # iteration at which ik_batch's restarts join the seed
 
 
 @dataclass(frozen=True)
-class ArmModel:
-    """One UR3 arm: the module's chain at its base pose."""
-
-    base: Pose = Pose()
-
-
-@dataclass(frozen=True)
 class DualArm:
-    left: ArmModel
-    right: ArmModel
+    left: Pose
+    right: Pose
 
     def __post_init__(self):
-        if np.allclose(self.left.base.t, self.right.base.t):
+        if not all(np.isfinite(p.r).all() and np.isfinite(p.t).all()
+                   for p in (self.left, self.right)):
+            raise ValueError("arm base poses must be finite")
+        if np.allclose(self.left.t, self.right.t):
             raise ValueError("left and right arm bases must be distinct")
-
-    def arm(self, side: str) -> ArmModel:
-        if side == "left":
-            return self.left
-        if side == "right":
-            return self.right
-        raise KeyError(f"unknown arm {side!r}")
 
     def bases(self, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-row base poses (W, 3, 3) and (W, 3) for fk_chain_batch:
         the right arm's on the rows where the (W,) mask right is set,
         the left arm's elsewhere."""
         right = np.asarray(right, dtype=bool)
-        return (np.where(right[:, None, None], self.right.base.r, self.left.base.r),
-                np.where(right[:, None], self.right.base.t, self.left.base.t))
+        return (np.where(right[:, None, None], self.right.r, self.left.r),
+                np.where(right[:, None], self.right.t, self.left.t))
 
 
 # UR3 published link dimensions (standard DH d/a values), written as
@@ -188,9 +178,10 @@ def point_jacobian(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
     return _chain_jacobian(points, origins, axes)[:, :3]
 
 
-def _beyond_reach(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
-                  opts: IKOptions) -> np.ndarray:
-    """(B,) mask of the targets no configuration reaches within tolerance.
+def _beyond_reach(base_r: np.ndarray, base_t: np.ndarray, target_r: np.ndarray,
+                  target_t: np.ndarray, opts: IKOptions) -> np.ndarray:
+    """(B,) mask of the targets no configuration reaches within tolerance
+    from base_r, base_t: one base for all targets or one per target.
 
     Two existence tests of Hawkins 2013 ("Analytic Inverse Kinematics
     for the Universal Robots UR-5/UR-10 Arms"), each widened by the
@@ -234,15 +225,15 @@ def _beyond_reach(arm: ArmModel, target_r: np.ndarray, target_t: np.ndarray,
     reach = math.hypot(normal_len.sum(), along.sum())
     flange = target_r @ tcp.r.T
     wrist = target_t - flange @ tcp.t
-    shoulder = arm.base.t + arm.base.r @ (offsets[0] + offsets[1])
+    shoulder = base_t + np.einsum("...ij,j->...i", base_r, offsets[0] + offsets[1])
     s = opts.pos_tol + opts.ori_tol * np.linalg.norm(tcp.t)
     beyond = np.linalg.norm(wrist - shoulder, axis=1) > reach + s
 
     a0, a = axes[0], opts.ori_tol
     d4, d5 = offsets[4] @ u0, np.linalg.norm(offsets[5])
     a2, a3 = np.linalg.norm(offsets[2]), np.linalg.norm(offsets[3])
-    w = (wrist - shoulder) @ arm.base.r
-    z6 = (flange @ axes[5]) @ arm.base.r
+    w = np.einsum("...i,...ij->...j", wrist - shoulder, base_r)
+    z6 = np.einsum("...i,...ij->...j", flange @ axes[5], base_r)
     w_perp = w - np.outer(w @ a0, a0)
     rad = np.linalg.norm(w_perp, axis=1)
     inner = rad - s
@@ -275,7 +266,7 @@ class IKOptions:
     seed: int = 0
 
 
-def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
+def ik_batch(base: tuple[np.ndarray, np.ndarray], target_r: np.ndarray,
              target_t: np.ndarray, seed_config: np.ndarray,
              opts: IKOptions = IKOptions(),
              groups: Sequence[int] | None = None,
@@ -286,15 +277,16 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     or one row per target); the remaining opts.restarts - 1 attempts of
     unsolved targets start from uniform in-limit samples.  groups
     splits the B targets into consecutive groups of the given sizes
-    (default: one group of all B).  arm is one arm for every group or a
-    sequence of one arm per group.  Each group takes its restart samples
-    from its own np.random.default_rng(opts.seed), (group size, 6) per
-    restart, so a target's result depends only on its own group and
-    arm: a grouped call returns exactly what one call per group would.
+    (default: one group of all B).  base is (base_r, base_t), one base
+    for every target or one per target, as fk_chain_batch takes them.
+    Each group takes its restart samples from its own
+    np.random.default_rng(opts.seed), (group size, 6) per restart, so a
+    target's result depends only on its own group and base: a grouped
+    call returns exactly what one call per group would.
     Returns (q (B, 6), solved (B,)): each target's first attempt that
     converges, as if the attempts ran one after another (_dls), or zeros.
 
-    Targets that _beyond_reach proves unreachable for their arm have no
+    Targets that _beyond_reach proves unreachable from their base have no
     solution at any configuration.  They are never iterated and return
     unsolved; their rows still use up their group's restart samples, so
     every other target sees the samples it would see without them.
@@ -305,19 +297,13 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
     sizes = [b] if groups is None else [int(g) for g in groups]
     if sum(sizes) != b or min(sizes, default=0) < 0:
         raise ValueError(f"group sizes {sizes} do not split {b} targets")
-    arms = [arm] * len(sizes) if isinstance(arm, ArmModel) else list(arm)
-    if len(arms) != len(sizes):
-        raise ValueError(f"{len(arms)} arms for {len(sizes)} groups")
     solution = np.zeros((b, N_JOINTS))
     solved = np.zeros(b, dtype=bool)
     if b == 0:
         return solution, solved
-    owner = np.repeat(np.arange(len(arms)), sizes)
-    beyond = np.zeros(b, dtype=bool)
-    for a in {id(a): a for a in arms}.values():
-        mine = np.isin(owner, [i for i, x in enumerate(arms) if x is a])
-        beyond[mine] = _beyond_reach(a, target_r[mine], target_t[mine], opts)
-    live = np.nonzero(~beyond)[0]
+    base_r = np.broadcast_to(np.asarray(base[0], dtype=float), (b, 3, 3))
+    base_t = np.broadcast_to(np.asarray(base[1], dtype=float), (b, 3))
+    live = np.nonzero(~_beyond_reach(base_r, base_t, target_r, target_t, opts))[0]
     seeds = np.broadcast_to(np.asarray(seed_config, dtype=float), (b, N_JOINTS))
     # A Generator fills C order: one (K - 1, g, 6) block is K - 1 successive (g, 6) ones.
     starts = np.concatenate([
@@ -325,9 +311,7 @@ def ik_batch(arm: ArmModel | Sequence[ArmModel], target_r: np.ndarray,
             -_UR3_LIMIT, _UR3_LIMIT, (max(opts.restarts - 1, 0), g, N_JOINTS))
         for g in sizes], axis=1)[:, live]
     q, ok = _dls(np.clip(seeds[live], -_UR3_LIMIT, _UR3_LIMIT), starts,
-                 np.stack([a.base.r for a in arms])[owner[live]],
-                 np.stack([a.base.t for a in arms])[owner[live]],
-                 target_r[live], target_t[live], opts)
+                 base_r[live], base_t[live], target_r[live], target_t[live], opts)
     solution[live[ok]] = q[ok]
     solved[live[ok]] = True
     return solution, solved

@@ -24,7 +24,7 @@ from .cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, bend_angle_bat
 from .collision import ArmLinkSpec, Box, Capsule, CollisionWorld, Shape, link_names
 from .geometry import Pose, rot_x, rot_y
 from .planner import PlannerOptions, PlanningProblem
-from .robot import ArmModel, DualArm, IKOptions
+from .robot import DualArm, IKOptions
 
 log = logging.getLogger(__name__)
 
@@ -321,8 +321,8 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
     name = root.string("name", "unnamed")
     rob = root.child("robot", ("left_base", "right_base", "home_left_deg",
                                "home_right_deg", "link_radii_m", "palm_standoff_m"))
-    left = ArmModel(_pose(rob.child("left_base", _POSE_KEYS)))
-    right = ArmModel(_pose(rob.child("right_base", _POSE_KEYS)))
+    left = _pose(rob.child("left_base", _POSE_KEYS))
+    right = _pose(rob.child("right_base", _POSE_KEYS))
     home_left = np.radians(rob.vector("home_left_deg", 6))
     home_right = np.radians(rob.vector("home_right_deg", 6))
     radii = rob.vector("link_radii_m", 6)

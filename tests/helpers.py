@@ -8,7 +8,7 @@ from tetherplan.cable import BalancerSpec, BendConstraint, ToolSpec
 from tetherplan.collision import ArmLinkSpec, Box, Capsule, CollisionWorld
 from tetherplan.geometry import Pose
 from tetherplan.planner import PlannerOptions, PlanningProblem
-from tetherplan.robot import ArmModel, DualArm, IKOptions
+from tetherplan.robot import DualArm, IKOptions
 from tetherplan.scene import Scene
 
 QUICK = PlannerOptions(axial_samples=3, roll_samples=8,
@@ -35,8 +35,8 @@ def make_tool():
 
 def make_problem(start_t, goal_t, hover_t=(0.32, 0.0, 0.5), goal_rot=None,
                  hover_rot=None, cable_radius=0.01, statics=None):
-    robot = DualArm(left=ArmModel(Pose(np.eye(3), [0.0, 0.25, 0.0])),
-                    right=ArmModel(Pose(np.eye(3), [0.0, -0.25, 0.0])))
+    robot = DualArm(left=Pose(np.eye(3), [0.0, 0.25, 0.0]),
+                    right=Pose(np.eye(3), [0.0, -0.25, 0.0]))
     spec = ArmLinkSpec(radii=[0.045, 0.045, 0.04, 0.035, 0.035, 0.03])
     world = CollisionWorld(statics or {}, spec, WRIST_EXCLUDES)
     anchor = np.asarray(start_t, dtype=float) + [0.0, 0.0, 1.0]
@@ -87,8 +87,7 @@ def moved_scene(scene: Scene, rot: np.ndarray, shift) -> Scene:
                            b.world.link_spec, b.world.excluded)
     return replace(scene, base=replace(
         b, world=world,
-        robot=DualArm(left=ArmModel(pose(b.robot.left.base)),
-                      right=ArmModel(pose(b.robot.right.base))),
+        robot=DualArm(left=pose(b.robot.left), right=pose(b.robot.right)),
         balancer=replace(b.balancer, anchor=rot @ b.balancer.anchor + shift),
         start_pose=pose(b.start_pose), goal_pose=pose(b.goal_pose),
         handover_poses=tuple(map(pose, b.handover_poses))))

@@ -320,19 +320,22 @@ def closed_form_ik(base: Pose, target_r, target_t) -> np.ndarray:
     return out
 
 
-def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None):
+def sequential_ik_batch(base, target_r, target_t, seed_config, opts, groups=None):
     """ik_batch as one loop over the attempts, run one after another.
 
-    Attempt 0 starts every target from its seed; each later attempt
-    draws a (group size, 6) block from each group's own
-    np.random.default_rng(opts.seed) and restarts the targets still
-    unsolved, until all are solved or opts.restarts attempts have run.
-    No target is pruned, so a target that the reach tests wrongly
-    flag but the loop solves shows up as a difference.
+    base is (base_r, base_t), one base for every target or one per
+    target, as ik_batch takes it.  Attempt 0 starts every target from
+    its seed; each later attempt draws a (group size, 6) block from each
+    group's own np.random.default_rng(opts.seed) and restarts the
+    targets still unsolved, until all are solved or opts.restarts
+    attempts have run.  No target is pruned, so a target that the reach
+    tests wrongly flag but the loop solves shows up as a difference.
     """
     target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
     target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
     b = target_r.shape[0]
+    base_r = np.broadcast_to(np.asarray(base[0], dtype=float), (b, 3, 3))
+    base_t = np.broadcast_to(np.asarray(base[1], dtype=float), (b, 3))
     sizes = [b] if groups is None else list(groups)
     rngs = [np.random.default_rng(opts.seed) for _ in sizes]
     eye = rb._IK_DAMPING * rb._IK_DAMPING * np.eye(6)
@@ -350,7 +353,7 @@ def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None)
             idx = np.nonzero(~solved)[0]
             if idx.size == 0:
                 break
-            cur_r, cur_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t,
+            cur_r, cur_t, origins, axes = rb.fk_chain_batch(base_r[idx], base_t[idx],
                                                             q[idx])
             e_pos = target_t[idx] - cur_t
             e_rot = rot_to_rotvec(target_r[idx] @ cur_r.transpose(0, 2, 1))
@@ -373,7 +376,7 @@ def sequential_ik_batch(arm, target_r, target_t, seed_config, opts, groups=None)
     return solution, solved
 
 
-def lone_attempt_schedule(arm, target_r, target_t, seed_config, opts, groups=None):
+def lone_attempt_schedule(base, target_r, target_t, seed_config, opts, groups=None):
     """Active (seed, restart) rows (2, J + max_iters + 1) at each
     iteration of ik_batch's joined loop, from each attempt run alone.
 
@@ -385,7 +388,8 @@ def lone_attempt_schedule(arm, target_r, target_t, seed_config, opts, groups=Non
     iterations: seeds from 0; the restarts of a target whose seed has
     not met the tolerances before J = min(_IK_RESTART_AFTER, max_iters
     + 1) from J, each up to the iteration at which an earlier attempt of
-    its target meets them.  No target may be beyond reach.
+    its target meets them.  No target may be beyond reach.  base is as
+    sequential_ik_batch takes it.
     """
     target_r = np.asarray(target_r, dtype=float).reshape(-1, 3, 3)
     target_t = np.asarray(target_t, dtype=float).reshape(-1, 3)
@@ -399,12 +403,14 @@ def lone_attempt_schedule(arm, target_r, target_t, seed_config, opts, groups=Non
                                           for rng, g in zip(rngs, sizes)])
                           for _ in range(k - 1)])
     tr, tt = np.tile(target_r, (k, 1, 1)), np.tile(target_t, (k, 1))
+    br = np.tile(np.broadcast_to(np.asarray(base[0], dtype=float), (b, 3, 3)), (k, 1, 1))
+    bt = np.tile(np.broadcast_to(np.asarray(base[1], dtype=float), (b, 3)), (k, 1))
     steps, met = np.zeros(k * b, dtype=int), np.zeros(k * b, dtype=bool)
     alive, saved = np.ones(k * b, dtype=bool), q.copy()
     for step in range(opts.max_iters + 1):
         idx = np.nonzero(alive)[0]
         steps[idx] += 1
-        cur_r, cur_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, q[idx])
+        cur_r, cur_t, origins, axes = rb.fk_chain_batch(br[idx], bt[idx], q[idx])
         e_pos = tt[idx] - cur_t
         e_rot = rot_to_rotvec(tr[idx] @ cur_r.transpose(0, 2, 1))
         done = ((np.linalg.norm(e_pos, axis=1) < opts.pos_tol)
@@ -595,17 +601,18 @@ def per_pair_station_solve(problems, options, constrained: bool = False):
                     jobs.append((key, side, problem, pose))
     if not jobs:
         return np.empty((0, 3, 3)), np.empty((0, 3)), {}
-    targets, sizes = [], []
-    for _, _, problem, pose in jobs:
+    targets, bases, sizes = [], [], []
+    for _, side, problem, pose in jobs:
         rots, points, _ = per_grasp_sample_grasps(
             problem.tool, options.axial_samples, options.roll_samples,
             options.grasp_inset)
         targets += [compose(pose, Pose(r, t)) for r, t in zip(rots, points)]
+        bases += [getattr(problem.robot, side)] * len(rots)
         sizes.append(len(rots))
     target_r = np.stack([t.r for t in targets])
     target_t = np.stack([t.t for t in targets])
     sols, ok = rb.ik_batch(
-        [problem.robot.arm(side) for _, side, problem, _ in jobs],
+        (np.stack([p.r for p in bases]), np.stack([p.t for p in bases])),
         target_r, target_t,
         np.repeat([problem.home(side) for _, side, problem, _ in jobs],
                   sizes, axis=0),

@@ -160,6 +160,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             make_balancer(cable_radius=-0.01)
 
+    @pytest.mark.parametrize("name", ["max_load", "cable_radius"])
+    def test_balancer_rejects_an_infinite_load_or_radius(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            make_balancer(**{name: math.inf})
+
     @pytest.mark.parametrize("anchor", [[math.nan, 0.0, 1.6], [0.0, 0.0, math.inf]])
     def test_balancer_rejects_a_non_finite_anchor(self, anchor):
         with pytest.raises(ValueError, match="anchor must be finite"):

@@ -25,7 +25,7 @@ from tetherplan.collision import (
 )
 from tetherplan.cable import CABLE
 from tetherplan.geometry import Pose, rpy_to_rot
-from tetherplan.robot import ArmModel, DualArm, fk_chain_batch
+from tetherplan.robot import DualArm, fk_chain_batch
 from tetherplan.scene import default_scene
 
 from helpers import HOME_LEFT, HOME_RIGHT, make_problem
@@ -226,8 +226,8 @@ class TestSegmentBox:
 
 
 def make_robot():
-    left = ArmModel(Pose(np.eye(3), [0.0, 0.25, 0.0]))
-    right = ArmModel(Pose(np.eye(3), [0.0, -0.25, 0.0]))
+    left = Pose(np.eye(3), [0.0, 0.25, 0.0])
+    right = Pose(np.eye(3), [0.0, -0.25, 0.0])
     return DualArm(left=left, right=right)
 
 
@@ -260,7 +260,7 @@ class TestWorld:
     def test_static_capsule_through_arm_is_named(self):
         robot = make_robot()
         q = np.zeros(6)
-        pts = fk_chain_batch(robot.left.base.r, robot.left.base.t, q)[2][0]
+        pts = fk_chain_batch(robot.left.r, robot.left.t, q)[2][0]
         elbow = 0.5 * (pts[2] + pts[3])
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar})
@@ -272,7 +272,7 @@ class TestWorld:
     def test_excluded_pair_is_ignored(self):
         robot = make_robot()
         q = np.zeros(6)
-        pts = fk_chain_batch(robot.left.base.r, robot.left.base.t, q)[2][0]
+        pts = fk_chain_batch(robot.left.r, robot.left.t, q)[2][0]
         elbow = 0.5 * (pts[2] + pts[3])
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar},
@@ -300,7 +300,7 @@ class TestWorld:
         rng = np.random.default_rng(13)
         qs_l = rng.uniform(-1.0, 1.0, (5, 6))
         qs_r = rng.uniform(-1.0, 1.0, (5, 6))
-        rot, tcp, _, _ = fk_chain_batch(robot.left.base.r, robot.left.base.t, qs_l)
+        rot, tcp, _, _ = fk_chain_batch(robot.left.r, robot.left.t, qs_l)
         held = [Capsule(t - 0.05 * r[:, 2], t + 0.25 * r[:, 2], 0.02)
                 for r, t in zip(rot, tcp)]
         tool_hits = 0
@@ -363,9 +363,9 @@ class TestWorld:
         assert rows == [14]
         assert links.shape == (7, 12, 2, 3)
         assert tcp_r.shape == (2, 7, 3, 3) and tcp_t.shape == (2, 7, 3)
-        for arm, (model, q) in enumerate(((robot.left, q_left), (robot.right, q_right))):
+        for arm, (base, q) in enumerate(((robot.left, q_left), (robot.right, q_right))):
             # Each arm's poses are its FK alone, bit for bit.
-            rot, tcp, _, _ = chain(model.base.r, model.base.t, q)
+            rot, tcp, _, _ = chain(base.r, base.t, q)
             assert np.array_equal(tcp_r[arm], rot) and np.array_equal(tcp_t[arm], tcp)
             # Its last link ends at the palm point, set back from the TCP.
             palm = tcp_t[arm] - spec.palm_setback * tcp_r[arm][:, :, 2]
@@ -393,7 +393,7 @@ def assert_matches_dense(world, robot, q_left, q_right, *attach):
 
 def held_tool(robot, q_left):
     """A capsule held along the left arm's approach axis: the attach args."""
-    rot, tcp, _, _ = fk_chain_batch(robot.left.base.r, robot.left.base.t, q_left)
+    rot, tcp, _, _ = fk_chain_batch(robot.left.r, robot.left.t, q_left)
     axis = rot[:, :, 2]
     segs = np.stack([tcp - 0.05 * axis, tcp + 0.25 * axis], axis=1)[:, None]
     return segs, [0.02], ["tool"]
@@ -853,10 +853,10 @@ import numpy as np
 from tetherplan.collision import (ArmLinkSpec, Box, Capsule, CollisionWorld,
                                   arm_link_segments, motion_clearances)
 from tetherplan.geometry import Pose, rot_x, rot_y, rot_z
-from tetherplan.robot import ArmModel, DualArm
+from tetherplan.robot import DualArm
 tilt = np.einsum("ij,jk->ik", rot_x(0.4), rot_y(-0.3))
-robot = DualArm(left=ArmModel(Pose(tilt, [0.0, 0.25, 0.0])),
-                right=ArmModel(Pose(rot_z(0.2), [0.0, -0.25, 0.0])))
+robot = DualArm(left=Pose(tilt, [0.0, 0.25, 0.0]),
+                right=Pose(rot_z(0.2), [0.0, -0.25, 0.0]))
 crate = Box(Pose(np.einsum("ij,jk->ik", rot_z(0.5), rot_x(0.3)),
                  [0.3, 0.0, 0.3]), [0.1, 0.15, 0.05])
 world = CollisionWorld(

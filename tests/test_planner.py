@@ -31,7 +31,7 @@ from tetherplan.planner import (
     sample_grasps,
     solve_stations,
 )
-from tetherplan.robot import ArmModel, DualArm, fk_chain_batch
+from tetherplan.robot import DualArm, fk_chain_batch
 from tetherplan.scene import default_scene
 
 
@@ -128,6 +128,28 @@ class TestInterp:
         # rows, and the motion between them would go unchecked.
         with pytest.raises(ValueError, match="interp_step must be positive and finite"):
             PlannerOptions(interp_step=step)
+
+    @pytest.mark.parametrize("inset", [0.0, -0.01, math.inf, math.nan])
+    def test_options_reject_an_inset_that_is_not_positive_and_finite(self, inset):
+        with pytest.raises(ValueError, match="grasp_inset must be positive and finite"):
+            PlannerOptions(grasp_inset=inset)
+
+    @pytest.mark.parametrize("separation", [-0.01, math.inf, math.nan])
+    def test_options_reject_a_separation_that_is_negative_or_not_finite(self, separation):
+        # A NaN separation compares false with every distance, so no
+        # handover pair would be kept apart.
+        with pytest.raises(ValueError, match="min_handover_separation must be finite"):
+            PlannerOptions(min_handover_separation=separation)
+        PlannerOptions(min_handover_separation=0.0)
+
+
+@pytest.mark.parametrize("home", ["home_left", "home_right"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problem_rejects_a_non_finite_home(home, bad):
+    problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
+    q = np.where(np.arange(6) == 2, bad, getattr(problem, home))
+    with pytest.raises(ValueError, match="home_left and home_right must be finite"):
+        replace(problem, **{home: q})
 
 
 @pytest.mark.parametrize("pose", ["start_pose", "goal_pose", "handover_poses"])
@@ -539,10 +561,10 @@ class TestCacheBinding:
         problem = scene.problem(scene.pitch_rows[0], scene.roll_cols[0])
         cache = PlanCache()
         motion = plan(problem, True, scene.options, cache).plan
-        left = problem.robot.left.base
+        left = problem.robot.left
         other = {
             "robot": lambda: replace(problem, robot=DualArm(
-                left=ArmModel(Pose(left.r, left.t + [0.0, 0.05, 0.0])),
+                left=Pose(left.r, left.t + [0.0, 0.05, 0.0]),
                 right=problem.robot.right)),
             "tool": lambda: replace(problem, tool=replace(
                 problem.tool, handle_b=problem.tool.handle_b + [0.0, 0.0, 0.01])),
@@ -610,7 +632,7 @@ class TestEdgeValidation:
     def test_collision_before_bend_wins(self):
         problem, search = self._search()
         start = problem.start_pose
-        palm = fk_chain_batch(problem.robot.left.base.r, problem.robot.left.base.t,
+        palm = fk_chain_batch(problem.robot.left.r, problem.robot.left.t,
                               problem.home_left)[1][0]
         built = self._fabricate(
             problem,
@@ -623,7 +645,7 @@ class TestEdgeValidation:
     def test_bend_at_same_row_outranks_collision(self):
         problem, search = self._search()
         start = problem.start_pose
-        palm = fk_chain_batch(problem.robot.left.base.r, problem.robot.left.base.t,
+        palm = fk_chain_batch(problem.robot.left.r, problem.robot.left.t,
                               problem.home_left)[1][0]
         built = self._fabricate(
             problem,

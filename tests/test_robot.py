@@ -20,12 +20,12 @@ from tetherplan.scene import default_scene
 
 @pytest.fixture
 def arm():
-    return rb.ArmModel()
+    return Pose()
 
 
 def test_fk_zero_config_hand_composed_chain(arm):
     # Chain offsets sum plus the TCP offset, orientation = TCP rotation.
-    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, np.zeros(6))
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.r, arm.t, np.zeros(6))
     expected_t = np.array([
         0.0 - 0.24365 - 0.21325,
         0.0 - 0.11235 - 0.0819,
@@ -38,7 +38,7 @@ def test_fk_zero_config_hand_composed_chain(arm):
 def test_fk_single_joint_rotation_spins_about_base_axis(arm):
     delta = 0.7
     rot, tcp, _, _ = rb.fk_chain_batch(
-        arm.base.r, arm.base.t, np.array([[0.0] * 6, [delta, 0, 0, 0, 0, 0]]))
+        arm.r, arm.t, np.array([[0.0] * 6, [delta, 0, 0, 0, 0, 0]]))
     spin = rot_z(delta)
     assert np.allclose(tcp[1], spin @ tcp[0], atol=1e-12)
     assert np.allclose(rot[1], spin @ rot[0], atol=1e-12)
@@ -46,10 +46,10 @@ def test_fk_single_joint_rotation_spins_about_base_axis(arm):
 
 def test_fk_matches_matrix_product_oracle(arm):
     rng = np.random.default_rng(42)
-    base_m = homogeneous(arm.base.r, arm.base.t)
+    base_m = homogeneous(arm.r, arm.t)
     tcp_m = homogeneous(rb._UR3_TCP.r, rb._UR3_TCP.t)
     qs = np.stack([rng.uniform(-math.pi, math.pi, size=6) for _ in range(50)])
-    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     for q, r, t in zip(qs, rot, tcp):
         expected = fk_matrix_product(base_m, rb._UR3_AXES, rb._UR3_OFFSETS, tcp_m, q)
         assert np.allclose(homogeneous(r, t), expected, atol=1e-9)
@@ -100,13 +100,12 @@ def test_dual_arm_bases_serve_each_arm_in_one_call():
     # per-row bases, against fk_chain_batch of each arm's rows.
     rng = np.random.default_rng(78)
     (r_left, r_right), (t_left, t_right) = _random_bases(rng, 2)
-    robot = rb.DualArm(rb.ArmModel(Pose(r_left, t_left)),
-                       rb.ArmModel(Pose(r_right, t_right)))
+    robot = rb.DualArm(Pose(r_left, t_left), Pose(r_right, t_right))
     qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (60, 6))
     right = rng.random(60) < 0.5
     both = rb.fk_chain_batch(*robot.bases(right), qs)
     for arm, rows in ((robot.left, ~right), (robot.right, right)):
-        alone = rb.fk_chain_batch(arm.base.r, arm.base.t, qs[rows])
+        alone = rb.fk_chain_batch(arm.r, arm.t, qs[rows])
         assert all(np.array_equal(b[rows], a) for b, a in zip(both, alone))
 
 
@@ -166,33 +165,33 @@ def test_fk_matches_published_dh_table(arm):
 
     rng = np.random.default_rng(7)
     qs = np.stack([rng.uniform(-math.pi, math.pi, size=6) for _ in range(50)])
-    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     for q, r, t in zip(qs, rot, tcp):
         assert np.allclose(homogeneous(r, t), dh_fk(q), atol=1e-9)
 
 
 def test_fk_deterministic(arm):
     q = np.array([0.3, -1.1, 0.7, 0.2, -0.4, 1.9])
-    a = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
-    b = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
+    a = rb.fk_chain_batch(arm.r, arm.t, q)
+    b = rb.fk_chain_batch(arm.r, arm.t, q)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def _pose_function(arm):
     def f(q):
-        return rb.fk_chain_batch(arm.base.r, arm.base.t, q)[1][0]
+        return rb.fk_chain_batch(arm.r, arm.t, q)[1][0]
     return f
 
 
 def _orientation_columns_ok(arm, q):
-    _, tcp, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
+    _, tcp, origins, axes = rb.fk_chain_batch(arm.r, arm.t, q)
     jac = rb._chain_jacobian(tcp, origins, axes)[0]
     return np.allclose(jac[3:, :], axes[0].T, atol=1e-12)
 
 
 def test_jacobian_zero_config_finite_difference(arm):
     q = np.zeros(6)
-    jac = rb._chain_jacobian(*rb.fk_chain_batch(arm.base.r, arm.base.t, q)[1:])[0]
+    jac = rb._chain_jacobian(*rb.fk_chain_batch(arm.r, arm.t, q)[1:])[0]
     fd = central_difference_jacobian(_pose_function(arm), q)
     scale = max(1.0, np.abs(fd).max())
     assert np.max(np.abs(jac[:3] - fd)) / scale < 1e-4
@@ -207,13 +206,13 @@ def test_jacobian_angular_rows_are_world_axes(arm):
 def test_jacobian_random_configs_vs_finite_difference(arm):
     rng = np.random.default_rng(17)
     qs = np.stack([rng.uniform(-math.pi, math.pi, size=6) for _ in range(100)])
-    rot, tcp, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rot, tcp, origins, axes = rb.fk_chain_batch(arm.r, arm.t, qs)
     worst = 0.0
     for q, jac, base in zip(qs, rb._chain_jacobian(tcp, origins, axes), rot):
         fd_lin = central_difference_jacobian(_pose_function(arm), q)
 
         def rotvec_about(qq, base=base):
-            return rot_to_rotvec(rb.fk_chain_batch(arm.base.r, arm.base.t, qq)[0][0] @ base.T)
+            return rot_to_rotvec(rb.fk_chain_batch(arm.r, arm.t, qq)[0][0] @ base.T)
 
         fd_ang = central_difference_jacobian(rotvec_about, q)
         fd = np.vstack([fd_lin, fd_ang])
@@ -224,8 +223,8 @@ def test_jacobian_random_configs_vs_finite_difference(arm):
 
 def test_ik_fixed_point_returns_seed(arm):
     q0 = np.array([0.4, -1.2, 1.0, -0.5, 0.8, 0.1])
-    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, q0)
-    got, ok = rb.ik_batch(arm, rot, tcp, q0)
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.r, arm.t, q0)
+    got, ok = rb.ik_batch((arm.r, arm.t), rot, tcp, q0)
     assert ok[0]
     assert np.allclose(got[0], q0, atol=1e-12)
 
@@ -237,12 +236,12 @@ def test_ik_round_trip_random_targets(arm):
     trials = 40
     for _ in range(trials):
         q0 = rng.uniform(-math.pi, math.pi, size=6)
-        target_r, target_t, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, q0)
+        target_r, target_t, _, _ = rb.fk_chain_batch(arm.r, arm.t, q0)
         seed = rng.uniform(-math.pi, math.pi, size=6)
-        q, ok = rb.ik_batch(arm, target_r, target_t, seed, opts)
+        q, ok = rb.ik_batch((arm.r, arm.t), target_r, target_t, seed, opts)
         if not ok[0]:
             continue
-        got_r, got_t, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, q)
+        got_r, got_t, _, _ = rb.fk_chain_batch(arm.r, arm.t, q)
         assert np.linalg.norm(got_t[0] - target_t[0]) < 1e-4
         assert np.linalg.norm(rot_to_rotvec(target_r[0] @ got_r[0].T)) < 1e-3
         assert in_limits(q[0])
@@ -252,21 +251,34 @@ def test_ik_round_trip_random_targets(arm):
 
 def test_ik_unreachable_target_returns_none(arm):
     opts = rb.IKOptions(restarts=2, max_iters=50)
-    q, ok = rb.ik_batch(arm, np.eye(3), np.array([10.0, 0.0, 0.0]), np.zeros(6), opts)
+    q, ok = rb.ik_batch((arm.r, arm.t), np.eye(3), np.array([10.0, 0.0, 0.0]),
+                        np.zeros(6), opts)
     assert not ok[0] and not q.any()
 
 
 def test_dual_arm_requires_distinct_bases(arm):
     with pytest.raises(ValueError):
         rb.DualArm(left=arm, right=arm)
-    other = rb.ArmModel(Pose(np.eye(3), np.array([0.0, -0.4, 0.0])))
+    other = Pose(np.eye(3), np.array([0.0, -0.4, 0.0]))
     rb.DualArm(left=arm, right=other)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("part", ["r", "t"])
+def test_dual_arm_rejects_a_non_finite_base(side, part):
+    bases = {"left": Pose(np.eye(3), [0.0, 0.25, 0.0]),
+             "right": Pose(np.eye(3), [0.0, -0.25, 0.0])}
+    bad = getattr(bases[side], part).copy()
+    bad.flat[0] = math.nan
+    bases[side] = replace(bases[side], **{part: bad})
+    with pytest.raises(ValueError, match="arm base poses must be finite"):
+        rb.DualArm(**bases)
 
 
 def test_fk_chain_batch_returns_unit_joint_axes(arm):
     rng = np.random.default_rng(40)
     qs = rng.uniform(-2.0, 2.0, (20, 6))
-    _, _, _, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    _, _, _, axes = rb.fk_chain_batch(arm.r, arm.t, qs)
     assert axes.shape == (20, 6, 3)
     assert np.allclose(np.linalg.norm(axes, axis=2), 1.0)
 
@@ -276,11 +288,11 @@ def test_fk_at_a_base_is_the_base_composed_with_fk_at_the_origin(arm):
     # a rigid transform applied after the chain.
     rng = np.random.default_rng(39)
     qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (50, 6))
-    rot0, tcp0, origins0, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rot0, tcp0, origins0, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     for _ in range(10):
         moved = _random_base_ur3(rng)
-        r, t = moved.base.r, moved.base.t
-        rot, tcp, origins, _ = rb.fk_chain_batch(moved.base.r, moved.base.t, qs)
+        r, t = moved.r, moved.t
+        rot, tcp, origins, _ = rb.fk_chain_batch(moved.r, moved.t, qs)
         assert np.allclose(rot, r @ rot0, rtol=0, atol=1e-12)
         assert np.allclose(tcp, tcp0 @ r.T + t, rtol=0, atol=1e-12)
         assert np.allclose(origins, origins0 @ r.T + t, rtol=0, atol=1e-12)
@@ -315,11 +327,11 @@ def test_rotvec_batch_matches_scalar():
 def test_ik_batch_solves_reachable_targets(arm):
     rng = np.random.default_rng(43)
     qs = rng.uniform(-1.2, 1.2, (30, 6))
-    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     opts = rb.IKOptions(seed=5)
-    sol, ok = rb.ik_batch(arm, rots, ts, np.zeros(6), opts)
+    sol, ok = rb.ik_batch((arm.r, arm.t), rots, ts, np.zeros(6), opts)
     assert ok.sum() >= 28
-    sol_r, sol_t, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, sol)
+    sol_r, sol_t, _, _ = rb.fk_chain_batch(arm.r, arm.t, sol)
     for i in np.nonzero(ok)[0]:
         assert np.linalg.norm(sol_t[i] - ts[i]) < opts.pos_tol
         assert np.linalg.norm(rot_to_rotvec(rots[i] @ sol_r[i].T)) < opts.ori_tol
@@ -329,9 +341,9 @@ def test_ik_batch_solves_reachable_targets(arm):
 def test_ik_batch_is_deterministic(arm):
     rng = np.random.default_rng(44)
     qs = rng.uniform(-1.0, 1.0, (10, 6))
-    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
-    s1, ok1 = rb.ik_batch(arm, rots, ts, np.zeros(6), rb.IKOptions(seed=9))
-    s2, ok2 = rb.ik_batch(arm, rots, ts, np.zeros(6), rb.IKOptions(seed=9))
+    rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
+    s1, ok1 = rb.ik_batch((arm.r, arm.t), rots, ts, np.zeros(6), rb.IKOptions(seed=9))
+    s2, ok2 = rb.ik_batch((arm.r, arm.t), rots, ts, np.zeros(6), rb.IKOptions(seed=9))
     assert np.array_equal(ok1, ok2)
     assert np.array_equal(s1, s2)
 
@@ -339,7 +351,7 @@ def test_ik_batch_is_deterministic(arm):
 def test_ik_batch_flags_unreachable(arm):
     rots = np.stack([np.eye(3), np.eye(3)])
     ts = np.array([[10.0, 0.0, 0.0], [0.3, 0.1, 0.4]])
-    sol, ok = rb.ik_batch(arm, rots, ts, np.zeros(6),
+    sol, ok = rb.ik_batch((arm.r, arm.t), rots, ts, np.zeros(6),
                           rb.IKOptions(restarts=2, max_iters=60, seed=1))
     assert not ok[0]
 
@@ -347,8 +359,8 @@ def test_ik_batch_flags_unreachable(arm):
 def test_ik_batch_per_target_seed_rows(arm):
     rng = np.random.default_rng(45)
     qs = rng.uniform(-1.0, 1.0, (6, 6))
-    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
-    sol, ok = rb.ik_batch(arm, rots, ts, qs, rb.IKOptions(seed=2))
+    rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
+    sol, ok = rb.ik_batch((arm.r, arm.t), rots, ts, qs, rb.IKOptions(seed=2))
     assert ok.all()
     # Seeding each row with its own exact solution must return it unchanged.
     assert np.allclose(sol, qs)
@@ -358,7 +370,7 @@ def _mixed_targets(arm):
     """14 targets: rows 0-10 reachable, rows 11-13 far out of reach."""
     rng = np.random.default_rng(46)
     qs = rng.uniform(-1.5, 1.5, (14, 6))
-    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     ts[11:] += [2.0, 0.0, 0.0]
     seeds = rng.uniform(-1.0, 1.0, (14, 6))
     return rots, ts, seeds
@@ -373,10 +385,10 @@ def test_grouped_ik_batch_equals_per_group_calls(arm, split_seed):
                               replace=False))
     sizes = [1] + np.diff([1, *cuts, 11]).tolist() + [3]
     opts = rb.IKOptions(restarts=3, max_iters=50, seed=7)
-    q, ok = rb.ik_batch(arm, rots, ts, seeds, opts, sizes)
+    q, ok = rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts, sizes)
     lo = 0
     for n in sizes:
-        qg, okg = rb.ik_batch(arm, rots[lo:lo + n], ts[lo:lo + n],
+        qg, okg = rb.ik_batch((arm.r, arm.t), rots[lo:lo + n], ts[lo:lo + n],
                               seeds[lo:lo + n], opts)
         assert np.array_equal(q[lo:lo + n], qg)
         assert np.array_equal(ok[lo:lo + n], okg)
@@ -388,17 +400,17 @@ def test_grouped_ik_batch_equals_per_group_calls(arm, split_seed):
 def test_ik_batch_default_is_one_group(arm):
     rots, ts, seeds = _mixed_targets(arm)
     opts = rb.IKOptions(restarts=2, max_iters=40, seed=3)
-    q1, ok1 = rb.ik_batch(arm, rots, ts, seeds, opts)
-    q2, ok2 = rb.ik_batch(arm, rots, ts, seeds, opts, [14])
+    q1, ok1 = rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts)
+    q2, ok2 = rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts, [14])
     assert np.array_equal(q1, q2)
     assert np.array_equal(ok1, ok2)
     with pytest.raises(ValueError):
-        rb.ik_batch(arm, rots, ts, seeds, opts, [10, 3])
+        rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts, [10, 3])
 
 
 def test_ik_batch_unsolved_rows_are_zero(arm):
     rots, ts, seeds = _mixed_targets(arm)
-    q, ok = rb.ik_batch(arm, rots, ts, seeds,
+    q, ok = rb.ik_batch((arm.r, arm.t), rots, ts, seeds,
                         rb.IKOptions(restarts=2, max_iters=30, seed=1))
     assert not ok.all()
     assert np.all(q[~ok] == 0.0)
@@ -408,9 +420,9 @@ def test_filtered_chain_jacobian_equals_jacobian_batch(arm):
     rng = np.random.default_rng(47)
     qs = rng.uniform(-2.0, 2.0, (25, 6))
     keep = rng.random(25) < 0.6
-    _, tcp_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    _, tcp_t, origins, axes = rb.fk_chain_batch(arm.r, arm.t, qs)
     jac = rb._chain_jacobian(tcp_t[keep], origins[keep], axes[keep])
-    _, tcp_t, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs[keep])
+    _, tcp_t, origins, axes = rb.fk_chain_batch(arm.r, arm.t, qs[keep])
     assert np.array_equal(jac, rb._chain_jacobian(tcp_t, origins, axes))
 
 
@@ -423,7 +435,7 @@ _UR3_WRIST_REACH = math.hypot(0.24365 + 0.21325 + 0.08535, 0.11235)
 def _random_base_ur3(rng):
     axis = rng.normal(size=3)
     rot = rot_axis_angle(axis / np.linalg.norm(axis), rng.uniform(-math.pi, math.pi))
-    return rb.ArmModel(Pose(rot, rng.uniform(-1.0, 1.0, 3)))
+    return Pose(rot, rng.uniform(-1.0, 1.0, 3))
 
 
 def _stretched_configs(rng, n):
@@ -436,7 +448,7 @@ def _stretched_configs(rng, n):
 
 def _shoulder_and_wrist(arm, qs):
     """FK joint-2 and joint-6 origins (W, 3) of each configuration."""
-    _, _, origins, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    _, _, origins, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     return origins[:, 2], origins[:, 6]
 
 
@@ -470,8 +482,8 @@ def test_reach_prune_never_flags_a_reachable_target(arm_seed):
     qs = np.vstack([_elbow_configs(rng, 200), stretched])
     assert np.all(_wrist_distance(arm, stretched) > _UR3_WRIST_REACH - 1e-3)
     assert np.all(_wrist_distance(arm, qs) <= _UR3_WRIST_REACH + 1e-12)
-    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
-    assert not rb._beyond_reach(arm, rots, ts, opts).any()
+    rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
+    assert not rb._beyond_reach(arm.r, arm.t, rots, ts, opts).any()
     # Targets moved and turned by just under the acceptance tolerances:
     # some leave the bare bounds, none may be flagged.
     steps = rng.normal(size=ts.shape)
@@ -480,8 +492,8 @@ def test_reach_prune_never_flags_a_reachable_target(arm_seed):
                       for a in rng.normal(size=ts.shape)])
     moved_r, moved_t = turns @ rots, ts + steps
     exact = rb.IKOptions(pos_tol=0.0, ori_tol=0.0)
-    assert rb._beyond_reach(arm, moved_r, moved_t, exact).any()
-    assert not rb._beyond_reach(arm, moved_r, moved_t, opts).any()
+    assert rb._beyond_reach(arm.r, arm.t, moved_r, moved_t, exact).any()
+    assert not rb._beyond_reach(arm.r, arm.t, moved_r, moved_t, opts).any()
 
 
 def test_reach_prune_bound_is_tight():
@@ -490,20 +502,20 @@ def test_reach_prune_bound_is_tight():
     opts = rb.IKOptions()
     slack = opts.pos_tol + opts.ori_tol * np.linalg.norm(rb._UR3_TCP.t)
     qs = _stretched_configs(rng, 50)
-    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     shoulder, wrist = _shoulder_and_wrist(arm, qs)
     dist = np.linalg.norm(wrist - shoulder, axis=1, keepdims=True)
     outward = (wrist - shoulder) / dist
     # Translating a target moves its wrist point by the same vector.
     for margin, flagged in ((-1e-6, False), (1e-6, True)):
         push = (_UR3_WRIST_REACH + slack + margin - dist) * outward
-        assert np.all(rb._beyond_reach(arm, rots, ts + push, opts) == flagged)
+        assert np.all(rb._beyond_reach(arm.r, arm.t, rots, ts + push, opts) == flagged)
 
 
 def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
     rng = np.random.default_rng(48)
     q0 = rng.uniform(-1.5, 1.5, 6)
-    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, q0)
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.r, arm.t, q0)
     rows = []
     chain = rb.fk_chain_batch
 
@@ -512,10 +524,10 @@ def test_pruned_target_costs_no_fk_rows(arm, monkeypatch):
         return chain(base_r, base_t, qs)
 
     monkeypatch.setattr(rb, "fk_chain_batch", counted)
-    q1, ok1 = rb.ik_batch(arm, rot, tcp, q0 + 0.1)
+    q1, ok1 = rb.ik_batch((arm.r, arm.t), rot, tcp, q0 + 0.1)
     alone = sum(rows)
     rows.clear()
-    q2, ok2 = rb.ik_batch(arm, np.concatenate([rot, rot]),
+    q2, ok2 = rb.ik_batch((arm.r, arm.t), np.concatenate([rot, rot]),
                           np.concatenate([tcp, tcp + [2.0, 0.0, 0.0]]),
                           q0 + 0.1, groups=[1, 1])
     assert ok1[0] and alone > 0
@@ -568,7 +580,7 @@ def _ik_call(case):
     qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (b, 6))
     near = rng.random(b) < 0.25
     qs[near] = _stretched_configs(rng, int(near.sum()))
-    rots, ts, origins, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rots, ts, origins, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     outward = origins[:, 6] - origins[:, 2]
     outward /= np.linalg.norm(outward, axis=1, keepdims=True)
     ts[near] += rng.uniform(0.0, 1e-3, (int(near.sum()), 1)) * outward[near]
@@ -576,7 +588,7 @@ def _ik_call(case):
     rots[far] = np.array([rot_axis_angle(a / np.linalg.norm(a),
                                          rng.uniform(-math.pi, math.pi))
                           for a in rng.normal(size=(int(far.sum()), 3))]).reshape(-1, 3, 3)
-    ts[far] = arm.base.t + rng.uniform(-0.6, 0.6, (int(far.sum()), 3))
+    ts[far] = arm.t + rng.uniform(-0.6, 0.6, (int(far.sum()), 3))
     ts[far & (rng.random(b) < 0.3)] += [2.0, 0.0, 0.0]
     seeds = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (b, 6))
     exact = rng.random(b) < 0.3
@@ -594,8 +606,8 @@ def _ik_call(case):
 @pytest.mark.parametrize("case", range(17))
 def test_ik_batch_equals_sequential_restarts(case):
     arm, rots, ts, seeds, opts, sizes = _ik_call(case)
-    q, ok = rb.ik_batch(arm, rots, ts, seeds, opts, sizes)
-    q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts, sizes)
+    q, ok = rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts, sizes)
+    q_ref, ok_ref = sequential_ik_batch((arm.r, arm.t), rots, ts, seeds, opts, sizes)
     assert np.array_equal(ok, ok_ref)
     assert np.array_equal(q, q_ref)
 
@@ -605,11 +617,11 @@ def test_ik_batch_equals_sequential_restarts_on_late_solves(arm):
     # solved by a restart, often by more than one of them.
     rng = np.random.default_rng(50)
     rots, ts, _, _ = rb.fk_chain_batch(
-        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (40, 6)))
+        arm.r, arm.t, rng.uniform(-math.pi, math.pi, (40, 6)))
     seeds = rng.uniform(-math.pi, math.pi, (40, 6))
     opts = rb.IKOptions(max_iters=25, restarts=8, seed=11)
-    q, ok = rb.ik_batch(arm, rots, ts, seeds, opts, [10, 30])
-    q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts, [10, 30])
+    q, ok = rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts, [10, 30])
+    q_ref, ok_ref = sequential_ik_batch((arm.r, arm.t), rots, ts, seeds, opts, [10, 30])
     assert ok_ref.sum() >= 10
     assert np.array_equal(ok, ok_ref)
     assert np.array_equal(q, q_ref)
@@ -636,12 +648,12 @@ def test_ik_rows_that_revisit_a_configuration_stop_early(arm, monkeypatch):
     # every row to max_iters; the batch stops a row at its first repeat.
     rng = np.random.default_rng(51)
     qs = rng.uniform(-math.pi, math.pi, (20, 6))
-    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
     seeds = qs + 0.05 * rng.normal(size=qs.shape)
     opts = rb.IKOptions(pos_tol=0.0, ori_tol=0.0, restarts=1)
     (q, ok), rows = _fk_calls(monkeypatch,
-                              lambda: rb.ik_batch(arm, rots, ts, seeds, opts))
-    q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts)
+                              lambda: rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts))
+    q_ref, ok_ref = sequential_ik_batch((arm.r, arm.t), rots, ts, seeds, opts)
     assert np.array_equal(ok, ok_ref)
     assert np.array_equal(q, q_ref)
     assert sum(rows) < (opts.max_iters + 1) * len(qs)
@@ -653,12 +665,12 @@ def test_ik_batch_fk_calls_end_max_iters_after_the_join(arm, monkeypatch):
     # running.  Either way every row stops after max_iters steps of its own.
     rng = np.random.default_rng(49)
     rots, ts, _, _ = rb.fk_chain_batch(
-        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (12, 6)))
+        arm.r, arm.t, rng.uniform(-math.pi, math.pi, (12, 6)))
     for max_iters in (5, 60):
         opts = rb.IKOptions(max_iters=max_iters, restarts=8, seed=4)
         join = min(rb._IK_RESTART_AFTER, max_iters + 1)
         (_, ok), rows = _fk_calls(
-            monkeypatch, lambda: rb.ik_batch(arm, rots, ts, np.zeros(6), opts))
+            monkeypatch, lambda: rb.ik_batch((arm.r, arm.t), rots, ts, np.zeros(6), opts))
         # A target left unsolved has run all 8 attempts.
         assert not ok.all()
         assert join < len(rows) <= join + max_iters + 1
@@ -683,14 +695,14 @@ def test_ik_batch_schedule_equals_lone_attempts(arm, monkeypatch, opts):
     # by max_iters.
     rng = np.random.default_rng(52)
     rots, ts, _, _ = rb.fk_chain_batch(
-        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (40, 6)))
+        arm.r, arm.t, rng.uniform(-math.pi, math.pi, (40, 6)))
     seeds = rng.uniform(-math.pi, math.pi, (40, 6))
     (q, ok), rows = _fk_calls(
-        monkeypatch, lambda: rb.ik_batch(arm, rots, ts, seeds, opts, [10, 30]))
-    q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts, [10, 30])
+        monkeypatch, lambda: rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts, [10, 30]))
+    q_ref, ok_ref = sequential_ik_batch((arm.r, arm.t), rots, ts, seeds, opts, [10, 30])
     assert np.array_equal(ok, ok_ref)
     assert np.array_equal(q, q_ref)
-    active = lone_attempt_schedule(arm, rots, ts, seeds, opts, [10, 30])
+    active = lone_attempt_schedule((arm.r, arm.t), rots, ts, seeds, opts, [10, 30])
     per_iteration = active.sum(axis=0)
     assert rows == per_iteration[per_iteration > 0].tolist()
     join = min(rb._IK_RESTART_AFTER, opts.max_iters + 1)
@@ -705,7 +717,7 @@ def _single_attempt(arm, rot, t, start, opts, monkeypatch):
     ik_batch without restarts; a row that converges at its step s makes
     s + 1 calls, one per iteration."""
     (q, ok), rows = _fk_calls(monkeypatch, lambda: rb.ik_batch(
-        arm, rot, t, start, replace(opts, restarts=1)))
+        (arm.r, arm.t), rot, t, start, replace(opts, restarts=1)))
     return bool(ok[0]), q[0], len(rows)
 
 
@@ -720,7 +732,7 @@ def _one_target(arm, case):
     """A reachable target (FK of a random configuration) and a random seed."""
     rng = np.random.default_rng(case)
     rot, t, _, _ = rb.fk_chain_batch(
-        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (1, 6)))
+        arm.r, arm.t, rng.uniform(-math.pi, math.pi, (1, 6)))
     return rot, t, rng.uniform(-math.pi, math.pi, 6)
 
 
@@ -737,8 +749,8 @@ def test_seed_converging_after_an_earlier_restart_still_wins(arm, monkeypatch):
                 for start in _restart_starts(opts)]
     # Restarts that converge before the seed, counting from iteration 0.
     assert sum(ok and join + its < seed_its for ok, _, its in attempts) >= 2
-    q, ok = rb.ik_batch(arm, rot, t, seed, opts)
-    q_ref, ok_ref = sequential_ik_batch(arm, rot, t, seed, opts)
+    q, ok = rb.ik_batch((arm.r, arm.t), rot, t, seed, opts)
+    q_ref, ok_ref = sequential_ik_batch((arm.r, arm.t), rot, t, seed, opts)
     assert ok[0] and np.array_equal(ok, ok_ref)
     assert np.array_equal(q, q_ref)
     assert np.array_equal(q[0], seed_q)
@@ -756,8 +768,8 @@ def test_restart_solves_a_target_whose_seed_cycles_before_the_join(arm, monkeypa
     attempts = [_single_attempt(arm, rot, t, start, opts, monkeypatch)
                 for start in _restart_starts(opts)]
     assert attempts[0][0] and attempts[5][0] and attempts[0][2] == attempts[5][2]
-    q, ok = rb.ik_batch(arm, rot, t, seed, opts)
-    q_ref, ok_ref = sequential_ik_batch(arm, rot, t, seed, opts)
+    q, ok = rb.ik_batch((arm.r, arm.t), rot, t, seed, opts)
+    q_ref, ok_ref = sequential_ik_batch((arm.r, arm.t), rot, t, seed, opts)
     assert ok[0] and np.array_equal(ok, ok_ref)
     assert np.array_equal(q, q_ref)
     assert np.array_equal(q[0], attempts[0][1])
@@ -770,7 +782,7 @@ def _arm_share(rng, arm, n_groups):
     sizes = rng.integers(1, 5, size=n_groups).tolist()
     b = sum(sizes)
     rots, ts, _, _ = rb.fk_chain_batch(
-        arm.base.r, arm.base.t, rng.uniform(-math.pi, math.pi, (b, 6)))
+        arm.r, arm.t, rng.uniform(-math.pi, math.pi, (b, 6)))
     ts[rng.random(b) < 0.2] += [2.0, 0.0, 0.0]
     seeds = rng.uniform(-math.pi, math.pi, (b, 6))
     return rots, ts, seeds, sizes
@@ -794,27 +806,57 @@ def test_two_arm_ik_batch_equals_one_call_per_arm(case):
     def stacked(k):
         return np.concatenate([shares[a][k][rows] for a, rows in parts])
 
-    q, ok = rb.ik_batch([arms[a] for a, _ in parts], stacked(0), stacked(1),
-                        stacked(2), opts, [len(rows) for _, rows in parts])
     owner = np.concatenate([[a] * len(rows) for a, rows in parts])
+    q, ok = rb.ik_batch(rb.DualArm(*arms).bases(owner == 1), stacked(0), stacked(1),
+                        stacked(2), opts, [len(rows) for _, rows in parts])
     for a, (arm, (rots, ts, seeds, sizes)) in enumerate(zip(arms, shares)):
         mine = owner == a
         groups = None if n_groups == 1 else sizes
-        q_own, ok_own = rb.ik_batch(arm, rots, ts, seeds, opts, groups)
+        q_own, ok_own = rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts, groups)
         assert np.array_equal(q[mine], q_own)
         assert np.array_equal(ok[mine], ok_own)
-        q_ref, ok_ref = sequential_ik_batch(arm, rots, ts, seeds, opts, groups)
+        q_ref, ok_ref = sequential_ik_batch((arm.r, arm.t), rots, ts, seeds, opts, groups)
         assert np.array_equal(q_own, q_ref)
         assert np.array_equal(ok_own, ok_ref)
     assert ok.any() and not ok.all()
 
 
-def test_ik_batch_takes_one_arm_per_group(arm):
-    rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, np.zeros((2, 6)))
-    moved = rb.ArmModel(Pose(np.eye(3), [0.3, -0.2, 0.1]))
-    rb.ik_batch([arm, moved], rots, ts, np.zeros(6), rb.IKOptions(), [1, 1])
-    with pytest.raises(ValueError, match="3 arms for 2 groups"):
-        rb.ik_batch([arm] * 3, rots, ts, np.zeros(6), rb.IKOptions(), [1, 1])
+@pytest.mark.parametrize("case", range(4))
+def test_ik_batch_mixing_bases_in_a_group_equals_one_base_per_call(case):
+    # Two UR3s at random bases, the arm of each row drawn at random, so
+    # that every group holds rows of both; odd cases make all rows one
+    # group (the ungrouped call).  Each row must get what a call that
+    # gives every row its arm's base gives it.
+    rng = np.random.default_rng(720 + case)
+    robot = rb.DualArm(_random_base_ur3(rng), _random_base_ur3(rng))
+    right = rng.permutation(24) % 2 == 1
+    bases = robot.bases(right)
+    rots, ts, _, _ = rb.fk_chain_batch(*bases, rng.uniform(-math.pi, math.pi, (24, 6)))
+    ts[rng.random(24) < 0.2] += [2.0, 0.0, 0.0]
+    seeds = rng.uniform(-math.pi, math.pi, (24, 6))
+    sizes = None if case % 2 else [6, 10, 8]
+    assert all(0 < r.sum() < r.size for r in np.split(right, [6, 16]))
+    opts = rb.IKOptions(max_iters=25, restarts=1 + case * 2, seed=int(rng.integers(1000)))
+    q, ok = rb.ik_batch(bases, rots, ts, seeds, opts, sizes)
+    for arm, mine in ((robot.left, ~right), (robot.right, right)):
+        q_arm, ok_arm = rb.ik_batch((arm.r, arm.t), rots, ts, seeds, opts, sizes)
+        assert np.array_equal(q[mine], q_arm[mine])
+        assert np.array_equal(ok[mine], ok_arm[mine])
+    q_ref, ok_ref = sequential_ik_batch(bases, rots, ts, seeds, opts, sizes)
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(ok, ok_ref)
+    assert ok.any() and not ok.all()
+
+
+def test_ik_batch_takes_one_base_or_one_per_target(arm):
+    rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, np.zeros((2, 6)))
+    moved = Pose(np.eye(3), [0.3, -0.2, 0.1])
+    _, ok = rb.ik_batch((np.stack([arm.r, moved.r]), np.stack([arm.t, moved.t])),
+                        rots, ts, np.zeros(6), rb.IKOptions(), [1, 1])
+    assert ok[0]
+    with pytest.raises(ValueError, match="broadcast"):
+        rb.ik_batch((np.stack([arm.r] * 3), np.stack([arm.t] * 3)), rots, ts,
+                    np.zeros(6), rb.IKOptions(), [1, 1])
 
 
 def _wrist_targets(arm, rng, rad, height, z6):
@@ -832,10 +874,10 @@ def _wrist_targets(arm, rng, rad, height, z6):
          + np.outer(height, a0))
     tilt = np.cross(axes[5], z6)
     to_z6 = rot_axis_angle(tilt / np.linalg.norm(tilt), math.acos(axes[5] @ z6))
-    flange = np.stack([arm.base.r @ rot_axis_angle(z6, g) @ to_z6
+    flange = np.stack([arm.r @ rot_axis_angle(z6, g) @ to_z6
                        for g in rng.uniform(-math.pi, math.pi, len(rad))])
-    shoulder = arm.base.t + arm.base.r @ (offsets[0] + offsets[1])
-    wrist = shoulder + w @ arm.base.r.T
+    shoulder = arm.t + arm.r @ (offsets[0] + offsets[1])
+    wrist = shoulder + w @ arm.r.T
     return flange @ tcp.r, wrist + flange @ tcp.t, wrist - shoulder
 
 
@@ -870,7 +912,7 @@ def test_elbow_prune_bound_is_tight():
     for margin, flagged in ((-1e-6, False), (1e-6, True), (1e-3, True)):
         rots, ts, w = _elbow_targets(arm, rng, 50, margin)
         assert np.all(np.linalg.norm(w, axis=1) < _UR3_WRIST_REACH - 0.05)
-        assert np.all(rb._beyond_reach(arm, rots, ts, opts) == flagged)
+        assert np.all(rb._beyond_reach(arm.r, arm.t, rots, ts, opts) == flagged)
 
 
 def test_wrist_inside_the_shoulder_cylinder_is_flagged():
@@ -884,16 +926,16 @@ def test_wrist_inside_the_shoulder_cylinder_is_flagged():
         rad = np.full(40, d4 - s + margin)
         rots, ts, _ = _wrist_targets(arm, rng, rad, rng.uniform(-0.4, 0.4, 40),
                                      z6 / np.linalg.norm(z6))
-        assert np.all(rb._beyond_reach(arm, rots, ts, opts) == flagged)
+        assert np.all(rb._beyond_reach(arm.r, arm.t, rots, ts, opts) == flagged)
 
 
 def _exact_branches(arm, rots, ts):
     """closed_form_ik's branches (B, 8, 6) at arm's base and the (B, 8)
     mask of those whose FK meets their target within 1e-9 (m, and per
     rotation entry)."""
-    branches = oracles.closed_form_ik(arm.base, rots, ts)
+    branches = oracles.closed_form_ik(arm, rots, ts)
     b = branches.shape[0]
-    rot, tcp, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t,
+    rot, tcp, _, _ = rb.fk_chain_batch(arm.r, arm.t,
                                        np.nan_to_num(branches).reshape(-1, 6))
     err = np.maximum(
         np.abs(rot.reshape(b, 8, 3, 3) - rots[:, None]).max(axis=(2, 3)),
@@ -909,7 +951,7 @@ def test_closed_form_ik_branches_reproduce_fk_targets():
     for _ in range(4):
         arm = _random_base_ur3(rng)
         qs = rng.uniform(-rb._UR3_LIMIT, rb._UR3_LIMIT, (250, 6))
-        rots, ts, _, _ = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+        rots, ts, _, _ = rb.fk_chain_batch(arm.r, arm.t, qs)
         branches, exact = _exact_branches(arm, rots, ts)
         assert np.array_equal(exact, ~np.isnan(branches).any(axis=2))
         assert all(in_limits(q) for q in branches[exact])
@@ -920,15 +962,15 @@ def test_closed_form_ik_branches_reproduce_fk_targets():
 
 @pytest.fixture(scope="module")
 def station_ik():
-    """The default sweep's one station IK call: (arm per target, target
-    rotations, target points, q, solved), captured from solve_stations."""
+    """The default sweep's one station IK call: (base rotations and base
+    points, one per target, target rotations, target points, q, solved),
+    captured from solve_stations."""
     scene = default_scene()
     calls = []
 
-    def captured(arms, rots, ts, seeds, opts, groups):
-        out = rb.ik_batch(arms, rots, ts, seeds, opts, groups)
-        calls.append(([a for a, g in zip(arms, groups) for _ in range(g)],
-                      rots, ts, *out))
+    def captured(base, rots, ts, seeds, opts, groups):
+        out = rb.ik_batch(base, rots, ts, seeds, opts, groups)
+        calls.append((*base, rots, ts, *out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -940,12 +982,15 @@ def station_ik():
     return call
 
 
-def _per_arm(test, arms, rots, ts):
-    """(B,) mask of test(arm, rots, ts) on each arm's own targets."""
-    out = np.zeros(len(arms), dtype=bool)
-    for a in {id(a): a for a in arms}.values():
-        mine = np.array([x is a for x in arms])
-        out[mine] = test(a, rots[mine], ts[mine])
+def _per_base(test, base_r, base_t, rots, ts):
+    """(B,) mask of test(base, rots, ts) on the targets of each distinct
+    base pose among the (B, 3, 3), (B, 3) per-target ones."""
+    keys, owner = np.unique(np.hstack([base_r.reshape(-1, 9), base_t]), axis=0,
+                            return_inverse=True)
+    out = np.zeros(len(rots), dtype=bool)
+    for k, key in enumerate(keys):
+        mine = owner.ravel() == k
+        out[mine] = test(Pose(key[:9].reshape(3, 3), key[9:]), rots[mine], ts[mine])
     return out
 
 
@@ -953,8 +998,8 @@ def _exactly_reachable(arm, rots, ts):
     return _exact_branches(arm, rots, ts)[1].any(axis=1)
 
 
-def _beyond(arm, rots, ts):
-    return rb._beyond_reach(arm, rots, ts, rb.IKOptions())
+def _beyond(base_r, base_t, rots, ts):
+    return rb._beyond_reach(base_r, base_t, rots, ts, rb.IKOptions())
 
 
 def test_reach_prune_flags_no_target_with_an_exact_solution(station_ik):
@@ -964,21 +1009,36 @@ def test_reach_prune_flags_no_target_with_an_exact_solution(station_ik):
     for _ in range(4):
         arm = _random_base_ur3(rng)
         rots = np.array([quat_matrix(random_quat(rng)) for _ in range(500)])
-        shoulder = arm.base.t + arm.base.r @ rb._UR3_OFFSETS[1]
+        shoulder = arm.t + arm.r @ rb._UR3_OFFSETS[1]
         ts = shoulder + rng.normal(size=(500, 3)) * rng.uniform(0.0, 0.3, (500, 1))
-        exact, beyond = _exactly_reachable(arm, rots, ts), _beyond(arm, rots, ts)
+        exact, beyond = _exactly_reachable(arm, rots, ts), _beyond(arm.r, arm.t, rots, ts)
         assert exact.any() and beyond.any()
         assert not (exact & beyond).any()
-    arms, rots, ts, _, _ = station_ik
-    assert len(arms) == 1680
-    assert not (_per_arm(_exactly_reachable, arms, rots, ts)
-                & _per_arm(_beyond, arms, rots, ts)).any()
+    base_r, base_t, rots, ts, _, _ = station_ik
+    assert base_r.shape == (1680, 3, 3) and base_t.shape == (1680, 3)
+    assert not (_per_base(_exactly_reachable, base_r, base_t, rots, ts)
+                & _beyond(base_r, base_t, rots, ts)).any()
+
+
+def test_reach_prune_flags_per_row_what_it_flags_per_base():
+    # Targets of two arms in one call on per-row bases, against one call
+    # per arm on its own base.
+    rng = np.random.default_rng(82)
+    robot = rb.DualArm(_random_base_ur3(rng), _random_base_ur3(rng))
+    right = rng.random(2000) < 0.5
+    base_r, base_t = robot.bases(right)
+    rots = np.array([quat_matrix(random_quat(rng)) for _ in range(2000)])
+    ts = base_t + rng.normal(size=(2000, 3)) * rng.uniform(0.0, 0.6, (2000, 1))
+    flags = _beyond(base_r, base_t, rots, ts)
+    assert flags.any() and not flags.all()
+    for arm, mine in ((robot.left, ~right), (robot.right, right)):
+        assert np.array_equal(flags[mine], _beyond(arm.r, arm.t, rots[mine], ts[mine]))
 
 
 def test_every_station_target_ik_solves_has_an_exact_solution(station_ik):
-    arms, rots, ts, _, solved = station_ik
+    base_r, base_t, rots, ts, _, solved = station_ik
     assert solved.sum() == 726
-    assert np.all(_per_arm(_exactly_reachable, arms, rots, ts)[solved])
+    assert np.all(_per_base(_exactly_reachable, base_r, base_t, rots, ts)[solved])
 
 
 def test_point_jacobian_equals_the_cross_product_form(arm):
@@ -987,8 +1047,8 @@ def test_point_jacobian_equals_the_cross_product_form(arm):
     rng = np.random.default_rng(53)
     qs = rng.uniform(-2.0, 2.0, (40, 6))
     points = rng.uniform(-0.5, 0.5, (40, 3))
-    _, _, origins, axes = rb.fk_chain_batch(arm.base.r, arm.base.t, qs)
+    _, _, origins, axes = rb.fk_chain_batch(arm.r, arm.t, qs)
     want = np.cross(axes, points[:, None, :] - origins[:, 1:7]).transpose(0, 2, 1)
-    got = rb.point_jacobian(arm.base.r, arm.base.t, qs, points)
+    got = rb.point_jacobian(arm.r, arm.t, qs, points)
     assert got.shape == (40, 3, 6)
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -9,7 +9,7 @@ from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
 from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
 from tetherplan.plan_io import TORQUE_HEADER, torque_csv
-from tetherplan.robot import ArmModel, DualArm, fk_chain_batch
+from tetherplan.robot import DualArm, fk_chain_batch
 from tetherplan.torque import (
     EmptyTrace,
     TorqueTrace,
@@ -28,8 +28,8 @@ def make_tool():
 
 
 def make_robot():
-    left = ArmModel(Pose(np.eye(3), [0.0, 0.25, 0.0]))
-    right = ArmModel(Pose(np.eye(3), [0.0, -0.25, 0.0]))
+    left = Pose(np.eye(3), [0.0, 0.25, 0.0])
+    right = Pose(np.eye(3), [0.0, -0.25, 0.0])
     return DualArm(left=left, right=right)
 
 
@@ -50,69 +50,68 @@ class TestTension:
 
 class TestJointTorques:
     def test_matches_virtual_work(self):
-        arm = ArmModel()
+        arm = Pose()
         rng = np.random.default_rng(31)
         qs, locals_, forces = (np.stack(a) for a in zip(*(
             (rng.uniform(-1.5, 1.5, 6), rng.uniform(-0.1, 0.1, 3),
              rng.uniform(-20, 20, 3)) for _ in range(50))))
-        rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, qs)
+        rot, tcp, _, _ = fk_chain_batch(arm.r, arm.t, qs)
         points = np.einsum("wij,wj->wi", rot, locals_) + tcp
-        taus = joint_torques(arm.base.r, arm.base.t, qs, points, forces)
+        taus = joint_torques(arm.r, arm.t, qs, points, forces)
         assert taus.shape == (50, 6)
         for q, local, force, tau in zip(qs, locals_, forces, taus):
 
             def attached_point(qq, _local=local):
-                r, t, _, _ = fk_chain_batch(arm.base.r, arm.base.t, qq)
+                r, t, _, _ = fk_chain_batch(arm.r, arm.t, qq)
                 return r[0] @ _local + t[0]
 
             jp = central_difference_jacobian(attached_point, q)
             assert np.allclose(tau, jp.T @ force, atol=1e-5)
 
     def test_linearity_in_force(self):
-        arm = ArmModel()
+        arm = Pose()
         rng = np.random.default_rng(32)
         q = rng.uniform(-1.0, 1.0, 6)
-        rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, q)
+        rot, tcp, _, _ = fk_chain_batch(arm.r, arm.t, q)
         point = rot[0] @ [0.0, 0.0, 0.05] + tcp[0]
         f1 = rng.uniform(-10, 10, 3)
         f2 = rng.uniform(-10, 10, 3)
         qs, points = np.stack([q] * 3), np.stack([point] * 3)
-        tau, tau1, tau2 = joint_torques(arm.base.r, arm.base.t, qs, points,
+        tau, tau1, tau2 = joint_torques(arm.r, arm.t, qs, points,
                                         np.stack([2.0 * f1 - 0.5 * f2, f1, f2]))
         assert np.allclose(tau, 2.0 * tau1 - 0.5 * tau2, atol=1e-12)
 
     def test_zero_force_zero_torque(self):
-        arm = ArmModel()
+        arm = Pose()
         q = np.array([0.3, -0.8, 1.1, 0.2, -0.4, 0.9])
-        _, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, q)
-        assert np.allclose(joint_torques(arm.base.r, arm.base.t, q[None], tcp,
+        _, tcp, _, _ = fk_chain_batch(arm.r, arm.t, q)
+        assert np.allclose(joint_torques(arm.r, arm.t, q[None], tcp,
                                          np.zeros((1, 3))), 0.0)
 
     def test_vertical_force_exerts_no_base_torque(self):
         # Joint 1 spins about the vertical, so a vertical pull has no
         # moment about it regardless of configuration.
-        arm = ArmModel()
+        arm = Pose()
         rng = np.random.default_rng(33)
         qs, locals_ = (np.stack(a) for a in zip(*(
             (rng.uniform(-2.0, 2.0, 6), rng.uniform(-0.1, 0.1, 3)) for _ in range(20))))
-        rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, qs)
+        rot, tcp, _, _ = fk_chain_batch(arm.r, arm.t, qs)
         points = np.einsum("wij,wj->wi", rot, locals_) + tcp
-        taus = joint_torques(arm.base.r, arm.base.t, qs, points,
+        taus = joint_torques(arm.r, arm.t, qs, points,
                              np.tile([0.0, 0.0, -19.62], (20, 1)))
         assert np.all(np.abs(taus[:, 0]) < 1e-9)
 
     def test_rotating_the_whole_problem_preserves_torques(self):
         base = Pose(np.eye(3), [0.1, -0.2, 0.3])
-        arm = ArmModel(base)
         rng = np.random.default_rng(34)
         q = rng.uniform(-1.0, 1.0, 6)
-        rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, q)
+        rot, tcp, _, _ = fk_chain_batch(base.r, base.t, q)
         point = rot[0] @ [0.02, 0.0, 0.05] + tcp[0]
         force = rng.uniform(-15, 15, 3)
-        tau = joint_torques(arm.base.r, arm.base.t, q[None], point[None], force[None])
+        tau = joint_torques(base.r, base.t, q[None], point[None], force[None])
         r = rpy_to_rot(0.4, -0.7, 1.2)
-        moved = ArmModel(Pose(r @ base.r, r @ base.t))
-        tau2 = joint_torques(moved.base.r, moved.base.t, q[None], (r @ point)[None],
+        moved = Pose(r @ base.r, r @ base.t)
+        tau2 = joint_torques(moved.r, moved.t, q[None], (r @ point)[None],
                              (r @ force)[None])
         assert np.allclose(tau, tau2, atol=1e-9)
 
@@ -159,14 +158,14 @@ class TestTrace:
             [(0, "right"), (2, "left"), (2, "right"), (3, "left"),
              (4, "right"), (4, "left")]
         for w, side, torques in zip(trace.waypoint, trace.arm, trace.entries):
-            arm = robot.arm(side)
+            arm = getattr(robot, side)
             q = (plan.q_left if side == "left" else plan.q_right)[w]
             connector = plan.tool_rot[w] @ tool.connector_point + plan.tool_t[w]
-            rot, tcp, _, _ = fk_chain_batch(arm.base.r, arm.base.t, q)
+            rot, tcp, _, _ = fk_chain_batch(arm.r, arm.t, q)
             local = rot[0].T @ (connector - tcp[0])
 
             def attached_point(qq, _arm=arm, _local=local):
-                r, t, _, _ = fk_chain_batch(_arm.base.r, _arm.base.t, qq)
+                r, t, _, _ = fk_chain_batch(_arm.r, _arm.t, qq)
                 return r[0] @ _local + t[0]
 
             jp = central_difference_jacobian(attached_point, q)
