@@ -46,6 +46,7 @@ forms that the tests compare against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -71,8 +72,8 @@ class Capsule:
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if not (self.radius > 0.0):
-            raise ValueError("capsule radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("capsule radius must be positive and finite")
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
             raise ValueError("capsule endpoints must be finite")
 
@@ -204,12 +205,12 @@ class ArmLinkSpec:
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float).reshape(6)
-        if not np.all(r > 0.0):
-            raise ValueError("link radii must be positive")
-        if not self.palm_setback > 0.0:
+        if not np.all((r > 0.0) & (r < math.inf)):
+            raise ValueError("link radii must be positive and finite")
+        if not 0.0 < self.palm_setback < math.inf:
             # At or past the TCP the palm capsule reaches into the held
             # handle, and every grasp collides.
-            raise ValueError("palm_setback must be positive")
+            raise ValueError("palm_setback must be positive and finite")
         object.__setattr__(self, "radii", r)
 
 

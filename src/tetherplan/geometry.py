@@ -100,33 +100,29 @@ def _rotvec_near_pi(r: np.ndarray) -> np.ndarray:
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
-    """Rotation matrix -> unit quaternion [w, x, y, z], w >= 0.
+    """Rotations (..., 3, 3) -> unit quaternions [w, x, y, z] (..., 4), w >= 0.
 
-    Serialization helper for the plan file format; quaternions are not
-    part of the rotation API otherwise.
+    Elementwise, with no BLAS call.  Each row takes Shepperd's branch
+    (J. Guidance and Control 1(3), 1978): w from a positive trace, else
+    the component of the largest diagonal entry.  Serialization helper
+    for the plan file format; quaternions are not part of the rotation
+    API otherwise.
     """
     r = np.asarray(r, dtype=float)
-    tr = float(np.trace(r))
-    if tr > 0.0:
-        s = 2.0 * math.sqrt(tr + 1.0)
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
-    elif r[1, 1] > r[2, 2]:
-        s = 2.0 * math.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2])
-        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s, (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = 2.0 * math.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2])
-        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s, 0.25 * s])
-    q = q / np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r.reshape(-1, 9).T
+    tr = r00 + r11 + r22
+    k = np.select([tr > 0.0, (r00 > r11) & (r00 > r22), r11 > r22], [0, 1, 2], 3)
+    s = 2.0 * np.sqrt(np.choose(k, [tr + 1.0, 1.0 + r00 - r11 - r22,
+                                    1.0 - r00 + r11 - r22, 1.0 - r00 - r11 + r22]))
+    # Row j of branch j's numerators; its own slot j is 0.25 * s instead.
+    a, b, c = r21 - r12, r02 - r20, r10 - r01
+    d, e, f, z = r01 + r10, r02 + r20, r12 + r21, np.zeros_like(tr)
+    rows = np.arange(k.size)
+    q = np.stack([z, a, b, c, a, z, d, e, b, d, z, f, c, e, f, z],
+                 axis=-1).reshape(-1, 4, 4)[rows, k] / s[:, None]
+    q[rows, k] = 0.25 * s
+    q /= np.sqrt(np.einsum("...i,...i", q, q))[:, None]
+    return np.where(q[:, :1] < 0.0, -q, q).reshape(r.shape[:-2] + (4,))
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ A plan file is a CSV with one row per waypoint, preceded by a short
 ``# key: value`` preamble carrying whole-plan facts (mode, edge kinds,
 joint distance), each key at most once and none after the header.
 Floats are written with nine significant digits, which round-trips
-joint angles and poses to well below actuator resolution.
+joint angles and poses to well below actuator resolution.  The writer
+formats whole arrays, with all quaternions from one rot_to_quat call,
+which makes no BLAS call.
 
 The theta_rad and min_clearance_m columns hold the values the planner
 validated: the cable bend angle and the least clearance of each
@@ -39,12 +41,10 @@ PLAN_HEADER = (
 
 TORQUE_HEADER = (["waypoint", "arm"]
                  + [f"tau{i}_nm" for i in range(1, 7)] + ["magnitude_nm"])
-# Waypoint, arm, six torques and their magnitude, floats as _f writes.
+# Waypoint, arm, six torques and their magnitude.
 _TORQUE_ROW = ",".join(["{}", "{}"] + ["{:.9g}"] * 7)
-
-
-def _f(x: float) -> str:
-    return f"{float(x):.9g}"
+# Waypoint, twelve joints, quaternion, position, holding, theta, clearance.
+_PLAN_ROW = ",".join(["{}"] + ["{:.9g}"] * 19 + ["{}"] + ["{:.9g}"] * 2)
 
 
 def format_holding(holding: tuple) -> str:
@@ -68,22 +68,17 @@ def parse_holding(text: str) -> tuple:
 
 
 def plan_csv(motion: MotionPlan) -> str:
+    nums = np.concatenate([motion.q_left, motion.q_right,
+                           rot_to_quat(motion.tool_rot), motion.tool_t], axis=1)
+    rows = zip(nums.tolist(), map(format_holding, motion.holding),
+               motion.theta.tolist(), motion.clearance.tolist(), strict=True)
     lines = [
         f"# mode: {motion.mode}",
         f"# edge_kinds: {','.join(motion.edge_kinds)}",
-        f"# joint_distance_rad: {_f(motion.joint_distance)}",
+        f"# joint_distance_rad: {float(motion.joint_distance):.9g}",
         ",".join(PLAN_HEADER),
-    ]
-    for w in range(motion.n_waypoints):
-        quat = rot_to_quat(motion.tool_rot[w])
-        row = ([str(w)]
-               + [_f(v) for v in motion.q_left[w]]
-               + [_f(v) for v in motion.q_right[w]]
-               + [_f(v) for v in quat]
-               + [_f(v) for v in motion.tool_t[w]]
-               + [format_holding(motion.holding[w]),
-                  _f(motion.theta[w]), _f(motion.clearance[w])])
-        lines.append(",".join(row))
+    ] + [_PLAN_ROW.format(w, *v, holding, theta, clearance)
+         for w, (v, holding, theta, clearance) in enumerate(rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -265,6 +265,12 @@ class IKOptions:
     restarts: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        if not (0.0 <= self.pos_tol < math.inf and 0.0 <= self.ori_tol < math.inf):
+            raise ValueError("pos_tol and ori_tol must be finite and at least 0")
+        if not (self.max_iters >= 0 and self.seed >= 0):
+            raise ValueError("max_iters and seed must be at least 0")
+
 
 def ik_batch(base: tuple[np.ndarray, np.ndarray], target_r: np.ndarray,
              target_t: np.ndarray, seed_config: np.ndarray,

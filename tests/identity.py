@@ -6,9 +6,11 @@ digest() hashes, in this order:
   * each of the sweep's 80 plan() results, in call order: the plan's
     arrays, holdings, edge kinds, edge count and joint distance, the
     failure and the PlannerStats, each followed by its cell's Recheck
-    record and peak torques;
+    record and peak torques and by the plan's CSV text (plan_io.plan_csv),
+    or None when plan() found no plan;
   * for each stored plan under perfbench/audit_plans, in file-name order,
-    its Recheck record and its torque CSV.  Those files are only read.
+    its Recheck record, its torque CSV and the plan CSV written back from
+    the parsed plan.  Those files are only read.
 
 Floats enter by their exact bits, dict items in key order.  Run as a
 script, it prints the digest of the checkout it sits in:
@@ -73,7 +75,8 @@ def digest() -> str:
         report = bench.sweep(scene)
     h = hashlib.sha256(_encode(bench.cells_csv(report)))
     for result, cell in zip(results, report.cells, strict=True):
-        h.update(_encode((result, cell.recheck, cell.peak_torque)))
+        text = None if result.plan is None else plan_io.plan_csv(result.plan)
+        h.update(_encode((result, cell.recheck, cell.peak_torque, text)))
     for path in sorted(AUDIT_DIR.glob("*.csv")):
         row, col = map(int, re.fullmatch(r"r(\d+)c(\d+)_\w+", path.stem).groups())
         problem = scene.problem(scene.pitch_rows[row], scene.roll_cols[col])
@@ -81,7 +84,7 @@ def digest() -> str:
         trace = bench.trace_plan(motion, problem.robot, problem.balancer,
                                  problem.tool)
         h.update(_encode((path.name, bench.recheck_plan(motion, problem),
-                          plan_io.torque_csv(trace))))
+                          plan_io.torque_csv(trace), plan_io.plan_csv(motion))))
     return h.hexdigest()
 
 

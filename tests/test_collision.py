@@ -132,6 +132,8 @@ class TestCapsules:
             Capsule([0, 0, 0], [1, 0, 0], 0.0)
         with pytest.raises(ValueError):
             Capsule([0, 0, 0], [0, 0, 0], -1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Capsule([0, 0, 0], [1, 0, 0], math.inf)
 
 
 class TestSegmentBox:
@@ -337,10 +339,15 @@ class TestWorld:
                                  for p, c in zip(names, pair_clear))
         assert tool_hits > 0
 
-    @pytest.mark.parametrize("setback", [-0.2, 0.0, math.nan])
+    @pytest.mark.parametrize("setback", [-0.2, 0.0, math.nan, math.inf])
     def test_palm_setback_must_be_positive(self, setback):
         with pytest.raises(ValueError, match="palm_setback"):
             ArmLinkSpec(radii=[0.04] * 6, palm_setback=setback)
+
+    @pytest.mark.parametrize("radius", [-0.04, 0.0, math.nan, math.inf])
+    def test_link_radii_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="link radii must be positive and finite"):
+            ArmLinkSpec(radii=[0.04] * 5 + [radius])
 
     def test_link_segments_shape(self):
         robot = make_robot()

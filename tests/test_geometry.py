@@ -96,6 +96,47 @@ def test_quat_serialization_round_trip():
         assert np.allclose(geo.quat_to_rot(geo.rot_to_quat(r)), r, atol=1e-9)
 
 
+_HALF_TURN_AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                   (math.sqrt(0.5), -math.sqrt(0.5), 0.0)]
+
+
+@pytest.mark.parametrize("axis", _HALF_TURN_AXES)
+def test_rot_to_quat_of_a_half_turn(axis):
+    # Trace -1: x, y and z take the branches of r00, r11 and r22; the
+    # diagonal of the (1, -1, 0) turn is (0, 0, -1), whose tie of r00 and
+    # r11 goes to r11.
+    n = np.array(axis)
+    r = 2.0 * np.outer(n, n) - np.eye(3)
+    q = geo.rot_to_quat(r)
+    assert q[0] == 0.0
+    np.testing.assert_allclose(np.abs(q[1:]), np.abs(n), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(quat_matrix(q), r, rtol=0, atol=1e-15)
+
+
+def test_rot_to_quat_is_one_kernel_over_leading_axes():
+    # Random rotations (trace mostly positive), then turns of 2pi/3 to pi
+    # either way about x, y, z and the (1, -1, 0) axis: trace at most 0,
+    # each diagonal branch, and w < 0 before the flip on the negative
+    # turns.  A batch equals its rows one by one bit for bit; each row
+    # has w >= 0, unit norm, and the oracle matrix of its quaternion
+    # gives back the rotation.
+    rng = np.random.default_rng(37)
+    rots = [quat_matrix(random_quat(rng)) for _ in range(40)]
+    rots += [quat_matrix(quat_from_axis_angle(axis, sign * angle))
+             for axis in _HALF_TURN_AXES for sign in (1.0, -1.0)
+             for angle in np.linspace(2.0 * math.pi / 3.0, math.pi, 5)]
+    rots = np.array(rots)
+    quats = geo.rot_to_quat(rots.reshape(2, -1, 3, 3))
+    assert quats.shape == (2, len(rots) // 2, 4)
+    quats = quats.reshape(-1, 4)
+    for r, q in zip(rots, quats):
+        assert np.array_equal(geo.rot_to_quat(r), q)
+        assert q[0] >= 0.0
+        assert math.sqrt(float(np.sum(q * q))) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(quat_matrix(q), r, rtol=0, atol=1e-15)
+    assert geo.rot_to_quat(np.zeros((0, 3, 3))).shape == (0, 4)
+
+
 def test_quat_to_rot_rejects_zero_quaternion():
     assert np.allclose(geo.quat_to_rot([2.0, 0.0, 0.0, 0.0]), np.eye(3))
     with pytest.raises(geo.ZeroVectorError):

@@ -275,6 +275,17 @@ def test_dual_arm_rejects_a_non_finite_base(side, part):
         rb.DualArm(**bases)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("pos_tol", math.nan), ("pos_tol", math.inf), ("pos_tol", -1e-9),
+    ("ori_tol", -1.0), ("ori_tol", math.inf), ("max_iters", -3), ("seed", -1)])
+def test_ik_options_reject_non_finite_or_negative_values(field, value):
+    # Unchecked, these misplan without an error: a NaN or negative
+    # tolerance reports no_feasible_start, infinite ones accept any
+    # configuration, and a negative seed fails inside default_rng.
+    with pytest.raises(ValueError, match=field):
+        rb.IKOptions(**{field: value})
+
+
 def test_fk_chain_batch_returns_unit_joint_axes(arm):
     rng = np.random.default_rng(40)
     qs = rng.uniform(-2.0, 2.0, (20, 6))
