@@ -641,11 +641,14 @@ def per_pair_station_solve(problems, options, constrained: bool = False):
 # --- the row-by-row plan CSV parser reference ---
 
 def _row_quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """One quaternion [w, x, y, z], normalized by np.linalg.norm first."""
-    n = float(np.linalg.norm(q))
+    """One quaternion [w, x, y, z], normalized first by the square root
+    of w*w + x*x + y*y + z*z, summed in that order as
+    geometry.quat_to_rot sums it, with no BLAS call."""
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-12:
         raise ValueError(f"cannot normalize near-zero quaternion {q!r}")
-    w, x, y, z = q / n
+    w, x, y, z = w / n, x / n, y / n, z / n
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],

@@ -504,6 +504,53 @@ class TestEdgeMemo:
         assert got.stats == want.stats
 
 
+class TestOneCacheAcrossBendLimits:
+    """One PlanCache serves several bend limits in turn: each limit
+    plans as it does with a fresh cache, whichever limit came first.
+    Pitch 30 and 45 deg by roll -20, -10 and 0 deg of the default sweep
+    holds constrained cells whose plan changes between these limits."""
+
+    LIMITS = (95.0, 75.0, 60.0, 45.0)
+
+    @pytest.fixture(scope="class")
+    def cut(self):
+        scene = default_scene()
+        return scene.options, [scene.problem(p, r) for p in scene.pitch_rows[3:5]
+                               for r in scene.roll_cols[:3]]
+
+    @staticmethod
+    def _under(problems, deg):
+        return [replace(p, constraint=BendConstraint(math.radians(deg)))
+                for p in problems]
+
+    @pytest.fixture(scope="class")
+    def fresh(self, cut):
+        options, problems = cut
+        out = {}
+        for deg in self.LIMITS:
+            cache = PlanCache()
+            out[deg] = [plan(p, True, options, cache) for p in self._under(problems, deg)]
+        return out
+
+    @pytest.mark.parametrize("order", [LIMITS, LIMITS[::-1]],
+                             ids=["descending", "ascending"])
+    def test_a_shared_cache_plans_each_limit_as_a_fresh_one(self, cut, fresh,
+                                                            order):
+        options, problems = cut
+        cache = PlanCache()
+        for deg in order:
+            for problem, want in zip(self._under(problems, deg), fresh[deg]):
+                got = plan(problem, True, options, cache)
+                _same_result(got, want)
+                assert got.stats == want.stats
+                if got.plan is not None:
+                    assert got.plan.theta.max() < math.radians(deg)
+        # No edge fails at 95 deg and some fail for bend at 45 deg, so a
+        # verdict kept across limits could change a plan here.
+        assert not any(r.stats.edges_rejected for r in fresh[95.0])
+        assert any(r.stats.edges_rejected.get("bend") for r in fresh[45.0])
+
+
 class TestCacheBinding:
     """A PlanCache serves only the scene and options that filled it."""
 
