@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -260,13 +261,6 @@ class SweepReport:
                 rows[c.row][c.col] = c.outcome.symbol
         return rows
 
-    def success_rate(self, mode: str) -> float | None:
-        cells = [c for c in self.cells if c.mode == mode]
-        if not cells:
-            return None
-        good = sum(1 for c in cells if c.outcome.label == "success")
-        return good / len(cells)
-
     def outcome_counts(self, mode: str) -> dict:
         counts = {label: 0 for label in LABEL_SYMBOLS}
         for c in self.cells:
@@ -275,33 +269,26 @@ class SweepReport:
         return counts
 
     def torque_summary(self) -> TorqueSummary:
+        # Reversed, so that each (row, col, mode) keeps its first cell, as cell().
+        first = {(c.row, c.col, c.mode): c for c in reversed(self.cells)}
         reductions = []
         per_arm: dict[str, list[float]] = {"left": [], "right": []}
         n_cells = 0
-        for i in range(len(self.pitch_rows)):
-            for j in range(len(self.roll_cols)):
-                try:
-                    con = self.cell(i, j, "constrained")
-                    unc = self.cell(i, j, "unconstrained")
-                except KeyError:
+        for i, j in product(range(len(self.pitch_rows)), range(len(self.roll_cols))):
+            con, unc = (first.get((i, j, m)) for m in ("constrained", "unconstrained"))
+            if any(c is None or c.outcome.label == "no_plan" for c in (con, unc)):
+                continue
+            shared = sorted(set(con.peak_torque) & set(unc.peak_torque))
+            n_cells += bool(shared)
+            for arm in shared:
+                pu = unc.peak_torque[arm]
+                if pu <= 0.0:
                     continue
-                if (con.outcome.label == "no_plan"
-                        or unc.outcome.label == "no_plan"):
-                    continue
-                shared = sorted(set(con.peak_torque) & set(unc.peak_torque))
-                if not shared:
-                    continue
-                n_cells += 1
-                for arm in shared:
-                    pu = unc.peak_torque[arm]
-                    if pu <= 0.0:
-                        continue
-                    red = 100.0 * (pu - con.peak_torque[arm]) / pu
-                    reductions.append(red)
-                    per_arm[arm].append(red)
+                red = 100.0 * (pu - con.peak_torque[arm]) / pu
+                reductions.append(red)
+                per_arm[arm].append(red)
         mean = float(np.mean(reductions)) if reductions else None
-        per_arm_mean = {arm: float(np.mean(v))
-                        for arm, v in per_arm.items() if v}
+        per_arm_mean = {arm: float(np.mean(v)) for arm, v in per_arm.items() if v}
         return TorqueSummary(n_cells=n_cells, mean_reduction_pct=mean,
                              per_arm_mean_pct=per_arm_mean)
 
@@ -418,9 +405,9 @@ def render_grid(report: SweepReport) -> str:
         for i, pitch in enumerate(report.pitch_rows):
             head = f"{math.degrees(pitch):.0f}".ljust(7)
             out.append(head + "".join(s.rjust(width) for s in grid[i]))
-        rate = report.success_rate(mode)
-        shown = "n/a" if rate is None else f"{100.0 * rate:.1f}%"
         counts = report.outcome_counts(mode)
+        total = sum(counts.values())
+        shown = f"{100.0 * (counts['success'] / total):.1f}%" if total else "n/a"
         out.append(f"success rate: {shown}  "
                    + "  ".join(f"{LABEL_SYMBOLS[k]}={v}"
                                for k, v in counts.items()))

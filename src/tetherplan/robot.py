@@ -1,4 +1,4 @@
-"""Dual-arm kinematics: forward kinematics, Jacobian, numerical IK.
+"""Dual-arm kinematics: forward kinematics, joint torques, numerical IK.
 
 Every arm is a UR3: its chain is a module constant, and an arm is only
 the base Pose it stands at.  The chain has six revolute joints, each
@@ -13,7 +13,7 @@ evaluates the chain that way, elementwise, with no 3x3 products.
 
 There is one chain kernel, fk_chain_batch, which evaluates the chain
 for a batch of configurations, each from its own base; an arm's FK is
-fk_chain_batch(base.r, base.t, qs).  Every other call (point_jacobian,
+fk_chain_batch(base.r, base.t, qs).  Every other call (joint_torques,
 ik_batch) is built on it, takes a batch, and takes one base for all
 rows or one per row as it does; one configuration or one target is a
 batch of one row.  With the per-row bases of DualArm.bases, one call
@@ -165,17 +165,21 @@ def _chain_jacobian(points: np.ndarray, origins: np.ndarray,
     return jac
 
 
-def point_jacobian(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
-                   points: np.ndarray) -> np.ndarray:
-    """(W, 3, 6) Jacobians of world points rigidly attached to the TCP body.
+def joint_torques(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
+                  points: np.ndarray, forces: np.ndarray) -> np.ndarray:
+    """Joint torques (W, 6) balancing forces (W, 3) at points (W, 3).
 
-    qs is (W, 6) and points (W, 3), one point per configuration; base_r
-    and base_t are one base for all rows or one per row, as
-    fk_chain_batch takes them.
+    qs is (W, 6); base_r and base_t are one base for all rows or one per
+    row, as fk_chain_batch takes them.  Each point is rigidly attached to
+    the TCP body and its force has no moment, so the torque is the linear
+    Jacobian's transpose times the force, elementwise: no BLAS kernel.
     """
     _, _, origins, axes = fk_chain_batch(base_r, base_t, qs)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    return _chain_jacobian(points, origins, axes)[:, :3]
+    jac = _chain_jacobian(points, origins, axes)
+    f = np.asarray(forces, dtype=float).reshape(-1, 3)
+    return (jac[:, 0] * f[:, 0, None] + jac[:, 1] * f[:, 1, None]
+            + jac[:, 2] * f[:, 2, None])
 
 
 def _beyond_reach(base_r: np.ndarray, base_t: np.ndarray, target_r: np.ndarray,

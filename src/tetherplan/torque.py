@@ -2,14 +2,14 @@
 
 The balancer cable pulls the held tool toward the anchor with a tension
 set by the balancer's rated load.  For every waypoint where an arm
-holds the tool, the pull at the connector maps through that arm's
-point Jacobian to a six-vector of joint torques.  trace_plan, the one
-entry point, collects them over a plan's waypoints, reading its joint,
-tool-pose and holding arrays, into a TorqueTrace of three arrays: the
-waypoint and arm of each entry and its (E, 6) torques.  One FK call
-serves the entries of both arms, each row from its own arm's base.
-bench.SweepReport.torque_summary compares the peaks of the two planner
-modes.
+holds the tool, robot.joint_torques maps the pull at the connector
+through that arm's Jacobian to a six-vector of joint torques.
+trace_plan, the one entry point, collects them over a plan's
+waypoints, reading its joint, tool-pose and holding arrays, into a
+TorqueTrace of three arrays: the waypoint and arm of each entry and its
+(E, 6) torques.  One FK call serves the entries of both arms, each row
+from its own arm's base.  bench.SweepReport.torque_summary compares the
+peaks of the two planner modes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tetherplan.cable import BalancerSpec, ToolSpec, cable_vectors
-from tetherplan.robot import DualArm, point_jacobian
+from tetherplan.robot import DualArm, joint_torques
 
 GRAVITY = 9.81  # m/s^2
 
@@ -31,22 +31,6 @@ class EmptyTrace(Exception):
 def cable_tension(balancer: BalancerSpec) -> float:
     """Cable tension in newtons at the balancer's rated load."""
     return balancer.max_load * GRAVITY
-
-
-def joint_torques(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
-                  points: np.ndarray, forces: np.ndarray) -> np.ndarray:
-    """Joint torques (W, 6) balancing forces (W, 3) at points (W, 3).
-
-    base_r and base_t are one arm base for all rows or one per row, as
-    fk_chain_batch takes them.  Each point is rigidly attached to the
-    last link and its force has no moment, so the torque is the
-    transpose point Jacobian times the force, written elementwise so
-    that no BLAS kernel enters it.
-    """
-    jp = point_jacobian(base_r, base_t, qs, points)
-    f = np.asarray(forces, dtype=float).reshape(-1, 3)
-    return (jp[:, 0] * f[:, 0, None] + jp[:, 1] * f[:, 1, None]
-            + jp[:, 2] * f[:, 2, None])
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 """One SHA-256 over every output a bit-identical change must keep.
 
-digest() hashes, in this order:
+digest() sweeps the default scene twice: at its own bend limit (95 deg,
+where no edge fails for bend) and at 60 deg (where some edges fail for
+bend, stations are pruned and the torque reductions are not zero).  It
+hashes, in this order:
 
-  * the default sweep's CSV (bench.cells_csv);
-  * each of the sweep's 80 plan() results, in call order: the plan's
-    arrays, holdings, edge kinds, edge count and joint distance, the
-    failure and the PlannerStats, each followed by its cell's Recheck
-    record and peak torques and by the plan's CSV text (plan_io.plan_csv),
-    or None when plan() found no plan;
+  * for each sweep, its CSV (bench.cells_csv), its text grid
+    (bench.render_grid) and its torque summary (torque_summary), then
+    each of its 80 plan() results, in call order: the plan's arrays,
+    holdings, edge kinds, edge count and joint distance, the failure and
+    the PlannerStats, each followed by its cell's Recheck record and
+    peak torques and by the plan's CSV text (plan_io.plan_csv), or None
+    when plan() found no plan;
   * for each stored plan under perfbench/audit_plans, in file-name order,
     its Recheck record, its torque CSV and the plan CSV written back from
     the parsed plan.  Those files are only read.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import re
 import sys
 from pathlib import Path
@@ -36,6 +41,7 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 from tetherplan import bench, plan_io  # noqa: E402
+from tetherplan.cable import BendConstraint  # noqa: E402
 from tetherplan.scene import default_scene  # noqa: E402
 
 
@@ -71,12 +77,18 @@ def digest() -> str:
         return results[-1]
 
     scene = default_scene()
-    with mock.patch.object(bench, "plan", recorded):
-        report = bench.sweep(scene)
-    h = hashlib.sha256(_encode(bench.cells_csv(report)))
-    for result, cell in zip(results, report.cells, strict=True):
-        text = None if result.plan is None else plan_io.plan_csv(result.plan)
-        h.update(_encode((result, cell.recheck, cell.peak_torque, text)))
+    tight = dataclasses.replace(scene, base=dataclasses.replace(
+        scene.base, constraint=BendConstraint(math.radians(60.0))))
+    h = hashlib.sha256()
+    for swept in (scene, tight):
+        results.clear()
+        with mock.patch.object(bench, "plan", recorded):
+            report = bench.sweep(swept)
+        h.update(_encode((bench.cells_csv(report), bench.render_grid(report),
+                          report.torque_summary())))
+        for result, cell in zip(results, report.cells, strict=True):
+            text = None if result.plan is None else plan_io.plan_csv(result.plan)
+            h.update(_encode((result, cell.recheck, cell.peak_torque, text)))
     for path in sorted(AUDIT_DIR.glob("*.csv")):
         row, col = map(int, re.fullmatch(r"r(\d+)c(\d+)_\w+", path.stem).groups())
         problem = scene.problem(scene.pitch_rows[row], scene.roll_cols[col])

@@ -558,7 +558,6 @@ class TestSweep:
         assert all(c.outcome.label == "success" for c in report.cells)
         assert report.grid("constrained") == [["o"]]
         assert report.grid("unconstrained") == [["o"]]
-        assert report.success_rate("constrained") == 1.0
         assert report.outcome_counts("unconstrained")["success"] == 1
 
     def test_cells_carry_plan_facts(self, report):
@@ -610,6 +609,41 @@ class TestSweep:
         assert ts.per_arm_mean_pct == {"left": pytest.approx(50.0),
                                        "right": pytest.approx(20.0)}
 
+    def test_torque_summary_reads_the_grid_whatever_the_cell_order(self):
+        # The summary walks the grid in (row, col) order, so shuffling the
+        # cells keeps every reduction's place in the means, bit for bit.
+        # A key that appears twice is read from its first cell.
+        rng = np.random.default_rng(61)
+        labels = ("success", "bend_violation", "cable_collision", "no_plan")
+        cells = []
+        for row in range(3):
+            for col in range(4):
+                for mode in ("constrained", "unconstrained"):
+                    if (row, col, mode) == (2, 3, "unconstrained"):
+                        continue  # a cell whose other mode is missing
+                    label = labels[rng.integers(4)] if mode == "unconstrained" \
+                        else "success"
+                    arms = ("left",) if (row, col) == (1, 1) else ("left", "right")
+                    peaks = {} if label == "no_plan" else {
+                        arm: float(rng.uniform(1.0, 100.0)) for arm in arms}
+                    cells.append(replace(self._fake_cell(col, mode, label, peaks),
+                                         row=row))
+        later = [replace(c, peak_torque={arm: 2.0 * v for arm, v in
+                                         c.peak_torque.items()})
+                 for c in cells[:6] if c.mode == "constrained"]
+
+        def summary(cs):
+            return SweepReport(scene_name="fake", pitch_rows=(0.0, 0.1, 0.2),
+                               roll_cols=(0.0, 0.1, 0.2, 0.3),
+                               cells=tuple(cs)).torque_summary()
+
+        want = summary(cells)
+        assert want.n_cells > 3 and set(want.per_arm_mean_pct) == {"left", "right"}
+        shuffled = [cells[k] for k in rng.permutation(len(cells))]
+        assert summary(shuffled) == want
+        assert summary(shuffled + later) == want
+        assert summary(later + shuffled) != want
+
     def test_csv_shape_and_content(self, report):
         text = cells_csv(report)
         lines = text.strip().split("\n")
@@ -646,7 +680,6 @@ class TestSweep:
     def test_empty_report_renders_na(self):
         empty = SweepReport(scene_name="void", pitch_rows=(), roll_cols=(),
                             cells=())
-        assert empty.success_rate("constrained") is None
         ts = empty.torque_summary()
         assert ts.n_cells == 0
         assert ts.mean_reduction_pct is None

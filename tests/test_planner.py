@@ -550,6 +550,43 @@ class TestOneCacheAcrossBendLimits:
         assert not any(r.stats.edges_rejected for r in fresh[95.0])
         assert any(r.stats.edges_rejected.get("bend") for r in fresh[45.0])
 
+    def test_a_higher_limit_plans_every_cell_a_lower_one_does_no_dearer(self, fresh):
+        # A higher limit prunes a subset of the stations and rejects a
+        # subset of the edges that a lower one does, so it keeps every
+        # path the lower limit keeps and its best one costs no more.
+        pairs = cheaper = 0
+        for high, low in zip(self.LIMITS, self.LIMITS[1:]):
+            for hi, lo in zip(fresh[high], fresh[low]):
+                if lo.plan is None:
+                    continue
+                assert hi.plan is not None
+                cost_hi = (hi.plan.n_edges, hi.plan.joint_distance)
+                cost_lo = (lo.plan.n_edges, lo.plan.joint_distance)
+                assert cost_hi <= cost_lo
+                pairs += 1
+                cheaper += cost_hi < cost_lo
+        assert (pairs, cheaper) == (15, 6)
+
+    def test_a_constrained_plan_is_the_unconstrained_one_where_that_keeps_the_limit(
+            self, cut, fresh):
+        # Both modes order the same paths by the same cost; a limit the
+        # unconstrained best path keeps rejects none of its edges, and
+        # the constrained search finds that path too.
+        options, problems = cut
+        cache = PlanCache()
+        unconstrained = [plan(p, False, options, cache) for p in problems]
+        pairs = 0
+        for deg in self.LIMITS:
+            for free, bound in zip(unconstrained, fresh[deg]):
+                if free.plan is None or free.plan.theta.max() >= math.radians(deg):
+                    continue
+                for name in ("q_left", "q_right", "tool_rot", "tool_t"):
+                    assert (getattr(bound.plan, name).tobytes()
+                            == getattr(free.plan, name).tobytes())
+                assert bound.plan.holding == free.plan.holding
+                pairs += 1
+        assert pairs == 15
+
 
 class TestCacheBinding:
     """A PlanCache serves only the scene and options that filled it."""

@@ -1052,14 +1052,18 @@ def test_every_station_target_ik_solves_has_an_exact_solution(station_ik):
     assert np.all(_per_base(_exactly_reachable, base_r, base_t, rots, ts)[solved])
 
 
-def test_point_jacobian_equals_the_cross_product_form(arm):
-    # The linear rows of the one Jacobian kernel, at points of their
-    # own, equal np.cross of the joint axes and levers bit for bit.
+def test_joint_torques_equal_the_cross_product_form(arm):
+    # The torques contract the one Jacobian kernel's linear rows, at
+    # points of their own, with the force as (c0 f0 + c1 f1) + c2 f2,
+    # where c is np.cross of the joint axes and levers: bit for bit.
     rng = np.random.default_rng(53)
     qs = rng.uniform(-2.0, 2.0, (40, 6))
     points = rng.uniform(-0.5, 0.5, (40, 3))
+    forces = rng.uniform(-30.0, 30.0, (40, 3))
     _, _, origins, axes = rb.fk_chain_batch(arm.r, arm.t, qs)
-    want = np.cross(axes, points[:, None, :] - origins[:, 1:7]).transpose(0, 2, 1)
-    got = rb.point_jacobian(arm.r, arm.t, qs, points)
-    assert got.shape == (40, 3, 6)
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    c = np.cross(axes, points[:, None, :] - origins[:, 1:7])
+    want = ((c[..., 0] * forces[:, 0, None] + c[..., 1] * forces[:, 1, None])
+            + c[..., 2] * forces[:, 2, None])
+    got = rb.joint_torques(arm.r, arm.t, qs, points, forces)
+    assert got.shape == (40, 6)
+    assert got.tobytes() == want.tobytes()

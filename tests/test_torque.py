@@ -9,14 +9,8 @@ from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
 from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
 from tetherplan.plan_io import TORQUE_HEADER, torque_csv
-from tetherplan.robot import DualArm, fk_chain_batch
-from tetherplan.torque import (
-    EmptyTrace,
-    TorqueTrace,
-    cable_tension,
-    joint_torques,
-    trace_plan,
-)
+from tetherplan.robot import DualArm, fk_chain_batch, joint_torques
+from tetherplan.torque import EmptyTrace, TorqueTrace, cable_tension, trace_plan
 
 from oracles import central_difference_jacobian
 
