@@ -18,9 +18,8 @@ first grasp: a later * is an entanglement the constraint did not
 prevent.  A sweep shares one PlanCache across its cells and both modes,
 so it solves each station once and measures each edge once (an
 approach once with the cable attached, once without).  The same cache
-holds the audit's own tables, so each distinct plan is audited once
-under each bend limit (the two modes often return the same plan) and
-a re-check measures only the waypoint rows that no earlier one did.  A
+holds the audit's plans table, so each distinct plan is audited once
+under each bend limit (the two modes often return the same plan).  A
 re-check makes one arm_link_segments call, both arms at every row,
 for its clearance query and its grip check.
 """
@@ -90,45 +89,30 @@ class Outcome:
         return LABEL_SYMBOLS[self.label]
 
 
-def recheck_plan(motion: MotionPlan, problem: PlanningProblem,
-                 cache: PlanCache | None = None) -> Recheck:
+def recheck_plan(motion: MotionPlan, problem: PlanningProblem) -> Recheck:
     """Re-derive bend, cable-contact, collision and grip facts from
     waypoints.
 
     Trusts nothing the planner recorded beyond the joint trajectories,
     tool track, and holding labels, and checks the tool track against
-    the joints of the arms holding it (_grip_waypoint).  It binds cache
-    (a fresh one when None) to problem's scene and reads none of the
-    planner's tables, only cache.rows: only the rows that it lacks are
-    measured, in plan order; the others are read back.  One
-    arm_link_segments call, both arms at every row, serves both checks:
-    the clearance query reads the link segments of the rows the cache
-    lacks, and the grip check reads the TCP poses.
+    the joints of the arms holding it (_grip_waypoint).  It reads only
+    motion and problem.  One arm_link_segments call, both arms at every
+    row, serves the clearance query (one motion_clearances call over
+    every row) and the grip check (the TCP poses).
     """
     theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
                              problem.balancer, problem.tool)
     over = np.nonzero(theta >= problem.constraint.theta_max)[0]
     bend_wp = int(over[0]) if over.size else None
 
-    cache = PlanCache() if cache is None else cache
-    cache.bind(problem)
-    raw = np.hstack([motion.q_left, motion.q_right,
-                     motion.tool_rot.reshape(-1, 9), motion.tool_t])
-    keys = raw.view(f"V{raw[0].nbytes}").ravel().tolist()
     links, tcp_r, tcp_t = arm_link_segments(problem.robot, problem.world.link_spec,
                                             motion.q_left, motion.q_right)
-    fresh = [i for i, key in enumerate(keys) if key not in cache.rows]
-    if fresh:
-        # The tool shapes and the taut cable ride on every waypoint.
-        clear, pair_idx, pair_names = motion_clearances(
-            problem.world, links[fresh],
-            *problem.tool.bodies(motion.tool_rot[fresh], motion.tool_t[fresh],
-                                 problem.balancer))
-        # With no pair at all every index is 0 and every clearance inf.
-        cable = np.array([CABLE in pair for pair in pair_names] or [False])
-        cache.rows.update(zip([keys[i] for i in fresh],
-                              zip(clear.tolist(), cable[pair_idx].tolist())))
-    clear, cable = map(np.array, zip(*map(cache.rows.__getitem__, keys)))
+    # The tool shapes and the taut cable ride on every waypoint.
+    clear, pair_idx, pair_names = motion_clearances(
+        problem.world, links,
+        *problem.tool.bodies(motion.tool_rot, motion.tool_t, problem.balancer))
+    # With no pair at all every index is 0 and every clearance inf.
+    cable = np.array([CABLE in pair for pair in pair_names] or [False])[pair_idx]
     first_bad = {}      # is the row's nearest pair the cable's -> first such row
     for i in np.nonzero(clear < 0.0)[0]:
         first_bad.setdefault(bool(cable[i]), int(i))
@@ -305,7 +289,7 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
     problem = scene.problem(pitch=pitch, roll=roll)
     options = replace(scene.options, time_budget=math.inf)
     cache = PlanCache() if cache is None else cache
-    # plan() binds the cache to problem's scene, so plans serves only it.
+    # plan() claims the cache for problem's scene, so plans serves only it.
     result = plan(problem, constrained=(mode == "constrained"),
                   options=options, cache=cache)
     motion, recheck, peaks = result.plan, None, {}
@@ -314,7 +298,7 @@ def run_cell(scene: Scene, row: int, col: int, mode: str,
                                           motion.tool_rot, motion.tool_t)
                     ) + (motion.holding, problem.constraint.theta_max)
         if key not in cache.plans:
-            recheck = recheck_plan(motion, problem, cache)
+            recheck = recheck_plan(motion, problem)
             trace = trace_plan(motion, problem.robot, problem.balancer, problem.tool)
             cache.plans[key] = recheck, {arm: trace.peak(arm)
                                          for arm in trace.arms()}
@@ -343,9 +327,7 @@ def sweep(scene: Scene) -> SweepReport:
     its audit: the cache hands back the record and peak torques of a plan
     an earlier cell audited under the same bend limit (a re-check and a
     trace read nothing but the plan's arrays and holding, the bend limit
-    and the scene's bodies, which the cache is bound to), and each row
-    that an earlier re-check measured; motion_clearances gives a row the
-    same dense min and argmin bit for bit whichever rows share its call.
+    and the scene's bodies, which the cache is bound to).
     The report holds no timings, so two sweeps of one scene compare equal.
     """
     cache = PlanCache()

@@ -123,6 +123,8 @@ class PlannerOptions:
             raise ValueError("grasp_inset must be positive and finite")
         if not 0.0 <= self.min_handover_separation < math.inf:
             raise ValueError("min_handover_separation must be finite and at least 0")
+        if self.max_edges < 0:
+            raise ValueError("max_edges must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,12 @@ class MotionPlan:
     n_edges: int
     joint_distance: float
 
+    def __post_init__(self):
+        for name in ("q_right", "tool_rot", "tool_t", "holding", "theta", "clearance"):
+            if len(getattr(self, name)) != len(self.q_left):
+                raise ValueError(f"{name} has {len(getattr(self, name))} rows, "
+                                 f"q_left has {len(self.q_left)}")
+
     @property
     def n_waypoints(self) -> int:
         return self.q_left.shape[0]
@@ -225,40 +233,36 @@ class PlanResult:
 @dataclass
 class PlanCache:
     """A sweep's memo of one scene: the grasp table, station grasp
-    configs and edges, and the re-check's rows and plans.
+    configs and edges, and the audit's plans.
 
-    bind records the first problem's scene (world, robot, tool and
-    balancer by identity; the homes by value, as each PlanningProblem
-    holds its own copy) and raises ValueError for another scene.  claim
-    binds, and its first call records the options the planner tables
-    depend on (bound: axial_samples, roll_samples, grasp_inset,
-    interp_step and ik) and samples grasp_table, which both arms read; a
-    later claim under other values raises ValueError.  max_edges,
-    time_budget and min_handover_separation enter no table, so they stay
-    free.  node_feasible maps (station key, arm) to the collision-free
-    grasp configs there, reach to their joint distances from the arm's
-    home; solve_stations fills both up front, one grouped IK call for
-    both arms, and the search only reads them.  The edge tables fill
-    lazily, keyed by edge specs that name stations by key:
-    ("approach", start, arm, grasp), ("transfer", from, to, arm, grasp)
-    and ("handover", station, giver, grasp, receiver, grasp).
+    claim's first call records the problem's scene (world, robot, tool
+    and balancer by identity; the homes by value, as each
+    PlanningProblem holds its own copy) and the options the planner
+    tables depend on (bound: axial_samples, roll_samples, grasp_inset,
+    interp_step and ik), and samples grasp_table, which both arms read;
+    a later claim for another scene or under other values raises
+    ValueError.  max_edges, time_budget and min_handover_separation
+    enter no table, so they stay free.  node_feasible maps (station key,
+    arm) to the collision-free grasp configs there, reach to their joint
+    distances from the arm's home; solve_stations fills both up front,
+    one grouped IK call for both arms, and the search only reads them.
+    The edge tables fill lazily, keyed by edge specs that name stations
+    by key: ("approach", start, arm, grasp), ("transfer", from, to, arm,
+    grasp) and ("handover", station, giver, grasp, receiver, grasp).
     edge_measure maps (spec, cable attached) to the edge's measured block
     (rows, bend angles, clearances) and each row's nearest pair; only a
     constrained approach attaches the cable, so both modes share every
     transfer and handover measurement.  edge_verdict maps (spec,
     constrained, bend limit) to the block if the edge passes there, else
-    the reason it fails.  The re-check reads none of these, only rows: a
-    waypoint row's raw bytes (q_left, q_right, tool_rot, tool_t; -0.0 and
-    0.0 stay distinct) -> its clearance and whether its nearest pair
-    includes the cable.  bench's plan audit reads plans: a plan's raw
-    array bytes, holding and bend limit -> its (Recheck, peak torques).
+    the reason it fails.  bench's plan audit reads only plans: a plan's
+    raw array bytes, holding and bend limit -> its (Recheck, peak
+    torques).
     """
 
     node_feasible: dict = field(default_factory=dict)
     reach: dict = field(default_factory=dict)
     edge_measure: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
-    rows: dict = field(default_factory=dict, init=False)
     plans: dict = field(default_factory=dict, init=False)
     bodies: tuple = field(default=(), init=False)
     homes: bytes = field(default=b"", init=False)
@@ -266,19 +270,15 @@ class PlanCache:
     grasp_table: GraspSet | None = field(default=None, init=False)
     _BOUND_FIELDS = ("axial_samples", "roll_samples", "grasp_inset", "interp_step", "ik")
 
-    def bind(self, problem: PlanningProblem) -> None:
-        """Bind to problem's scene; raise ValueError if another filled it."""
+    def claim(self, problem: PlanningProblem, options: PlannerOptions) -> GraspSet:
+        """The grasp table; raises ValueError if another scene filled the
+        cache or options differ from the first claim's in a bound value."""
         bodies = (problem.world, problem.robot, problem.tool, problem.balancer)
         homes = problem.home_left.tobytes() + problem.home_right.tobytes()
         if not self.bodies:
             self.bodies, self.homes = bodies, homes
         elif any(a is not b for a, b in zip(bodies, self.bodies)) or homes != self.homes:
             raise ValueError("a PlanCache serves only the scene that filled it")
-
-    def claim(self, problem: PlanningProblem, options: PlannerOptions) -> GraspSet:
-        """The grasp table; binds problem, and raises ValueError if options
-        differ from the first claim's in a bound value."""
-        self.bind(problem)
         bound = {k: getattr(options, k) for k in self._BOUND_FIELDS}
         if self.bound is None:
             self.bound, self.grasp_table = bound, sample_grasps(

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import HOME_LEFT, HOME_RIGHT, QUICK, make_problem, make_tool, \
-    moved_scene, scene_from
+from helpers import HOME_LEFT, HOME_RIGHT, QUICK, make_problem, moved_scene, \
+    scene_from
 from oracles import dense_pair_clearances, rot_axis_angle
 
 import tetherplan
@@ -287,25 +287,38 @@ def test_audit_does_not_depend_on_the_blas_kernel():
     assert prescott.stdout.strip() == here["digest"]
 
 
-def test_audit_runs_one_fk_call_per_recheck_and_per_trace(monkeypatch):
+def test_recheck_runs_one_fk_and_one_clearance_call_and_trace_one_fk_call(
+        monkeypatch):
     # The re-check's clearance and grip check share one FK call of both
-    # arms at every row; the torque trace makes one of its own.
+    # arms at every row, and its clearance query is one call over every
+    # row with the tool's shapes and the cable attached; the torque
+    # trace makes one FK call of its own.
     _, problem, motion = next(a for a in _audit_plans()
                               if a[0] == "r0c0_constrained.csv")
-    rows = []
+    rows, clearance_calls = [], []
     chain = tetherplan.robot.fk_chain_batch
+    clearances = tetherplan.bench.motion_clearances
 
     def counted(base_r, base_t, qs):
         rows.append(len(qs))
         return chain(base_r, base_t, qs)
 
+    def counted_clearances(world, links, segs, radii, names):
+        clearance_calls.append((len(links), segs.shape[:2], list(names)))
+        return clearances(world, links, segs, radii, names)
+
     monkeypatch.setattr(tetherplan.robot, "fk_chain_batch", counted)
+    monkeypatch.setattr(tetherplan.bench, "motion_clearances", counted_clearances)
     recheck_plan(motion, problem)
     recheck_rows, rows[:] = list(rows), []
     trace_plan(motion, problem.robot, problem.balancer, problem.tool)
     assert len(recheck_rows) == len(rows) == 1
     assert recheck_rows[0] == 2 * motion.n_waypoints
     assert rows[0] == sum(map(len, motion.holding))
+    shapes = problem.tool.shape_segments()[2]
+    assert clearance_calls == [(motion.n_waypoints,
+                                (motion.n_waypoints, len(shapes) + 1),
+                                shapes + [CABLE])]
 
 
 def _with_copies(motion, rows):
@@ -335,16 +348,13 @@ def test_recheck_of_a_plan_with_repeated_rows(regrasp):
     assert copied.n_waypoints == motion.n_waypoints + 2
 
     record = recheck_plan(motion, problem)
-    cache = PlanCache()
-    got = recheck_plan(copied, problem, cache)
+    got = recheck_plan(copied, problem)
     assert (record.grip_waypoint == 40) == regrasp
     shift = {f: None if i is None else i + (i > free) + (i > held)
              for f in ("bend_waypoint", "cable_waypoint",
                        "collision_waypoint", "grip_waypoint")
              for i in [getattr(record, f)]}
     assert got == replace(record, **shift)
-    assert len(cache.rows) == len(set(_row_keys(copied))) == motion.n_waypoints
-    assert recheck_plan(copied, problem) == got
 
     links = arm_link_segments(problem.robot, problem.world.link_spec,
                               copied.q_left, copied.q_right)[0]
@@ -357,6 +367,22 @@ def test_recheck_of_a_plan_with_repeated_rows(regrasp):
     assert got.cable_waypoint == next((i for i in bad if cable[i]), None)
     assert got.collision_waypoint == next((i for i in bad if not cable[i]),
                                           None)
+
+
+@pytest.mark.parametrize("name, extra", [
+    *((name, -1) for name in ("q_left", "q_right", "tool_rot", "tool_t",
+                              "holding", "theta", "clearance")),
+    ("holding", 1)], ids=lambda v: {-1: "short", 1: "long"}.get(v, v))
+def test_plan_rows_must_agree(name, extra):
+    # A holding cut short would leave the rows past it unaudited (the
+    # grip check would miss the raised tool of TestGrip), and one entry
+    # too many would fail inside the re-check.
+    _, _, motion = next(a for a in _audit_plans()
+                        if a[0] == "r0c0_constrained.csv")
+    rows = getattr(motion, name)
+    rows = rows[:extra] if extra < 0 else rows + rows[-extra:]
+    with pytest.raises(ValueError, match="rows, q_left has"):
+        replace(motion, **{name: rows})
 
 
 class TestGrip:
@@ -416,19 +442,14 @@ def default_cut():
 
 def _sweep_recording(scene, monkeypatch):
     """sweep(scene), with the (motion, problem, record) of each re-check,
-    the rows each clearance call of the re-check receives, the plan of
-    each planned cell, in cell order, and how many traces ran."""
-    rechecks, rows, plans, traces = [], [], [], []
+    the plan of each planned cell, in cell order, and how many traces
+    ran."""
+    rechecks, plans, traces = [], [], []
 
-    def recording_recheck(motion, problem, cache=None):
-        record = real_recheck(motion, problem, cache)
+    def recording_recheck(motion, problem):
+        record = real_recheck(motion, problem)
         rechecks.append((motion, problem, record))
         return record
-
-    def recording_clearances(world, links, segs, *rest):
-        rows.extend(np.concatenate(
-            [links.reshape(len(links), -1), segs.reshape(len(segs), -1)], axis=1))
-        return real_clearances(world, links, segs, *rest)
 
     def recording_plan(problem, **kw):
         result = real_plan(problem, **kw)
@@ -441,15 +462,12 @@ def _sweep_recording(scene, monkeypatch):
         return real_trace(motion, *bodies)
 
     real_recheck = recheck_plan
-    real_clearances = tetherplan.bench.motion_clearances
     real_plan = tetherplan.bench.plan
     real_trace = trace_plan
     monkeypatch.setattr(tetherplan.bench, "recheck_plan", recording_recheck)
-    monkeypatch.setattr(tetherplan.bench, "motion_clearances",
-                        recording_clearances)
     monkeypatch.setattr(tetherplan.bench, "plan", recording_plan)
     monkeypatch.setattr(tetherplan.bench, "trace_plan", recording_trace)
-    return sweep(scene), rechecks, rows, plans, len(traces)
+    return sweep(scene), rechecks, plans, len(traces)
 
 
 def _plan_key(motion):
@@ -458,19 +476,12 @@ def _plan_key(motion):
                  ) + (motion.holding,)
 
 
-def _row_keys(motion):
-    return [np.concatenate([motion.q_left[i], motion.q_right[i],
-                            motion.tool_rot[i].ravel(), motion.tool_t[i]]
-                           ).tobytes() for i in range(motion.n_waypoints)]
-
-
 class TestRecheckMemo:
-    """The audit's memo: the rows and plans tables of the sweep's PlanCache."""
+    """The audit's memo: the plans table of the sweep's PlanCache."""
 
     def test_sweep_records_equal_fresh_rechecks(self, default_cut,
                                                 monkeypatch):
-        report, rechecks, _, plans, _ = _sweep_recording(default_cut,
-                                                         monkeypatch)
+        report, rechecks, plans, _ = _sweep_recording(default_cut, monkeypatch)
         cells = [c for c in report.cells if c.recheck]
         assert {c.outcome.label for c in report.cells} == {
             "success", "bend_violation", "no_plan"}
@@ -482,16 +493,12 @@ class TestRecheckMemo:
                                problem.tool)
             assert cell.peak_torque == {arm: trace.peak(arm)
                                         for arm in trace.arms()}
-        cache = PlanCache()
-        for cell, (motion, problem) in reversed(list(zip(cells, plans))):
-            assert recheck_plan(motion, problem, cache) == cell.recheck
         for motion, problem, record in rechecks:
             assert recheck_plan(motion, problem) == record
 
     def test_each_distinct_plan_is_audited_once(self, default_cut,
                                                 monkeypatch):
-        _, rechecks, _, plans, n_traces = _sweep_recording(default_cut,
-                                                           monkeypatch)
+        _, rechecks, plans, n_traces = _sweep_recording(default_cut, monkeypatch)
         # Both modes of a 75-deg cell return the same plan.
         distinct = {_plan_key(motion) for motion, _ in plans}
         assert len(rechecks) == n_traces == len(distinct) < len(plans)
@@ -527,27 +534,6 @@ class TestRecheckMemo:
         # The same plan, so the plan entry would answer it.
         with pytest.raises(ValueError, match="only the scene"):
             run_cell(other, 0, 0, "unconstrained", cache)
-
-    def test_each_distinct_row_is_measured_once(self, default_cut,
-                                                monkeypatch):
-        _, rechecks, rows, _, _ = _sweep_recording(default_cut, monkeypatch)
-        distinct = {k for motion, _, _ in rechecks for k in _row_keys(motion)}
-        assert sum(m.n_waypoints for m, _, _ in rechecks) > len(distinct)
-        assert len(rows) == len(distinct)
-        assert len({row.tobytes() for row in rows}) == len(rows)
-
-    def test_memo_serves_only_the_scene_that_filled_it(self, solved):
-        problem, motion = solved
-        cache = PlanCache()
-        record = recheck_plan(motion, problem, cache)
-        assert recheck_plan(motion, replace(problem, goal_pose=Pose()),
-                            cache) == record
-        world = CollisionWorld(problem.world.statics, problem.world.link_spec,
-                               problem.world.excluded)
-        for other in (replace(problem, world=world),
-                      replace(problem, tool=make_tool())):
-            with pytest.raises(ValueError, match="only the scene"):
-                recheck_plan(motion, other, cache)
 
 
 class TestSweep:

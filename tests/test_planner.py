@@ -10,7 +10,6 @@ from oracles import dense_pair_clearances, per_grasp_sample_grasps, \
     per_pair_station_solve, per_pair_successors, pop_and_check_search
 
 from tetherplan import planner, robot
-from tetherplan.bench import recheck_plan
 from tetherplan.cable import CABLE, BendConstraint, ToolSpec, bend_angle_batch
 from tetherplan.collision import Box, Capsule, CollisionWorld, arm_link_segments, \
     motion_clearances
@@ -141,6 +140,13 @@ class TestInterp:
         with pytest.raises(ValueError, match="min_handover_separation must be finite"):
             PlannerOptions(min_handover_separation=separation)
         PlannerOptions(min_handover_separation=0.0)
+
+    def test_options_reject_a_negative_edge_budget(self):
+        # Every plan() under a negative budget would stop before its
+        # first edge and report "budget"; the scene file rejects it too.
+        with pytest.raises(ValueError, match="max_edges must be at least 0"):
+            PlannerOptions(max_edges=-5)
+        PlannerOptions(max_edges=0)
 
 
 @pytest.mark.parametrize("home", ["home_left", "home_right"])
@@ -623,7 +629,7 @@ class TestCacheBinding:
         # station configs and edge verdicts were drawn without it.
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
         cache = PlanCache()
-        motion = plan(problem, True, QUICK, cache).plan
+        plan(problem, True, QUICK, cache)
         wall = Box(Pose(np.eye(3), [0.3, 0.0, 0.3]), [0.05, 0.05, 0.3])
         world = problem.world
         walled = replace(problem, world=CollisionWorld(
@@ -632,8 +638,6 @@ class TestCacheBinding:
             plan(walled, True, QUICK, cache)
         with pytest.raises(ValueError, match="only the scene"):
             solve_stations([walled], QUICK, cache)
-        with pytest.raises(ValueError, match="only the scene"):
-            recheck_plan(motion, walled, cache)
         assert plan(walled, True, QUICK).failure == "exhausted"
 
     @pytest.mark.parametrize("change, bound", [
@@ -644,7 +648,7 @@ class TestCacheBinding:
         scene = default_scene()
         problem = scene.problem(scene.pitch_rows[0], scene.roll_cols[0])
         cache = PlanCache()
-        motion = plan(problem, True, scene.options, cache).plan
+        plan(problem, True, scene.options, cache)
         left = problem.robot.left
         other = {
             "robot": lambda: replace(problem, robot=DualArm(
@@ -665,8 +669,6 @@ class TestCacheBinding:
                 plan(other, True, scene.options, cache)
             with pytest.raises(ValueError, match="only the scene"):
                 solve_stations([other], scene.options, cache)
-            with pytest.raises(ValueError, match="only the scene"):
-                recheck_plan(motion, other, cache)
             return
         got = plan(other, True, scene.options, cache)
         want = plan(other, True, scene.options)

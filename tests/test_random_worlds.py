@@ -73,7 +73,7 @@ def test_random_worlds_agree_with_the_recheck(boxes, cable_radius):
             assert result.failure in ("exhausted", "no_feasible_start")
             assert classify(result, None).label == "no_plan"
             continue
-        recheck = recheck_plan(result.plan, problem, cache)
+        recheck = recheck_plan(result.plan, problem)
         assert recheck.collision_waypoint is None
         assert recheck.grip_waypoint is None
         # A constrained approach, which ends on the first held waypoint,
