@@ -15,12 +15,12 @@ re-check carries the taut cable, anchor to connector, on every
 waypoint.  The constrained planner keeps every waypoint under the bend
 limit, so it never emits x, but it checks the cable only until the
 first grasp: a later * is an entanglement the constraint did not
-prevent.  A sweep shares one PlanCache across its cells and both modes,
-so it solves each station once and measures each edge once (an
-approach once with the cable attached, once without).  The same cache
-holds the audit's plans table, so each distinct plan is audited once
-under each bend limit (the two modes often return the same plan).  A
-re-check makes one arm_link_segments call, both arms at every row,
+prevent.  A sweep builds each cell's problem once and plans it in both
+modes, sharing one PlanCache across its cells, so it solves each
+station once and measures each edge once (an approach once with the
+cable attached, once without).  It audits a cell's unconstrained plan
+only where it differs from the constrained one, which it often equals.
+A re-check makes one arm_link_segments call, both arms at every row,
 for its clearance query and its grip check.
 """
 
@@ -277,67 +277,50 @@ class SweepReport:
                              per_arm_mean_pct=per_arm_mean)
 
 
-def run_cell(scene: Scene, row: int, col: int, mode: str,
-             cache: PlanCache | None = None) -> SweepCell:
-    """Plan, re-check, and classify one grid cell.
-
-    A plan that cache.plans holds under the same bend limit is not
-    re-checked or traced again: its record is read back.
-    """
-    pitch = scene.pitch_rows[row]
-    roll = scene.roll_cols[col]
-    problem = scene.problem(pitch=pitch, roll=roll)
-    options = replace(scene.options, time_budget=math.inf)
-    cache = PlanCache() if cache is None else cache
-    # plan() claims the cache for problem's scene, so plans serves only it.
-    result = plan(problem, constrained=(mode == "constrained"),
-                  options=options, cache=cache)
-    motion, recheck, peaks = result.plan, None, {}
-    if motion is not None:
-        key = tuple(a.tobytes() for a in (motion.q_left, motion.q_right,
-                                          motion.tool_rot, motion.tool_t)
-                    ) + (motion.holding, problem.constraint.theta_max)
-        if key not in cache.plans:
-            recheck = recheck_plan(motion, problem)
-            trace = trace_plan(motion, problem.robot, problem.balancer, problem.tool)
-            cache.plans[key] = recheck, {arm: trace.peak(arm)
-                                         for arm in trace.arms()}
-        recheck, peaks = cache.plans[key]
-        peaks = dict(peaks)
-    outcome = classify(result, recheck)
-    return SweepCell(
-        row=row, col=col, pitch=pitch, roll=roll, mode=mode, outcome=outcome,
-        recheck=recheck,
-        n_edges=motion.n_edges if motion else None,
-        n_waypoints=motion.n_waypoints if motion else None,
-        joint_distance=motion.joint_distance if motion else None,
-        peak_torque=peaks)
-
-
 def sweep(scene: Scene) -> SweepReport:
     """Run the full grid in both modes, cells in (row, col, mode) order.
 
-    Station IK for every cell is solved first, both arms in one grouped
-    batch (solve_stations).  The cells then run one after another against
-    that shared plan cache, the constrained mode of a cell first.  A
-    cell's result depends neither on which cells ran before it nor on
-    their mode: the cache is content-addressed, holds an edge's
+    Each cell is one problem.  Station IK for every cell is solved first,
+    both arms in one grouped batch (solve_stations).  Each cell then plans
+    its constrained mode, then its unconstrained one, against that shared
+    plan cache.  A cell's result depends neither on which cells ran before
+    it nor on their mode: the cache is content-addressed, holds an edge's
     measurement apart from each mode's verdict on it, and the planner
-    budget counts the path edges it checks, cache hits included.  Nor does
-    its audit: the cache hands back the record and peak torques of a plan
-    an earlier cell audited under the same bend limit (a re-check and a
-    trace read nothing but the plan's arrays and holding, the bend limit
-    and the scene's bodies, which the cache is bound to).
+    budget counts the path edges it checks, cache hits included.  The
+    unconstrained plan is re-checked and traced only if its joint and tool
+    arrays (by bytes) or its holding differ from the constrained plan's;
+    else it takes that plan's record and peak torques, since a re-check
+    and a trace read nothing but the plan and the cell's problem.
     The report holds no timings, so two sweeps of one scene compare equal.
     """
     cache = PlanCache()
-    solve_stations([scene.problem(pitch=p, roll=r)
-                    for p in scene.pitch_rows for r in scene.roll_cols],
-                   scene.options, cache)
-    cells = [run_cell(scene, i, j, mode, cache)
-             for i in range(len(scene.pitch_rows))
-             for j in range(len(scene.roll_cols))
-             for mode in ("constrained", "unconstrained")]
+    options = replace(scene.options, time_budget=math.inf)
+    grid = list(product(enumerate(scene.pitch_rows), enumerate(scene.roll_cols)))
+    problems = [scene.problem(pitch=pitch, roll=roll)
+                for (_, pitch), (_, roll) in grid]
+    solve_stations(problems, scene.options, cache)
+    cells = []
+    for ((i, pitch), (j, roll)), problem in zip(grid, problems):
+        audited = None      # the cell's plan that recheck and peaks belong to
+        for mode in ("constrained", "unconstrained"):
+            result = plan(problem, constrained=(mode == "constrained"),
+                          options=options, cache=cache)
+            motion = result.plan
+            if motion is None:
+                recheck, peaks = None, {}
+            elif audited is None or motion.holding != audited.holding or any(
+                    getattr(motion, f).tobytes() != getattr(audited, f).tobytes()
+                    for f in ("q_left", "q_right", "tool_rot", "tool_t")):
+                audited, recheck = motion, recheck_plan(motion, problem)
+                trace = trace_plan(motion, problem.robot, problem.balancer, problem.tool)
+                peaks = {arm: trace.peak(arm) for arm in trace.arms()}
+            cells.append(SweepCell(
+                row=i, col=j, pitch=pitch, roll=roll, mode=mode,
+                outcome=classify(result, recheck), recheck=recheck,
+                n_edges=motion.n_edges if motion else None,
+                n_waypoints=motion.n_waypoints if motion else None,
+                joint_distance=motion.joint_distance if motion else None,
+                peak_torque=dict(peaks)))
     return SweepReport(scene_name=scene.name, pitch_rows=scene.pitch_rows,
                        roll_cols=scene.roll_cols, cells=tuple(cells))
 

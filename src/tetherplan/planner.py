@@ -233,7 +233,8 @@ class PlanResult:
 @dataclass
 class PlanCache:
     """A sweep's memo of one scene: the grasp table, station grasp
-    configs and edges, and the audit's plans.
+    configs and edges.  bench.sweep shares one across its cells, each
+    planned in both modes.
 
     claim's first call records the problem's scene (world, robot, tool
     and balancer by identity; the homes by value, as each
@@ -254,16 +255,13 @@ class PlanCache:
     constrained approach attaches the cable, so both modes share every
     transfer and handover measurement.  edge_verdict maps (spec,
     constrained, bend limit) to the block if the edge passes there, else
-    the reason it fails.  bench's plan audit reads only plans: a plan's
-    raw array bytes, holding and bend limit -> its (Recheck, peak
-    torques).
+    the reason it fails.
     """
 
     node_feasible: dict = field(default_factory=dict)
     reach: dict = field(default_factory=dict)
     edge_measure: dict = field(default_factory=dict)
     edge_verdict: dict = field(default_factory=dict)
-    plans: dict = field(default_factory=dict, init=False)
     bodies: tuple = field(default=(), init=False)
     homes: bytes = field(default=b"", init=False)
     bound: dict | None = field(default=None, init=False)

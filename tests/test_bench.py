@@ -26,14 +26,13 @@ from tetherplan.bench import (
     _GRIP_TOL,
     recheck_plan,
     render_grid,
-    run_cell,
     sweep,
 )
-from tetherplan.cable import CABLE, BendConstraint, bend_angle_batch
+from tetherplan.cable import CABLE, BendConstraint
 from tetherplan.collision import Box, CollisionWorld, arm_link_segments
 from tetherplan.geometry import Pose, rot_z
 from tetherplan.plan_io import read_plan_csv
-from tetherplan.planner import MotionPlan, PlanCache, PlannerStats, \
+from tetherplan.planner import MotionPlan, PlannerStats, \
     PlanResult, plan
 from tetherplan.scene import default_scene
 from tetherplan.torque import trace_plan
@@ -476,8 +475,9 @@ def _plan_key(motion):
                  ) + (motion.holding,)
 
 
-class TestRecheckMemo:
-    """The audit's memo: the plans table of the sweep's PlanCache."""
+class TestOneAuditPerPlan:
+    """A sweep audits each cell's unconstrained plan only where it differs
+    from the cell's constrained plan."""
 
     def test_sweep_records_equal_fresh_rechecks(self, default_cut,
                                                 monkeypatch):
@@ -503,37 +503,29 @@ class TestRecheckMemo:
         distinct = {_plan_key(motion) for motion, _ in plans}
         assert len(rechecks) == n_traces == len(distinct) < len(plans)
 
-    def test_plans_under_another_bend_limit_are_not_reused(self,
-                                                          benign_scene):
-        problem = benign_scene.problem()
-        motion = plan(problem, constrained=False,
-                      options=benign_scene.options).plan
-        theta = bend_angle_batch(motion.tool_rot, motion.tool_t,
-                                 problem.balancer, problem.tool)
-        tight = replace(benign_scene, base=replace(
-            problem, constraint=BendConstraint(0.5 * float(theta.max()))))
-        cache = PlanCache()
-        loose = run_cell(benign_scene, 0, 0, "unconstrained", cache)
-        bent = run_cell(tight, 0, 0, "unconstrained", cache)
-        assert loose.outcome.label == "success"
-        assert bent.outcome.label == "bend_violation"
-        assert bent.recheck == recheck_plan(motion, tight.problem())
-        assert bent.peak_torque == loose.peak_torque
-        assert len(cache.plans) == 2
-
-    def test_plan_entries_serve_only_the_scene_that_filled_them(
-            self, benign_scene):
-        cache = PlanCache()
-        cell = run_cell(benign_scene, 0, 0, "unconstrained", cache)
-        assert run_cell(benign_scene, 0, 0, "unconstrained", cache) == cell
-        assert len(cache.plans) == 1
-        world = benign_scene.base.world
-        other = replace(benign_scene, base=replace(
-            benign_scene.base, world=CollisionWorld(
-                world.statics, world.link_spec, world.excluded)))
-        # The same plan, so the plan entry would answer it.
-        with pytest.raises(ValueError, match="only the scene"):
-            run_cell(other, 0, 0, "unconstrained", cache)
+    def test_a_cell_whose_modes_plan_differently_audits_both(self,
+                                                            monkeypatch):
+        """At 60 deg the unconstrained plans of pitch 45 deg by roll -10
+        and 0 deg bend the cable past the limit, and the constrained
+        plans take another path under it."""
+        scene = default_scene()
+        cut = replace(scene, pitch_rows=scene.pitch_rows[4:5],
+                      roll_cols=scene.roll_cols[1:3],
+                      base=replace(scene.base, constraint=BendConstraint(
+                          math.radians(60.0))))
+        report, rechecks, plans, n_traces = _sweep_recording(cut, monkeypatch)
+        assert len(rechecks) == n_traces == len(plans) == 4
+        assert [(c.outcome.symbol, c.outcome.first_violation)
+                for c in report.cells] == [("o", None), ("x", 58),
+                                           ("o", None), ("x", 56)]
+        assert [round(c.peak_torque["right"], 2) for c in report.cells] == [
+            7.92, 14.26, 8.42, 14.44]
+        for cell, (motion, problem) in zip(report.cells, plans):
+            assert recheck_plan(motion, problem) == cell.recheck
+            trace = trace_plan(motion, problem.robot, problem.balancer,
+                               problem.tool)
+            assert cell.peak_torque == {arm: trace.peak(arm)
+                                        for arm in trace.arms()}
 
 
 class TestSweep:

@@ -224,7 +224,7 @@ class TestComparison:
 
     @staticmethod
     def summary(constrained: TorqueTrace, unconstrained: TorqueTrace):
-        # Peaks per arm as bench.run_cell records them.
+        # Peaks per arm as bench.sweep records them.
         cells = tuple(
             SweepCell(row=0, col=0, pitch=0.0, roll=0.0, mode=mode,
                       outcome=Outcome(label="success"), recheck=None,
