@@ -68,19 +68,12 @@ class Recheck:
     grip_waypoint: int | None
     min_clearance: float
 
-    @property
-    def clean(self) -> bool:
-        return (self.bend_waypoint is None and self.cable_waypoint is None
-                and self.collision_waypoint is None
-                and self.grip_waypoint is None)
-
 
 @dataclass(frozen=True)
 class Outcome:
     """One classified cell result."""
 
     label: str
-    theta_max_deg: float | None = None
     first_violation: int | None = None
     failure: str | None = None
 
@@ -177,13 +170,10 @@ def classify(result: PlanResult, recheck: Recheck | None) -> Outcome:
         raise RuntimeError(
             "re-check found the held tool away from its gripper at waypoint "
             f"{recheck.grip_waypoint}; the planner should never emit one")
-    theta_deg = math.degrees(recheck.theta_max)
     if recheck.bend_waypoint is not None:
-        return Outcome(label="bend_violation", theta_max_deg=theta_deg,
-                       first_violation=recheck.bend_waypoint)
+        return Outcome(label="bend_violation", first_violation=recheck.bend_waypoint)
     if recheck.cable_waypoint is not None:
-        return Outcome(label="cable_collision", theta_max_deg=theta_deg,
-                       first_violation=recheck.cable_waypoint)
+        return Outcome(label="cable_collision", first_violation=recheck.cable_waypoint)
     if recheck.collision_waypoint is not None:
         # Both modes validate every motion against the environment, so a
         # residual contact means the planner itself is unsound; surface
@@ -191,7 +181,7 @@ def classify(result: PlanResult, recheck: Recheck | None) -> Outcome:
         raise RuntimeError(
             "re-check found an environment collision at waypoint "
             f"{recheck.collision_waypoint}; the planner should never emit one")
-    return Outcome(label="success", theta_max_deg=theta_deg)
+    return Outcome(label="success")
 
 
 @dataclass(frozen=True)
@@ -227,7 +217,6 @@ class TorqueSummary:
 
 @dataclass(frozen=True)
 class SweepReport:
-    scene_name: str
     pitch_rows: tuple[float, ...]
     roll_cols: tuple[float, ...]
     cells: tuple[SweepCell, ...]
@@ -321,8 +310,8 @@ def sweep(scene: Scene) -> SweepReport:
                 n_waypoints=motion.n_waypoints if motion else None,
                 joint_distance=motion.joint_distance if motion else None,
                 peak_torque=dict(peaks)))
-    return SweepReport(scene_name=scene.name, pitch_rows=scene.pitch_rows,
-                       roll_cols=scene.roll_cols, cells=tuple(cells))
+    return SweepReport(pitch_rows=scene.pitch_rows, roll_cols=scene.roll_cols,
+                       cells=tuple(cells))
 
 
 def _fmt(value, digits: int = 9) -> str:
@@ -348,7 +337,7 @@ def cells_csv(report: SweepReport) -> str:
             str(c.row), str(c.col),
             _fmt(math.degrees(c.pitch)), _fmt(math.degrees(c.roll)),
             c.mode, o.label, o.symbol,
-            _fmt(o.theta_max_deg),
+            _fmt(math.degrees(c.recheck.theta_max) if c.recheck else None),
             _fmt(o.first_violation),
             o.failure or "",
             _fmt(c.n_edges), _fmt(c.n_waypoints), _fmt(c.joint_distance),

@@ -214,8 +214,11 @@ def parse_plan_csv(text: str) -> MotionPlan:
 
 
 def read_plan_csv(path) -> MotionPlan:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_plan_csv(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse_plan_csv(f.read())
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not valid UTF-8: {e}") from e
 
 
 def torque_csv(trace) -> str:

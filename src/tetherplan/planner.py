@@ -225,10 +225,6 @@ class PlanResult:
     failure: str | None
     stats: PlannerStats
 
-    @property
-    def success(self) -> bool:
-        return self.plan is not None
-
 
 @dataclass
 class PlanCache:
@@ -330,17 +326,16 @@ def solve_stations(problems, options: PlannerOptions, cache: PlanCache) -> None:
     """
     stations: dict[bytes, Pose] = {}
     for problem in problems:
-        cache.claim(problem, options)
+        grasps = cache.claim(problem, options)
         for key, pose in _stations(problem, False)[0].items():
             stations.setdefault(key, pose)
     if problems:
-        _solve_stations(problems[0], stations, options, cache)
+        _solve_stations(problems[0], stations, grasps, options.ik, cache)
 
 
 def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
-                    options: PlannerOptions, cache: PlanCache) -> None:
-    """solve_stations on one key -> pose table, in the scene of problem."""
-    grasps = cache.claim(problem, options)
+                    grasps: GraspSet, ik: IKOptions, cache: PlanCache) -> None:
+    """solve_stations on one key -> pose table, with problem's claimed grasps."""
     jobs = [(key, side, pose) for key, pose in stations.items()
             for side in ("left", "right") if (key, side) not in cache.node_feasible]
     if not jobs:
@@ -355,7 +350,7 @@ def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
                         np.concatenate([(r @ grasps.t[..., None])[..., 0] + v
                                         for r, v in zip(rot, t)]),
                         np.repeat([problem.home(side) for _, side, _ in jobs], g, axis=0),
-                        options.ik, [g] * len(jobs))
+                        ik, [g] * len(jobs))
     sols = sols.reshape(len(jobs), g, N_JOINTS)
     feasible: list[dict[int, np.ndarray]] = [{} for _ in jobs]
     for side, mine in (("left", ~right), ("right", right)):
@@ -578,7 +573,7 @@ class _Search:
 
     def run(self) -> PlanResult:
         t0 = time.monotonic()
-        _solve_stations(self.pb, self.stations, self.opt, self.cache)
+        _solve_stations(self.pb, self.stations, self.grasps, self.opt.ik, self.cache)
         succ: dict = {}
         bad: set = set()
         blocks: dict = {}

@@ -12,7 +12,6 @@ IK settings from the same key tables that parse them.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -25,8 +24,6 @@ from .collision import ArmLinkSpec, Box, Capsule, CollisionWorld, Shape, link_na
 from .geometry import Pose, rot_x, rot_y
 from .planner import PlannerOptions, PlanningProblem
 from .robot import DualArm, IKOptions
-
-log = logging.getLogger(__name__)
 
 DEFAULT_PITCH_ROWS_DEG = (0.0, 10.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
 DEFAULT_ROLL_COLS_DEG = (-20.0, -10.0, 0.0, 10.0, 20.0)
@@ -45,7 +42,6 @@ class ValidationError(Exception):
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -400,14 +396,16 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
             f"tool must hang straight at the baseline start "
             f"(bend {math.degrees(theta0):.3f} deg, expected 0); "
             f"place the balancer anchor directly above the connector")
-    log.info("loaded scene %s from %s\n%s", name, source, scene.describe())
     return scene
 
 
 def load_scene(path: str) -> Scene:
     """Load and validate a scene file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scene(fh.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_scene(fh.read(), source=path)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not valid UTF-8: {e}") from e
 
 
 def default_scene() -> Scene:

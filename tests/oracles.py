@@ -454,7 +454,8 @@ def pop_and_check_search(search) -> PlanResult:
     failure is no_feasible_start.
     """
     t0 = time.monotonic()
-    _solve_stations(search.pb, search.stations, search.opt, search.cache)
+    _solve_stations(search.pb, search.stations, search.grasps, search.opt.ik,
+                    search.cache)
     stats = search.stats
     counter = 0
     heap: list[tuple] = []

@@ -66,13 +66,11 @@ class TestClassify:
         assert out.label == "no_plan"
         assert out.symbol == "F"
         assert out.failure == "exhausted"
-        assert out.theta_max_deg is None
 
     def test_clean_success(self):
         out = classify(fake_result(), fake_recheck())
         assert out.label == "success"
         assert out.symbol == "o"
-        assert out.theta_max_deg == pytest.approx(math.degrees(0.5))
         assert out.first_violation is None
 
     def test_bend_violation(self):
@@ -102,17 +100,15 @@ class TestClassify:
             classify(fake_result(), fake_recheck(collision_waypoint=1))
 
     def test_lost_grip_is_a_hard_error(self):
-        rc = fake_recheck(grip_waypoint=4)
-        assert not rc.clean
         with pytest.raises(RuntimeError, match="away from its gripper"):
-            classify(fake_result(), rc)
+            classify(fake_result(), fake_recheck(grip_waypoint=4))
 
 
 @pytest.fixture(scope="module")
 def solved():
     problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
     result = plan(problem, constrained=False, options=QUICK)
-    assert result.success
+    assert result.plan is not None
     return problem, result.plan
 
 
@@ -120,7 +116,7 @@ class TestRecheckPlan:
     def test_clean_plan_audits_clean(self, solved):
         problem, motion = solved
         rc = recheck_plan(motion, problem)
-        assert rc.clean
+        assert classify(fake_result(), rc).label == "success"
         assert rc.theta_max == pytest.approx(float(motion.theta.max()))
         # The audit carries the cable on every waypoint, so its minimum
         # clearance can only be tighter than the planner's cable-free
@@ -139,7 +135,11 @@ class TestRecheckPlan:
         tool_t[k:] += [0.0, shift, 0.0]
         rc = recheck_plan(replace(motion, tool_t=tool_t), problem)
         assert rc.grip_waypoint == (k if flagged else None)
-        assert rc.clean is not flagged
+        if flagged:
+            with pytest.raises(RuntimeError, match="away from its gripper"):
+                classify(fake_result(), rc)
+        else:
+            assert classify(fake_result(), rc).label == "success"
 
     def test_tight_limit_flags_first_bend_waypoint(self, solved):
         problem, motion = solved
@@ -219,7 +219,7 @@ class TestRecheckPlan:
                          for statics in (None, {"shelf": shelf}))
         motion = self._fabricate(bare, bare.start_pose.t, [HOME_LEFT] * 2,
                                  ((), ()))
-        assert recheck_plan(motion, bare).clean
+        assert classify(fake_result(), recheck_plan(motion, bare)).label == "success"
         rc = recheck_plan(motion, shelved)
         assert (rc.cable_waypoint, rc.collision_waypoint) == (0, None)
         out = classify(PlanResult(motion, None, PlannerStats()), rc)
@@ -545,7 +545,7 @@ class TestSweep:
         assert cell.joint_distance > 0.0
         assert cell.peak_torque
         assert all(v > 0.0 for v in cell.peak_torque.values())
-        assert cell.recheck.clean
+        assert classify(fake_result(), cell.recheck).label == "success"
 
     def test_sweep_is_a_pure_function_of_the_scene(self, benign_scene, report):
         # No wall-clock value reaches the report, so a second sweep of
@@ -559,8 +559,7 @@ class TestSweep:
 
     @staticmethod
     def _fake_cell(col, mode, label, peak):
-        outcome = Outcome(label=label, theta_max_deg=80.0,
-                          first_violation=0 if label != "success" else None,
+        outcome = Outcome(label=label, first_violation=0 if label != "success" else None,
                           failure="exhausted" if label == "no_plan" else None)
         return SweepCell(row=0, col=col, pitch=0.0, roll=0.0, mode=mode,
                          outcome=outcome, recheck=None, n_edges=4,
@@ -579,8 +578,7 @@ class TestSweep:
             self._fake_cell(1, "unconstrained", "success",
                             {"left": 10.0, "right": 10.0}),
         )
-        report = SweepReport(scene_name="fake", pitch_rows=(0.0,),
-                             roll_cols=(0.0, 0.1), cells=cells)
+        report = SweepReport(pitch_rows=(0.0,), roll_cols=(0.0, 0.1), cells=cells)
         ts = report.torque_summary()
         assert ts.n_cells == 1
         assert ts.mean_reduction_pct == pytest.approx((50.0 + 20.0) / 2)
@@ -611,7 +609,7 @@ class TestSweep:
                  for c in cells[:6] if c.mode == "constrained"]
 
         def summary(cs):
-            return SweepReport(scene_name="fake", pitch_rows=(0.0, 0.1, 0.2),
+            return SweepReport(pitch_rows=(0.0, 0.1, 0.2),
                                roll_cols=(0.0, 0.1, 0.2, 0.3),
                                cells=tuple(cs)).torque_summary()
 
@@ -631,7 +629,9 @@ class TestSweep:
         assert con[4] == "constrained"
         assert con[5] == "success"
         assert con[6] == "o"
-        assert float(con[7]) > 0.0  # recomputed peak bend, degrees
+        # The re-check's peak bend, in degrees.
+        theta = report.cell(0, 0, "constrained").recheck.theta_max
+        assert float(con[7]) == pytest.approx(math.degrees(theta)) and theta > 0.0
 
     def test_render_mentions_rates_and_legend(self, report):
         text = render_grid(report)
@@ -656,8 +656,7 @@ class TestSweep:
         assert report.grid("unconstrained") == [["x"]]
 
     def test_empty_report_renders_na(self):
-        empty = SweepReport(scene_name="void", pitch_rows=(), roll_cols=(),
-                            cells=())
+        empty = SweepReport(pitch_rows=(), roll_cols=(), cells=())
         ts = empty.torque_summary()
         assert ts.n_cells == 0
         assert ts.mean_reduction_pct is None

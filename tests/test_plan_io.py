@@ -28,7 +28,7 @@ AUDIT_PLANS = Path(__file__).parents[1] / "perfbench" / "audit_plans"
 def solved():
     problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
     result = plan(problem, constrained=True, options=QUICK)
-    assert result.success
+    assert result.plan is not None
     return problem, result.plan
 
 
@@ -123,6 +123,14 @@ class TestParserMatchesTheRowByRowOracle:
 
 
 class TestPlanParseErrors:
+    def test_a_file_that_is_not_utf8_is_rejected_by_its_path(self, solved, tmp_path):
+        _, motion = solved
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(plan_csv(motion).replace("# mode:", "# mod\xe9:", 1)
+                         .encode("latin-1"))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not valid UTF-8"):
+            read_plan_csv(path)
+
     def test_missing_preamble(self, solved):
         _, motion = solved
         text = "\n".join(line for line in plan_csv(motion).splitlines()

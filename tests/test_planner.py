@@ -173,7 +173,7 @@ class TestPlanning:
         # Goal within easy reach of the same arm: no handover needed.
         problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
         result = plan(problem, constrained=True, options=QUICK)
-        assert result.success, result.stats
+        assert result.plan is not None, result.stats
         p = result.plan
         assert p.mode == "constrained"
         assert p.edge_kinds[0] == "approach"
@@ -200,7 +200,7 @@ class TestPlanning:
         assert not cache.node_feasible[(probe.start, "right")]
         assert not cache.node_feasible[(probe.goal, "left")]
         result = plan(problem, constrained=True, options=QUICK)
-        assert result.success, result.stats
+        assert result.plan is not None, result.stats
         p = result.plan
         assert "handover" in p.edge_kinds
         assert p.edge_kinds == ("approach", "transfer", "handover", "transfer")
@@ -239,7 +239,7 @@ class TestPlanning:
         result = plan(problem, constrained=True,
                       options=PlannerOptions(axial_samples=3, roll_samples=8,
                                              max_edges=0))
-        assert not result.success
+        assert result.plan is None
         assert result.failure == "budget"
 
     def test_tight_bend_limit_blocks_constrained_only(self):
@@ -252,11 +252,11 @@ class TestPlanning:
             home_left=problem.home_left, home_right=problem.home_right)
         constrained = plan(tight, constrained=True, options=QUICK)
         unconstrained = plan(tight, constrained=False, options=QUICK)
-        assert not constrained.success
+        assert constrained.plan is None
         # Goal and hover poses already exceed the limit, so the search
         # prunes those stations up front rather than rejecting edges.
         assert constrained.stats.stations_pruned > 0
-        assert unconstrained.success
+        assert unconstrained.plan is not None
         assert unconstrained.plan.theta.max() > 0.05
 
     def test_fat_cable_blocks_constrained_approach_only(self):
@@ -264,21 +264,21 @@ class TestPlanning:
                                cable_radius=0.45)
         constrained = plan(problem, constrained=True, options=QUICK)
         unconstrained = plan(problem, constrained=False, options=QUICK)
-        assert unconstrained.success
-        assert not constrained.success
+        assert unconstrained.plan is not None
+        assert constrained.plan is None
         assert constrained.stats.edges_rejected.get("cable_collision", 0) > 0
 
     def test_unreachable_start_reports_no_feasible_start(self):
         problem = make_problem([2.0, 0.0, 0.5], [0.3, -0.35, 0.45])
         result = plan(problem, constrained=True, options=QUICK)
-        assert not result.success
+        assert result.plan is None
         assert result.failure == "no_feasible_start"
 
     def test_unreachable_goal_reports_exhausted(self):
         # The start has grasps, so the failure is not the start's.
         problem = make_problem([0.3, 0.35, 0.45], [2.0, 0.0, 0.5])
         result = plan(problem, constrained=True, options=QUICK)
-        assert not result.success
+        assert result.plan is None
         assert result.failure == "exhausted"
 
     def test_edge_budget_of_one_stops_after_one_check(self):
@@ -293,8 +293,8 @@ class TestPlanning:
                             ([0.25, 0.3, 0.5], [0.35, -0.2, 0.45]),
                             ([0.2, 0.62, 0.4], [0.2, -0.62, 0.4])]:
             problem = make_problem(start, goal)
-            if plan(problem, constrained=True, options=QUICK).success:
-                assert plan(problem, constrained=False, options=QUICK).success
+            if plan(problem, constrained=True, options=QUICK).plan is not None:
+                assert plan(problem, constrained=False, options=QUICK).plan is not None
 
 
 def _same_result(got, want):
@@ -398,7 +398,8 @@ class TestSearchCosts:
             problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
             constrained = False
         search = _Search(problem, constrained, options, PlanCache())
-        _solve_stations(problem, search.stations, options, search.cache)
+        _solve_stations(problem, search.stations, search.grasps, options.ik,
+                        search.cache)
         feasible = search.cache.node_feasible
         nodes = [ROOT] + [("node", key, side, gid) for key in search.stations
                           for side in ("left", "right")
@@ -752,7 +753,8 @@ class TestEdgeValidation:
         problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45],
                                cable_radius=0.05)
         search = _Search(problem, True, QUICK, PlanCache())
-        _solve_stations(problem, search.stations, QUICK, search.cache)
+        _solve_stations(problem, search.stations, search.grasps, QUICK.ik,
+                        search.cache)
         pose, world = problem.start_pose, problem.world
         cable = Capsule(problem.balancer.anchor,
                         pose.t + pose.r @ problem.tool.connector_point,
@@ -785,7 +787,8 @@ class TestEdgeValidation:
         # one FK call over both arms' rows.
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
         search = _Search(problem, True, QUICK, PlanCache())
-        _solve_stations(problem, search.stations, QUICK, search.cache)
+        _solve_stations(problem, search.stations, search.grasps, QUICK.ik,
+                        search.cache)
         feasible = search.cache.node_feasible
         dst, side, gid = next((dst, side, gid) for dst in list(search.stations)[1:]
                               for side in ("left", "right")
@@ -817,7 +820,7 @@ class TestEdgeValidation:
 
         cache = PlanCache()
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
-        assert plan(problem, True, QUICK, cache).success
+        assert plan(problem, True, QUICK, cache).plan is not None
         assert any(kind == "transfer" for (kind, *_), _ in cache.edge_measure)
         shapes = {a.shape[1:] for a in arrays(list(cache.edge_measure.values()))}
         assert (12, 2, 3) not in shapes and shapes
@@ -911,8 +914,22 @@ class TestStationSolve:
         monkeypatch.setattr(planner, "_stations",
                             lambda *a: calls.append(a) or stations(*a))
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
-        assert plan(problem, constrained=constrained, options=QUICK).success
+        assert plan(problem, constrained=constrained, options=QUICK).plan is not None
         assert len(calls) == 1
+
+    def test_each_problem_claims_the_cache_once(self, monkeypatch):
+        # plan() claims in _Search.__init__ and hands that grasp table to
+        # its station solve; solve_stations claims each problem once.
+        claims = []
+        claim = PlanCache.claim
+        monkeypatch.setattr(PlanCache, "claim",
+                            lambda cache, *a: claims.append(a) or claim(cache, *a))
+        p = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
+        q = replace(p, goal_pose=Pose(np.eye(3), [0.3, 0.1, 0.45]))
+        assert plan(p, constrained=True, options=QUICK).plan is not None
+        assert len(claims) == 1
+        solve_stations([p, q], QUICK, PlanCache())
+        assert len(claims) == 3
 
     def test_unconstrained_stations_are_all_live_without_a_bend_check(
             self, monkeypatch):
@@ -1009,7 +1026,9 @@ class TestStationArrays:
         if constrained:
             # A constrained plan solves its own pruned table, as run() does.
             (problem,) = problems
-            _solve_stations(problem, _stations(problem, True)[0], scene.options, cache)
+            _solve_stations(problem, _stations(problem, True)[0],
+                            cache.claim(problem, scene.options), scene.options.ik,
+                            cache)
         else:
             solve_stations(problems, scene.options, cache)
         # One call per arm; one per (station, arm) pair would be 4 or 28.

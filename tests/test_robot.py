@@ -1046,10 +1046,31 @@ def test_reach_prune_flags_per_row_what_it_flags_per_base():
         assert np.array_equal(flags[mine], _beyond(arm.r, arm.t, rots[mine], ts[mine]))
 
 
+def _oracle_reachable(arm, rots, ts):
+    """(B,) mask of the targets that some in-limit closed_form_ik branch
+    at arm's base meets within 1e-9 (m, and per rotation entry) under
+    the matrix-product FK oracle."""
+    base, tcp = homogeneous(arm.r, arm.t), homogeneous(rb._UR3_TCP.r, rb._UR3_TCP.t)
+
+    def meets(q, want):
+        got = fk_matrix_chain(base, rb._UR3_AXES, rb._UR3_OFFSETS, tcp, q)[0]
+        return in_limits(q) and np.abs(got - want).max() <= 1e-9
+
+    return np.array([any(meets(q, homogeneous(r, t)) for q in branches
+                         if not np.isnan(q).any())
+                     for branches, r, t in zip(oracles.closed_form_ik(arm, rots, ts),
+                                               rots, ts)])
+
+
 def test_every_station_target_ik_solves_has_an_exact_solution(station_ik):
+    # Closed-form station IK (ROADMAP item 2) can stand in for the DLS
+    # loop only if it solves every target that loop solves: checked
+    # with the library FK and with the FK oracle.
     base_r, base_t, rots, ts, _, solved = station_ik
     assert solved.sum() == 726
     assert np.all(_per_base(_exactly_reachable, base_r, base_t, rots, ts)[solved])
+    assert _per_base(_oracle_reachable, base_r[solved], base_t[solved], rots[solved],
+                     ts[solved]).all()
 
 
 def test_joint_torques_equal_the_cross_product_form(arm):

@@ -184,6 +184,13 @@ class TestCellProblems:
 
 
 class TestParseErrors:
+    def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(default_text().replace("name: default", "name: caf\xe9")
+                         .encode("latin-1"))
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}: not valid UTF-8"):
+            load_scene(str(path))
+
     def test_invalid_yaml_reports_position(self):
         with pytest.raises(ParseError, match=r"line \d+"):
             parse_scene("robot: [unclosed\n", source="broken.yaml")

@@ -232,8 +232,8 @@ class TestComparison:
                       peak_torque={arm: trace.peak(arm) for arm in trace.arms()})
             for mode, trace in (("constrained", constrained),
                                 ("unconstrained", unconstrained)))
-        return SweepReport(scene_name="fake", pitch_rows=(0.0,),
-                           roll_cols=(0.0,), cells=cells).torque_summary()
+        return SweepReport(pitch_rows=(0.0,), roll_cols=(0.0,),
+                           cells=cells).torque_summary()
 
     def test_reduction_formula(self):
         a = self.trace((0, "left", 1.0), (1, "left", 3.0))
