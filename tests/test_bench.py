@@ -37,7 +37,10 @@ from tetherplan.planner import MotionPlan, PlannerStats, \
 from tetherplan.scene import default_scene
 from tetherplan.torque import trace_plan
 
-GOLDEN_SWEEP = Path(__file__).parent / "data" / "default_sweep.csv"
+# The default scene's cells_csv under each bend limit (deg); 95 is its own.
+GOLDEN_SWEEPS = {deg: Path(__file__).parent / "data" / name for deg, name in (
+    (95, "default_sweep.csv"), (75, "default_sweep_75.csv"),
+    (60, "default_sweep_60.csv"), (45, "default_sweep_45.csv"))}
 # Stored plans of the default sweep, named r<row>c<col>_<mode>.csv.
 AUDIT_PLANS = Path(__file__).parents[1] / "perfbench" / "audit_plans"
 # Columns of cells_csv compared exactly; every other column is a float
@@ -677,15 +680,24 @@ def default_report():
     return sweep(default_scene())
 
 
-def test_default_sweep_matches_golden_csv(default_report):
-    """The default scene's sweep against the committed cells_csv.
+def _limited(scene, deg):
+    """scene with its bend limit replaced by deg degrees."""
+    return replace(scene, base=replace(
+        scene.base, constraint=BendConstraint(math.radians(deg))))
+
+
+@pytest.mark.parametrize("deg", GOLDEN_SWEEPS)
+def test_default_sweep_matches_golden_csv(deg, default_report):
+    """The default scene's sweep against the committed cells_csv, at its
+    own limit and at the tighter limits where the constraint acts.
 
     Pins every cell's outcome, symbol, counts, peak torques and proven
     minimum clearance, so a change that moves any of them, a clearance
     that errs toward clear included, shows here.
     """
-    got = list(csv.DictReader(io.StringIO(cells_csv(default_report))))
-    want = list(csv.DictReader(io.StringIO(GOLDEN_SWEEP.read_text())))
+    report = default_report if deg == 95 else sweep(_limited(default_scene(), deg))
+    got = list(csv.DictReader(io.StringIO(cells_csv(report))))
+    want = list(csv.DictReader(io.StringIO(GOLDEN_SWEEPS[deg].read_text())))
     assert [r.keys() for r in got] == [r.keys() for r in want]
     assert len(got) == 80
     for g, w in zip(got, want):
@@ -695,6 +707,47 @@ def test_default_sweep_matches_golden_csv(default_report):
             else:
                 assert float(g[key]) == pytest.approx(float(w[key]), rel=1e-9), (
                     w["row"], w["col"], w["mode"], key)
+
+
+# ROADMAP's claims table, by bend limit (deg): constrained o and F,
+# unconstrained o and x, the cells both modes plan, their mean peak
+# torque reduction (%), the cells among them whose plans differ, and
+# the mean reduction over those.
+CLAIMS = {95: ((35, 5), (35, 5), 35, 0.0, 0, None),
+          75: ((25, 15), (25, 15), 25, 0.0, 0, None),
+          60: ((20, 20), (17, 23), 20, 3.9, 3, 43.7),
+          45: ((12, 28), (9, 31), 12, 6.0, 3, 42.2)}
+# The cells_csv columns that differ where two plans do.
+PLAN_FACTS = ("theta_max_deg", "n_edges", "n_waypoints", "joint_distance_rad",
+              "peak_torque_left_nm", "peak_torque_right_nm", "min_clearance_m")
+
+
+def _mean_reduction(cells) -> float | None:
+    """Mean % drop of the constrained peak from the unconstrained one,
+    over each arm with a peak in both, as torque_summary takes it."""
+    drops = [100.0 * (float(unc[k]) - float(con[k])) / float(unc[k])
+             for con, unc in cells
+             for k in ("peak_torque_left_nm", "peak_torque_right_nm")
+             if con[k] and unc[k] and float(unc[k]) > 0.0]
+    return round(float(np.mean(drops)), 1) if drops else None
+
+
+@pytest.mark.parametrize("deg", GOLDEN_SWEEPS)
+def test_golden_sweeps_hold_the_claims_table(deg):
+    rows = list(csv.DictReader(io.StringIO(GOLDEN_SWEEPS[deg].read_text())))
+    by_mode = {mode: [r for r in rows if r["mode"] == mode]
+               for mode in ("constrained", "unconstrained")}
+    pairs = list(zip(by_mode["constrained"], by_mode["unconstrained"], strict=True))
+    assert all((c["row"], c["col"]) == (u["row"], u["col"]) for c, u in pairs)
+    counts = [[sum(r["symbol"] == s for r in by_mode[mode]) for s in symbols]
+              for mode, symbols in (("constrained", "oF"), ("unconstrained", "ox"))]
+    assert [sum(n) for n in counts] == [40, 40]
+    both = [(c, u) for c, u in pairs if "F" not in (c["symbol"], u["symbol"])]
+    differ = [(c, u) for c, u in both if any(c[k] != u[k] for k in PLAN_FACTS)]
+    assert (*map(tuple, counts), len(both), _mean_reduction(both) or 0.0,
+            len(differ), _mean_reduction(differ)) == CLAIMS[deg]
+    # The differing cells are the paper's case: constrained o, unconstrained x.
+    assert all((c["symbol"], u["symbol"]) == ("o", "x") for c, u in differ)
 
 
 def test_a_rigid_motion_of_the_scene_moves_every_plan_with_it(monkeypatch):
@@ -760,9 +813,7 @@ def test_the_bend_limit_acts_only_on_constrained_plans(monkeypatch):
         results = []
         monkeypatch.setattr(bench, "plan", lambda *a, **k: results.append(
             (k["constrained"], run(*a, **k))) or results[-1][1])
-        limited = replace(cut, base=replace(
-            cut.base, constraint=BendConstraint(math.radians(deg))))
-        grids.append(sum(sweep(limited).grid("constrained"), []))
+        grids.append(sum(sweep(_limited(cut, deg)).grid("constrained"), []))
         free.append([None if r.plan is None else (
             [getattr(r.plan, name).tobytes() for name in
              ("q_left", "q_right", "tool_rot", "tool_t", "theta", "clearance")],
