@@ -87,7 +87,7 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem) -> Recheck:
     waypoints.
 
     Trusts nothing the planner recorded beyond the joint trajectories,
-    tool track, and holding labels, and checks the tool track against
+    tool track, and grasp ids, and checks the tool track against
     the joints of the arms holding it (_grip_waypoint).  It reads only
     motion and problem.  One arm_link_segments call, both arms at every
     row, serves the clearance query (one motion_clearances call over
@@ -126,25 +126,20 @@ def _grip_waypoint(motion: MotionPlan, problem: PlanningProblem,
 
     An arm's TCP pose at a waypoint (FK of its joints) is
     tcp_r[arm, waypoint] and tcp_t[arm, waypoint], from recheck_plan's
-    arm_link_segments call, arm 0 the left and 1 the right.  A hold is
-    a run of consecutive waypoints on which one arm holds the tool.
-    Along it the grasp id must not change, and the tool's pose relative
-    to that arm's TCP must stay where the run's first waypoint put it,
-    to within _GRIP_TOL at every shape endpoint.
+    arm_link_segments call, arm 0 the left and 1 the right, as the
+    columns of motion.grasp.  A hold is a run of consecutive waypoints on
+    which one arm holds the tool.  Along it the grasp id must not change,
+    and the tool's pose relative to that arm's TCP must stay where the
+    run's first waypoint put it, to within _GRIP_TOL at every endpoint.
     """
-    ids = {h: [dict(h).get(side, -1) for side in ("left", "right")]
-           for h in set(motion.holding)}
-    # Each waypoint's grasp id of each arm, -1 where that arm does not hold.
-    gid = np.array(list(map(ids.__getitem__, motion.holding)),
-                   dtype=int).reshape(-1, 2)
     first = None
-    for arm in (0, 1):
-        held = np.nonzero(gid[:, arm] >= 0)[0]
+    for arm, ids in enumerate(motion.grasp.T):
+        held = np.nonzero(ids >= 0)[0]
         if held.size == 0:
             continue
         step = np.diff(held) == 1
         begins = np.concatenate([[True], ~step])
-        regrasp = np.concatenate([[False], step & (np.diff(gid[held, arm]) != 0)])
+        regrasp = np.concatenate([[False], step & (np.diff(ids[held]) != 0)])
         run_start = np.maximum.accumulate(
             np.where(begins, np.arange(held.size), 0))
         r, t = tcp_r[arm, held], tcp_t[arm, held]
@@ -276,8 +271,8 @@ def sweep(scene: Scene) -> SweepReport:
     it nor on their mode: the cache is content-addressed, holds an edge's
     measurement apart from each mode's verdict on it, and the planner
     budget counts the path edges it checks, cache hits included.  The
-    unconstrained plan is re-checked and traced only if its joint and tool
-    arrays (by bytes) or its holding differ from the constrained plan's;
+    unconstrained plan is re-checked and traced only if its joint, tool
+    and grasp arrays differ from the constrained plan's (by bytes);
     else it takes that plan's record and peak torques, since a re-check
     and a trace read nothing but the plan and the cell's problem.
     The report holds no timings, so two sweeps of one scene compare equal.
@@ -297,9 +292,9 @@ def sweep(scene: Scene) -> SweepReport:
             motion = result.plan
             if motion is None:
                 recheck, peaks = None, {}
-            elif audited is None or motion.holding != audited.holding or any(
+            elif audited is None or any(
                     getattr(motion, f).tobytes() != getattr(audited, f).tobytes()
-                    for f in ("q_left", "q_right", "tool_rot", "tool_t")):
+                    for f in ("q_left", "q_right", "tool_rot", "tool_t", "grasp")):
                 audited, recheck = motion, recheck_plan(motion, problem)
                 trace = trace_plan(motion, problem.robot, problem.balancer, problem.tool)
                 peaks = {arm: trace.peak(arm) for arm in trace.arms()}

@@ -8,7 +8,9 @@ joint angles and poses to well below actuator resolution.  The writer
 formats whole arrays, with all quaternions from one rot_to_quat call,
 which makes no BLAS call.
 
-The theta_rad and min_clearance_m columns hold the values the planner
+The holding column spells a row of MotionPlan.grasp, the left arm first
+(``left:3+right:41``), and is empty where neither arm holds the tool.  The
+theta_rad and min_clearance_m columns hold the values the planner
 validated: the cable bend angle and the least clearance of each
 waypoint, with the tool shapes attached and, on a constrained plan's
 approach rows, the cable too.  bench.recheck_plan ignores them and
@@ -28,7 +30,7 @@ import operator
 import numpy as np
 
 from .geometry import ZeroVectorError, quat_to_rot, rot_to_quat
-from .planner import MotionPlan
+from .planner import ARMS, MotionPlan
 
 PLAN_HEADER = (
     ["waypoint"]
@@ -47,30 +49,32 @@ _TORQUE_ROW = ",".join(["{}", "{}"] + ["{:.9g}"] * 7)
 _PLAN_ROW = ",".join(["{}"] + ["{:.9g}"] * 19 + ["{}"] + ["{:.9g}"] * 2)
 
 
-def format_holding(holding: tuple) -> str:
-    """Serialize one waypoint's grasp set, e.g. ``left:3+right:41``."""
-    return "+".join(f"{side}:{gid}" for side, gid in holding)
+def format_holding(grasp) -> str:
+    """A (left, right) grasp-id row as text, -1s left out: ``left:3+right:41``."""
+    return "+".join(f"{side}:{gid}" for side, gid in zip(ARMS, grasp) if gid >= 0)
 
 
-def parse_holding(text: str) -> tuple:
-    """Inverse of format_holding; each arm may appear once."""
-    if not text:
-        return ()
-    out = []
-    for part in text.split("+"):
-        side, _, gid = part.partition(":")
-        if side not in ("left", "right") or not (gid.isascii() and gid.isdigit()):
+def parse_holding(text: str) -> tuple[int, int]:
+    """Inverse of format_holding, -1 for an arm not named; each arm may
+    appear once, with an id that fits int64."""
+    ids = [-1, -1]
+    for part in text.split("+") if text else ():
+        side, _, digits = part.partition(":")
+        if side not in ARMS or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"malformed holding entry {part!r}")
-        if side in dict(out):
+        arm, gid = ARMS.index(side), int(digits)
+        if ids[arm] >= 0:
             raise ValueError(f"holding {text!r} names arm {side!r} twice")
-        out.append((side, int(gid)))
-    return tuple(out)
+        if gid >= 2**63:
+            raise ValueError(f"grasp id in {part!r} does not fit int64")
+        ids[arm] = gid
+    return tuple(ids)
 
 
 def plan_csv(motion: MotionPlan) -> str:
     nums = np.concatenate([motion.q_left, motion.q_right,
                            rot_to_quat(motion.tool_rot), motion.tool_t], axis=1)
-    rows = zip(nums.tolist(), map(format_holding, motion.holding),
+    rows = zip(nums.tolist(), map(format_holding, motion.grasp.tolist()),
                motion.theta.tolist(), motion.clearance.tolist(), strict=True)
     lines = [
         f"# mode: {motion.mode}",
@@ -116,9 +120,9 @@ def _raise_with_line(convert, rows, row_lns) -> None:
             raise ValueError(f"line {ln}: {e}") from e
 
 
-def _holdings(rows: list[str], row_lns: list[int]) -> list[tuple]:
-    """Each row's holding, after checking the row's structure; the first
-    malformed row raises its error with its line."""
+def _holdings(rows: list[str], row_lns: list[int]) -> list[tuple[int, int]]:
+    """Each row's (left, right) grasp ids after checking its structure;
+    the first malformed row raises its error with its line."""
     parsed, out = {}, []
     for k, (row, ln) in enumerate(zip(rows, row_lns)):
         if row.startswith("#"):
@@ -206,19 +210,19 @@ def parse_plan_csv(text: str) -> MotionPlan:
                                for lo, hi in ((0, 6), (6, 12), (16, 19)))
     return MotionPlan(
         mode=meta["mode"], q_left=q_left, q_right=q_right,
-        tool_rot=tool_rot, tool_t=tool_t,
-        holding=tuple(holdings),
+        tool_rot=tool_rot, tool_t=tool_t, grasp=np.array(holdings, dtype=np.int64),
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
         edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
         joint_distance=meta["joint_distance_rad"])
 
 
 def read_plan_csv(path) -> MotionPlan:
+    """The plan in the file at path; each error names the path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             return parse_plan_csv(f.read())
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not valid UTF-8: {e}") from e
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def torque_csv(trace) -> str:

@@ -50,6 +50,7 @@ from tetherplan.geometry import Pose, unit
 from tetherplan.robot import DualArm, IKOptions, N_JOINTS, ik_batch
 
 ROOT = "root"
+ARMS = ("left", "right")        # the column order of MotionPlan.grasp
 
 
 class EmptyGraspSet(Exception):
@@ -173,7 +174,9 @@ class PlanningProblem:
 
 @dataclass(frozen=True)
 class MotionPlan:
-    """A validated waypoint path for both arms plus the carried tool;
+    """A validated waypoint path for both arms plus the carried tool.
+    grasp (W, 2) is each waypoint's grasp id of each arm, columns in
+    ARMS order (left, right), -1 where that arm does not hold the tool;
     theta and clearance are the bend angle and clearance validated per
     waypoint, the cable counted on constrained approach rows."""
 
@@ -182,7 +185,7 @@ class MotionPlan:
     q_right: np.ndarray
     tool_rot: np.ndarray
     tool_t: np.ndarray
-    holding: tuple[tuple[tuple[str, int], ...], ...]
+    grasp: np.ndarray
     theta: np.ndarray
     clearance: np.ndarray
     edge_kinds: tuple[str, ...]
@@ -190,7 +193,7 @@ class MotionPlan:
     joint_distance: float
 
     def __post_init__(self):
-        for name in ("q_right", "tool_rot", "tool_t", "holding", "theta", "clearance"):
+        for name in ("q_right", "tool_rot", "tool_t", "grasp", "theta", "clearance"):
             if len(getattr(self, name)) != len(self.q_left):
                 raise ValueError(f"{name} has {len(getattr(self, name))} rows, "
                                  f"q_left has {len(self.q_left)}")
@@ -337,7 +340,7 @@ def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
                     grasps: GraspSet, ik: IKOptions, cache: PlanCache) -> None:
     """solve_stations on one key -> pose table, with problem's claimed grasps."""
     jobs = [(key, side, pose) for key, pose in stations.items()
-            for side in ("left", "right") if (key, side) not in cache.node_feasible]
+            for side in ARMS if (key, side) not in cache.node_feasible]
     if not jobs:
         return
     g = grasps.axial.size
@@ -389,7 +392,7 @@ class _EdgeData:
     q_right: np.ndarray
     tool_rot: np.ndarray
     tool_t: np.ndarray
-    holding: tuple
+    grasp: np.ndarray
     kind: str
     theta: np.ndarray | None = None
     clearance: np.ndarray | None = None
@@ -423,13 +426,12 @@ class _Search:
             _, src, dst, side, gid = spec
             qs = interp_joints(feasible[(src, side)][gid], feasible[(dst, side)][gid], step)
             ql, qr = self.pb.one_arm_moves(side, qs)
-            holding = tuple((((side, gid),),) * qs.shape[0])
+            holds = [(side, gid, slice(None))]
         elif kind == "approach":
             _, station, side, gid = spec
             qs = interp_joints(self.pb.home(side), feasible[(station, side)][gid], step)
-            w = qs.shape[0]
             ql, qr = self.pb.one_arm_moves(side, qs)
-            holding = tuple(() if i < w - 1 else ((side, gid),) for i in range(w))
+            holds = [(side, gid, slice(-1, None))]
         elif kind == "handover":
             _, station, giver, ggid, recv, rgid = spec
             q_give = feasible[(station, giver)][ggid]
@@ -440,22 +442,23 @@ class _Search:
             give = np.vstack([np.tile(q_give, (w1, 1)), seg2[1:]])
             take = np.vstack([seg1, np.tile(q_recv, (w2 - 1, 1))])
             ql, qr = (give, take) if giver == "left" else (take, give)
-            holding = ((((giver, ggid),),) * (w1 - 1)
-                       + (((giver, ggid), (recv, rgid)),)
-                       + (((recv, rgid),),) * (w2 - 1))
+            holds = [(giver, ggid, slice(w1)), (recv, rgid, slice(w1 - 1, None))]
         else:
             raise ValueError(f"unknown edge kind {kind!r}")
+        grasp = np.full((len(ql), len(ARMS)), -1)
+        for holder, grasp_id, rows in holds:
+            grasp[rows, ARMS.index(holder)] = grasp_id
         links, rot, tcp = arm_link_segments(self.pb.robot, self.pb.world.link_spec,
                                             ql, qr)
         if kind == "transfer":
-            arm = ("left", "right").index(side)
+            arm = ARMS.index(side)
             tool_rot = rot[arm] @ self.grasps.r[gid].T
             tool_t = tcp[arm] - np.einsum("wij,j->wi", tool_rot, self.grasps.t[gid])
         else:
             pose = self.stations[station]
             tool_rot = np.broadcast_to(pose.r, (len(links), 3, 3))
             tool_t = np.broadcast_to(pose.t, (len(links), 3))
-        return _EdgeData(ql, qr, tool_rot, tool_t, holding, kind), links
+        return _EdgeData(ql, qr, tool_rot, tool_t, grasp, kind), links
 
     # ----- edge validation --------------------------------------------------
 
@@ -507,7 +510,7 @@ class _Search:
         feasible, reach = self.cache.node_feasible, self.cache.reach
         if node == ROOT:
             return [(("node", self.start, side, gid), ("approach", self.start, side, gid),
-                     dist) for side in ("left", "right") if self.start in self.stations
+                     dist) for side in ARMS if self.start in self.stations
                     for gid, dist in sorted(reach[(self.start, side)].items())]
         out = []
         _, station, side, gid = node
@@ -608,16 +611,15 @@ class _Search:
     def _assemble(self, blocks: list[_EdgeData],
                   cost: tuple[int, float]) -> MotionPlan:
         # Consecutive edges share a waypoint; keep it once.
-        q_left, q_right, tool_rot, tool_t, theta, clearance = (
+        q_left, q_right, tool_rot, tool_t, grasp, theta, clearance = (
             np.concatenate([getattr(b, f)[min(i, 1):] for i, b in enumerate(blocks)])
-            for f in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+            for f in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
                       "clearance"))
-        holding = [h for i, b in enumerate(blocks) for h in b.holding[min(i, 1):]]
         edges, dist = cost
         return MotionPlan(
             mode="constrained" if self.constrained else "unconstrained",
             q_left=q_left, q_right=q_right, tool_rot=tool_rot, tool_t=tool_t,
-            holding=tuple(holding), theta=theta, clearance=clearance,
+            grasp=grasp, theta=theta, clearance=clearance,
             edge_kinds=tuple(b.kind for b in blocks), n_edges=edges,
             joint_distance=dist)
 

@@ -301,7 +301,7 @@ _IK_KEYS = {
 }
 
 
-def parse_scene(text: str, source: str = "<string>") -> Scene:
+def parse_scene(text: str) -> Scene:
     """Parse and validate scene YAML text."""
     try:
         root = yaml.load(text, Loader=_UniqueKeyLoader)
@@ -309,7 +309,7 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
         mark = getattr(e, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" \
             if mark is not None else ""
-        raise ParseError(f"{source}: invalid YAML{where}: {e}") from e
+        raise ParseError(f"invalid YAML{where}: {e}") from e
     root = _Section(root, _ROOT, (
         "name", "robot", "balancer", "tool", "constraint", "start_pose", "goal_pose",
         "handover_poses", "statics", "collision_exclude", "planner", "sweep"))
@@ -400,16 +400,18 @@ def parse_scene(text: str, source: str = "<string>") -> Scene:
 
 
 def load_scene(path: str) -> Scene:
-    """Load and validate a scene file."""
+    """Load and validate a scene file; each error names path once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_scene(fh.read(), source=path)
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not valid UTF-8: {e}") from e
+            return parse_scene(fh.read())
+    except (ParseError, UnicodeDecodeError) as e:
+        raise ParseError(f"{path}: {e}") from e
+    except ValidationError as e:
+        raise ValidationError(path, str(e)) from e
 
 
 def default_scene() -> Scene:
     """The bundled benchmark scene."""
     text = resources.files("tetherplan").joinpath(
         "data/default_scene.yaml").read_text(encoding="utf-8")
-    return parse_scene(text, source="tetherplan/data/default_scene.yaml")
+    return parse_scene(text)

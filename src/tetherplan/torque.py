@@ -5,11 +5,11 @@ set by the balancer's rated load.  For every waypoint where an arm
 holds the tool, robot.joint_torques maps the pull at the connector
 through that arm's Jacobian to a six-vector of joint torques.
 trace_plan, the one entry point, collects them over a plan's
-waypoints, reading its joint, tool-pose and holding arrays, into a
-TorqueTrace of three arrays: the waypoint and arm of each entry and its
-(E, 6) torques.  One FK call serves the entries of both arms, each row
-from its own arm's base.  bench.SweepReport.torque_summary compares the
-peaks of the two planner modes.
+waypoints, reading its joint, tool-pose and grasp arrays, into a
+TorqueTrace of three arrays: each entry's waypoint and arm, by waypoint
+and then the left arm first, and the (E, 6) torques.  One FK call
+serves the entries of both arms, each row from its own arm's base.
+bench.SweepReport.torque_summary compares the peaks of the two modes.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tetherplan.cable import BalancerSpec, ToolSpec, cable_vectors
+from tetherplan.planner import ARMS
 from tetherplan.robot import DualArm, joint_torques
 
 GRAVITY = 9.81  # m/s^2
@@ -58,24 +59,19 @@ def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
     """Torque trace for a planned motion.
 
     plan is a MotionPlan or anything with its q_left, q_right,
-    tool_rot, tool_t and holding fields.  holding gives, per waypoint,
-    the (arm side, grasp id) pairs of the arms currently gripping the
-    tool; each such arm gets one entry, in waypoint order and then
-    holder order.  The connector points, cable forces and torques of all
-    entries are computed at once, both arms in one FK call.  Raises
+    tool_rot, tool_t and grasp fields.  Each waypoint and arm with a
+    grasp id of 0 or more (an arm gripping the tool) gets one entry, in
+    waypoint order and then ARMS order, the left arm first.  The
+    connector points, cable forces and torques of all entries are
+    computed at once, both arms in one FK call.  Raises
     cable.DegenerateCable, a ZeroVectorError, when a held waypoint puts
     the connector within 1e-9 m of the anchor.
     """
-    rows = [(w, side) for w, holders in enumerate(plan.holding)
-            for side, _grasp in holders]
-    ws = np.array([w for w, _ in rows], dtype=int)
+    ws, arm = np.nonzero(np.asarray(plan.grasp) >= 0)
     connector, cable, norms = cable_vectors(
         np.asarray(plan.tool_rot, float)[ws], np.asarray(plan.tool_t, float)[ws],
         balancer, tool)
     force = cable_tension(balancer) * (cable / norms[:, None])
-    sides = np.array([side for _, side in rows], dtype=str)
-    right = sides == "right"
-    qs = np.where(right[:, None], np.asarray(plan.q_right, dtype=float)[ws],
-                  np.asarray(plan.q_left, dtype=float)[ws])
-    tau = joint_torques(*robot.bases(right), qs, connector, force)
-    return TorqueTrace(waypoint=ws, arm=sides, entries=tau)
+    qs = np.stack([plan.q_left, plan.q_right], axis=1)[ws, arm]
+    tau = joint_torques(*robot.bases(arm == ARMS.index("right")), qs, connector, force)
+    return TorqueTrace(waypoint=ws, arm=np.array(ARMS)[arm], entries=tau)

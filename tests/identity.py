@@ -8,7 +8,7 @@ hashes, in this order:
   * for each sweep, its CSV (bench.cells_csv), its text grid
     (bench.render_grid) and its torque summary (torque_summary), then
     each of its 80 plan() results, in call order: the plan's arrays,
-    holdings, edge kinds, edge count and joint distance, the failure and
+    grasp ids, edge kinds, edge count and joint distance, the failure and
     the PlannerStats, each followed by its cell's Recheck record and
     peak torques and by the plan's CSV text (plan_io.plan_csv), or None
     when plan() found no plan;

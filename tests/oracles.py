@@ -25,7 +25,8 @@ configs with 1-D norms of its own, and the costs that the search reads
 from its reach table must equal them bit for bit.
 row_by_row_parse_plan_csv, the reference for the whole-array plan
 parser: it shares the file format's header, preamble parsers and holding
-parser, and converts each row on its own.  per_grasp_sample_grasps and
+parser, converts each row on its own and fills its own (W, 2) grasp-id
+array row by row.  per_grasp_sample_grasps and
 per_pair_station_solve, the references for the whole-array grasp table
 and station set-up: they build each grasp with rot_axis_angle and each
 IK target with compose, prune stations by bend_angle_batch themselves,
@@ -661,7 +662,7 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
     """plan_io.parse_plan_csv one row at a time: float() per field and
     one quaternion per row, each error raised on its own line's turn."""
     meta, meta_lns = {}, {}
-    nums, row_lns, holding = [], [], []
+    nums, row_lns, ids = [], [], []
     header_seen = False
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -693,7 +694,7 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
             raise ValueError(f"line {ln}: waypoint {fields[0]!r}, "
                              f"expected {len(row_lns)}")
         try:
-            holding.append(parse_holding(fields[20]))
+            ids.append(parse_holding(fields[20]))
             nums.append([float(v) for v in fields[1:20] + fields[21:]])
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}") from e
@@ -708,6 +709,9 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
     if bad.size:
         raise ValueError(f"line {row_lns[bad[0]]}: joint, quaternion and "
                          "position fields must be finite")
+    grasp = np.full((len(row_lns), 2), -1, dtype=np.int64)
+    for i, row in enumerate(ids):
+        grasp[i] = row
     tool_rot = np.empty((len(row_lns), 3, 3))
     for i, ln in enumerate(row_lns):
         try:
@@ -717,7 +721,7 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
     return MotionPlan(
         mode=meta["mode"], q_left=nums[:, 0:6].copy(),
         q_right=nums[:, 6:12].copy(), tool_rot=tool_rot,
-        tool_t=nums[:, 16:19].copy(), holding=tuple(holding),
+        tool_t=nums[:, 16:19].copy(), grasp=grasp,
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
         edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
         joint_distance=meta["joint_distance_rad"])

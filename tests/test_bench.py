@@ -131,9 +131,9 @@ class TestRecheckPlan:
     def test_tool_leaving_the_grip_mid_hold_is_flagged(self, solved, shift,
                                                         flagged):
         problem, motion = solved
-        held = np.nonzero([bool(h) for h in motion.holding])[0]
+        held = np.nonzero((motion.grasp >= 0).any(axis=1))[0]
         k = int(held[len(held) // 2])
-        assert motion.holding[k - 1] == motion.holding[k]  # inside one hold
+        assert (motion.grasp[k - 1] == motion.grasp[k]).all()  # inside one hold
         tool_t = motion.tool_t.copy()
         tool_t[k:] += [0.0, shift, 0.0]
         rc = recheck_plan(replace(motion, tool_t=tool_t), problem)
@@ -171,7 +171,7 @@ class TestRecheckPlan:
         tool_t = connector - np.asarray(problem.tool.connector_point)
         return problem, q_probe, tool_t
 
-    def _fabricate(self, problem, tool_t, q_rows, holding):
+    def _fabricate(self, problem, tool_t, q_rows, grasp):
         w = len(q_rows)
         return MotionPlan(
             mode="unconstrained",
@@ -179,7 +179,7 @@ class TestRecheckPlan:
             q_right=np.tile(HOME_RIGHT, (w, 1)),
             tool_rot=np.tile(np.eye(3), (w, 1, 1)),
             tool_t=np.tile(tool_t, (w, 1)),
-            holding=holding,
+            grasp=np.array(grasp),
             theta=np.zeros(w),
             clearance=np.zeros(w),
             edge_kinds=("approach",),
@@ -190,7 +190,7 @@ class TestRecheckPlan:
     def test_arm_through_cable_flags_cable_contact(self):
         problem, q_probe, tool_t = self._cable_crossing_setup()
         motion = self._fabricate(problem, tool_t, [HOME_LEFT, q_probe],
-                                 ((), ()))
+                                 [[-1, -1]] * 2)
         rc = recheck_plan(motion, problem)
         assert rc.cable_waypoint == 1
         assert rc.bend_waypoint is None
@@ -206,7 +206,7 @@ class TestRecheckPlan:
         # first grasp.
         problem, q_probe, tool_t = self._cable_crossing_setup()
         motion = self._fabricate(problem, tool_t, [HOME_LEFT, q_probe],
-                                 ((("right", 0),), (("right", 0),)))
+                                 [[-1, 0]] * 2)
         rc = recheck_plan(motion, problem)
         assert (rc.cable_waypoint, rc.collision_waypoint) == (1, None)
         assert rc.grip_waypoint is None
@@ -221,7 +221,7 @@ class TestRecheckPlan:
                                       statics=statics)
                          for statics in (None, {"shelf": shelf}))
         motion = self._fabricate(bare, bare.start_pose.t, [HOME_LEFT] * 2,
-                                 ((), ()))
+                                 [[-1, -1]] * 2)
         assert classify(fake_result(), recheck_plan(motion, bare)).label == "success"
         rc = recheck_plan(motion, shelved)
         assert (rc.cable_waypoint, rc.collision_waypoint) == (0, None)
@@ -316,7 +316,7 @@ def test_recheck_runs_one_fk_and_one_clearance_call_and_trace_one_fk_call(
     trace_plan(motion, problem.robot, problem.balancer, problem.tool)
     assert len(recheck_rows) == len(rows) == 1
     assert recheck_rows[0] == 2 * motion.n_waypoints
-    assert rows[0] == sum(map(len, motion.holding))
+    assert rows[0] == np.count_nonzero(motion.grasp >= 0)
     shapes = problem.tool.shape_segments()[2]
     assert clearance_calls == [(motion.n_waypoints,
                                 (motion.n_waypoints, len(shapes) + 1),
@@ -329,7 +329,7 @@ def _with_copies(motion, rows):
     return replace(motion, q_left=motion.q_left[order],
                    q_right=motion.q_right[order],
                    tool_rot=motion.tool_rot[order], tool_t=motion.tool_t[order],
-                   holding=tuple(motion.holding[i] for i in order),
+                   grasp=motion.grasp[order],
                    theta=motion.theta[order],
                    clearance=motion.clearance[order])
 
@@ -342,10 +342,11 @@ def test_recheck_of_a_plan_with_repeated_rows(regrasp):
     _, problem, motion = next(a for a in _audit_plans()
                               if a[0] == "r0c0_constrained.csv")
     free, held = 10, 39
-    assert not motion.holding[free] and motion.holding[held]
+    assert (motion.grasp[free] < 0).all() and (motion.grasp[held] >= 0).any()
     if regrasp:
-        motion = replace(motion, holding=motion.holding[:40]
-                         + ((("left", 5),),) * 62 + motion.holding[102:])
+        grasp = motion.grasp.copy()
+        grasp[40:102, 0] = 5
+        motion = replace(motion, grasp=grasp)
     copied = _with_copies(motion, [free, held])
     assert copied.n_waypoints == motion.n_waypoints + 2
 
@@ -373,16 +374,16 @@ def test_recheck_of_a_plan_with_repeated_rows(regrasp):
 
 @pytest.mark.parametrize("name, extra", [
     *((name, -1) for name in ("q_left", "q_right", "tool_rot", "tool_t",
-                              "holding", "theta", "clearance")),
-    ("holding", 1)], ids=lambda v: {-1: "short", 1: "long"}.get(v, v))
+                              "grasp", "theta", "clearance")),
+    ("grasp", 1)], ids=lambda v: {-1: "short", 1: "long"}.get(v, v))
 def test_plan_rows_must_agree(name, extra):
-    # A holding cut short would leave the rows past it unaudited (the
-    # grip check would miss the raised tool of TestGrip), and one entry
+    # A grasp array cut short would leave the rows past it unaudited (the
+    # grip check would miss the raised tool of TestGrip), and one row
     # too many would fail inside the re-check.
     _, _, motion = next(a for a in _audit_plans()
                         if a[0] == "r0c0_constrained.csv")
     rows = getattr(motion, name)
-    rows = rows[:extra] if extra < 0 else rows + rows[-extra:]
+    rows = rows[:extra] if extra < 0 else np.concatenate([rows, rows[-extra:]])
     with pytest.raises(ValueError, match="rows, q_left has"):
         replace(motion, **{name: rows})
 
@@ -400,7 +401,7 @@ class TestGrip:
         # and clearance checks clean; only the grip check sees it.
         _, problem, motion = next(a for a in _audit_plans()
                                   if a[0] == "r0c0_constrained.csv")
-        held = np.array([bool(h) for h in motion.holding])
+        held = (motion.grasp >= 0).any(axis=1)
         assert held.sum() == 141
         tool_t = motion.tool_t.copy()
         tool_t[held] += [0.0, 0.0, 0.10]
@@ -415,10 +416,10 @@ class TestGrip:
         # motion as it is; the label change alone breaks the hold.
         _, problem, motion = next(a for a in _audit_plans()
                                   if a[0] == "r0c0_constrained.csv")
-        assert motion.holding[39:102] == ((("left", 0),),) * 63
-        holding = list(motion.holding)
-        holding[40:102] = [(("left", 5),)] * 62
-        rc = recheck_plan(replace(motion, holding=tuple(holding)), problem)
+        assert (motion.grasp[39:102] == [0, -1]).all()
+        grasp = motion.grasp.copy()
+        grasp[40:102, 0] = 5
+        rc = recheck_plan(replace(motion, grasp=grasp), problem)
         assert rc.grip_waypoint == 40
 
     def test_new_hold_after_a_release_may_change_grasp(self):
@@ -426,10 +427,10 @@ class TestGrip:
         # the hold that follows may use another grasp to its end.
         _, problem, motion = next(a for a in _audit_plans()
                                   if a[0] == "r0c0_constrained.csv")
-        holding = motion.holding[:40] + ((),) + tuple(
-            tuple(("left", 5) if e == ("left", 0) else e for e in h)
-            for h in motion.holding[41:])
-        rc = recheck_plan(replace(motion, holding=holding), problem)
+        grasp = motion.grasp.copy()
+        grasp[40] = -1
+        grasp[41:, 0][grasp[41:, 0] == 0] = 5
+        rc = recheck_plan(replace(motion, grasp=grasp), problem)
         assert rc.grip_waypoint is None
 
 
@@ -474,8 +475,7 @@ def _sweep_recording(scene, monkeypatch):
 
 def _plan_key(motion):
     return tuple(a.tobytes() for a in (motion.q_left, motion.q_right,
-                                       motion.tool_rot, motion.tool_t)
-                 ) + (motion.holding,)
+                                       motion.tool_rot, motion.tool_t, motion.grasp))
 
 
 class TestOneAuditPerPlan:
@@ -744,7 +744,7 @@ def test_golden_sweeps_hold_the_claims_table(deg):
     assert [sum(n) for n in counts] == [40, 40]
     both = [(c, u) for c, u in pairs if "F" not in (c["symbol"], u["symbol"])]
     differ = [(c, u) for c, u in both if any(c[k] != u[k] for k in PLAN_FACTS)]
-    assert (*map(tuple, counts), len(both), _mean_reduction(both) or 0.0,
+    assert (*map(tuple, counts), len(both), _mean_reduction(both),
             len(differ), _mean_reduction(differ)) == CLAIMS[deg]
     # The differing cells are the paper's case: constrained o, unconstrained x.
     assert all((c["symbol"], u["symbol"]) == ("o", "x") for c, u in differ)
@@ -773,7 +773,7 @@ def test_a_rigid_motion_of_the_scene_moves_every_plan_with_it(monkeypatch):
             assert got.plan is None
             continue
         g, w = got.plan, want.plan
-        assert (g.holding, g.edge_kinds) == (w.holding, w.edge_kinds)
+        assert np.array_equal(g.grasp, w.grasp) and g.edge_kinds == w.edge_kinds
         for name in ("q_left", "q_right"):
             assert np.abs(getattr(g, name) - getattr(w, name)).max() <= 1e-12
         assert np.abs(g.tool_rot - rot @ w.tool_rot).max() <= 1e-12
@@ -816,8 +816,8 @@ def test_the_bend_limit_acts_only_on_constrained_plans(monkeypatch):
         grids.append(sum(sweep(_limited(cut, deg)).grid("constrained"), []))
         free.append([None if r.plan is None else (
             [getattr(r.plan, name).tobytes() for name in
-             ("q_left", "q_right", "tool_rot", "tool_t", "theta", "clearance")],
-            r.plan.holding, r.plan.edge_kinds, r.plan.joint_distance)
+             ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
+              "clearance")], r.plan.edge_kinds, r.plan.joint_distance)
             for constrained, r in results if not constrained])
     assert len(free[0]) == 4 and all(free[0])
     assert all(plans == free[0] for plans in free[1:])

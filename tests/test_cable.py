@@ -120,7 +120,7 @@ class TestConstraint:
         pose = Pose(rot_y(1.2), problem.start_pose.t)
         motion = MotionPlan(
             mode="constrained", q_left=HOME_LEFT[None], q_right=HOME_RIGHT[None],
-            tool_rot=pose.r[None], tool_t=pose.t[None], holding=((),),
+            tool_rot=pose.r[None], tool_t=pose.t[None], grasp=np.full((1, 2), -1),
             theta=np.zeros(1), clearance=np.zeros(1), edge_kinds=(),
             n_edges=0, joint_distance=0.0)
         theta = bend_angle_batch(pose.r[None], pose.t[None], problem.balancer,

@@ -49,8 +49,11 @@ def _rejected_on_one_line(text: str, match: str) -> None:
 
 class TestHoldingFormat:
     def test_round_trip(self):
-        for holding in ((), (("left", 3),), (("left", 3), ("right", 41))):
-            assert parse_holding(format_holding(holding)) == holding
+        for ids, text in (((-1, -1), ""), ((3, -1), "left:3"), ((-1, 41), "right:41"),
+                          ((3, 41), "left:3+right:41")):
+            assert format_holding(ids) == text
+            assert parse_holding(text) == ids
+        assert parse_holding("right:41+left:3") == (3, 41)
 
     def test_malformed_entries_rejected(self):
         for text in ("left", "left:", "up:3", "left:x", "left:3+r", "left:\u00b2"):
@@ -70,7 +73,7 @@ class TestPlanRoundTrip:
         assert back.mode == motion.mode
         assert back.edge_kinds == motion.edge_kinds
         assert back.n_edges == motion.n_edges
-        assert back.holding == motion.holding
+        assert back.grasp.tobytes() == motion.grasp.tobytes()
         assert back.joint_distance == pytest.approx(motion.joint_distance)
         np.testing.assert_allclose(back.q_left, motion.q_left, atol=1e-7)
         np.testing.assert_allclose(back.q_right, motion.q_right, atol=1e-7)
@@ -103,19 +106,27 @@ class TestParserMatchesTheRowByRowOracle:
     @staticmethod
     def assert_same_plan(text):
         fast, oracle = parse_plan_csv(text), row_by_row_parse_plan_csv(text)
-        for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+        for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
                      "clearance"):
+            assert getattr(fast, name).dtype == getattr(oracle, name).dtype, name
             assert getattr(fast, name).shape == getattr(oracle, name).shape, name
             assert getattr(fast, name).tobytes() == getattr(oracle, name).tobytes(), name
-        assert fast.holding == oracle.holding
         for name in ("mode", "edge_kinds", "n_edges", "joint_distance"):
             assert getattr(fast, name) == getattr(oracle, name), name
 
     def test_stored_plans(self):
+        # Written back, each plan spells its holding column as the file
+        # does, the left arm first.  Only that column is compared: the
+        # quaternions' last digits differ in most of the files.
         paths = sorted(AUDIT_PLANS.glob("r*c*_*.csv"))
         assert len(paths) == 30
+        holding = PLAN_HEADER.index("holding")
         for path in paths:
-            self.assert_same_plan(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
+            self.assert_same_plan(text)
+            column = [[row.split(",")[holding] for row in t.splitlines()[4:]]
+                      for t in (text, plan_csv(parse_plan_csv(text)))]
+            assert column[1] == column[0], path.name
 
     def test_round_tripped_plan(self, solved):
         _, motion = solved
@@ -128,8 +139,16 @@ class TestPlanParseErrors:
         path = tmp_path / "latin1.csv"
         path.write_bytes(plan_csv(motion).replace("# mode:", "# mod\xe9:", 1)
                          .encode("latin-1"))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not valid UTF-8"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: 'utf-8' codec"):
             read_plan_csv(path)
+
+    def test_a_broken_header_is_rejected_by_its_path(self, solved, tmp_path):
+        _, motion = solved
+        path = tmp_path / "broken.csv"
+        path.write_text(plan_csv(motion).replace("waypoint,", "wp,", 1))
+        with pytest.raises(ValueError) as error:
+            read_plan_csv(path)
+        assert str(error.value) == f"{path}: line 4: unexpected plan CSV header"
 
     def test_missing_preamble(self, solved):
         _, motion = solved
@@ -214,7 +233,8 @@ class TestPlanParseErrors:
 
     @pytest.mark.parametrize("holding, message", [
         ("left:x", "malformed"), ("left:\u00b2", "malformed"),
-        ("left:3+left:5", "twice")])
+        ("left:3+left:5", "twice"),
+        ("left:9999999999999999999999999", "does not fit int64")])
     def test_bad_holding_names_its_line(self, solved, holding, message):
         _, motion = solved
         _rejected_on_one_line(self._edit_waypoint_1(motion, holding=holding),
@@ -255,7 +275,7 @@ class TestPlanParseParity:
         for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
                      "clearance"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert got.holding == want.holding
+        assert got.grasp.tobytes() == want.grasp.tobytes()
         assert getattr(got, field)[1] == float(value)
 
     @pytest.mark.parametrize("at", [2, 23])

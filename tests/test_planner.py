@@ -179,15 +179,15 @@ class TestPlanning:
         assert p.edge_kinds[0] == "approach"
         assert p.n_edges == len(p.edge_kinds)
         assert p.n_edges == 2
-        # Starts pre-grasp, ends holding.
-        assert p.holding[0] == ()
-        assert len(p.holding[-1]) == 1
+        # Starts pre-grasp, ends with one arm holding.
+        assert (p.grasp[0] == -1).all()
+        assert np.count_nonzero(p.grasp[-1] >= 0) == 1
         # Tool ends at the goal pose within IK tolerance.
         assert np.linalg.norm(p.tool_t[-1] - [0.3, 0.1, 0.45]) < 5e-4
         # Constrained plans respect the bend limit everywhere.
         assert p.theta.max() < problem.constraint.theta_max
         assert p.clearance.min() >= 0.0
-        assert p.n_waypoints == p.q_left.shape[0] == len(p.holding)
+        assert p.n_waypoints == p.q_left.shape[0] == len(p.grasp)
 
     def test_handover_when_one_arm_cannot_complete(self):
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
@@ -204,16 +204,17 @@ class TestPlanning:
         p = result.plan
         assert "handover" in p.edge_kinds
         assert p.edge_kinds == ("approach", "transfer", "handover", "transfer")
-        holders = [h for h in p.holding if h]
-        assert holders[0][0][0] == "left"
-        assert holders[-1][0][0] == "right"
-        assert any(len(h) == 2 for h in p.holding)
+        held = p.grasp >= 0
+        rows = np.nonzero(held.any(axis=1))[0]
+        assert held[rows[0]].tolist() == [True, False]      # the left arm
+        assert held[rows[-1]].tolist() == [False, True]     # the right arm
         # Exactly one waypoint has both hands on the tool, and the grasps
         # there are distinct and well separated along the handle.
-        dual = [h for h in p.holding if len(h) == 2]
+        dual = np.nonzero(held.all(axis=1))[0]
         assert len(dual) == 1
-        (s1, g1), (s2, g2) = dual[0]
-        assert {s1, s2} == {"left", "right"}
+        left, right = p.grasp[dual[0]]
+        axial = cache.grasp_table.axial
+        assert abs(axial[left] - axial[right]) >= QUICK.min_handover_separation
 
     def test_deterministic_replans(self):
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
@@ -222,7 +223,7 @@ class TestPlanning:
         assert np.array_equal(a.q_left, b.q_left)
         assert np.array_equal(a.q_right, b.q_right)
         assert np.array_equal(a.tool_t, b.tool_t)
-        assert a.holding == b.holding
+        assert np.array_equal(a.grasp, b.grasp)
 
     def test_shared_cache_does_not_change_the_answer(self):
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
@@ -302,10 +303,10 @@ def _same_result(got, want):
     if want.plan is None:
         assert got.plan is None
         return
-    for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+    for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
                  "clearance"):
         assert np.array_equal(getattr(got.plan, name), getattr(want.plan, name))
-    for name in ("holding", "edge_kinds", "n_edges", "joint_distance"):
+    for name in ("edge_kinds", "n_edges", "joint_distance"):
         assert getattr(got.plan, name) == getattr(want.plan, name)
 
 
@@ -434,7 +435,7 @@ class TestAssembly:
         assert np.array_equal(
             p.theta, bend_angle_batch(rot, t, problem.balancer, problem.tool))
         # The approach ends on the first held waypoint.
-        approach = next(i for i, h in enumerate(p.holding) if h) + 1
+        approach = int(np.argmax((p.grasp >= 0).any(axis=1))) + 1
         links = arm_link_segments(problem.robot, problem.world.link_spec,
                                   p.q_left, p.q_right)[0]
         dense, _ = dense_pair_clearances(problem.world, links,
@@ -458,10 +459,9 @@ class TestAssembly:
                             lambda *a: calls.append(a) or motion_clearances(*a))
         again = plan(problem, constrained=True, options=QUICK, cache=cache).plan
         assert calls == []
-        for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+        for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
                      "clearance"):
             assert np.array_equal(getattr(again, name), getattr(first, name))
-        assert again.holding == first.holding
         assert again.edge_kinds == first.edge_kinds
 
 
@@ -587,10 +587,9 @@ class TestOneCacheAcrossBendLimits:
             for free, bound in zip(unconstrained, fresh[deg]):
                 if free.plan is None or free.plan.theta.max() >= math.radians(deg):
                     continue
-                for name in ("q_left", "q_right", "tool_rot", "tool_t"):
+                for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp"):
                     assert (getattr(bound.plan, name).tobytes()
                             == getattr(free.plan, name).tobytes())
-                assert bound.plan.holding == free.plan.holding
                 pairs += 1
         assert pairs == 15
 
@@ -697,7 +696,7 @@ class TestEdgeValidation:
             q_right=np.tile(problem.home_right, (w, 1)),
             tool_rot=np.stack(rots),
             tool_t=np.stack([np.asarray(t, dtype=float) for t in ts]),
-            holding=((("left", 0),),) * w,
+            grasp=np.tile([0, -1], (w, 1)),
             kind="transfer",
         )
         return edge, arm_link_segments(problem.robot, problem.world.link_spec,
@@ -848,10 +847,9 @@ class TestStationSolve:
 
         monkeypatch.setattr(planner, "ik_batch", no_ik)
         warm = plan(problem, constrained=True, options=QUICK, cache=cache).plan
-        for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
+        for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
                      "clearance"):
             assert np.array_equal(getattr(warm, name), getattr(cold, name))
-        assert warm.holding == cold.holding
         assert warm.edge_kinds == cold.edge_kinds
 
     def test_station_configs_do_not_depend_on_the_batch(self):

@@ -78,7 +78,7 @@ def test_random_worlds_agree_with_the_recheck(boxes, cable_radius):
         assert recheck.grip_waypoint is None
         # A constrained approach, which ends on the first held waypoint,
         # carries the cable.
-        grasp = next(i for i, h in enumerate(result.plan.holding) if h)
+        grasp = int(np.argmax((result.plan.grasp >= 0).any(axis=1)))
         _check_clearances(result.plan, problem, grasp + 1 if constrained else 0,
                           recheck)
         if constrained:

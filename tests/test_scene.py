@@ -188,12 +188,26 @@ class TestParseErrors:
         path = tmp_path / "latin1.yaml"
         path.write_bytes(default_text().replace("name: default", "name: caf\xe9")
                          .encode("latin-1"))
-        with pytest.raises(ParseError, match=f"{re.escape(str(path))}: not valid UTF-8"):
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}: 'utf-8' codec"):
             load_scene(str(path))
 
     def test_invalid_yaml_reports_position(self):
-        with pytest.raises(ParseError, match=r"line \d+"):
-            parse_scene("robot: [unclosed\n", source="broken.yaml")
+        with pytest.raises(ParseError, match=r"^invalid YAML at line 2, column 1"):
+            parse_scene("robot: [unclosed\n")
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("robot: [unclosed\n", ParseError, "invalid YAML at line 2, column 1"),
+        (mutated(robot__left_base=_DELETE), ParseError,
+         "robot.left_base: missing required key"),
+        (mutated(constraint__theta_max_deg=-5.0), ValidationError,
+         "constraint.theta_max_deg: ")], ids=["yaml", "missing_key", "invalid_value"])
+    def test_a_file_error_names_the_path_once(self, tmp_path, text, error, message):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        with pytest.raises(error) as raised:
+            load_scene(str(path))
+        assert str(raised.value).startswith(f"{path}: {message}")
+        assert str(raised.value).count(str(path)) == 1
 
     def test_unknown_top_level_key_is_named(self):
         with pytest.raises(ParseError, match="scene.gripper"):

@@ -111,25 +111,25 @@ class TestJointTorques:
 
 
 class TestTrace:
-    def make_inputs(self, holders):
+    def make_inputs(self, grasp):
         """Robot, balancer, tool and a plan stand-in with the fields
-        that trace_plan reads."""
+        that trace_plan reads; grasp lists each waypoint's (left, right)
+        grasp ids, -1 where that arm does not hold."""
         robot = make_robot()
         rng = np.random.default_rng(35)
-        w = len(holders)
+        w = len(grasp)
         plan = SimpleNamespace(
             q_left=rng.uniform(-1.0, 1.0, (w, 6)),
             q_right=rng.uniform(-1.0, 1.0, (w, 6)),
             tool_rot=np.stack([rot_z(0.1 * i) for i in range(w)]),
             tool_t=np.tile([0.3, 0.0, 0.6], (w, 1)),
-            holding=holders)
+            grasp=np.array(grasp))
         bal = BalancerSpec(anchor=[0.3, 0.0, 1.6], max_load=2.0)
         return robot, bal, make_tool(), plan
 
     def test_entries_follow_holding(self):
-        holders = [(), (("left", 3),), (("left", 3),),
-                   (("left", 3), ("right", 7)), (("right", 7),)]
-        robot, bal, tool, plan = self.make_inputs(holders)
+        robot, bal, tool, plan = self.make_inputs(
+            [[-1, -1], [3, -1], [3, -1], [3, 7], [-1, 7]])
         trace = trace_plan(plan, robot, bal, tool)
         assert list(zip(trace.waypoint.tolist(), trace.arm.tolist())) == \
             [(1, "left"), (2, "left"), (3, "left"), (3, "right"), (4, "right")]
@@ -143,14 +143,14 @@ class TestTrace:
     def test_entries_match_the_finite_difference_oracle(self):
         # Each entry is J_fd.T @ f: J_fd differentiates the connector
         # point rigidly attached to the holding arm's TCP, f pulls from
-        # the connector toward the anchor with the cable tension.
-        holders = [(("right", 7),), (), (("left", 3), ("right", 7)),
-                   (("left", 3),), (("right", 7), ("left", 3))]
-        robot, bal, tool, plan = self.make_inputs(holders)
+        # the connector toward the anchor with the cable tension.  A
+        # waypoint's entries come left arm first.
+        robot, bal, tool, plan = self.make_inputs(
+            [[-1, 7], [-1, -1], [3, 7], [3, -1], [3, 7]])
         trace = trace_plan(plan, robot, bal, tool)
         assert list(zip(trace.waypoint.tolist(), trace.arm.tolist())) == \
             [(0, "right"), (2, "left"), (2, "right"), (3, "left"),
-             (4, "right"), (4, "left")]
+             (4, "left"), (4, "right")]
         for w, side, torques in zip(trace.waypoint, trace.arm, trace.entries):
             arm = getattr(robot, side)
             q = (plan.q_left if side == "left" else plan.q_right)[w]
@@ -168,8 +168,7 @@ class TestTrace:
             assert np.allclose(torques, jp.T @ force, atol=1e-5)
 
     def test_connector_at_the_anchor_raises(self):
-        holders = [(("left", 3),), (("left", 3),), ()]
-        robot, bal, tool, plan = self.make_inputs(holders)
+        robot, bal, tool, plan = self.make_inputs([[3, -1], [3, -1], [-1, -1]])
         rots = plan.tool_rot
         # Waypoint 2 is not held, so its degenerate cable is never used.
         plan.tool_t[2] = bal.anchor - rots[2] @ tool.connector_point
@@ -179,10 +178,8 @@ class TestTrace:
             trace_plan(plan, robot, bal, tool)
 
     def test_peak_is_the_largest_entry_magnitude_per_arm(self):
-        holders = [(("right", 7),), (("left", 3), ("right", 7)),
-                   (("right", 7), ("left", 3)), (("left", 3),), (),
-                   (("left", 3), ("right", 7))]
-        robot, bal, tool, plan = self.make_inputs(holders)
+        robot, bal, tool, plan = self.make_inputs(
+            [[-1, 7], [3, 7], [3, 7], [3, -1], [-1, -1], [3, 7]])
         trace = trace_plan(plan, robot, bal, tool)
         for arm in ("left", "right"):
             mags = [np.abs(torques).max()
@@ -198,7 +195,7 @@ class TestTrace:
             trace.peak("left")
 
     def test_a_plan_with_no_held_waypoint_gives_an_empty_trace(self):
-        robot, bal, tool, plan = self.make_inputs([(), (), ()])
+        robot, bal, tool, plan = self.make_inputs([[-1, -1]] * 3)
         trace = trace_plan(plan, robot, bal, tool)
         assert len(trace.entries) == 0
         assert torque_csv(trace) == ",".join(TORQUE_HEADER) + "\n"
