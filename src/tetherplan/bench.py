@@ -27,7 +27,7 @@ for its clearance query and its grip check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -278,7 +278,6 @@ def sweep(scene: Scene) -> SweepReport:
     The report holds no timings, so two sweeps of one scene compare equal.
     """
     cache = PlanCache()
-    options = replace(scene.options, time_budget=math.inf)
     grid = list(product(enumerate(scene.pitch_rows), enumerate(scene.roll_cols)))
     problems = [scene.problem(pitch=pitch, roll=roll)
                 for (_, pitch), (_, roll) in grid]
@@ -288,7 +287,7 @@ def sweep(scene: Scene) -> SweepReport:
         audited = None      # the cell's plan that recheck and peaks belong to
         for mode in ("constrained", "unconstrained"):
             result = plan(problem, constrained=(mode == "constrained"),
-                          options=options, cache=cache)
+                          options=scene.options, cache=cache)
             motion = result.plan
             if motion is None:
                 recheck, peaks = None, {}

@@ -47,7 +47,7 @@ from tetherplan.cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, \
     bend_angle_batch
 from tetherplan.collision import CollisionWorld, arm_link_segments, motion_clearances
 from tetherplan.geometry import Pose, unit
-from tetherplan.robot import DualArm, IKOptions, N_JOINTS, ik_batch
+from tetherplan.robot import DualArm, IKOptions, N_JOINTS, ik_batch, joint_config
 
 ROOT = "root"
 ARMS = ("left", "right")        # the column order of MotionPlan.grasp
@@ -114,7 +114,7 @@ class PlannerOptions:
     interp_step: float = 0.05
     min_handover_separation: float = 0.065
     max_edges: int = 20000
-    time_budget: float = 60.0
+    time_budget: float = math.inf
     ik: IKOptions = IKOptions()
 
     def __post_init__(self):
@@ -148,12 +148,8 @@ class PlanningProblem:
     home_right: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "home_left",
-                           np.asarray(self.home_left, dtype=float).reshape(N_JOINTS))
-        object.__setattr__(self, "home_right",
-                           np.asarray(self.home_right, dtype=float).reshape(N_JOINTS))
-        if not (np.isfinite(self.home_left).all() and np.isfinite(self.home_right).all()):
-            raise ValueError("home_left and home_right must be finite")
+        for name in ("home_left", "home_right"):
+            object.__setattr__(self, name, joint_config(getattr(self, name), name))
         if not self.handover_poses:
             raise ValueError("at least one handover pose is required")
         poses = (self.start_pose, self.goal_pose, *self.handover_poses)

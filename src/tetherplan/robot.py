@@ -106,6 +106,19 @@ _UR3_STEP = np.vstack([_UR3_OFFSETS, _UR3_TCP.t]).sum(axis=1)
 _UR3_TCP_COL = np.abs(_UR3_TCP.r).argmax(axis=0).tolist()
 _UR3_TCP_SIGN = _UR3_TCP.r.sum(axis=0)
 
+
+def joint_config(q, name: str) -> np.ndarray:
+    """q as one arm's N_JOINTS joint angles within [-2 pi, 2 pi], the range
+    ik_batch clamps to; a ValueError names the first joint of name outside it."""
+    q = np.asarray(q, dtype=float).reshape(N_JOINTS)
+    out = np.flatnonzero(~(np.abs(q) <= _UR3_LIMIT))
+    if out.size:
+        j = out[0]
+        raise ValueError(f"{name} joint {j + 1} is {q[j]:.6g} rad "
+                         f"({math.degrees(q[j]):.6g} deg), outside [-2 pi, 2 pi]")
+    return q
+
+
 def fk_chain_batch(base_r: np.ndarray, base_t: np.ndarray, qs: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward kinematics of a (W, 6) block of configurations.

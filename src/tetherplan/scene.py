@@ -6,8 +6,8 @@ and radians in memory; lengths are meters throughout.  Unknown keys and
 keys repeated within one mapping are rejected, so typos fail loudly
 instead of silently falling back to defaults or overriding an earlier
 value.  Each mapping is read through a _Section, whose typed reads name
-a bad value by its dotted key path; describe() prints the planner and
-IK settings from the same key tables that parse them.
+a bad value by its dotted key path; describe() prints the planner
+settings from the same key table that parses them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .cable import CABLE, BalancerSpec, BendConstraint, ToolSpec, bend_angle_bat
 from .collision import ArmLinkSpec, Box, Capsule, CollisionWorld, Shape, link_names
 from .geometry import Pose, rot_x, rot_y
 from .planner import PlannerOptions, PlanningProblem
-from .robot import DualArm, IKOptions
+from .robot import DualArm, joint_config
 
 DEFAULT_PITCH_ROWS_DEG = (0.0, 10.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
 DEFAULT_ROLL_COLS_DEG = (-20.0, -10.0, 0.0, 10.0, 20.0)
@@ -254,8 +254,8 @@ class Scene:
         return replace(self.base, start_pose=start, goal_pose=goal)
 
     def describe(self) -> str:
-        """Effective configuration, one setting per line; the planner and
-        IK settings under their file keys, the IK ones prefixed ik_."""
+        """Effective configuration, one setting per line; the planner
+        settings under their file keys."""
         b, o = self.base, self.options
         lines = [
             f"scene: {self.name}",
@@ -271,8 +271,6 @@ class Scene:
             f"palm_standoff_m: {b.world.link_spec.palm_setback}",
             *(f"{key}: {_shown(key, getattr(o, field))}"
               for key, (field, _, _) in _PLANNER_KEYS.items()),
-            *(f"ik_{key}: {_shown(key, getattr(o.ik, field))}"
-              for key, (field, _, _) in _IK_KEYS.items()),
             f"pitch_rows_deg: {[round(math.degrees(p), 6) for p in self.pitch_rows]}",
             f"roll_cols_deg: {[round(math.degrees(r), 6) for r in self.roll_cols]}",
         ]
@@ -282,8 +280,8 @@ class Scene:
 # Optional keys: file key -> (field name, type, least value); None as
 # the least value means the value must be positive, and -inf leaves any
 # range check to the spec that takes the value.  A key the file omits
-# takes the field's default.  describe() prints the planner and IK
-# tables in this order.
+# takes the field's default.  describe() prints the planner table in
+# this order.
 _PLANNER_KEYS = {
     "axial_samples": ("axial_samples", int, 1),
     "roll_samples": ("roll_samples", int, 1),
@@ -291,13 +289,6 @@ _PLANNER_KEYS = {
     "interp_step_deg": ("interp_step", float, None),
     "min_handover_separation_m": ("min_handover_separation", float, 0.0),
     "max_edges": ("max_edges", int, 0),
-}
-_IK_KEYS = {
-    "restarts": ("restarts", int, 1),
-    "max_iters": ("max_iters", int, 0),
-    "seed": ("seed", int, 0),
-    "pos_tol_m": ("pos_tol", float, None),
-    "ori_tol_rad": ("ori_tol", float, None),
 }
 
 
@@ -319,8 +310,9 @@ def parse_scene(text: str) -> Scene:
                                "home_right_deg", "link_radii_m", "palm_standoff_m"))
     left = _pose(rob.child("left_base", _POSE_KEYS))
     right = _pose(rob.child("right_base", _POSE_KEYS))
-    home_left = np.radians(rob.vector("home_left_deg", 6))
-    home_right = np.radians(rob.vector("home_right_deg", 6))
+    home_left, home_right = (
+        _build(rob.at(key), joint_config, q=np.radians(rob.vector(key, 6)),
+               name=key.removesuffix("_deg")) for key in ("home_left_deg", "home_right_deg"))
     radii = rob.vector("link_radii_m", 6)
     standoff = rob.options({"palm_standoff_m": ("palm_setback", float, None)})
     robot = _build(rob.path, DualArm, left=left, right=right)
@@ -366,10 +358,8 @@ def parse_scene(text: str) -> Scene:
                 raise ValidationError(path, f"unknown body name {name_!r}")
         excluded.append(names)
 
-    planner = root.child("planner", (*_PLANNER_KEYS, "ik"), None)
-    kwargs = planner.options(_PLANNER_KEYS)
-    ik = IKOptions(**planner.child("ik", _IK_KEYS, {}).options(_IK_KEYS))
-    options = PlannerOptions(**kwargs, ik=ik)
+    planner = root.child("planner", _PLANNER_KEYS, None)
+    options = PlannerOptions(**planner.options(_PLANNER_KEYS))
     handle = float(np.linalg.norm(tool.handle_b - tool.handle_a))
     if not 2.0 * options.grasp_inset < handle:   # as sample_grasps needs
         raise ValidationError(planner.at("grasp_inset_m"),

@@ -455,6 +455,7 @@ def _sweep_recording(scene, monkeypatch):
         return record
 
     def recording_plan(problem, **kw):
+        assert kw["options"] is scene.options    # each cell plans as a lone plan()
         result = real_plan(problem, **kw)
         if result.plan is not None:
             plans.append((result.plan, problem))

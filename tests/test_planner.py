@@ -148,14 +148,35 @@ class TestInterp:
             PlannerOptions(max_edges=-5)
         PlannerOptions(max_edges=0)
 
+    def test_default_options_set_no_clock(self):
+        # A plan is a function of its inputs: under the default options,
+        # and the scene's, no plan() stops on the wall clock.
+        assert PlannerOptions().time_budget == math.inf
+        assert default_scene().options.time_budget == math.inf
+
 
 @pytest.mark.parametrize("home", ["home_left", "home_right"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_problem_rejects_a_non_finite_home(home, bad):
     problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
     q = np.where(np.arange(6) == 2, bad, getattr(problem, home))
-    with pytest.raises(ValueError, match="home_left and home_right must be finite"):
+    with pytest.raises(ValueError, match=f"{home} joint 3 is {bad} rad"):
         replace(problem, **{home: q})
+
+
+@pytest.mark.parametrize("home", ["home_left", "home_right"])
+def test_problem_rejects_a_home_outside_the_joint_range(home):
+    # A home is a UR3 configuration: each joint within [-2 pi, 2 pi], the
+    # range ik_batch clamps the station configs to.
+    problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
+    q = getattr(problem, home).copy()
+    for bad in (np.nextafter(2 * math.pi, 7.0), math.radians(-488.0)):
+        q[4] = bad
+        with pytest.raises(ValueError, match=rf"^{home} joint 5 is -?\d.* outside "
+                                             r"\[-2 pi, 2 pi\]"):
+            replace(problem, **{home: q})
+    q[4], q[5] = 2 * math.pi, -2 * math.pi     # the range's ends are in it
+    assert np.array_equal(getattr(replace(problem, **{home: q}), home), q)
 
 
 @pytest.mark.parametrize("pose", ["start_pose", "goal_pose", "handover_poses"])
@@ -501,7 +522,7 @@ class TestEdgeMemo:
         # transfer for bend that passes at its own limit of 95.
         scene = default_scene()
         problem = scene.problem(scene.pitch_rows[3], scene.roll_cols[0])
-        opts = replace(scene.options, time_budget=math.inf)
+        opts = scene.options
         tight = replace(problem, constraint=BendConstraint(math.radians(45.0)))
         cache = PlanCache()
         assert plan(tight, True, opts, cache).stats.edges_rejected["bend"] > 0
@@ -602,7 +623,7 @@ class TestCacheBinding:
         (dict(interp_step=3 * PlannerOptions().interp_step), True),
         (dict(ik=robot.IKOptions(restarts=1, max_iters=20)), True),
         (dict(max_edges=500), False),
-        (dict(time_budget=math.inf), False),
+        (dict(time_budget=60.0), False),
         (dict(min_handover_separation=0.2), False),
     ], ids=["axial_samples", "interp_step", "ik", "max_edges", "time_budget",
             "min_handover_separation"])

@@ -12,7 +12,6 @@ from tetherplan.collision import Capsule, _pair_table, arm_link_segments, \
 from tetherplan.geometry import rot_y
 from tetherplan.planner import sample_grasps
 from tetherplan.scene import (
-    _IK_KEYS,
     _PLANNER_KEYS,
     ParseError,
     ValidationError,
@@ -105,25 +104,18 @@ class TestDefaultScene:
     def test_describe_mentions_effective_settings(self):
         text = default_scene().describe()
         assert "theta_max_deg: 95" in text
-        assert "ik_seed: 0" in text
-        assert "ik_pos_tol_m: 0.0001" in text
-        assert "ik_ori_tol_rad: 0.001" in text
         assert "link_radii_m: [0.045, 0.045, 0.04, 0.035, 0.035, 0.03]" in text
         assert "palm_standoff_m: 0.07" in text
 
-    def test_describe_prints_every_planner_and_ik_key(self):
-        # describe() walks the key tables that parse the planner block, so
+    def test_describe_prints_every_planner_key(self):
+        # describe() walks the key table that parses the planner block, so
         # each file key prints under its own name with the file's value.
         planner = {"axial_samples": 4, "roll_samples": 6, "grasp_inset_m": 0.03,
                    "interp_step_deg": 3.5, "min_handover_separation_m": 0.05,
                    "max_edges": 1000}
-        ik = {"restarts": 3, "max_iters": 50, "seed": 7, "pos_tol_m": 0.0002,
-              "ori_tol_rad": 0.002}
-        assert set(planner) == set(_PLANNER_KEYS) and set(ik) == set(_IK_KEYS)
-        text = parse_scene(mutated(planner={**planner, "ik": ik})).describe()
-        lines = text.splitlines()
-        for key, value in [*planner.items(),
-                           *((f"ik_{k}", v) for k, v in ik.items())]:
+        assert set(planner) == set(_PLANNER_KEYS)
+        lines = parse_scene(mutated(planner=planner)).describe().splitlines()
+        for key, value in planner.items():
             assert f"{key}: {value}" in lines
 
     def test_sphere_is_a_capsule_with_equal_endpoints(self):
@@ -287,10 +279,7 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=re.escape(f"{named}: missing required key")):
             parse_scene(yaml.safe_dump(doc))
 
-    @pytest.mark.parametrize("path", [
-        *_key_paths(yaml.safe_load(default_text())),
-        "planner.ik.pos_tol_m", "planner.ik.ori_tol_rad",
-    ])
+    @pytest.mark.parametrize("path", list(_key_paths(yaml.safe_load(default_text()))))
     def test_wrongly_typed_key_names_its_path(self, path):
         # A list where a mapping belongs, a number where a string
         # belongs, and a string where a number, an integer or a list
@@ -301,6 +290,13 @@ class TestParseErrors:
         node[key] = [1] if isinstance(old, dict) else 7 if isinstance(old, str) else "x"
         with pytest.raises(ParseError, match=rf"^{re.escape(path)}: expected "):
             parse_scene(yaml.safe_dump(doc))
+
+    def test_ik_block_is_an_unknown_key(self):
+        # IK settings are IKOptions' defaults, set through the API only; a
+        # file that still sets them fails rather than have them ignored.
+        ik = {"restarts": 8, "max_iters": 200, "seed": 0}
+        with pytest.raises(ParseError, match=r"^planner\.ik: unknown key"):
+            parse_scene(mutated(planner__ik=ik))
 
     def test_unknown_shape_kind(self):
         doc = yaml.safe_load(default_text())
@@ -373,13 +369,6 @@ class TestValidationErrors:
             parse_scene(yaml.safe_dump(doc))
 
     @pytest.mark.parametrize("key, bad, least", [
-        ("planner__ik__restarts", -2, 1),
-        ("planner__ik__restarts", 0, 1),
-        ("planner__ik__max_iters", -3, 0),
-        ("planner__ik__seed", -1, 0),
-        ("planner__ik__pos_tol_m", -1.0, 1e-9),
-        ("planner__ik__pos_tol_m", 0.0, 1e-9),
-        ("planner__ik__ori_tol_rad", 0.0, 1e-9),
         ("planner__max_edges", -1, 0),
         ("planner__min_handover_separation_m", -1.0, 0.0),
         ("planner__min_handover_separation_m", math.nan, 0.0),
@@ -395,6 +384,12 @@ class TestValidationErrors:
         ("sweep__roll_cols_deg", [0.0, -math.inf], [0.0, -1e300]),
         ("handover_poses", [], [{"xyz_m": [0.32, 0.05, 0.45]}]),
         ("handover_poses", _DELETE, [{"xyz_m": [0.32, 0.05, 0.45]}]),
+        # A home joint must lie in [-360, 360] deg, the range IK clamps
+        # to; the error names the home's own key.
+        ("robot__home_left_deg", [488.0, -47.5, -99.8, 28.6, -90.0, 139.5],
+         [360.0, -360.0, -99.8, 28.6, -90.0, 139.5]),
+        ("robot__home_right_deg", [160.1, -30.3, -88.4, 28.7, -90.0, -400.0],
+         [160.1, -30.3, -88.4, 28.7, -90.0, -360.0]),
         # float() of an int beyond the float range overflows, not inf.
         pytest.param("balancer__max_load_kg", 10 ** 400, 2.0,
                      id="balancer__max_load_kg-int_beyond_float"),
