@@ -34,7 +34,7 @@ import numpy as np
 
 from .cable import CABLE, bend_angle_batch
 from .collision import arm_link_segments, motion_clearances
-from .planner import MotionPlan, PlanCache, PlanResult, PlanningProblem, \
+from .planner import MODES, MotionPlan, PlanCache, PlanResult, PlanningProblem, \
     plan, solve_stations
 from .scene import Scene
 from .torque import trace_plan
@@ -243,7 +243,7 @@ class SweepReport:
         per_arm: dict[str, list[float]] = {"left": [], "right": []}
         n_cells = 0
         for i, j in product(range(len(self.pitch_rows)), range(len(self.roll_cols))):
-            con, unc = (first.get((i, j, m)) for m in ("constrained", "unconstrained"))
+            con, unc = (first.get((i, j, m)) for m in MODES)
             if any(c is None or c.outcome.label == "no_plan" for c in (con, unc)):
                 continue
             shared = sorted(set(con.peak_torque) & set(unc.peak_torque))
@@ -285,7 +285,7 @@ def sweep(scene: Scene) -> SweepReport:
     cells = []
     for ((i, pitch), (j, roll)), problem in zip(grid, problems):
         audited = None      # the cell's plan that recheck and peaks belong to
-        for mode in ("constrained", "unconstrained"):
+        for mode in MODES:
             result = plan(problem, constrained=(mode == "constrained"),
                           options=scene.options, cache=cache)
             motion = result.plan
@@ -293,16 +293,15 @@ def sweep(scene: Scene) -> SweepReport:
                 recheck, peaks = None, {}
             elif audited is None or any(
                     getattr(motion, f).tobytes() != getattr(audited, f).tobytes()
-                    for f in ("q_left", "q_right", "tool_rot", "tool_t", "grasp")):
+                    for f in MotionPlan.MOTION):
                 audited, recheck = motion, recheck_plan(motion, problem)
                 trace = trace_plan(motion, problem.robot, problem.balancer, problem.tool)
                 peaks = {arm: trace.peak(arm) for arm in trace.arms()}
             cells.append(SweepCell(
                 row=i, col=j, pitch=pitch, roll=roll, mode=mode,
                 outcome=classify(result, recheck), recheck=recheck,
-                n_edges=motion.n_edges if motion else None,
-                n_waypoints=motion.n_waypoints if motion else None,
-                joint_distance=motion.joint_distance if motion else None,
+                **{f: getattr(motion, f) if motion else None
+                   for f in ("n_edges", "n_waypoints", "joint_distance")},
                 peak_torque=dict(peaks)))
     return SweepReport(pitch_rows=scene.pitch_rows, roll_cols=scene.roll_cols,
                        cells=tuple(cells))
@@ -346,7 +345,7 @@ def render_grid(report: SweepReport) -> str:
     col_heads = [f"{math.degrees(r):+.0f}" for r in report.roll_cols]
     width = max([5] + [len(h) + 2 for h in col_heads])
     out = []
-    for mode in ("constrained", "unconstrained"):
+    for mode in MODES:
         out.append(f"{mode}  (pitch rows x roll columns)")
         out.append("pitch".ljust(7) + "".join(h.rjust(width) for h in col_heads))
         grid = report.grid(mode)
@@ -369,5 +368,5 @@ def render_grid(report: SweepReport) -> str:
         out.append(f"torque reduction (constrained vs unconstrained, "
                    f"{ts.n_cells} cells planned in both modes): "
                    f"mean={ts.mean_reduction_pct:.1f}%  {per_arm}")
-    out.append("legend: o=success  x=bend_violation  *=cable_collision  F=no_plan")
+    out.append("legend: " + "  ".join(f"{s}={k}" for k, s in LABEL_SYMBOLS.items()))
     return "\n".join(out) + "\n"

@@ -30,7 +30,7 @@ import operator
 import numpy as np
 
 from .geometry import ZeroVectorError, quat_to_rot, rot_to_quat
-from .planner import ARMS, MotionPlan
+from .planner import ARMS, MODES, MotionPlan
 
 PLAN_HEADER = (
     ["waypoint"]
@@ -99,7 +99,7 @@ def _one_of(value: str, allowed: tuple[str, ...]) -> str:
 
 # The parser of each preamble value; an unknown key is kept as text.
 _PREAMBLE = {
-    "mode": lambda v: _one_of(v, ("constrained", "unconstrained")),
+    "mode": lambda v: _one_of(v, MODES),
     "edge_kinds": lambda v: tuple(_one_of(k, ("approach", "transfer", "handover"))
                                   for k in v.split(",") if k),
     "joint_distance_rad": float,
@@ -212,8 +212,7 @@ def parse_plan_csv(text: str) -> MotionPlan:
         mode=meta["mode"], q_left=q_left, q_right=q_right,
         tool_rot=tool_rot, tool_t=tool_t, grasp=np.array(holdings, dtype=np.int64),
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
-        edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
-        joint_distance=meta["joint_distance_rad"])
+        edge_kinds=meta["edge_kinds"], joint_distance=meta["joint_distance_rad"])
 
 
 def read_plan_csv(path) -> MotionPlan:

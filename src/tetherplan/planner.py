@@ -29,9 +29,9 @@ those blocks, so each waypoint is measured once.  In constrained mode
 every waypoint must keep the cable bend angle below the limit, and the
 hanging cable is an obstacle until the tool is first grasped: a
 constrained approach edge attaches it beside the tool shapes.  So an
-edge's measurement (rows, bend angles, clearances) is kept apart from
-the verdict a mode and a bend limit draw from it, and a cache shared by
-both modes measures each transfer and handover once.
+edge's measurement (PlanCache.edge_measure) is kept apart from the
+verdict a mode and a bend limit draw from it (PlanCache.edge_verdict),
+and a cache shared by both modes measures each transfer and handover once.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from tetherplan.robot import DualArm, IKOptions, N_JOINTS, ik_batch, joint_confi
 
 ROOT = "root"
 ARMS = ("left", "right")        # the column order of MotionPlan.grasp
+MODES = ("constrained", "unconstrained")
 
 
 class EmptyGraspSet(Exception):
@@ -74,8 +75,6 @@ def sample_grasps(tool: ToolSpec, axial_samples: int, roll_samples: int,
                   inset: float) -> GraspSet:
     """Evenly sampled side-on grasps along the tool handle, the rolls of
     each axial position in turn."""
-    if axial_samples < 1 or roll_samples < 1:
-        raise EmptyGraspSet("axial_samples and roll_samples must be at least 1")
     span = tool.handle_b - tool.handle_a
     length = float(np.linalg.norm(span))
     if length - 2.0 * inset <= 0.0:
@@ -126,6 +125,8 @@ class PlannerOptions:
             raise ValueError("min_handover_separation must be finite and at least 0")
         if self.max_edges < 0:
             raise ValueError("max_edges must be at least 0")
+        if self.axial_samples < 1 or self.roll_samples < 1:
+            raise ValueError("axial_samples and roll_samples must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,11 @@ class MotionPlan:
     grasp (W, 2) is each waypoint's grasp id of each arm, columns in
     ARMS order (left, right), -1 where that arm does not hold the tool;
     theta and clearance are the bend angle and clearance validated per
-    waypoint, the cable counted on constrained approach rows."""
+    waypoint, the cable counted on constrained approach rows.  MOTION
+    names the rows an edge builds, ROWS every per-waypoint array."""
+
+    MOTION = ("q_left", "q_right", "tool_rot", "tool_t", "grasp")
+    ROWS = MOTION + ("theta", "clearance")
 
     mode: str
     q_left: np.ndarray
@@ -185,14 +190,17 @@ class MotionPlan:
     theta: np.ndarray
     clearance: np.ndarray
     edge_kinds: tuple[str, ...]
-    n_edges: int
     joint_distance: float
 
     def __post_init__(self):
-        for name in ("q_right", "tool_rot", "tool_t", "grasp", "theta", "clearance"):
+        for name in self.ROWS[1:]:
             if len(getattr(self, name)) != len(self.q_left):
                 raise ValueError(f"{name} has {len(getattr(self, name))} rows, "
                                  f"q_left has {len(self.q_left)}")
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edge_kinds)
 
     @property
     def n_waypoints(self) -> int:
@@ -245,12 +253,13 @@ class PlanCache:
     The edge tables fill lazily, keyed by edge specs that name stations
     by key: ("approach", start, arm, grasp), ("transfer", from, to, arm,
     grasp) and ("handover", station, giver, grasp, receiver, grasp).
-    edge_measure maps (spec, cable attached) to the edge's measured block
-    (rows, bend angles, clearances) and each row's nearest pair; only a
+    edge_measure maps (spec, cable attached) to (kind, rows, pair_idx,
+    pair_names): rows maps each MotionPlan.ROWS name to the edge's array,
+    and pair_names[pair_idx[w]] is row w's nearest pair.  Only a
     constrained approach attaches the cable, so both modes share every
     transfer and handover measurement.  edge_verdict maps (spec,
-    constrained, bend limit) to the block if the edge passes there, else
-    the reason it fails.
+    constrained, bend limit) to (kind, rows) if the edge passes there,
+    else the reason it fails.
     """
 
     node_feasible: dict = field(default_factory=dict)
@@ -379,21 +388,6 @@ def interp_joints(qa: np.ndarray, qb: np.ndarray, step: float) -> np.ndarray:
     return np.linspace(qa, qb, n)
 
 
-@dataclass
-class _EdgeData:
-    """One edge's waypoint rows; validation adds each row's bend angle
-    and its clearance, the minimum over every pair it measured."""
-
-    q_left: np.ndarray
-    q_right: np.ndarray
-    tool_rot: np.ndarray
-    tool_t: np.ndarray
-    grasp: np.ndarray
-    kind: str
-    theta: np.ndarray | None = None
-    clearance: np.ndarray | None = None
-
-
 class _Search:
     """Planner internals for one plan() call.  A station is named by its
     content key in nodes, edge specs and the cache; stations is the
@@ -412,9 +406,10 @@ class _Search:
 
     # ----- edge construction ------------------------------------------------
 
-    def build_edge(self, spec: tuple) -> tuple[_EdgeData, np.ndarray]:
-        """The edge's rows and its (W, 12, 2, 3) link segments, from one
-        arm_link_segments call over its (q_left, q_right) rows.  A carried
+    def build_edge(self, spec: tuple) -> tuple[str, dict, np.ndarray]:
+        """The edge's kind, its rows (one array per MotionPlan.MOTION name)
+        and its (W, 12, 2, 3) link segments, from one arm_link_segments
+        call over its (q_left, q_right) rows.  A carried
         tool follows its holder's TCP poses from that call; a resting
         tool sits at the station on every row."""
         kind, feasible, step = spec[0], self.cache.node_feasible, self.opt.interp_step
@@ -454,49 +449,49 @@ class _Search:
             pose = self.stations[station]
             tool_rot = np.broadcast_to(pose.r, (len(links), 3, 3))
             tool_t = np.broadcast_to(pose.t, (len(links), 3))
-        return _EdgeData(ql, qr, tool_rot, tool_t, grasp, kind), links
+        return kind, dict(zip(MotionPlan.MOTION, (ql, qr, tool_rot, tool_t, grasp))), links
 
     # ----- edge validation --------------------------------------------------
 
-    def validate_edge(self, spec: tuple) -> _EdgeData | str:
-        key = (spec, self.constrained, self.pb.constraint.theta_max)
-        if key not in self.cache.edge_verdict:
-            self.cache.edge_verdict[key] = self._validate_edge_uncached(spec)
-        return self.cache.edge_verdict[key]
-
-    def _validate_edge_uncached(self, spec: tuple) -> _EdgeData | str:
-        """The edge's block with its bend angles and clearances, or the
-        reason its first bad row fails; bend wins a tie with contact."""
+    def _measure_edge(self, spec: tuple) -> tuple[str, dict, np.ndarray, list[str]]:
+        """The edge's kind, its rows with their bend angles and
+        clearances, and each row's nearest pair (index, pair names),
+        memoized in cache.edge_measure; only a constrained approach
+        attaches the cable among the tool shapes."""
         attached = self.constrained and spec[0] == "approach"
         key = (spec, attached)
         if key not in self.cache.edge_measure:
-            self.cache.edge_measure[key] = self._measure_edge(spec, attached)
-        data, pair_idx, pair_names = self.cache.edge_measure[key]
-        # Only a transfer moves the tool away from a checked station.
-        bent = (data.theta >= self.pb.constraint.theta_max) & (
-            self.constrained and data.kind == "transfer")
-        bad = bent | (data.clearance < 0.0)
-        if not bad.any():
-            return data
-        first = int(np.argmax(bad))
-        if bent[first]:
-            return "bend"
-        pair = pair_names[pair_idx[first]]
-        return "cable_collision" if CABLE in pair else "collision"
+            kind, rows, links = self.build_edge(spec)
+            rows["theta"] = bend_angle_batch(rows["tool_rot"], rows["tool_t"],
+                                             self.pb.balancer, self.pb.tool)
+            rows["clearance"], pair_idx, pair_names = motion_clearances(
+                self.pb.world, links,
+                *self.pb.tool.bodies(rows["tool_rot"], rows["tool_t"],
+                                     self.pb.balancer if attached else None))
+            self.cache.edge_measure[key] = kind, rows, pair_idx, pair_names
+        return self.cache.edge_measure[key]
 
-    def _measure_edge(self, spec: tuple, attached: bool,
-                      ) -> tuple[_EdgeData, np.ndarray, list[str]]:
-        """The edge's block with its bend angles and clearances, the
-        cable among the tool shapes if attached, and each row's nearest
-        pair (index, pair names)."""
-        data, links = self.build_edge(spec)
-        data.theta = bend_angle_batch(data.tool_rot, data.tool_t,
-                                      self.pb.balancer, self.pb.tool)
-        data.clearance, pair_idx, pair_names = motion_clearances(
-            self.pb.world, links,
-            *self.pb.tool.bodies(data.tool_rot, data.tool_t,
-                                 self.pb.balancer if attached else None))
-        return data, pair_idx, pair_names
+    def validate_edge(self, spec: tuple) -> tuple[str, dict] | str:
+        """The edge's (kind, rows) if it passes in this mode under this
+        bend limit, else the reason its first bad row fails, memoized in
+        cache.edge_verdict; bend wins a tie with contact."""
+        key = (spec, self.constrained, self.pb.constraint.theta_max)
+        if key not in self.cache.edge_verdict:
+            kind, rows, pair_idx, pair_names = self._measure_edge(spec)
+            # Only a transfer moves the tool away from a checked station.
+            bent = (rows["theta"] >= self.pb.constraint.theta_max) & (
+                self.constrained and kind == "transfer")
+            bad = bent | (rows["clearance"] < 0.0)
+            first = int(np.argmax(bad))
+            if not bad.any():
+                verdict = kind, rows
+            elif bent[first]:
+                verdict = "bend"
+            else:
+                pair = pair_names[pair_idx[first]]
+                verdict = "cable_collision" if CABLE in pair else "collision"
+            self.cache.edge_verdict[key] = verdict
+        return self.cache.edge_verdict[key]
 
     # ----- search -----------------------------------------------------------
 
@@ -599,25 +594,19 @@ class _Search:
                 blocks[spec] = block
             else:
                 return PlanResult(
-                    plan=self._assemble([blocks[spec] for spec in path], cost),
+                    plan=self._assemble([blocks[spec] for spec in path], cost[1]),
                     failure=None, stats=self.stats)
 
     # ----- plan assembly ----------------------------------------------------
 
-    def _assemble(self, blocks: list[_EdgeData],
-                  cost: tuple[int, float]) -> MotionPlan:
+    def _assemble(self, blocks: list[tuple[str, dict]], dist: float) -> MotionPlan:
         # Consecutive edges share a waypoint; keep it once.
-        q_left, q_right, tool_rot, tool_t, grasp, theta, clearance = (
-            np.concatenate([getattr(b, f)[min(i, 1):] for i, b in enumerate(blocks)])
-            for f in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
-                      "clearance"))
-        edges, dist = cost
         return MotionPlan(
             mode="constrained" if self.constrained else "unconstrained",
-            q_left=q_left, q_right=q_right, tool_rot=tool_rot, tool_t=tool_t,
-            grasp=grasp, theta=theta, clearance=clearance,
-            edge_kinds=tuple(b.kind for b in blocks), n_edges=edges,
-            joint_distance=dist)
+            edge_kinds=tuple(kind for kind, _ in blocks), joint_distance=dist,
+            **{f: np.concatenate([rows[f][min(i, 1):]
+                                  for i, (_, rows) in enumerate(blocks)])
+               for f in MotionPlan.ROWS})
 
 
 def plan(problem: PlanningProblem, constrained: bool = True,

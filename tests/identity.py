@@ -16,8 +16,12 @@ hashes, in this order:
     its Recheck record, its torque CSV and the plan CSV written back from
     the parsed plan.  Those files are only read.
 
-Floats enter by their exact bits, dict items in key order.  Run as a
-script, it prints the digest of the checkout it sits in:
+Floats enter by their exact bits, dict items in key order, a dataclass
+by its fields and a MotionPlan by the public attributes _PLAN_ATTRS
+names, so that a field turned into a property encodes as before.  The
+list is written out here, not read from the library, so that the script
+runs unchanged on an earlier commit.  Run as a script, it prints the
+digest of the checkout it sits in:
 
     python tests/identity.py
 """
@@ -42,7 +46,11 @@ import numpy as np  # noqa: E402
 
 from tetherplan import bench, plan_io  # noqa: E402
 from tetherplan.cable import BendConstraint  # noqa: E402
+from tetherplan.planner import MotionPlan  # noqa: E402
 from tetherplan.scene import default_scene  # noqa: E402
+
+_PLAN_ATTRS = ("mode", "q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
+               "clearance", "edge_kinds", "n_edges", "joint_distance")
 
 
 def _encode(value) -> bytes:
@@ -51,9 +59,10 @@ def _encode(value) -> bytes:
         head = repr((value.dtype.str, value.shape)).encode()
         body = b"a" + head + np.ascontiguousarray(value).tobytes()
     elif dataclasses.is_dataclass(value):
+        names = _PLAN_ATTRS if isinstance(value, MotionPlan) else [
+            f.name for f in dataclasses.fields(value)]
         body = b"d" + type(value).__name__.encode() + b"".join(
-            _encode((f.name, getattr(value, f.name)))
-            for f in dataclasses.fields(value))
+            _encode((name, getattr(value, name))) for name in names)
     elif isinstance(value, dict):
         body = b"m" + b"".join(_encode(item)
                                for item in sorted(value.items(), key=repr))

@@ -501,7 +501,7 @@ def pop_and_check_search(search) -> PlanResult:
     while node != ROOT:
         node, block = parents[node]
         blocks.append(block)
-    plan = search._assemble(blocks[::-1], settled[goal_node])
+    plan = search._assemble(blocks[::-1], settled[goal_node][1])
     return PlanResult(plan=plan, failure=None, stats=stats)
 
 
@@ -723,8 +723,7 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
         q_right=nums[:, 6:12].copy(), tool_rot=tool_rot,
         tool_t=nums[:, 16:19].copy(), grasp=grasp,
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
-        edge_kinds=meta["edge_kinds"], n_edges=len(meta["edge_kinds"]),
-        joint_distance=meta["joint_distance_rad"])
+        edge_kinds=meta["edge_kinds"], joint_distance=meta["joint_distance_rad"])
 
 
 # --- pair-by-pair pair table ---

@@ -183,7 +183,6 @@ class TestRecheckPlan:
             theta=np.zeros(w),
             clearance=np.zeros(w),
             edge_kinds=("approach",),
-            n_edges=1,
             joint_distance=0.0,
         )
 

@@ -122,7 +122,7 @@ class TestConstraint:
             mode="constrained", q_left=HOME_LEFT[None], q_right=HOME_RIGHT[None],
             tool_rot=pose.r[None], tool_t=pose.t[None], grasp=np.full((1, 2), -1),
             theta=np.zeros(1), clearance=np.zeros(1), edge_kinds=(),
-            n_edges=0, joint_distance=0.0)
+            joint_distance=0.0)
         theta = bend_angle_batch(pose.r[None], pose.t[None], problem.balancer,
                                  problem.tool)[0]
         for limit, flagged in ((theta, 0), (np.nextafter(theta, np.inf), None)):

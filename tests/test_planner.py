@@ -20,7 +20,6 @@ from tetherplan.planner import (
     PlanCache,
     PlannerOptions,
     PlanningProblem,
-    _EdgeData,
     _Search,
     _pose_key,
     _solve_stations,
@@ -64,10 +63,13 @@ class TestSampleGrasps:
         assert np.linalg.norm(dirs.sum(axis=0)) < 1e-9
 
     def test_empty_parameterizations_raise(self):
-        with pytest.raises(EmptyGraspSet):
-            sample_grasps(make_tool(), 0, 12, 0.02)
-        with pytest.raises(EmptyGraspSet):
-            sample_grasps(make_tool(), 5, 0, 0.02)
+        # An empty count fails where the options are built, not first
+        # inside plan(); a handle shorter than its two insets still
+        # leaves sample_grasps no grasp.
+        for field in ("axial_samples", "roll_samples"):
+            with pytest.raises(ValueError, match="axial_samples and roll_samples must be"):
+                PlannerOptions(**{field: 0})
+            PlannerOptions(**{field: 1})
         short = ToolSpec(connector_point=[0, 0, 0.1], cable_dir=[0, 0, 1],
                          handle_a=[0, 0, 0.0], handle_b=[0, 0, 0.03])
         with pytest.raises(EmptyGraspSet):
@@ -200,6 +202,9 @@ class TestPlanning:
         assert p.edge_kinds[0] == "approach"
         assert p.n_edges == len(p.edge_kinds)
         assert p.n_edges == 2
+        # The edge count is the edge kinds', so no plan can disagree.
+        with pytest.raises(TypeError):
+            replace(p, n_edges=7)
         # Starts pre-grasp, ends with one arm holding.
         assert (p.grasp[0] == -1).all()
         assert np.count_nonzero(p.grasp[-1] >= 0) == 1
@@ -701,7 +706,8 @@ class TestEdgeValidation:
     """Validator semantics, checked on hand-built edges.
 
     Stubbing build_edge lets each test pin the exact waypoint rows the
-    validator sees, which end-to-end planning cannot control.
+    validator sees, which end-to-end planning cannot control; each
+    search is fresh, so validate_edge measures the stubbed edge.
     """
 
     def _search(self, start=(0.3, 0.35, 0.45)):
@@ -710,18 +716,17 @@ class TestEdgeValidation:
 
     def _fabricate(self, problem, rots, ts):
         """What build_edge returns for these tool poses, both arms home:
-        the rows and their link segments."""
+        the kind, the rows and their link segments."""
         w = len(rots)
-        edge = _EdgeData(
+        rows = dict(
             q_left=np.tile(problem.home_left, (w, 1)),
             q_right=np.tile(problem.home_right, (w, 1)),
             tool_rot=np.stack(rots),
             tool_t=np.stack([np.asarray(t, dtype=float) for t in ts]),
             grasp=np.tile([0, -1], (w, 1)),
-            kind="transfer",
         )
-        return edge, arm_link_segments(problem.robot, problem.world.link_spec,
-                                       edge.q_left, edge.q_right)[0]
+        return "transfer", rows, arm_link_segments(
+            problem.robot, problem.world.link_spec, rows["q_left"], rows["q_right"])[0]
 
     def test_mid_edge_bend_rejected(self):
         problem, search = self._search()
@@ -733,7 +738,7 @@ class TestEdgeValidation:
             [start.r, rot_x(math.radians(120.0)), start.r],
             [start.t, start.t, start.t])
         search.build_edge = lambda spec: built
-        reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
+        reason = search.validate_edge(("transfer", 0, 1, "left", 0))
         assert reason == "bend"
 
     def test_collision_before_bend_wins(self):
@@ -746,7 +751,7 @@ class TestEdgeValidation:
             [start.r, start.r, rot_x(math.radians(120.0))],
             [palm, start.t, start.t])
         search.build_edge = lambda spec: built
-        reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
+        reason = search.validate_edge(("transfer", 0, 1, "left", 0))
         assert reason == "collision"
 
     def test_bend_at_same_row_outranks_collision(self):
@@ -759,7 +764,7 @@ class TestEdgeValidation:
             [start.r, rot_x(math.radians(120.0)), start.r],
             [start.t, palm, start.t])
         search.build_edge = lambda spec: built
-        reason = search._validate_edge_uncached(("transfer", 0, 1, "left", 0))
+        reason = search.validate_edge(("transfer", 0, 1, "left", 0))
         assert reason == "bend"
 
     def test_attached_cable_equals_a_static_cable_on_approach_edges(self,
@@ -790,7 +795,7 @@ class TestEdgeValidation:
         nearest_cable = 0
         for side in ("left", "right"):
             for gid in sorted(search.cache.node_feasible[(search.start, side)]):
-                search._validate_edge_uncached(("approach", search.start, side, gid))
+                search.validate_edge(("approach", search.start, side, gid))
                 args = calls.pop()
                 _, links, segs, radii, names = args
                 assert names[k:] == [CABLE]
@@ -821,9 +826,9 @@ class TestEdgeValidation:
         for spec in (("transfer", search.start, dst, side, gid),
                      ("approach", search.start, side, gid)):
             rows.clear()
-            search._validate_edge_uncached(spec)
-            data = search.cache.edge_measure[(spec, spec[0] == "approach")][0]
-            assert rows == [2 * data.q_left.shape[0]], spec[0]
+            search.validate_edge(spec)
+            edge_rows = search.cache.edge_measure[(spec, spec[0] == "approach")][1]
+            assert rows == [2 * edge_rows["q_left"].shape[0]], spec[0]
 
     def test_the_edge_cache_keeps_no_link_segments(self):
         # build_edge hands its link segments to the clearance query
@@ -835,8 +840,8 @@ class TestEdgeValidation:
             elif isinstance(value, (tuple, list)):
                 for item in value:
                     yield from arrays(item)
-            elif isinstance(value, _EdgeData):
-                yield from arrays(tuple(vars(value).values()))
+            elif isinstance(value, dict):
+                yield from arrays(tuple(value.values()))
 
         cache = PlanCache()
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])

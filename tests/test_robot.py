@@ -277,11 +277,13 @@ def test_dual_arm_rejects_a_non_finite_base(side, part):
 
 @pytest.mark.parametrize("field, value", [
     ("pos_tol", math.nan), ("pos_tol", math.inf), ("pos_tol", -1e-9),
-    ("ori_tol", -1.0), ("ori_tol", math.inf), ("max_iters", -3), ("seed", -1)])
+    ("ori_tol", -1.0), ("ori_tol", math.inf), ("max_iters", -3), ("restarts", -3),
+    ("seed", -1)])
 def test_ik_options_reject_non_finite_or_negative_values(field, value):
     # Unchecked, these misplan without an error: a NaN or negative
     # tolerance reports no_feasible_start, infinite ones accept any
-    # configuration, and a negative seed fails inside default_rng.
+    # configuration, a negative restart count plans as one restart,
+    # and a negative seed fails inside default_rng.
     with pytest.raises(ValueError, match=field):
         rb.IKOptions(**{field: value})
 
