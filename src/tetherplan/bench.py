@@ -99,7 +99,7 @@ def recheck_plan(motion: MotionPlan, problem: PlanningProblem) -> Recheck:
     bend_wp = int(over[0]) if over.size else None
 
     links, tcp_r, tcp_t = arm_link_segments(problem.robot, problem.world.link_spec,
-                                            motion.q_left, motion.q_right)
+                                            motion.q)
     # The tool shapes and the taut cable ride on every waypoint.
     clear, pair_idx, pair_names = motion_clearances(
         problem.world, links,

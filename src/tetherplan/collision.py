@@ -248,24 +248,21 @@ class CollisionWorld:
         self.pair_tables: dict[tuple, _PairTable] = {}
 
 
-def arm_link_segments(robot: DualArm, spec: ArmLinkSpec, q_left: np.ndarray,
-                      q_right: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def arm_link_segments(robot: DualArm, spec: ArmLinkSpec,
+                      q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both arms' link segments (W, 12, 2, 3), the left arm's six links
     first, and TCP poses tcp_r (2, W, 3, 3) and tcp_t (2, W, 3), arm 0
-    the left, of their (W, 6) configurations, from one fk_chain_batch
-    call on 2W rows; ValueError unless their rows agree."""
-    q_left, q_right = (np.asarray(q, dtype=float).reshape(-1, N_JOINTS)
-                       for q in (q_left, q_right))
-    w = len(q_left)
-    if w != len(q_right):
-        raise ValueError(f"q_left has {w} rows and q_right {len(q_right)}; "
-                         "they must agree")
-    rot, tcp, origins = rb.fk_chain_batch(
-        *robot.bases(np.arange(2 * w) >= w), np.concatenate([q_left, q_right]))[:3]
+    the left, of their configurations q (W, 2, 6) in the same arm order,
+    from one fk_chain_batch call on 2W rows; ValueError unless q is (W, 2, 6)."""
+    q = np.asarray(q, dtype=float)
+    if q.shape[1:] != (2, N_JOINTS):
+        raise ValueError(f"q has shape {q.shape}; expected (W, 2, {N_JOINTS})")
+    rot, tcp, origins = rb.fk_chain_batch(*robot.bases(np.repeat([False, True], len(q))),
+                                          q.swapaxes(0, 1).reshape(-1, N_JOINTS))[:3]
     origins[:, 7] = tcp - spec.palm_setback * rot[:, :, 2]
     left, right = np.split(origins[:, _LINK_SPANS], 2)
-    return (np.concatenate([left, right], axis=1), rot.reshape(2, w, 3, 3),
-            tcp.reshape(2, w, 3))
+    return (np.concatenate([left, right], axis=1), rot.reshape(2, len(q), 3, 3),
+            tcp.reshape(2, len(q), 3))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 A plan file is a CSV with one row per waypoint, preceded by a short
 ``# key: value`` preamble carrying whole-plan facts (mode, edge kinds,
-joint distance), each key at most once and none after the header.
+joint distance), each key once, no other key and none after the header.
 Floats are written with nine significant digits, which round-trips
 joint angles and poses to well below actuator resolution.  The writer
 formats whole arrays, with all quaternions from one rot_to_quat call,
@@ -72,8 +72,8 @@ def parse_holding(text: str) -> tuple[int, int]:
 
 
 def plan_csv(motion: MotionPlan) -> str:
-    nums = np.concatenate([motion.q_left, motion.q_right,
-                           rot_to_quat(motion.tool_rot), motion.tool_t], axis=1)
+    nums = np.concatenate([motion.q.reshape(-1, 12), rot_to_quat(motion.tool_rot),
+                           motion.tool_t], axis=1)
     rows = zip(nums.tolist(), map(format_holding, motion.grasp.tolist()),
                motion.theta.tolist(), motion.clearance.tolist(), strict=True)
     lines = [
@@ -97,12 +97,18 @@ def _one_of(value: str, allowed: tuple[str, ...]) -> str:
     return value
 
 
-# The parser of each preamble value; an unknown key is kept as text.
+def _distance(value: str) -> float:
+    if not 0.0 <= float(value) < np.inf:
+        raise ValueError(f"must be finite and at least 0, got {value!r}")
+    return float(value)
+
+
+# The parser of each preamble key's value.
 _PREAMBLE = {
     "mode": lambda v: _one_of(v, MODES),
     "edge_kinds": lambda v: tuple(_one_of(k, ("approach", "transfer", "handover"))
                                   for k in v.split(",") if k),
-    "joint_distance_rad": float,
+    "joint_distance_rad": _distance,
 }
 
 
@@ -111,13 +117,15 @@ _PREAMBLE = {
 _NUMERIC = (*range(1, 20), 21, 22)
 
 
-def _raise_with_line(convert, rows, row_lns) -> None:
+def _by_row(convert, rows, row_lns) -> list:
     """Convert rows one by one; re-raise the first ValueError with its line."""
+    out = []
     for row, ln in zip(rows, row_lns):
         try:
-            convert(row)
+            out.append(convert(row))
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}") from e
+    return out
 
 
 def _holdings(rows: list[str], row_lns: list[int]) -> list[tuple[int, int]]:
@@ -156,13 +164,8 @@ def _numbers(rows: list[str], row_lns: list[int]) -> np.ndarray:
     except ValueError:
         pass
     pick = operator.itemgetter(*_NUMERIC)
-    out = []
-    for row, ln in zip(rows, row_lns):
-        try:
-            out.append(list(map(float, pick(row.split(",")))))
-        except ValueError as e:
-            raise ValueError(f"line {ln}: {e}") from e
-    return np.array(out)
+    return np.array(_by_row(lambda row: list(map(float, pick(row.split(",")))),
+                            rows, row_lns))
 
 
 def parse_plan_csv(text: str) -> MotionPlan:
@@ -183,8 +186,10 @@ def parse_plan_csv(text: str) -> MotionPlan:
             raise ValueError(f"line {ln}: '# {key}:' repeats line "
                              f"{meta_lns[key]}")
         meta_lns[key] = ln
+        if key not in _PREAMBLE:
+            raise ValueError(f"line {ln}: unknown preamble key {key!r}")
         try:
-            meta[key] = _PREAMBLE.get(key, str)(value)
+            meta[key] = _PREAMBLE[key](value)
         except ValueError as e:
             raise ValueError(f"line {ln}: {key}: {e}") from e
     body = [raw.strip() for raw in lines[header:]]
@@ -204,13 +209,12 @@ def parse_plan_csv(text: str) -> MotionPlan:
     try:
         tool_rot = quat_to_rot(nums[:, 12:16])
     except ZeroVectorError:
-        _raise_with_line(quat_to_rot, nums[:, 12:16], row_lns)
+        _by_row(quat_to_rot, nums[:, 12:16], row_lns)
         raise
-    q_left, q_right, tool_t = (nums[:, lo:hi].copy()
-                               for lo, hi in ((0, 6), (6, 12), (16, 19)))
     return MotionPlan(
-        mode=meta["mode"], q_left=q_left, q_right=q_right,
-        tool_rot=tool_rot, tool_t=tool_t, grasp=np.array(holdings, dtype=np.int64),
+        mode=meta["mode"], q=nums[:, :12].reshape(-1, 2, 6).copy(),
+        tool_rot=tool_rot, tool_t=nums[:, 16:19].copy(),
+        grasp=np.array(holdings, dtype=np.int64),
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
         edge_kinds=meta["edge_kinds"], joint_distance=meta["joint_distance_rad"])
 

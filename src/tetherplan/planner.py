@@ -160,30 +160,29 @@ class PlanningProblem:
     def home(self, side: str) -> np.ndarray:
         return self.home_left if side == "left" else self.home_right
 
-    def one_arm_moves(self, side: str, qs: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """(q_left, q_right) waypoints: side follows qs, the other arm
-        stays home."""
-        other = np.tile(self.home("right" if side == "left" else "left"),
-                        (qs.shape[0], 1))
-        return (qs, other) if side == "left" else (other, qs)
+    def one_arm_moves(self, side: str, qs: np.ndarray) -> np.ndarray:
+        """(W, 2, 6) waypoints, arms in ARMS order: side follows qs, the
+        other arm stays home."""
+        q = np.tile([self.home_left, self.home_right], (len(qs), 1, 1))
+        q[:, ARMS.index(side)] = qs
+        return q
 
 
 @dataclass(frozen=True)
 class MotionPlan:
     """A validated waypoint path for both arms plus the carried tool.
-    grasp (W, 2) is each waypoint's grasp id of each arm, columns in
-    ARMS order (left, right), -1 where that arm does not hold the tool;
-    theta and clearance are the bend angle and clearance validated per
-    waypoint, the cable counted on constrained approach rows.  MOTION
-    names the rows an edge builds, ROWS every per-waypoint array."""
+    q (W, 2, 6) and grasp (W, 2) hold each waypoint's joints and grasp id of
+    each arm, arms in ARMS order (left, right), id -1 where the arm does not
+    hold the tool; theta and clearance are the bend angle and clearance
+    validated per waypoint, the cable counted on constrained approach rows.
+    MOTION names the rows an edge builds, ROWS every per-waypoint array;
+    ValueError unless q is (W, 2, 6) and every row array has W rows."""
 
-    MOTION = ("q_left", "q_right", "tool_rot", "tool_t", "grasp")
+    MOTION = ("q", "tool_rot", "tool_t", "grasp")
     ROWS = MOTION + ("theta", "clearance")
 
     mode: str
-    q_left: np.ndarray
-    q_right: np.ndarray
+    q: np.ndarray
     tool_rot: np.ndarray
     tool_t: np.ndarray
     grasp: np.ndarray
@@ -193,10 +192,13 @@ class MotionPlan:
     joint_distance: float
 
     def __post_init__(self):
+        if self.q.shape[1:] != (len(ARMS), N_JOINTS):
+            raise ValueError(f"q has shape {self.q.shape}; "
+                             f"expected (W, {len(ARMS)}, {N_JOINTS})")
         for name in self.ROWS[1:]:
-            if len(getattr(self, name)) != len(self.q_left):
+            if len(getattr(self, name)) != len(self.q):
                 raise ValueError(f"{name} has {len(getattr(self, name))} rows, "
-                                 f"q_left has {len(self.q_left)}")
+                                 f"q has {len(self.q)}")
 
     @property
     def n_edges(self) -> int:
@@ -204,7 +206,7 @@ class MotionPlan:
 
     @property
     def n_waypoints(self) -> int:
-        return self.q_left.shape[0]
+        return self.q.shape[0]
 
 
 @dataclass
@@ -364,11 +366,10 @@ def _solve_stations(problem: PlanningProblem, stations: dict[bytes, Pose],
     for side, mine in (("left", ~right), ("right", right)):
         rows, gids = np.nonzero(ok.reshape(len(jobs), g) & mine[:, None])
         if rows.size:
-            ql, qr = problem.one_arm_moves(side, sols[rows, gids])
-            clear, _, _ = motion_clearances(
-                problem.world, arm_link_segments(problem.robot, problem.world.link_spec,
-                                                 ql, qr)[0],
-                *problem.tool.bodies(rot[rows], t[rows]))
+            links = arm_link_segments(problem.robot, problem.world.link_spec,
+                                      problem.one_arm_moves(side, sols[rows, gids]))[0]
+            clear, _, _ = motion_clearances(problem.world, links,
+                                            *problem.tool.bodies(rot[rows], t[rows]))
             for row, gid in zip(rows[clear >= 0.0].tolist(),
                                 gids[clear >= 0.0].tolist()):
                 feasible[row][gid] = sols[row, gid]
@@ -409,19 +410,19 @@ class _Search:
     def build_edge(self, spec: tuple) -> tuple[str, dict, np.ndarray]:
         """The edge's kind, its rows (one array per MotionPlan.MOTION name)
         and its (W, 12, 2, 3) link segments, from one arm_link_segments
-        call over its (q_left, q_right) rows.  A carried
-        tool follows its holder's TCP poses from that call; a resting
-        tool sits at the station on every row."""
+        call over its (W, 2, 6) joints q.  A carried tool follows its
+        holder's TCP poses from that call; a resting tool sits at the
+        station on every row."""
         kind, feasible, step = spec[0], self.cache.node_feasible, self.opt.interp_step
         if kind == "transfer":
             _, src, dst, side, gid = spec
             qs = interp_joints(feasible[(src, side)][gid], feasible[(dst, side)][gid], step)
-            ql, qr = self.pb.one_arm_moves(side, qs)
+            q = self.pb.one_arm_moves(side, qs)
             holds = [(side, gid, slice(None))]
         elif kind == "approach":
             _, station, side, gid = spec
             qs = interp_joints(self.pb.home(side), feasible[(station, side)][gid], step)
-            ql, qr = self.pb.one_arm_moves(side, qs)
+            q = self.pb.one_arm_moves(side, qs)
             holds = [(side, gid, slice(-1, None))]
         elif kind == "handover":
             _, station, giver, ggid, recv, rgid = spec
@@ -429,18 +430,17 @@ class _Search:
             q_recv = feasible[(station, recv)][rgid]
             seg1 = interp_joints(self.pb.home(recv), q_recv, step)
             seg2 = interp_joints(q_give, self.pb.home(giver), step)
-            w1, w2 = seg1.shape[0], seg2.shape[0]
-            give = np.vstack([np.tile(q_give, (w1, 1)), seg2[1:]])
-            take = np.vstack([seg1, np.tile(q_recv, (w2 - 1, 1))])
-            ql, qr = (give, take) if giver == "left" else (take, give)
+            w1, give, take = seg1.shape[0], ARMS.index(giver), ARMS.index(recv)
+            q = np.empty((w1 + seg2.shape[0] - 1, len(ARMS), N_JOINTS))
+            q[:w1, give], q[w1:, give] = q_give, seg2[1:]
+            q[:w1, take], q[w1:, take] = seg1, q_recv
             holds = [(giver, ggid, slice(w1)), (recv, rgid, slice(w1 - 1, None))]
         else:
             raise ValueError(f"unknown edge kind {kind!r}")
-        grasp = np.full((len(ql), len(ARMS)), -1)
+        grasp = np.full((len(q), len(ARMS)), -1)
         for holder, grasp_id, rows in holds:
             grasp[rows, ARMS.index(holder)] = grasp_id
-        links, rot, tcp = arm_link_segments(self.pb.robot, self.pb.world.link_spec,
-                                            ql, qr)
+        links, rot, tcp = arm_link_segments(self.pb.robot, self.pb.world.link_spec, q)
         if kind == "transfer":
             arm = ARMS.index(side)
             tool_rot = rot[arm] @ self.grasps.r[gid].T
@@ -449,7 +449,7 @@ class _Search:
             pose = self.stations[station]
             tool_rot = np.broadcast_to(pose.r, (len(links), 3, 3))
             tool_t = np.broadcast_to(pose.t, (len(links), 3))
-        return kind, dict(zip(MotionPlan.MOTION, (ql, qr, tool_rot, tool_t, grasp))), links
+        return kind, dict(zip(MotionPlan.MOTION, (q, tool_rot, tool_t, grasp))), links
 
     # ----- edge validation --------------------------------------------------
 

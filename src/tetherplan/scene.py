@@ -356,6 +356,8 @@ def parse_scene(text: str) -> Scene:
         for name_ in names:
             if name_ not in known:
                 raise ValidationError(path, f"unknown body name {name_!r}")
+        if names[0] == names[1]:
+            raise ValidationError(path, f"names body {names[0]!r} twice")
         excluded.append(names)
 
     planner = root.child("planner", _PLANNER_KEYS, None)

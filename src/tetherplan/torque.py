@@ -58,20 +58,19 @@ def trace_plan(plan, robot: DualArm, balancer: BalancerSpec,
                tool: ToolSpec) -> TorqueTrace:
     """Torque trace for a planned motion.
 
-    plan is a MotionPlan or anything with its q_left, q_right,
-    tool_rot, tool_t and grasp fields.  Each waypoint and arm with a
-    grasp id of 0 or more (an arm gripping the tool) gets one entry, in
-    waypoint order and then ARMS order, the left arm first.  The
-    connector points, cable forces and torques of all entries are
-    computed at once, both arms in one FK call.  Raises
-    cable.DegenerateCable, a ZeroVectorError, when a held waypoint puts
-    the connector within 1e-9 m of the anchor.
+    plan is a MotionPlan or anything with its q (W, 2, 6), tool_rot, tool_t
+    and grasp (W, 2) fields, arms in ARMS order.  Each waypoint and arm with
+    a grasp id of 0 or more (an arm gripping the tool) gets one entry, in
+    waypoint order and then ARMS order.  The connector points, cable forces
+    and torques of all entries are computed at once, both arms in one FK
+    call.  Raises cable.DegenerateCable, a ZeroVectorError, when a held
+    waypoint puts the connector within 1e-9 m of the anchor.
     """
     ws, arm = np.nonzero(np.asarray(plan.grasp) >= 0)
     connector, cable, norms = cable_vectors(
         np.asarray(plan.tool_rot, float)[ws], np.asarray(plan.tool_t, float)[ws],
         balancer, tool)
     force = cable_tension(balancer) * (cable / norms[:, None])
-    qs = np.stack([plan.q_left, plan.q_right], axis=1)[ws, arm]
-    tau = joint_torques(*robot.bases(arm == ARMS.index("right")), qs, connector, force)
+    tau = joint_torques(*robot.bases(arm == ARMS.index("right")),
+                        np.asarray(plan.q, float)[ws, arm], connector, force)
     return TorqueTrace(waypoint=ws, arm=np.array(ARMS)[arm], entries=tau)

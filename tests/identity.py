@@ -20,7 +20,9 @@ Floats enter by their exact bits, dict items in key order, a dataclass
 by its fields and a MotionPlan by the public attributes _PLAN_ATTRS
 names, so that a field turned into a property encodes as before.  The
 list is written out here, not read from the library, so that the script
-runs unchanged on an earlier commit.  Run as a script, it prints the
+runs unchanged on an earlier commit.  It names each arm's joints apart,
+as q_left and q_right, which _attr reads as q[:, 0] and q[:, 1] from a
+plan that keeps both arms in one (W, 2, 6) array q.  Run as a script, it prints the
 digest of the checkout it sits in:
 
     python tests/identity.py
@@ -53,6 +55,13 @@ _PLAN_ATTRS = ("mode", "q_left", "q_right", "tool_rot", "tool_t", "grasp", "thet
                "clearance", "edge_kinds", "n_edges", "joint_distance")
 
 
+def _attr(value, name: str):
+    """getattr(value, name), q_left and q_right read from a MotionPlan's q."""
+    if name in ("q_left", "q_right") and hasattr(value, "q"):
+        return value.q[:, ("q_left", "q_right").index(name)]
+    return getattr(value, name)
+
+
 def _encode(value) -> bytes:
     """value as tagged, length-prefixed bytes: equal bytes, equal values."""
     if isinstance(value, np.ndarray):
@@ -62,7 +71,7 @@ def _encode(value) -> bytes:
         names = _PLAN_ATTRS if isinstance(value, MotionPlan) else [
             f.name for f in dataclasses.fields(value)]
         body = b"d" + type(value).__name__.encode() + b"".join(
-            _encode((name, getattr(value, name))) for name in names)
+            _encode((name, _attr(value, name))) for name in names)
     elif isinstance(value, dict):
         body = b"m" + b"".join(_encode(item)
                                for item in sorted(value.items(), key=repr))

@@ -625,11 +625,11 @@ def per_pair_station_solve(problems, options, constrained: bool = False):
         configs = {}
         idx = np.nonzero(ok[lo:lo + n])[0]
         if idx.size:
-            ql, qr = problem.one_arm_moves(side, sols[lo + idx])
+            q = problem.one_arm_moves(side, sols[lo + idx])
             segs, radii, names = problem.tool.bodies(pose.r[None], pose.t[None])
             clear, _, _ = motion_clearances(
                 problem.world,
-                arm_link_segments(problem.robot, problem.world.link_spec, ql, qr)[0],
+                arm_link_segments(problem.robot, problem.world.link_spec, q)[0],
                 np.broadcast_to(segs, (idx.size,) + segs.shape[1:]),
                 radii, names)
             for j, gid in enumerate(idx):
@@ -676,8 +676,10 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
                 raise ValueError(f"line {ln}: '# {key}:' repeats line "
                                  f"{meta_lns[key]}")
             meta_lns[key] = ln
+            if key not in _PREAMBLE:
+                raise ValueError(f"line {ln}: unknown preamble key {key!r}")
             try:
-                meta[key] = _PREAMBLE.get(key, str)(value)
+                meta[key] = _PREAMBLE[key](value)
             except ValueError as e:
                 raise ValueError(f"line {ln}: {key}: {e}") from e
             continue
@@ -719,8 +721,8 @@ def row_by_row_parse_plan_csv(text: str) -> MotionPlan:
         except ValueError as e:
             raise ValueError(f"line {ln}: {e}") from e
     return MotionPlan(
-        mode=meta["mode"], q_left=nums[:, 0:6].copy(),
-        q_right=nums[:, 6:12].copy(), tool_rot=tool_rot,
+        mode=meta["mode"], q=np.stack([nums[:, 0:6], nums[:, 6:12]], axis=1),
+        tool_rot=tool_rot,
         tool_t=nums[:, 16:19].copy(), grasp=grasp,
         theta=nums[:, 19].copy(), clearance=nums[:, 20].copy(),
         edge_kinds=meta["edge_kinds"], joint_distance=meta["joint_distance_rad"])

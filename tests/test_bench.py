@@ -163,8 +163,8 @@ class TestRecheckPlan:
         problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
         q_probe = HOME_LEFT + np.array([1.5, 0, 0, 0, 0, 0])
         spec = problem.world.link_spec
-        crossing = arm_link_segments(problem.robot, spec, q_probe,
-                                     HOME_RIGHT)[0][0][1].mean(axis=0)
+        crossing = arm_link_segments(problem.robot, spec, np.stack(
+            [q_probe, HOME_RIGHT])[None])[0][0][1].mean(axis=0)
         # Hang the tool so the cable's midpoint-to-anchor line passes
         # through the crossing point, with the tool itself far below.
         connector = crossing - 0.5 * (problem.balancer.anchor - crossing)
@@ -175,8 +175,7 @@ class TestRecheckPlan:
         w = len(q_rows)
         return MotionPlan(
             mode="unconstrained",
-            q_left=np.stack(q_rows),
-            q_right=np.tile(HOME_RIGHT, (w, 1)),
+            q=np.stack([np.stack(q_rows), np.tile(HOME_RIGHT, (w, 1))], axis=1),
             tool_rot=np.tile(np.eye(3), (w, 1, 1)),
             tool_t=np.tile(tool_t, (w, 1)),
             grasp=np.array(grasp),
@@ -263,7 +262,7 @@ for path in sorted(Path(AUDIT_PLANS).glob("r*c*_*.csv")):
     row, col = (int(v) for v in path.stem[1:].split("_")[0].split("c"))
     problem = scene.problem(scene.pitch_rows[row], scene.roll_cols[col])
     motion = plan_io.read_plan_csv(path)
-    for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta", "clearance"):
+    for name in ("q", "tool_rot", "tool_t", "theta", "clearance"):
         h.update(getattr(motion, name).tobytes())
     h.update(repr(recheck_plan(motion, problem)).encode())
     trace = trace_plan(motion, problem.robot, problem.balancer, problem.tool)
@@ -325,8 +324,7 @@ def test_recheck_runs_one_fk_and_one_clearance_call_and_trace_one_fk_call(
 def _with_copies(motion, rows):
     """motion with each waypoint of rows repeated right after itself."""
     order = np.sort(np.concatenate([np.arange(motion.n_waypoints), rows]))
-    return replace(motion, q_left=motion.q_left[order],
-                   q_right=motion.q_right[order],
+    return replace(motion, q=motion.q[order],
                    tool_rot=motion.tool_rot[order], tool_t=motion.tool_t[order],
                    grasp=motion.grasp[order],
                    theta=motion.theta[order],
@@ -358,8 +356,7 @@ def test_recheck_of_a_plan_with_repeated_rows(regrasp):
              for i in [getattr(record, f)]}
     assert got == replace(record, **shift)
 
-    links = arm_link_segments(problem.robot, problem.world.link_spec,
-                              copied.q_left, copied.q_right)[0]
+    links = arm_link_segments(problem.robot, problem.world.link_spec, copied.q)[0]
     dense, table = dense_pair_clearances(
         problem.world, links, *problem.tool.bodies(
             copied.tool_rot, copied.tool_t, problem.balancer))
@@ -372,18 +369,25 @@ def test_recheck_of_a_plan_with_repeated_rows(regrasp):
 
 
 @pytest.mark.parametrize("name, extra", [
-    *((name, -1) for name in ("q_left", "q_right", "tool_rot", "tool_t",
+    *((name, -1) for name in ("q", "q_left", "q_right", "tool_rot", "tool_t",
                               "grasp", "theta", "clearance")),
     ("grasp", 1)], ids=lambda v: {-1: "short", 1: "long"}.get(v, v))
 def test_plan_rows_must_agree(name, extra):
     # A grasp array cut short would leave the rows past it unaudited (the
     # grip check would miss the raised tool of TestGrip), and one row
-    # too many would fail inside the re-check.
+    # too many would fail inside the re-check. q_left and q_right cut q
+    # short of that arm's joints: a plan of one arm is refused as well.
     _, _, motion = next(a for a in _audit_plans()
                         if a[0] == "r0c0_constrained.csv")
+    if name in ("q_left", "q_right"):
+        q = np.delete(motion.q, ("q_left", "q_right").index(name), axis=1)
+        with pytest.raises(ValueError, match=rf"q has shape \({len(q)}, 1, 6\); "
+                                             r"expected \(W, 2, 6\)"):
+            replace(motion, q=q)
+        return
     rows = getattr(motion, name)
     rows = rows[:extra] if extra < 0 else np.concatenate([rows, rows[-extra:]])
-    with pytest.raises(ValueError, match="rows, q_left has"):
+    with pytest.raises(ValueError, match="rows, q has"):
         replace(motion, **{name: rows})
 
 
@@ -474,8 +478,8 @@ def _sweep_recording(scene, monkeypatch):
 
 
 def _plan_key(motion):
-    return tuple(a.tobytes() for a in (motion.q_left, motion.q_right,
-                                       motion.tool_rot, motion.tool_t, motion.grasp))
+    return tuple(a.tobytes() for a in (motion.q, motion.tool_rot, motion.tool_t,
+                                       motion.grasp))
 
 
 class TestOneAuditPerPlan:
@@ -774,8 +778,7 @@ def test_a_rigid_motion_of_the_scene_moves_every_plan_with_it(monkeypatch):
             continue
         g, w = got.plan, want.plan
         assert np.array_equal(g.grasp, w.grasp) and g.edge_kinds == w.edge_kinds
-        for name in ("q_left", "q_right"):
-            assert np.abs(getattr(g, name) - getattr(w, name)).max() <= 1e-12
+        assert np.abs(g.q - w.q).max() <= 1e-12
         assert np.abs(g.tool_rot - rot @ w.tool_rot).max() <= 1e-12
         assert np.abs(g.tool_t - (w.tool_t @ rot.T + shift)).max() <= 1e-12
 
@@ -816,8 +819,8 @@ def test_the_bend_limit_acts_only_on_constrained_plans(monkeypatch):
         grids.append(sum(sweep(_limited(cut, deg)).grid("constrained"), []))
         free.append([None if r.plan is None else (
             [getattr(r.plan, name).tobytes() for name in
-             ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
-              "clearance")], r.plan.edge_kinds, r.plan.joint_distance)
+             ("q", "tool_rot", "tool_t", "grasp", "theta", "clearance")],
+            r.plan.edge_kinds, r.plan.joint_distance)
             for constrained, r in results if not constrained])
     assert len(free[0]) == 4 and all(free[0])
     assert all(plans == free[0] for plans in free[1:])

@@ -119,7 +119,7 @@ class TestConstraint:
         problem = make_problem([0.3, 0.35, 0.45], [0.3, 0.1, 0.45])
         pose = Pose(rot_y(1.2), problem.start_pose.t)
         motion = MotionPlan(
-            mode="constrained", q_left=HOME_LEFT[None], q_right=HOME_RIGHT[None],
+            mode="constrained", q=np.stack([HOME_LEFT, HOME_RIGHT])[None],
             tool_rot=pose.r[None], tool_t=pose.t[None], grasp=np.full((1, 2), -1),
             theta=np.zeros(1), clearance=np.zeros(1), edge_kinds=(),
             joint_distance=0.0)

@@ -242,11 +242,17 @@ def make_world(statics=None, excluded=()):
 RAISED_TABLE = Box(Pose(np.eye(3), [0.0, 0.0, -0.3]), [1.0, 1.0, 0.4])
 
 
-def overlaps(world, robot, q_left, q_right):
-    """Strictly overlapping pairs of the bare arms at one configuration
-    pair, read off the dense matrix's single row."""
+def both_arms(q_left, q_right):
+    """Both arms' joints (W, 2, 6), the left arm first, as arm_link_segments
+    takes them, from two (W, 6) arrays or two (6,) configurations."""
+    return np.stack([np.atleast_2d(q_left), np.atleast_2d(q_right)], axis=1)
+
+
+def overlaps(world, robot, q):
+    """Strictly overlapping pairs of the bare arms at one (1, 2, 6)
+    configuration, read off the dense matrix's single row."""
     clear, table = dense_pair_clearances(
-        world, arm_link_segments(robot, world.link_spec, q_left, q_right)[0], None, (), ())
+        world, arm_link_segments(robot, world.link_spec, q)[0], None, (), ())
     return [table.pair_names[k] for k in np.nonzero(clear[0] < 0.0)[0]]
 
 
@@ -254,10 +260,10 @@ class TestWorld:
     def test_home_pose_is_free(self):
         robot = make_robot()
         world = make_world()
-        q = np.zeros((1, 6))
-        clear, _, _ = motion_clearances(world, arm_link_segments(robot, world.link_spec, q, q)[0])
+        q = np.zeros((1, 2, 6))
+        clear, _, _ = motion_clearances(world, arm_link_segments(robot, world.link_spec, q)[0])
         assert clear[0] > 0.0
-        assert not overlaps(world, robot, q, q)
+        assert not overlaps(world, robot, q)
 
     def test_static_capsule_through_arm_is_named(self):
         robot = make_robot()
@@ -266,7 +272,7 @@ class TestWorld:
         elbow = 0.5 * (pts[2] + pts[3])
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar})
-        pairs = overlaps(world, robot, q, q)
+        pairs = overlaps(world, robot, both_arms(q, q))
         assert pairs
         assert any("bar" in pair for pair in pairs)
         assert any(pair[0].startswith("left/link") for pair in pairs)
@@ -279,16 +285,16 @@ class TestWorld:
         bar = Capsule(elbow + [0, 0, 0.5], elbow - [0, 0, 0.5], 0.02)
         world = make_world({"bar": bar},
                            excluded=[("bar", f"left/link{i}") for i in range(1, 7)])
-        assert not overlaps(world, robot, q, q)
+        assert not overlaps(world, robot, both_arms(q, q))
 
     def test_table_box_under_arms(self):
         robot = make_robot()
         table = Box(Pose(np.eye(3), [0.0, 0.0, -0.5]), [1.0, 1.0, 0.4])
         world = make_world({"table": table})
         q = np.zeros(6)
-        assert not overlaps(world, robot, q, q)
+        assert not overlaps(world, robot, both_arms(q, q))
         world2 = make_world({"table": RAISED_TABLE})
-        pairs = overlaps(world2, robot, q, q)
+        pairs = overlaps(world2, robot, both_arms(q, q))
         assert pairs
         assert any("table" in pair for pair in pairs)
 
@@ -310,7 +316,7 @@ class TestWorld:
                              (make_world({"post": post, "table": table}), held)):
             attach = (None, (), ()) if tools is None else (
                 np.array([[[c.a, c.b]] for c in tools]), [0.02], ["tool"])
-            links = arm_link_segments(robot, world.link_spec, qs_l, qs_r)[0]
+            links = arm_link_segments(robot, world.link_spec, both_arms(qs_l, qs_r))[0]
             clear, _, names = motion_clearances(world, links, *attach)
             dense, pairs = dense_pair_clearances(world, links, *attach)
             assert pairs.pair_names == names
@@ -319,7 +325,7 @@ class TestWorld:
                 if tools is not None:
                     shapes["tool"] = tools[w]
                 spec = world.link_spec
-                row = arm_link_segments(robot, spec, qs_l[w], qs_r[w])[0][0]
+                row = arm_link_segments(robot, spec, both_arms(qs_l[w], qs_r[w]))[0][0]
                 for side, segs in (("left", row[:6]), ("right", row[6:])):
                     for name, (a, b), r in zip(link_names(side), segs, spec.radii):
                         shapes[name] = Capsule(a, b, r)
@@ -352,7 +358,8 @@ class TestWorld:
     def test_link_segments_shape(self):
         robot = make_robot()
         spec = ArmLinkSpec(radii=[0.04] * 6)
-        segs = arm_link_segments(robot, spec, np.zeros((3, 6)), np.ones((3, 6)))[0]
+        q = both_arms(np.zeros((3, 6)), np.ones((3, 6)))
+        segs = arm_link_segments(robot, spec, q)[0]
         assert segs.shape == (3, 12, 2, 3)
         # Consecutive links of one arm share an endpoint.
         for k in (*range(4), *range(6, 10)):
@@ -366,7 +373,7 @@ class TestWorld:
         rows, chain = [], fk_chain_batch
         monkeypatch.setattr("tetherplan.robot.fk_chain_batch",
                             lambda *a: rows.append(len(a[2])) or chain(*a))
-        links, tcp_r, tcp_t = arm_link_segments(robot, spec, q_left, q_right)
+        links, tcp_r, tcp_t = arm_link_segments(robot, spec, both_arms(q_left, q_right))
         assert rows == [14]
         assert links.shape == (7, 12, 2, 3)
         assert tcp_r.shape == (2, 7, 3, 3) and tcp_t.shape == (2, 7, 3)
@@ -379,19 +386,19 @@ class TestWorld:
             assert np.array_equal(links[:, 6 * arm + 5, 1], palm)
 
 
-def dense_minimum(world, robot, q_left, q_right, *attach):
+def dense_minimum(world, robot, q, *attach):
     """Row minimum and first-index argmin of the dense pair matrix."""
     clear, table = dense_pair_clearances(
-        world, arm_link_segments(robot, world.link_spec, q_left, q_right)[0],
+        world, arm_link_segments(robot, world.link_spec, q)[0],
         *(attach or (None, (), ())))
     idx = np.argmin(clear, axis=1)
     return clear[np.arange(clear.shape[0]), idx], idx, table.pair_names
 
 
-def assert_matches_dense(world, robot, q_left, q_right, *attach):
+def assert_matches_dense(world, robot, q, *attach):
     got = motion_clearances(
-        world, arm_link_segments(robot, world.link_spec, q_left, q_right)[0], *attach)
-    want = dense_minimum(world, robot, q_left, q_right, *attach)
+        world, arm_link_segments(robot, world.link_spec, q)[0], *attach)
+    want = dense_minimum(world, robot, q, *attach)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert got[2] == want[2]
@@ -430,8 +437,8 @@ class TestBoundedClearances:
             qa_l, qa_r = rng.uniform(-np.pi, np.pi, (2, 6))
             ql = np.linspace(qa_l, qa_l + rng.uniform(-step, step, 6) * w, w)
             qr = np.linspace(qa_r, qa_r + rng.uniform(-step, step, 6) * w, w)
-            assert_matches_dense(world, robot, ql, qr)
-            assert_matches_dense(world, robot, ql, qr, *held_tool(robot, ql))
+            assert_matches_dense(world, robot, both_arms(ql, qr))
+            assert_matches_dense(world, robot, both_arms(ql, qr), *held_tool(robot, ql))
 
     def test_unrelated_rows(self):
         robot = make_robot()
@@ -439,7 +446,7 @@ class TestBoundedClearances:
         rng = np.random.default_rng(21)
         for w in (3, 23):
             ql, qr = rng.uniform(-np.pi, np.pi, (2, w, 6))
-            assert_matches_dense(world, robot, ql, qr, *held_tool(robot, ql))
+            assert_matches_dense(world, robot, both_arms(ql, qr), *held_tool(robot, ql))
 
     def test_one_idle_arm(self):
         robot = make_robot()
@@ -448,13 +455,14 @@ class TestBoundedClearances:
         for w in (5, 30):
             moving = np.linspace(HOME_LEFT, HOME_LEFT + rng.uniform(-1, 1, 6), w)
             idle = np.tile(HOME_RIGHT, (w, 1))
-            assert_matches_dense(world, robot, moving, idle,
+            assert_matches_dense(world, robot, both_arms(moving, idle),
                                  *held_tool(robot, moving))
             # Every row gets the segments of a call of its own.
             spec = world.link_spec
-            segs = arm_link_segments(robot, spec, moving, idle)[0]
+            segs = arm_link_segments(robot, spec, both_arms(moving, idle))[0]
             assert np.array_equal(segs, np.concatenate(
-                [arm_link_segments(robot, spec, m, q)[0] for m, q in zip(moving, idle)]))
+                [arm_link_segments(robot, spec, both_arms(m, q))[0]
+                 for m, q in zip(moving, idle)]))
 
     def test_exact_touch(self):
         # A capsule of radius 0.25 slides 0.25 above the top face of a
@@ -469,7 +477,7 @@ class TestBoundedClearances:
         segs[:, 0, :, 2] = 0.25
         ql = np.linspace(HOME_LEFT, HOME_LEFT + 0.5, w)
         qr = np.tile(HOME_RIGHT, (w, 1))
-        clear, idx, names = assert_matches_dense(world, robot, ql, qr, segs,
+        clear, idx, names = assert_matches_dense(world, robot, both_arms(ql, qr), segs,
                                                  [0.25], ["tool"])
         assert np.all(clear == 0.0)
         assert {names[k] for k in idx} == {("tool", "block")}
@@ -481,7 +489,7 @@ class TestBoundedClearances:
         w = 25
         ql = np.linspace(HOME_LEFT, HOME_LEFT + 0.6, w)
         qr = np.tile(HOME_RIGHT, (w, 1))
-        clear, idx, names = assert_matches_dense(world, robot, ql, qr)
+        clear, idx, names = assert_matches_dense(world, robot, both_arms(ql, qr))
         on_post = [names[k] for k in idx if "post_a" in names[k]]
         assert on_post and not any("post_b" in names[k] for k in idx)
 
@@ -515,7 +523,7 @@ class TestBoundedClearances:
                 ql = np.tile(HOME_LEFT, (w, 1))
                 qr = np.tile(HOME_RIGHT, (w, 1))
                 clear, idx, pairs = assert_matches_dense(
-                    world, robot, ql, qr, segs, radii, names)
+                    world, robot, both_arms(ql, qr), segs, radii, names)
                 assert {pairs[k] for k in idx} <= {("ball", n) for n in names}
 
     def test_empty_batch_returns_empty(self):
@@ -523,15 +531,16 @@ class TestBoundedClearances:
         # without attached bodies, as every other batch kernel does.
         robot = make_robot()
         world = cluttered_world()
-        empty = np.zeros((0, 6))
+        empty = np.zeros((0, 2, 6))
         for k in (0, 1):
             radii, names = [0.02] * k, ["tool"] * k
             clear, idx, pairs = motion_clearances(
-                world, arm_link_segments(robot, world.link_spec, empty, empty)[0],
+                world, arm_link_segments(robot, world.link_spec, empty)[0],
                 np.zeros((0, k, 2, 3)), radii, names)
             assert clear.shape == idx.shape == (0,)
             assert pairs == motion_clearances(
-                world, arm_link_segments(robot, world.link_spec, HOME_LEFT, HOME_RIGHT)[0],
+                world, arm_link_segments(robot, world.link_spec,
+                                         both_arms(HOME_LEFT, HOME_RIGHT))[0],
                 np.zeros((1, k, 2, 3)), radii, names)[2]
             assert any("tool" in pair for pair in pairs) == bool(k)
 
@@ -549,7 +558,7 @@ def test_pair_bounds_enclose_the_exact_clearance():
     ball = np.repeat(rng.uniform([0.1, -0.5, 0.0], [0.6, 0.5, 0.7], (w, 1, 1, 3)),
                      2, axis=2)
     attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
-    links = arm_link_segments(robot, world.link_spec, ql, qr)[0]
+    links = arm_link_segments(robot, world.link_spec, both_arms(ql, qr))[0]
     caps, table = _query(world, links, *attach)
     lower, upper = (b.T for b in _pair_bounds(caps, world.boxes, table))
     exact, _ = dense_pair_clearances(world, links, *attach)
@@ -660,7 +669,7 @@ class TestEinsumForms:
         ball = np.repeat(rng.uniform([0.1, -0.5, 0.0], [0.6, 0.5, 0.7], (w, 1, 1, 3)),
                          2, axis=2)
         attach = (np.concatenate([tool, ball], axis=1), [0.02, 0.03], ["tool", "ball"])
-        links = arm_link_segments(robot, world.link_spec, ql, qr)[0]
+        links = arm_link_segments(robot, world.link_spec, both_arms(ql, qr))[0]
         caps, table = _query(world, links, *attach)
         rows = np.ascontiguousarray(caps.transpose(3, 2, 0, 1))
         lower, upper = _pair_bounds(caps, world.boxes, table)
@@ -783,25 +792,27 @@ def test_pair_table_pairs_no_two_statics_and_no_two_attached_bodies():
      "attached_segments holds 2 bodies, attached_names 3 and attached_radii 3"),
     (lambda a: a.update(attached_segments=None),
      "attached_segments holds 0 bodies, attached_names 3 and attached_radii 3"),
-    (lambda a: a.update(q_right=a["q_right"][:-1]),
-     "q_left has 4 rows and q_right 3"),
+    (lambda a: a.update(q=a["q"].reshape(-1, 12)),
+     r"q has shape \(4, 12\); expected \(W, 2, 6\)"),
+    (lambda a: a.update(q=a["q"][:, 0]),
+     r"q has shape \(4, 6\); expected \(W, 2, 6\)"),
     (lambda a: a.update(attached_segments=a["attached_segments"][:-1]),
      "links has 4 rows and attached_segments 3"),
     (lambda a: a.update(attached_segments=a["attached_segments"][0]),
      r"attached_segments must be \(W, K, 2, 3\), not \(3, 2, 3\)"),
 ], ids=["one_segment_too_many", "one_radius_short", "one_segment_short",
-        "names_without_segments", "q_right_short", "segment_rows_short",
+        "names_without_segments", "q_flat", "q_one_arm", "segment_rows_short",
         "segments_without_rows"])
 def test_mismatched_attached_inputs_raise(edit, message):
     w = 4
-    args = dict(q_left=np.tile(HOME_LEFT, (w, 1)), q_right=np.tile(HOME_RIGHT, (w, 1)),
+    args = dict(q=both_arms(np.tile(HOME_LEFT, (w, 1)), np.tile(HOME_RIGHT, (w, 1))),
                 attached_segments=np.tile([[0.3, 0.0, 0.3], [0.3, 0.0, 0.5]], (w, 3, 1, 1)),
                 attached_radii=ATTACHED_RADII, attached_names=ATTACHED)
 
-    def clearances(q_left, q_right, **attach):
+    def clearances(q, **attach):
         world = cluttered_world()
         return motion_clearances(world, arm_link_segments(
-            make_robot(), world.link_spec, q_left, q_right)[0], **attach)
+            make_robot(), world.link_spec, q)[0], **attach)
 
     clearances(**args)
     edit(args)
@@ -811,8 +822,8 @@ def test_mismatched_attached_inputs_raise(edit, message):
 
 def test_links_of_another_shape_raise():
     world, robot = cluttered_world(), make_robot()
-    links = arm_link_segments(robot, world.link_spec, np.tile(HOME_LEFT, (4, 1)),
-                              np.tile(HOME_RIGHT, (4, 1)))[0]
+    links = arm_link_segments(robot, world.link_spec, both_arms(
+        np.tile(HOME_LEFT, (4, 1)), np.tile(HOME_RIGHT, (4, 1))))[0]
     motion_clearances(world, links)
     with pytest.raises(ValueError, match=r"links must be \(W, 12, 2, 3\), not \(4, 6, 2, 3\)"):
         motion_clearances(world, links[:, :6])
@@ -831,7 +842,7 @@ def test_a_non_finite_box_is_rejected(pose, half):
     # centre used to make each row's least upper bound NaN, so that no
     # entry was measured and the row read +inf instead.
     robot, world = make_robot(), make_world({"table": RAISED_TABLE})
-    links = arm_link_segments(robot, world.link_spec, HOME_LEFT, HOME_RIGHT)[0]
+    links = arm_link_segments(robot, world.link_spec, both_arms(HOME_LEFT, HOME_RIGHT))[0]
     assert motion_clearances(world, links)[0][0] < 0.0
     with pytest.raises(ValueError, match="box"):
         Box(pose, half)
@@ -841,8 +852,8 @@ def test_a_non_finite_box_is_rejected(pose, half):
 @pytest.mark.parametrize("body", ["links", "attached"])
 def test_non_finite_segments_are_rejected(body, value):
     robot, world = make_robot(), make_world({"table": RAISED_TABLE})
-    links = arm_link_segments(robot, world.link_spec, np.tile(HOME_LEFT, (4, 1)),
-                              np.tile(HOME_RIGHT, (4, 1)))[0]
+    links = arm_link_segments(robot, world.link_spec, both_arms(
+        np.tile(HOME_LEFT, (4, 1)), np.tile(HOME_RIGHT, (4, 1))))[0]
     held = np.tile([[0.3, 0.0, 0.3], [0.3, 0.0, 0.5]], (4, 1, 1, 1))
     assert np.all(motion_clearances(world, links, held, [0.02], ["tool"])[0] < 0.0)
     (links if body == "links" else held)[2, 0, 1, 1] = value
@@ -872,13 +883,13 @@ world = CollisionWorld(
 rng = np.random.default_rng(41)
 home = np.array([[2.435, -0.529, -1.542, 0.5, -1.571, 2.435],
                  [2.795, -0.529, -1.543, 0.501, -1.571, 2.795]])
-ql, qr = home[:, None] + rng.uniform(-0.3, 0.3, (2, 64, 6))
+q = (home[:, None] + rng.uniform(-0.3, 0.3, (2, 64, 6))).swapaxes(0, 1)
 held = crate.pose.t + rng.uniform(-0.25, 0.25, (64, 1, 2, 3))
-links = arm_link_segments(robot, world.link_spec, ql, qr)[0]
+links = arm_link_segments(robot, world.link_spec, q)[0]
 full = motion_clearances(world, links, held, [0.02], ["tool"])
 subset = np.sort(rng.choice(64, 23, replace=False))
 perm = rng.permutation(subset)
-parts = [motion_clearances(world, arm_link_segments(robot, world.link_spec, ql[k], qr[k])[0],
+parts = [motion_clearances(world, arm_link_segments(robot, world.link_spec, q[k])[0],
                            held[k], [0.02], ["tool"]) for k in (subset, perm)]
 digest = hashlib.sha256(b"".join(
     a.tobytes() for out in (full, *parts) for a in out[:2])).hexdigest()

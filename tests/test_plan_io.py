@@ -1,3 +1,4 @@
+import csv
 import re
 from pathlib import Path
 
@@ -75,8 +76,7 @@ class TestPlanRoundTrip:
         assert back.n_edges == motion.n_edges
         assert back.grasp.tobytes() == motion.grasp.tobytes()
         assert back.joint_distance == pytest.approx(motion.joint_distance)
-        np.testing.assert_allclose(back.q_left, motion.q_left, atol=1e-7)
-        np.testing.assert_allclose(back.q_right, motion.q_right, atol=1e-7)
+        np.testing.assert_allclose(back.q, motion.q, atol=1e-7)
         np.testing.assert_allclose(back.tool_rot, motion.tool_rot, atol=1e-7)
         np.testing.assert_allclose(back.tool_t, motion.tool_t, atol=1e-7)
         np.testing.assert_allclose(back.theta, motion.theta, atol=1e-7)
@@ -89,6 +89,17 @@ class TestPlanRoundTrip:
         write_plan_csv(path, motion)
         back = read_plan_csv(path)
         assert back.n_waypoints == motion.n_waypoints
+
+    def test_joint_columns_hold_each_arm_by_name(self, solved):
+        # Read by header name, so that an arm swap made in both the
+        # writer and the reader fails here.
+        _, motion = solved
+        table = list(csv.DictReader(plan_csv(motion).splitlines()[3:]))
+        assert len(table) == motion.n_waypoints
+        assert np.abs(motion.q[:, 0] - motion.q[:, 1]).max() > 0.1
+        for arm, prefix in enumerate(("ql", "qr")):
+            got = [[float(row[f"{prefix}{j}"]) for j in range(1, 7)] for row in table]
+            np.testing.assert_allclose(got, motion.q[:, arm], rtol=0, atol=1e-7)
 
     def test_header_line_present(self, solved):
         _, motion = solved
@@ -106,8 +117,7 @@ class TestParserMatchesTheRowByRowOracle:
     @staticmethod
     def assert_same_plan(text):
         fast, oracle = parse_plan_csv(text), row_by_row_parse_plan_csv(text)
-        for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
-                     "clearance"):
+        for name in ("q", "tool_rot", "tool_t", "grasp", "theta", "clearance"):
             assert getattr(fast, name).dtype == getattr(oracle, name).dtype, name
             assert getattr(fast, name).shape == getattr(oracle, name).shape, name
             assert getattr(fast, name).tobytes() == getattr(oracle, name).tobytes(), name
@@ -210,6 +220,25 @@ class TestPlanParseErrors:
         _rejected_on_one_line("\n".join(lines),
                               f"line {line}: {key}: '{bad}' is not one of")
 
+    @pytest.mark.parametrize("at", [0, 3], ids=["first", "last"])
+    def test_unknown_preamble_key_names_its_line(self, solved, at):
+        # No reader reads such a key, so it used to load and be dropped.
+        _, motion = solved
+        lines = plan_csv(motion).splitlines()
+        lines.insert(at, "# foo: bar")
+        _rejected_on_one_line("\n".join(lines),
+                              f"line {at + 1}: unknown preamble key 'foo'")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-3", "-1e-300"])
+    def test_joint_distance_must_be_finite_and_at_least_0(self, solved, value):
+        _, motion = solved
+        lines = plan_csv(motion).splitlines()
+        lines[2] = f"# joint_distance_rad: {value}"
+        _rejected_on_one_line("\n".join(lines), re.escape(
+            f"line 3: joint_distance_rad: must be finite and at least 0, got '{value}'"))
+        lines[2] = "# joint_distance_rad: 0"    # the least legal value loads
+        assert parse_plan_csv("\n".join(lines)).joint_distance == 0.0
+
     def test_repeated_preamble_key_names_both_lines(self, solved):
         # The plan is constrained; a second mode line must not win.
         _, motion = solved
@@ -272,8 +301,7 @@ class TestPlanParseParity:
         _, motion = solved
         text = TestPlanParseErrors._edit_waypoint_1(motion, **{column: value})
         got, want = parse_plan_csv(text), row_by_row_parse_plan_csv(text)
-        for name in ("q_left", "q_right", "tool_rot", "tool_t", "theta",
-                     "clearance"):
+        for name in ("q", "tool_rot", "tool_t", "theta", "clearance"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.grasp.tobytes() == want.grasp.tobytes()
         assert getattr(got, field)[1] == float(value)

@@ -213,7 +213,8 @@ class TestPlanning:
         # Constrained plans respect the bend limit everywhere.
         assert p.theta.max() < problem.constraint.theta_max
         assert p.clearance.min() >= 0.0
-        assert p.n_waypoints == p.q_left.shape[0] == len(p.grasp)
+        assert p.n_waypoints == p.q.shape[0] == len(p.grasp)
+        assert p.q.shape[1:] == (2, 6)
 
     def test_handover_when_one_arm_cannot_complete(self):
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
@@ -246,8 +247,7 @@ class TestPlanning:
         problem = make_problem([0.3, 0.35, 0.45], [0.3, -0.35, 0.45])
         a = plan(problem, constrained=True, options=QUICK).plan
         b = plan(problem, constrained=True, options=QUICK).plan
-        assert np.array_equal(a.q_left, b.q_left)
-        assert np.array_equal(a.q_right, b.q_right)
+        assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.tool_t, b.tool_t)
         assert np.array_equal(a.grasp, b.grasp)
 
@@ -257,8 +257,8 @@ class TestPlanning:
         warm = plan(problem, constrained=True, options=QUICK, cache=cache)
         again = plan(problem, constrained=True, options=QUICK, cache=cache)
         cold = plan(problem, constrained=True, options=QUICK)
-        assert np.array_equal(warm.plan.q_left, cold.plan.q_left)
-        assert np.array_equal(again.plan.q_left, cold.plan.q_left)
+        assert np.array_equal(warm.plan.q, cold.plan.q)
+        assert np.array_equal(again.plan.q, cold.plan.q)
         assert cache.edge_verdict  # the cache actually filled
 
     def test_budget_exhaustion_reported(self):
@@ -329,8 +329,7 @@ def _same_result(got, want):
     if want.plan is None:
         assert got.plan is None
         return
-    for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
-                 "clearance"):
+    for name in ("q", "tool_rot", "tool_t", "grasp", "theta", "clearance"):
         assert np.array_equal(getattr(got.plan, name), getattr(want.plan, name))
     for name in ("edge_kinds", "n_edges", "joint_distance"):
         assert getattr(got.plan, name) == getattr(want.plan, name)
@@ -462,8 +461,7 @@ class TestAssembly:
             p.theta, bend_angle_batch(rot, t, problem.balancer, problem.tool))
         # The approach ends on the first held waypoint.
         approach = int(np.argmax((p.grasp >= 0).any(axis=1))) + 1
-        links = arm_link_segments(problem.robot, problem.world.link_spec,
-                                  p.q_left, p.q_right)[0]
+        links = arm_link_segments(problem.robot, problem.world.link_spec, p.q)[0]
         dense, _ = dense_pair_clearances(problem.world, links,
                                          *problem.tool.bodies(rot, t))
         want = dense.min(axis=1)
@@ -485,8 +483,7 @@ class TestAssembly:
                             lambda *a: calls.append(a) or motion_clearances(*a))
         again = plan(problem, constrained=True, options=QUICK, cache=cache).plan
         assert calls == []
-        for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
-                     "clearance"):
+        for name in ("q", "tool_rot", "tool_t", "grasp", "theta", "clearance"):
             assert np.array_equal(getattr(again, name), getattr(first, name))
         assert again.edge_kinds == first.edge_kinds
 
@@ -613,7 +610,7 @@ class TestOneCacheAcrossBendLimits:
             for free, bound in zip(unconstrained, fresh[deg]):
                 if free.plan is None or free.plan.theta.max() >= math.radians(deg):
                     continue
-                for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp"):
+                for name in ("q", "tool_rot", "tool_t", "grasp"):
                     assert (getattr(bound.plan, name).tobytes()
                             == getattr(free.plan, name).tobytes())
                 pairs += 1
@@ -719,14 +716,13 @@ class TestEdgeValidation:
         the kind, the rows and their link segments."""
         w = len(rots)
         rows = dict(
-            q_left=np.tile(problem.home_left, (w, 1)),
-            q_right=np.tile(problem.home_right, (w, 1)),
+            q=np.tile([problem.home_left, problem.home_right], (w, 1, 1)),
             tool_rot=np.stack(rots),
             tool_t=np.stack([np.asarray(t, dtype=float) for t in ts]),
             grasp=np.tile([0, -1], (w, 1)),
         )
         return "transfer", rows, arm_link_segments(
-            problem.robot, problem.world.link_spec, rows["q_left"], rows["q_right"])[0]
+            problem.robot, problem.world.link_spec, rows["q"])[0]
 
     def test_mid_edge_bend_rejected(self):
         problem, search = self._search()
@@ -828,7 +824,7 @@ class TestEdgeValidation:
             rows.clear()
             search.validate_edge(spec)
             edge_rows = search.cache.edge_measure[(spec, spec[0] == "approach")][1]
-            assert rows == [2 * edge_rows["q_left"].shape[0]], spec[0]
+            assert rows == [2 * edge_rows["q"].shape[0]], spec[0]
 
     def test_the_edge_cache_keeps_no_link_segments(self):
         # build_edge hands its link segments to the clearance query
@@ -873,8 +869,7 @@ class TestStationSolve:
 
         monkeypatch.setattr(planner, "ik_batch", no_ik)
         warm = plan(problem, constrained=True, options=QUICK, cache=cache).plan
-        for name in ("q_left", "q_right", "tool_rot", "tool_t", "grasp", "theta",
-                     "clearance"):
+        for name in ("q", "tool_rot", "tool_t", "grasp", "theta", "clearance"):
             assert np.array_equal(getattr(warm, name), getattr(cold, name))
         assert warm.edge_kinds == cold.edge_kinds
 

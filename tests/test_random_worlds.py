@@ -45,8 +45,7 @@ def _check_clearances(motion, problem, cabled_rows, recheck):
     planner attached, the cable on the first cabled_rows rows, and the
     re-check's minimum against one with the cable on every row."""
     rot, t = motion.tool_rot, motion.tool_t
-    links = arm_link_segments(problem.robot, problem.world.link_spec,
-                              motion.q_left, motion.q_right)[0]
+    links = arm_link_segments(problem.robot, problem.world.link_spec, motion.q)[0]
     bare, _ = dense_pair_clearances(problem.world, links,
                                     *problem.tool.bodies(rot, t))
     cabled, _ = dense_pair_clearances(

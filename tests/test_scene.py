@@ -88,7 +88,7 @@ class TestDefaultScene:
         sc = default_scene()
         b = sc.base
         clear, _, _ = motion_clearances(b.world, arm_link_segments(
-            b.robot, b.world.link_spec, b.home_left, b.home_right)[0])
+            b.robot, b.world.link_spec, np.stack([b.home_left, b.home_right])[None])[0])
         assert clear[0] >= 0.0
 
     def test_angles_are_radians_internally(self):
@@ -366,6 +366,15 @@ class TestValidationErrors:
         doc = yaml.safe_load(default_text())
         doc["collision_exclude"].append(["left/link4", "left/link99"])
         with pytest.raises(ValidationError, match="link99"):
+            parse_scene(yaml.safe_dump(doc))
+
+    def test_an_exclusion_naming_one_body_twice_is_rejected(self):
+        # Such an entry is no pair, so it matched no pair and excluded
+        # nothing.
+        doc = yaml.safe_load(default_text())
+        doc["collision_exclude"].append(["table", "table"])
+        with pytest.raises(ValidationError,
+                           match=r"^collision_exclude\[2\]: names body 'table' twice$"):
             parse_scene(yaml.safe_dump(doc))
 
     @pytest.mark.parametrize("key, bad, least", [

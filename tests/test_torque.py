@@ -9,6 +9,7 @@ from tetherplan.cable import BalancerSpec, ToolSpec
 from tetherplan.collision import Capsule
 from tetherplan.geometry import Pose, ZeroVectorError, rot_z, rpy_to_rot
 from tetherplan.plan_io import TORQUE_HEADER, torque_csv
+from tetherplan.planner import ARMS
 from tetherplan.robot import DualArm, fk_chain_batch, joint_torques
 from tetherplan.torque import EmptyTrace, TorqueTrace, cable_tension, trace_plan
 
@@ -119,8 +120,8 @@ class TestTrace:
         rng = np.random.default_rng(35)
         w = len(grasp)
         plan = SimpleNamespace(
-            q_left=rng.uniform(-1.0, 1.0, (w, 6)),
-            q_right=rng.uniform(-1.0, 1.0, (w, 6)),
+            q=np.stack([rng.uniform(-1.0, 1.0, (w, 6)),
+                        rng.uniform(-1.0, 1.0, (w, 6))], axis=1),
             tool_rot=np.stack([rot_z(0.1 * i) for i in range(w)]),
             tool_t=np.tile([0.3, 0.0, 0.6], (w, 1)),
             grasp=np.array(grasp))
@@ -153,7 +154,7 @@ class TestTrace:
              (4, "left"), (4, "right")]
         for w, side, torques in zip(trace.waypoint, trace.arm, trace.entries):
             arm = getattr(robot, side)
-            q = (plan.q_left if side == "left" else plan.q_right)[w]
+            q = plan.q[w, ARMS.index(side)]
             connector = plan.tool_rot[w] @ tool.connector_point + plan.tool_t[w]
             rot, tcp, _, _ = fk_chain_batch(arm.r, arm.t, q)
             local = rot[0].T @ (connector - tcp[0])
